@@ -17,15 +17,16 @@ fractional credit accumulator, after a fixed startup lost time at the beginning
 of each green.  Time advances in one-second ticks; all per-tick work runs in a
 fixed lane order and draws random numbers from a single seeded generator, so a
 (seed, configuration) pair reproduces a run bit for bit.
+
+Lanes hold vehicle counts, not vehicle objects (see :class:`SimState`), and
+arrivals are drawn in blocks that equal one draw per tick value for value.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from enum import IntEnum
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +50,9 @@ ACTION_CONTINUE = 1
 ACTION_EXTEND = 2
 N_ACTIONS = 3
 
+# most ticks of arrivals drawn in one generator call
+ARRIVAL_BLOCK_TICKS = 256
+
 
 def yellow_time(t_f: float, w: float, length: float, u0: float, a: float) -> float:
     """Minimum yellow interval that closes the dilemma zone.
@@ -69,25 +73,6 @@ def yellow_time(t_f: float, w: float, length: float, u0: float, a: float) -> flo
     if t_f < 0.0 or w < 0.0 or length < 0.0:
         raise ValueError("reaction time, width and vehicle length must be non-negative")
     return t_f + (w + length) / u0 + u0 / (2.0 * a)
-
-
-class VehicleStatus(IntEnum):
-    APPROACHING = 0
-    QUEUED = 1
-    DISCHARGED = 2
-
-
-@dataclass(slots=True)
-class Vehicle:
-    """One vehicle moving through a single lane."""
-
-    vehicle_id: int
-    lane: int
-    entry_time: int
-    stopline_eta: float
-    status: VehicleStatus = VehicleStatus.APPROACHING
-    queue_join_time: int = -1
-    discharge_time: int = -1
 
 
 @dataclass(frozen=True)
@@ -119,7 +104,13 @@ class IntersectionLayout:
 
 @dataclass(frozen=True)
 class PhasePlan:
-    """Signal timing plan: per-phase green defaults and shared intervals."""
+    """Signal timing plan: per-phase green defaults and shared intervals.
+
+    The signal runs on the simulator's one-second tick, so ``yellow_s``,
+    ``g_min_s``, ``g_max_s`` and ``delta_time_s`` must be whole seconds.
+    Programmed greens may be fractional (Webster installs fractional greens):
+    a green ends on the first whole second at or past its programmed value.
+    """
 
     programmed_green_s: tuple[float, float, float, float] = (20.0, 20.0, 20.0, 20.0)
     yellow_s: float = 5.0
@@ -138,6 +129,10 @@ class PhasePlan:
             raise ConfigurationError("yellow interval must be positive")
         if self.delta_time_s <= 0.0:
             raise ConfigurationError("decision interval must be positive")
+        for name in ("yellow_s", "g_min_s", "g_max_s", "delta_time_s"):
+            if not float(getattr(self, name)).is_integer():
+                raise ConfigurationError(
+                    f"{name} must be a whole number of seconds, got {getattr(self, name)}")
         for g in self.programmed_green_s:
             if not (self.g_min_s <= g <= self.g_max_s):
                 raise ConfigurationError(
@@ -253,13 +248,6 @@ class FlowProfile:
         }
         return FlowProfile(lane_segments=lane_segments, regimes=self.regimes)
 
-    def rate_veh_h(self, lane: int, t_s: float) -> float:
-        t = t_s % self.span_s
-        for seg in self.lane_segments[LANE_IDS[lane]]:
-            if seg.start_s <= t < seg.end_s:
-                return seg.rate_veh_h
-        return self.lane_segments[LANE_IDS[lane]][-1].rate_veh_h
-
     def rates_and_horizon(self, t_s: float) -> tuple[np.ndarray, float]:
         """Per-lane rates in veh/s at time ``t_s`` and how long they stay valid."""
         t = t_s % self.span_s
@@ -281,15 +269,6 @@ class FlowProfile:
             if start <= t < end:
                 return label
         return self.regimes[-1][2]
-
-
-@dataclass(slots=True)
-class LaneState:
-    in_transit: deque = field(default_factory=deque)
-    queue: deque = field(default_factory=deque)
-    credit: float = 0.0
-    entered: int = 0
-    discharged: int = 0
 
 
 @dataclass(slots=True)
@@ -319,6 +298,13 @@ class SimState:
     truncation or extension applies to one cycle only.  ``phase_elapsed_s``
     counts completed green seconds of the current phase and freezes during
     yellow.
+
+    Per-lane lists follow ``LANE_IDS``.  ``transit`` holds FIFO runs
+    ``(stopline_tick, per-lane counts)``, one per tick with arrivals;
+    ``queues`` holds each lane's FIFO runs ``[join_tick, count]``;
+    ``in_transit``, ``queued`` and ``join_ticks`` total them.  A lane is
+    first in, first out end to end, so vehicle ids are implicit; they are
+    kept in ``vehicle_ids``, queued first, only when events are recorded.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -337,37 +323,42 @@ class SimState:
         self.cycles_completed = 0
         self.default_green_s = list(plan.programmed_green_s)
         self.programmed_green_s = list(plan.programmed_green_s)
-        self.lanes = [LaneState() for _ in range(N_LANES)]
-        self.record_events = record_events
+        self.transit: deque = deque()
+        self.queues = [deque() for _ in range(N_LANES)]
+        self.in_transit = [0] * N_LANES
+        self.queued = [0] * N_LANES
+        self.join_ticks = [0] * N_LANES
+        self.credit = [0.0] * N_LANES
         self.events: list[tuple[int, str, str, int]] = []
+        self.vehicle_ids = [deque() for _ in range(N_LANES)] if record_events else None
         self._next_vehicle_id = 0
         self._rates_veh_s = np.zeros(N_LANES, dtype=np.float64)
         self._rates_valid_until = 0
+        self._arrival_rows = iter(())
 
     # -- observation helpers -------------------------------------------------
 
     def queue_lengths(self) -> tuple:
-        return tuple(len(lane.queue) for lane in self.lanes)
+        return tuple(self.queued)
 
     def approach_queues(self) -> tuple:
         """Per-approach queue: max over the approach's two lanes."""
-        q = self.queue_lengths()
-        return tuple(max(q[2 * a], q[2 * a + 1]) for a in range(len(APPROACHES)))
+        q = self.queued
+        return (max(q[0], q[1]), max(q[2], q[3]), max(q[4], q[5]), max(q[6], q[7]))
 
     def total_queue(self) -> int:
-        return sum(self.queue_lengths())
+        return sum(self.queued)
 
     def lane_wait_s(self, lane: int) -> int:
         """Summed waiting time of vehicles currently queued in a lane."""
-        return sum(self.clock - v.queue_join_time for v in self.lanes[lane].queue)
+        return self.clock * self.queued[lane] - self.join_ticks[lane]
 
     def lane_observables(self, lane: int) -> tuple[int, int, int, float]:
         """(approaching count, queue length, total wait s, summed speeds m/s)."""
-        state = self.lanes[lane]
-        approaching = len(state.in_transit)
+        approaching = self.in_transit[lane]
         return (
             approaching,
-            len(state.queue),
+            self.queued[lane],
             self.lane_wait_s(lane),
             approaching * self.layout.free_flow_speed_ms,
         )
@@ -380,15 +371,6 @@ class SimState:
 
     def regime(self) -> str:
         return self.flows.regime_at(max(self.clock - 1, 0))
-
-    def copy(self) -> "SimState":
-        return copy.deepcopy(self)
-
-    # -- internals -----------------------------------------------------------
-
-    def _log(self, lane: int, event: str, vehicle_id: int) -> None:
-        if self.record_events:
-            self.events.append((self.clock, LANE_IDS[lane], event, vehicle_id))
 
 
 def new_simulation(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -413,8 +395,7 @@ def _advance_signal(sim: SimState) -> tuple[bool, bool]:
             sim.current_phase = (sim.current_phase + 1) % N_PHASES
             sim.phase_elapsed_s = 0
             phase_changed = True
-            for lane in sim.lanes:
-                lane.credit = 0.0
+            sim.credit = [0.0] * N_LANES
             if sim.current_phase == 0:
                 sim.cycles_completed += 1
                 sim.cycle_elapsed_s = 0
@@ -424,43 +405,53 @@ def _advance_signal(sim: SimState) -> tuple[bool, bool]:
         if sim.phase_elapsed_s >= sim.programmed_green_s[sim.current_phase]:
             sim.in_yellow = True
             sim.yellow_elapsed_s = 0
-            for lane in sim.lanes:
-                lane.credit = 0.0
+            sim.credit = [0.0] * N_LANES
     return phase_changed, cycle_completed
+
+
+def _draw_arrivals(sim: SimState) -> list:
+    """Draw the next block of per-tick arrival counts and return its first row.
+
+    Rates are piecewise constant and cached until their segment ends; a block
+    covers at most the ticks left in that segment, so its rows equal, value
+    for value, one draw per tick.
+    """
+    if sim.clock > sim._rates_valid_until:
+        rates, valid = sim.flows.rates_and_horizon(sim.clock - 1)
+        sim._rates_veh_s = rates
+        sim._rates_valid_until = sim.clock + int(valid) - 1
+    ticks = min(max(sim._rates_valid_until - sim.clock + 1, 1), ARRIVAL_BLOCK_TICKS)
+    sim._arrival_rows = iter(sim.rng.poisson(sim._rates_veh_s, size=(ticks, N_LANES)).tolist())
+    return next(sim._arrival_rows)
 
 
 def step(sim: SimState) -> TickReport:
     """Advance the simulation by one second.
 
-    Substeps, in fixed order: signal phase machine, Poisson arrivals (one
-    vectorized draw for all eight lanes), stopline transfer of in-transit
-    vehicles (queue join or pass-through), saturation-rate discharge of the
-    served queues, and timer bookkeeping.
+    Substeps, in fixed order: signal phase machine, Poisson arrivals (the
+    next row of the arrival block, all eight lanes), stopline transfer of
+    in-transit vehicles (queue join or pass-through), saturation-rate
+    discharge of the served queues, and timer bookkeeping.
     """
     sim.clock += 1
+    clock = sim.clock
     phase_changed, cycle_completed = _advance_signal(sim)
+    ids = sim.vehicle_ids
+    log = sim.events.append
+    in_transit = sim.in_transit
+    queued = sim.queued
 
-    # arrivals: rates are piecewise constant, so the vector is cached between
-    # segment boundaries; one generator draw per tick keeps runs reproducible
-    if sim.clock > sim._rates_valid_until:
-        rates, valid = sim.flows.rates_and_horizon(sim.clock - 1)
-        sim._rates_veh_s = rates
-        sim._rates_valid_until = sim.clock + int(valid) - 1
-    counts = sim.rng.poisson(sim._rates_veh_s)
-    arrivals = [0] * N_LANES
-    eta = sim.clock + sim.layout.travel_time_to_stopline_s
-    for i in range(N_LANES):
-        n = int(counts[i])
-        if n == 0:
-            continue
-        arrivals[i] = n
-        lane = sim.lanes[i]
-        for _ in range(n):
-            vid = sim._next_vehicle_id
-            sim._next_vehicle_id += 1
-            lane.in_transit.append(Vehicle(vid, i, sim.clock, eta))
-            lane.entered += 1
-            sim._log(i, "enter", vid)
+    arrivals = next(sim._arrival_rows, None) or _draw_arrivals(sim)
+    if any(arrivals):
+        sim.transit.append((math.ceil(clock + sim.layout.travel_time_to_stopline_s),
+                            arrivals))
+        for i in range(N_LANES):
+            in_transit[i] += arrivals[i]
+            if ids is not None:
+                for vid in range(sim._next_vehicle_id, sim._next_vehicle_id + arrivals[i]):
+                    ids[i].append(vid)
+                    log((clock, LANE_IDS[i], "enter", vid))
+                sim._next_vehicle_id += arrivals[i]
 
     # stopline transfer: vehicles whose free-flow travel is complete either
     # pass straight through (served green, no queue, startup done) or join
@@ -468,37 +459,42 @@ def step(sim: SimState) -> TickReport:
     green_flowing = (not sim.in_yellow
                      and sim.phase_elapsed_s >= sim.layout.startup_lost_time_s)
     discharges = [0] * N_LANES
-    for i in range(N_LANES):
-        lane = sim.lanes[i]
-        transit = lane.in_transit
-        while transit and transit[0].stopline_eta <= sim.clock:
-            veh = transit.popleft()
-            if green_flowing and i in served and not lane.queue:
-                veh.status = VehicleStatus.DISCHARGED
-                veh.discharge_time = sim.clock
-                lane.discharged += 1
-                discharges[i] += 1
-                sim._log(i, "pass", veh.vehicle_id)
+    while sim.transit and sim.transit[0][0] <= clock:
+        counts = sim.transit.popleft()[1]
+        for i in range(N_LANES):
+            n = counts[i]
+            if not n:
+                continue
+            in_transit[i] -= n
+            passing = green_flowing and i in served and not queued[i]
+            if ids is not None:
+                for k in range(queued[i], queued[i] + n):
+                    log((clock, LANE_IDS[i], "pass" if passing else "join",
+                         ids[i].popleft() if passing else ids[i][k]))
+            if passing:
+                discharges[i] += n
             else:
-                veh.status = VehicleStatus.QUEUED
-                veh.queue_join_time = sim.clock
-                lane.queue.append(veh)
-                sim._log(i, "join", veh.vehicle_id)
+                sim.queues[i].append([clock, n])
+                queued[i] += n
+                sim.join_ticks[i] += clock * n
 
     # queue discharge: each served lane earns 1/headway of a vehicle per green
     # second once the startup lost time has elapsed; credit resets with the phase
     if green_flowing:
+        credit = sim.credit
         for i in served:
-            lane = sim.lanes[i]
-            lane.credit += 1.0 / sim.layout.saturation_headway_s
-            while lane.credit >= 1.0 and lane.queue:
-                veh = lane.queue.popleft()
-                veh.status = VehicleStatus.DISCHARGED
-                veh.discharge_time = sim.clock
-                lane.credit -= 1.0
-                lane.discharged += 1
+            credit[i] += 1.0 / sim.layout.saturation_headway_s
+            while credit[i] >= 1.0 and queued[i]:
+                head = sim.queues[i][0]
+                head[1] -= 1
+                if not head[1]:
+                    sim.queues[i].popleft()
+                credit[i] -= 1.0
+                queued[i] -= 1
+                sim.join_ticks[i] -= head[0]
                 discharges[i] += 1
-                sim._log(i, "discharge", veh.vehicle_id)
+                if ids is not None:
+                    log((clock, LANE_IDS[i], "discharge", ids[i].popleft()))
 
     if sim.in_yellow:
         sim.yellow_elapsed_s += 1
@@ -507,14 +503,14 @@ def step(sim: SimState) -> TickReport:
     sim.cycle_elapsed_s += 1
 
     return TickReport(
-        tick=sim.clock,
+        tick=clock,
         phase=sim.current_phase,
         in_yellow=sim.in_yellow,
         phase_changed=phase_changed,
         cycle_completed=cycle_completed,
         arrivals=tuple(arrivals),
         discharges=tuple(discharges),
-        queue_lengths=sim.queue_lengths(),
+        queue_lengths=tuple(queued),
     )
 
 

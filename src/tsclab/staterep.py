@@ -27,9 +27,9 @@ _IDX_TC = 0
 _IDX_PHASE = slice(1, 5)
 _IDX_TP = 5
 _IDX_NCYC = 6
-_IDX_Q = slice(7, 11)
-_IDX_DQ = slice(11, 15)
-_IDX_G = slice(15, 19)
+# lower clamp per component: the queue changes (11-14) reach down to -1
+_LOWER = np.zeros(EXPANDED_DIM)
+_LOWER[11:15] = -1.0
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,6 @@ class StateNormalizers:
         return StateNormalizers(queue_max=q, green_max_s=g, cycle_time_max_s=c, cycles_max=n)
 
 
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
 def baseline_state(sim: SimState) -> np.ndarray:
     """Raw 8-scalar summary: cycle length, per-phase programmed greens, the
     1-based active phase, remaining green of the active phase, and the total
@@ -99,18 +95,46 @@ def expanded_state(sim: SimState, prev_q: np.ndarray,
     prev = np.asarray(prev_q, dtype=np.float64)
     if prev.shape != (len(APPROACHES),):
         raise ContractViolation("prev_q must hold one queue per approach")
-    out = np.zeros(EXPANDED_DIM, dtype=np.float64)
-    out[_IDX_TC] = _clamp01(sim.cycle_elapsed_s / norms.cycle_time_max_s)
-    out[1 + sim.current_phase] = 1.0
-    out[_IDX_TP] = _clamp01(sim.phase_elapsed_s / norms.green_max_s)
-    out[_IDX_NCYC] = _clamp01(sim.cycles_completed / norms.cycles_max)
-    q_now = np.array(sim.approach_queues(), dtype=np.float64)
-    out[_IDX_Q] = np.clip(q_now / norms.queue_max, 0.0, 1.0)
-    out[_IDX_DQ] = np.clip((q_now - prev) / norms.queue_max, -1.0, 1.0)
-    out[_IDX_G] = np.clip(
-        np.array(sim.programmed_green_s, dtype=np.float64) / norms.green_max_s, 0.0, 1.0
+    q_max, g_max = norms.queue_max, norms.green_max_s
+    q_now = sim.approach_queues()
+    phase = [0.0] * N_PHASES
+    phase[sim.current_phase] = 1.0
+    raw = np.array(
+        [sim.cycle_elapsed_s / norms.cycle_time_max_s, *phase,
+         sim.phase_elapsed_s / g_max, sim.cycles_completed / norms.cycles_max]
+        + [q / q_max for q in q_now]
+        + [(q - p) / q_max for q, p in zip(q_now, prev.tolist())]
+        + [g / g_max for g in sim.programmed_green_s],
+        dtype=np.float64,
     )
-    return out
+    return np.minimum(np.maximum(raw, _LOWER), 1.0)
+
+
+# weight factor rows, out of (1-tu, 1-tv, tu, tv), for corners g00, g10, g01, g11
+_WEIGHT_U = np.array((0, 2, 0, 2))
+_WEIGHT_V = np.array((1, 1, 3, 3))
+
+
+def _sample_planes(grids: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Bilinearly sample each grid ``grids[k]`` at ``(uv[0, k], uv[1, k])``.
+
+    The four corners of every grid come from one indexed gather; each sample
+    then runs :func:`bilinear_sample`'s per-element arithmetic in its order.
+    """
+    if np.isnan(uv).any():
+        raise ContractViolation("cannot sample a feature plane at NaN")
+    n, rows, cols = grids.shape[:3]
+    last = np.array(((rows - 1,), (cols - 1,)))
+    xy = np.minimum(np.maximum(uv, 0.0), 1.0) * last
+    ij = np.minimum(xy.astype(np.intp), last - 1)
+    t = xy - ij
+    first = np.arange(0, n * rows * cols, rows * cols) + ij[0] * cols + ij[1]
+    corners = grids.reshape((-1,) + grids.shape[3:])[
+        first + np.array(((0,), (cols,), (1,), (cols + 1,)))]
+    factors = np.concatenate((1.0 - t, t))
+    weights = factors[_WEIGHT_U] * factors[_WEIGHT_V]
+    terms = weights.reshape(weights.shape + (1,) * (grids.ndim - 3)) * corners
+    return terms[0] + terms[1] + terms[2] + terms[3]
 
 
 def bilinear_sample(plane: np.ndarray, u: float, v: float) -> np.ndarray:
@@ -118,21 +142,15 @@ def bilinear_sample(plane: np.ndarray, u: float, v: float) -> np.ndarray:
 
     The grid's nodes sit at coordinates k/(R-1) along each of the first two
     axes; trailing axes (the per-node feature vectors kept by the planes)
-    interpolate componentwise.
+    interpolate componentwise.  The sample is
+    ``(1-tu)(1-tv) g00 + tu (1-tv) g10 + (1-tu) tv g01 + tu tv g11``, each
+    weight formed before it scales its corner and the terms summed left to
+    right.
     """
     grid = np.asarray(plane, dtype=np.float64)
     if grid.ndim < 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
         raise ConfigurationError("plane must be at least 2x2")
-    x = _clamp01(float(u)) * (grid.shape[0] - 1)
-    y = _clamp01(float(v)) * (grid.shape[1] - 1)
-    i0 = min(int(x), grid.shape[0] - 2)
-    j0 = min(int(y), grid.shape[1] - 2)
-    tu = x - i0
-    tv = y - j0
-    return ((1.0 - tu) * (1.0 - tv) * grid[i0, j0]
-            + tu * (1.0 - tv) * grid[i0 + 1, j0]
-            + (1.0 - tu) * tv * grid[i0, j0 + 1]
-            + tu * tv * grid[i0 + 1, j0 + 1])
+    return _sample_planes(grid[None], np.array(((float(u),), (float(v),))))[0]
 
 
 # continuous feature groups of the expanded vector: (name, component indices,
@@ -143,6 +161,12 @@ _KPLANES_GROUPS = (
     ("dq", tuple(range(11, 15)), True),
     ("green", tuple(range(15, 19)), False),
 )
+# every unordered component pair of each group owns one plane, in this order
+_GROUP_PAIRS = tuple(tuple(combinations(indices, 2)) for _n, indices, _r in _KPLANES_GROUPS)
+_PLANE_UV = np.array([pair for pairs in _GROUP_PAIRS for pair in pairs]).T
+_GROUP_STARTS = np.cumsum([0] + [len(pairs) for pairs in _GROUP_PAIRS[:-1]])
+_RESCALED = np.array([i for _n, indices, rescale in _KPLANES_GROUPS if rescale
+                      for i in indices])
 
 
 class KPlanesParams:
@@ -150,9 +174,10 @@ class KPlanesParams:
 
     Each continuous group of the expanded state owns one R x R grid of
     F-dimensional feature vectors per unordered pair of its components.
-    Group sizes (3, 4, 4, 4) give 3 + 6 + 6 + 6 = 21 planes.  Grids fill from
-    a seeded uniform(0.5, 1.5) draw, are frozen after construction, and the
-    same seed always reproduces the same grids.
+    Group sizes (3, 4, 4, 4) give 3 + 6 + 6 + 6 = 21 planes, stacked in
+    ``planes`` as one (21, R, R, F) array.  Grids fill from a seeded
+    uniform(0.5, 1.5) draw, are frozen after construction, and the same seed
+    always reproduces the same grids.
     """
 
     def __init__(self, seed: int, resolution: int = 8, feature_dim: int = 16) -> None:
@@ -164,18 +189,9 @@ class KPlanesParams:
         self.resolution = resolution
         self.feature_dim = feature_dim
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        self.planes: list[np.ndarray] = []
-        self._layout: list[tuple[str, int, int]] = []
-        for name, indices, _rescale in _KPLANES_GROUPS:
-            for a, b in combinations(range(len(indices)), 2):
-                grid = rng.uniform(0.5, 1.5, size=(resolution, resolution, feature_dim))
-                grid.flags.writeable = False
-                self.planes.append(grid)
-                self._layout.append((name, a, b))
-
-    @property
-    def plane_count(self) -> int:
-        return len(self.planes)
+        self.planes = rng.uniform(0.5, 1.5,
+                                  size=(_PLANE_UV.shape[1], resolution, resolution, feature_dim))
+        self.planes.flags.writeable = False
 
     @property
     def output_dim(self) -> int:
@@ -186,26 +202,18 @@ def kplanes_transform(params: KPlanesParams, state: np.ndarray) -> np.ndarray:
     """Expand a 19-component state through the fixed feature planes.
 
     For every component pair inside a group, the pair's plane is sampled
-    bilinearly at the two component values; the samples multiply element-wise
-    into one feature vector per group.  The four group vectors concatenate
-    with the one-hot phase, giving 4*F + 4 features.
+    bilinearly at the two component values; the samples multiply element-wise,
+    left to right, into one feature vector per group.  The four group vectors
+    concatenate with the one-hot phase, giving 4*F + 4 features.
     """
     s = np.asarray(state, dtype=np.float64)
     if s.shape != (EXPANDED_DIM,):
         raise ContractViolation(f"expected a {EXPANDED_DIM}-component state")
-    pieces: list[np.ndarray] = []
-    plane_idx = 0
-    for _name, indices, rescale in _KPLANES_GROUPS:
-        vals = s[list(indices)]
-        if rescale:
-            vals = (vals + 1.0) / 2.0
-        features = np.ones(params.feature_dim, dtype=np.float64)
-        for a, b in combinations(range(len(indices)), 2):
-            features *= bilinear_sample(params.planes[plane_idx], vals[a], vals[b])
-            plane_idx += 1
-        pieces.append(features)
-    pieces.append(s[_IDX_PHASE])
-    return np.concatenate(pieces)
+    coords = s.copy()
+    coords[_RESCALED] = (s[_RESCALED] + 1.0) / 2.0
+    samples = _sample_planes(params.planes, coords[_PLANE_UV])
+    features = np.multiply.reduceat(samples, _GROUP_STARTS, axis=0)
+    return np.concatenate((features.ravel(), s[_IDX_PHASE]))
 
 
 def encode(encoder: Mlp, state: np.ndarray) -> np.ndarray:
@@ -268,38 +276,6 @@ class KPlanesObservation:
 
     def observe(self, sim: SimState, prev_q: np.ndarray) -> np.ndarray:
         return kplanes_transform(self.params, expanded_state(sim, prev_q, self.norms))
-
-
-def save_kplanes(params: KPlanesParams, path) -> None:
-    """Write the feature grids (with their seed) in the shared weight format."""
-    from .weights import save_arrays
-
-    tag = f"kind=kplanes;resolution={params.resolution};feature_dim={params.feature_dim}"
-    save_arrays(path, params.planes, tag=tag, seed=params.seed)
-
-
-def load_kplanes(path) -> KPlanesParams:
-    """Rebuild feature grids from a file written by :func:`save_kplanes`.
-
-    Grids regenerate from the recorded seed and are checked against the
-    stored arrays at float32 precision."""
-    from .weights import load_arrays
-
-    blob = load_arrays(path)
-    fields = dict(item.split("=", 1) for item in blob.tag.split(";") if "=" in item)
-    if fields.get("kind") != "kplanes":
-        raise ConfigurationError(f"{path}: not a feature-grid file")
-    params = KPlanesParams(
-        seed=blob.seed,
-        resolution=int(fields["resolution"]),
-        feature_dim=int(fields["feature_dim"]),
-    )
-    if len(blob.arrays) != params.plane_count:
-        raise ConfigurationError(f"{path}: wrong plane count")
-    for stored, rebuilt in zip(blob.arrays, params.planes):
-        if not np.array_equal(stored.astype(np.float32), rebuilt.astype(np.float32)):
-            raise ConfigurationError(f"{path}: grids do not match the recorded seed")
-    return params
 
 
 REPRESENTATION_KINDS = ("baseline", "expanded", "ae4", "ae8", "ae16", "ae19", "ae32", "kplanes")

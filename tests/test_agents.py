@@ -40,6 +40,7 @@ from tsclab.neural import Mlp, log_softmax, softmax
 from tsclab.rewards import RewardSpec
 from tsclab.sim import FlowProfile, IntersectionLayout, N_LANES, PhasePlan
 from tsclab.staterep import ExpandedObservation, KPlanesParams, StateNormalizers
+from tsclab.weights import save_arrays
 
 
 # -- advantage estimation --------------------------------------------------------
@@ -418,10 +419,8 @@ def test_autoencoder_save_load_round_trip(tmp_path):
 
 
 def test_load_autoencoder_rejects_other_files(tmp_path):
-    from tsclab.staterep import save_kplanes
-
     path = tmp_path / "planes.bin"
-    save_kplanes(KPlanesParams(seed=0, resolution=2, feature_dim=1), path)
+    save_arrays(path, [np.ones((2, 2, 1))], tag="kind=kplanes", seed=0)
     with pytest.raises(ConfigurationError):
         load_autoencoder(path)
 

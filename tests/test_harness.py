@@ -2,11 +2,13 @@
 runners, CSV round trips, configuration parsing, and the command line."""
 
 import csv
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import rate_veh_h
 from tsclab.agents.bundle import PolicyBundle, TrainLogRow, write_training_log_csv
 from tsclab.baselines import DynamicWebsterController, FixedTimeController
 from tsclab.envs import DqnObservation
@@ -483,9 +485,9 @@ flow.N0 = 0-100@500, 100-200@250
 flow.regimes = 0-100@low, 100-200@high
 """))
     flows = flows_from_config(cfg)
-    assert flows.rate_veh_h(0, 50.0) == 500.0
-    assert flows.rate_veh_h(0, 150.0) == 250.0
-    assert flows.rate_veh_h(1, 50.0) == 0.0  # unlisted lanes default to zero
+    assert rate_veh_h(flows, 0, 50.0) == pytest.approx(500.0)
+    assert rate_veh_h(flows, 0, 150.0) == pytest.approx(250.0)
+    assert rate_veh_h(flows, 1, 50.0) == 0.0  # unlisted lanes default to zero
     assert flows.regime_at(50.0) == "low"
     assert flows.regime_at(150.0) == "high"
     assert flows.span_s == 200.0
@@ -506,18 +508,18 @@ def test_flows_from_config_errors(tmp_path):
 def test_default_flow_profile_shape():
     flows = default_flow_profile()
     assert flows.span_s == 7200.0
-    assert flows.rate_veh_h(0, 100.0) == 60.0
-    assert flows.rate_veh_h(0, 2500.0) == 168.0
-    assert flows.rate_veh_h(0, 5000.0) == 434.0
+    assert rate_veh_h(flows, 0, 100.0) == pytest.approx(60.0)
+    assert rate_veh_h(flows, 0, 2500.0) == pytest.approx(168.0)
+    assert rate_veh_h(flows, 0, 5000.0) == pytest.approx(434.0)
     assert flows.regime_at(100.0) == "low"
     assert flows.regime_at(2500.0) == "medium"
     assert flows.regime_at(5000.0) == "high"
     # repeats beyond its span
-    assert flows.rate_veh_h(0, 7300.0) == 60.0
+    assert rate_veh_h(flows, 0, 7300.0) == pytest.approx(60.0)
     assert flows.regime_at(7300.0) == "low"
     # the dominant direction swings: E-W leads while medium, N-S while high
-    assert flows.rate_veh_h(2, 2500.0) > flows.rate_veh_h(0, 2500.0)
-    assert flows.rate_veh_h(0, 5000.0) > flows.rate_veh_h(2, 5000.0)
+    assert rate_veh_h(flows, 2, 2500.0) > rate_veh_h(flows, 0, 2500.0)
+    assert rate_veh_h(flows, 0, 5000.0) > rate_veh_h(flows, 2, 5000.0)
 
 
 def test_normalizers_for_training():
@@ -547,6 +549,44 @@ def test_cli_simulate(tmp_path, capsys):
     assert lines[0] == "tick,lane,event,vehicle_id"
     assert len(lines) > 1
     assert "simulated 300s" in capsys.readouterr().out
+
+
+# SHA-256 of the files `tsclab simulate --method webster --seed 3 --horizon 3600`
+# writes: with the default scenario, and with an oversaturated one that has a
+# fractional travel time, a 1.5 s headway and a flow change off the tick grid.
+# Any change to the simulator's draws, event order or vehicle ids shows here.
+_GOLDEN_HEAVY_CFG = """\
+sim.travel_time_to_stopline_s = 7.5
+sim.saturation_headway_s = 1.5
+sim.startup_lost_time_s = 3
+flow.N0 = 0-900.5@700, 900.5-3600@350
+flow.E0 = 0-3600@650
+flow.S1 = 0-1800@300, 1800-3600@900
+flow.W1 = 0-3600@250
+"""
+_GOLDEN_DIGESTS = {
+    "default": {
+        "events.csv": "ffc78a0db22f039da5b4b51171ea702262f100f31ea9f6516b7132f63a13c383",
+        "cycles.csv": "b93c672489baa25b4d4ab3f7cb72265016e26b28c407fd715e7b46f48e0ea5de",
+    },
+    "heavy": {
+        "events.csv": "227afa9692882ae2038fb87ab075d57b6516c9e9e6826622746637537ae557fb",
+        "cycles.csv": "db79f992d31d769f12eb01d4d8d4a1d180af98f49f5ecbc34579781c3432cfef",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_GOLDEN_DIGESTS))
+def test_cli_simulate_record_events_golden(tmp_path, capsys, scenario):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--method", "webster", "--seed", "3", "--horizon", "3600",
+            "--out", str(out)]
+    if scenario == "heavy":
+        argv += ["--config", str(write_cfg(tmp_path, _GOLDEN_HEAVY_CFG))]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name, digest in _GOLDEN_DIGESTS[scenario].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_baseline_webster(tmp_path, capsys):
@@ -642,6 +682,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad_cfg = write_cfg(tmp_path, "nope = 1\n")
     assert main(["simulate", "--config", str(bad_cfg), "--horizon", "200",
                  "--out", str(tmp_path / "x")]) == 1
+    for off_grid in ("plan.g_min_s = 10.5\n", "plan.yellow_s = 4.6\n"):
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, off_grid)),
+                     "--out", str(tmp_path / "x")]) == 1
     missing_cfg = tmp_path / "ghost.cfg"
     assert main(["simulate", "--config", str(missing_cfg)]) == 1
     empty_grid = write_cfg(tmp_path, "# nothing\n", "grid.txt")

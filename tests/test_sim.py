@@ -2,11 +2,14 @@
 machine, flow profiles, and the module's invariants."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import force_queue, lane_index
+from conftest import force_queue, force_transit, lane_events, lane_index, rate_veh_h
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.sim import (
     ACTION_CONTINUE,
@@ -20,8 +23,6 @@ from tsclab.sim import (
     N_PHASES,
     PHASE_SERVED,
     PhasePlan,
-    Vehicle,
-    VehicleStatus,
     apply_action,
     at_decision_point,
     install_programmed_greens,
@@ -75,7 +76,8 @@ def test_new_simulation_starts_empty():
     assert not sim.in_yellow
     assert sim.total_queue() == 0
     assert sim.queue_lengths() == (0,) * N_LANES
-    assert all(not lane.in_transit for lane in sim.lanes)
+    assert sim.in_transit == [0] * N_LANES
+    assert not sim.transit
 
 
 def test_zero_capacity_layout_rejected():
@@ -105,6 +107,25 @@ def test_plan_validation():
     with pytest.raises(ConfigurationError):
         PhasePlan(programmed_green_s=(20.0, 20.0, 20.0))
     assert PhasePlan().default_cycle_s == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("g_min_s", 10.5),  # would never reach a decision point
+    ("yellow_s", 4.6),  # would run as 5 s
+    ("g_max_s", 39.9),
+    ("delta_time_s", 2.5),
+    ("yellow_s", float("inf")),
+])
+def test_plan_timings_must_be_whole_seconds(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        PhasePlan(**{field: value})
+
+
+def test_fractional_programmed_green_ends_on_next_whole_second():
+    sim = make_sim(plan=PhasePlan(programmed_green_s=(12.5, 20.0, 20.0, 20.0)))
+    while not sim.in_yellow:
+        step(sim)
+    assert sim.phase_elapsed_s == 13
 
 
 def test_same_seed_reproduces_arrival_events():
@@ -166,47 +187,42 @@ def test_poisson_arrival_mean():
 
 
 def test_pass_through_on_green_with_empty_queue():
-    sim = make_sim()
+    sim = make_sim(record_events=True)
     for _ in range(3):
         step(sim)  # phase_elapsed 3 >= startup 2
-    veh = Vehicle(vehicle_id=999, lane=0, entry_time=sim.clock,
-                  stopline_eta=float(sim.clock + 1))
-    sim.lanes[0].in_transit.append(veh)
-    sim.lanes[0].entered += 1
+    (vid,) = force_transit(sim, 0, 1, stopline_tick=sim.clock + 1)
     report = step(sim)
-    assert veh.status == VehicleStatus.DISCHARGED
-    assert veh.queue_join_time == -1  # never queued
-    assert veh.discharge_time == sim.clock
+    assert lane_events(sim, 0) == [(sim.clock, "pass", vid)]  # never queued
     assert report.discharges[0] == 1
     assert sim.queue_lengths()[0] == 0
 
 
 def test_unserved_arrival_joins_queue():
-    sim = make_sim()
+    sim = make_sim(record_events=True)
     for _ in range(3):
         step(sim)
     lane = lane_index("E0")  # phase 2 lane, not served during phase 0
-    veh = Vehicle(vehicle_id=998, lane=lane, entry_time=sim.clock,
-                  stopline_eta=float(sim.clock + 1))
-    sim.lanes[lane].in_transit.append(veh)
-    sim.lanes[lane].entered += 1
-    step(sim)
-    assert veh.status == VehicleStatus.QUEUED
-    assert veh.queue_join_time == sim.clock
+    (vid,) = force_transit(sim, lane, 1, stopline_tick=sim.clock + 1)
+    report = step(sim)
+    assert lane_events(sim, lane) == [(sim.clock, "join", vid)]
+    assert report.discharges[lane] == 0
     assert sim.queue_lengths()[lane] == 1
+    assert sim.lane_wait_s(lane) == 0  # joined this tick
 
 
 def test_arrival_before_startup_queues_then_discharges():
-    sim = make_sim()
-    veh = Vehicle(vehicle_id=997, lane=0, entry_time=0, stopline_eta=1.0)
-    sim.lanes[0].in_transit.append(veh)
-    sim.lanes[0].entered += 1
+    sim = make_sim(record_events=True)
+    (vid,) = force_transit(sim, 0, 1, stopline_tick=1)
     step(sim)  # phase_elapsed 0 < startup: must queue even though served
-    assert veh.status == VehicleStatus.QUEUED
+    assert lane_events(sim, 0) == [(1, "join", vid)]
+    assert sim.queue_lengths()[0] == 1
+    discharged = 0
     for _ in range(3):
-        step(sim)
-    assert veh.status == VehicleStatus.DISCHARGED
-    assert veh.discharge_time - veh.queue_join_time >= 0
+        discharged += step(sim).discharges[0]
+    assert discharged == 1
+    (join_tick, _, _), (discharge_tick, event, discharged_vid) = lane_events(sim, 0)
+    assert (event, discharged_vid) == ("discharge", vid)
+    assert discharge_tick - join_tick >= 0
 
 
 # -- observation helpers -------------------------------------------------------
@@ -227,10 +243,7 @@ def test_approach_queues_empty():
 def test_lane_observables_speed_convention():
     sim = make_sim()
     force_queue(sim, 0, 3)
-    for i in range(2):
-        sim.lanes[0].in_transit.append(
-            Vehicle(vehicle_id=100 + i, lane=0, entry_time=0, stopline_eta=1e9))
-        sim.lanes[0].entered += 1
+    force_transit(sim, 0, 2, stopline_tick=10**9)
     approaching, queued, _wait, speeds = sim.lane_observables(0)
     assert (approaching, queued) == (2, 3)
     assert speeds == pytest.approx(2 * 11.11)
@@ -238,8 +251,7 @@ def test_lane_observables_speed_convention():
 
 def test_lane_wait_accumulates():
     sim = make_sim()
-    force_queue(sim, 0, 1)
-    sim.lanes[0].queue[0].queue_join_time = 50
+    force_queue(sim, 0, 1, join_tick=50)
     sim.clock = 60
     assert sim.lane_wait_s(0) == 10
 
@@ -386,13 +398,19 @@ def test_install_programmed_greens_rejected_mid_phase():
 def test_vehicle_conservation_every_tick():
     sim = make_sim(seed=9, rates=[450.0] * N_LANES)
     rng = np.random.Generator(np.random.PCG64(17))
+    entered = np.zeros(N_LANES, dtype=np.int64)
+    left = np.zeros(N_LANES, dtype=np.int64)
     for _ in range(1500):
         if at_decision_point(sim):
             apply_action(sim, int(rng.integers(0, 3)))
-        step(sim)
-        for lane in sim.lanes:
-            assert lane.entered == (len(lane.in_transit) + len(lane.queue)
-                                    + lane.discharged)
+        report = step(sim)
+        entered += report.arrivals
+        left += report.discharges
+        assert sim.in_transit == [sum(counts[i] for _tick, counts in sim.transit)
+                                  for i in range(N_LANES)]
+        assert sim.queued == [sum(count for _tick, count in runs) for runs in sim.queues]
+        assert list(entered) == [left[i] + sim.queued[i] + sim.in_transit[i]
+                                 for i in range(N_LANES)]
 
 
 def test_determinism_with_identical_action_sequence():
@@ -472,9 +490,9 @@ def test_flow_profile_lookup_wraps_modulo_span():
         regimes=[(0, 100, "low"), (100, 200, "high")],
     )
     assert profile.span_s == 200.0
-    assert profile.rate_veh_h(0, 50) == 360.0
-    assert profile.rate_veh_h(0, 150) == 720.0
-    assert profile.rate_veh_h(0, 250) == 360.0  # wrapped
+    assert rate_veh_h(profile, 0, 50) == pytest.approx(360.0)
+    assert rate_veh_h(profile, 0, 150) == pytest.approx(720.0)
+    assert rate_veh_h(profile, 0, 250) == pytest.approx(360.0)  # wrapped
     assert profile.regime_at(150) == "high"
     assert profile.regime_at(250) == "low"
     rates, valid = profile.rates_and_horizon(90)
@@ -485,7 +503,7 @@ def test_flow_profile_lookup_wraps_modulo_span():
 def test_flow_profile_build_fills_missing_lanes_with_zero():
     profile = FlowProfile.build({"N0": [(0, 100, 10)]})
     assert set(profile.lane_segments) == set(LANE_IDS)
-    assert profile.rate_veh_h(lane_index("W1"), 50) == 0.0
+    assert rate_veh_h(profile, lane_index("W1"), 50) == 0.0
 
 
 def test_flow_profile_uniform_and_scaled():
@@ -493,7 +511,7 @@ def test_flow_profile_uniform_and_scaled():
         FlowProfile.uniform([100.0] * 3)
     profile = FlowProfile.uniform([100.0] * N_LANES, span_s=500.0)
     doubled = profile.scaled([2.0] * N_LANES)
-    assert doubled.rate_veh_h(3, 10) == 200.0
+    assert rate_veh_h(doubled, 3, 10) == pytest.approx(200.0)
     with pytest.raises(ConfigurationError):
         profile.scaled([2.0] * 3)
 
@@ -502,3 +520,126 @@ def test_phase_served_covers_all_lanes_once():
     served = [lane for lanes in PHASE_SERVED for lane in lanes]
     assert sorted(served) == list(range(N_LANES))
     assert len(PHASE_SERVED) == N_PHASES
+
+
+# -- equivalence with a per-vehicle model --------------------------------------
+
+
+class PerVehicleLanes:
+    """Reference point-queue lanes that keep one record per vehicle and draw
+    arrivals one tick at a time, from rates looked up afresh every tick.
+
+    The signal state of each tick is taken from the simulator under test;
+    everything that happens in the lanes is recomputed here.
+    """
+
+    def __init__(self, layout, flows, seed):
+        self.layout = layout
+        self.flows = flows
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.transit = [deque() for _ in range(N_LANES)]  # (stopline eta, id)
+        self.queue = [deque() for _ in range(N_LANES)]  # (join tick, id)
+        self.credit = [0.0] * N_LANES
+        self.passed = [0] * N_LANES
+        self.discharged = [0] * N_LANES
+        self.events = []
+        self.next_id = 0
+
+    def tick(self, clock, served, green_flowing, signal_changed):
+        if signal_changed:
+            self.credit = [0.0] * N_LANES
+        counts = self.rng.poisson(self.flows.rates_and_horizon(clock - 1)[0])
+        for i in range(N_LANES):
+            for _ in range(int(counts[i])):
+                self.transit[i].append(
+                    (clock + self.layout.travel_time_to_stopline_s, self.next_id))
+                self.events.append((clock, LANE_IDS[i], "enter", self.next_id))
+                self.next_id += 1
+        discharges = [0] * N_LANES
+        for i in range(N_LANES):
+            while self.transit[i] and self.transit[i][0][0] <= clock:
+                _eta, vid = self.transit[i].popleft()
+                if green_flowing and i in served and not self.queue[i]:
+                    self.passed[i] += 1
+                    discharges[i] += 1
+                    self.events.append((clock, LANE_IDS[i], "pass", vid))
+                else:
+                    self.queue[i].append((clock, vid))
+                    self.events.append((clock, LANE_IDS[i], "join", vid))
+        if green_flowing:
+            for i in served:
+                self.credit[i] += 1.0 / self.layout.saturation_headway_s
+                while self.credit[i] >= 1.0 and self.queue[i]:
+                    _join, vid = self.queue[i].popleft()
+                    self.credit[i] -= 1.0
+                    self.discharged[i] += 1
+                    discharges[i] += 1
+                    self.events.append((clock, LANE_IDS[i], "discharge", vid))
+        return tuple(int(c) for c in counts), tuple(discharges)
+
+
+@st.composite
+def lane_scenarios(draw):
+    layout = IntersectionLayout(
+        travel_time_to_stopline_s=draw(st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 7.5, 15.0]),
+            st.floats(0.0, 20.0, allow_nan=False))),
+        saturation_headway_s=draw(st.one_of(
+            st.sampled_from([1.0, 1.5, 2.0, 2.5]), st.floats(0.6, 4.0))),
+        startup_lost_time_s=draw(st.one_of(
+            st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0))),
+    )
+    g_min = draw(st.integers(1, 15))
+    g_max = g_min + draw(st.integers(0, 25))
+    plan = PhasePlan(
+        programmed_green_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(N_PHASES)),
+        yellow_s=draw(st.integers(1, 6)),
+        g_min_s=g_min,
+        g_max_s=g_max,
+        delta_time_s=draw(st.integers(1, 10)),
+    )
+    # one to three segments per lane over a shared span, cut anywhere, at
+    # rates from idle to well past the saturation flow
+    span = draw(st.floats(20.0, 400.0))
+    rates = {}
+    for lane in LANE_IDS:
+        cuts = sorted(set(draw(st.lists(st.floats(1.0, span - 1.0), max_size=2))))
+        bounds = [0.0] + cuts + [span]
+        rates[lane] = [(a, b, draw(st.floats(0.0, 4000.0)))
+                       for a, b in zip(bounds, bounds[1:])]
+    flows = FlowProfile.build(rates)
+    actions = draw(st.lists(st.integers(0, 2), min_size=1, max_size=50))
+    return layout, plan, flows, actions, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_scenarios())
+def test_counter_lanes_match_per_vehicle_model(scenario):
+    layout, plan, flows, actions, seed, record_events = scenario
+    sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
+    ref = PerVehicleLanes(layout, flows, seed)
+    entered = [0] * N_LANES
+    decisions = 0
+    for _ in range(600):
+        if at_decision_point(sim):
+            apply_action(sim, actions[decisions % len(actions)])
+            decisions += 1
+        was_yellow = sim.in_yellow
+        report = step(sim)
+        green_flowing = (not report.in_yellow
+                         and sim.phase_elapsed_s - 1 >= layout.startup_lost_time_s)
+        arrivals, discharges = ref.tick(sim.clock, PHASE_SERVED[report.phase],
+                                        green_flowing, report.in_yellow != was_yellow)
+        assert report.arrivals == arrivals
+        assert report.discharges == discharges
+        assert report.queue_lengths == tuple(len(q) for q in ref.queue)
+        for i in range(N_LANES):
+            entered[i] += arrivals[i]
+            waits = sum(sim.clock - join for join, _vid in ref.queue[i])
+            assert sim.lane_wait_s(i) == waits
+            assert sim.lane_observables(i)[:3] == (len(ref.transit[i]), len(ref.queue[i]),
+                                                   waits)
+            assert entered[i] == (ref.passed[i] + ref.discharged[i]
+                                  + sim.queued[i] + sim.in_transit[i])
+    if record_events:
+        assert sim.events == ref.events

@@ -31,9 +31,7 @@ from tsclab.staterep import (
     encode,
     expanded_state,
     kplanes_transform,
-    load_kplanes,
     make_observation,
-    save_kplanes,
 )
 
 
@@ -180,7 +178,7 @@ def test_bilinear_rejects_degenerate_grid():
 
 def test_kplanes_params_shape_and_count():
     params = KPlanesParams(seed=3)
-    assert params.plane_count == 21
+    assert len(params.planes) == 21
     assert params.output_dim == KPLANES_DIM == 68
     for grid in params.planes:
         assert grid.shape == (8, 8, 16)
@@ -216,7 +214,7 @@ def test_kplanes_transform_length_and_phase_passthrough():
 
 def test_kplanes_transform_with_unit_planes():
     params = KPlanesParams(seed=0)
-    params.planes = [np.ones((8, 8, 16)) for _ in range(21)]
+    params.planes = np.ones((21, 8, 8, 16))
     vec = expanded_state(make_sim(), np.zeros(4))
     out = kplanes_transform(params, vec)
     # every sample is 1 so each group collapses to ones; the one-hot follows
@@ -226,7 +224,7 @@ def test_kplanes_transform_with_unit_planes():
 def test_kplanes_transform_group_products():
     params = KPlanesParams(seed=0, resolution=2, feature_dim=1)
     consts = np.linspace(1.01, 1.21, 21)
-    params.planes = [c * np.ones((2, 2, 1)) for c in consts]
+    params.planes = consts[:, None, None, None] * np.ones((21, 2, 2, 1))
     vec = expanded_state(make_sim(), np.zeros(4))
     out = kplanes_transform(params, vec)
     assert out.shape == (4 * 1 + 4,)
@@ -244,6 +242,15 @@ def test_kplanes_transform_rejects_wrong_shape():
         kplanes_transform(params, np.zeros(8))
 
 
+def test_kplanes_transform_rejects_nan():
+    vec = expanded_state(make_sim(), np.zeros(4))
+    vec[8] = np.nan
+    with pytest.raises(ContractViolation):
+        kplanes_transform(KPlanesParams(seed=0), vec)
+    with pytest.raises(ContractViolation):
+        bilinear_sample(np.ones((2, 2)), 0.5, float("nan"))
+
+
 def test_kplanes_transform_pure():
     params = KPlanesParams(seed=6)
     before = [grid.copy() for grid in params.planes]
@@ -255,6 +262,45 @@ def test_kplanes_transform_pure():
     np.testing.assert_array_equal(first, second)
     for grid, saved in zip(params.planes, before):
         np.testing.assert_array_equal(grid, saved)
+
+
+def _per_plane_kplanes(params, state):
+    """The transform one plane at a time, in plain Python scalars."""
+    planes = list(params.planes)
+    groups = ([0, 5, 6], [7, 8, 9, 10], [11, 12, 13, 14], [15, 16, 17, 18])
+    pieces = []
+    for g, indices in enumerate(groups):
+        vals = [float(state[i]) for i in indices]
+        if g == 2:
+            vals = [(x + 1.0) / 2.0 for x in vals]
+        features = np.ones(params.feature_dim)
+        for a in range(len(vals)):
+            for b in range(a + 1, len(vals)):
+                grid = planes.pop(0)
+                x = min(max(vals[a], 0.0), 1.0) * (grid.shape[0] - 1)
+                y = min(max(vals[b], 0.0), 1.0) * (grid.shape[1] - 1)
+                i0 = min(int(x), grid.shape[0] - 2)
+                j0 = min(int(y), grid.shape[1] - 2)
+                tu, tv = x - i0, y - j0
+                features *= ((1.0 - tu) * (1.0 - tv) * grid[i0, j0]
+                             + tu * (1.0 - tv) * grid[i0 + 1, j0]
+                             + (1.0 - tu) * tv * grid[i0, j0 + 1]
+                             + tu * tv * grid[i0 + 1, j0 + 1])
+        pieces.append(features)
+    return np.concatenate(pieces + [state[1:5]])
+
+
+@pytest.mark.parametrize("resolution, feature_dim", [(8, 16), (2, 1), (5, 3)])
+def test_kplanes_transform_bitwise_equals_per_plane_sampling(resolution, feature_dim):
+    params = KPlanesParams(seed=resolution, resolution=resolution, feature_dim=feature_dim)
+    rng = np.random.Generator(np.random.PCG64(resolution))
+    for trial in range(300):
+        vec = rng.uniform(-0.2, 1.2, EXPANDED_DIM)
+        if trial % 3 == 0:  # components on grid nodes, including both edges
+            vec = np.round(vec * (resolution - 1)) / (resolution - 1)
+        vec[1:5] = np.eye(4)[trial % 4]
+        assert (kplanes_transform(params, vec).tobytes()
+                == _per_plane_kplanes(params, vec).tobytes())
 
 
 # -- encoder wrapper -------------------------------------------------------------
@@ -272,30 +318,6 @@ def test_encode_rejects_dimension_mismatch():
     enc = Mlp([19, 32, 8], "relu", seed=2)
     with pytest.raises(ContractViolation):
         encode(enc, np.zeros(8))
-
-
-# -- plane persistence -----------------------------------------------------------
-
-
-def test_kplanes_save_load_round_trip(tmp_path):
-    params = KPlanesParams(seed=77, resolution=4, feature_dim=3)
-    path = tmp_path / "planes.bin"
-    save_kplanes(params, path)
-    loaded = load_kplanes(path)
-    assert loaded.seed == 77
-    assert loaded.resolution == 4
-    assert loaded.feature_dim == 3
-    for a, b in zip(params.planes, loaded.planes):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_load_kplanes_rejects_other_files(tmp_path):
-    from tsclab.weights import save_arrays
-
-    path = tmp_path / "other.bin"
-    save_arrays(path, [np.ones(3)], tag="kind=policy", seed=1)
-    with pytest.raises(ConfigurationError):
-        load_kplanes(path)
 
 
 # -- observation factory ---------------------------------------------------------
