@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..envs import run_to_decision
 from ..errors import ConfigurationError
 from ..neural import Adam, Mlp
 from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
-                   apply_action, at_decision_point, new_simulation, step)
+                   apply_action, new_simulation)
+from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..staterep import EXPANDED_DIM, StateNormalizers, expanded_state
-from ..weights import load_arrays, mlp_from_arrays, save_arrays
+from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -108,30 +110,26 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
         scale_rng = np.random.Generator(np.random.PCG64(s_scale))
         factors = scale_rng.uniform(scale_range[0], scale_range[1], size=N_LANES)
         sim = new_simulation(layout, plan, flows.scaled(factors), seed=s_sim)
-        prev_q = np.zeros(4, dtype=np.float64)
-        for _ in range(int(episode_horizon_s)):
-            if at_decision_point(sim):
-                states[filled] = expanded_state(sim, prev_q, norms)
-                prev_q = np.array(sim.approach_queues(), dtype=np.float64)
-                filled += 1
-                if filled >= n_states:
-                    return states
-                apply_action(sim, 1)
-            step(sim)
+        while run_to_decision(sim, int(episode_horizon_s)):
+            states[filled] = expanded_state(sim, norms)
+            filled += 1
+            if filled >= n_states:
+                return states
+            apply_action(sim, 1)
     return states
 
 
 def save_autoencoder(result: AeResult, path, seed: int = 0) -> None:
     enc = result.encoder.parameters()
     dec = result.decoder.parameters()
-    tag = (f"kind=autoencoder;latent={result.encoder.layer_sizes[-1]};"
-           f"encoder={len(enc)};decoder={len(dec)};act=relu")
+    tag = encode_tag(kind="autoencoder", latent=result.encoder.layer_sizes[-1],
+                     encoder=len(enc), decoder=len(dec), act="relu")
     save_arrays(path, enc + dec, tag=tag, seed=seed)
 
 
 def load_autoencoder(path) -> tuple[Mlp, Mlp]:
     blob = load_arrays(path)
-    fields = dict(item.split("=", 1) for item in blob.tag.split(";") if "=" in item)
+    fields = parse_tag(blob.tag)
     if fields.get("kind") != "autoencoder":
         raise ConfigurationError(f"{path}: not an autoencoder file")
     n_enc = int(fields["encoder"])

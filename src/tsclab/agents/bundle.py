@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..neural import Mlp
 from ..staterep import KPlanesParams, StateNormalizers
-from ..weights import load_arrays, mlp_from_arrays, save_arrays
+from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_arrays
 
 
 @dataclass
@@ -71,25 +71,25 @@ class PolicyBundle:
         policy_arrays = self.policy.parameters()
         value_arrays = self.value.parameters() if self.value is not None else []
         encoder_arrays = self.ae_encoder.parameters() if self.ae_encoder is not None else []
-        tag = ";".join([
-            f"algo={self.algo}",
-            f"repr={self.repr_kind}",
-            f"reward={self.reward_kind}",
-            f"act={self.policy.hidden_activation}",
-            f"policy={len(policy_arrays)}",
-            f"value={len(value_arrays)}",
-            f"encoder={len(encoder_arrays)}",
-            f"kseed={self.kplanes.seed if self.kplanes is not None else -1}",
-            f"kres={self.kplanes.resolution if self.kplanes is not None else 0}",
-            f"kfeat={self.kplanes.feature_dim if self.kplanes is not None else 0}",
-        ])
+        tag = encode_tag(
+            algo=self.algo,
+            repr=self.repr_kind,
+            reward=self.reward_kind,
+            act=self.policy.hidden_activation,
+            policy=len(policy_arrays),
+            value=len(value_arrays),
+            encoder=len(encoder_arrays),
+            kseed=self.kplanes.seed if self.kplanes is not None else -1,
+            kres=self.kplanes.resolution if self.kplanes is not None else 0,
+            kfeat=self.kplanes.feature_dim if self.kplanes is not None else 0,
+        )
         arrays = [self.norms.as_array()] + policy_arrays + value_arrays + encoder_arrays
         save_arrays(path, arrays, tag=tag, seed=self.seed)
 
     @staticmethod
     def load(path) -> "PolicyBundle":
         blob = load_arrays(path)
-        fields = dict(item.split("=", 1) for item in blob.tag.split(";") if "=" in item)
+        fields = parse_tag(blob.tag)
         try:
             algo = fields["algo"]
             act = fields["act"]
@@ -127,3 +127,22 @@ class PolicyBundle:
             norms=norms,
             seed=blob.seed,
         )
+
+
+def bundle_for_env(algo: str, env, policy: Mlp, value: Mlp | None,
+                   seed: int) -> PolicyBundle:
+    """Bundle trained networks with the observation pipeline and reward kind
+    of the environment they were trained on (``"custom"`` for an
+    environment without ``observation`` or ``reward_spec``)."""
+    observation = getattr(env, "observation", None)
+    return PolicyBundle(
+        algo=algo,
+        repr_kind=getattr(observation, "kind", "custom"),
+        reward_kind=getattr(getattr(env, "reward_spec", None), "kind", "custom"),
+        policy=policy,
+        value=value,
+        ae_encoder=getattr(observation, "encoder", None),
+        kplanes=getattr(observation, "params", None),
+        norms=getattr(observation, "norms", StateNormalizers()),
+        seed=seed,
+    )

@@ -9,8 +9,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
 from ..neural import Adam, Mlp
-from ..staterep import StateNormalizers
-from .bundle import PolicyBundle, TrainLogRow
+from .bundle import PolicyBundle, TrainLogRow, bundle_for_env
 
 
 @dataclass(frozen=True)
@@ -160,15 +159,5 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
             window_losses = []
             window_records = []
 
-    observation = getattr(env, "observation", None)
-    reward_spec = getattr(env, "reward_spec", None)
-    bundle = PolicyBundle(
-        algo="dqn",
-        repr_kind=getattr(observation, "kind", "custom"),
-        reward_kind=getattr(reward_spec, "kind", "custom"),
-        policy=q_net,
-        value=None,
-        norms=getattr(observation, "norms", StateNormalizers()),
-        seed=seed,
-    )
+    bundle = bundle_for_env("dqn", env, q_net, None, seed)
     return DqnResult(bundle=bundle, log=log, cycle_records=all_records)

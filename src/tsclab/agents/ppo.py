@@ -13,8 +13,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
 from ..neural import Adam, Mlp, log_softmax, softmax_sample
-from ..staterep import StateNormalizers
-from .bundle import PolicyBundle, TrainLogRow
+from .bundle import PolicyBundle, TrainLogRow, bundle_for_env
 
 
 @dataclass(frozen=True)
@@ -294,17 +293,5 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
         ))
         rollout_idx += 1
 
-    observation = getattr(env, "observation", None)
-    reward_spec = getattr(env, "reward_spec", None)
-    bundle = PolicyBundle(
-        algo="ppo",
-        repr_kind=getattr(observation, "kind", "custom"),
-        reward_kind=getattr(reward_spec, "kind", "custom"),
-        policy=policy,
-        value=value_net,
-        ae_encoder=getattr(observation, "encoder", None),
-        kplanes=getattr(observation, "params", None),
-        norms=getattr(observation, "norms", StateNormalizers()),
-        seed=seed,
-    )
+    bundle = bundle_for_env("ppo", env, policy, value_net, seed)
     return PpoResult(bundle=bundle, log=log, cycle_records=all_records)

@@ -12,18 +12,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .harness.metrics import CycleTracker
 from .rewards import (RewardSpec, delay_reward, pressure_reward, queue_reward,
                       resco_wait_reward, speed_reward)
-from .sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan, SimState,
-                  apply_action, at_decision_point, new_simulation, step)
-
-N_ENV_ACTIONS = 3
+from .sim import (FlowProfile, IntersectionLayout, N_ACTIONS, N_LANES, PhasePlan,
+                  SimState, apply_action, at_decision_point, new_simulation, step)
 
 # a decision point arrives within one phase remainder + yellow + minimum
 # green of the next phase; anything past a few full cycles is a machine bug
 _MAX_TICKS_BETWEEN_DECISIONS = 4000
+
+
+def run_to_decision(sim: SimState, until_s: int, on_tick=None) -> bool:
+    """Advance ``sim`` to its next decision point before ``until_s``.
+
+    Ticks while the clock is below ``until_s``, calling ``on_tick(report)``
+    after every tick, so a call made at a decision point moves past it.
+    Returns True at the first decision point whose clock is below
+    ``until_s`` and False once the clock reaches ``until_s``.  Training,
+    evaluation and state collection all step the simulator through here.
+    """
+    while sim.clock < until_s:
+        report = step(sim)
+        if on_tick is not None:
+            on_tick(report)
+        if at_decision_point(sim):
+            return sim.clock < until_s
+    return False
 
 
 class DqnObservation:
@@ -41,7 +57,7 @@ class DqnObservation:
         self._wait_scale = 600.0
         self._speed_scale = layout.lane_storage_capacity * layout.free_flow_speed_ms
 
-    def observe(self, sim: SimState, prev_q: np.ndarray) -> np.ndarray:
+    def observe(self, sim: SimState) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.float64)
         green = sim.green_active()
         for lane in range(N_LANES):
@@ -59,7 +75,7 @@ class SignalControlEnv:
     """Continuing decision-point MDP over one intersection.
 
     ``observation`` is any wrapper with ``kind``, ``dim`` and
-    ``observe(sim, prev_q)``; ``reward_spec`` picks the reward.  ``reset``
+    ``observe(sim)``; ``reward_spec`` picks the reward.  ``reset``
     starts a fresh seeded simulation and advances to the first decision
     point; ``step`` returns (observation, reward, info) where info carries
     the cycle records completed during the transition.
@@ -76,7 +92,7 @@ class SignalControlEnv:
         self.seed = seed
         self.record_events = record_events
         self.obs_dim = observation.dim
-        self.n_actions = N_ENV_ACTIONS
+        self.n_actions = N_ACTIONS
         self.sim: SimState | None = None
         self.cycle_records: list = []
 
@@ -89,56 +105,53 @@ class SignalControlEnv:
                                   record_events=self.record_events)
         self._tracker = CycleTracker()
         self.cycle_records = []
-        self._prev_q = np.zeros(4, dtype=np.float64)
-        self._prev_wait = 0.0
         self._run_to_decision()
-        obs = self.observation.observe(self.sim, self._prev_q)
-        self._prev_q = np.array(self.sim.approach_queues(), dtype=np.float64)
         self._prev_wait = self._mean_wait()
-        return obs
+        return self.observation.observe(self.sim)
 
     def step(self, action: int):
         if self.sim is None:
             raise ContractViolation("step called before reset")
         apply_action(self.sim, action)
-        inflow, outflow, new_records = self._run_to_decision()
-        reward = self._reward(inflow, outflow)
-        obs = self.observation.observe(self.sim, self._prev_q)
-        self._prev_q = np.array(self.sim.approach_queues(), dtype=np.float64)
+        new_records = self._run_to_decision()
+        reward = self._reward()
+        obs = self.observation.observe(self.sim)
         self._prev_wait = self._mean_wait()
         info = {"sim_time_s": self.sim.clock, "cycles": new_records}
         return obs, reward, info
 
     # -- internals ------------------------------------------------------------
 
-    def _run_to_decision(self):
-        inflow = np.zeros(N_LANES, dtype=np.float64)
-        outflow = np.zeros(N_LANES, dtype=np.float64)
-        new_records = []
-        for _ in range(_MAX_TICKS_BETWEEN_DECISIONS):
-            report = step(self.sim)
-            inflow += report.arrivals
-            outflow += report.discharges
-            record = self._tracker.feed(report, self.sim.regime())
-            if record is not None:
-                new_records.append(record)
-                self.cycle_records.append(record)
-            if at_decision_point(self.sim):
-                return inflow, outflow, new_records
-        raise ContractViolation("no decision point reached; phase machine is stuck")
+    def _run_to_decision(self) -> list:
+        """Tick to the next decision point; count the interval's arrivals and
+        discharges and return the cycle records it completed."""
+        self._arrived = self._discharged = 0
+        self._new_records = []
+        if not run_to_decision(self.sim, self.sim.clock + _MAX_TICKS_BETWEEN_DECISIONS,
+                               self._on_tick):
+            raise ContractViolation("no decision point reached; phase machine is stuck")
+        return self._new_records
+
+    def _on_tick(self, report) -> None:
+        self._arrived += sum(report.arrivals)
+        self._discharged += sum(report.discharges)
+        record = self._tracker.feed(report, self.sim.regime())
+        if record is not None:
+            self._new_records.append(record)
+            self.cycle_records.append(record)
 
     def _mean_wait(self) -> float:
         return sum(self.sim.lane_wait_s(lane) for lane in range(N_LANES)) / N_LANES
 
-    def _reward(self, inflow: np.ndarray, outflow: np.ndarray) -> float:
+    def _reward(self) -> float:
         kind = self.reward_spec.kind
         if kind == "queue":
-            q_now = np.array(self.sim.approach_queues(), dtype=np.float64)
-            return queue_reward(q_now, self._prev_q, self.reward_spec)
+            return queue_reward(self.sim.approach_queues(), self.sim.decision_queues,
+                                self.reward_spec)
         if kind == "delay":
             return delay_reward(self._prev_wait, self._mean_wait())
         if kind == "pressure":
-            return pressure_reward(inflow, outflow)
+            return pressure_reward((self._arrived,), (self._discharged,))
         if kind == "speed":
             total_speed = 0.0
             count = 0
@@ -147,7 +160,5 @@ class SignalControlEnv:
                 total_speed += speeds
                 count += approaching + queued
             return speed_reward(total_speed, count)
-        if kind == "resco_wait":
-            total_wait = sum(self.sim.lane_wait_s(lane) for lane in range(N_LANES))
-            return resco_wait_reward(total_wait, self.reward_spec)
-        raise ConfigurationError(f"unknown reward kind {kind!r}")
+        total_wait = sum(self.sim.lane_wait_s(lane) for lane in range(N_LANES))
+        return resco_wait_reward(total_wait, self.reward_spec)

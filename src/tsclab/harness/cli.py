@@ -34,8 +34,8 @@ from ..agents.dqn import train_dqn
 from ..agents.ppo import train_ppo
 from ..envs import DqnObservation, SignalControlEnv
 from ..errors import ConfigurationError
-from ..rewards import RewardSpec
-from ..staterep import KPlanesParams, make_observation
+from ..rewards import REWARD_KINDS, RewardSpec
+from ..staterep import REPRESENTATION_KINDS, KPlanesParams, make_observation
 from .config import (
     dqn_from_config,
     flows_from_config,
@@ -62,11 +62,6 @@ from .runner import (
     write_webster_log_csv,
 )
 
-_TRAIN_REWARDS = ("queue", "delay", "pressure", "speed", "resco_wait")
-_TRAIN_REPRS = ("baseline", "expanded", "ae4", "ae8", "ae16", "ae19", "ae32",
-                "kplanes")
-
-
 class _UsageError(Exception):
     pass
 
@@ -90,9 +85,9 @@ def build_parser() -> _Parser:
         return p
 
     p = add("train", "train a PPO signal-control policy")
-    p.add_argument("--repr", choices=_TRAIN_REPRS, default="expanded",
+    p.add_argument("--repr", choices=REPRESENTATION_KINDS, default="expanded",
                    help="state representation (default: expanded)")
-    p.add_argument("--reward", choices=_TRAIN_REWARDS, default="queue",
+    p.add_argument("--reward", choices=REWARD_KINDS, default="queue",
                    help="reward formulation (default: queue)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timesteps", type=int, default=None,

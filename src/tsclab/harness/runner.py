@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines import DynamicWebsterController, FixedTimeController
-from ..envs import DqnObservation
+from ..envs import DqnObservation, run_to_decision
 from ..errors import ConfigurationError, ContractViolation
 from ..agents.bundle import PolicyBundle
 from ..sim import (
@@ -19,11 +19,10 @@ from ..sim import (
     N_PHASES,
     PhasePlan,
     apply_action,
-    at_decision_point,
     new_simulation,
-    step,
 )
-from ..neural import softmax
+from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
+from ..neural import softmax_sample
 from ..staterep import make_observation
 from .metrics import CycleRecord, CycleTracker, mean_std, write_cycles_csv
 
@@ -60,18 +59,15 @@ class PolicyController:
             self._rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(int(sample_seed)))
             )
-        self._prev_q = np.zeros(4, dtype=np.float64)
 
     def begin_episode(self, sim) -> None:
-        self._prev_q = np.zeros(4, dtype=np.float64)
+        pass
 
     def decide(self, sim) -> int:
-        obs = self.observation.observe(sim, self._prev_q)
-        self._prev_q = np.array(sim.approach_queues(), dtype=np.float64)
+        obs = self.observation.observe(sim)
         if self._rng is None:
             return self.bundle.greedy_action(obs)
-        probs = softmax(self.bundle.policy.predict(obs))
-        return int(self._rng.choice(probs.shape[0], p=probs))
+        return softmax_sample(self.bundle.policy.predict(obs), self._rng)[0]
 
     def on_tick(self, sim, report) -> None:
         pass
@@ -121,23 +117,25 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
     """Drive one seeded episode under ``controller`` for ``horizon_s``
     simulated seconds and collect its per-cycle queue records.
 
-    The controller is consulted at every decision point before the tick is
-    advanced and notified (``on_tick``) after it, mirroring training."""
+    The controller is consulted at every decision point below the horizon and
+    notified (``on_tick``) after every tick, through the same
+    :func:`~tsclab.envs.run_to_decision` driver as training."""
     sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
     tracker = CycleTracker()
     controller.begin_episode(sim)
     tick_queues: list | None = [] if record_ticks else None
     records: list = []
-    while sim.clock < horizon_s:
-        if at_decision_point(sim):
-            apply_action(sim, controller.decide(sim))
-        report = step(sim)
+
+    def on_tick(report) -> None:
         controller.on_tick(sim, report)
         record = tracker.feed(report, sim.regime())
         if record is not None:
             records.append(record)
         if tick_queues is not None:
             tick_queues.append(report.queue_lengths)
+
+    while run_to_decision(sim, horizon_s, on_tick):
+        apply_action(sim, controller.decide(sim))
     return EpisodeResult(
         controller_id=controller.controller_id,
         seed=seed,

@@ -71,8 +71,8 @@ def delay_reward(w_prev_s: float, w_now_s: float) -> float:
 def pressure_reward(inflow: Sequence[float], outflow: Sequence[float]) -> float:
     """Negated lane pressure: outflow minus inflow summed over lanes.
 
-    Inputs are per-lane vehicle counts accumulated over the decision
-    interval.  The sign makes serving more vehicles than arrive rewarding.
+    Inputs are vehicle counts accumulated over the decision interval, per
+    lane or already totalled.  The sign makes serving more vehicles than arrive rewarding.
     """
     return float(sum(outflow)) - float(sum(inflow))
 

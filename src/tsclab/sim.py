@@ -40,10 +40,6 @@ N_PHASES = 4
 
 # phase index -> lane indices served (opposing approaches share a phase)
 PHASE_SERVED = ((0, 4), (1, 5), (2, 6), (3, 7))
-PHASE_NAMES = ("NS-through-left", "NS-right", "EW-through-left", "EW-right")
-
-# lane index -> approach index (N=0, E=1, S=2, W=3)
-LANE_APPROACH = (0, 0, 1, 1, 2, 2, 3, 3)
 
 ACTION_END = 0
 ACTION_CONTINUE = 1
@@ -297,7 +293,9 @@ class SimState:
     ``default_green_s`` every time the cycle wraps back to phase 0, so a
     truncation or extension applies to one cycle only.  ``phase_elapsed_s``
     counts completed green seconds of the current phase and freezes during
-    yellow.
+    yellow.  ``decision_queues`` holds :meth:`approach_queues` as of the
+    last action (zeros before the first), the reference for queue changes
+    between decision points.
 
     Per-lane lists follow ``LANE_IDS``.  ``transit`` holds FIFO runs
     ``(stopline_tick, per-lane counts)``, one per tick with arrivals;
@@ -323,6 +321,7 @@ class SimState:
         self.cycles_completed = 0
         self.default_green_s = list(plan.programmed_green_s)
         self.programmed_green_s = list(plan.programmed_green_s)
+        self.decision_queues = (0, 0, 0, 0)
         self.transit: deque = deque()
         self.queues = [deque() for _ in range(N_LANES)]
         self.in_transit = [0] * N_LANES
@@ -524,19 +523,13 @@ def at_decision_point(sim: SimState) -> bool:
     return (sim.phase_elapsed_s - sim.plan.g_min_s) % sim.plan.delta_time_s == 0
 
 
-@dataclass(frozen=True)
-class ActionOutcome:
-    action: int
-    programmed_green_s: float
-    clamped: bool
-
-
-def apply_action(sim: SimState, action: int) -> ActionOutcome:
+def apply_action(sim: SimState, action: int) -> None:
     """Apply a control action at a decision point.
 
     Action 0 ends the current green now (yellow begins next tick), action 1
     leaves the programmed green unchanged, action 2 extends it by the decision
-    interval, clamped to g_max.  Calling outside a decision point raises
+    interval, clamped to g_max.  The current approach queues become
+    ``sim.decision_queues``.  Calling outside a decision point raises
     :class:`ContractViolation`.
     """
     if action not in (ACTION_END, ACTION_CONTINUE, ACTION_EXTEND):
@@ -546,17 +539,13 @@ def apply_action(sim: SimState, action: int) -> ActionOutcome:
             f"action applied outside a decision point (phase_elapsed="
             f"{sim.phase_elapsed_s}, in_yellow={sim.in_yellow})"
         )
+    sim.decision_queues = sim.approach_queues()
     phase = sim.current_phase
-    clamped = False
     if action == ACTION_END:
         sim.programmed_green_s[phase] = float(sim.phase_elapsed_s)
     elif action == ACTION_EXTEND:
-        target = sim.programmed_green_s[phase] + sim.plan.delta_time_s
-        if target > sim.plan.g_max_s:
-            target = sim.plan.g_max_s
-            clamped = True
-        sim.programmed_green_s[phase] = target
-    return ActionOutcome(action, sim.programmed_green_s[phase], clamped)
+        sim.programmed_green_s[phase] = min(
+            sim.programmed_green_s[phase] + sim.plan.delta_time_s, sim.plan.g_max_s)
 
 
 def install_programmed_greens(sim: SimState, greens: Sequence[float]) -> tuple:

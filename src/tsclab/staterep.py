@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .neural import Mlp
-from .sim import APPROACHES, N_PHASES, SimState
+from .sim import N_PHASES, SimState
 
 EXPANDED_DIM = 19
 KPLANES_DIM = 68
@@ -80,21 +80,17 @@ def baseline_state(sim: SimState) -> np.ndarray:
     )
 
 
-def expanded_state(sim: SimState, prev_q: np.ndarray,
+def expanded_state(sim: SimState,
                    norms: StateNormalizers = StateNormalizers()) -> np.ndarray:
     """Normalized 19-component observation.
 
     Layout: cycle-elapsed time, 4-D one-hot active phase, phase-elapsed green,
     completed-cycle count, per-approach max queues, their change since the
-    previous decision point, and the programmed greens.  ``prev_q`` holds the
-    raw per-approach queues from the previous decision point (zeros at the
-    start of an episode).  Queue components clamp into [0, 1] and the change
-    components into [-1, 1], so saturated lanes cannot push the vector out of
-    its documented range.
+    previous decision point (``sim.decision_queues``, zeros before the first
+    action), and the programmed greens.  Queue components clamp into [0, 1]
+    and the change components into [-1, 1], so saturated lanes cannot push
+    the vector out of its documented range.
     """
-    prev = np.asarray(prev_q, dtype=np.float64)
-    if prev.shape != (len(APPROACHES),):
-        raise ContractViolation("prev_q must hold one queue per approach")
     q_max, g_max = norms.queue_max, norms.green_max_s
     q_now = sim.approach_queues()
     phase = [0.0] * N_PHASES
@@ -103,7 +99,7 @@ def expanded_state(sim: SimState, prev_q: np.ndarray,
         [sim.cycle_elapsed_s / norms.cycle_time_max_s, *phase,
          sim.phase_elapsed_s / g_max, sim.cycles_completed / norms.cycles_max]
         + [q / q_max for q in q_now]
-        + [(q - p) / q_max for q, p in zip(q_now, prev.tolist())]
+        + [(q - p) / q_max for q, p in zip(q_now, sim.decision_queues)]
         + [g / g_max for g in sim.programmed_green_s],
         dtype=np.float64,
     )
@@ -233,7 +229,7 @@ class BaselineObservation:
     kind = "baseline"
     dim = 8
 
-    def observe(self, sim: SimState, prev_q: np.ndarray) -> np.ndarray:
+    def observe(self, sim: SimState) -> np.ndarray:
         return baseline_state(sim)
 
 
@@ -244,8 +240,8 @@ class ExpandedObservation:
     def __init__(self, norms: StateNormalizers = StateNormalizers()) -> None:
         self.norms = norms
 
-    def observe(self, sim: SimState, prev_q: np.ndarray) -> np.ndarray:
-        return expanded_state(sim, prev_q, self.norms)
+    def observe(self, sim: SimState) -> np.ndarray:
+        return expanded_state(sim, self.norms)
 
 
 class LatentObservation:
@@ -257,8 +253,8 @@ class LatentObservation:
         self.dim = encoder.layer_sizes[-1]
         self.kind = f"ae{self.dim}"
 
-    def observe(self, sim: SimState, prev_q: np.ndarray) -> np.ndarray:
-        return encode(self.encoder, expanded_state(sim, prev_q, self.norms))
+    def observe(self, sim: SimState) -> np.ndarray:
+        return encode(self.encoder, expanded_state(sim, self.norms))
 
 
 class KPlanesObservation:
@@ -274,8 +270,8 @@ class KPlanesObservation:
         self.params = params
         self.norms = norms
 
-    def observe(self, sim: SimState, prev_q: np.ndarray) -> np.ndarray:
-        return kplanes_transform(self.params, expanded_state(sim, prev_q, self.norms))
+    def observe(self, sim: SimState) -> np.ndarray:
+        return kplanes_transform(self.params, expanded_state(sim, self.norms))
 
 
 REPRESENTATION_KINDS = ("baseline", "expanded", "ae4", "ae8", "ae16", "ae19", "ae32", "kplanes")

@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     magic   4 bytes  b"TSCW"
     version u32      currently 1
     seed    u64      generator seed associated with the payload
-    tag     u16 length + that many UTF-8 bytes (free-form key=value id)
+    tag     u16 length + that many UTF-8 bytes (``key=value`` fields joined
+            by ``;``, see :func:`encode_tag`)
     count   u32      number of arrays
     per array: ndim u32, then ndim u32 dims, then row-major float32 data
 
@@ -44,6 +45,16 @@ def save_arrays(path: str | Path, arrays: Sequence[np.ndarray],
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
         chunks.append(data.tobytes())
     Path(path).write_bytes(b"".join(chunks))
+
+
+def encode_tag(**fields) -> str:
+    """Header tag ``k1=v1;k2=v2;...`` of the given fields, in order."""
+    return ";".join(f"{key}={value}" for key, value in fields.items())
+
+
+def parse_tag(tag: str) -> dict:
+    """Fields of a header tag as strings; items without ``=`` are ignored."""
+    return dict(item.split("=", 1) for item in tag.split(";") if "=" in item)
 
 
 @dataclass
@@ -92,11 +103,6 @@ def load_arrays(path: str | Path) -> WeightFile:
         offset += size
         arrays.append(flat.reshape(dims).astype(np.float64))
     return WeightFile(version=version, seed=seed, tag=tag, arrays=arrays)
-
-
-def mlp_to_arrays(net: Mlp) -> list:
-    """Interleaved [W0, b0, W1, b1, ...] parameter arrays."""
-    return net.parameters()
 
 
 def mlp_from_arrays(arrays: Sequence[np.ndarray], hidden_activation: str) -> Mlp:

@@ -34,11 +34,12 @@ from tsclab.agents.ppo import (
     ppo_surrogate,
     train_ppo,
 )
-from tsclab.envs import SignalControlEnv
+from tsclab.envs import SignalControlEnv, run_to_decision
 from tsclab.errors import ConfigurationError, DivergenceError
 from tsclab.neural import Mlp, log_softmax, softmax
 from tsclab.rewards import RewardSpec
-from tsclab.sim import FlowProfile, IntersectionLayout, N_LANES, PhasePlan
+from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
+                        apply_action, at_decision_point, new_simulation)
 from tsclab.staterep import ExpandedObservation, KPlanesParams, StateNormalizers
 from tsclab.weights import save_arrays
 
@@ -273,6 +274,48 @@ def test_ppo_config_validation():
         with pytest.raises(ConfigurationError):
             PpoConfig(**bad)
     assert PpoConfig(gae_lambda=1.0).gae_lambda == 1.0
+
+
+# -- decision driver -------------------------------------------------------------
+
+
+@st.composite
+def driver_scenarios(draw):
+    g_min = draw(st.integers(1, 20))
+    g_max = g_min + draw(st.integers(0, 40))
+    plan = PhasePlan(
+        programmed_green_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(4)),
+        yellow_s=draw(st.integers(1, 8)),
+        g_min_s=g_min,
+        g_max_s=g_max,
+        delta_time_s=draw(st.integers(1, 15)),
+    )
+    # idle lanes up to well past the 1800 veh/h saturation flow
+    flows = FlowProfile.uniform([draw(st.floats(0.0, 2500.0)) for _ in range(N_LANES)])
+    return plan, flows, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(driver_scenarios())
+def test_run_to_decision_reaches_decisions_within_yellow_plus_g_max(scenario):
+    plan, flows, seed = scenario
+    sim = new_simulation(IntersectionLayout(), plan, flows, seed)
+    actions = np.random.Generator(np.random.PCG64(seed))
+    horizon = 2000
+    flags = []  # per tick since the last decision: did it end on a decision point
+
+    def on_tick(report):
+        assert report.tick == sim.clock
+        flags.append(at_decision_point(sim))
+
+    while run_to_decision(sim, horizon, on_tick):
+        assert flags[-1] and not any(flags[:-1])
+        assert len(flags) <= plan.yellow_s + plan.g_max_s
+        assert sim.clock < horizon
+        flags.clear()
+        apply_action(sim, int(actions.integers(0, 3)))
+    assert sim.clock == horizon
+    assert not any(flags[:-1])
 
 
 # -- trainers on environments ----------------------------------------------------

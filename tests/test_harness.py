@@ -55,6 +55,7 @@ from tsclab.sim import (
     N_LANES,
     PhasePlan,
     TickReport,
+    at_decision_point,
 )
 
 LAYOUT = IntersectionLayout()
@@ -234,6 +235,44 @@ def test_run_episode_deterministic():
         return result.records
 
     assert run() == run()
+
+
+class RecordingController:
+    """Random-action controller that logs the clock of every ``decide`` call
+    and of every tick that ends on a decision point."""
+
+    controller_id = "recording"
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.decided = []
+        self.decision_ticks = []
+
+    def begin_episode(self, sim):
+        pass
+
+    def decide(self, sim):
+        self.decided.append(sim.clock)
+        return int(self.rng.integers(0, 3))
+
+    def on_tick(self, sim, report):
+        if at_decision_point(sim):
+            self.decision_ticks.append(sim.clock)
+
+
+def test_run_episode_decides_at_every_decision_point_below_horizon():
+    flows = uniform_flows(500.0)
+    probe = RecordingController(seed=5)
+    run_episode(LAYOUT, PLAN, flows, probe, seed=2, horizon_s=1500)
+    # end the episode exactly on a decision point, which must go unasked
+    horizon = probe.decided[40]
+    ctrl = RecordingController(seed=5)
+    result = run_episode(LAYOUT, PLAN, flows, ctrl, seed=2, horizon_s=horizon,
+                         record_ticks=True)
+    assert len(result.tick_queues) == horizon
+    assert ctrl.decided == probe.decided[:40]
+    assert ctrl.decision_ticks == probe.decided[:41]
+    assert max(ctrl.decided) < horizon
 
 
 def test_mean_q_cycle_requires_records():

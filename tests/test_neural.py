@@ -206,6 +206,21 @@ def test_softmax_sample_frequencies_match_probabilities():
     np.testing.assert_allclose(counts / n, probs, atol=0.01)
 
 
+def test_softmax_sample_draws_as_generator_choice():
+    # policy playback draws with softmax_sample where it once used
+    # Generator.choice(p=softmax(logits)); both must pick the same action and
+    # consume the stream alike, or saved evaluation results would change
+    logit_rng = np.random.Generator(np.random.PCG64(3))
+    ours = np.random.Generator(np.random.PCG64(11))
+    theirs = np.random.Generator(np.random.PCG64(11))
+    for trial in range(20_000):
+        scale = (0.01, 0.3, 3.0, 30.0)[trial % 4]
+        logits = scale * logit_rng.standard_normal(3)
+        expected = int(theirs.choice(3, p=softmax(logits)))
+        assert softmax_sample(logits, ours)[0] == expected
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # -- optimizer -----------------------------------------------------------------
 
 

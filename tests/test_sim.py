@@ -312,8 +312,8 @@ def test_end_action_starts_yellow_next_tick():
     sim = make_sim()
     run_to_first_decision(sim)
     assert sim.phase_elapsed_s == 10
-    outcome = apply_action(sim, ACTION_END)
-    assert outcome.programmed_green_s == 10.0
+    apply_action(sim, ACTION_END)
+    assert sim.programmed_green_s[0] == 10.0
     step(sim)
     assert sim.in_yellow
 
@@ -321,9 +321,8 @@ def test_end_action_starts_yellow_next_tick():
 def test_extend_action_adds_delta():
     sim = make_sim()
     run_to_first_decision(sim)
-    outcome = apply_action(sim, ACTION_EXTEND)
-    assert outcome.programmed_green_s == 25.0
-    assert not outcome.clamped
+    apply_action(sim, ACTION_EXTEND)
+    assert sim.programmed_green_s[0] == 25.0
     # green now runs to 25 s; yellow starts on the tick after elapsed hits 25
     while not sim.in_yellow:
         step(sim)
@@ -334,9 +333,8 @@ def test_extend_clamps_at_g_max():
     plan = PhasePlan(programmed_green_s=(40.0, 20.0, 20.0, 20.0))
     sim = make_sim(plan=plan)
     run_to_first_decision(sim)
-    outcome = apply_action(sim, ACTION_EXTEND)
-    assert outcome.clamped
-    assert outcome.programmed_green_s == 40.0
+    apply_action(sim, ACTION_EXTEND)
+    assert sim.programmed_green_s[0] == 40.0
 
 
 def test_continue_leaves_plan_unchanged():

@@ -75,7 +75,7 @@ def test_baseline_state_counts_queue():
 
 
 def test_expanded_state_fresh():
-    vec = expanded_state(make_sim(), np.zeros(4))
+    vec = expanded_state(make_sim())
     assert vec.shape == (EXPANDED_DIM,)
     expected = np.zeros(19)
     expected[1] = 1.0
@@ -86,7 +86,8 @@ def test_expanded_state_fresh():
 def test_expanded_state_queue_and_change():
     sim = make_sim()
     force_queue(sim, lane_index("N0"), 10)
-    vec = expanded_state(sim, np.array([15.0, 0.0, 0.0, 0.0]))
+    sim.decision_queues = (15, 0, 0, 0)
+    vec = expanded_state(sim)
     assert vec[7] == pytest.approx(0.4, abs=1e-15)
     assert vec[11] == pytest.approx(-0.2, abs=1e-15)
     assert vec[8] == vec[9] == vec[10] == 0.0
@@ -96,28 +97,22 @@ def test_expanded_state_queue_and_change():
 def test_expanded_state_clamps_saturated_queues():
     sim = make_sim()
     force_queue(sim, lane_index("E0"), 60)
-    vec = expanded_state(sim, np.zeros(4))
+    vec = expanded_state(sim)
     assert vec[8] == 1.0
     assert vec[12] == 1.0
-    drained = expanded_state(make_sim(), np.array([0.0, 60.0, 0.0, 0.0]))
-    assert drained[12] == -1.0
-
-
-def test_expanded_state_rejects_bad_prev_shape():
-    with pytest.raises(ContractViolation):
-        expanded_state(make_sim(), np.zeros(8))
+    drained = make_sim()
+    drained.decision_queues = (0, 60, 0, 0)
+    assert expanded_state(drained)[12] == -1.0
 
 
 def test_expanded_state_in_documented_ranges_under_load():
     rates = [800.0] * N_LANES
     sim = make_sim(seed=11, rates=rates)
     rng = np.random.Generator(np.random.PCG64(4))
-    prev_q = np.zeros(4)
     for _ in range(10_000):
         if at_decision_point(sim):
             apply_action(sim, int(rng.integers(0, 3)))
-            prev_q = np.array(sim.approach_queues(), dtype=np.float64)
-        vec = expanded_state(sim, prev_q)
+        vec = expanded_state(sim)
         assert 0.0 <= vec[0] <= 1.0
         one_hot = vec[1:5]
         assert sorted(one_hot) == [0.0, 0.0, 0.0, 1.0]
@@ -129,7 +124,7 @@ def test_expanded_state_in_documented_ranges_under_load():
         step(sim)
     # 100 s nominal cycles over 10k s: the cycle-count component must have
     # hit its clamp ceiling by the end
-    assert expanded_state(sim, prev_q)[6] == 1.0
+    assert expanded_state(sim)[6] == 1.0
 
 
 # -- bilinear sampling -----------------------------------------------------------
@@ -206,7 +201,7 @@ def test_kplanes_params_validation():
 
 def test_kplanes_transform_length_and_phase_passthrough():
     params = KPlanesParams(seed=3)
-    vec = expanded_state(make_sim(), np.zeros(4))
+    vec = expanded_state(make_sim())
     out = kplanes_transform(params, vec)
     assert out.shape == (68,)
     np.testing.assert_array_equal(out[64:], vec[1:5])
@@ -215,7 +210,7 @@ def test_kplanes_transform_length_and_phase_passthrough():
 def test_kplanes_transform_with_unit_planes():
     params = KPlanesParams(seed=0)
     params.planes = np.ones((21, 8, 8, 16))
-    vec = expanded_state(make_sim(), np.zeros(4))
+    vec = expanded_state(make_sim())
     out = kplanes_transform(params, vec)
     # every sample is 1 so each group collapses to ones; the one-hot follows
     np.testing.assert_array_equal(out, np.concatenate([np.ones(64), vec[1:5]]))
@@ -225,7 +220,7 @@ def test_kplanes_transform_group_products():
     params = KPlanesParams(seed=0, resolution=2, feature_dim=1)
     consts = np.linspace(1.01, 1.21, 21)
     params.planes = consts[:, None, None, None] * np.ones((21, 2, 2, 1))
-    vec = expanded_state(make_sim(), np.zeros(4))
+    vec = expanded_state(make_sim())
     out = kplanes_transform(params, vec)
     assert out.shape == (4 * 1 + 4,)
     # groups own 3, 6, 6, 6 consecutive planes; constant grids make the
@@ -243,7 +238,7 @@ def test_kplanes_transform_rejects_wrong_shape():
 
 
 def test_kplanes_transform_rejects_nan():
-    vec = expanded_state(make_sim(), np.zeros(4))
+    vec = expanded_state(make_sim())
     vec[8] = np.nan
     with pytest.raises(ContractViolation):
         kplanes_transform(KPlanesParams(seed=0), vec)
@@ -254,7 +249,7 @@ def test_kplanes_transform_rejects_nan():
 def test_kplanes_transform_pure():
     params = KPlanesParams(seed=6)
     before = [grid.copy() for grid in params.planes]
-    vec = expanded_state(make_sim(), np.zeros(4))
+    vec = expanded_state(make_sim())
     vec[7:11] = [0.3, 0.8, 0.1, 1.0]
     vec[11:15] = [-0.5, 0.2, 0.9, -1.0]
     first = kplanes_transform(params, vec)
@@ -308,7 +303,7 @@ def test_kplanes_transform_bitwise_equals_per_plane_sampling(resolution, feature
 
 def test_encode_latent_dimension_and_determinism():
     enc = Mlp([19, 32, 16], "relu", seed=2)
-    vec = expanded_state(make_sim(), np.zeros(4))
+    vec = expanded_state(make_sim())
     latent = encode(enc, vec)
     assert latent.shape == (16,)
     np.testing.assert_array_equal(latent, encode(enc, vec))
@@ -325,19 +320,18 @@ def test_encode_rejects_dimension_mismatch():
 
 def test_make_observation_dims():
     sim = make_sim()
-    prev = np.zeros(4)
     for kind, dim in (("baseline", 8), ("expanded", 19), ("kplanes", 68)):
         obs = make_observation(kind)
         assert obs.kind == kind
         assert obs.dim == dim
-        assert obs.observe(sim, prev).shape == (dim,)
+        assert obs.observe(sim).shape == (dim,)
 
 
 def test_make_observation_latent():
     obs = make_observation("ae8", ae_encoder=Mlp([19, 32, 8], "relu", seed=1))
     assert obs.kind == "ae8"
     assert obs.dim == 8
-    assert obs.observe(make_sim(), np.zeros(4)).shape == (8,)
+    assert obs.observe(make_sim()).shape == (8,)
 
 
 def test_make_observation_errors():
