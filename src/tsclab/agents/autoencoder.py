@@ -65,7 +65,7 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
     s_enc, s_dec, s_shuffle = ss.spawn(3)
     encoder = Mlp([EXPANDED_DIM, _HIDDEN, int(k)], "relu", seed=s_enc)
     decoder = Mlp([int(k), _HIDDEN, EXPANDED_DIM], "relu", seed=s_dec)
-    opt = Adam(encoder.parameters() + decoder.parameters(), lr)
+    opt = Adam([encoder.flat, decoder.flat], lr)
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
 
     history = [reconstruction_mse(encoder, decoder, x)]
@@ -80,8 +80,7 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
             err = recon - batch
             dec_grads, dz = decoder.backward((2.0 / b) * err)
             enc_grads, _ = encoder.backward(dz)
-            opt.step(encoder.gradient_arrays(enc_grads)
-                     + decoder.gradient_arrays(dec_grads))
+            opt.step([encoder.flat_gradient(enc_grads), decoder.flat_gradient(dec_grads)])
         history.append(reconstruction_mse(encoder, decoder, x))
     return AeResult(encoder=encoder, decoder=decoder,
                     final_mse=history[-1], mse_history=history)

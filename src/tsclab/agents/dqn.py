@@ -101,7 +101,7 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
     q_net = Mlp([env.obs_dim, *cfg.hidden_sizes, env.n_actions],
                 cfg.activation, seed=s_net)
     target_net = q_net.copy()
-    opt = Adam(q_net.parameters(), cfg.learning_rate)
+    opt = Adam([q_net.flat], cfg.learning_rate)
     explore_rng = np.random.Generator(np.random.PCG64(s_explore))
     sample_rng = np.random.Generator(np.random.PCG64(s_sample))
     replay = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
@@ -139,7 +139,7 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
             upstream = np.zeros_like(q_values)
             upstream[rows, b_act] = (2.0 / cfg.batch_size) * err
             grads, _ = q_net.backward(upstream)
-            opt.step(q_net.gradient_arrays(grads))
+            opt.step([q_net.flat_gradient(grads)])
             window_losses.append(loss)
 
         step_count += 1

@@ -243,8 +243,8 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
     value_net = Mlp([env.obs_dim, *cfg.hidden_sizes, 1], cfg.activation, seed=s_value)
     act_rng = np.random.Generator(np.random.PCG64(s_act))
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
-    opt_policy = Adam(policy.parameters(), cfg.learning_rate)
-    opt_value = Adam(value_net.parameters(), cfg.learning_rate)
+    opt_policy = Adam([policy.flat], cfg.learning_rate)
+    opt_value = Adam([value_net.flat], cfg.learning_rate)
 
     buffer = RolloutBuffer(cfg.n_steps, env.obs_dim)
     log: list[TrainLogRow] = []
@@ -275,8 +275,8 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
                         f"policy ratios diverged at rollout {rollout_idx} "
                         f"(mean |ratio-1| = {res.mean_ratio_dev:.3g})"
                     )
-                opt_policy.step(policy.gradient_arrays(res.policy_grads))
-                opt_value.step(value_net.gradient_arrays(res.value_grads))
+                opt_policy.step([policy.flat_gradient(res.policy_grads)])
+                opt_value.step([value_net.flat_gradient(res.value_grads)])
                 entropy_sum += res.entropy
                 value_loss_sum += res.value_loss
                 n_updates += 1

@@ -103,7 +103,7 @@ class SignalControlEnv:
     def reset(self) -> np.ndarray:
         self.sim = new_simulation(self.layout, self.plan, self.flows, self.seed,
                                   record_events=self.record_events)
-        self._tracker = CycleTracker()
+        self._tracker = CycleTracker(self.flows)
         self.cycle_records = []
         self._run_to_decision()
         self._prev_wait = self._mean_wait()
@@ -135,7 +135,7 @@ class SignalControlEnv:
     def _on_tick(self, report) -> None:
         self._arrived += sum(report.arrivals)
         self._discharged += sum(report.discharges)
-        record = self._tracker.feed(report, self.sim.regime())
+        record = self._tracker.feed(report)
         if record is not None:
             self._new_records.append(record)
             self.cycle_records.append(record)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ContractViolation
-from ..sim import APPROACHES, N_LANES, N_PHASES, PHASE_SERVED, TickReport
+from ..sim import APPROACHES, N_LANES, N_PHASES, PHASE_SERVED, FlowProfile, TickReport
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,22 @@ class CycleTracker:
     The simulator flags ``cycle_completed`` on the first tick of the new
     cycle, so the tracker finalizes its buffer before absorbing that tick.
     A trailing partial cycle is dropped unless :meth:`flush` is called.
-    Cycles are tagged with the flow regime active when the cycle started.
+    Cycles are tagged with the regime of ``flows`` during their first tick.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, flows: FlowProfile) -> None:
+        self._flows = flows
         self._tick_queues: list = []
         self._green_ticks = [0.0] * N_PHASES
         self._start_regime = ""
         self._next_index = 0
 
-    def feed(self, report: TickReport, regime: str = "") -> CycleRecord | None:
+    def feed(self, report: TickReport) -> CycleRecord | None:
         record = None
         if report.cycle_completed and self._tick_queues:
             record = self._finalize()
         if not self._tick_queues:
-            self._start_regime = regime
+            self._start_regime = self._flows.regime_at(max(report.tick - 1, 0))
         self._tick_queues.append(report.queue_lengths)
         if not report.in_yellow:
             self._green_ticks[report.phase] += 1.0
@@ -191,23 +192,6 @@ def write_cycles_csv(path, records: Iterable[CycleRecord]) -> None:
                 r.green_s[0], r.green_s[1], r.green_s[2], r.green_s[3],
                 r.regime,
             ])
-
-
-def read_cycles_csv(path) -> list[CycleRecord]:
-    records = []
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            approach = tuple(int(row[k]) for k in ("Q_N", "Q_E", "Q_S", "Q_W"))
-            records.append(CycleRecord(
-                cycle_index=int(row["cycle_index"]),
-                approach_max_queue=approach,
-                q_cycle=int(row["Q_cycle"]),
-                cycle_len_s=int(row["cycle_len_s"]),
-                green_s=tuple(float(row[f"g{i}"]) for i in range(1, 5)),
-                phase_max_queue=(0, 0, 0, 0),
-                regime=row["regime"],
-            ))
-    return records
 
 
 def write_events_csv(path, events: Iterable[tuple]) -> None:

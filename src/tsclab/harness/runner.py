@@ -121,14 +121,14 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
     notified (``on_tick``) after every tick, through the same
     :func:`~tsclab.envs.run_to_decision` driver as training."""
     sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
-    tracker = CycleTracker()
+    tracker = CycleTracker(flows)
     controller.begin_episode(sim)
     tick_queues: list | None = [] if record_ticks else None
     records: list = []
 
     def on_tick(report) -> None:
         controller.on_tick(sim, report)
-        record = tracker.feed(report, sim.regime())
+        record = tracker.feed(report)
         if record is not None:
             records.append(record)
         if tick_queues is not None:

@@ -9,6 +9,7 @@ enough that exactness and reproducibility matter more than throughput.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -37,13 +38,21 @@ class Mlp:
         self.layer_sizes = sizes
         self.hidden_activation = hidden_activation
         self.seed = seed
+        # every weight and bias is a view into one vector, laid out in
+        # parameters() order, so an optimizer can treat the net as one array
+        shapes = [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+                  for shape in ((fan_out, fan_in), (fan_out,))]
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        self.flat = np.zeros(ends[-1], dtype=np.float64)
+        views = [part.reshape(shape)
+                 for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
+        self.weights: list[np.ndarray] = views[0::2]
+        self.biases: list[np.ndarray] = views[1::2]
         rng = np.random.Generator(np.random.PCG64(seed))
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        for w in self.weights:
+            fan_out, fan_in = w.shape
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out, dtype=np.float64))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         self._tape: tuple[list[np.ndarray], list[np.ndarray]] | None = None
 
     # -- forward / backward ---------------------------------------------------
@@ -120,39 +129,15 @@ class Mlp:
     # -- parameter plumbing ---------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def gradient_arrays(self, grads: Gradients) -> list[np.ndarray]:
-        out = []
-        for dw, db in grads:
-            out.append(dw)
-            out.append(db)
-        return out
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ValueError("flat parameter vector has the wrong length")
-        offset = 0
-        for p in self.parameters():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+    def flat_gradient(self, grads: Gradients) -> np.ndarray:
+        """Per-layer (dW, db) pairs as one vector laid out like :attr:`flat`."""
+        return np.concatenate([g for pair in grads for g in pair], axis=None)
 
     def copy(self) -> "Mlp":
         clone = Mlp(self.layer_sizes, self.hidden_activation, self.seed)
-        for dst, src in zip(clone.parameters(), self.parameters()):
-            dst[...] = src
+        clone.flat[...] = self.flat
         return clone
 
 
@@ -179,14 +164,23 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, f
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("softmax_sample expects a single logit vector")
-    if np.isnan(z).any():
+    m = z.max()
+    if m != m:
         raise ValueError("NaN logits")
-    logp = log_softmax(z)
+    z = z - m
+    logp = z - np.log(np.exp(z).sum())
     probs = np.exp(logp)
-    probs = probs / probs.sum()
+    probs /= probs.sum()
+    # inverse CDF over a left-to-right running sum, as searchsorted(side="right")
+    # on np.cumsum finds it (a NaN sum sorts last, so it also stops there)
     u = rng.random()
-    action = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    action = min(action, len(probs) - 1)
+    action = len(probs) - 1
+    total = 0.0
+    for i, p in enumerate(probs.tolist()):
+        total += p
+        if not u >= total:
+            action = i
+            break
     return action, float(logp[action]), probs
 
 
@@ -215,7 +209,8 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
 
 
 class Adam:
-    """Stateful wrapper around :func:`adam_step` for one parameter list."""
+    """Stateful wrapper around :func:`adam_step` for one parameter list
+    (the trainers pass one :attr:`Mlp.flat` vector per network)."""
 
     def __init__(self, params: Sequence[np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:

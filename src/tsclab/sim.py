@@ -368,9 +368,6 @@ class SimState:
     def green_active(self) -> bool:
         return not self.in_yellow
 
-    def regime(self) -> str:
-        return self.flows.regime_at(max(self.clock - 1, 0))
-
 
 def new_simulation(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
                    seed: int, record_events: bool = False) -> SimState:

@@ -149,24 +149,19 @@ def test_c2_gradients_match_finite_differences():
         upstream = rng.normal(size=sizes[-1])
         net.forward(x)
         grads, _ = net.backward(upstream)
-        analytic = np.concatenate(
-            [g.ravel() for g in net.gradient_arrays(grads)]
-        )
-        flat = net.get_flat()
+        analytic = net.flat_gradient(grads)
+        flat = net.flat
         coords = rng.choice(flat.size, size=min(flat.size, 300), replace=False)
         for j in coords:
             orig = flat[j]
             flat[j] = orig + h
-            net.set_flat(flat)
             up = _loss(net, x, upstream)
             flat[j] = orig - h
-            net.set_flat(flat)
             down = _loss(net, x, upstream)
             flat[j] = orig
             numeric = (up - down) / (2.0 * h)
             worst = max(worst, _rel_err(float(analytic[j]), numeric))
             checked += 1
-        net.set_flat(flat)
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-4 and elapsed < 30.0
     record_criterion(
@@ -198,10 +193,8 @@ def test_c3_training_is_bit_reproducible():
     same_log = first.log == second.log
     same_records = first.cycle_records == second.cycle_records
     same_weights = (
-        np.array_equal(first.bundle.policy.get_flat(),
-                       second.bundle.policy.get_flat())
-        and np.array_equal(first.bundle.value.get_flat(),
-                           second.bundle.value.get_flat())
+        np.array_equal(first.bundle.policy.flat, second.bundle.policy.flat)
+        and np.array_equal(first.bundle.value.flat, second.bundle.value.flat)
     )
     elapsed = time.perf_counter() - t0
     passed = same_log and same_records and same_weights and elapsed < 300.0

@@ -205,7 +205,7 @@ def test_surrogate_gradients_match_finite_differences():
 
     def policy_part(flat):
         net = policy.copy()
-        net.set_flat(flat)
+        net.flat[...] = flat
         logp_all = log_softmax(net.predict(batch.obs))
         probs = np.exp(logp_all)
         r = np.exp(logp_all[rows, batch.actions] - batch.old_log_probs)
@@ -213,18 +213,18 @@ def test_surrogate_gradients_match_finite_differences():
         entropy = -np.sum(probs * logp_all, axis=1)
         return -float(objective.mean()) - ent_coef * float(entropy.mean())
 
-    analytic = np.concatenate([g.ravel() for pair in res.policy_grads for g in pair])
-    numeric = _fd_gradient(policy_part, policy.get_flat())
+    analytic = policy.flat_gradient(res.policy_grads)
+    numeric = _fd_gradient(policy_part, policy.flat)
     assert _rel_err(analytic, numeric) < 1e-4
 
     def value_part(flat):
         net = value_net.copy()
-        net.set_flat(flat)
+        net.flat[...] = flat
         err = net.predict(batch.obs)[:, 0] - batch.returns
         return val_coef * float(np.mean(err * err))
 
-    analytic_v = np.concatenate([g.ravel() for pair in res.value_grads for g in pair])
-    numeric_v = _fd_gradient(value_part, value_net.get_flat())
+    analytic_v = value_net.flat_gradient(res.value_grads)
+    numeric_v = _fd_gradient(value_part, value_net.flat)
     assert _rel_err(analytic_v, numeric_v) < 1e-4
 
 
@@ -352,10 +352,8 @@ def test_train_ppo_deterministic():
         return train_ppo(traffic_env_factory(), cfg, seed=7)
 
     a, b = run(), run()
-    np.testing.assert_array_equal(a.bundle.policy.get_flat(),
-                                  b.bundle.policy.get_flat())
-    np.testing.assert_array_equal(a.bundle.value.get_flat(),
-                                  b.bundle.value.get_flat())
+    np.testing.assert_array_equal(a.bundle.policy.flat, b.bundle.policy.flat)
+    np.testing.assert_array_equal(a.bundle.value.flat, b.bundle.value.flat)
     assert a.log == b.log
     assert a.cycle_records == b.cycle_records
     assert len(a.log) >= 2
@@ -571,8 +569,7 @@ def test_train_dqn_deterministic():
                     log_interval_steps=400)
     a = train_dqn(BanditEnv, cfg, seed=3)
     b = train_dqn(BanditEnv, cfg, seed=3)
-    np.testing.assert_array_equal(a.bundle.policy.get_flat(),
-                                  b.bundle.policy.get_flat())
+    np.testing.assert_array_equal(a.bundle.policy.flat, b.bundle.policy.flat)
     assert a.log == b.log
 
 

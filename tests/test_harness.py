@@ -1,5 +1,5 @@
 """Experiment harness tests: cycle metrics, aggregation, the episode and grid
-runners, CSV round trips, configuration parsing, and the command line."""
+runners, CSV output, configuration parsing, and the command line."""
 
 import csv
 import hashlib
@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rate_veh_h
 from tsclab.agents.bundle import PolicyBundle, TrainLogRow, write_training_log_csv
@@ -31,7 +33,6 @@ from tsclab.harness.metrics import (
     cycle_queue_metric,
     mean_std,
     pearson,
-    read_cycles_csv,
     write_cycles_csv,
     write_events_csv,
 )
@@ -52,6 +53,7 @@ from tsclab.neural import Mlp
 from tsclab.sim import (
     FlowProfile,
     IntersectionLayout,
+    LANE_IDS,
     N_LANES,
     PhasePlan,
     TickReport,
@@ -126,13 +128,17 @@ def test_cycle_record_total_must_match():
 
 
 def test_cycle_tracker_splits_on_cycle_wrap():
-    tracker = CycleTracker()
+    # tick t covers the second [t - 1, t): tick 1 runs in "low", tick 4 in
+    # "medium", while the seconds at their end clocks are "high"
+    flows = FlowProfile.build({}, regimes=[(0.0, 1.0, "low"), (1.0, 3.0, "high"),
+                                           (3.0, 4.0, "medium"), (4.0, 6.0, "high")])
+    tracker = CycleTracker(flows)
     row_a = (1, 0, 0, 0, 0, 0, 0, 0)
     row_b = (0, 0, 2, 0, 0, 0, 0, 0)
-    assert tracker.feed(make_report(row_a, phase=0), "low") is None
-    assert tracker.feed(make_report(row_a, phase=1)) is None
-    assert tracker.feed(make_report(row_a, phase=1, in_yellow=True)) is None
-    record = tracker.feed(make_report(row_b, cycle_completed=True), "medium")
+    assert tracker.feed(make_report(row_a, tick=1, phase=0)) is None
+    assert tracker.feed(make_report(row_a, tick=2, phase=1)) is None
+    assert tracker.feed(make_report(row_a, tick=3, phase=1, in_yellow=True)) is None
+    record = tracker.feed(make_report(row_b, tick=4, cycle_completed=True))
     assert record is not None
     assert record.cycle_len_s == 3
     assert record.approach_max_queue == (1, 0, 0, 0)
@@ -160,6 +166,47 @@ def test_cycle_metric_idempotent_on_episode_ticks():
         assert redone.q_cycle == record.q_cycle
         assert redone.phase_max_queue == record.phase_max_queue
         offset += record.cycle_len_s
+
+
+@st.composite
+def regime_scenarios(draw):
+    # a flow span of seconds to a few cycles, cut into up to four labelled
+    # regimes, so episodes wrap the profile and some cycles start on a boundary
+    span = draw(st.integers(2, 400))
+    cuts = sorted(draw(st.sets(st.integers(1, span - 1), max_size=3)))
+    bounds = [0, *cuts, span]
+    regimes = [(float(start), float(end), draw(st.sampled_from(("low", "medium", "high"))))
+               for start, end in zip(bounds, bounds[1:])]
+    rates = {lane: [(0.0, float(span), draw(st.floats(0.0, 1500.0)))] for lane in LANE_IDS}
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(("fixed", "webster", "policy")))
+    if kind == "fixed":
+        controller = FixedTimeController()
+    elif kind == "webster":
+        controller = DynamicWebsterController(LAYOUT, PLAN)
+    else:
+        controller = PolicyController(tiny_bundle(seed % 100), LAYOUT, sample_seed=seed)
+    return FlowProfile.build(rates, regimes), controller, seed, draw(st.integers(200, 1500))
+
+
+@settings(max_examples=30, deadline=None)
+@given(regime_scenarios())
+def test_episode_records_match_tick_log_and_regimes(scenario):
+    flows, controller, seed, horizon = scenario
+    result = run_episode(LAYOUT, PLAN, flows, controller, seed, horizon, record_ticks=True)
+    assert len(result.tick_queues) == horizon
+    offset = 0
+    for index, record in enumerate(result.records):
+        redone = cycle_queue_metric(result.tick_queues[offset:offset + record.cycle_len_s])
+        assert record.cycle_index == index
+        assert redone.approach_max_queue == record.approach_max_queue
+        assert redone.q_cycle == record.q_cycle
+        assert redone.phase_max_queue == record.phase_max_queue
+        assert redone.cycle_len_s == record.cycle_len_s
+        # the cycle's first tick is tick offset + 1, the second [offset, offset + 1)
+        assert record.regime == flows.regime_at(offset)
+        offset += record.cycle_len_s
+    assert offset <= horizon
 
 
 # -- aggregation statistics ------------------------------------------------------
@@ -372,23 +419,24 @@ def test_experiment_config_validation():
         RunSpec("p", "policy")
 
 
-# -- CSV round trips -------------------------------------------------------------
+# -- CSV output ------------------------------------------------------------------
 
 
-def test_cycles_csv_round_trip(tmp_path):
-    result = run_episode(LAYOUT, PLAN, uniform_flows(350.0),
-                         FixedTimeController(), seed=1, horizon_s=450)
+def test_cycles_csv_layout(tmp_path):
+    flows = FlowProfile.build({lane: [(0.0, 200.0, 350.0)] for lane in LANE_IDS},
+                              regimes=[(0.0, 100.0, "low"), (100.0, 200.0, "high")])
+    result = run_episode(LAYOUT, PLAN, flows, FixedTimeController(), seed=1, horizon_s=450)
     path = tmp_path / "cycles.csv"
     write_cycles_csv(path, result.records)
-    loaded = read_cycles_csv(path)
-    assert len(loaded) == len(result.records)
-    for orig, got in zip(result.records, loaded):
-        assert got.cycle_index == orig.cycle_index
-        assert got.approach_max_queue == orig.approach_max_queue
-        assert got.q_cycle == orig.q_cycle
-        assert got.cycle_len_s == orig.cycle_len_s
-        assert got.green_s == orig.green_s
-        assert got.regime == orig.regime
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["cycle_index", "Q_cycle", "Q_N", "Q_E", "Q_S", "Q_W",
+                       "cycle_len_s", "g1", "g2", "g3", "g4", "regime"]
+    assert len(rows) == len(result.records) + 1
+    assert {row[-1] for row in rows[1:]} == {"low", "high"}
+    for row, r in zip(rows[1:], result.records):
+        assert row == [str(v) for v in (r.cycle_index, r.q_cycle, *r.approach_max_queue,
+                                        r.cycle_len_s, *r.green_s, r.regime)]
 
 
 def test_summary_csv_layout(tmp_path):

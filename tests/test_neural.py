@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsclab.errors import ContractViolation
-from tsclab.neural import Adam, Mlp, adam_step, log_softmax, softmax, softmax_sample
+from tsclab.neural import (ACTIVATIONS, Adam, Mlp, adam_step, log_softmax, softmax,
+                           softmax_sample)
+from tsclab.weights import mlp_from_arrays
 
 
 def zero_net(sizes, activation="tanh"):
@@ -129,18 +131,15 @@ def finite_difference_check(net, x, upstream, h=1e-5, kink_margin=1e-3):
     net.forward(x)
     grads, _ = net.backward(upstream)
     analytic = np.concatenate([g.ravel() for pair in grads for g in pair])
-    flat = net.get_flat()
+    flat = net.flat.copy()
     numeric = np.empty_like(analytic)
     for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] += h
-        net.set_flat(bumped)
+        net.flat[i] += h
         up = float(np.sum(net.predict(x) * upstream))
-        bumped[i] -= 2 * h
-        net.set_flat(bumped)
+        net.flat[i] -= 2 * h
         down = float(np.sum(net.predict(x) * upstream))
         numeric[i] = (up - down) / (2 * h)
-    net.set_flat(flat)
+        net.flat[i] = flat[i]
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
@@ -221,6 +220,34 @@ def test_softmax_sample_draws_as_generator_choice():
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def _reference_softmax_sample(logits, rng):
+    # the sampler before its one-pass rewrite: numpy log-softmax, cumsum and
+    # searchsorted; training and evaluation results depend on every bit of it
+    z = np.asarray(logits, dtype=np.float64)
+    logp = log_softmax(z)
+    probs = np.exp(logp)
+    probs = probs / probs.sum()
+    u = rng.random()
+    action = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    action = min(action, len(probs) - 1)
+    return action, float(logp[action]), probs
+
+
+def test_softmax_sample_matches_reference_bitwise():
+    logit_rng = np.random.Generator(np.random.PCG64(5))
+    ours = np.random.Generator(np.random.PCG64(13))
+    theirs = np.random.Generator(np.random.PCG64(13))
+    for trial in range(20_000):
+        scale = (0.01, 0.3, 3.0, 30.0)[trial % 4]
+        logits = scale * logit_rng.standard_normal(2 + (trial // 4) % 4)
+        action, log_prob, probs = softmax_sample(logits, ours)
+        ref_action, ref_log_prob, ref_probs = _reference_softmax_sample(logits, theirs)
+        assert action == ref_action
+        assert log_prob.hex() == ref_log_prob.hex()
+        assert probs.tobytes() == ref_probs.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # -- optimizer -----------------------------------------------------------------
 
 
@@ -264,12 +291,12 @@ def test_adam_validation():
 
 def test_adam_lr_zero_leaves_params_bit_identical():
     net = Mlp([4, 6, 2], seed=3)
-    before = net.get_flat()
-    opt = Adam(net.parameters(), lr=0.0)
+    before = net.flat.copy()
+    opt = Adam([net.flat], lr=0.0)
     net.forward(np.ones(4))
     grads, _ = net.backward(np.ones(2))
-    opt.step(net.gradient_arrays(grads))
-    np.testing.assert_array_equal(net.get_flat(), before)
+    opt.step([net.flat_gradient(grads)])
+    np.testing.assert_array_equal(net.flat, before)
 
 
 # -- parameter plumbing --------------------------------------------------------
@@ -277,24 +304,67 @@ def test_adam_lr_zero_leaves_params_bit_identical():
 
 def test_flat_round_trip():
     net = Mlp([5, 7, 2], seed=9)
-    flat = net.get_flat()
-    assert flat.shape == (net.n_params,)
+    assert net.flat.shape == (5 * 7 + 7 + 7 * 2 + 2,)
     other = Mlp([5, 7, 2], seed=10)
-    other.set_flat(flat)
-    np.testing.assert_array_equal(other.get_flat(), flat)
+    other.flat[...] = net.flat
+    x = np.linspace(-1.0, 1.0, 5)
+    np.testing.assert_array_equal(other.predict(x), net.predict(x))
     with pytest.raises(ValueError):
-        net.set_flat(np.zeros(3))
+        net.flat[...] = np.zeros(3)
 
 
 def test_copy_is_independent():
     net = Mlp([3, 4, 2], seed=1)
     clone = net.copy()
-    np.testing.assert_array_equal(clone.get_flat(), net.get_flat())
+    np.testing.assert_array_equal(clone.flat, net.flat)
     clone.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != clone.weights[0][0, 0]
+
+
+layer_sizes = st.lists(st.integers(1, 12), min_size=2, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=layer_sizes, activation=st.sampled_from(ACTIVATIONS),
+       seed=st.integers(0, 2**32 - 1))
+def test_parameters_are_views_into_flat(sizes, activation, seed):
+    net = Mlp(sizes, activation, seed=seed)
+    params = net.parameters()
+    assert all(np.shares_memory(p, net.flat) for p in params)
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
+    np.testing.assert_array_equal(net.flat_gradient(list(zip(net.weights, net.biases))),
+                                  net.flat)
+    # the same per-layer uniform draws as separately allocated arrays get
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for w, b, fan_in, fan_out in zip(net.weights, net.biases, sizes[:-1], sizes[1:]):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        np.testing.assert_array_equal(w, rng.uniform(-limit, limit, size=(fan_out, fan_in)))
+        np.testing.assert_array_equal(b, np.zeros(fan_out))
+    for other in (net.copy(), mlp_from_arrays(params, activation)):
+        assert not np.shares_memory(other.flat, net.flat)
+        assert all(np.shares_memory(p, other.flat) for p in other.parameters())
+        np.testing.assert_array_equal(other.flat, net.flat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=layer_sizes, activation=st.sampled_from(ACTIVATIONS),
+       seed=st.integers(0, 2**32 - 1))
+def test_adam_on_flat_matches_per_array_steps(sizes, activation, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for scale in (1e-6, 1.0, 1e3):
+        net = Mlp(sizes, activation, seed=seed)
+        twin = net.copy()
+        flat_opt = Adam([net.flat], lr=1e-3)
+        array_opt = Adam(twin.parameters(), lr=1e-3)
+        for _ in range(50):
+            grads = [(scale * rng.standard_normal(w.shape), scale * rng.standard_normal(b.shape))
+                     for w, b in zip(net.weights, net.biases)]
+            flat_opt.step([net.flat_gradient(grads)])
+            array_opt.step([g for pair in grads for g in pair])
+        assert net.flat.tobytes() == twin.flat.tobytes()
 
 
 def test_same_seed_same_init():
     a = Mlp([6, 8, 3], seed=42)
     b = Mlp([6, 8, 3], seed=42)
-    np.testing.assert_array_equal(a.get_flat(), b.get_flat())
+    np.testing.assert_array_equal(a.flat, b.flat)
