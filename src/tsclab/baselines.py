@@ -2,12 +2,14 @@
 
 Both speak the controller protocol used by the episode runner:
 ``begin_episode(sim)`` once per run, ``decide(sim) -> action`` at decision
-points, and ``on_tick(sim, report)`` after every simulated second.
+points, and, only for a controller that watches every simulated second (here
+Dynamic Webster), ``on_tick(sim, report)`` after each tick.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,14 +92,11 @@ class FixedTimeController:
     def decide(self, sim: SimState) -> int:
         return ACTION_CONTINUE
 
-    def on_tick(self, sim: SimState, report: TickReport) -> None:
-        pass
-
 
 class DynamicWebsterController:
     """Webster timings recomputed on a fixed interval from recent flows.
 
-    Keeps a per-lane moving window of arrival counts; every
+    Keeps the last ``flow_window_s`` ticks' arrival rows; every
     ``recompute_interval_s`` it turns window rates into per-phase flow
     ratios (max over the phase's lanes, against the lane saturation flow),
     solves the cycle formula, and installs the resulting greens at the next
@@ -111,8 +110,12 @@ class DynamicWebsterController:
                  recompute_interval_s: float = 145.0, flow_window_s: float = 900.0,
                  lost_time_s: float | None = None,
                  default_rates_veh_h: Sequence[float] | None = None) -> None:
-        if recompute_interval_s <= 0.0 or flow_window_s <= 0.0:
-            raise ConfigurationError("webster intervals must be positive")
+        if not recompute_interval_s > 0.0:
+            raise ConfigurationError("webster recompute interval must be positive")
+        if not (flow_window_s >= 1.0 and float(flow_window_s).is_integer()):
+            raise ConfigurationError(
+                f"webster flow window must be a whole number of seconds >= 1, "
+                f"got {flow_window_s}")
         self.layout = layout
         self.plan = plan
         self.recompute_interval_s = recompute_interval_s
@@ -131,20 +134,16 @@ class DynamicWebsterController:
         self.begin_episode(None)
 
     def begin_episode(self, sim: SimState | None) -> None:
-        window = int(self.flow_window_s)
-        self._window = np.zeros((window, N_LANES), dtype=np.int64)
-        self._window_sum = np.zeros(N_LANES, dtype=np.int64)
-        self._window_pos = 0
-        self._seconds_seen = 0
+        self._window: deque = deque(maxlen=int(self.flow_window_s))
         self._next_recompute = self.recompute_interval_s
         self._pending: tuple | None = None
         self.recompute_log = []
 
     def _window_rates_veh_h(self) -> np.ndarray:
-        filled = min(self._seconds_seen, self._window.shape[0])
-        if filled == 0:
+        if not self._window:
             return self.default_rates_veh_h.copy()
-        return self._window_sum * (3600.0 / filled)
+        counts = np.array([sum(lane) for lane in zip(*self._window)], dtype=np.int64)
+        return counts * (3600.0 / len(self._window))
 
     def _recompute(self, clock: int) -> None:
         rates = self._window_rates_veh_h()
@@ -163,12 +162,7 @@ class DynamicWebsterController:
         )
 
     def on_tick(self, sim: SimState, report: TickReport) -> None:
-        pos = self._window_pos
-        self._window_sum -= self._window[pos]
-        self._window[pos] = report.arrivals
-        self._window_sum += self._window[pos]
-        self._window_pos = (pos + 1) % self._window.shape[0]
-        self._seconds_seen += 1
+        self._window.append(report.arrivals)
         if sim.clock >= self._next_recompute:
             self._recompute(sim.clock)
             self._next_recompute += self.recompute_interval_s

@@ -27,8 +27,8 @@ _MAX_TICKS_BETWEEN_DECISIONS = 4000
 def run_to_decision(sim: SimState, until_s: int, on_tick=None) -> bool:
     """Advance ``sim`` to its next decision point before ``until_s``.
 
-    Ticks while the clock is below ``until_s``, calling ``on_tick(report)``
-    after every tick, so a call made at a decision point moves past it.
+    Ticks while the clock is below ``until_s``, calling ``on_tick(report)``,
+    if given, after every tick, so a call made at a decision point moves past it.
     Returns True at the first decision point whose clock is below
     ``until_s`` and False once the clock reaches ``until_s``.  Training,
     evaluation and state collection all step the simulator through here.
@@ -116,29 +116,27 @@ class SignalControlEnv:
         new_records = self._run_to_decision()
         reward = self._reward()
         obs = self.observation.observe(self.sim)
-        self._prev_wait = self._mean_wait()
         info = {"sim_time_s": self.sim.clock, "cycles": new_records}
         return obs, reward, info
 
     # -- internals ------------------------------------------------------------
 
     def _run_to_decision(self) -> list:
-        """Tick to the next decision point; count the interval's arrivals and
-        discharges and return the cycle records it completed."""
+        """Tick to the next decision point and return the cycle records it
+        completed; the pressure reward also counts its arrivals and discharges."""
         self._arrived = self._discharged = 0
-        self._new_records = []
+        on_tick = self._count_flow if self.reward_spec.kind == "pressure" else None
         if not run_to_decision(self.sim, self.sim.clock + _MAX_TICKS_BETWEEN_DECISIONS,
-                               self._on_tick):
+                               on_tick):
             raise ContractViolation("no decision point reached; phase machine is stuck")
-        return self._new_records
+        new_records = [self._tracker.feed(entry) for entry
+                       in self.sim.completed_cycles[len(self.cycle_records):]]
+        self.cycle_records.extend(new_records)
+        return new_records
 
-    def _on_tick(self, report) -> None:
+    def _count_flow(self, report) -> None:
         self._arrived += sum(report.arrivals)
         self._discharged += sum(report.discharges)
-        record = self._tracker.feed(report)
-        if record is not None:
-            self._new_records.append(record)
-            self.cycle_records.append(record)
 
     def _mean_wait(self) -> float:
         return sum(self.sim.lane_wait_s(lane) for lane in range(N_LANES)) / N_LANES
@@ -149,7 +147,8 @@ class SignalControlEnv:
             return queue_reward(self.sim.approach_queues(), self.sim.decision_queues,
                                 self.reward_spec)
         if kind == "delay":
-            return delay_reward(self._prev_wait, self._mean_wait())
+            wait, self._prev_wait = self._prev_wait, self._mean_wait()
+            return delay_reward(wait, self._prev_wait)
         if kind == "pressure":
             return pressure_reward((self._arrived,), (self._discharged,))
         if kind == "speed":

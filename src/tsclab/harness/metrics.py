@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ContractViolation
-from ..sim import APPROACHES, N_LANES, N_PHASES, PHASE_SERVED, FlowProfile, TickReport
+from ..sim import APPROACHES, N_LANES, N_PHASES, PHASE_SERVED, FlowProfile
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,23 @@ class CycleRecord:
             raise ValueError("total must equal the summed approach maxima")
 
 
+def _cycle_record(lane_max: Sequence[int], cycle_index: int, cycle_len_s: int,
+                  green_s: Sequence[float], regime: str) -> CycleRecord:
+    approach_max = tuple(
+        max(lane_max[2 * a], lane_max[2 * a + 1]) for a in range(len(APPROACHES))
+    )
+    phase_max = tuple(max(lane_max[i] for i in PHASE_SERVED[p]) for p in range(N_PHASES))
+    return CycleRecord(
+        cycle_index=cycle_index,
+        approach_max_queue=approach_max,
+        q_cycle=sum(approach_max),
+        cycle_len_s=cycle_len_s,
+        green_s=tuple(float(g) for g in green_s),
+        phase_max_queue=phase_max,
+        regime=regime,
+    )
+
+
 def cycle_queue_metric(tick_queues: Sequence[Sequence[int]], cycle_index: int = 0,
                        green_s: Sequence[float] = (0.0,) * N_PHASES,
                        regime: str = "") -> CycleRecord:
@@ -55,68 +72,29 @@ def cycle_queue_metric(tick_queues: Sequence[Sequence[int]], cycle_index: int = 
         raise ValueError("empty tick log: a cycle needs at least one tick")
     if arr.ndim != 2 or arr.shape[1] != N_LANES:
         raise ValueError(f"tick log must be T x {N_LANES} queue lengths")
-    lane_max = arr.max(axis=0)
-    approach_max = tuple(
-        int(max(lane_max[2 * a], lane_max[2 * a + 1])) for a in range(len(APPROACHES))
-    )
-    phase_max = tuple(
-        int(max(lane_max[i] for i in PHASE_SERVED[p])) for p in range(N_PHASES)
-    )
-    return CycleRecord(
-        cycle_index=cycle_index,
-        approach_max_queue=approach_max,
-        q_cycle=sum(approach_max),
-        cycle_len_s=arr.shape[0],
-        green_s=tuple(float(g) for g in green_s),
-        phase_max_queue=phase_max,
-        regime=regime,
-    )
+    return _cycle_record(arr.max(axis=0).tolist(), cycle_index, arr.shape[0], green_s,
+                         regime)
 
 
 class CycleTracker:
-    """Accumulates tick reports and emits a record at each cycle wrap.
+    """Turns the simulator's completed cycles into numbered records.
 
-    The simulator flags ``cycle_completed`` on the first tick of the new
-    cycle, so the tracker finalizes its buffer before absorbing that tick.
-    A trailing partial cycle is dropped unless :meth:`flush` is called.
-    Cycles are tagged with the regime of ``flows`` during their first tick.
+    ``feed`` takes one ``SimState.completed_cycles`` entry, ``(start_tick,
+    length_s, lane_max, green_s)``, whose lane maxima already are the per-tick
+    maxima :func:`cycle_queue_metric` defines, and tags the cycle with the
+    regime of ``flows`` during its first tick.
     """
 
     def __init__(self, flows: FlowProfile) -> None:
         self._flows = flows
-        self._tick_queues: list = []
-        self._green_ticks = [0.0] * N_PHASES
-        self._start_regime = ""
         self._next_index = 0
 
-    def feed(self, report: TickReport) -> CycleRecord | None:
-        record = None
-        if report.cycle_completed and self._tick_queues:
-            record = self._finalize()
-        if not self._tick_queues:
-            self._start_regime = self._flows.regime_at(max(report.tick - 1, 0))
-        self._tick_queues.append(report.queue_lengths)
-        if not report.in_yellow:
-            self._green_ticks[report.phase] += 1.0
-        return record
-
-    def _finalize(self) -> CycleRecord:
-        record = cycle_queue_metric(
-            self._tick_queues,
-            cycle_index=self._next_index,
-            green_s=tuple(self._green_ticks),
-            regime=self._start_regime,
-        )
+    def feed(self, entry: tuple) -> CycleRecord:
+        start_tick, length_s, lane_max, green_s = entry
+        record = _cycle_record(lane_max, self._next_index, length_s, green_s,
+                               self._flows.regime_at(start_tick - 1))
         self._next_index += 1
-        self._tick_queues = []
-        self._green_ticks = [0.0] * N_PHASES
         return record
-
-    def flush(self) -> CycleRecord | None:
-        """Finalize a trailing partial cycle, if any ticks are buffered."""
-        if not self._tick_queues:
-            return None
-        return self._finalize()
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:

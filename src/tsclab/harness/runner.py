@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,9 +70,6 @@ class PolicyController:
             return self.bundle.greedy_action(obs)
         return softmax_sample(self.bundle.policy.predict(obs), self._rng)[0]
 
-    def on_tick(self, sim, report) -> None:
-        pass
-
 
 def make_controller(kind: str, layout: IntersectionLayout, plan: PhasePlan,
                     weights_path=None, webster_params: dict | None = None,
@@ -117,25 +115,26 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
     """Drive one seeded episode under ``controller`` for ``horizon_s``
     simulated seconds and collect its per-cycle queue records.
 
-    The controller is consulted at every decision point below the horizon and
-    notified (``on_tick``) after every tick, through the same
-    :func:`~tsclab.envs.run_to_decision` driver as training."""
+    The controller is consulted at every decision point below the horizon,
+    through the same :func:`~tsclab.envs.run_to_decision` driver as
+    training.  Only a controller that defines ``on_tick(sim, report)`` (and
+    ``record_ticks``) puts a hook on the ticks; the cycle records come from
+    the simulator's ``completed_cycles``."""
     sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
-    tracker = CycleTracker(flows)
     controller.begin_episode(sim)
+    controller_tick = getattr(controller, "on_tick", None)
     tick_queues: list | None = [] if record_ticks else None
-    records: list = []
-
-    def on_tick(report) -> None:
-        controller.on_tick(sim, report)
-        record = tracker.feed(report)
-        if record is not None:
-            records.append(record)
-        if tick_queues is not None:
+    on_tick = None if controller_tick is None else functools.partial(controller_tick, sim)
+    if record_ticks:
+        def on_tick(report) -> None:
+            if controller_tick is not None:
+                controller_tick(sim, report)
             tick_queues.append(report.queue_lengths)
 
     while run_to_decision(sim, horizon_s, on_tick):
         apply_action(sim, controller.decide(sim))
+    tracker = CycleTracker(flows)
+    records = [tracker.feed(entry) for entry in sim.completed_cycles]
     return EpisodeResult(
         controller_id=controller.controller_id,
         seed=seed,

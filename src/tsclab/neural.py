@@ -67,15 +67,20 @@ class Mlp:
             return 1.0 - a * a
         return (z > 0.0).astype(np.float64)
 
-    def _run(self, x: np.ndarray, keep: bool) -> np.ndarray:
+    def _check_input(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
-        squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.layer_sizes[0]:
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.layer_sizes[0]:
             raise ValueError(
                 f"input shape {np.shape(x)} incompatible with {self.layer_sizes[0]} inputs"
             )
+        return arr
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the network and cache intermediates for :meth:`backward`."""
+        arr = self._check_input(x)
+        squeeze = arr.ndim == 1
+        if squeeze:
+            arr = arr[None, :]
         activations = [arr]
         pre = []
         a = arr
@@ -85,18 +90,19 @@ class Mlp:
             pre.append(z)
             a = z if idx == last else self._activate(z)
             activations.append(a)
-        if keep:
-            self._tape = (activations, pre)
+        self._tape = (activations, pre)
         return a[0] if squeeze else a
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network and cache intermediates for :meth:`backward`."""
-        return self._run(x, keep=True)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Run the network without touching the tape (safe for concurrent
-        read-only inference on a frozen net)."""
-        return self._run(x, keep=False)
+        read-only inference on a frozen net).  A 1-D input runs as given,
+        with the same values as the row of a one-row batch."""
+        a = self._check_input(x)
+        last = len(self.weights) - 1
+        for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = a @ w.T + b
+            a = z if idx == last else self._activate(z)
+        return a
 
     def backward(self, upstream: np.ndarray) -> tuple[Gradients, np.ndarray]:
         """Exact reverse-mode gradients from the last :meth:`forward` call.

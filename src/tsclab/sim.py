@@ -297,12 +297,18 @@ class SimState:
     last action (zeros before the first), the reference for queue changes
     between decision points.
 
+    The cycle in progress began on tick ``cycle_start_tick``; ``cycle_lane_max``
+    holds each lane's largest end-of-tick queue so far and ``cycle_green_s``
+    each phase's green seconds, written when the green ends.  Each wrap
+    appends ``(start_tick, length_s, lane_max, green_s)`` of the cycle it
+    closes to ``completed_cycles``.
+
     Per-lane lists follow ``LANE_IDS``.  ``transit`` holds FIFO runs
     ``(stopline_tick, per-lane counts)``, one per tick with arrivals;
     ``queues`` holds each lane's FIFO runs ``[join_tick, count]``;
-    ``in_transit``, ``queued`` and ``join_ticks`` total them.  A lane is
-    first in, first out end to end, so vehicle ids are implicit; they are
-    kept in ``vehicle_ids``, queued first, only when events are recorded.
+    ``queued`` and ``join_ticks`` total them.  A lane is first in, first
+    out end to end, so vehicle ids are implicit; they are kept in
+    ``vehicle_ids``, queued first, only when events are recorded.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -317,14 +323,15 @@ class SimState:
         self.phase_elapsed_s = 0
         self.in_yellow = False
         self.yellow_elapsed_s = 0
-        self.cycle_elapsed_s = 0
-        self.cycles_completed = 0
+        self.cycle_start_tick = 1
+        self.cycle_lane_max = [0] * N_LANES
+        self.cycle_green_s = [0] * N_PHASES
+        self.completed_cycles: list[tuple[int, int, tuple, tuple]] = []
         self.default_green_s = list(plan.programmed_green_s)
         self.programmed_green_s = list(plan.programmed_green_s)
         self.decision_queues = (0, 0, 0, 0)
         self.transit: deque = deque()
         self.queues = [deque() for _ in range(N_LANES)]
-        self.in_transit = [0] * N_LANES
         self.queued = [0] * N_LANES
         self.join_ticks = [0] * N_LANES
         self.credit = [0.0] * N_LANES
@@ -336,6 +343,10 @@ class SimState:
         self._arrival_rows = iter(())
 
     # -- observation helpers -------------------------------------------------
+
+    @property
+    def cycle_elapsed_s(self) -> int:
+        return self.clock - self.cycle_start_tick + 1
 
     def queue_lengths(self) -> tuple:
         return tuple(self.queued)
@@ -354,7 +365,7 @@ class SimState:
 
     def lane_observables(self, lane: int) -> tuple[int, int, int, float]:
         """(approaching count, queue length, total wait s, summed speeds m/s)."""
-        approaching = self.in_transit[lane]
+        approaching = sum(counts[lane] for _tick, counts in self.transit)
         return (
             approaching,
             self.queued[lane],
@@ -393,13 +404,16 @@ def _advance_signal(sim: SimState) -> tuple[bool, bool]:
             phase_changed = True
             sim.credit = [0.0] * N_LANES
             if sim.current_phase == 0:
-                sim.cycles_completed += 1
-                sim.cycle_elapsed_s = 0
+                sim.completed_cycles.append(
+                    (sim.cycle_start_tick, sim.clock - sim.cycle_start_tick,
+                     tuple(sim.cycle_lane_max), tuple(sim.cycle_green_s)))
+                sim.cycle_start_tick = sim.clock
                 sim.programmed_green_s = list(sim.default_green_s)
                 cycle_completed = True
     else:
         if sim.phase_elapsed_s >= sim.programmed_green_s[sim.current_phase]:
             sim.in_yellow = True
+            sim.cycle_green_s[sim.current_phase] = sim.phase_elapsed_s
             sim.yellow_elapsed_s = 0
             sim.credit = [0.0] * N_LANES
     return phase_changed, cycle_completed
@@ -427,23 +441,21 @@ def step(sim: SimState) -> TickReport:
     Substeps, in fixed order: signal phase machine, Poisson arrivals (the
     next row of the arrival block, all eight lanes), stopline transfer of
     in-transit vehicles (queue join or pass-through), saturation-rate
-    discharge of the served queues, and timer bookkeeping.
+    discharge of the served queues, and the cycle and timer bookkeeping.
     """
     sim.clock += 1
     clock = sim.clock
     phase_changed, cycle_completed = _advance_signal(sim)
     ids = sim.vehicle_ids
     log = sim.events.append
-    in_transit = sim.in_transit
     queued = sim.queued
 
     arrivals = next(sim._arrival_rows, None) or _draw_arrivals(sim)
     if any(arrivals):
         sim.transit.append((math.ceil(clock + sim.layout.travel_time_to_stopline_s),
                             arrivals))
-        for i in range(N_LANES):
-            in_transit[i] += arrivals[i]
-            if ids is not None:
+        if ids is not None:
+            for i in range(N_LANES):
                 for vid in range(sim._next_vehicle_id, sim._next_vehicle_id + arrivals[i]):
                     ids[i].append(vid)
                     log((clock, LANE_IDS[i], "enter", vid))
@@ -455,13 +467,13 @@ def step(sim: SimState) -> TickReport:
     green_flowing = (not sim.in_yellow
                      and sim.phase_elapsed_s >= sim.layout.startup_lost_time_s)
     discharges = [0] * N_LANES
+    joined = []
     while sim.transit and sim.transit[0][0] <= clock:
         counts = sim.transit.popleft()[1]
         for i in range(N_LANES):
             n = counts[i]
             if not n:
                 continue
-            in_transit[i] -= n
             passing = green_flowing and i in served and not queued[i]
             if ids is not None:
                 for k in range(queued[i], queued[i] + n):
@@ -473,6 +485,7 @@ def step(sim: SimState) -> TickReport:
                 sim.queues[i].append([clock, n])
                 queued[i] += n
                 sim.join_ticks[i] += clock * n
+                joined.append(i)
 
     # queue discharge: each served lane earns 1/headway of a vehicle per green
     # second once the startup lost time has elapsed; credit resets with the phase
@@ -492,11 +505,18 @@ def step(sim: SimState) -> TickReport:
                 if ids is not None:
                     log((clock, LANE_IDS[i], "discharge", ids[i].popleft()))
 
+    # only a join raises a queue, so only joined lanes can set a new maximum
+    if cycle_completed:
+        sim.cycle_lane_max = queued[:]
+    else:
+        lane_max = sim.cycle_lane_max
+        for i in joined:
+            if queued[i] > lane_max[i]:
+                lane_max[i] = queued[i]
     if sim.in_yellow:
         sim.yellow_elapsed_s += 1
     else:
         sim.phase_elapsed_s += 1
-    sim.cycle_elapsed_s += 1
 
     return TickReport(
         tick=clock,

@@ -97,7 +97,7 @@ def expanded_state(sim: SimState,
     phase[sim.current_phase] = 1.0
     raw = np.array(
         [sim.cycle_elapsed_s / norms.cycle_time_max_s, *phase,
-         sim.phase_elapsed_s / g_max, sim.cycles_completed / norms.cycles_max]
+         sim.phase_elapsed_s / g_max, len(sim.completed_cycles) / norms.cycles_max]
         + [q / q_max for q in q_now]
         + [(q - p) / q_max for q, p in zip(q_now, sim.decision_queues)]
         + [g / g_max for g in sim.programmed_green_s],

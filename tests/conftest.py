@@ -63,7 +63,6 @@ def force_transit(sim, lane: int, count: int, stopline_tick: int) -> list[int]:
     counts = [0] * N_LANES
     counts[lane] = count
     sim.transit.append((stopline_tick, counts))
-    sim.in_transit[lane] += count
     return ids
 
 

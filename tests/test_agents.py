@@ -36,8 +36,9 @@ from tsclab.agents.ppo import (
 )
 from tsclab.envs import SignalControlEnv, run_to_decision
 from tsclab.errors import ConfigurationError, DivergenceError
+from tsclab.harness.runner import run_episode
 from tsclab.neural import Mlp, log_softmax, softmax
-from tsclab.rewards import RewardSpec
+from tsclab.rewards import REWARD_KINDS, RewardSpec
 from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                         apply_action, at_decision_point, new_simulation)
 from tsclab.staterep import ExpandedObservation, KPlanesParams, StateNormalizers
@@ -316,6 +317,44 @@ def test_run_to_decision_reaches_decisions_within_yellow_plus_g_max(scenario):
         apply_action(sim, int(actions.integers(0, 3)))
     assert sim.clock == horizon
     assert not any(flags[:-1])
+
+
+class ReplayController:
+    """Plays a fixed list of actions, one per decision point."""
+
+    controller_id = "replay"
+
+    def __init__(self, actions):
+        self.actions = list(actions)
+        self.played = 0
+
+    def begin_episode(self, sim):
+        pass
+
+    def decide(self, sim):
+        self.played += 1
+        return self.actions[self.played - 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(REWARD_KINDS), rate=st.floats(0.0, 1500.0),
+       seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 150))
+def test_env_cycles_equal_run_episode_replaying_its_actions(kind, rate, seed, n_steps):
+    flows = FlowProfile.build({lane: [(0.0, 600.0, rate)] for lane in ("N0", "E1", "S0", "W0")},
+                              regimes=[(0.0, 200.0, "high"), (200.0, 450.0, "low"),
+                                       (450.0, 600.0, "medium")])
+    env = SignalControlEnv(IntersectionLayout(), PhasePlan(), flows, ExpandedObservation(),
+                           RewardSpec(kind=kind), seed)
+    env.reset()
+    actions = np.random.Generator(np.random.PCG64(seed)).integers(0, 3, n_steps).tolist()
+    cycles = []
+    for action in actions:
+        cycles.extend(env.step(action)[2]["cycles"])
+    assert cycles == env.cycle_records
+    replay = ReplayController(actions)
+    result = run_episode(IntersectionLayout(), PhasePlan(), flows, replay, seed, env.clock_s)
+    assert replay.played == n_steps
+    assert result.records == cycles
 
 
 # -- trainers on environments ----------------------------------------------------

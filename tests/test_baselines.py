@@ -3,6 +3,8 @@ the fixed-time controller, and the flow-driven recomputing controller."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsclab.baselines import (
     DynamicWebsterController,
@@ -130,8 +132,9 @@ def test_fixed_time_cycles_match_programmed_plan():
 def test_webster_controller_validation():
     with pytest.raises(ConfigurationError):
         DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.0)
-    with pytest.raises(ConfigurationError):
-        DynamicWebsterController(LAYOUT, PLAN, flow_window_s=-1.0)
+    for window in (-1.0, 0.0, 0.5, 900.7, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            DynamicWebsterController(LAYOUT, PLAN, flow_window_s=window)
     with pytest.raises(ConfigurationError):
         DynamicWebsterController(LAYOUT, PLAN, lost_time_s=0.0)
     with pytest.raises(ConfigurationError):
@@ -201,3 +204,56 @@ def test_webster_controller_uses_default_rates_before_data():
                                     default_rates_veh_h=[900.0] * N_LANES)
     rates = ctrl._window_rates_veh_h()
     np.testing.assert_array_equal(rates, [900.0] * N_LANES)
+
+
+class RingBufferWebster(DynamicWebsterController):
+    """Reference flow window: a fixed ring of per-tick arrival counts with a
+    running int64 sum, updated on every tick."""
+
+    def begin_episode(self, sim):
+        super().begin_episode(sim)
+        self._ring = np.zeros((int(self.flow_window_s), N_LANES), dtype=np.int64)
+        self._ring_sum = np.zeros(N_LANES, dtype=np.int64)
+        self._ring_pos = 0
+        self._ticks_seen = 0
+
+    def _window_rates_veh_h(self):
+        filled = min(self._ticks_seen, self._ring.shape[0])
+        if filled == 0:
+            return self.default_rates_veh_h.copy()
+        return self._ring_sum * (3600.0 / filled)
+
+    def on_tick(self, sim, report):
+        pos = self._ring_pos
+        self._ring_sum -= self._ring[pos]
+        self._ring[pos] = report.arrivals
+        self._ring_sum += self._ring[pos]
+        self._ring_pos = (pos + 1) % self._ring.shape[0]
+        self._ticks_seen += 1
+        super().on_tick(sim, report)
+
+
+@st.composite
+def webster_scenarios(draw):
+    params = dict(
+        flow_window_s=float(draw(st.one_of(st.integers(1, 30), st.integers(1, 1200)))),
+        recompute_interval_s=draw(st.one_of(st.integers(1, 300).map(float),
+                                            st.floats(0.5, 300.0))),
+        default_rates_veh_h=[draw(st.floats(0.0, 1000.0)) for _ in range(N_LANES)],
+    )
+    span = draw(st.floats(50.0, 1500.0))
+    cut = draw(st.floats(1.0, span - 1.0))
+    flows = FlowProfile.build({lane: [(0.0, cut, draw(st.floats(0.0, 2000.0))),
+                                      (cut, span, draw(st.floats(0.0, 2000.0)))]
+                               for lane in ("N0", "N1", "E0", "S0", "S1", "W0", "W1")})
+    return params, flows, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 2500))
+
+
+@settings(max_examples=40, deadline=None)
+@given(webster_scenarios())
+def test_webster_window_matches_ring_buffer_reference(scenario):
+    params, flows, seed, horizon = scenario
+    runs = [run_episode(LAYOUT, PLAN, flows, cls(LAYOUT, PLAN, **params), seed, horizon)
+            for cls in (DynamicWebsterController, RingBufferWebster)]
+    assert runs[0].webster_log == runs[1].webster_log
+    assert runs[0].records == runs[1].records

@@ -55,8 +55,8 @@ from tsclab.sim import (
     IntersectionLayout,
     LANE_IDS,
     N_LANES,
+    N_PHASES,
     PhasePlan,
-    TickReport,
     at_decision_point,
 )
 
@@ -66,15 +66,6 @@ PLAN = PhasePlan()
 
 def uniform_flows(rate):
     return FlowProfile.uniform([rate] * N_LANES)
-
-
-def make_report(queue_lengths, tick=0, phase=0, in_yellow=False,
-                cycle_completed=False):
-    zeros = (0,) * N_LANES
-    return TickReport(tick=tick, phase=phase, in_yellow=in_yellow,
-                      phase_changed=False, cycle_completed=cycle_completed,
-                      arrivals=zeros, discharges=zeros,
-                      queue_lengths=tuple(queue_lengths))
 
 
 def tiny_bundle(seed=0):
@@ -128,29 +119,26 @@ def test_cycle_record_total_must_match():
 
 
 def test_cycle_tracker_splits_on_cycle_wrap():
-    # tick t covers the second [t - 1, t): tick 1 runs in "low", tick 4 in
-    # "medium", while the seconds at their end clocks are "high"
+    # the simulator closes a cycle at each wrap as (start_tick, length_s,
+    # lane_max, green_s); tick t covers the second [t - 1, t): tick 1 runs in
+    # "low", tick 4 in "medium", while the seconds at their end clocks are "high"
     flows = FlowProfile.build({}, regimes=[(0.0, 1.0, "low"), (1.0, 3.0, "high"),
                                            (3.0, 4.0, "medium"), (4.0, 6.0, "high")])
     tracker = CycleTracker(flows)
-    row_a = (1, 0, 0, 0, 0, 0, 0, 0)
-    row_b = (0, 0, 2, 0, 0, 0, 0, 0)
-    assert tracker.feed(make_report(row_a, tick=1, phase=0)) is None
-    assert tracker.feed(make_report(row_a, tick=2, phase=1)) is None
-    assert tracker.feed(make_report(row_a, tick=3, phase=1, in_yellow=True)) is None
-    record = tracker.feed(make_report(row_b, tick=4, cycle_completed=True))
-    assert record is not None
+    record = tracker.feed((1, 3, (1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0)))
+    assert record.cycle_index == 0
     assert record.cycle_len_s == 3
     assert record.approach_max_queue == (1, 0, 0, 0)
-    assert record.green_s == (1.0, 1.0, 0.0, 0.0)  # yellow tick is not green
+    assert record.phase_max_queue == (1, 0, 0, 0)
+    assert record.green_s == (1.0, 1.0, 0.0, 0.0)
     assert record.regime == "low"
-    # the wrap tick starts the next cycle's buffer
-    trailing = tracker.flush()
-    assert trailing.cycle_len_s == 1
-    assert trailing.approach_max_queue == (0, 2, 0, 0)
-    assert trailing.regime == "medium"
-    assert trailing.cycle_index == record.cycle_index + 1
-    assert tracker.flush() is None
+    # the wrap tick starts the next cycle
+    following = tracker.feed((4, 1, (0, 0, 2, 0, 0, 0, 0, 3), (1, 0, 0, 0)))
+    assert following.cycle_len_s == 1
+    assert following.approach_max_queue == (0, 2, 0, 3)
+    assert following.phase_max_queue == (0, 0, 2, 3)
+    assert following.regime == "medium"
+    assert following.cycle_index == record.cycle_index + 1
 
 
 def test_cycle_metric_idempotent_on_episode_ticks():
@@ -168,6 +156,34 @@ def test_cycle_metric_idempotent_on_episode_ticks():
         offset += record.cycle_len_s
 
 
+class TickLog:
+    """Plays another controller and keeps every tick's report."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.controller_id = inner.controller_id
+        self.reports = []
+
+    def begin_episode(self, sim):
+        self.inner.begin_episode(sim)
+
+    def decide(self, sim):
+        return self.inner.decide(sim)
+
+    def on_tick(self, sim, report):
+        if hasattr(self.inner, "on_tick"):
+            self.inner.on_tick(sim, report)
+        self.reports.append(report)
+
+
+def make_test_controller(kind, layout, seed):
+    if kind == "fixed":
+        return FixedTimeController()
+    if kind == "webster":
+        return DynamicWebsterController(layout, PLAN)
+    return PolicyController(tiny_bundle(seed % 100), layout, sample_seed=seed)
+
+
 @st.composite
 def regime_scenarios(draw):
     # a flow span of seconds to a few cycles, cut into up to four labelled
@@ -178,23 +194,26 @@ def regime_scenarios(draw):
     regimes = [(float(start), float(end), draw(st.sampled_from(("low", "medium", "high"))))
                for start, end in zip(bounds, bounds[1:])]
     rates = {lane: [(0.0, float(span), draw(st.floats(0.0, 1500.0)))] for lane in LANE_IDS}
-    seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(("fixed", "webster", "policy")))
-    if kind == "fixed":
-        controller = FixedTimeController()
-    elif kind == "webster":
-        controller = DynamicWebsterController(LAYOUT, PLAN)
-    else:
-        controller = PolicyController(tiny_bundle(seed % 100), LAYOUT, sample_seed=seed)
-    return FlowProfile.build(rates, regimes), controller, seed, draw(st.integers(200, 1500))
+    # with no startup lost time a queue discharges on the wrap tick itself
+    layout = IntersectionLayout(
+        saturation_headway_s=draw(st.one_of(st.sampled_from([1.0, 2.0]),
+                                            st.floats(0.6, 4.0))),
+        startup_lost_time_s=draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                                           st.floats(0.0, 3.0))),
+    )
+    return (FlowProfile.build(rates, regimes), layout,
+            draw(st.sampled_from(("fixed", "webster", "policy"))),
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(200, 1500)), draw(st.booleans()))
 
 
 @settings(max_examples=30, deadline=None)
 @given(regime_scenarios())
 def test_episode_records_match_tick_log_and_regimes(scenario):
-    flows, controller, seed, horizon = scenario
-    result = run_episode(LAYOUT, PLAN, flows, controller, seed, horizon, record_ticks=True)
-    assert len(result.tick_queues) == horizon
+    flows, layout, kind, seed, horizon, record_events = scenario
+    logged = TickLog(make_test_controller(kind, layout, seed))
+    result = run_episode(layout, PLAN, flows, logged, seed, horizon,
+                         record_events=record_events, record_ticks=True)
+    assert len(result.tick_queues) == len(logged.reports) == horizon
     offset = 0
     for index, record in enumerate(result.records):
         redone = cycle_queue_metric(result.tick_queues[offset:offset + record.cycle_len_s])
@@ -203,10 +222,19 @@ def test_episode_records_match_tick_log_and_regimes(scenario):
         assert redone.q_cycle == record.q_cycle
         assert redone.phase_max_queue == record.phase_max_queue
         assert redone.cycle_len_s == record.cycle_len_s
+        green = [0.0] * N_PHASES
+        for report in logged.reports[offset:offset + record.cycle_len_s]:
+            if not report.in_yellow:
+                green[report.phase] += 1.0
+        assert record.green_s == tuple(green)
         # the cycle's first tick is tick offset + 1, the second [offset, offset + 1)
         assert record.regime == flows.regime_at(offset)
         offset += record.cycle_len_s
     assert offset <= horizon
+    # without a tick hook (none for fixed and policy) the records are the same
+    bare = run_episode(layout, PLAN, flows, make_test_controller(kind, layout, seed), seed,
+                       horizon, record_events=record_events)
+    assert bare.records == result.records
 
 
 # -- aggregation statistics ------------------------------------------------------
@@ -772,6 +800,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     for off_grid in ("plan.g_min_s = 10.5\n", "plan.yellow_s = 4.6\n"):
         assert main(["simulate", "--config", str(write_cfg(tmp_path, off_grid)),
                      "--out", str(tmp_path / "x")]) == 1
+    for window in ("0.5", "900.7"):  # webster counts arrivals per whole second
+        cfg = write_cfg(tmp_path, f"webster.flow_window_s = {window}\n")
+        assert main(["simulate", "--method", "webster", "--config", str(cfg),
+                     "--horizon", "200", "--out", str(tmp_path / "x")]) == 1
     missing_cfg = tmp_path / "ghost.cfg"
     assert main(["simulate", "--config", str(missing_cfg)]) == 1
     empty_grid = write_cfg(tmp_path, "# nothing\n", "grid.txt")

@@ -368,3 +368,13 @@ def test_same_seed_same_init():
     a = Mlp([6, 8, 3], seed=42)
     b = Mlp([6, 8, 3], seed=42)
     np.testing.assert_array_equal(a.flat, b.flat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 80), min_size=2, max_size=4),
+       activation=st.sampled_from(ACTIVATIONS), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from((1e-3, 1.0, 30.0)))
+def test_single_row_predict_equals_one_row_batch(sizes, activation, seed, scale):
+    net = Mlp(sizes, activation, seed=seed)
+    x = scale * np.random.Generator(np.random.PCG64(seed)).standard_normal(sizes[0])
+    assert net.predict(x).tobytes() == net.forward(x[None])[0].tobytes()

@@ -76,8 +76,8 @@ def test_new_simulation_starts_empty():
     assert not sim.in_yellow
     assert sim.total_queue() == 0
     assert sim.queue_lengths() == (0,) * N_LANES
-    assert sim.in_transit == [0] * N_LANES
     assert not sim.transit
+    assert sim.completed_cycles == []
 
 
 def test_zero_capacity_layout_rejected():
@@ -272,7 +272,8 @@ def test_default_cycle_wraps_at_tick_101():
         if report.cycle_completed:
             wrap_ticks.append(report.tick)
     assert wrap_ticks == [101, 201]
-    assert sim.cycles_completed == 2
+    assert [entry[:2] for entry in sim.completed_cycles] == [(1, 100), (101, 100)]
+    assert all(entry[3] == (20, 20, 20, 20) for entry in sim.completed_cycles)
 
 
 def test_decision_point_grid():
@@ -404,10 +405,8 @@ def test_vehicle_conservation_every_tick():
         report = step(sim)
         entered += report.arrivals
         left += report.discharges
-        assert sim.in_transit == [sum(counts[i] for _tick, counts in sim.transit)
-                                  for i in range(N_LANES)]
         assert sim.queued == [sum(count for _tick, count in runs) for runs in sim.queues]
-        assert list(entered) == [left[i] + sim.queued[i] + sim.in_transit[i]
+        assert list(entered) == [left[i] + sim.queued[i] + sim.lane_observables(i)[0]
                                  for i in range(N_LANES)]
 
 
@@ -638,6 +637,6 @@ def test_counter_lanes_match_per_vehicle_model(scenario):
             assert sim.lane_observables(i)[:3] == (len(ref.transit[i]), len(ref.queue[i]),
                                                    waits)
             assert entered[i] == (ref.passed[i] + ref.discharged[i]
-                                  + sim.queued[i] + sim.in_transit[i])
+                                  + sim.queued[i] + sim.lane_observables(i)[0])
     if record_events:
         assert sim.events == ref.events
