@@ -131,7 +131,10 @@ def load_autoencoder(path) -> tuple[Mlp, Mlp]:
     fields = parse_tag(blob.tag)
     if fields.get("kind") != "autoencoder":
         raise ConfigurationError(f"{path}: not an autoencoder file")
-    n_enc = int(fields["encoder"])
+    try:
+        n_enc = int(fields["encoder"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: bad autoencoder header ({exc})") from exc
     encoder = mlp_from_arrays(blob.arrays[:n_enc], fields.get("act", "relu"))
     decoder = mlp_from_arrays(blob.arrays[n_enc:], fields.get("act", "relu"))
     return encoder, decoder

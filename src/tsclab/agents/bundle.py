@@ -93,14 +93,21 @@ class PolicyBundle:
         try:
             algo = fields["algo"]
             act = fields["act"]
-            n_policy = int(fields["policy"])
-            n_value = int(fields["value"])
-            n_encoder = int(fields["encoder"])
+            n_policy, n_value, n_encoder = (
+                int(fields[key]) for key in ("policy", "value", "encoder"))
+            kseed = int(fields.get("kseed", -1))
+            kplanes = None
+            if kseed >= 0:
+                kplanes = KPlanesParams(kseed, int(fields["kres"]), int(fields["kfeat"]))
         except KeyError as missing:
             raise ConfigurationError(f"{path}: not a policy bundle (missing {missing})")
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: bad policy bundle header ({exc})") from exc
         arrays = blob.arrays
         if len(arrays) != 1 + n_policy + n_value + n_encoder:
             raise ConfigurationError(f"{path}: array count does not match the header")
+        if arrays[0].shape != (4,):
+            raise ConfigurationError(f"{path}: normalizer array must hold 4 values")
         norms = StateNormalizers.from_array(arrays[0])
         cursor = 1
         policy = mlp_from_arrays(arrays[cursor:cursor + n_policy], act)
@@ -112,10 +119,6 @@ class PolicyBundle:
         encoder = None
         if n_encoder:
             encoder = mlp_from_arrays(arrays[cursor:cursor + n_encoder], "relu")
-        kseed = int(fields.get("kseed", -1))
-        kplanes = None
-        if kseed >= 0:
-            kplanes = KPlanesParams(kseed, int(fields["kres"]), int(fields["kfeat"]))
         return PolicyBundle(
             algo=algo,
             repr_kind=fields.get("repr", "custom"),

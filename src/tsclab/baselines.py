@@ -3,7 +3,8 @@
 Both speak the controller protocol used by the episode runner:
 ``begin_episode(sim)`` once per run, ``decide(sim) -> action`` at decision
 points, and, only for a controller that watches every simulated second (here
-Dynamic Webster), ``on_tick(sim, report)`` after each tick.
+Dynamic Webster), ``on_tick(sim)`` after each tick, which reads the tick
+from the simulator's ``arrivals`` and ``phase_changed``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES,
-                  PHASE_SERVED, PhasePlan, SimState, TickReport,
-                  install_programmed_greens)
+                  PHASE_SERVED, PhasePlan, SimState, install_programmed_greens)
 
 
 @dataclass(frozen=True)
@@ -161,12 +161,12 @@ class DynamicWebsterController:
             (clock, *y, timings.cycle_s, *timings.greens_s, int(timings.saturated))
         )
 
-    def on_tick(self, sim: SimState, report: TickReport) -> None:
-        self._window.append(report.arrivals)
+    def on_tick(self, sim: SimState) -> None:
+        self._window.append(sim.arrivals)
         if sim.clock >= self._next_recompute:
             self._recompute(sim.clock)
             self._next_recompute += self.recompute_interval_s
-        if self._pending is not None and report.phase_changed:
+        if self._pending is not None and sim.phase_changed:
             install_programmed_greens(sim, self._pending)
             self._pending = None
 

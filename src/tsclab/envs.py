@@ -27,16 +27,18 @@ _MAX_TICKS_BETWEEN_DECISIONS = 4000
 def run_to_decision(sim: SimState, until_s: int, on_tick=None) -> bool:
     """Advance ``sim`` to its next decision point before ``until_s``.
 
-    Ticks while the clock is below ``until_s``, calling ``on_tick(report)``,
-    if given, after every tick, so a call made at a decision point moves past it.
+    Ticks while the clock is below ``until_s``, calling ``on_tick(sim)``,
+    if given, after every tick, so a call made at a decision point moves
+    past it.  The hook reads the tick from ``sim`` (its ``arrivals``,
+    ``discharges`` and ``phase_changed`` describe the tick just run).
     Returns True at the first decision point whose clock is below
     ``until_s`` and False once the clock reaches ``until_s``.  Training,
     evaluation and state collection all step the simulator through here.
     """
     while sim.clock < until_s:
-        report = step(sim)
+        step(sim)
         if on_tick is not None:
-            on_tick(report)
+            on_tick(sim)
         if at_decision_point(sim):
             return sim.clock < until_s
     return False
@@ -134,9 +136,9 @@ class SignalControlEnv:
         self.cycle_records.extend(new_records)
         return new_records
 
-    def _count_flow(self, report) -> None:
-        self._arrived += sum(report.arrivals)
-        self._discharged += sum(report.discharges)
+    def _count_flow(self, sim: SimState) -> None:
+        self._arrived += sum(sim.arrivals)
+        self._discharged += sum(sim.discharges)
 
     def _mean_wait(self) -> float:
         return sum(self.sim.lane_wait_s(lane) for lane in range(N_LANES)) / N_LANES

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,19 +116,19 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
 
     The controller is consulted at every decision point below the horizon,
     through the same :func:`~tsclab.envs.run_to_decision` driver as
-    training.  Only a controller that defines ``on_tick(sim, report)`` (and
-    ``record_ticks``) puts a hook on the ticks; the cycle records come from
-    the simulator's ``completed_cycles``."""
+    training.  Only a controller that defines ``on_tick(sim)`` (and
+    ``record_ticks``, which keeps each tick's lane queues) puts a hook on
+    the ticks; the cycle records come from the simulator's
+    ``completed_cycles``."""
     sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
     controller.begin_episode(sim)
-    controller_tick = getattr(controller, "on_tick", None)
+    on_tick = controller_tick = getattr(controller, "on_tick", None)
     tick_queues: list | None = [] if record_ticks else None
-    on_tick = None if controller_tick is None else functools.partial(controller_tick, sim)
     if record_ticks:
-        def on_tick(report) -> None:
+        def on_tick(sim) -> None:
             if controller_tick is not None:
-                controller_tick(sim, report)
-            tick_queues.append(report.queue_lengths)
+                controller_tick(sim)
+            tick_queues.append(tuple(sim.queued))
 
     while run_to_decision(sim, horizon_s, on_tick):
         apply_action(sim, controller.decide(sim))

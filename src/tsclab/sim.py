@@ -267,24 +267,6 @@ class FlowProfile:
         return self.regimes[-1][2]
 
 
-@dataclass(slots=True)
-class TickReport:
-    """What happened during one one-second tick."""
-
-    tick: int
-    phase: int
-    in_yellow: bool
-    phase_changed: bool
-    cycle_completed: bool
-    arrivals: tuple
-    discharges: tuple
-    queue_lengths: tuple
-
-    @property
-    def total_queue(self) -> int:
-        return sum(self.queue_lengths)
-
-
 class SimState:
     """Mutable state of one simulation run.
 
@@ -309,6 +291,13 @@ class SimState:
     ``queued`` and ``join_ticks`` total them.  A lane is first in, first
     out end to end, so vehicle ids are implicit; they are kept in
     ``vehicle_ids``, queued first, only when events are recorded.
+
+    Each :func:`step` leaves what its tick did on the state: ``arrivals``,
+    the tick's per-lane arrival counts; ``discharges``, the per-lane
+    vehicles that crossed the stopline (passed through or discharged); and
+    ``phase_changed``, True on the tick a new phase's green began.  They
+    describe the last tick only and are read-only: ``arrivals`` is the same
+    list that ``transit`` holds.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -341,6 +330,9 @@ class SimState:
         self._rates_veh_s = np.zeros(N_LANES, dtype=np.float64)
         self._rates_valid_until = 0
         self._arrival_rows = iter(())
+        self.arrivals = [0] * N_LANES
+        self.discharges = [0] * N_LANES
+        self.phase_changed = False
 
     # -- observation helpers -------------------------------------------------
 
@@ -386,22 +378,22 @@ def new_simulation(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfi
     return SimState(layout, plan, flows, seed, record_events)
 
 
-def _advance_signal(sim: SimState) -> tuple[bool, bool]:
+def _advance_signal(sim: SimState) -> bool:
     """Run the phase machine for the tick that is about to execute.
 
-    Returns (phase_changed, cycle_completed).  Green ends once the elapsed
-    green reaches the live programmed green; yellow runs for the full yellow
-    interval; the cycle wrap restores the per-cycle green defaults.
+    Sets ``sim.phase_changed`` and returns True when the tick wraps the
+    cycle.  Green ends once the elapsed green reaches the live programmed
+    green; yellow runs for the full yellow interval; the cycle wrap restores
+    the per-cycle green defaults.
     """
-    phase_changed = False
-    cycle_completed = False
+    sim.phase_changed = False
     if sim.in_yellow:
         if sim.yellow_elapsed_s >= sim.plan.yellow_s:
             sim.in_yellow = False
             sim.yellow_elapsed_s = 0
             sim.current_phase = (sim.current_phase + 1) % N_PHASES
             sim.phase_elapsed_s = 0
-            phase_changed = True
+            sim.phase_changed = True
             sim.credit = [0.0] * N_LANES
             if sim.current_phase == 0:
                 sim.completed_cycles.append(
@@ -409,14 +401,13 @@ def _advance_signal(sim: SimState) -> tuple[bool, bool]:
                      tuple(sim.cycle_lane_max), tuple(sim.cycle_green_s)))
                 sim.cycle_start_tick = sim.clock
                 sim.programmed_green_s = list(sim.default_green_s)
-                cycle_completed = True
-    else:
-        if sim.phase_elapsed_s >= sim.programmed_green_s[sim.current_phase]:
-            sim.in_yellow = True
-            sim.cycle_green_s[sim.current_phase] = sim.phase_elapsed_s
-            sim.yellow_elapsed_s = 0
-            sim.credit = [0.0] * N_LANES
-    return phase_changed, cycle_completed
+                return True
+    elif sim.phase_elapsed_s >= sim.programmed_green_s[sim.current_phase]:
+        sim.in_yellow = True
+        sim.cycle_green_s[sim.current_phase] = sim.phase_elapsed_s
+        sim.yellow_elapsed_s = 0
+        sim.credit = [0.0] * N_LANES
+    return False
 
 
 def _draw_arrivals(sim: SimState) -> list:
@@ -435,22 +426,24 @@ def _draw_arrivals(sim: SimState) -> list:
     return next(sim._arrival_rows)
 
 
-def step(sim: SimState) -> TickReport:
-    """Advance the simulation by one second.
+def step(sim: SimState) -> SimState:
+    """Advance the simulation by one second and return ``sim``.
 
     Substeps, in fixed order: signal phase machine, Poisson arrivals (the
     next row of the arrival block, all eight lanes), stopline transfer of
     in-transit vehicles (queue join or pass-through), saturation-rate
     discharge of the served queues, and the cycle and timer bookkeeping.
+    The tick's ``arrivals``, ``discharges`` and ``phase_changed`` are left
+    on ``sim``.
     """
     sim.clock += 1
     clock = sim.clock
-    phase_changed, cycle_completed = _advance_signal(sim)
+    cycle_completed = _advance_signal(sim)
     ids = sim.vehicle_ids
     log = sim.events.append
     queued = sim.queued
 
-    arrivals = next(sim._arrival_rows, None) or _draw_arrivals(sim)
+    arrivals = sim.arrivals = next(sim._arrival_rows, None) or _draw_arrivals(sim)
     if any(arrivals):
         sim.transit.append((math.ceil(clock + sim.layout.travel_time_to_stopline_s),
                             arrivals))
@@ -466,7 +459,7 @@ def step(sim: SimState) -> TickReport:
     served = PHASE_SERVED[sim.current_phase]
     green_flowing = (not sim.in_yellow
                      and sim.phase_elapsed_s >= sim.layout.startup_lost_time_s)
-    discharges = [0] * N_LANES
+    discharges = sim.discharges = [0] * N_LANES
     joined = []
     while sim.transit and sim.transit[0][0] <= clock:
         counts = sim.transit.popleft()[1]
@@ -518,16 +511,7 @@ def step(sim: SimState) -> TickReport:
     else:
         sim.phase_elapsed_s += 1
 
-    return TickReport(
-        tick=clock,
-        phase=sim.current_phase,
-        in_yellow=sim.in_yellow,
-        phase_changed=phase_changed,
-        cycle_completed=cycle_completed,
-        arrivals=tuple(arrivals),
-        discharges=tuple(discharges),
-        queue_lengths=tuple(queued),
-    )
+    return sim
 
 
 def at_decision_point(sim: SimState) -> bool:

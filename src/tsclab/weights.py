@@ -11,11 +11,14 @@ Layout (all integers little-endian):
     per array: ndim u32, then ndim u32 dims, then row-major float32 data
 
 Arrays load back as 64-bit for compute; storage is 32-bit by design, so a
-save/load round trip quantizes to float32 precision.
+save/load round trip quantizes to float32 precision.  A file that does not
+parse (bad magic, unknown version, truncation, a tag that is not UTF-8,
+arrays that do not chain into a network) raises :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .neural import Mlp
 
 MAGIC = b"TSCW"
@@ -66,54 +70,52 @@ class WeightFile:
 
 
 def load_arrays(path: str | Path) -> WeightFile:
-    blob = Path(path).read_bytes()
-    view = memoryview(blob)
-    if len(view) < 4 or bytes(view[:4]) != MAGIC:
-        raise ValueError(f"{path}: not a weight file (bad magic)")
+    view = memoryview(Path(path).read_bytes())
+    if bytes(view[:4]) != MAGIC:
+        raise ConfigurationError(f"{path}: not a weight file (bad magic)")
     offset = 4
 
-    def take(fmt: str):
+    def take(size: int) -> memoryview:
         nonlocal offset
-        size = struct.calcsize(fmt)
         if offset + size > len(view):
-            raise ValueError(f"{path}: truncated weight file")
-        values = struct.unpack_from(fmt, view, offset)
+            raise ConfigurationError(f"{path}: truncated weight file")
         offset += size
-        return values
+        return view[offset - size:offset]
 
-    (version,) = take("<I")
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (version,) = unpack("<I")
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported weight file version {version}")
-    (seed,) = take("<Q")
-    (tag_len,) = take("<H")
-    if offset + tag_len > len(view):
-        raise ValueError(f"{path}: truncated weight file")
-    tag = bytes(view[offset:offset + tag_len]).decode("utf-8")
-    offset += tag_len
-    (count,) = take("<I")
+        raise ConfigurationError(f"{path}: unsupported weight file version {version}")
+    (seed,) = unpack("<Q")
+    (tag_len,) = unpack("<H")
+    try:
+        tag = bytes(take(tag_len)).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: weight file tag is not UTF-8") from exc
+    (count,) = unpack("<I")
     arrays = []
     for _ in range(count):
-        (ndim,) = take("<I")
-        dims = take(f"<{ndim}I") if ndim else ()
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        size = 4 * n
-        if offset + size > len(view):
-            raise ValueError(f"{path}: truncated weight file")
-        flat = np.frombuffer(view, dtype="<f4", count=n, offset=offset)
-        offset += size
-        arrays.append(flat.reshape(dims).astype(np.float64))
+        (ndim,) = unpack("<I")
+        dims = unpack(f"<{ndim}I")
+        data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
+        arrays.append(data.reshape(dims).astype(np.float64))
     return WeightFile(version=version, seed=seed, tag=tag, arrays=arrays)
 
 
 def mlp_from_arrays(arrays: Sequence[np.ndarray], hidden_activation: str) -> Mlp:
     """Rebuild a network from interleaved weight/bias arrays."""
     if not arrays or len(arrays) % 2 != 0:
-        raise ValueError("expected an even number of arrays (weight/bias pairs)")
+        raise ConfigurationError("expected an even number of arrays (weight/bias pairs)")
     weights = arrays[0::2]
-    sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-    net = Mlp(sizes, hidden_activation=hidden_activation, seed=0)
+    try:
+        sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+        net = Mlp(sizes, hidden_activation=hidden_activation, seed=0)
+    except (IndexError, ValueError) as exc:
+        raise ConfigurationError(f"arrays do not form a network ({exc})") from exc
     for dst, src in zip(net.parameters(), arrays):
         if dst.shape != src.shape:
-            raise ValueError("array shapes do not chain into a valid network")
+            raise ConfigurationError("array shapes do not chain into a valid network")
         dst[...] = src
     return net

@@ -298,30 +298,31 @@ def _replay_scenario(scenario_seed):
     sim = new_simulation(LAYOUT, PLAN, flows, seed=scenario_seed)
     act_rng = np.random.Generator(np.random.PCG64(scenario_seed + 991))
     schedule = []
-    reports = []
+    ticks = []  # (clock, arrivals, lane queues) after each step
     for _ in range(horizon):
         if at_decision_point(sim):
             action = int(act_rng.integers(0, 3))
             apply_action(sim, action)
             schedule.append((sim.clock, action))
-        reports.append(step(sim))
-    if sum(sum(r.arrivals) for r in reports) > 20:
+        step(sim)
+        ticks.append((sim.clock, tuple(sim.arrivals), tuple(sim.queued)))
+    if sum(sum(arrivals) for _tick, arrivals, _queues in ticks) > 20:
         return None
 
     oracle = _BruteForceIntersection()
     cursor = 0
-    for report in reports:
+    for tick, arrivals, queues in ticks:
         if oracle.wants_decision():
             assert cursor < len(schedule), "oracle saw an extra decision point"
             clock, action = schedule[cursor]
             cursor += 1
-            assert clock == report.tick - 1, "decision points drifted apart"
+            assert clock == tick - 1, "decision points drifted apart"
             oracle.act(action)
-        oracle.tick(report.tick, report.arrivals)
-        if tuple(oracle.queues) != report.queue_lengths:
+        oracle.tick(tick, arrivals)
+        if tuple(oracle.queues) != queues:
             return False
     assert cursor == len(schedule), "simulator saw an extra decision point"
-    return len(reports)
+    return len(ticks)
 
 
 def test_c4_brute_force_replay_matches():

@@ -3,6 +3,7 @@ gradients, rollout/replay plumbing, the policy-gradient and Q-learning
 trainers on a toy task, the state autoencoder, and bundle persistence."""
 
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from tsclab.rewards import REWARD_KINDS, RewardSpec
 from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                         apply_action, at_decision_point, new_simulation)
 from tsclab.staterep import ExpandedObservation, KPlanesParams, StateNormalizers
-from tsclab.weights import save_arrays
+from tsclab.weights import mlp_from_arrays, save_arrays
 
 
 # -- advantage estimation --------------------------------------------------------
@@ -305,8 +306,8 @@ def test_run_to_decision_reaches_decisions_within_yellow_plus_g_max(scenario):
     horizon = 2000
     flags = []  # per tick since the last decision: did it end on a decision point
 
-    def on_tick(report):
-        assert report.tick == sim.clock
+    def on_tick(ticked):
+        assert ticked is sim
         flags.append(at_decision_point(sim))
 
     while run_to_decision(sim, horizon, on_tick):
@@ -665,3 +666,53 @@ def test_bundle_load_rejects_other_files(tmp_path):
     save_autoencoder(result, path)
     with pytest.raises(ConfigurationError):
         PolicyBundle.load(path)
+
+
+def small_bundle():
+    return PolicyBundle(algo="ppo", repr_kind="expanded", reward_kind="queue",
+                        policy=Mlp([19, 4, 3], "tanh", seed=0),
+                        value=Mlp([19, 4, 1], "tanh", seed=1))
+
+
+def test_bundle_load_rejects_every_truncation(tmp_path):
+    path = tmp_path / "full.tscw"
+    small_bundle().save(path)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.tscw"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ConfigurationError):
+            PolicyBundle.load(cut)
+
+
+def test_weight_file_format_errors_are_configuration_errors(tmp_path):
+    path = tmp_path / "full.tscw"
+    small_bundle().save(path)
+    blob = path.read_bytes()
+    tag_at = 4 + 4 + 8 + 2  # magic, version, seed, tag length
+    corrupt = {
+        "magic": b"TSCX" + blob[4:],
+        "version": blob[:4] + struct.pack("<I", 2) + blob[8:],
+        "tag": blob[:tag_at] + b"\xff" + blob[tag_at + 1:],
+        "count": blob.replace(b"policy=4", b"policy=x"),
+    }
+    for name, data in corrupt.items():
+        assert data != blob and len(data) == len(blob)
+        bad = tmp_path / f"{name}.tscw"
+        bad.write_bytes(data)
+        with pytest.raises(ConfigurationError):
+            PolicyBundle.load(bad)
+    for arrays in ([np.ones(3), np.ones(3)],
+                   [np.ones((4, 19)), np.ones(4), np.ones((3, 5)), np.ones(3)],
+                   [np.ones((4, 19)), np.ones(4), np.ones(2)]):
+        with pytest.raises(ConfigurationError):
+            mlp_from_arrays(arrays, "tanh")
+    with pytest.raises(ConfigurationError):
+        mlp_from_arrays([np.ones((4, 19)), np.ones(4)], "sigmoid")
+    ae = tmp_path / "ae.tscw"
+    save_autoencoder(train_autoencoder(constant_buffer(8), k=4, epochs=0), ae)
+    ae_blob = ae.read_bytes()
+    ae.write_bytes(ae_blob.replace(b"encoder=4", b"encoder=x"))
+    assert ae.read_bytes() != ae_blob
+    with pytest.raises(ConfigurationError):
+        load_autoencoder(ae)

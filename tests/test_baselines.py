@@ -1,6 +1,8 @@
 """Classical controller tests: the cycle-length formula, its input checks,
 the fixed-time controller, and the flow-driven recomputing controller."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,11 +177,11 @@ def test_webster_controller_installs_at_phase_boundary():
     for _ in range(400):
         if at_decision_point(sim):
             apply_action(sim, ctrl.decide(sim))
-        report = step(sim)
-        ctrl.on_tick(sim, report)
+        step(sim)
+        ctrl.on_tick(sim)
         if change_tick is None and sim.default_green_s != default:
             change_tick = sim.clock
-            changed_at_boundary = report.phase_changed
+            changed_at_boundary = sim.phase_changed
     assert ctrl.recompute_log, "heavy flow must trigger a recomputation"
     assert change_tick is not None and change_tick > 145
     assert changed_at_boundary
@@ -187,6 +189,34 @@ def test_webster_controller_installs_at_phase_boundary():
     assert tuple(sim.default_green_s) == last[6:10]
     # north-south through demand dominates, so its green leads the plan
     assert sim.default_green_s[0] == max(sim.default_green_s)
+
+
+def test_webster_installs_only_on_a_phase_change():
+    # a sub-second interval recomputes on tick 1, which is no phase change,
+    # so the plan computed there waits for phase 1's green
+    rates = [700.0, 150.0, 150.0, 150.0, 700.0, 150.0, 150.0, 150.0]
+    flows = FlowProfile.uniform(rates)
+    sim = new_simulation(LAYOUT, PLAN, flows, seed=5)
+    ctrl = DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.5,
+                                    flow_window_s=60.0)
+    ctrl.begin_episode(sim)
+    step(sim)
+    ctrl.on_tick(sim)
+    assert not sim.phase_changed and sim.phase_elapsed_s == 1
+    assert len(ctrl.recompute_log) == 1
+    assert ctrl.recompute_log[0][6:10] != PLAN.programmed_green_s
+    assert tuple(sim.default_green_s) == PLAN.programmed_green_s
+
+    ctrl = DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.5,
+                                    flow_window_s=60.0)
+    result = run_episode(LAYOUT, PLAN, flows, ctrl, seed=5, horizon_s=900)
+    assert len(result.webster_log) == 900
+    assert [r.green_s for r in result.records[:2]] == [(20.0, 10.0, 10.0, 10.0),
+                                                       (40.0, 10.0, 12.0, 32.0)]
+    # pinned, so that how the hook reads its tick cannot change the run
+    log = [tuple(map(float, row)) for row in result.webster_log]
+    digest = hashlib.sha256(repr((log, result.records)).encode()).hexdigest()
+    assert digest == "da5c256166d4c986fd10e742a52f20fd19f84a910d5f1dfaf00a4f4310f910e7"
 
 
 def test_webster_controller_deterministic():
@@ -223,14 +253,14 @@ class RingBufferWebster(DynamicWebsterController):
             return self.default_rates_veh_h.copy()
         return self._ring_sum * (3600.0 / filled)
 
-    def on_tick(self, sim, report):
+    def on_tick(self, sim):
         pos = self._ring_pos
         self._ring_sum -= self._ring[pos]
-        self._ring[pos] = report.arrivals
+        self._ring[pos] = sim.arrivals
         self._ring_sum += self._ring[pos]
         self._ring_pos = (pos + 1) % self._ring.shape[0]
         self._ticks_seen += 1
-        super().on_tick(sim, report)
+        super().on_tick(sim)
 
 
 @st.composite

@@ -157,12 +157,13 @@ def test_cycle_metric_idempotent_on_episode_ticks():
 
 
 class TickLog:
-    """Plays another controller and keeps every tick's report."""
+    """Plays another controller and keeps every tick's clock, phase and
+    yellow flag."""
 
     def __init__(self, inner):
         self.inner = inner
         self.controller_id = inner.controller_id
-        self.reports = []
+        self.ticks = []
 
     def begin_episode(self, sim):
         self.inner.begin_episode(sim)
@@ -170,10 +171,10 @@ class TickLog:
     def decide(self, sim):
         return self.inner.decide(sim)
 
-    def on_tick(self, sim, report):
+    def on_tick(self, sim):
         if hasattr(self.inner, "on_tick"):
-            self.inner.on_tick(sim, report)
-        self.reports.append(report)
+            self.inner.on_tick(sim)
+        self.ticks.append((sim.clock, sim.current_phase, sim.in_yellow))
 
 
 def make_test_controller(kind, layout, seed):
@@ -213,7 +214,8 @@ def test_episode_records_match_tick_log_and_regimes(scenario):
     logged = TickLog(make_test_controller(kind, layout, seed))
     result = run_episode(layout, PLAN, flows, logged, seed, horizon,
                          record_events=record_events, record_ticks=True)
-    assert len(result.tick_queues) == len(logged.reports) == horizon
+    assert len(result.tick_queues) == len(logged.ticks) == horizon
+    assert [clock for clock, _phase, _yellow in logged.ticks] == list(range(1, horizon + 1))
     offset = 0
     for index, record in enumerate(result.records):
         redone = cycle_queue_metric(result.tick_queues[offset:offset + record.cycle_len_s])
@@ -223,9 +225,9 @@ def test_episode_records_match_tick_log_and_regimes(scenario):
         assert redone.phase_max_queue == record.phase_max_queue
         assert redone.cycle_len_s == record.cycle_len_s
         green = [0.0] * N_PHASES
-        for report in logged.reports[offset:offset + record.cycle_len_s]:
-            if not report.in_yellow:
-                green[report.phase] += 1.0
+        for _clock, phase, in_yellow in logged.ticks[offset:offset + record.cycle_len_s]:
+            if not in_yellow:
+                green[phase] += 1.0
         assert record.green_s == tuple(green)
         # the cycle's first tick is tick offset + 1, the second [offset, offset + 1)
         assert record.regime == flows.regime_at(offset)
@@ -330,7 +332,7 @@ class RecordingController:
         self.decided.append(sim.clock)
         return int(self.rng.integers(0, 3))
 
-    def on_tick(self, sim, report):
+    def on_tick(self, sim):
         if at_decision_point(sim):
             self.decision_ticks.append(sim.clock)
 
@@ -787,6 +789,17 @@ dqn.hidden_sizes = 8
     assert bundle.algo == "dqn"
     assert bundle.repr_kind == "dqn40"
     capsys.readouterr()
+
+
+def test_cli_compare_rejects_a_truncated_bundle(tmp_path, capsys):
+    weights = tmp_path / "policy.tscw"
+    tiny_bundle().save(weights)
+    weights.write_bytes(weights.read_bytes()[:-3])
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"ppo controller=policy weights={weights}\n")
+    assert main(["compare", "--grid", str(grid), "--horizon", "200", "--seeds", "0",
+                 "--out", str(tmp_path / "cmp")]) == 1
+    assert "truncated weight file" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,0 +1,43 @@
+"""The benchmark's span tracer must find every name it wraps in tsclab.
+
+``perfbench/spans.py`` wraps tsclab functions by module and attribute name,
+so a rename in ``src`` breaks traced benchmark runs; this test makes the
+suite fail the same way.  It only reads ``perfbench/``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import tsclab.envs
+import tsclab.sim
+from tsclab.baselines import FixedTimeController
+from tsclab.harness.runner import run_episode
+from tsclab.sim import FlowProfile, IntersectionLayout, N_LANES, PhasePlan
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_every_target():
+    spans = load_spans()
+    raw_step = tsclab.envs.step
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tsclab.envs.step is not raw_step
+        flows = FlowProfile.uniform([400.0] * N_LANES)
+        result = run_episode(IntersectionLayout(), PhasePlan(), flows,
+                             FixedTimeController(), seed=3, horizon_s=300,
+                             record_events=True)
+    finally:
+        tracer.uninstall()
+    assert tsclab.envs.step is raw_step and tsclab.sim.step is raw_step
+    assert len(tracer.durations["sim.step"]) == 300
+    entered = sum(1 for _t, _lane, event, _vid in result.events if event == "enter")
+    assert tracer.counters["sim.vehicles"] == entered > 0

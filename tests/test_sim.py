@@ -157,9 +157,9 @@ def test_queue_discharge_rate_bounded_by_saturation():
     force_queue(sim, 0, 30)
     total = 0
     for _ in range(20):
-        report = step(sim)
-        assert report.discharges[0] <= 1.0 / sim.layout.saturation_headway_s + 1
-        total += report.discharges[0]
+        step(sim)
+        assert sim.discharges[0] <= 1.0 / sim.layout.saturation_headway_s + 1
+        total += sim.discharges[0]
     # 20 s green minus 2 s startup at one vehicle per 2 s
     assert total == 9
 
@@ -167,9 +167,28 @@ def test_queue_discharge_rate_bounded_by_saturation():
 def test_no_discharge_during_yellow():
     sim = make_sim(seed=3, rates=[600.0] * N_LANES)
     for _ in range(400):
-        report = step(sim)
-        if report.in_yellow:
-            assert sum(report.discharges) == 0
+        step(sim)
+        if sim.in_yellow:
+            assert sum(sim.discharges) == 0
+
+
+def test_step_returns_sim_with_the_tick_on_it():
+    # tools that wrap step (the benchmark's span tracer) read the tick's
+    # arrivals from its return value
+    rates = [900.0, 0.0, 450.0, 300.0, 1200.0, 60.0, 700.0, 2000.0]
+    sim = make_sim(seed=21, rates=rates, record_events=True)
+    ref = np.random.Generator(np.random.PCG64(21))
+    for _ in range(300):
+        seen = len(sim.events)
+        assert step(sim) is sim
+        assert sim.arrivals == ref.poisson(np.array(rates) / 3600.0).tolist()
+        events = sim.events[seen:]
+        for i, lane_id in enumerate(LANE_IDS):
+            assert sim.arrivals[i] == sum(1 for _t, lane, event, _vid in events
+                                          if lane == lane_id and event == "enter")
+            assert sim.discharges[i] == sum(1 for _t, lane, event, _vid in events
+                                            if lane == lane_id
+                                            and event in ("pass", "discharge"))
 
 
 def test_poisson_arrival_mean():
@@ -191,9 +210,9 @@ def test_pass_through_on_green_with_empty_queue():
     for _ in range(3):
         step(sim)  # phase_elapsed 3 >= startup 2
     (vid,) = force_transit(sim, 0, 1, stopline_tick=sim.clock + 1)
-    report = step(sim)
+    step(sim)
     assert lane_events(sim, 0) == [(sim.clock, "pass", vid)]  # never queued
-    assert report.discharges[0] == 1
+    assert sim.discharges[0] == 1
     assert sim.queue_lengths()[0] == 0
 
 
@@ -203,9 +222,9 @@ def test_unserved_arrival_joins_queue():
         step(sim)
     lane = lane_index("E0")  # phase 2 lane, not served during phase 0
     (vid,) = force_transit(sim, lane, 1, stopline_tick=sim.clock + 1)
-    report = step(sim)
+    step(sim)
     assert lane_events(sim, lane) == [(sim.clock, "join", vid)]
-    assert report.discharges[lane] == 0
+    assert sim.discharges[lane] == 0
     assert sim.queue_lengths()[lane] == 1
     assert sim.lane_wait_s(lane) == 0  # joined this tick
 
@@ -268,9 +287,10 @@ def test_default_cycle_wraps_at_tick_101():
     sim = make_sim()
     wrap_ticks = []
     for _ in range(210):
-        report = step(sim)
-        if report.cycle_completed:
-            wrap_ticks.append(report.tick)
+        completed = len(sim.completed_cycles)
+        step(sim)
+        if len(sim.completed_cycles) > completed:
+            wrap_ticks.append(sim.clock)
     assert wrap_ticks == [101, 201]
     assert [entry[:2] for entry in sim.completed_cycles] == [(1, 100), (101, 100)]
     assert all(entry[3] == (20, 20, 20, 20) for entry in sim.completed_cycles)
@@ -352,11 +372,11 @@ def test_cycle_wrap_restores_default_greens():
     apply_action(sim, ACTION_EXTEND)  # cycle now 105 s
     wrapped = False
     for _ in range(110):
-        report = step(sim)
-        if report.cycle_completed:
+        step(sim)
+        if len(sim.completed_cycles) == 1:
             wrapped = True
             break
-    assert wrapped and report.tick == 106
+    assert wrapped and sim.clock == 106
     assert sim.programmed_green_s == [20.0, 20.0, 20.0, 20.0]
 
 
@@ -402,9 +422,9 @@ def test_vehicle_conservation_every_tick():
     for _ in range(1500):
         if at_decision_point(sim):
             apply_action(sim, int(rng.integers(0, 3)))
-        report = step(sim)
-        entered += report.arrivals
-        left += report.discharges
+        step(sim)
+        entered += sim.arrivals
+        left += sim.discharges
         assert sim.queued == [sum(count for _tick, count in runs) for runs in sim.queues]
         assert list(entered) == [left[i] + sim.queued[i] + sim.lane_observables(i)[0]
                                  for i in range(N_LANES)]
@@ -418,7 +438,7 @@ def test_determinism_with_identical_action_sequence():
         for _ in range(500):
             if at_decision_point(sim):
                 apply_action(sim, int(rng.integers(0, 3)))
-            rows.append(step(sim).queue_lengths)
+            rows.append(step(sim).queue_lengths())
         return rows, sim.events
 
     rows_a, events_a = run()
@@ -435,16 +455,16 @@ def test_unserved_lane_queue_is_non_decreasing():
     sim = make_sim(seed=2, rates=rates)
     prev = 0
     for _ in range(50):
-        q = step(sim).queue_lengths[lane_index("E0")]
+        q = step(sim).queued[lane_index("E0")]
         assert q >= prev
         prev = q
 
 
-def test_tick_report_total_queue():
+def test_total_queue_sums_lane_queues():
     sim = make_sim(seed=4, rates=[400.0] * N_LANES)
     for _ in range(60):
-        report = step(sim)
-        assert report.total_queue == sum(report.queue_lengths)
+        step(sim)
+        assert sim.total_queue() == sum(sim.queue_lengths())
 
 
 # -- flow profiles -------------------------------------------------------------
@@ -622,14 +642,14 @@ def test_counter_lanes_match_per_vehicle_model(scenario):
             apply_action(sim, actions[decisions % len(actions)])
             decisions += 1
         was_yellow = sim.in_yellow
-        report = step(sim)
-        green_flowing = (not report.in_yellow
+        step(sim)
+        green_flowing = (not sim.in_yellow
                          and sim.phase_elapsed_s - 1 >= layout.startup_lost_time_s)
-        arrivals, discharges = ref.tick(sim.clock, PHASE_SERVED[report.phase],
-                                        green_flowing, report.in_yellow != was_yellow)
-        assert report.arrivals == arrivals
-        assert report.discharges == discharges
-        assert report.queue_lengths == tuple(len(q) for q in ref.queue)
+        arrivals, discharges = ref.tick(sim.clock, PHASE_SERVED[sim.current_phase],
+                                        green_flowing, sim.in_yellow != was_yellow)
+        assert tuple(sim.arrivals) == arrivals
+        assert tuple(sim.discharges) == discharges
+        assert sim.queue_lengths() == tuple(len(q) for q in ref.queue)
         for i in range(N_LANES):
             entered[i] += arrivals[i]
             waits = sum(sim.clock - join for join, _vid in ref.queue[i])
