@@ -19,12 +19,11 @@ from ..neural import Adam, Mlp
 from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                    apply_action, new_simulation)
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
-from ..staterep import EXPANDED_DIM, StateNormalizers, expanded_state
+from ..staterep import CANONICAL_LATENTS, EXPANDED_DIM, StateNormalizers, expanded_state
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_arrays
 
 logger = logging.getLogger(__name__)
 
-CANONICAL_LATENTS = (4, 8, 16, 19, 32)
 _HIDDEN = 32
 
 

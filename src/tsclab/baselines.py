@@ -1,10 +1,10 @@
 """Classical signal-timing controllers: fixed-time and Dynamic Webster.
 
 Both speak the controller protocol used by the episode runner:
-``begin_episode(sim)`` once per run, ``decide(sim) -> action`` at decision
-points, and, only for a controller that watches every simulated second (here
-Dynamic Webster), ``on_tick(sim)`` after each tick, which reads the tick
-from the simulator's ``arrivals`` and ``phase_changed``.
+``decide(sim) -> action`` at decision points and, only for a controller that
+watches every simulated second (here Dynamic Webster), ``on_tick(sim)`` after
+each tick, which reads the tick from the simulator's ``arrivals`` and
+``phase_changed``.  A controller object plays one episode.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class FixedTimeController:
 
     controller_id = "fixed"
 
-    def begin_episode(self, sim: SimState) -> None:
-        pass
-
     def decide(self, sim: SimState) -> int:
         return ACTION_CONTINUE
 
@@ -101,7 +98,8 @@ class DynamicWebsterController:
     ratios (max over the phase's lanes, against the lane saturation flow),
     solves the cycle formula, and installs the resulting greens at the next
     phase boundary.  Before any data arrives the configured default rates
-    (zero if not given) are used, which yields the minimal plan.
+    (zero if not given) are used, which yields the minimal plan.  The window
+    and the log belong to one episode: build a new controller per episode.
     """
 
     controller_id = "webster"
@@ -131,13 +129,9 @@ class DynamicWebsterController:
         if self.default_rates_veh_h.shape != (N_LANES,):
             raise ConfigurationError("need one default rate per lane")
         self.recompute_log: list[tuple] = []
-        self.begin_episode(None)
-
-    def begin_episode(self, sim: SimState | None) -> None:
         self._window: deque = deque(maxlen=int(self.flow_window_s))
         self._next_recompute = self.recompute_interval_s
         self._pending: tuple | None = None
-        self.recompute_log = []
 
     def _window_rates_veh_h(self) -> np.ndarray:
         if not self._window:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ContractViolation
 from .harness.metrics import CycleTracker
-from .rewards import (RewardSpec, delay_reward, pressure_reward, queue_reward,
-                      resco_wait_reward, speed_reward)
+from .rewards import (RewardSpec, delay_reward, queue_reward, resco_wait_reward,
+                      speed_reward)
 from .sim import (FlowProfile, IntersectionLayout, N_ACTIONS, N_LANES, PhasePlan,
                   SimState, apply_action, at_decision_point, new_simulation, step)
 
@@ -84,15 +84,13 @@ class SignalControlEnv:
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
-                 observation, reward_spec: RewardSpec, seed: int,
-                 record_events: bool = False) -> None:
+                 observation, reward_spec: RewardSpec, seed: int) -> None:
         self.layout = layout
         self.plan = plan
         self.flows = flows
         self.observation = observation
         self.reward_spec = reward_spec
         self.seed = seed
-        self.record_events = record_events
         self.obs_dim = observation.dim
         self.n_actions = N_ACTIONS
         self.sim: SimState | None = None
@@ -103,12 +101,12 @@ class SignalControlEnv:
         return 0 if self.sim is None else self.sim.clock
 
     def reset(self) -> np.ndarray:
-        self.sim = new_simulation(self.layout, self.plan, self.flows, self.seed,
-                                  record_events=self.record_events)
+        self.sim = new_simulation(self.layout, self.plan, self.flows, self.seed)
         self._tracker = CycleTracker(self.flows)
         self.cycle_records = []
         self._run_to_decision()
         self._prev_wait = self._mean_wait()
+        self._prev_in_system = self._in_system()
         return self.observation.observe(self.sim)
 
     def step(self, action: int):
@@ -125,20 +123,17 @@ class SignalControlEnv:
 
     def _run_to_decision(self) -> list:
         """Tick to the next decision point and return the cycle records it
-        completed; the pressure reward also counts its arrivals and discharges."""
-        self._arrived = self._discharged = 0
-        on_tick = self._count_flow if self.reward_spec.kind == "pressure" else None
-        if not run_to_decision(self.sim, self.sim.clock + _MAX_TICKS_BETWEEN_DECISIONS,
-                               on_tick):
+        completed."""
+        if not run_to_decision(self.sim, self.sim.clock + _MAX_TICKS_BETWEEN_DECISIONS):
             raise ContractViolation("no decision point reached; phase machine is stuck")
         new_records = [self._tracker.feed(entry) for entry
                        in self.sim.completed_cycles[len(self.cycle_records):]]
         self.cycle_records.extend(new_records)
         return new_records
 
-    def _count_flow(self, sim: SimState) -> None:
-        self._arrived += sum(sim.arrivals)
-        self._discharged += sum(sim.discharges)
+    def _in_system(self) -> int:
+        """Vehicles between entry and discharge: queued or still in transit."""
+        return sum(self.sim.queued) + sum(sum(counts) for _tick, counts in self.sim.transit)
 
     def _mean_wait(self) -> float:
         return sum(self.sim.lane_wait_s(lane) for lane in range(N_LANES)) / N_LANES
@@ -152,7 +147,10 @@ class SignalControlEnv:
             wait, self._prev_wait = self._prev_wait, self._mean_wait()
             return delay_reward(wait, self._prev_wait)
         if kind == "pressure":
-            return pressure_reward((self._arrived,), (self._discharged,))
+            # outflow minus inflow over the interval is the drop in vehicles
+            # in the system (see rewards.pressure_reward)
+            before, self._prev_in_system = self._prev_in_system, self._in_system()
+            return float(before - self._prev_in_system)
         if kind == "speed":
             total_speed = 0.0
             count = 0

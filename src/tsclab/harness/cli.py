@@ -38,20 +38,15 @@ from ..rewards import REWARD_KINDS, RewardSpec
 from ..staterep import REPRESENTATION_KINDS, KPlanesParams, make_observation
 from .config import (
     dqn_from_config,
-    flows_from_config,
-    layout_from_config,
     normalizers_for_training,
     parse_config_file,
-    plan_from_config,
     ppo_from_config,
     reward_from_config,
     run_from_config,
-    webster_from_config,
 )
 from .metrics import correlation_report, mean_std, write_cycles_csv, write_events_csv
 from .runner import (
-    ExperimentConfig,
-    PolicyController,
+    CONTROLLER_KINDS,
     RunSpec,
     make_controller,
     run_episode,
@@ -61,6 +56,10 @@ from .runner import (
     write_plot_scripts,
     write_webster_log_csv,
 )
+
+# the kinds a one-episode command can run without a policy bundle
+_BASELINE_METHODS = tuple(kind for kind in CONTROLLER_KINDS if kind != "policy")
+
 
 class _UsageError(Exception):
     pass
@@ -113,7 +112,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="runs/dqn", metavar="DIR")
 
     p = add("baseline", "run a classical controller for one episode")
-    p.add_argument("--method", choices=("fixed", "webster"), required=True)
+    p.add_argument("--method", choices=_BASELINE_METHODS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=int, default=None,
                    help="episode length in simulated seconds")
@@ -140,7 +139,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="runs/compare", metavar="DIR")
 
     p = add("simulate", "run one episode and dump per-vehicle events")
-    p.add_argument("--method", choices=("fixed", "webster"), default="fixed")
+    p.add_argument("--method", choices=_BASELINE_METHODS, default="fixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--out", default="runs/simulate", metavar="DIR")
@@ -157,18 +156,11 @@ def _load_cfg(args) -> dict:
     return parse_config_file(path)
 
 
-def _scenario(cfg: dict):
-    return layout_from_config(cfg), plan_from_config(cfg), flows_from_config(cfg)
-
-
 def _parse_seed_list(text: str) -> tuple:
     try:
-        seeds = tuple(int(p.strip()) for p in text.split(",") if p.strip())
+        return tuple(int(p.strip()) for p in text.split(",") if p.strip())
     except ValueError:
         raise ConfigurationError(f"bad seed list {text!r}")
-    if not seeds:
-        raise ConfigurationError("empty seed list")
-    return seeds
 
 
 def _out_dir(args) -> Path:
@@ -179,11 +171,10 @@ def _out_dir(args) -> Path:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    layout, plan, flows = _scenario(cfg)
-    ppo_cfg = ppo_from_config(cfg, total_timesteps=args.timesteps)
     run = run_from_config(cfg)
+    ppo_cfg = ppo_from_config(cfg, total_timesteps=args.timesteps)
     reward = reward_from_config(cfg, kind=args.reward)
-    norms = normalizers_for_training(ppo_cfg.total_timesteps, plan.default_cycle_s)
+    norms = normalizers_for_training(ppo_cfg.total_timesteps, run.plan.default_cycle_s)
     encoder = None
     if args.repr.startswith("ae"):
         if args.encoder is None:
@@ -194,7 +185,7 @@ def cmd_train(args) -> int:
     def factory(seed: int) -> SignalControlEnv:
         obs = make_observation(args.repr, norms, ae_encoder=encoder,
                                kplanes_params=kplanes)
-        return SignalControlEnv(layout, plan, flows, obs, reward, seed)
+        return SignalControlEnv(run.layout, run.plan, run.flows, obs, reward, seed)
 
     result = train_ppo(factory, ppo_cfg, args.seed)
     out = _out_dir(args)
@@ -211,10 +202,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_pretrain_ae(args) -> int:
-    cfg = _load_cfg(args)
-    layout, plan, flows = _scenario(cfg)
-    buffer = collect_state_buffer(args.buffer_steps, flows, seed=args.seed,
-                                  layout=layout, plan=plan)
+    run = run_from_config(_load_cfg(args))
+    buffer = collect_state_buffer(args.buffer_steps, run.flows, seed=args.seed,
+                                  layout=run.layout, plan=run.plan)
     result = train_autoencoder(buffer, args.latent, epochs=args.epochs,
                                lr=args.lr, seed=args.seed)
     out_path = Path(args.out) if args.out else Path(f"ae{args.latent}.tscw")
@@ -230,13 +220,13 @@ def cmd_pretrain_ae(args) -> int:
 
 def cmd_dqn(args) -> int:
     cfg = _load_cfg(args)
-    layout, plan, flows = _scenario(cfg)
+    run = run_from_config(cfg)
     dqn_cfg = dqn_from_config(cfg, total_timesteps=args.timesteps)
     reward = RewardSpec(kind="resco_wait")
 
     def factory(seed: int) -> SignalControlEnv:
-        return SignalControlEnv(layout, plan, flows, DqnObservation(layout),
-                                reward, seed)
+        return SignalControlEnv(run.layout, run.plan, run.flows,
+                                DqnObservation(run.layout), reward, seed)
 
     result = train_dqn(factory, dqn_cfg, args.seed)
     out = _out_dir(args)
@@ -249,12 +239,9 @@ def cmd_dqn(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg = _load_cfg(args)
-    layout, plan, flows = _scenario(cfg)
-    run = run_from_config(cfg, horizon_s=args.horizon)
-    controller = make_controller(args.method, layout, plan,
-                                 webster_params=webster_from_config(cfg))
-    result = run_episode(layout, plan, flows, controller, args.seed,
+    run = run_from_config(_load_cfg(args), horizon_s=args.horizon)
+    controller = make_controller(args.method, run)
+    result = run_episode(run.layout, run.plan, run.flows, controller, args.seed,
                          run.horizon_s)
     out = _out_dir(args)
     write_cycles_csv(out / "cycles.csv", result.records)
@@ -267,18 +254,17 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    layout, plan, flows = _scenario(cfg)
     seeds = _parse_seed_list(args.seeds) if args.seeds else None
-    run = run_from_config(cfg, horizon_s=args.horizon, seeds=seeds)
+    run = run_from_config(_load_cfg(args), horizon_s=args.horizon, seeds=seeds)
     bundle = PolicyBundle.load(args.weights)
     out = _out_dir(args)
     seed_means = []
     corr_rows = []
     for seed in run.seeds:
-        controller = PolicyController(bundle, layout,
-                                      sample_seed=None if args.greedy else seed)
-        result = run_episode(layout, plan, flows, controller, seed, run.horizon_s)
+        controller = make_controller("policy", run, bundle,
+                                     sample_seed=None if args.greedy else seed)
+        result = run_episode(run.layout, run.plan, run.flows, controller, seed,
+                             run.horizon_s)
         write_cycles_csv(out / f"cycles_seed{seed}.csv", result.records)
         seed_means.append(result.mean_q_cycle)
         report = correlation_report(result.records)
@@ -325,17 +311,11 @@ def _parse_grid_file(path) -> list:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
-    layout, plan, flows = _scenario(cfg)
     seeds = _parse_seed_list(args.seeds) if args.seeds else None
-    run = run_from_config(cfg, horizon_s=args.horizon, seeds=seeds,
+    run = run_from_config(_load_cfg(args), horizon_s=args.horizon, seeds=seeds,
                           workers=args.workers)
     specs = _parse_grid_file(args.grid)
-    experiment = ExperimentConfig(
-        layout=layout, plan=plan, flows=flows, seeds=run.seeds,
-        horizon_s=run.horizon_s, webster_params=webster_from_config(cfg) or None,
-    )
-    rows, results = run_grid(experiment, specs, workers=run.workers)
+    rows, results = run_grid(run, specs)
     out = _out_dir(args)
     write_grid_outputs(out, rows, results)
     if args.plots:
@@ -350,12 +330,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
-    layout, plan, flows = _scenario(cfg)
-    run = run_from_config(cfg, horizon_s=args.horizon)
-    controller = make_controller(args.method, layout, plan,
-                                 webster_params=webster_from_config(cfg))
-    result = run_episode(layout, plan, flows, controller, args.seed,
+    run = run_from_config(_load_cfg(args), horizon_s=args.horizon)
+    controller = make_controller(args.method, run)
+    result = run_episode(run.layout, run.plan, run.flows, controller, args.seed,
                          run.horizon_s, record_events=True, record_ticks=True)
     out = _out_dir(args)
     write_events_csv(out / "events.csv", result.events)

@@ -13,12 +13,12 @@ so typos fail loudly.  Command-line flags override file values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigurationError
-from ..rewards import REWARD_KINDS, RewardSpec
-from ..sim import LANE_IDS, FlowProfile, IntersectionLayout, PhasePlan
+from ..rewards import RewardSpec
+from ..sim import LANE_IDS, N_PHASES, FlowProfile, IntersectionLayout, PhasePlan
 from ..staterep import DEFAULT_KPLANES_SEED, StateNormalizers
 from ..agents.dqn import DqnConfig
 from ..agents.ppo import PpoConfig
@@ -143,19 +143,8 @@ def _build_kwargs(cfg: dict, keymap: dict, overrides: dict) -> dict:
     return kwargs
 
 
-def layout_from_config(cfg: dict, **overrides) -> IntersectionLayout:
-    return IntersectionLayout(**_build_kwargs(cfg, _LAYOUT_KEYS, overrides))
-
-
-def plan_from_config(cfg: dict, **overrides) -> PhasePlan:
-    return PhasePlan(**_build_kwargs(cfg, _PLAN_KEYS, overrides))
-
-
 def reward_from_config(cfg: dict, **overrides) -> RewardSpec:
-    kwargs = _build_kwargs(cfg, _REWARD_KEYS, overrides)
-    if "kind" in kwargs and kwargs["kind"] not in REWARD_KINDS:
-        raise ConfigurationError(f"unknown reward kind {kwargs['kind']!r}")
-    return RewardSpec(**kwargs)
+    return RewardSpec(**_build_kwargs(cfg, _REWARD_KEYS, overrides))
 
 
 def ppo_from_config(cfg: dict, **overrides) -> PpoConfig:
@@ -168,26 +157,6 @@ def dqn_from_config(cfg: dict, **overrides) -> DqnConfig:
 
 def webster_from_config(cfg: dict) -> dict:
     return _build_kwargs(cfg, _WEBSTER_KEYS, {})
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    horizon_s: int = 7200
-    seeds: tuple = (0, 1, 2, 3, 4)
-    kplanes_seed: int = DEFAULT_KPLANES_SEED
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.horizon_s < 1:
-            raise ConfigurationError("horizon must be positive")
-        if not self.seeds:
-            raise ConfigurationError("need at least one seed")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be positive")
-
-
-def run_from_config(cfg: dict, **overrides) -> RunSettings:
-    return RunSettings(**_build_kwargs(cfg, _RUN_KEYS, overrides))
 
 
 def _parse_segments(key: str, text: str):
@@ -254,6 +223,50 @@ def default_flow_profile() -> FlowProfile:
         },
         regimes=[(0.0, 2400.0, "low"), (2400.0, 4800.0, "medium"),
                  (4800.0, 7200.0, "high")],
+    )
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """One fully resolved run: the scenario (layout, signal plan, flows), the
+    Webster controller's keyword arguments, and the episode settings.
+
+    The horizon must exceed the longest cycle any controller can run, every
+    green at ``g_max_s`` plus its yellow, so every episode completes at
+    least one cycle."""
+
+    horizon_s: int = 7200
+    seeds: tuple = (0, 1, 2, 3, 4)
+    kplanes_seed: int = DEFAULT_KPLANES_SEED
+    workers: int = 1
+    layout: IntersectionLayout = IntersectionLayout()
+    plan: PhasePlan = PhasePlan()
+    flows: FlowProfile = field(default_factory=default_flow_profile)
+    webster: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        longest_cycle_s = N_PHASES * (self.plan.g_max_s + self.plan.yellow_s)
+        if not self.horizon_s > longest_cycle_s:
+            raise ConfigurationError(
+                f"horizon {self.horizon_s}s must exceed the longest cycle, "
+                f"{longest_cycle_s:g}s, so that every episode completes one")
+        if not self.seeds:
+            raise ConfigurationError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must be distinct, got {self.seeds}")
+        if self.workers < 1:
+            raise ConfigurationError("workers must be positive")
+
+
+def run_from_config(cfg: dict, **overrides) -> RunSettings:
+    """Resolve a whole run from config values; non-None ``overrides``
+    (command-line flags) replace ``run.*`` values."""
+    return RunSettings(
+        layout=IntersectionLayout(**_build_kwargs(cfg, _LAYOUT_KEYS, {})),
+        plan=PhasePlan(**_build_kwargs(cfg, _PLAN_KEYS, {})),
+        flows=flows_from_config(cfg),
+        webster=webster_from_config(cfg),
+        **_build_kwargs(cfg, _RUN_KEYS, overrides),
     )
 
 

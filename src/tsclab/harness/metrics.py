@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ContractViolation
 from ..sim import APPROACHES, N_LANES, N_PHASES, PHASE_SERVED, FlowProfile
 
 
@@ -133,10 +132,10 @@ class CorrelationReport:
 
 def correlation_report(records: Sequence[CycleRecord]) -> CorrelationReport:
     """Per-phase correlation between allocated green and the phase's max
-    queue, plus cycle length against total queue.  Requires at least 10
-    cycles to say anything meaningful."""
+    queue, plus cycle length against total queue.  Under 10 cycles say
+    nothing meaningful, so every correlation is then undefined (None)."""
     if len(records) < 10:
-        raise ContractViolation("correlation report needs at least 10 cycles")
+        return CorrelationReport(len(records), (None,) * N_PHASES, None)
     per_phase = []
     for p in range(N_PHASES):
         greens = [r.green_s[p] for r in records]

@@ -24,6 +24,7 @@ from ..sim import (
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..neural import softmax_sample
 from ..staterep import make_observation
+from .config import RunSettings
 from .metrics import CycleRecord, CycleTracker, mean_std, write_cycles_csv
 
 REGIME_ORDER = ("high", "medium", "low")
@@ -60,9 +61,6 @@ class PolicyController:
                 np.random.PCG64(np.random.SeedSequence(int(sample_seed)))
             )
 
-    def begin_episode(self, sim) -> None:
-        pass
-
     def decide(self, sim) -> int:
         obs = self.observation.observe(sim)
         if self._rng is None:
@@ -70,21 +68,23 @@ class PolicyController:
         return softmax_sample(self.bundle.policy.predict(obs), self._rng)[0]
 
 
-def make_controller(kind: str, layout: IntersectionLayout, plan: PhasePlan,
-                    weights_path=None, webster_params: dict | None = None,
+CONTROLLER_KINDS = ("fixed", "webster", "policy")
+
+
+def make_controller(kind: str, run: RunSettings, bundle: PolicyBundle | None = None,
                     sample_seed: int | None = None):
-    """Build a controller by name: ``fixed``, ``webster``, or ``policy``."""
+    """Build a controller for one episode of ``run`` by name (one of
+    :data:`CONTROLLER_KINDS`); ``policy`` plays a loaded ``bundle``."""
     if kind == "fixed":
         return FixedTimeController()
     if kind == "webster":
-        return DynamicWebsterController(layout, plan, **(webster_params or {}))
+        return DynamicWebsterController(run.layout, run.plan, **run.webster)
     if kind == "policy":
-        if weights_path is None:
-            raise ConfigurationError("policy controller needs a weights file")
-        return PolicyController(PolicyBundle.load(weights_path), layout,
-                                sample_seed=sample_seed)
+        if bundle is None:
+            raise ConfigurationError("policy controller needs a policy bundle")
+        return PolicyController(bundle, run.layout, sample_seed=sample_seed)
     raise ConfigurationError(
-        f"unknown controller {kind!r}; expected fixed, webster, or policy"
+        f"unknown controller {kind!r}; expected one of {CONTROLLER_KINDS}"
     )
 
 
@@ -114,14 +114,14 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
     """Drive one seeded episode under ``controller`` for ``horizon_s``
     simulated seconds and collect its per-cycle queue records.
 
-    The controller is consulted at every decision point below the horizon,
+    A controller object plays one episode: build a new one per call.  The
+    controller is consulted at every decision point below the horizon,
     through the same :func:`~tsclab.envs.run_to_decision` driver as
     training.  Only a controller that defines ``on_tick(sim)`` (and
     ``record_ticks``, which keeps each tick's lane queues) puts a hook on
     the ticks; the cycle records come from the simulator's
     ``completed_cycles``."""
     sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
-    controller.begin_episode(sim)
     on_tick = controller_tick = getattr(controller, "on_tick", None)
     tick_queues: list | None = [] if record_ticks else None
     if record_ticks:
@@ -157,43 +157,22 @@ class RunSpec:
     weights_path: str | None = None
 
     def __post_init__(self) -> None:
+        if self.controller not in CONTROLLER_KINDS:
+            raise ConfigurationError(
+                f"{self.config_id}: unknown controller {self.controller!r}; "
+                f"expected one of {CONTROLLER_KINDS}"
+            )
         if self.controller == "policy" and not self.weights_path:
             raise ConfigurationError(
                 f"{self.config_id}: policy entries need weights=<path>"
             )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Shared scenario for every cell of a comparison grid."""
-
-    layout: IntersectionLayout
-    plan: PhasePlan
-    flows: FlowProfile
-    seeds: tuple = (0, 1, 2, 3, 4)
-    horizon_s: int = 7200
-    webster_params: dict | None = None
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ConfigurationError("need at least one seed")
-        if self.horizon_s < self.plan.default_cycle_s:
-            raise ConfigurationError(
-                "horizon is shorter than one default cycle; no metric possible"
-            )
-
-
 def _grid_job(job: tuple) -> tuple:
-    experiment, spec, seed = job
-    controller = make_controller(
-        spec.controller, experiment.layout, experiment.plan,
-        weights_path=spec.weights_path,
-        webster_params=experiment.webster_params,
-        sample_seed=seed,
-    )
-    result = run_episode(experiment.layout, experiment.plan, experiment.flows,
-                         controller, seed, experiment.horizon_s)
-    return spec.config_id, seed, result.records
+    run, config_id, seed, controller = job
+    result = run_episode(run.layout, run.plan, run.flows, controller, seed,
+                         run.horizon_s)
+    return config_id, seed, result.records
 
 
 @dataclass(frozen=True)
@@ -211,9 +190,8 @@ class SummaryRow:
 def _aggregate(spec: RunSpec, per_seed: dict) -> SummaryRow:
     seed_means = []
     pooled: list[CycleRecord] = []
-    for seed, records in sorted(per_seed.items()):
-        if not records:
-            raise ContractViolation(f"{spec.config_id} seed {seed}: no cycles completed")
+    # RunSettings' horizon floor gives every episode at least one cycle
+    for _seed, records in sorted(per_seed.items()):
         seed_means.append(float(np.mean([r.q_cycle for r in records])))
         pooled.extend(records)
     mean, std = mean_std(seed_means)
@@ -236,28 +214,36 @@ def _aggregate(spec: RunSpec, per_seed: dict) -> SummaryRow:
     )
 
 
-def run_grid(experiment: ExperimentConfig, specs, workers: int = 1):
+def run_grid(run: RunSettings, specs):
     """Run every (config, seed) cell and aggregate per config.
 
     Returns ``(summary_rows, results)`` where ``results`` maps
-    ``(config_id, seed)`` to the episode's cycle records.  Jobs are
-    independent; ``workers > 1`` runs them on a process pool.  Output order
-    and content are identical either way because each job owns its seed.
+    ``(config_id, seed)`` to the episode's cycle records.  Each policy
+    column's bundle is loaded once and every cell's controller is built
+    before the first episode, so a bad input fails before any episode runs.
+    Jobs are independent; ``run.workers > 1`` runs them on a process pool.
+    Output order and content are identical either way because each job owns
+    its seed.
     """
     specs = list(specs)
     ids = [s.config_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("duplicate config_id in comparison grid")
-    jobs = [(experiment, spec, seed) for spec in specs for seed in experiment.seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    bundles = {spec.config_id: PolicyBundle.load(spec.weights_path)
+               for spec in specs if spec.controller == "policy"}
+    jobs = [(run, spec.config_id, seed,
+             make_controller(spec.controller, run, bundles.get(spec.config_id),
+                             sample_seed=seed))
+            for spec in specs for seed in run.seeds]
+    if run.workers > 1:
+        with ProcessPoolExecutor(max_workers=run.workers) as pool:
             outcomes = list(pool.map(_grid_job, jobs))
     else:
         outcomes = [_grid_job(job) for job in jobs]
     results = {(config_id, seed): records for config_id, seed, records in outcomes}
     rows = []
     for spec in specs:
-        per_seed = {seed: results[(spec.config_id, seed)] for seed in experiment.seeds}
+        per_seed = {seed: results[(spec.config_id, seed)] for seed in run.seeds}
         rows.append(_aggregate(spec, per_seed))
     return rows, results
 
@@ -296,7 +282,8 @@ def write_webster_log_csv(path, log_rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(WEBSTER_LOG_HEADER)
         for row in log_rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            # Webster's ratios are numpy floats, whose repr is not a number
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def write_correlations_csv(path, rows) -> None:

@@ -73,6 +73,8 @@ def pressure_reward(inflow: Sequence[float], outflow: Sequence[float]) -> float:
 
     Inputs are vehicle counts accumulated over the decision interval, per
     lane or already totalled.  The sign makes serving more vehicles than arrive rewarding.
+    Over an interval this equals the drop in vehicles in the system, which is
+    how :class:`~tsclab.envs.SignalControlEnv` computes it without a tick hook.
     """
     return float(sum(outflow)) - float(sum(inflow))
 

@@ -274,7 +274,11 @@ class KPlanesObservation:
         return kplanes_transform(self.params, expanded_state(sim, self.norms))
 
 
-REPRESENTATION_KINDS = ("baseline", "expanded", "ae4", "ae8", "ae16", "ae19", "ae32", "kplanes")
+# autoencoder latent sizes with a representation kind ``ae<k>`` each
+CANONICAL_LATENTS = (4, 8, 16, 19, 32)
+
+REPRESENTATION_KINDS = ("baseline", "expanded",
+                        *(f"ae{k}" for k in CANONICAL_LATENTS), "kplanes")
 
 DEFAULT_KPLANES_SEED = 1234
 

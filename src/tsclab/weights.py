@@ -13,7 +13,8 @@ Layout (all integers little-endian):
 Arrays load back as 64-bit for compute; storage is 32-bit by design, so a
 save/load round trip quantizes to float32 precision.  A file that does not
 parse (bad magic, unknown version, truncation, a tag that is not UTF-8,
-arrays that do not chain into a network) raises :class:`ConfigurationError`.
+arrays that do not chain into a network) or cannot be read at all raises
+:class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,10 @@ class WeightFile:
 
 
 def load_arrays(path: str | Path) -> WeightFile:
-    view = memoryview(Path(path).read_bytes())
+    try:
+        view = memoryview(Path(path).read_bytes())
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read weight file ({exc.strerror or exc})") from exc
     if bytes(view[:4]) != MAGIC:
         raise ConfigurationError(f"{path}: not a weight file (bad magic)")
     offset = 4

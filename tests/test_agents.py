@@ -39,7 +39,7 @@ from tsclab.envs import SignalControlEnv, run_to_decision
 from tsclab.errors import ConfigurationError, DivergenceError
 from tsclab.harness.runner import run_episode
 from tsclab.neural import Mlp, log_softmax, softmax
-from tsclab.rewards import REWARD_KINDS, RewardSpec
+from tsclab.rewards import REWARD_KINDS, RewardSpec, pressure_reward
 from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                         apply_action, at_decision_point, new_simulation)
 from tsclab.staterep import ExpandedObservation, KPlanesParams, StateNormalizers
@@ -329,9 +329,6 @@ class ReplayController:
         self.actions = list(actions)
         self.played = 0
 
-    def begin_episode(self, sim):
-        pass
-
     def decide(self, sim):
         self.played += 1
         return self.actions[self.played - 1]
@@ -356,6 +353,35 @@ def test_env_cycles_equal_run_episode_replaying_its_actions(kind, rate, seed, n_
     result = run_episode(IntersectionLayout(), PhasePlan(), flows, replay, seed, env.clock_s)
     assert replay.played == n_steps
     assert result.records == cycles
+
+
+@settings(max_examples=25, deadline=None)
+@given(rate=st.floats(0.0, 1500.0), seed=st.integers(0, 2**32 - 1),
+       n_steps=st.integers(1, 150))
+def test_env_pressure_reward_matches_per_tick_counts(rate, seed, n_steps):
+    layout, plan = IntersectionLayout(), PhasePlan()
+    flows = FlowProfile.uniform([rate] * N_LANES)
+    env = SignalControlEnv(layout, plan, flows, ExpandedObservation(),
+                           RewardSpec(kind="pressure"), seed)
+    env.reset()
+    # reference: the same run on a twin simulation, counting every tick's
+    # arrivals and discharges
+    twin = new_simulation(layout, plan, flows, seed)
+    counted = [0, 0]
+
+    def count(sim):
+        counted[0] += sum(sim.arrivals)
+        counted[1] += sum(sim.discharges)
+
+    assert run_to_decision(twin, 4000)
+    actions = np.random.Generator(np.random.PCG64(seed)).integers(0, 3, n_steps).tolist()
+    for action in actions:
+        reward = env.step(action)[1]
+        apply_action(twin, action)
+        counted[:] = [0, 0]
+        assert run_to_decision(twin, twin.clock + 4000, count)
+        assert reward == pressure_reward((counted[0],), (counted[1],))
+    assert twin.clock == env.clock_s
 
 
 # -- trainers on environments ----------------------------------------------------

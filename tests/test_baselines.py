@@ -110,7 +110,6 @@ def test_default_lost_time():
 def test_fixed_time_always_continues():
     ctrl = FixedTimeController()
     sim = new_simulation(LAYOUT, PLAN, uniform_flows(0.0), seed=0)
-    ctrl.begin_episode(sim)
     assert ctrl.decide(sim) == ACTION_CONTINUE
     assert ctrl.controller_id == "fixed"
 
@@ -170,7 +169,6 @@ def test_webster_controller_installs_at_phase_boundary():
     rates = [700.0, 150.0, 150.0, 150.0, 700.0, 150.0, 150.0, 150.0]
     sim = new_simulation(LAYOUT, PLAN, FlowProfile.uniform(rates), seed=5)
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
-    ctrl.begin_episode(sim)
     default = list(sim.default_green_s)
     change_tick = None
     changed_at_boundary = False
@@ -199,7 +197,6 @@ def test_webster_installs_only_on_a_phase_change():
     sim = new_simulation(LAYOUT, PLAN, flows, seed=5)
     ctrl = DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.5,
                                     flow_window_s=60.0)
-    ctrl.begin_episode(sim)
     step(sim)
     ctrl.on_tick(sim)
     assert not sim.phase_changed and sim.phase_elapsed_s == 1
@@ -240,8 +237,8 @@ class RingBufferWebster(DynamicWebsterController):
     """Reference flow window: a fixed ring of per-tick arrival counts with a
     running int64 sum, updated on every tick."""
 
-    def begin_episode(self, sim):
-        super().begin_episode(sim)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._ring = np.zeros((int(self.flow_window_s), N_LANES), dtype=np.int64)
         self._ring_sum = np.zeros(N_LANES, dtype=np.int64)
         self._ring_pos = 0

@@ -37,7 +37,6 @@ from tsclab.harness.metrics import (
     write_events_csv,
 )
 from tsclab.harness.runner import (
-    ExperimentConfig,
     PolicyController,
     RunSpec,
     SummaryRow,
@@ -51,6 +50,7 @@ from tsclab.harness.runner import (
 )
 from tsclab.neural import Mlp
 from tsclab.sim import (
+    ACTION_EXTEND,
     FlowProfile,
     IntersectionLayout,
     LANE_IDS,
@@ -165,9 +165,6 @@ class TickLog:
         self.controller_id = inner.controller_id
         self.ticks = []
 
-    def begin_episode(self, sim):
-        self.inner.begin_episode(sim)
-
     def decide(self, sim):
         return self.inner.decide(sim)
 
@@ -274,8 +271,12 @@ def _synth_records(n, greens=None, queues=None):
 
 
 def test_correlation_report_needs_ten_cycles():
-    with pytest.raises(ContractViolation):
-        correlation_report(_synth_records(9))
+    # perfectly aligned, but nine cycles are too few to report anything
+    greens = [10.0 + i for i in range(9)]
+    report = correlation_report(_synth_records(9, greens, [2 * i for i in range(9)]))
+    assert report.n_cycles == 9
+    assert report.green_vs_queue == (None, None, None, None)
+    assert report.cycle_len_vs_q is None
 
 
 def test_correlation_report_perfect_alignment():
@@ -324,9 +325,6 @@ class RecordingController:
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self.decided = []
         self.decision_ticks = []
-
-    def begin_episode(self, sim):
-        pass
 
     def decide(self, sim):
         self.decided.append(sim.clock)
@@ -395,18 +393,18 @@ def test_observation_for_bundle_dqn40():
 
 
 def test_make_controller_kinds_and_errors(tmp_path):
-    assert isinstance(make_controller("fixed", LAYOUT, PLAN), FixedTimeController)
-    webster = make_controller("webster", LAYOUT, PLAN,
-                              webster_params={"recompute_interval_s": 60.0})
+    run = RunSettings(webster={"recompute_interval_s": 60.0})
+    assert isinstance(make_controller("fixed", run), FixedTimeController)
+    webster = make_controller("webster", run)
     assert isinstance(webster, DynamicWebsterController)
     assert webster.recompute_interval_s == 60.0
     with pytest.raises(ConfigurationError):
-        make_controller("policy", LAYOUT, PLAN)
+        make_controller("policy", run)
     with pytest.raises(ConfigurationError):
-        make_controller("lqr", LAYOUT, PLAN)
+        make_controller("lqr", run)
     path = tmp_path / "p.tscw"
     tiny_bundle().save(path)
-    controller = make_controller("policy", LAYOUT, PLAN, weights_path=path,
+    controller = make_controller("policy", run, PolicyBundle.load(path),
                                  sample_seed=1)
     assert controller.controller_id == "policy"
 
@@ -414,19 +412,21 @@ def test_make_controller_kinds_and_errors(tmp_path):
 # -- comparison grid -------------------------------------------------------------
 
 
-def grid_experiment(horizon=400, seeds=(0, 1)):
-    return ExperimentConfig(layout=LAYOUT, plan=PLAN,
-                            flows=uniform_flows(300.0), seeds=seeds,
-                            horizon_s=horizon)
+def grid_experiment(horizon=400, seeds=(0, 1), workers=1):
+    return RunSettings(horizon_s=horizon, seeds=seeds, workers=workers,
+                       layout=LAYOUT, plan=PLAN, flows=uniform_flows(300.0))
 
 
-def test_run_grid_parallel_matches_sequential():
-    specs = [RunSpec("fixed", "fixed"), RunSpec("webster", "webster")]
-    rows1, results1 = run_grid(grid_experiment(), specs, workers=1)
-    rows2, results2 = run_grid(grid_experiment(), specs, workers=2)
+def test_run_grid_parallel_matches_sequential(tmp_path):
+    weights = tmp_path / "p.tscw"
+    tiny_bundle().save(weights)
+    specs = [RunSpec("fixed", "fixed"), RunSpec("webster", "webster"),
+             RunSpec("ppo", "policy", str(weights))]
+    rows1, results1 = run_grid(grid_experiment(workers=1), specs)
+    rows2, results2 = run_grid(grid_experiment(workers=2), specs)
     assert rows1 == rows2
     assert results1 == results2
-    assert [r.config_id for r in rows1] == ["fixed", "webster"]
+    assert [r.config_id for r in rows1] == ["fixed", "webster", "ppo"]
     assert all(r.n_seeds == 2 for r in rows1)
 
 
@@ -435,18 +435,36 @@ def test_run_grid_rejects_duplicate_ids():
         run_grid(grid_experiment(), [RunSpec("a", "fixed"), RunSpec("a", "webster")])
 
 
-def test_run_grid_flags_seed_with_no_cycles():
-    with pytest.raises(ContractViolation):
-        run_grid(grid_experiment(horizon=100), [RunSpec("fixed", "fixed")])
+class AlwaysExtend:
+    controller_id = "extend"
+
+    def decide(self, sim):
+        return ACTION_EXTEND
 
 
-def test_experiment_config_validation():
+def test_run_settings_horizon_must_exceed_the_longest_cycle():
+    # every green extended to g_max: 4 x (40 s + 5 s yellow) = 180 s
+    with pytest.raises(ConfigurationError):
+        grid_experiment(horizon=180)
+    run = grid_experiment(horizon=181)
+    result = run_episode(run.layout, run.plan, run.flows, AlwaysExtend(), 0,
+                         run.horizon_s)
+    assert [r.cycle_len_s for r in result.records] == [180]
+    with pytest.raises(ConfigurationError):
+        RunSettings(horizon_s=200, plan=PhasePlan(g_max_s=50.0))
+
+
+def test_grid_input_validation():
     with pytest.raises(ConfigurationError):
         grid_experiment(seeds=())
+    with pytest.raises(ConfigurationError):
+        grid_experiment(seeds=(1, 1))
     with pytest.raises(ConfigurationError):
         grid_experiment(horizon=50)
     with pytest.raises(ConfigurationError):
         RunSpec("p", "policy")
+    with pytest.raises(ConfigurationError):
+        RunSpec("l", "lqr")
 
 
 # -- CSV output ------------------------------------------------------------------
@@ -513,6 +531,19 @@ def test_webster_log_csv(tmp_path):
                        "g1", "g2", "g3", "g4", "saturated"]
     assert len(rows) == 1 + len(ctrl.recompute_log)
     assert float(rows[1][5]) == 35.0
+
+
+def test_webster_log_csv_cells_are_plain_numbers(tmp_path):
+    ctrl = DynamicWebsterController(LAYOUT, PLAN)
+    run_episode(LAYOUT, PLAN, uniform_flows(400.0), ctrl, seed=0, horizon_s=600)
+    path = tmp_path / "webster.csv"
+    write_webster_log_csv(path, ctrl.recompute_log)
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows and any(float(cell) != 0.0 for row in rows for cell in row[1:5])
+    for row in rows:
+        for cell in row:
+            float(cell)
 
 
 def test_events_csv(tmp_path):
@@ -791,22 +822,84 @@ dqn.hidden_sizes = 8
     capsys.readouterr()
 
 
-def test_cli_compare_rejects_a_truncated_bundle(tmp_path, capsys):
+@pytest.fixture
+def episodes_started(monkeypatch):
+    """Counts the episodes the runner starts (every episode makes one
+    simulation through ``tsclab.harness.runner.new_simulation``)."""
+    import tsclab.harness.runner as runner
+
+    started = []
+
+    def counting(*args, **kwargs):
+        started.append(args)
+        return real(*args, **kwargs)
+
+    real = runner.new_simulation
+    monkeypatch.setattr(runner, "new_simulation", counting)
+    return started
+
+
+def _grid_argv(tmp_path, lines, horizon="400"):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("\n".join(lines) + "\n")
+    return ["compare", "--grid", str(grid), "--horizon", horizon, "--seeds", "0,1,2,3,4",
+            "--out", str(tmp_path / "cmp")]
+
+
+def test_cli_compare_rejects_a_truncated_bundle(tmp_path, capsys, episodes_started):
     weights = tmp_path / "policy.tscw"
     tiny_bundle().save(weights)
     weights.write_bytes(weights.read_bytes()[:-3])
-    grid = tmp_path / "grid.txt"
-    grid.write_text(f"ppo controller=policy weights={weights}\n")
-    assert main(["compare", "--grid", str(grid), "--horizon", "200", "--seeds", "0",
-                 "--out", str(tmp_path / "cmp")]) == 1
+    # the bad bundle is the last column, yet no column runs an episode
+    argv = _grid_argv(tmp_path, ["fixed controller=fixed", "webster controller=webster",
+                                 f"ppo controller=policy weights={weights}"])
+    assert main(argv) == 1
     assert "truncated weight file" in capsys.readouterr().err
+    assert episodes_started == []
+
+
+@pytest.mark.parametrize("lines, horizon, message", [
+    (["fixed controller=fixed"], "100", "longest cycle"),
+    (["fixed controller=fixed", "lqr controller=lqr"], "400", "unknown controller"),
+    (["fixed controller=fixed", "ppo controller=policy weights=absent.tscw"], "400",
+     "cannot read weight file"),
+], ids=["short-horizon", "unknown-controller", "missing-bundle"])
+def test_cli_compare_rejects_bad_input_before_any_episode(tmp_path, capsys, episodes_started,
+                                                          lines, horizon, message):
+    assert main(_grid_argv(tmp_path, lines, horizon)) == 1
+    assert message in capsys.readouterr().err
+    assert episodes_started == []
+
+
+def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_started):
+    weights = tmp_path / "policy.tscw"
+    tiny_bundle().save(weights)
+    out = ["--out", str(tmp_path / "x")]
+    assert main(["baseline", "--method", "fixed", "--horizon", "50", *out]) == 1
+    assert main(["eval", "--weights", str(weights), "--seeds", "1,1", *out]) == 1
+    assert main(["train", "--repr", "ae8", "--encoder", str(tmp_path / "absent.tscw"),
+                 *out]) == 1
+    assert episodes_started == []
+    capsys.readouterr()
+
+
+def test_cli_eval_with_few_cycles_writes_blank_correlations(tmp_path, capsys):
+    weights = tmp_path / "policy.tscw"
+    tiny_bundle().save(weights)
+    out = tmp_path / "eval"
+    assert main(["eval", "--weights", str(weights), "--seeds", "0", "--horizon", "500",
+                 "--out", str(out)]) == 0
+    with (out / "correlations.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 and all(r["pearson_r"] == "" for r in rows)
+    capsys.readouterr()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["conquer"]) == 1  # unknown subcommand
     assert main(["compare"]) == 1  # missing required --grid
     assert main(["baseline"]) == 1  # missing required --method
-    assert main(["eval", "--weights", str(tmp_path / "absent.tscw")]) == 2
+    assert main(["eval", "--weights", str(tmp_path / "absent.tscw")]) == 1
     bad_cfg = write_cfg(tmp_path, "nope = 1\n")
     assert main(["simulate", "--config", str(bad_cfg), "--horizon", "200",
                  "--out", str(tmp_path / "x")]) == 1
