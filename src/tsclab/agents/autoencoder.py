@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..envs import run_to_decision
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, check_non_negative
 from ..neural import Adam, Mlp
 from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                    apply_action, new_simulation)
@@ -29,10 +29,14 @@ _HIDDEN = 32
 
 @dataclass
 class AeResult:
+    """A trained encoder/decoder pair and its reconstruction error over the
+    whole training buffer, measured before the first epoch (``initial_mse``)
+    and after the last (``final_mse``; the same value when ``epochs = 0``)."""
+
     encoder: Mlp
     decoder: Mlp
+    initial_mse: float
     final_mse: float
-    mse_history: list  # index 0 is the untrained (epoch-0) value
 
 
 def reconstruction_mse(encoder: Mlp, decoder: Mlp, states: np.ndarray) -> float:
@@ -40,6 +44,16 @@ def reconstruction_mse(encoder: Mlp, decoder: Mlp, states: np.ndarray) -> float:
     x = np.asarray(states, dtype=np.float64)
     err = decoder.predict(encoder.predict(x)) - x
     return float(np.mean(np.sum(err * err, axis=1)))
+
+
+def check_training_settings(k: int, epochs: int, lr: float) -> None:
+    """Reject a latent size, epoch count or learning rate that
+    :func:`train_autoencoder` cannot honour, before any state is collected."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ConfigurationError(f"latent size must be a positive integer, got {k!r}")
+    if epochs < 0:
+        raise ConfigurationError("epochs must be non-negative")
+    check_non_negative("learning rate", lr)
 
 
 def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 1e-3,
@@ -52,10 +66,7 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != EXPANDED_DIM or x.shape[0] < 1:
         raise ConfigurationError(f"state buffer must be N x {EXPANDED_DIM}")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ConfigurationError(f"latent size must be a positive integer, got {k!r}")
-    if epochs < 0:
-        raise ConfigurationError("epochs must be non-negative")
+    check_training_settings(k, epochs, lr)
     if k not in CANONICAL_LATENTS:
         logger.warning("latent size %d outside the benchmarked set %s",
                        k, CANONICAL_LATENTS)
@@ -67,7 +78,7 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
     opt = Adam([encoder.flat, decoder.flat], lr)
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
 
-    history = [reconstruction_mse(encoder, decoder, x)]
+    initial_mse = reconstruction_mse(encoder, decoder, x)
     n = x.shape[0]
     for _epoch in range(epochs):
         order = shuffle_rng.permutation(n)
@@ -80,9 +91,9 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
             dec_grads, dz = decoder.backward((2.0 / b) * err)
             enc_grads, _ = encoder.backward(dz)
             opt.step([encoder.flat_gradient(enc_grads), decoder.flat_gradient(dec_grads)])
-        history.append(reconstruction_mse(encoder, decoder, x))
+    final_mse = reconstruction_mse(encoder, decoder, x) if epochs else initial_mse
     return AeResult(encoder=encoder, decoder=decoder,
-                    final_mse=history[-1], mse_history=history)
+                    initial_mse=initial_mse, final_mse=final_mse)
 
 
 def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigurationError, DivergenceError
+from ..errors import ConfigurationError, DivergenceError, check_non_negative
 from ..neural import Adam, Mlp
 from .bundle import PolicyBundle, TrainLogRow, bundle_for_env
 
@@ -28,6 +28,7 @@ class DqnConfig:
     log_interval_steps: int = 200
 
     def __post_init__(self) -> None:
+        check_non_negative("learning_rate", self.learning_rate)
         if self.replay_capacity < self.batch_size:
             raise ConfigurationError("replay capacity must be at least the batch size")
         if self.batch_size < 1:

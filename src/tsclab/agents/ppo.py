@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, DivergenceError
+from ..errors import ConfigurationError, DivergenceError, check_non_negative
 from ..neural import Adam, Mlp, log_softmax, softmax_sample
 from .bundle import PolicyBundle, TrainLogRow, bundle_for_env
 
@@ -42,8 +42,10 @@ class PpoConfig:
             raise ConfigurationError("batch_size must lie in [1, n_steps]")
         if self.n_steps < 1 or self.n_epochs < 1:
             raise ConfigurationError("n_steps and n_epochs must be positive")
-        if self.learning_rate < 0.0 or self.total_timesteps < 0:
-            raise ConfigurationError("learning rate and timesteps must be non-negative")
+        if self.total_timesteps < 0:
+            raise ConfigurationError("total_timesteps must be non-negative")
+        for name in ("learning_rate", "value_coef", "entropy_coef"):
+            check_non_negative(name, getattr(self, name))
 
 
 def compute_gae(rewards: Sequence[float], values: Sequence[float], next_value: float,

@@ -9,14 +9,13 @@ each tick, which reads the tick from the simulator's ``arrivals`` and
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_non_negative
 from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES,
                   PHASE_SERVED, PhasePlan, SimState, install_programmed_greens)
 
@@ -35,8 +34,7 @@ class WebsterInput:
         if len(self.y_ratios) != N_PHASES:
             raise ConfigurationError("need one flow ratio per phase")
         for y in self.y_ratios:
-            if not math.isfinite(y) or y < 0.0:
-                raise ConfigurationError("flow ratios must be finite and non-negative")
+            check_non_negative("flow ratio", y)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ..agents.autoencoder import (
+    check_training_settings,
     collect_state_buffer,
     load_autoencoder,
     save_autoencoder,
@@ -203,6 +204,7 @@ def cmd_train(args) -> int:
 
 def cmd_pretrain_ae(args) -> int:
     run = run_from_config(_load_cfg(args))
+    check_training_settings(args.latent, args.epochs, args.lr)
     buffer = collect_state_buffer(args.buffer_steps, run.flows, seed=args.seed,
                                   layout=run.layout, plan=run.plan)
     result = train_autoencoder(buffer, args.latent, epochs=args.epochs,
@@ -212,7 +214,7 @@ def cmd_pretrain_ae(args) -> int:
         out_path.parent.mkdir(parents=True, exist_ok=True)
     save_autoencoder(result, out_path, seed=args.seed)
     print(f"autoencoder latent={args.latent}: reconstruction mse "
-          f"{result.mse_history[0]:.4f} -> {result.final_mse:.4f} "
+          f"{result.initial_mse:.4f} -> {result.final_mse:.4f} "
           f"over {args.epochs} epochs ({buffer.shape[0]} states)")
     print(f"wrote {out_path}")
     return 0

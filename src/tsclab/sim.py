@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, check_non_negative
 
 LANE_IDS = ("N0", "N1", "E0", "E1", "S0", "S1", "W0", "W1")
 APPROACHES = ("N", "E", "S", "W")
@@ -179,8 +179,7 @@ class FlowProfile:
                     )
                 if seg.end_s <= seg.start_s:
                     raise ConfigurationError(f"lane {lane_id} has an empty segment")
-                if not math.isfinite(seg.rate_veh_h) or seg.rate_veh_h < 0.0:
-                    raise ConfigurationError("arrival rates must be finite and non-negative")
+                check_non_negative(f"lane {lane_id} arrival rate", seg.rate_veh_h)
                 cursor = seg.end_s
             if span is None:
                 span = cursor

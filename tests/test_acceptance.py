@@ -361,7 +361,7 @@ def test_c5_latent_capacity_orders_reconstruction():
         for k in (4, 8, 19):
             res = train_autoencoder(buffer, k, epochs=40, lr=1e-3, seed=seed)
             finals[k] = res.final_mse
-            if res.final_mse > 0.5 * res.mse_history[0]:
+            if res.final_mse > 0.5 * res.initial_mse:
                 all_halved = False
         ordered = finals[19] <= finals[8] <= finals[4]
         wins += ordered

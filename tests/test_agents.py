@@ -38,7 +38,7 @@ from tsclab.agents.ppo import (
 from tsclab.envs import SignalControlEnv, run_to_decision
 from tsclab.errors import ConfigurationError, DivergenceError
 from tsclab.harness.runner import run_episode
-from tsclab.neural import Mlp, log_softmax, softmax
+from tsclab.neural import Adam, Mlp, log_softmax, softmax
 from tsclab.rewards import REWARD_KINDS, RewardSpec, pressure_reward
 from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                         apply_action, at_decision_point, new_simulation)
@@ -271,6 +271,14 @@ def test_ppo_config_validation():
         dict(batch_size=300, n_steps=200),
         dict(n_epochs=0),
         dict(learning_rate=-1e-3),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(value_coef=float("nan")),
+        dict(value_coef=float("inf")),
+        dict(value_coef=-0.5),
+        dict(entropy_coef=float("nan")),
+        dict(entropy_coef=float("-inf")),
+        dict(entropy_coef=-0.01),
         dict(total_timesteps=-1),
     ):
         with pytest.raises(ConfigurationError):
@@ -477,19 +485,56 @@ def test_autoencoder_fits_constant_buffer():
     states = constant_buffer()
     result = train_autoencoder(states, k=8, epochs=150, lr=1e-2, seed=0)
     assert result.final_mse < 1e-6
-    assert result.mse_history[0] > result.final_mse
-    assert result.final_mse == result.mse_history[-1]
+    assert result.initial_mse > result.final_mse
     recon = reconstruction_mse(result.encoder, result.decoder, states)
-    assert recon == pytest.approx(result.final_mse, abs=1e-12)
+    assert recon == result.final_mse
 
 
 def test_autoencoder_zero_epochs_reports_initial_mse():
     states = constant_buffer(32)
     result = train_autoencoder(states, k=4, epochs=0, seed=1)
-    assert len(result.mse_history) == 1
-    assert result.final_mse == result.mse_history[0]
+    assert result.final_mse == result.initial_mse
+    assert result.initial_mse == reconstruction_mse(result.encoder, result.decoder, states)
     assert result.encoder.layer_sizes == (19, 32, 4)
     assert result.decoder.layer_sizes == (4, 32, 19)
+
+
+def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=128):
+    """The training loop that measured the full-buffer MSE after every epoch;
+    returns (encoder, decoder, per-epoch MSE history with the untrained value
+    first)."""
+    x = np.asarray(states, dtype=np.float64)
+    s_enc, s_dec, s_shuffle = np.random.SeedSequence(seed).spawn(3)
+    encoder = Mlp([19, 32, k], "relu", seed=s_enc)
+    decoder = Mlp([k, 32, 19], "relu", seed=s_dec)
+    opt = Adam([encoder.flat, decoder.flat], lr)
+    shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
+    history = [reconstruction_mse(encoder, decoder, x)]
+    n = x.shape[0]
+    for _epoch in range(epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = x[order[start:start + batch_size]]
+            err = decoder.forward(encoder.forward(batch)) - batch
+            dec_grads, dz = decoder.backward((2.0 / batch.shape[0]) * err)
+            enc_grads, _ = encoder.backward(dz)
+            opt.step([encoder.flat_gradient(enc_grads), decoder.flat_gradient(dec_grads)])
+        history.append(reconstruction_mse(encoder, decoder, x))
+    return encoder, decoder, history
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_autoencoder_matches_per_epoch_reference(k, epochs):
+    # 300 rows in minibatches of 128: the last minibatch of each epoch holds 44
+    states = np.random.Generator(np.random.PCG64(7)).uniform(0.0, 1.0, size=(300, 19))
+    result = train_autoencoder(states, k, epochs=epochs, lr=1e-2, seed=5)
+    encoder, decoder, history = reference_train_autoencoder(states, k, epochs,
+                                                            lr=1e-2, seed=5)
+    assert result.encoder.flat.tobytes() == encoder.flat.tobytes()
+    assert result.decoder.flat.tobytes() == decoder.flat.tobytes()
+    assert result.initial_mse == history[0]
+    assert result.final_mse == history[-1]
 
 
 def test_autoencoder_validation():
@@ -505,6 +550,9 @@ def test_autoencoder_validation():
         train_autoencoder(constant_buffer(8), k="4")
     with pytest.raises(ConfigurationError):
         train_autoencoder(constant_buffer(8), k=4, epochs=-1)
+    for lr in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(ConfigurationError):
+            train_autoencoder(constant_buffer(8), k=4, lr=lr)
 
 
 def test_autoencoder_warns_on_unusual_latent(caplog):
@@ -558,6 +606,9 @@ def test_dqn_config_validation():
         dict(epsilon_decay_steps=0),
         dict(target_sync_interval=0),
         dict(log_interval_steps=0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(learning_rate=-1e-4),
     ):
         with pytest.raises(ConfigurationError):
             DqnConfig(**bad)

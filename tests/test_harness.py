@@ -803,6 +803,30 @@ def test_cli_pretrain_ae(tmp_path, capsys):
     assert "latent=4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--latent", "0"), ("--latent", "-3"), ("--epochs", "-1"),
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
+])
+def test_cli_pretrain_ae_rejects_bad_settings_before_collecting(tmp_path, capsys,
+                                                                monkeypatch, flag, value):
+    import tsclab.agents.autoencoder as autoencoder
+
+    started = []
+
+    def counting(*args, **kwargs):
+        started.append(args)
+        return real(*args, **kwargs)
+
+    real = autoencoder.new_simulation
+    monkeypatch.setattr(autoencoder, "new_simulation", counting)
+    out_file = tmp_path / "ae.tscw"
+    assert main(["pretrain-ae", "--buffer-steps", "60", "--epochs", "1",
+                 f"{flag}={value}", "--out", str(out_file)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert started == []
+    assert not out_file.exists()
+
+
 def test_cli_dqn(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
 dqn.total_timesteps = 200
@@ -916,4 +940,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["compare", "--grid", str(empty_grid)]) == 1
     assert main(["-h"]) == 0
     assert main(["train", "--repr", "ae8"]) == 1  # ae repr without encoder
+    for bad in ("nan", "inf", "-1"):  # rates and loss weights must be finite and >= 0
+        assert main(["pretrain-ae", f"--lr={bad}", "--buffer-steps", "8",
+                     "--out", str(tmp_path / "ae.tscw")]) == 1
+        for key in ("ppo.learning_rate", "ppo.value_coef", "ppo.entropy_coef"):
+            cfg = write_cfg(tmp_path, f"{key} = {bad}\n")
+            assert main(["train", "--config", str(cfg), "--timesteps", "0",
+                         "--out", str(tmp_path / "x")]) == 1
+        cfg = write_cfg(tmp_path, f"dqn.learning_rate = {bad}\n")
+        assert main(["dqn", "--config", str(cfg), "--timesteps", "0",
+                     "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "ae.tscw").exists()
     capsys.readouterr()
