@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..neural import Mlp
-from ..staterep import KPlanesParams, StateNormalizers
+from ..staterep import KPlanesParams, Observation, StateNormalizers, make_observation
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_arrays
 
 
@@ -51,48 +51,49 @@ def write_training_log_csv(path, rows: Iterable[TrainLogRow]) -> None:
 
 @dataclass
 class PolicyBundle:
-    """A trained (or initialized) controller: networks plus everything needed
-    to rebuild its observation pipeline."""
+    """A trained (or initialized) controller: its networks and the
+    observation they were trained on, one of :mod:`tsclab.staterep`'s."""
 
     algo: str
-    repr_kind: str
     reward_kind: str
     policy: Mlp
-    value: Mlp | None = None
-    ae_encoder: Mlp | None = None
-    kplanes: KPlanesParams | None = None
-    norms: StateNormalizers = StateNormalizers()
+    value: Mlp | None
+    observation: Observation
     seed: int = 0
 
     def greedy_action(self, obs: np.ndarray) -> int:
         return int(np.argmax(self.policy.predict(obs)))
 
     def save(self, path) -> None:
+        obs = self.observation
         policy_arrays = self.policy.parameters()
         value_arrays = self.value.parameters() if self.value is not None else []
-        encoder_arrays = self.ae_encoder.parameters() if self.ae_encoder is not None else []
+        encoder_arrays = obs.encoder.parameters() if obs.encoder is not None else []
         tag = encode_tag(
             algo=self.algo,
-            repr=self.repr_kind,
+            repr=obs.kind,
             reward=self.reward_kind,
             act=self.policy.hidden_activation,
             policy=len(policy_arrays),
             value=len(value_arrays),
             encoder=len(encoder_arrays),
-            kseed=self.kplanes.seed if self.kplanes is not None else -1,
-            kres=self.kplanes.resolution if self.kplanes is not None else 0,
-            kfeat=self.kplanes.feature_dim if self.kplanes is not None else 0,
+            kseed=obs.params.seed if obs.params is not None else -1,
+            kres=obs.params.resolution if obs.params is not None else 0,
+            kfeat=obs.params.feature_dim if obs.params is not None else 0,
         )
-        arrays = [self.norms.as_array()] + policy_arrays + value_arrays + encoder_arrays
+        arrays = [obs.norms.as_array()] + policy_arrays + value_arrays + encoder_arrays
         save_arrays(path, arrays, tag=tag, seed=self.seed)
 
     @staticmethod
     def load(path) -> "PolicyBundle":
+        """Read a bundle and rebuild its observation; a file that does not
+        parse, or whose networks do not take the observation's length,
+        raises :class:`ConfigurationError`."""
         blob = load_arrays(path)
         fields = parse_tag(blob.tag)
         try:
-            algo = fields["algo"]
-            act = fields["act"]
+            algo, kind, reward_kind, act = (
+                fields[key] for key in ("algo", "repr", "reward", "act"))
             n_policy, n_value, n_encoder = (
                 int(fields[key]) for key in ("policy", "value", "encoder"))
             kseed = int(fields.get("kseed", -1))
@@ -119,33 +120,12 @@ class PolicyBundle:
         encoder = None
         if n_encoder:
             encoder = mlp_from_arrays(arrays[cursor:cursor + n_encoder], "relu")
-        return PolicyBundle(
-            algo=algo,
-            repr_kind=fields.get("repr", "custom"),
-            reward_kind=fields.get("reward", "custom"),
-            policy=policy,
-            value=value,
-            ae_encoder=encoder,
-            kplanes=kplanes,
-            norms=norms,
-            seed=blob.seed,
-        )
-
-
-def bundle_for_env(algo: str, env, policy: Mlp, value: Mlp | None,
-                   seed: int) -> PolicyBundle:
-    """Bundle trained networks with the observation pipeline and reward kind
-    of the environment they were trained on (``"custom"`` for an
-    environment without ``observation`` or ``reward_spec``)."""
-    observation = getattr(env, "observation", None)
-    return PolicyBundle(
-        algo=algo,
-        repr_kind=getattr(observation, "kind", "custom"),
-        reward_kind=getattr(getattr(env, "reward_spec", None), "kind", "custom"),
-        policy=policy,
-        value=value,
-        ae_encoder=getattr(observation, "encoder", None),
-        kplanes=getattr(observation, "params", None),
-        norms=getattr(observation, "norms", StateNormalizers()),
-        seed=seed,
-    )
+        observation = make_observation(kind, norms, ae_encoder=encoder,
+                                       kplanes_params=kplanes)
+        for name, net in (("policy", policy), ("value", value)):
+            if net is not None and net.layer_sizes[0] != observation.dim:
+                raise ConfigurationError(
+                    f"{path}: the {name} network takes {net.layer_sizes[0]} inputs, "
+                    f"but a {kind} observation has {observation.dim}"
+                )
+        return PolicyBundle(algo, reward_kind, policy, value, observation, blob.seed)

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, check_non_negative
 from ..neural import Adam, Mlp
-from .bundle import PolicyBundle, TrainLogRow, bundle_for_env
+from .bundle import PolicyBundle, TrainLogRow
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,13 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
               seed: int = 0) -> DqnResult:
     """Replay + target-network Q-learning over the environment's actions.
 
-    The task is continuing, so targets always bootstrap from the target
-    network (no terminal masking).  Updates start once the replay holds one
-    batch; earlier steps only explore.  Deterministic for a fixed (seed,
-    config) pair.
+    The environment speaks :func:`~tsclab.agents.ppo.train_ppo`'s protocol:
+    ``obs_dim``, ``n_actions``, ``clock_s``, ``reset`` and ``step``, plus the
+    ``observation`` and ``reward_spec.kind`` that go into the returned
+    bundle.  The task is continuing, so targets always bootstrap from the
+    target network (no terminal masking).  Updates start once the replay
+    holds one batch; earlier steps only explore.  Deterministic for a fixed
+    (seed, config) pair.
     """
     env = env_factory(seed)
     ss = np.random.SeedSequence(seed)
@@ -160,5 +163,6 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
             window_losses = []
             window_records = []
 
-    bundle = bundle_for_env("dqn", env, q_net, None, seed)
+    bundle = PolicyBundle("dqn", env.reward_spec.kind, q_net, None,
+                          env.observation, seed)
     return DqnResult(bundle=bundle, log=log, cycle_records=all_records)

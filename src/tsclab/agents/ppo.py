@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, check_non_negative
 from ..neural import Adam, Mlp, log_softmax, softmax_sample
-from .bundle import PolicyBundle, TrainLogRow, bundle_for_env
+from .bundle import PolicyBundle, TrainLogRow
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,8 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
 
     The environment must expose ``obs_dim``, ``n_actions``, ``clock_s``,
     ``reset() -> obs`` and ``step(a) -> (obs, reward, info)``; the budget
-    counts simulated seconds via ``clock_s``.  All randomness (network
+    counts simulated seconds via ``clock_s``.  Its ``observation`` and
+    ``reward_spec.kind`` go into the returned bundle.  All randomness (network
     init, action sampling, minibatch shuffling) derives from ``seed``, so a
     (seed, config) pair reproduces the run bit for bit.
     """
@@ -295,5 +296,6 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
         ))
         rollout_idx += 1
 
-    bundle = bundle_for_env("ppo", env, policy, value_net, seed)
+    bundle = PolicyBundle("ppo", env.reward_spec.kind, policy, value_net,
+                          env.observation, seed)
     return PpoResult(bundle=bundle, log=log, cycle_records=all_records)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, check_non_negative
-from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES,
+from .sim import (ACTION_CONTINUE, IntersectionLayout, N_PHASES,
                   PHASE_SERVED, PhasePlan, SimState, install_programmed_greens)
 
 
@@ -95,8 +94,8 @@ class DynamicWebsterController:
     ``recompute_interval_s`` it turns window rates into per-phase flow
     ratios (max over the phase's lanes, against the lane saturation flow),
     solves the cycle formula, and installs the resulting greens at the next
-    phase boundary.  Before any data arrives the configured default rates
-    (zero if not given) are used, which yields the minimal plan.  The window
+    phase boundary.  A tick's arrivals enter the window before that tick can
+    recompute, so the window is never empty when it is read.  The window
     and the log belong to one episode: build a new controller per episode.
     """
 
@@ -104,8 +103,7 @@ class DynamicWebsterController:
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan,
                  recompute_interval_s: float = 145.0, flow_window_s: float = 900.0,
-                 lost_time_s: float | None = None,
-                 default_rates_veh_h: Sequence[float] | None = None) -> None:
+                 lost_time_s: float | None = None) -> None:
         if not recompute_interval_s > 0.0:
             raise ConfigurationError("webster recompute interval must be positive")
         if not (flow_window_s >= 1.0 and float(flow_window_s).is_integer()):
@@ -120,20 +118,12 @@ class DynamicWebsterController:
                             if lost_time_s is None else lost_time_s)
         if self.lost_time_s <= 0.0:
             raise ConfigurationError("lost time must be positive")
-        self.default_rates_veh_h = (
-            np.zeros(N_LANES) if default_rates_veh_h is None
-            else np.asarray(default_rates_veh_h, dtype=np.float64)
-        )
-        if self.default_rates_veh_h.shape != (N_LANES,):
-            raise ConfigurationError("need one default rate per lane")
         self.recompute_log: list[tuple] = []
         self._window: deque = deque(maxlen=int(self.flow_window_s))
         self._next_recompute = self.recompute_interval_s
         self._pending: tuple | None = None
 
     def _window_rates_veh_h(self) -> np.ndarray:
-        if not self._window:
-            return self.default_rates_veh_h.copy()
         counts = np.array([sum(lane) for lane in zip(*self._window)], dtype=np.int64)
         return counts * (3600.0 / len(self._window))
 

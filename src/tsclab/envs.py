@@ -44,40 +44,11 @@ def run_to_decision(sim: SimState, until_s: int, on_tick=None) -> bool:
     return False
 
 
-class DqnObservation:
-    """Per-lane feature rows for the DQN baseline, flattened to 40 values.
-
-    Each lane contributes (served-by-active-green flag, approaching count,
-    queue length, total wait, summed speeds), scaled by fixed constants so
-    magnitudes stay near [0, 1]."""
-
-    kind = "dqn40"
-    dim = 5 * N_LANES
-
-    def __init__(self, layout: IntersectionLayout) -> None:
-        self._count_scale = float(layout.lane_storage_capacity)
-        self._wait_scale = 600.0
-        self._speed_scale = layout.lane_storage_capacity * layout.free_flow_speed_ms
-
-    def observe(self, sim: SimState) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.float64)
-        green = sim.green_active()
-        for lane in range(N_LANES):
-            approaching, queued, wait_s, speeds = sim.lane_observables(lane)
-            base = 5 * lane
-            out[base] = 1.0 if (green and sim.lane_served(lane)) else 0.0
-            out[base + 1] = approaching / self._count_scale
-            out[base + 2] = queued / self._count_scale
-            out[base + 3] = wait_s / self._wait_scale
-            out[base + 4] = speeds / self._speed_scale
-        return out
-
-
 class SignalControlEnv:
     """Continuing decision-point MDP over one intersection.
 
-    ``observation`` is any wrapper with ``kind``, ``dim`` and
-    ``observe(sim)``; ``reward_spec`` picks the reward.  ``reset``
+    ``observation`` is one of :mod:`tsclab.staterep`'s observations
+    (see ``make_observation``); ``reward_spec`` picks the reward.  ``reset``
     starts a fresh seeded simulation and advances to the first decision
     point; ``step`` returns (observation, reward, info) where info carries
     the cycle records completed during the transition.

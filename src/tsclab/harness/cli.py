@@ -33,10 +33,11 @@ from ..agents.autoencoder import (
 from ..agents.bundle import PolicyBundle, write_training_log_csv
 from ..agents.dqn import train_dqn
 from ..agents.ppo import train_ppo
-from ..envs import DqnObservation, SignalControlEnv
+from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
 from ..rewards import REWARD_KINDS, RewardSpec
-from ..staterep import REPRESENTATION_KINDS, KPlanesParams, make_observation
+from ..staterep import (REPRESENTATION_KINDS, DqnObservation, KPlanesParams,
+                        make_observation)
 from .config import (
     dqn_from_config,
     normalizers_for_training,
@@ -182,10 +183,9 @@ def cmd_train(args) -> int:
             raise _UsageError("tsclab train: --encoder is required for ae* representations")
         encoder, _decoder = load_autoencoder(args.encoder)
     kplanes = KPlanesParams(run.kplanes_seed) if args.repr == "kplanes" else None
+    obs = make_observation(args.repr, norms, ae_encoder=encoder, kplanes_params=kplanes)
 
     def factory(seed: int) -> SignalControlEnv:
-        obs = make_observation(args.repr, norms, ae_encoder=encoder,
-                               kplanes_params=kplanes)
         return SignalControlEnv(run.layout, run.plan, run.flows, obs, reward, seed)
 
     result = train_ppo(factory, ppo_cfg, args.seed)
@@ -227,8 +227,8 @@ def cmd_dqn(args) -> int:
     reward = RewardSpec(kind="resco_wait")
 
     def factory(seed: int) -> SignalControlEnv:
-        return SignalControlEnv(run.layout, run.plan, run.flows,
-                                DqnObservation(run.layout), reward, seed)
+        return SignalControlEnv(run.layout, run.plan, run.flows, DqnObservation(),
+                                reward, seed)
 
     result = train_dqn(factory, dqn_cfg, args.seed)
     out = _out_dir(args)
@@ -275,7 +275,7 @@ def cmd_eval(args) -> int:
         corr_rows.append((seed, "cycle_len_vs_total_queue", report.cycle_len_vs_q))
     write_correlations_csv(out / "correlations.csv", corr_rows)
     mean, std = mean_std(seed_means)
-    print(f"eval {args.weights} ({bundle.algo}, repr={bundle.repr_kind}, "
+    print(f"eval {args.weights} ({bundle.algo}, repr={bundle.observation.kind}, "
           f"reward={bundle.reward_kind})")
     print(f"mean cycle queue {mean:.2f} +/- {std:.2f} "
           f"over {len(run.seeds)} seeds ({run.horizon_s}s each)")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines import DynamicWebsterController, FixedTimeController
-from ..envs import DqnObservation, run_to_decision
+from ..envs import run_to_decision
 from ..errors import ConfigurationError, ContractViolation
 from ..agents.bundle import PolicyBundle
 from ..sim import (
@@ -23,24 +23,15 @@ from ..sim import (
 )
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..neural import softmax_sample
-from ..staterep import make_observation
 from .config import RunSettings
 from .metrics import CycleRecord, CycleTracker, mean_std, write_cycles_csv
 
 REGIME_ORDER = ("high", "medium", "low")
 
 
-def observation_for_bundle(bundle: PolicyBundle, layout: IntersectionLayout):
-    """Rebuild the observation wrapper a saved bundle was trained with."""
-    if bundle.repr_kind == "dqn40":
-        return DqnObservation(layout)
-    return make_observation(bundle.repr_kind, bundle.norms,
-                            ae_encoder=bundle.ae_encoder,
-                            kplanes_params=bundle.kplanes)
-
-
 class PolicyController:
-    """Plays a saved policy at every decision point.
+    """Plays a saved policy on its bundle's observation at every decision
+    point.
 
     With ``sample_seed`` set, actions are drawn from the policy's action
     distribution (the object the training objective optimizes) using a
@@ -51,10 +42,8 @@ class PolicyController:
 
     controller_id = "policy"
 
-    def __init__(self, bundle: PolicyBundle, layout: IntersectionLayout,
-                 sample_seed: int | None = None) -> None:
+    def __init__(self, bundle: PolicyBundle, sample_seed: int | None = None) -> None:
         self.bundle = bundle
-        self.observation = observation_for_bundle(bundle, layout)
         self._rng = None
         if sample_seed is not None:
             self._rng = np.random.Generator(
@@ -62,7 +51,7 @@ class PolicyController:
             )
 
     def decide(self, sim) -> int:
-        obs = self.observation.observe(sim)
+        obs = self.bundle.observation.observe(sim)
         if self._rng is None:
             return self.bundle.greedy_action(obs)
         return softmax_sample(self.bundle.policy.predict(obs), self._rng)[0]
@@ -82,7 +71,7 @@ def make_controller(kind: str, run: RunSettings, bundle: PolicyBundle | None = N
     if kind == "policy":
         if bundle is None:
             raise ConfigurationError("policy controller needs a policy bundle")
-        return PolicyController(bundle, run.layout, sample_seed=sample_seed)
+        return PolicyController(bundle, sample_seed=sample_seed)
     raise ConfigurationError(
         f"unknown controller {kind!r}; expected one of {CONTROLLER_KINDS}"
     )

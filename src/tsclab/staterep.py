@@ -3,9 +3,10 @@
 Four families: a raw 8-scalar summary, a normalized 19-component vector, a
 learned autoencoder latent of that vector, and a fixed random-grid transform
 that expands the 19 components to 68 features by sampling factorized feature
-planes with bilinear interpolation.  Every encoding is a pure function of the
+planes with bilinear interpolation.  The DQN baseline observes its own
+40-value per-lane features.  Every encoding is a pure function of the
 simulation state (plus fixed parameters), so repeated calls at the same tick
-return identical vectors.
+return identical vectors; :func:`make_observation` builds each kind.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .neural import Mlp
-from .sim import N_PHASES, SimState
+from .sim import N_LANES, N_PHASES, SimState
 
 EXPANDED_DIM = 19
 KPLANES_DIM = 68
@@ -212,20 +213,21 @@ def kplanes_transform(params: KPlanesParams, state: np.ndarray) -> np.ndarray:
     return np.concatenate((features.ravel(), s[_IDX_PHASE]))
 
 
-def encode(encoder: Mlp, state: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass of a trained encoder on one state vector."""
-    s = np.asarray(state, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] != encoder.layer_sizes[0]:
-        raise ContractViolation(
-            f"encoder expects {encoder.layer_sizes[0]} inputs, got shape {s.shape}"
-        )
-    return encoder.predict(s)
+# -- controller-facing observations -----------------------------------------
 
 
-# -- controller-facing observation wrappers ---------------------------------
+class Observation:
+    """Base of the observation kinds: ``kind`` names one, ``dim`` is its
+    length and ``observe(sim)`` computes it.  ``norms``, ``encoder`` and
+    ``params`` are the fixed parts a policy bundle saves with it; a kind that
+    uses none of them keeps these defaults."""
+
+    norms = StateNormalizers()
+    encoder: Mlp | None = None
+    params: KPlanesParams | None = None
 
 
-class BaselineObservation:
+class BaselineObservation(Observation):
     kind = "baseline"
     dim = 8
 
@@ -233,7 +235,7 @@ class BaselineObservation:
         return baseline_state(sim)
 
 
-class ExpandedObservation:
+class ExpandedObservation(Observation):
     kind = "expanded"
     dim = EXPANDED_DIM
 
@@ -244,20 +246,25 @@ class ExpandedObservation:
         return expanded_state(sim, self.norms)
 
 
-class LatentObservation:
+class LatentObservation(Observation):
     """Autoencoder latent of the expanded state."""
 
     def __init__(self, encoder: Mlp, norms: StateNormalizers = StateNormalizers()) -> None:
+        if encoder.layer_sizes[0] != EXPANDED_DIM:
+            raise ConfigurationError(
+                f"encoder takes {encoder.layer_sizes[0]} inputs, expected the "
+                f"{EXPANDED_DIM}-component expanded state"
+            )
         self.encoder = encoder
         self.norms = norms
         self.dim = encoder.layer_sizes[-1]
         self.kind = f"ae{self.dim}"
 
     def observe(self, sim: SimState) -> np.ndarray:
-        return encode(self.encoder, expanded_state(sim, self.norms))
+        return self.encoder.predict(expanded_state(sim, self.norms))
 
 
-class KPlanesObservation:
+class KPlanesObservation(Observation):
     kind = "kplanes"
     dim = KPLANES_DIM
 
@@ -274,9 +281,38 @@ class KPlanesObservation:
         return kplanes_transform(self.params, expanded_state(sim, self.norms))
 
 
+class DqnObservation(Observation):
+    """Per-lane feature rows for the DQN baseline, flattened to 40 values.
+
+    Each lane contributes (served-by-active-green flag, approaching count,
+    queue length, total wait, summed speeds).  The counts divide by the
+    simulated layout's lane storage capacity, the wait by 600 s and the
+    speeds by the capacity times the free-flow speed, so magnitudes stay
+    near [0, 1]."""
+
+    kind = "dqn40"
+    dim = 5 * N_LANES
+
+    def observe(self, sim: SimState) -> np.ndarray:
+        count_scale = float(sim.layout.lane_storage_capacity)
+        speed_scale = sim.layout.lane_storage_capacity * sim.layout.free_flow_speed_ms
+        out = np.zeros(self.dim, dtype=np.float64)
+        green = sim.green_active()
+        for lane in range(N_LANES):
+            approaching, queued, wait_s, speeds = sim.lane_observables(lane)
+            base = 5 * lane
+            out[base] = 1.0 if (green and sim.lane_served(lane)) else 0.0
+            out[base + 1] = approaching / count_scale
+            out[base + 2] = queued / count_scale
+            out[base + 3] = wait_s / 600.0
+            out[base + 4] = speeds / speed_scale
+        return out
+
+
 # autoencoder latent sizes with a representation kind ``ae<k>`` each
 CANONICAL_LATENTS = (4, 8, 16, 19, 32)
 
+# the kinds a PPO policy trains on; the DQN baseline's ``dqn40`` is not one
 REPRESENTATION_KINDS = ("baseline", "expanded",
                         *(f"ae{k}" for k in CANONICAL_LATENTS), "kplanes")
 
@@ -285,8 +321,13 @@ DEFAULT_KPLANES_SEED = 1234
 
 def make_observation(kind: str, norms: StateNormalizers = StateNormalizers(),
                      ae_encoder: Mlp | None = None,
-                     kplanes_params: KPlanesParams | None = None):
-    """Build the observation wrapper for a representation kind."""
+                     kplanes_params: KPlanesParams | None = None) -> Observation:
+    """Build the observation of a representation kind, ``dqn40`` included.
+
+    ``norms`` scales the expanded state of the kinds built on it; an
+    ``ae<k>`` kind needs the encoder, and ``kplanes`` takes its planes from
+    ``kplanes_params`` (default: the planes of :data:`DEFAULT_KPLANES_SEED`).
+    """
     if kind == "baseline":
         return BaselineObservation()
     if kind == "expanded":
@@ -294,6 +335,8 @@ def make_observation(kind: str, norms: StateNormalizers = StateNormalizers(),
     if kind == "kplanes":
         params = kplanes_params or KPlanesParams(DEFAULT_KPLANES_SEED)
         return KPlanesObservation(params, norms)
+    if kind == "dqn40":
+        return DqnObservation()
     if kind.startswith("ae"):
         if ae_encoder is None:
             raise ConfigurationError(
@@ -306,5 +349,5 @@ def make_observation(kind: str, norms: StateNormalizers = StateNormalizers(),
             )
         return obs
     raise ConfigurationError(
-        f"unknown representation {kind!r}; expected one of {REPRESENTATION_KINDS}"
+        f"unknown representation {kind!r}; expected dqn40 or one of {REPRESENTATION_KINDS}"
     )

@@ -408,8 +408,7 @@ def control_study():
         episodes = [
             run_episode(
                 LAYOUT, PLAN, flows,
-                PolicyController(result.bundle, LAYOUT,
-                                 sample_seed=1000 * train_seed + s),
+                PolicyController(result.bundle, sample_seed=1000 * train_seed + s),
                 seed=s, horizon_s=horizon,
             )
             for s in eval_seeds

@@ -4,6 +4,7 @@ trainers on a toy task, the state autoencoder, and bundle persistence."""
 
 import logging
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ from tsclab.neural import Adam, Mlp, log_softmax, softmax
 from tsclab.rewards import REWARD_KINDS, RewardSpec, pressure_reward
 from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                         apply_action, at_decision_point, new_simulation)
-from tsclab.staterep import ExpandedObservation, KPlanesParams, StateNormalizers
+from tsclab.staterep import (REPRESENTATION_KINDS, ExpandedObservation, KPlanesParams,
+                             StateNormalizers, make_observation)
 from tsclab.weights import mlp_from_arrays, save_arrays
 
 
@@ -412,7 +414,7 @@ def test_train_ppo_zero_budget_returns_untrained_bundle():
     assert result.log == []
     assert result.cycle_records == []
     assert result.bundle.algo == "ppo"
-    assert result.bundle.repr_kind == "expanded"
+    assert result.bundle.observation.kind == "expanded"
     assert result.bundle.reward_kind == "queue"
     assert result.bundle.policy.layer_sizes == (19, 64, 64, 3)
     assert result.bundle.value.layer_sizes == (19, 64, 64, 1)
@@ -439,6 +441,9 @@ class BanditEnv:
 
     obs_dim = 2
     n_actions = 3
+    # the contexts come from no simulator, so a bundle has no observation
+    observation = None
+    reward_spec = SimpleNamespace(kind="bandit")
 
     def __init__(self, seed):
         self.rng = np.random.Generator(np.random.PCG64(seed))
@@ -693,47 +698,74 @@ def test_train_dqn_deterministic():
 # -- policy bundle persistence ---------------------------------------------------
 
 
-def test_bundle_round_trip_full(tmp_path):
-    bundle = PolicyBundle(
-        algo="ppo",
-        repr_kind="kplanes",
-        reward_kind="queue",
-        policy=Mlp([68, 64, 64, 3], "tanh", seed=1),
-        value=Mlp([68, 64, 64, 1], "tanh", seed=2),
-        ae_encoder=Mlp([19, 32, 8], "relu", seed=3),
-        kplanes=KPlanesParams(seed=7),
-        norms=StateNormalizers(cycles_max=36.0),
-        seed=11,
-    )
-    path = tmp_path / "policy.bin"
+def quantized(net):
+    """``net`` with its weights rounded to the float32 a weight file keeps,
+    as every encoder loaded from a file has them."""
+    return mlp_from_arrays([a.astype(np.float32).astype(np.float64)
+                            for a in net.parameters()], net.hidden_activation)
+
+
+def reference_dqn_observation(layout, sim):
+    """The DQN observation with its scales fixed from ``layout`` when it is
+    built, as it was before it read them from the simulator."""
+    count_scale = float(layout.lane_storage_capacity)
+    speed_scale = layout.lane_storage_capacity * layout.free_flow_speed_ms
+    out = np.zeros(5 * N_LANES)
+    green = sim.green_active()
+    for lane in range(N_LANES):
+        approaching, queued, wait_s, speeds = sim.lane_observables(lane)
+        out[5 * lane:5 * lane + 5] = (
+            1.0 if (green and sim.lane_served(lane)) else 0.0,
+            approaching / count_scale, queued / count_scale, wait_s / 600.0,
+            speeds / speed_scale)
+    return out
+
+
+# differs from the default layout in both scales of the DQN observation
+ROUND_TRIP_LAYOUT = IntersectionLayout(lane_storage_capacity=30, free_flow_speed_ms=11.0)
+
+
+@pytest.mark.parametrize("kind", (*REPRESENTATION_KINDS, "dqn40"))
+def test_bundle_round_trip_every_kind(tmp_path, kind):
+    encoder = None
+    if kind.startswith("ae"):
+        encoder = quantized(Mlp([19, 32, int(kind[2:])], "relu", seed=3))
+    obs = make_observation(kind, StateNormalizers(cycles_max=36.0), ae_encoder=encoder,
+                           kplanes_params=KPlanesParams(seed=7))
+    bundle = PolicyBundle("ppo", "delay", Mlp([obs.dim, 8, 3], "tanh", seed=1),
+                          Mlp([obs.dim, 8, 1], "tanh", seed=2), obs, seed=11)
+    path = tmp_path / "policy.tscw"
     bundle.save(path)
     loaded = PolicyBundle.load(path)
-    assert (loaded.algo, loaded.repr_kind, loaded.reward_kind) == (
-        "ppo", "kplanes", "queue")
-    assert loaded.seed == 11
-    assert loaded.norms == bundle.norms
-    assert loaded.policy.layer_sizes == (68, 64, 64, 3)
-    assert loaded.policy.hidden_activation == "tanh"
-    assert loaded.value.layer_sizes == (68, 64, 64, 1)
-    assert loaded.ae_encoder.layer_sizes == (19, 32, 8)
-    assert loaded.kplanes.seed == 7
-    for a, b in zip(bundle.kplanes.planes, loaded.kplanes.planes):
-        np.testing.assert_array_equal(a, b)
+    assert (loaded.algo, loaded.reward_kind, loaded.seed) == ("ppo", "delay", 11)
+    assert (loaded.observation.kind, loaded.observation.dim) == (kind, obs.dim)
+    assert loaded.observation.norms == obs.norms
     for orig, got in zip(bundle.policy.parameters(), loaded.policy.parameters()):
         np.testing.assert_array_equal(got, orig.astype(np.float32))
-    obs = np.zeros(68)
-    assert loaded.greedy_action(obs) in (0, 1, 2)
+    again = tmp_path / "again.tscw"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+    flows = FlowProfile.uniform([600.0] * N_LANES)
+    sim = new_simulation(ROUND_TRIP_LAYOUT, PhasePlan(), flows, seed=4)
+    for point in range(8):
+        assert run_to_decision(sim, 4000)
+        want = obs.observe(sim)
+        assert loaded.observation.observe(sim).tobytes() == want.tobytes()
+        if kind == "dqn40":
+            assert want.tobytes() == reference_dqn_observation(ROUND_TRIP_LAYOUT, sim).tobytes()
+        apply_action(sim, point % 3)
 
 
 def test_bundle_round_trip_minimal(tmp_path):
-    bundle = PolicyBundle(algo="dqn", repr_kind="dqn40", reward_kind="queue",
-                          policy=Mlp([40, 16, 3], "relu", seed=0))
+    bundle = PolicyBundle("dqn", "queue", Mlp([40, 16, 3], "relu", seed=0), None,
+                          make_observation("dqn40"))
     path = tmp_path / "q.bin"
     bundle.save(path)
     loaded = PolicyBundle.load(path)
     assert loaded.value is None
-    assert loaded.ae_encoder is None
-    assert loaded.kplanes is None
+    assert loaded.observation.encoder is None
+    assert loaded.observation.params is None
     assert loaded.policy.hidden_activation == "relu"
 
 
@@ -746,9 +778,8 @@ def test_bundle_load_rejects_other_files(tmp_path):
 
 
 def small_bundle():
-    return PolicyBundle(algo="ppo", repr_kind="expanded", reward_kind="queue",
-                        policy=Mlp([19, 4, 3], "tanh", seed=0),
-                        value=Mlp([19, 4, 1], "tanh", seed=1))
+    return PolicyBundle("ppo", "queue", Mlp([19, 4, 3], "tanh", seed=0),
+                        Mlp([19, 4, 1], "tanh", seed=1), make_observation("expanded"))
 
 
 def test_bundle_load_rejects_every_truncation(tmp_path):

@@ -23,6 +23,8 @@ from tsclab.sim import (
     FlowProfile,
     IntersectionLayout,
     N_LANES,
+    N_PHASES,
+    PHASE_SERVED,
     PhasePlan,
     apply_action,
     at_decision_point,
@@ -138,8 +140,6 @@ def test_webster_controller_validation():
             DynamicWebsterController(LAYOUT, PLAN, flow_window_s=window)
     with pytest.raises(ConfigurationError):
         DynamicWebsterController(LAYOUT, PLAN, lost_time_s=0.0)
-    with pytest.raises(ConfigurationError):
-        DynamicWebsterController(LAYOUT, PLAN, default_rates_veh_h=[100.0] * 3)
 
 
 def test_webster_controller_zero_flow_log():
@@ -226,11 +226,18 @@ def test_webster_controller_deterministic():
     assert run() == run()
 
 
-def test_webster_controller_uses_default_rates_before_data():
-    ctrl = DynamicWebsterController(LAYOUT, PLAN,
-                                    default_rates_veh_h=[900.0] * N_LANES)
-    rates = ctrl._window_rates_veh_h()
-    np.testing.assert_array_equal(rates, [900.0] * N_LANES)
+def test_webster_first_recompute_reads_the_first_tick():
+    # on_tick files a tick's arrivals before that tick can recompute, so even
+    # a sub-second interval finds data in the window
+    sim = new_simulation(LAYOUT, PLAN, uniform_flows(3000.0), seed=1)
+    ctrl = DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.5)
+    step(sim)
+    ctrl.on_tick(sim)
+    [row] = ctrl.recompute_log
+    sat = LAYOUT.saturation_flow_veh_h
+    y = [max(sim.arrivals[lane] * 3600.0 / sat for lane in PHASE_SERVED[p])
+         for p in range(N_PHASES)]
+    assert row[0] == 1 and list(row[1:5]) == y and any(y)
 
 
 class RingBufferWebster(DynamicWebsterController):
@@ -246,8 +253,6 @@ class RingBufferWebster(DynamicWebsterController):
 
     def _window_rates_veh_h(self):
         filled = min(self._ticks_seen, self._ring.shape[0])
-        if filled == 0:
-            return self.default_rates_veh_h.copy()
         return self._ring_sum * (3600.0 / filled)
 
     def on_tick(self, sim):
@@ -266,7 +271,6 @@ def webster_scenarios(draw):
         flow_window_s=float(draw(st.one_of(st.integers(1, 30), st.integers(1, 1200)))),
         recompute_interval_s=draw(st.one_of(st.integers(1, 300).map(float),
                                             st.floats(0.5, 300.0))),
-        default_rates_veh_h=[draw(st.floats(0.0, 1000.0)) for _ in range(N_LANES)],
     )
     span = draw(st.floats(50.0, 1500.0))
     cut = draw(st.floats(1.0, span - 1.0))

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rate_veh_h
+from tsclab.agents.autoencoder import AeResult, save_autoencoder
 from tsclab.agents.bundle import PolicyBundle, TrainLogRow, write_training_log_csv
 from tsclab.baselines import DynamicWebsterController, FixedTimeController
-from tsclab.envs import DqnObservation
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.harness.cli import main
 from tsclab.harness.config import (
@@ -41,7 +41,6 @@ from tsclab.harness.runner import (
     RunSpec,
     SummaryRow,
     make_controller,
-    observation_for_bundle,
     run_episode,
     run_grid,
     write_correlations_csv,
@@ -59,6 +58,7 @@ from tsclab.sim import (
     PhasePlan,
     at_decision_point,
 )
+from tsclab.staterep import make_observation
 
 LAYOUT = IntersectionLayout()
 PLAN = PhasePlan()
@@ -69,8 +69,8 @@ def uniform_flows(rate):
 
 
 def tiny_bundle(seed=0):
-    return PolicyBundle(algo="ppo", repr_kind="expanded", reward_kind="queue",
-                        policy=Mlp([19, 16, 3], "tanh", seed=seed))
+    return PolicyBundle("ppo", "queue", Mlp([19, 16, 3], "tanh", seed=seed), None,
+                        make_observation("expanded"))
 
 
 # -- cycle metric ----------------------------------------------------------------
@@ -179,7 +179,7 @@ def make_test_controller(kind, layout, seed):
         return FixedTimeController()
     if kind == "webster":
         return DynamicWebsterController(layout, PLAN)
-    return PolicyController(tiny_bundle(seed % 100), layout, sample_seed=seed)
+    return PolicyController(tiny_bundle(seed % 100), sample_seed=seed)
 
 
 @st.composite
@@ -365,7 +365,7 @@ def test_policy_controller_sampled_playback_is_deterministic():
     bundle = tiny_bundle()
 
     def run():
-        controller = PolicyController(bundle, LAYOUT, sample_seed=42)
+        controller = PolicyController(bundle, sample_seed=42)
         result = run_episode(LAYOUT, PLAN, uniform_flows(300.0), controller,
                              seed=3, horizon_s=600)
         return result.records
@@ -376,20 +376,12 @@ def test_policy_controller_sampled_playback_is_deterministic():
 def test_policy_controller_greedy_differs_from_sampled():
     bundle = tiny_bundle()
     greedy = run_episode(LAYOUT, PLAN, uniform_flows(300.0),
-                         PolicyController(bundle, LAYOUT), seed=3,
+                         PolicyController(bundle), seed=3,
                          horizon_s=600).records
     sampled = run_episode(LAYOUT, PLAN, uniform_flows(300.0),
-                          PolicyController(bundle, LAYOUT, sample_seed=42),
+                          PolicyController(bundle, sample_seed=42),
                           seed=3, horizon_s=600).records
     assert greedy != sampled
-
-
-def test_observation_for_bundle_dqn40():
-    bundle = PolicyBundle(algo="dqn", repr_kind="dqn40", reward_kind="resco_wait",
-                          policy=Mlp([40, 16, 3], "relu", seed=0))
-    obs = observation_for_bundle(bundle, LAYOUT)
-    assert isinstance(obs, DqnObservation)
-    assert obs.dim == 40
 
 
 def test_make_controller_kinds_and_errors(tmp_path):
@@ -842,7 +834,7 @@ dqn.hidden_sizes = 8
     assert weights.exists()
     bundle = PolicyBundle.load(weights)
     assert bundle.algo == "dqn"
-    assert bundle.repr_kind == "dqn40"
+    assert bundle.observation.kind == "dqn40"
     capsys.readouterr()
 
 
@@ -880,6 +872,39 @@ def test_cli_compare_rejects_a_truncated_bundle(tmp_path, capsys, episodes_start
     assert main(argv) == 1
     assert "truncated weight file" in capsys.readouterr().err
     assert episodes_started == []
+
+
+def test_cli_compare_rejects_a_bundle_its_observation_cannot_feed(tmp_path, capsys,
+                                                                  episodes_started):
+    weights = tmp_path / "policy.tscw"
+    PolicyBundle("ppo", "queue", Mlp([19, 16, 3], "tanh", seed=0), None,
+                 make_observation("kplanes")).save(weights)
+    argv = _grid_argv(tmp_path, ["fixed controller=fixed",
+                                 f"ppo controller=policy weights={weights}"])
+    assert main(argv) == 1
+    assert "takes 19 inputs, but a kplanes observation has 68" in capsys.readouterr().err
+    assert episodes_started == []
+
+
+def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
+        tmp_path, capsys, monkeypatch):
+    import tsclab.envs as envs
+
+    started = []
+    real = envs.new_simulation
+
+    def counting(*args, **kwargs):
+        started.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(envs, "new_simulation", counting)
+    encoder = tmp_path / "ae8.tscw"
+    save_autoencoder(AeResult(Mlp([20, 32, 8], "relu", seed=0),
+                              Mlp([8, 32, 20], "relu", seed=1), 0.0, 0.0), encoder)
+    assert main(["train", "--repr", "ae8", "--encoder", str(encoder),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "encoder takes 20 inputs" in capsys.readouterr().err
+    assert started == []
 
 
 @pytest.mark.parametrize("lines, horizon, message", [

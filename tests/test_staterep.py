@@ -24,11 +24,11 @@ from tsclab.staterep import (
     KPLANES_DIM,
     KPlanesObservation,
     KPlanesParams,
+    LatentObservation,
     REPRESENTATION_KINDS,
     StateNormalizers,
     baseline_state,
     bilinear_sample,
-    encode,
     expanded_state,
     kplanes_transform,
     make_observation,
@@ -303,16 +303,19 @@ def test_kplanes_transform_bitwise_equals_per_plane_sampling(resolution, feature
 
 def test_encode_latent_dimension_and_determinism():
     enc = Mlp([19, 32, 16], "relu", seed=2)
-    vec = expanded_state(make_sim())
-    latent = encode(enc, vec)
+    sim = make_sim()
+    latent = LatentObservation(enc).observe(sim)
     assert latent.shape == (16,)
-    np.testing.assert_array_equal(latent, encode(enc, vec))
+    np.testing.assert_array_equal(latent, LatentObservation(enc).observe(sim))
+    assert latent.tobytes() == enc.predict(expanded_state(sim)).tobytes()
 
 
 def test_encode_rejects_dimension_mismatch():
-    enc = Mlp([19, 32, 8], "relu", seed=2)
-    with pytest.raises(ContractViolation):
-        encode(enc, np.zeros(8))
+    # checked once, when the observation is built, not at every decision
+    with pytest.raises(ConfigurationError):
+        LatentObservation(Mlp([8, 32, 8], "relu", seed=2))
+    with pytest.raises(ConfigurationError):
+        make_observation("ae8", ae_encoder=Mlp([20, 32, 8], "relu", seed=2))
 
 
 # -- observation factory ---------------------------------------------------------
@@ -320,7 +323,7 @@ def test_encode_rejects_dimension_mismatch():
 
 def test_make_observation_dims():
     sim = make_sim()
-    for kind, dim in (("baseline", 8), ("expanded", 19), ("kplanes", 68)):
+    for kind, dim in (("baseline", 8), ("expanded", 19), ("kplanes", 68), ("dqn40", 40)):
         obs = make_observation(kind)
         assert obs.kind == kind
         assert obs.dim == dim
