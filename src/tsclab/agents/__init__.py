@@ -3,7 +3,7 @@
 from .autoencoder import (AeResult, CANONICAL_LATENTS, collect_state_buffer,
                           load_autoencoder, reconstruction_mse, save_autoencoder,
                           train_autoencoder)
-from .bundle import PolicyBundle, TrainLogRow, write_training_log_csv
+from .bundle import PolicyBundle, TrainLogRow
 from .dqn import DqnConfig, DqnResult, ReplayBuffer, epsilon_at, train_dqn
 from .ppo import (MiniBatch, PpoConfig, PpoResult, RolloutBuffer, clipped_objective,
                   compute_gae, normalize_advantages, ppo_surrogate, train_ppo)
@@ -11,7 +11,7 @@ from .ppo import (MiniBatch, PpoConfig, PpoResult, RolloutBuffer, clipped_object
 __all__ = [
     "AeResult", "CANONICAL_LATENTS", "collect_state_buffer", "load_autoencoder",
     "reconstruction_mse", "save_autoencoder", "train_autoencoder",
-    "PolicyBundle", "TrainLogRow", "write_training_log_csv",
+    "PolicyBundle", "TrainLogRow",
     "DqnConfig", "DqnResult", "ReplayBuffer", "epsilon_at", "train_dqn",
     "MiniBatch", "PpoConfig", "PpoResult", "RolloutBuffer", "clipped_objective",
     "compute_gae", "normalize_advantages", "ppo_surrogate", "train_ppo",

@@ -3,22 +3,21 @@ training-log row schema."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..neural import Mlp
+from ..sim import N_ACTIONS
 from ..staterep import KPlanesParams, Observation, StateNormalizers, make_observation
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_arrays
 
 
 @dataclass
 class TrainLogRow:
-    """One aggregated line of a training run.
+    """One aggregated line of a training run; ``dataclasses.astuple`` gives
+    its cells in :data:`TRAINING_LOG_HEADER` order.
 
     For the policy-gradient trainer a row covers one rollout/update pass;
     for the DQN it covers a fixed step window and the entropy column records
@@ -35,18 +34,6 @@ class TrainLogRow:
 
 TRAINING_LOG_HEADER = ("rollout_idx", "sim_time_s", "mean_reward",
                        "mean_Q_cycle", "policy_entropy", "value_loss")
-
-
-def write_training_log_csv(path, rows: Iterable[TrainLogRow]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAINING_LOG_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.rollout_idx, r.sim_time_s, repr(r.mean_reward),
-                "" if r.mean_q_cycle is None else repr(r.mean_q_cycle),
-                repr(r.policy_entropy), repr(r.value_loss),
-            ])
 
 
 @dataclass
@@ -87,8 +74,9 @@ class PolicyBundle:
     @staticmethod
     def load(path) -> "PolicyBundle":
         """Read a bundle and rebuild its observation; a file that does not
-        parse, or whose networks do not take the observation's length,
-        raises :class:`ConfigurationError`."""
+        parse, or whose networks do not take the observation's length or do
+        not give one output per action (policy) or one value, raises
+        :class:`ConfigurationError`."""
         blob = load_arrays(path)
         fields = parse_tag(blob.tag)
         try:
@@ -122,10 +110,17 @@ class PolicyBundle:
             encoder = mlp_from_arrays(arrays[cursor:cursor + n_encoder], "relu")
         observation = make_observation(kind, norms, ae_encoder=encoder,
                                        kplanes_params=kplanes)
-        for name, net in (("policy", policy), ("value", value)):
-            if net is not None and net.layer_sizes[0] != observation.dim:
+        for name, net, n_outputs in (("policy", policy, N_ACTIONS), ("value", value, 1)):
+            if net is None:
+                continue
+            if net.layer_sizes[0] != observation.dim:
                 raise ConfigurationError(
                     f"{path}: the {name} network takes {net.layer_sizes[0]} inputs, "
                     f"but a {kind} observation has {observation.dim}"
+                )
+            if net.layer_sizes[-1] != n_outputs:
+                raise ConfigurationError(
+                    f"{path}: the {name} network has {net.layer_sizes[-1]} outputs, "
+                    f"not {n_outputs}"
                 )
         return PolicyBundle(algo, reward_kind, policy, value, observation, blob.seed)

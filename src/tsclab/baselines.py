@@ -87,6 +87,11 @@ class FixedTimeController:
         return ACTION_CONTINUE
 
 
+# the columns of one ``DynamicWebsterController.recompute_log`` row
+WEBSTER_LOG_HEADER = ("clock_s", "y1", "y2", "y3", "y4", "cycle_s",
+                      "g1", "g2", "g3", "g4", "saturated")
+
+
 class DynamicWebsterController:
     """Webster timings recomputed on a fixed interval from recent flows.
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,13 @@ from ..agents.autoencoder import (
     save_autoencoder,
     train_autoencoder,
 )
-from ..agents.bundle import PolicyBundle, write_training_log_csv
+from ..agents.bundle import TRAINING_LOG_HEADER, PolicyBundle
 from ..agents.dqn import train_dqn
 from ..agents.ppo import train_ppo
+from ..baselines import WEBSTER_LOG_HEADER
 from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
-from ..rewards import REWARD_KINDS, RewardSpec
+from ..rewards import REWARD_KINDS
 from ..staterep import (REPRESENTATION_KINDS, DqnObservation, KPlanesParams,
                         make_observation)
 from .config import (
@@ -46,17 +48,15 @@ from .config import (
     reward_from_config,
     run_from_config,
 )
-from .metrics import correlation_report, mean_std, write_cycles_csv, write_events_csv
+from .metrics import correlation_report, mean_std, write_csv, write_cycles_csv
 from .runner import (
     CONTROLLER_KINDS,
     RunSpec,
     make_controller,
     run_episode,
     run_grid,
-    write_correlations_csv,
-    write_grid_outputs,
     write_plot_scripts,
-    write_webster_log_csv,
+    write_summary_csv,
 )
 
 # the kinds a one-episode command can run without a policy bundle
@@ -88,8 +88,9 @@ def build_parser() -> _Parser:
     p = add("train", "train a PPO signal-control policy")
     p.add_argument("--repr", choices=REPRESENTATION_KINDS, default="expanded",
                    help="state representation (default: expanded)")
-    p.add_argument("--reward", choices=REWARD_KINDS, default="queue",
-                   help="reward formulation (default: queue)")
+    p.add_argument("--reward", choices=REWARD_KINDS, default=None,
+                   help="reward formulation (default: reward.kind from --config, "
+                        "else queue)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timesteps", type=int, default=None,
                    help="training budget in simulated seconds")
@@ -171,6 +172,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_training_outputs(args, result, weights_name: str) -> Path:
+    """Save a trainer's bundle, training log and training cycles; return
+    the bundle's path."""
+    out = _out_dir(args)
+    result.bundle.save(out / weights_name)
+    write_csv(out / "training_log.csv", TRAINING_LOG_HEADER, map(astuple, result.log))
+    write_cycles_csv(out / "cycles_train.csv", result.cycle_records)
+    return out / weights_name
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     run = run_from_config(cfg)
@@ -189,16 +200,13 @@ def cmd_train(args) -> int:
         return SignalControlEnv(run.layout, run.plan, run.flows, obs, reward, seed)
 
     result = train_ppo(factory, ppo_cfg, args.seed)
-    out = _out_dir(args)
-    result.bundle.save(out / "policy.tscw")
-    write_training_log_csv(out / "training_log.csv", result.log)
-    write_cycles_csv(out / "cycles_train.csv", result.cycle_records)
+    weights = _write_training_outputs(args, result, "policy.tscw")
     final_q = next((row.mean_q_cycle for row in reversed(result.log)
                     if row.mean_q_cycle is not None), None)
     q_text = "n/a" if final_q is None else f"{final_q:.2f}"
-    print(f"trained ppo repr={args.repr} reward={args.reward} seed={args.seed} "
+    print(f"trained ppo repr={args.repr} reward={reward.kind} seed={args.seed} "
           f"({len(result.log)} rollouts, final mean cycle queue {q_text})")
-    print(f"wrote {out / 'policy.tscw'}")
+    print(f"wrote {weights}")
     return 0
 
 
@@ -224,19 +232,16 @@ def cmd_dqn(args) -> int:
     cfg = _load_cfg(args)
     run = run_from_config(cfg)
     dqn_cfg = dqn_from_config(cfg, total_timesteps=args.timesteps)
-    reward = RewardSpec(kind="resco_wait")
+    reward = reward_from_config(cfg, kind="resco_wait")
 
     def factory(seed: int) -> SignalControlEnv:
         return SignalControlEnv(run.layout, run.plan, run.flows, DqnObservation(),
                                 reward, seed)
 
     result = train_dqn(factory, dqn_cfg, args.seed)
-    out = _out_dir(args)
-    result.bundle.save(out / "dqn.tscw")
-    write_training_log_csv(out / "training_log.csv", result.log)
-    write_cycles_csv(out / "cycles_train.csv", result.cycle_records)
+    weights = _write_training_outputs(args, result, "dqn.tscw")
     print(f"trained dqn seed={args.seed} ({len(result.log)} log points)")
-    print(f"wrote {out / 'dqn.tscw'}")
+    print(f"wrote {weights}")
     return 0
 
 
@@ -248,7 +253,7 @@ def cmd_baseline(args) -> int:
     out = _out_dir(args)
     write_cycles_csv(out / "cycles.csv", result.records)
     if result.webster_log:
-        write_webster_log_csv(out / "webster_log.csv", result.webster_log)
+        write_csv(out / "webster_log.csv", WEBSTER_LOG_HEADER, result.webster_log)
     print(f"{args.method} seed={args.seed} horizon={run.horizon_s}s: "
           f"mean cycle queue {result.mean_q_cycle:.2f} "
           f"over {len(result.records)} cycles")
@@ -273,7 +278,7 @@ def cmd_eval(args) -> int:
         for p, r in enumerate(report.green_vs_queue):
             corr_rows.append((seed, f"green{p + 1}_vs_phase_queue", r))
         corr_rows.append((seed, "cycle_len_vs_total_queue", report.cycle_len_vs_q))
-    write_correlations_csv(out / "correlations.csv", corr_rows)
+    write_csv(out / "correlations.csv", ("seed", "quantity", "pearson_r"), corr_rows)
     mean, std = mean_std(seed_means)
     print(f"eval {args.weights} ({bundle.algo}, repr={bundle.observation.kind}, "
           f"reward={bundle.reward_kind})")
@@ -319,7 +324,9 @@ def cmd_compare(args) -> int:
     specs = _parse_grid_file(args.grid)
     rows, results = run_grid(run, specs)
     out = _out_dir(args)
-    write_grid_outputs(out, rows, results)
+    write_summary_csv(out / "summary.csv", rows)
+    for (config_id, seed), records in sorted(results.items()):
+        write_cycles_csv(out / f"cycles_{config_id}_seed{seed}.csv", records)
     if args.plots:
         write_plot_scripts(out)
     width = max(len(r.config_id) for r in rows)
@@ -337,7 +344,7 @@ def cmd_simulate(args) -> int:
     result = run_episode(run.layout, run.plan, run.flows, controller, args.seed,
                          run.horizon_s, record_events=True, record_ticks=True)
     out = _out_dir(args)
-    write_events_csv(out / "events.csv", result.events)
+    write_csv(out / "events.csv", ("tick", "lane", "event", "vehicle_id"), result.events)
     write_cycles_csv(out / "cycles.csv", result.records)
     total_q = int(np.sum([row for row in result.tick_queues]))
     print(f"simulated {run.horizon_s}s under {args.method} control: "

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,27 +151,25 @@ def correlation_report(records: Sequence[CycleRecord]) -> CorrelationReport:
 
 # -- CSV output ---------------------------------------------------------------
 
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as one CSV table, with one rule for every
+    cell: None is an empty cell, any float (numpy's included) prints as
+    ``repr(float(v))``, and anything else as ``str(v)``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        # csv already writes None as "" and a float as its repr, but the repr
+        # of a numpy float names its type ("np.float64(0.5)")
+        writer.writerows([float(v) if isinstance(v, np.floating) else v for v in row]
+                         for row in rows)
+
+
 CYCLES_CSV_HEADER = ("cycle_index", "Q_cycle", "Q_N", "Q_E", "Q_S", "Q_W",
                      "cycle_len_s", "g1", "g2", "g3", "g4", "regime")
 
 
 def write_cycles_csv(path, records: Iterable[CycleRecord]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CYCLES_CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.cycle_index, r.q_cycle,
-                r.approach_max_queue[0], r.approach_max_queue[1],
-                r.approach_max_queue[2], r.approach_max_queue[3],
-                r.cycle_len_s,
-                r.green_s[0], r.green_s[1], r.green_s[2], r.green_s[3],
-                r.regime,
-            ])
-
-
-def write_events_csv(path, events: Iterable[tuple]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("tick", "lane", "event", "vehicle_id"))
-        writer.writerows(events)
+    write_csv(path, CYCLES_CSV_HEADER,
+              ((r.cycle_index, r.q_cycle, *r.approach_max_queue, r.cycle_len_s,
+                *r.green_s, r.regime) for r in records))

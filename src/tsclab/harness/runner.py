@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,7 @@ from ..sim import (
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..neural import softmax_sample
 from .config import RunSettings
-from .metrics import CycleRecord, CycleTracker, mean_std, write_cycles_csv
+from .metrics import CycleRecord, CycleTracker, mean_std, write_csv
 
 REGIME_ORDER = ("high", "medium", "low")
 
@@ -250,38 +249,10 @@ def write_summary_csv(path, rows) -> None:
                                   else 99, k[0], k[1]))
     header = ["config_id", "controller", "n_seeds", "mean_Q_cycle", "std_Q_cycle"]
     header += [f"p{p + 1}_mean_q_{regime or 'all'}" for regime, p in pair_keys]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            cells = [row.config_id, row.controller, row.n_seeds,
-                     repr(row.mean_q_cycle), repr(row.std_q_cycle)]
-            for key in pair_keys:
-                value = row.phase_regime_mean.get(key)
-                cells.append("" if value is None else repr(value))
-            writer.writerow(cells)
-
-
-WEBSTER_LOG_HEADER = ("clock_s", "y1", "y2", "y3", "y4", "cycle_s",
-                      "g1", "g2", "g3", "g4", "saturated")
-
-
-def write_webster_log_csv(path, log_rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEBSTER_LOG_HEADER)
-        for row in log_rows:
-            # Webster's ratios are numpy floats, whose repr is not a number
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
-def write_correlations_csv(path, rows) -> None:
-    """Rows of (seed, quantity, pearson_r); r may be None (blank cell)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("seed", "quantity", "pearson_r"))
-        for seed, quantity, r in rows:
-            writer.writerow((seed, quantity, "" if r is None else repr(r)))
+    write_csv(path, header,
+              ([row.config_id, row.controller, row.n_seeds, row.mean_q_cycle,
+                row.std_q_cycle, *(row.phase_regime_mean.get(key) for key in pair_keys)]
+               for row in rows))
 
 
 _PLOT_SUMMARY_SRC = '''\
@@ -347,12 +318,3 @@ def write_plot_scripts(out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "plot_summary.py").write_text(_PLOT_SUMMARY_SRC)
     (out / "plot_cycles.py").write_text(_PLOT_CYCLES_SRC)
-
-
-def write_grid_outputs(out_dir, rows, results) -> None:
-    """Summary plus one cycles CSV per (config, seed) cell."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(out / "summary.csv", rows)
-    for (config_id, seed), records in sorted(results.items()):
-        write_cycles_csv(out / f"cycles_{config_id}_seed{seed}.csv", records)

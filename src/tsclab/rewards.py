@@ -10,7 +10,7 @@ All are pure functions; the environment picks one per experiment via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import ConfigurationError
@@ -37,6 +37,9 @@ class RewardSpec:
             raise ConfigurationError(
                 f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}"
             )
+        for f in fields(self):
+            if f.name != "kind" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"reward.{f.name} must be finite")
         if abs(self.alpha_abs + self.alpha_red - 1.0) > 1e-12:
             raise ConfigurationError("queue reward weights must sum to 1")
         if self.queue_norm <= 0.0:

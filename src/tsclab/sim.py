@@ -339,16 +339,10 @@ class SimState:
     def cycle_elapsed_s(self) -> int:
         return self.clock - self.cycle_start_tick + 1
 
-    def queue_lengths(self) -> tuple:
-        return tuple(self.queued)
-
     def approach_queues(self) -> tuple:
         """Per-approach queue: max over the approach's two lanes."""
         q = self.queued
         return (max(q[0], q[1]), max(q[2], q[3]), max(q[4], q[5]), max(q[6], q[7]))
-
-    def total_queue(self) -> int:
-        return sum(self.queued)
 
     def lane_wait_s(self, lane: int) -> int:
         """Summed waiting time of vehicles currently queued in a lane."""

@@ -3,6 +3,7 @@ runners, CSV output, configuration parsing, and the command line."""
 
 import csv
 import hashlib
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import rate_veh_h
 from tsclab.agents.autoencoder import AeResult, save_autoencoder
-from tsclab.agents.bundle import PolicyBundle, TrainLogRow, write_training_log_csv
-from tsclab.baselines import DynamicWebsterController, FixedTimeController
+from tsclab.agents.bundle import TRAINING_LOG_HEADER, PolicyBundle, TrainLogRow
+from tsclab.baselines import (WEBSTER_LOG_HEADER, DynamicWebsterController,
+                              FixedTimeController)
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.harness.cli import main
 from tsclab.harness.config import (
@@ -33,8 +35,8 @@ from tsclab.harness.metrics import (
     cycle_queue_metric,
     mean_std,
     pearson,
+    write_csv,
     write_cycles_csv,
-    write_events_csv,
 )
 from tsclab.harness.runner import (
     PolicyController,
@@ -43,9 +45,7 @@ from tsclab.harness.runner import (
     make_controller,
     run_episode,
     run_grid,
-    write_correlations_csv,
     write_summary_csv,
-    write_webster_log_csv,
 )
 from tsclab.neural import Mlp
 from tsclab.sim import (
@@ -504,8 +504,8 @@ def test_summary_csv_layout(tmp_path):
 
 def test_correlations_csv_blank_for_undefined(tmp_path):
     path = tmp_path / "corr.csv"
-    write_correlations_csv(path, [(0, "green1_vs_phase_queue", 0.5),
-                                  (0, "cycle_len_vs_total_queue", None)])
+    write_csv(path, ("seed", "quantity", "pearson_r"),
+              [(0, "green1_vs_phase_queue", 0.5), (0, "cycle_len_vs_total_queue", None)])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "seed,quantity,pearson_r"
     assert lines[1] == "0,green1_vs_phase_queue,0.5"
@@ -516,7 +516,7 @@ def test_webster_log_csv(tmp_path):
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
     run_episode(LAYOUT, PLAN, uniform_flows(0.0), ctrl, seed=0, horizon_s=300)
     path = tmp_path / "webster.csv"
-    write_webster_log_csv(path, ctrl.recompute_log)
+    write_csv(path, WEBSTER_LOG_HEADER, ctrl.recompute_log)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["clock_s", "y1", "y2", "y3", "y4", "cycle_s",
@@ -529,7 +529,7 @@ def test_webster_log_csv_cells_are_plain_numbers(tmp_path):
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
     run_episode(LAYOUT, PLAN, uniform_flows(400.0), ctrl, seed=0, horizon_s=600)
     path = tmp_path / "webster.csv"
-    write_webster_log_csv(path, ctrl.recompute_log)
+    write_csv(path, WEBSTER_LOG_HEADER, ctrl.recompute_log)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert rows and any(float(cell) != 0.0 for row in rows for cell in row[1:5])
@@ -540,10 +540,20 @@ def test_webster_log_csv_cells_are_plain_numbers(tmp_path):
 
 def test_events_csv(tmp_path):
     path = tmp_path / "events.csv"
-    write_events_csv(path, [(4, 0, "enter", 0), (19, 0, "discharge", 0)])
+    write_csv(path, ("tick", "lane", "event", "vehicle_id"),
+              [(4, 0, "enter", 0), (19, 0, "discharge", 0)])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tick,lane,event,vehicle_id"
     assert lines[1:] == ["4,0,enter,0", "19,0,discharge,0"]
+
+
+def test_write_csv_cell_rule(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ("a", "b", "c", "d", "e", "f"),
+              [(None, 0.1, np.float64(0.1), np.float32(0.1), 3, "x"),
+               (np.int64(7), float("nan"), np.float64(2.0), 1e-20, None, "")])
+    assert path.read_text().splitlines() == [
+        "a,b,c,d,e,f", ",0.1,0.1,0.10000000149011612,3,x", "7,nan,2.0,1e-20,,"]
 
 
 def test_training_log_csv(tmp_path):
@@ -554,7 +564,7 @@ def test_training_log_csv(tmp_path):
                     mean_q_cycle=12.5, policy_entropy=1.0, value_loss=0.25),
     ]
     path = tmp_path / "log.csv"
-    write_training_log_csv(path, rows)
+    write_csv(path, TRAINING_LOG_HEADER, map(astuple, rows))
     with path.open(newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert parsed[0]["mean_Q_cycle"] == ""
@@ -729,6 +739,88 @@ def test_cli_simulate_record_events_golden(tmp_path, capsys, scenario):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of every file that tiny runs of the CSV-writing commands write.  A
+# header, a column order or a cell's formatting (blank for None, a float as
+# its repr) that changes shows here; the eval at 500 s completes under 10
+# cycles, so its correlations are all blank cells.
+_TINY_TRAINING_CFG = """\
+ppo.n_steps = 20
+ppo.batch_size = 10
+ppo.total_timesteps = 300
+ppo.hidden_sizes = 16
+dqn.total_timesteps = 200
+dqn.batch_size = 8
+dqn.replay_capacity = 64
+dqn.epsilon_decay_steps = 50
+dqn.log_interval_steps = 10
+dqn.hidden_sizes = 8
+"""
+_CLI_OUTPUT_DIGESTS = {
+    "baseline/cycles.csv":
+        "1ae6234f2440f3c291391bb43d5545a498fd628009b2c8ea55948dd4ef04787f",
+    "baseline/webster_log.csv":
+        "a074a9cec97fb28541e33e0009869ca7bc6a792bf1b1b59ffded38b18c75240b",
+    "compare/cycles_fixed_seed0.csv":
+        "6fea1625480e9cb722d8d663c4f91e695dec2245060e3044c30b66370e71a908",
+    "compare/cycles_fixed_seed1.csv":
+        "98c88d1e0dda171c839e15c8dea97160c3d6661a0f8728fc2ed90c4b307c4946",
+    "compare/cycles_ppo_seed0.csv":
+        "8e1580a00c7e2f232f54df13b233cb76e6215ccef8a2326201e8cf76d670d7a0",
+    "compare/cycles_ppo_seed1.csv":
+        "01a25b8cc5abaa8c59acd2ecbda7b598fdf20a6cba71704a58a92eff052ddbf4",
+    "compare/cycles_webster_seed0.csv":
+        "deff7a46576c90e41830887d8e9846360380e9b3cecb585cf9b384d0b71cdc41",
+    "compare/cycles_webster_seed1.csv":
+        "47c1f93a79616ef2baf60046e96e51e656cda3f9cc3a9b89aab9a9cf327972f5",
+    "compare/summary.csv":
+        "3fa92f95f550718b006b4f799ec4545ca72c8297cb357b33c6292b4762d96322",
+    "dqn/cycles_train.csv":
+        "003b079bc21b36ce417cdc678c6e443cedc449091114a2a46d3e53f7136b39e5",
+    "dqn/dqn.tscw":
+        "88e970ddf797ceb9639cccb3b74a04e136125b393cf478d10425a98c63182e63",
+    "dqn/training_log.csv":
+        "1f35be7551e465c642caa548d811feaeae9508dad24ba35cef4d870379f18f0b",
+    "eval/correlations.csv":
+        "e1efb22626a277bfbea821084f689507b30dfbd1dfc603ed1f210d24bde36c4b",
+    "eval/cycles_seed0.csv":
+        "2fd3a01e0f8d31ecdf4b528711bc7ee8ad9a5d5bfec82a4ce8d3da18b3d335c6",
+    "eval/cycles_seed1.csv":
+        "9a932a2342ceb9d24d43dc076585684e6656a1e9b94f0f9e8005eb4750d8b8a1",
+    "eval_short/correlations.csv":
+        "1bd61c0f8d95b8392d13f4d90771afb2290d1cbb8747207aced4a3c338bc1360",
+    "eval_short/cycles_seed0.csv":
+        "3da39e3df4a44a67e59c010dd0930c4251c0de63856723709b63a12c03d1220b",
+    "train/cycles_train.csv":
+        "879e9a7bbc20da68c6ff83645ce708d8d941bc04b1d6217317d5081462ab17df",
+    "train/policy.tscw":
+        "6a9373216d2c691ac617c7c9a67b753a021fbcde9d0711dec9e34934183a7ed7",
+    "train/training_log.csv":
+        "5597a8a2f90d53c2a2ac223c0fe2fbbb2c450348ce25df4aefa66cd162f5db9e",
+}
+
+
+def test_cli_outputs_golden(tmp_path, capsys):
+    cfg = str(write_cfg(tmp_path, _TINY_TRAINING_CFG))
+    weights = str(tmp_path / "train" / "policy.tscw")
+    grid = write_cfg(tmp_path, "fixed controller=fixed\nwebster controller=webster\n"
+                               f"ppo controller=policy weights={weights}\n", "grid.txt")
+    runs = {
+        "baseline": ["baseline", "--method", "webster", "--horizon", "1800"],
+        "train": ["train", "--config", cfg, "--reward", "delay"],
+        "dqn": ["dqn", "--config", cfg],
+        "eval": ["eval", "--weights", weights, "--seeds", "0,1", "--horizon", "2400"],
+        "eval_short": ["eval", "--weights", weights, "--seeds", "0", "--horizon", "500"],
+        "compare": ["compare", "--grid", str(grid), "--horizon", "400", "--seeds", "0,1"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    capsys.readouterr()
+    digests = {f"{path.parent.name}/{path.name}":
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("*/*"))}
+    assert digests == _CLI_OUTPUT_DIGESTS
+
+
 def test_cli_baseline_webster(tmp_path, capsys):
     out = tmp_path / "base"
     assert main(["baseline", "--method", "webster", "--horizon", "600",
@@ -838,6 +930,29 @@ dqn.hidden_sizes = 8
     capsys.readouterr()
 
 
+def test_cli_train_takes_the_reward_kind_from_config(tmp_path, capsys):
+    cfg = str(write_cfg(tmp_path, _TINY_TRAINING_CFG + "reward.kind = delay\n"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "file")]) == 0
+    assert main(["train", "--config", cfg, "--reward", "pressure",
+                 "--out", str(tmp_path / "flag")]) == 0
+    assert PolicyBundle.load(tmp_path / "file" / "policy.tscw").reward_kind == "delay"
+    assert PolicyBundle.load(tmp_path / "flag" / "policy.tscw").reward_kind == "pressure"
+    assert "reward=delay" in capsys.readouterr().out
+
+
+def test_cli_dqn_takes_the_reward_constants_from_config(tmp_path, capsys):
+    def mean_rewards(name, extra):
+        cfg = str(write_cfg(tmp_path, _TINY_TRAINING_CFG + extra, f"{name}.cfg"))
+        assert main(["dqn", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        with (tmp_path / name / "training_log.csv").open(newline="") as fh:
+            return [float(row["mean_reward"]) for row in csv.DictReader(fh)]
+
+    default = mean_rewards("default", "")
+    scaled = mean_rewards("scaled", "reward.resco_scale = 10\n")
+    assert scaled != default
+    capsys.readouterr()
+
+
 @pytest.fixture
 def episodes_started(monkeypatch):
     """Counts the episodes the runner starts (every episode makes one
@@ -883,6 +998,21 @@ def test_cli_compare_rejects_a_bundle_its_observation_cannot_feed(tmp_path, caps
                                  f"ppo controller=policy weights={weights}"])
     assert main(argv) == 1
     assert "takes 19 inputs, but a kplanes observation has 68" in capsys.readouterr().err
+    assert episodes_started == []
+
+
+@pytest.mark.parametrize("net", ["policy", "value"])
+def test_cli_compare_rejects_a_bundle_with_the_wrong_outputs(tmp_path, capsys,
+                                                             episodes_started, net):
+    weights = tmp_path / "policy.tscw"
+    policy = Mlp([19, 16, 5 if net == "policy" else 3], "tanh", seed=0)
+    value = Mlp([19, 16, 2 if net == "value" else 1], "tanh", seed=1)
+    PolicyBundle("ppo", "queue", policy, value, make_observation("expanded")).save(weights)
+    argv = _grid_argv(tmp_path, ["fixed controller=fixed",
+                                 f"ppo controller=policy weights={weights}"])
+    assert main(argv) == 1
+    outputs = 5 if net == "policy" else 2
+    assert f"the {net} network has {outputs} outputs" in capsys.readouterr().err
     assert episodes_started == []
 
 
@@ -975,5 +1105,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         cfg = write_cfg(tmp_path, f"dqn.learning_rate = {bad}\n")
         assert main(["dqn", "--config", str(cfg), "--timesteps", "0",
                      "--out", str(tmp_path / "x")]) == 1
+    for key in ("reward.queue_norm", "reward.alpha_abs", "reward.clip_max"):
+        cfg = write_cfg(tmp_path, f"{key} = nan\n")
+        assert main(["train", "--config", str(cfg), "--timesteps", "0",
+                     "--out", str(tmp_path / "x")]) == 1
+    cfg = write_cfg(tmp_path, "reward.resco_scale = inf\n")
+    assert main(["dqn", "--config", str(cfg), "--timesteps", "0",
+                 "--out", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "ae.tscw").exists()
     capsys.readouterr()

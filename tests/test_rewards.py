@@ -108,6 +108,12 @@ def test_reward_spec_validation():
         RewardSpec(clip_min=4.0, clip_max=-4.0)
     with pytest.raises(ConfigurationError):
         RewardSpec(resco_scale=-1.0)
+    # every ordering check passes on NaN, so each constant is checked finite first
+    for name in ("alpha_abs", "alpha_red", "queue_norm", "resco_scale", "clip_min",
+                 "clip_max"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match=f"reward.{name} must be finite"):
+                RewardSpec(**{name: bad})
     assert set(REWARD_KINDS) == {"queue", "delay", "pressure", "speed",
                                  "resco_wait"}
 

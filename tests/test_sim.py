@@ -74,8 +74,7 @@ def test_new_simulation_starts_empty():
     assert sim.current_phase == 0
     assert sim.phase_elapsed_s == 0
     assert not sim.in_yellow
-    assert sim.total_queue() == 0
-    assert sim.queue_lengths() == (0,) * N_LANES
+    assert tuple(sim.queued) == (0,) * N_LANES
     assert not sim.transit
     assert sim.completed_cycles == []
 
@@ -148,7 +147,7 @@ def test_queue_of_five_clears_in_twelve_green_seconds():
     trace = []
     for _ in range(12):
         step(sim)
-        trace.append(sim.queue_lengths()[0])
+        trace.append(sim.queued[0])
     assert trace == [5, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0]
 
 
@@ -213,7 +212,7 @@ def test_pass_through_on_green_with_empty_queue():
     step(sim)
     assert lane_events(sim, 0) == [(sim.clock, "pass", vid)]  # never queued
     assert sim.discharges[0] == 1
-    assert sim.queue_lengths()[0] == 0
+    assert sim.queued[0] == 0
 
 
 def test_unserved_arrival_joins_queue():
@@ -225,7 +224,7 @@ def test_unserved_arrival_joins_queue():
     step(sim)
     assert lane_events(sim, lane) == [(sim.clock, "join", vid)]
     assert sim.discharges[lane] == 0
-    assert sim.queue_lengths()[lane] == 1
+    assert sim.queued[lane] == 1
     assert sim.lane_wait_s(lane) == 0  # joined this tick
 
 
@@ -234,7 +233,7 @@ def test_arrival_before_startup_queues_then_discharges():
     (vid,) = force_transit(sim, 0, 1, stopline_tick=1)
     step(sim)  # phase_elapsed 0 < startup: must queue even though served
     assert lane_events(sim, 0) == [(1, "join", vid)]
-    assert sim.queue_lengths()[0] == 1
+    assert sim.queued[0] == 1
     discharged = 0
     for _ in range(3):
         discharged += step(sim).discharges[0]
@@ -252,7 +251,7 @@ def test_approach_queues_take_lane_maximum():
     for lane, count in enumerate((4, 4, 0, 2, 9, 1, 5, 5)):
         force_queue(sim, lane, count)
     assert sim.approach_queues() == (4, 2, 9, 5)
-    assert sim.total_queue() == 30
+    assert sum(sim.queued) == 30
 
 
 def test_approach_queues_empty():
@@ -438,7 +437,7 @@ def test_determinism_with_identical_action_sequence():
         for _ in range(500):
             if at_decision_point(sim):
                 apply_action(sim, int(rng.integers(0, 3)))
-            rows.append(step(sim).queue_lengths())
+            rows.append(tuple(step(sim).queued))
         return rows, sim.events
 
     rows_a, events_a = run()
@@ -458,13 +457,6 @@ def test_unserved_lane_queue_is_non_decreasing():
         q = step(sim).queued[lane_index("E0")]
         assert q >= prev
         prev = q
-
-
-def test_total_queue_sums_lane_queues():
-    sim = make_sim(seed=4, rates=[400.0] * N_LANES)
-    for _ in range(60):
-        step(sim)
-        assert sim.total_queue() == sum(sim.queue_lengths())
 
 
 # -- flow profiles -------------------------------------------------------------
@@ -649,7 +641,7 @@ def test_counter_lanes_match_per_vehicle_model(scenario):
                                         green_flowing, sim.in_yellow != was_yellow)
         assert tuple(sim.arrivals) == arrivals
         assert tuple(sim.discharges) == discharges
-        assert sim.queue_lengths() == tuple(len(q) for q in ref.queue)
+        assert tuple(sim.queued) == tuple(len(q) for q in ref.queue)
         for i in range(N_LANES):
             entered[i] += arrivals[i]
             waits = sum(sim.clock - join for join, _vid in ref.queue[i])
