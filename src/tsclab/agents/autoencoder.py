@@ -42,8 +42,10 @@ class AeResult:
 def reconstruction_mse(encoder: Mlp, decoder: Mlp, states: np.ndarray) -> float:
     """Mean squared reconstruction norm over a buffer."""
     x = np.asarray(states, dtype=np.float64)
-    err = decoder.predict(encoder.predict(x)) - x
-    return float(np.mean(np.sum(err * err, axis=1)))
+    err = decoder.predict(encoder.predict(x))
+    err -= x
+    err *= err
+    return float(np.mean(np.sum(err, axis=1)))
 
 
 def check_training_settings(k: int, epochs: int, lr: float) -> None:
@@ -88,9 +90,9 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
             z = encoder.forward(batch)
             recon = decoder.forward(z)
             err = recon - batch
-            dec_grads, dz = decoder.backward((2.0 / b) * err)
-            enc_grads, _ = encoder.backward(dz)
-            opt.step([encoder.flat_gradient(enc_grads), decoder.flat_gradient(dec_grads)])
+            dec_gradient, dz = decoder.backward((2.0 / b) * err)
+            enc_gradient, _ = encoder.backward(dz)
+            opt.step([enc_gradient, dec_gradient])
     final_mse = reconstruction_mse(encoder, decoder, x) if epochs else initial_mse
     return AeResult(encoder=encoder, decoder=decoder,
                     initial_mse=initial_mse, final_mse=final_mse)

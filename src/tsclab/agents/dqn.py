@@ -142,8 +142,8 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
                 raise DivergenceError(f"Q-learning loss diverged at step {step_count}")
             upstream = np.zeros_like(q_values)
             upstream[rows, b_act] = (2.0 / cfg.batch_size) * err
-            grads, _ = q_net.backward(upstream)
-            opt.step([q_net.flat_gradient(grads)])
+            gradient, _ = q_net.backward(upstream)
+            opt.step([gradient])
             window_losses.append(loss)
 
         step_count += 1

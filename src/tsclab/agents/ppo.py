@@ -154,8 +154,8 @@ class SurrogateResult:
     policy_loss: float
     value_loss: float
     entropy: float
-    policy_grads: list
-    value_grads: list
+    policy_grads: np.ndarray  # laid out like policy.flat
+    value_grads: np.ndarray  # laid out like value_net.flat
     mean_ratio_dev: float
     clip_fraction: float
 
@@ -278,8 +278,8 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
                         f"policy ratios diverged at rollout {rollout_idx} "
                         f"(mean |ratio-1| = {res.mean_ratio_dev:.3g})"
                     )
-                opt_policy.step([policy.flat_gradient(res.policy_grads)])
-                opt_value.step([value_net.flat_gradient(res.value_grads)])
+                opt_policy.step([res.policy_grads])
+                opt_value.step([res.value_grads])
                 entropy_sum += res.entropy
                 value_loss_sum += res.value_loss
                 n_updates += 1

@@ -109,7 +109,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="output weights file (default: ae<latent>.tscw)")
 
-    p = add("dqn", "train the value-based reference agent")
+    p = add("dqn", "train the value-based reference agent (reward: resco_wait "
+                   "only; any other reward.kind is rejected)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timesteps", type=int, default=None)
     p.add_argument("--out", default="runs/dqn", metavar="DIR")
@@ -230,6 +231,10 @@ def cmd_pretrain_ae(args) -> int:
 
 def cmd_dqn(args) -> int:
     cfg = _load_cfg(args)
+    kind = cfg.get("reward.kind", "resco_wait")
+    if kind != "resco_wait":
+        raise ConfigurationError(f"dqn trains on the resco_wait reward only, "
+                                 f"got reward.kind = {kind}")
     run = run_from_config(cfg)
     dqn_cfg = dqn_from_config(cfg, total_timesteps=args.timesteps)
     reward = reward_from_config(cfg, kind="resco_wait")

@@ -19,10 +19,6 @@ from .errors import ContractViolation
 
 ACTIVATIONS = ("tanh", "relu")
 
-# gradients are a list of (dW, db) pairs, one per layer, shapes mirroring
-# the parameters
-Gradients = list
-
 
 class Mlp:
     """Fully connected network; hidden activations share one nonlinearity,
@@ -43,9 +39,9 @@ class Mlp:
         shapes = [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
                   for shape in ((fan_out, fan_in), (fan_out,))]
         ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        self._layout = list(zip([0, *ends[:-1]], ends, shapes))
         self.flat = np.zeros(ends[-1], dtype=np.float64)
-        views = [part.reshape(shape)
-                 for part, shape in zip(np.split(self.flat, ends[:-1]), shapes)]
+        views = self._views(self.flat)
         self.weights: list[np.ndarray] = views[0::2]
         self.biases: list[np.ndarray] = views[1::2]
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -57,10 +53,10 @@ class Mlp:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _activate(self, z: np.ndarray) -> np.ndarray:
+    def _activate(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.hidden_activation == "tanh":
-            return np.tanh(z)
-        return np.maximum(z, 0.0)
+            return np.tanh(z, out=out)
+        return np.maximum(z, 0.0, out=out)
 
     def _activate_grad(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         if self.hidden_activation == "tanh":
@@ -86,7 +82,8 @@ class Mlp:
         a = arr
         last = len(self.weights) - 1
         for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
+            z = a @ w.T
+            z += b
             pre.append(z)
             a = z if idx == last else self._activate(z)
             activations.append(a)
@@ -96,20 +93,25 @@ class Mlp:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Run the network without touching the tape (safe for concurrent
         read-only inference on a frozen net).  A 1-D input runs as given,
-        with the same values as the row of a one-row batch."""
+        with the same values as the row of a one-row batch.  Each layer's
+        product is the only array that layer allocates: the bias and the
+        activation are applied to it in place, and the input is never
+        written."""
         a = self._check_input(x)
         last = len(self.weights) - 1
         for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = z if idx == last else self._activate(z)
+            z = a @ w.T
+            z += b
+            a = z if idx == last else self._activate(z, out=z)
         return a
 
-    def backward(self, upstream: np.ndarray) -> tuple[Gradients, np.ndarray]:
+    def backward(self, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact reverse-mode gradients from the last :meth:`forward` call.
 
         ``upstream`` is d(loss)/d(output) with the same shape the forward
-        pass returned.  Returns per-layer (dW, db) pairs, summed over the
-        batch, plus d(loss)/d(input).
+        pass returned.  Returns the parameter gradient, summed over the
+        batch, as one fresh vector laid out like :attr:`flat`, plus
+        d(loss)/d(input).
         """
         if self._tape is None:
             raise ContractViolation("backward called before forward")
@@ -123,23 +125,25 @@ class Mlp:
                 f"upstream shape {np.shape(upstream)} does not match output "
                 f"shape {activations[-1].shape}"
             )
-        grads: Gradients = [None] * len(self.weights)
+        gradient = np.empty_like(self.flat)
+        views = self._views(gradient)
         for layer in range(len(self.weights) - 1, -1, -1):
-            a_in = activations[layer]
-            grads[layer] = (delta.T @ a_in, delta.sum(axis=0))
+            np.matmul(delta.T, activations[layer], out=views[2 * layer])
+            delta.sum(axis=0, out=views[2 * layer + 1])
             delta = delta @ self.weights[layer]
             if layer > 0:
-                delta = delta * self._activate_grad(pre[layer - 1], activations[layer])
-        return grads, (delta[0] if squeeze else delta)
+                # delta is the fresh product above, never the caller's upstream
+                delta *= self._activate_grad(pre[layer - 1], activations[layer])
+        return gradient, (delta[0] if squeeze else delta)
 
     # -- parameter plumbing ---------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def flat_gradient(self, grads: Gradients) -> np.ndarray:
-        """Per-layer (dW, db) pairs as one vector laid out like :attr:`flat`."""
-        return np.concatenate([g for pair in grads for g in pair], axis=None)
+    def _views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like :attr:`flat`, in parameters() order."""
+        return [vector[start:end].reshape(shape) for start, end, shape in self._layout]
 
     def copy(self) -> "Mlp":
         clone = Mlp(self.layer_sizes, self.hidden_activation, self.seed)

@@ -217,7 +217,7 @@ def test_surrogate_gradients_match_finite_differences():
         entropy = -np.sum(probs * logp_all, axis=1)
         return -float(objective.mean()) - ent_coef * float(entropy.mean())
 
-    analytic = policy.flat_gradient(res.policy_grads)
+    analytic = res.policy_grads
     numeric = _fd_gradient(policy_part, policy.flat)
     assert _rel_err(analytic, numeric) < 1e-4
 
@@ -227,7 +227,7 @@ def test_surrogate_gradients_match_finite_differences():
         err = net.predict(batch.obs)[:, 0] - batch.returns
         return val_coef * float(np.mean(err * err))
 
-    analytic_v = value_net.flat_gradient(res.value_grads)
+    analytic_v = res.value_grads
     numeric_v = _fd_gradient(value_part, value_net.flat)
     assert _rel_err(analytic_v, numeric_v) < 1e-4
 
@@ -521,9 +521,9 @@ def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=1
         for start in range(0, n, batch_size):
             batch = x[order[start:start + batch_size]]
             err = decoder.forward(encoder.forward(batch)) - batch
-            dec_grads, dz = decoder.backward((2.0 / batch.shape[0]) * err)
-            enc_grads, _ = encoder.backward(dz)
-            opt.step([encoder.flat_gradient(enc_grads), decoder.flat_gradient(dec_grads)])
+            dec_gradient, dz = decoder.backward((2.0 / batch.shape[0]) * err)
+            enc_gradient, _ = encoder.backward(dz)
+            opt.step([enc_gradient, dec_gradient])
         history.append(reconstruction_mse(encoder, decoder, x))
     return encoder, decoder, history
 

@@ -3,6 +3,9 @@ runners, CSV output, configuration parsing, and the command line."""
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import astuple
 from pathlib import Path
 
@@ -951,6 +954,45 @@ def test_cli_dqn_takes_the_reward_constants_from_config(tmp_path, capsys):
     scaled = mean_rewards("scaled", "reward.resco_scale = 10\n")
     assert scaled != default
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, code", [("delay", 1), ("queue", 1), ("resco_wait", 0)])
+def test_cli_dqn_accepts_only_the_resco_wait_reward(tmp_path, capsys, monkeypatch,
+                                                      kind, code):
+    import tsclab.envs as envs
+
+    started = []
+    real = envs.new_simulation
+
+    def counting(*args, **kwargs):
+        started.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(envs, "new_simulation", counting)
+    cfg = str(write_cfg(tmp_path, _TINY_TRAINING_CFG + f"reward.kind = {kind}\n"))
+    out = tmp_path / "dqn"
+    assert main(["dqn", "--config", cfg, "--out", str(out)]) == code
+    if code:
+        assert "resco_wait" in capsys.readouterr().err
+        assert started == []
+        assert not out.exists()
+    else:
+        assert PolicyBundle.load(out / "dqn.tscw").reward_kind == "resco_wait"
+        capsys.readouterr()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a grid run with more than one worker needs concurrent.futures.process
+    import tsclab
+
+    src = str(Path(tsclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, tsclab.harness.cli\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.fixture

@@ -1,17 +1,27 @@
-"""Network engine tests: forward/backward correctness against hand math and
-finite differences, softmax behavior, and the optimizer."""
+"""Network engine tests: forward/backward correctness against hand math,
+finite differences and a plain reference, allocation budgets, softmax
+behavior, and the optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsclab.agents.autoencoder import reconstruction_mse
 from tsclab.errors import ContractViolation
 from tsclab.neural import (ACTIVATIONS, Adam, Mlp, adam_step, log_softmax, softmax,
                            softmax_sample)
 from tsclab.weights import mlp_from_arrays
+
+
+def layer_gradients(net, gradient):
+    """Per-layer (dW, db) views of a gradient laid out like ``net.flat``."""
+    holder = net.copy()
+    holder.flat[...] = gradient
+    return list(zip(holder.weights, holder.biases))
 
 
 def zero_net(sizes, activation="tanh"):
@@ -77,8 +87,8 @@ def test_backward_linear_layer_outer_product():
     x = np.array([1.0, -2.0, 0.5])
     net.forward(x)
     upstream = np.array([0.7, -0.3])
-    grads, dx = net.backward(upstream)
-    dW, db = grads[0]
+    gradient, dx = net.backward(upstream)
+    dW, db = layer_gradients(net, gradient)[0]
     np.testing.assert_allclose(dW, np.outer(upstream, x), atol=1e-15)
     np.testing.assert_allclose(db, upstream, atol=1e-15)
     np.testing.assert_allclose(dx, upstream @ net.weights[0], atol=1e-15)
@@ -93,8 +103,8 @@ def test_backward_before_forward_rejected():
 def test_backward_zero_upstream_gives_zero_gradients():
     net = Mlp([4, 6, 2], seed=1)
     net.forward(np.ones(4))
-    grads, dx = net.backward(np.zeros(2))
-    for dW, db in grads:
+    gradient, dx = net.backward(np.zeros(2))
+    for dW, db in layer_gradients(net, gradient):
         assert not dW.any()
         assert not db.any()
     assert not dx.any()
@@ -129,8 +139,7 @@ def finite_difference_check(net, x, upstream, h=1e-5, kink_margin=1e-3):
                 break
             x = x + rng.normal(scale=0.05, size=x.shape)
     net.forward(x)
-    grads, _ = net.backward(upstream)
-    analytic = np.concatenate([g.ravel() for pair in grads for g in pair])
+    analytic, _ = net.backward(upstream)
     flat = net.flat.copy()
     numeric = np.empty_like(analytic)
     for i in range(flat.size):
@@ -294,8 +303,8 @@ def test_adam_lr_zero_leaves_params_bit_identical():
     before = net.flat.copy()
     opt = Adam([net.flat], lr=0.0)
     net.forward(np.ones(4))
-    grads, _ = net.backward(np.ones(2))
-    opt.step([net.flat_gradient(grads)])
+    gradient, _ = net.backward(np.ones(2))
+    opt.step([gradient])
     np.testing.assert_array_equal(net.flat, before)
 
 
@@ -332,8 +341,6 @@ def test_parameters_are_views_into_flat(sizes, activation, seed):
     params = net.parameters()
     assert all(np.shares_memory(p, net.flat) for p in params)
     np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
-    np.testing.assert_array_equal(net.flat_gradient(list(zip(net.weights, net.biases))),
-                                  net.flat)
     # the same per-layer uniform draws as separately allocated arrays get
     rng = np.random.Generator(np.random.PCG64(seed))
     for w, b, fan_in, fan_out in zip(net.weights, net.biases, sizes[:-1], sizes[1:]):
@@ -359,7 +366,7 @@ def test_adam_on_flat_matches_per_array_steps(sizes, activation, seed):
         for _ in range(50):
             grads = [(scale * rng.standard_normal(w.shape), scale * rng.standard_normal(b.shape))
                      for w, b in zip(net.weights, net.biases)]
-            flat_opt.step([net.flat_gradient(grads)])
+            flat_opt.step([np.concatenate([g for pair in grads for g in pair], axis=None)])
             array_opt.step([g for pair in grads for g in pair])
         assert net.flat.tobytes() == twin.flat.tobytes()
 
@@ -378,3 +385,98 @@ def test_single_row_predict_equals_one_row_batch(sizes, activation, seed, scale)
     net = Mlp(sizes, activation, seed=seed)
     x = scale * np.random.Generator(np.random.PCG64(seed)).standard_normal(sizes[0])
     assert net.predict(x).tobytes() == net.forward(x[None])[0].tobytes()
+
+
+def _reference_pass(net, x, upstream):
+    """Forward and backward written plainly, as before any step wrote in
+    place: a fresh array for every product, bias sum, activation and
+    per-layer ``delta.T @ a_in`` and ``delta.sum(axis=0)``.  Returns (output,
+    gradient in parameters() order, d_input)."""
+    squeeze = x.ndim == 1
+    a = x[None, :] if squeeze else x
+    activations, pre = [a], []
+    last = len(net.weights) - 1
+    for idx, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w.T + b
+        pre.append(z)
+        if idx < last:
+            a = np.tanh(z) if net.hidden_activation == "tanh" else np.maximum(z, 0.0)
+        else:
+            a = z
+        activations.append(a)
+    delta = upstream[None, :] if squeeze else upstream
+    grads = [None] * len(net.weights)
+    for layer in range(last, -1, -1):
+        grads[layer] = (delta.T @ activations[layer], delta.sum(axis=0))
+        delta = delta @ net.weights[layer]
+        if layer > 0:
+            if net.hidden_activation == "tanh":
+                slope = 1.0 - activations[layer] * activations[layer]
+            else:
+                slope = (pre[layer - 1] > 0.0).astype(np.float64)
+            delta = delta * slope
+    gradient = np.concatenate([g.ravel() for pair in grads for g in pair])
+    if squeeze:
+        return a[0], gradient, delta[0]
+    return a, gradient, delta
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=layer_sizes, activation=st.sampled_from(ACTIVATIONS),
+       seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 6),
+       scale=st.sampled_from((1e-3, 1.0, 30.0)))
+def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, seed,
+                                                           rows, scale):
+    # rows = 0 stands for a single 1-D input
+    net = Mlp(sizes, activation, seed=seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shape = (rows,) if rows else ()
+    x = scale * rng.standard_normal((*shape, sizes[0]))
+    upstream = rng.standard_normal((*shape, sizes[-1]))
+    x_before, upstream_before = x.tobytes(), upstream.tobytes()
+    ref_out, ref_gradient, ref_dx = _reference_pass(net, x, upstream)
+
+    out = net.predict(x)
+    assert x.tobytes() == x_before
+    assert out.tobytes() == ref_out.tobytes()
+    assert net.forward(x).tobytes() == out.tobytes()
+    gradient, dx = net.backward(upstream)
+    assert upstream.tobytes() == upstream_before
+    assert gradient.shape == net.flat.shape
+    assert not np.shares_memory(gradient, net.flat)
+    assert gradient.tobytes() == ref_gradient.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+
+
+# -- allocation budgets ------------------------------------------------------------
+
+
+def _peak_traced_bytes(fn, *args):
+    """Peak bytes allocated while ``fn(*args)`` runs; numpy reports its
+    buffers to tracemalloc, so the peak covers every array made."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sizes", [[19, 64, 64, 3], [8, 32, 19], [5, 100, 7, 100, 2]])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_predict_holds_at_most_two_layers_and_the_output(sizes, activation):
+    n = 20_000
+    net = Mlp(sizes, activation, seed=0)
+    x = np.random.Generator(np.random.PCG64(1)).standard_normal((n, sizes[0]))
+    widths = sizes[1:]
+    widest_pair = max(a + b for a, b in zip(widths[:-1], widths[1:]))
+    assert _peak_traced_bytes(net.predict, x) <= 8 * n * (widest_pair + widths[-1])
+
+
+def test_reconstruction_mse_allocation_budget():
+    # a pass that allocated a product, a bias sum and an activation per layer
+    # and squared the error into a copy peaked at 8.46 MiB on this buffer
+    states = np.random.Generator(np.random.PCG64(2)).uniform(size=(10_000, 19))
+    encoder = Mlp([19, 32, 8], "relu", seed=1)
+    decoder = Mlp([8, 32, 19], "relu", seed=2)
+    assert _peak_traced_bytes(reconstruction_mse, encoder, decoder, states) <= 5 * 2**20
