@@ -5,10 +5,10 @@ Subcommands::
     tsclab train        train a PPO policy and save the bundle
     tsclab pretrain-ae  train a state autoencoder for latent representations
     tsclab dqn          train the value-based reference agent
-    tsclab baseline     run a fixed-time or adaptive-Webster episode
-    tsclab eval         play a saved policy over several seeds
-    tsclab compare      run a controller grid and aggregate the metric
-    tsclab simulate     run one episode and dump per-vehicle events
+    tsclab baseline     run one fixed-time or adaptive-Webster episode
+                        (--record-events also dumps per-vehicle events)
+    tsclab compare      play a controller grid over seeds: summary,
+                        per-cycle records and correlations per column
 
 Every subcommand accepts ``--config FILE``; explicit flags override file
 values.  Exit codes: 0 success, 1 usage or configuration error, 2 runtime
@@ -22,8 +22,6 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
-import numpy as np
-
 from ..agents.autoencoder import (
     check_training_settings,
     collect_state_buffer,
@@ -31,7 +29,7 @@ from ..agents.autoencoder import (
     save_autoencoder,
     train_autoencoder,
 )
-from ..agents.bundle import TRAINING_LOG_HEADER, PolicyBundle
+from ..agents.bundle import TRAINING_LOG_HEADER
 from ..agents.dqn import train_dqn
 from ..agents.ppo import train_ppo
 from ..baselines import WEBSTER_LOG_HEADER
@@ -48,7 +46,7 @@ from .config import (
     reward_from_config,
     run_from_config,
 )
-from .metrics import correlation_report, mean_std, write_csv, write_cycles_csv
+from .metrics import correlation_report, write_csv, write_cycles_csv
 from .runner import (
     CONTROLLER_KINDS,
     RunSpec,
@@ -120,33 +118,22 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=int, default=None,
                    help="episode length in simulated seconds")
+    p.add_argument("--record-events", action="store_true",
+                   help="also write every vehicle event to events.csv")
     p.add_argument("--out", default="runs/baseline", metavar="DIR")
-
-    p = add("eval", "evaluate a saved policy across seeds")
-    p.add_argument("--weights", required=True, metavar="FILE")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--seeds", default=None, metavar="S1,S2,...",
-                   help="comma separated evaluation seeds")
-    p.add_argument("--greedy", action="store_true",
-                   help="argmax playback instead of sampling the policy distribution")
-    p.add_argument("--out", default="runs/eval", metavar="DIR")
 
     p = add("compare", "run a controller comparison grid")
     p.add_argument("--grid", required=True, metavar="FILE",
-                   help="grid file: one 'config_id controller=... [weights=...]' per line")
+                   help="grid file: one 'config_id controller=... [weights=...] "
+                        "[playback=...]' per line")
     p.add_argument("--workers", type=int, default=None,
                    help="process pool size (default: 1, sequential)")
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--seeds", default=None, metavar="S1,S2,...")
+    p.add_argument("--seeds", default=None, metavar="S1,S2,...",
+                   help="comma separated seeds (overrides run.seeds)")
     p.add_argument("--plots", action="store_true",
                    help="also write standalone plot scripts")
     p.add_argument("--out", default="runs/compare", metavar="DIR")
-
-    p = add("simulate", "run one episode and dump per-vehicle events")
-    p.add_argument("--method", choices=_BASELINE_METHODS, default="fixed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--out", default="runs/simulate", metavar="DIR")
 
     return parser
 
@@ -158,13 +145,6 @@ def _load_cfg(args) -> dict:
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
     return parse_config_file(path)
-
-
-def _parse_seed_list(text: str) -> tuple:
-    try:
-        return tuple(int(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigurationError(f"bad seed list {text!r}")
 
 
 def _out_dir(args) -> Path:
@@ -254,41 +234,17 @@ def cmd_baseline(args) -> int:
     run = run_from_config(_load_cfg(args), horizon_s=args.horizon)
     controller = make_controller(args.method, run)
     result = run_episode(run.layout, run.plan, run.flows, controller, args.seed,
-                         run.horizon_s)
+                         run.horizon_s, record_events=args.record_events)
     out = _out_dir(args)
     write_cycles_csv(out / "cycles.csv", result.records)
     if result.webster_log:
         write_csv(out / "webster_log.csv", WEBSTER_LOG_HEADER, result.webster_log)
+    if args.record_events:
+        write_csv(out / "events.csv", ("tick", "lane", "event", "vehicle_id"),
+                  result.events)
     print(f"{args.method} seed={args.seed} horizon={run.horizon_s}s: "
           f"mean cycle queue {result.mean_q_cycle:.2f} "
           f"over {len(result.records)} cycles")
-    return 0
-
-
-def cmd_eval(args) -> int:
-    seeds = _parse_seed_list(args.seeds) if args.seeds else None
-    run = run_from_config(_load_cfg(args), horizon_s=args.horizon, seeds=seeds)
-    bundle = PolicyBundle.load(args.weights)
-    out = _out_dir(args)
-    seed_means = []
-    corr_rows = []
-    for seed in run.seeds:
-        controller = make_controller("policy", run, bundle,
-                                     sample_seed=None if args.greedy else seed)
-        result = run_episode(run.layout, run.plan, run.flows, controller, seed,
-                             run.horizon_s)
-        write_cycles_csv(out / f"cycles_seed{seed}.csv", result.records)
-        seed_means.append(result.mean_q_cycle)
-        report = correlation_report(result.records)
-        for p, r in enumerate(report.green_vs_queue):
-            corr_rows.append((seed, f"green{p + 1}_vs_phase_queue", r))
-        corr_rows.append((seed, "cycle_len_vs_total_queue", report.cycle_len_vs_q))
-    write_csv(out / "correlations.csv", ("seed", "quantity", "pearson_r"), corr_rows)
-    mean, std = mean_std(seed_means)
-    print(f"eval {args.weights} ({bundle.algo}, repr={bundle.observation.kind}, "
-          f"reward={bundle.reward_kind})")
-    print(f"mean cycle queue {mean:.2f} +/- {std:.2f} "
-          f"over {len(run.seeds)} seeds ({run.horizon_s}s each)")
     return 0
 
 
@@ -310,28 +266,39 @@ def _parse_grid_file(path) -> list:
                     f"{grid_path}:{lineno}: expected key=value, got {token!r}"
                 )
             key, value = token.split("=", 1)
-            if key not in ("controller", "weights"):
+            if key not in ("controller", "weights", "playback"):
                 raise ConfigurationError(f"{grid_path}:{lineno}: unknown field {key!r}")
             fields[key] = value
         if "controller" not in fields:
             raise ConfigurationError(f"{grid_path}:{lineno}: missing controller=")
         specs.append(RunSpec(config_id=config_id, controller=fields["controller"],
-                             weights_path=fields.get("weights")))
+                             weights_path=fields.get("weights"),
+                             playback=fields.get("playback")))
     if not specs:
         raise ConfigurationError(f"{grid_path}: no grid entries")
     return specs
 
 
 def cmd_compare(args) -> int:
-    seeds = _parse_seed_list(args.seeds) if args.seeds else None
-    run = run_from_config(_load_cfg(args), horizon_s=args.horizon, seeds=seeds,
-                          workers=args.workers)
+    cfg = _load_cfg(args)
+    if args.seeds is not None:
+        cfg["run.seeds"] = args.seeds
+    run = run_from_config(cfg, horizon_s=args.horizon, workers=args.workers)
     specs = _parse_grid_file(args.grid)
     rows, results = run_grid(run, specs)
     out = _out_dir(args)
     write_summary_csv(out / "summary.csv", rows)
     for (config_id, seed), records in sorted(results.items()):
         write_cycles_csv(out / f"cycles_{config_id}_seed{seed}.csv", records)
+    for row in rows:
+        corr_rows = []
+        for seed in run.seeds:
+            report = correlation_report(results[(row.config_id, seed)])
+            corr_rows += [(seed, f"green{p + 1}_vs_phase_queue", r)
+                          for p, r in enumerate(report.green_vs_queue)]
+            corr_rows.append((seed, "cycle_len_vs_total_queue", report.cycle_len_vs_q))
+        write_csv(out / f"correlations_{row.config_id}.csv",
+                  ("seed", "quantity", "pearson_r"), corr_rows)
     if args.plots:
         write_plot_scripts(out)
     width = max(len(r.config_id) for r in rows)
@@ -343,29 +310,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    run = run_from_config(_load_cfg(args), horizon_s=args.horizon)
-    controller = make_controller(args.method, run)
-    result = run_episode(run.layout, run.plan, run.flows, controller, args.seed,
-                         run.horizon_s, record_events=True, record_ticks=True)
-    out = _out_dir(args)
-    write_csv(out / "events.csv", ("tick", "lane", "event", "vehicle_id"), result.events)
-    write_cycles_csv(out / "cycles.csv", result.records)
-    total_q = int(np.sum([row for row in result.tick_queues]))
-    print(f"simulated {run.horizon_s}s under {args.method} control: "
-          f"{len(result.events)} vehicle events, {len(result.records)} cycles, "
-          f"summed queue-seconds {total_q}")
-    return 0
-
-
 _HANDLERS = {
     "train": cmd_train,
     "pretrain-ae": cmd_pretrain_ae,
     "dqn": cmd_dqn,
     "baseline": cmd_baseline,
-    "eval": cmd_eval,
     "compare": cmd_compare,
-    "simulate": cmd_simulate,
 }
 
 

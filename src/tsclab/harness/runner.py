@@ -84,7 +84,6 @@ class EpisodeResult:
     horizon_s: int
     records: list
     events: list | None = None
-    tick_queues: list | None = None
     webster_log: list | None = None
 
     @property
@@ -96,27 +95,18 @@ class EpisodeResult:
 
 def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
                 controller, seed: int, horizon_s: int,
-                record_events: bool = False,
-                record_ticks: bool = False) -> EpisodeResult:
+                record_events: bool = False) -> EpisodeResult:
     """Drive one seeded episode under ``controller`` for ``horizon_s``
     simulated seconds and collect its per-cycle queue records.
 
     A controller object plays one episode: build a new one per call.  The
     controller is consulted at every decision point below the horizon,
     through the same :func:`~tsclab.envs.run_to_decision` driver as
-    training.  Only a controller that defines ``on_tick(sim)`` (and
-    ``record_ticks``, which keeps each tick's lane queues) puts a hook on
-    the ticks; the cycle records come from the simulator's
+    training.  Only a controller that defines ``on_tick(sim)`` puts a hook
+    on the ticks; the cycle records come from the simulator's
     ``completed_cycles``."""
     sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
-    on_tick = controller_tick = getattr(controller, "on_tick", None)
-    tick_queues: list | None = [] if record_ticks else None
-    if record_ticks:
-        def on_tick(sim) -> None:
-            if controller_tick is not None:
-                controller_tick(sim)
-            tick_queues.append(tuple(sim.queued))
-
+    on_tick = getattr(controller, "on_tick", None)
     while run_to_decision(sim, horizon_s, on_tick):
         apply_action(sim, controller.decide(sim))
     tracker = CycleTracker(flows)
@@ -127,7 +117,6 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
         horizon_s=horizon_s,
         records=records,
         events=list(sim.events) if record_events else None,
-        tick_queues=tick_queues,
         webster_log=list(getattr(controller, "recompute_log", ())) or None,
     )
 
@@ -135,13 +124,19 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
 # -- comparison grid -----------------------------------------------------------
 
 
+PLAYBACK_KINDS = ("sample", "greedy")
+
+
 @dataclass(frozen=True)
 class RunSpec:
-    """One named column of a comparison: a controller and its weights."""
+    """One named column of a comparison: a controller, its weights and, for
+    a policy, how it plays them (one of :data:`PLAYBACK_KINDS`; None picks
+    the bundle's default, see :meth:`playback_for`)."""
 
     config_id: str
     controller: str
     weights_path: str | None = None
+    playback: str | None = None
 
     def __post_init__(self) -> None:
         if self.controller not in CONTROLLER_KINDS:
@@ -153,6 +148,27 @@ class RunSpec:
             raise ConfigurationError(
                 f"{self.config_id}: policy entries need weights=<path>"
             )
+        if self.playback is not None:
+            if self.controller != "policy":
+                raise ConfigurationError(
+                    f"{self.config_id}: only policy entries take playback=")
+            if self.playback not in PLAYBACK_KINDS:
+                raise ConfigurationError(
+                    f"{self.config_id}: unknown playback {self.playback!r}; "
+                    f"expected one of {PLAYBACK_KINDS}")
+
+    def playback_for(self, bundle: PolicyBundle) -> str:
+        """The playback of this column's ``bundle``: a PPO policy samples
+        the action distribution it was trained on; a DQN's outputs are
+        Q-values, not a distribution, so it plays their argmax and cannot
+        be sampled."""
+        if bundle.algo != "dqn":
+            return self.playback or "sample"
+        if self.playback == "sample":
+            raise ConfigurationError(
+                f"{self.config_id}: a dqn bundle plays its argmax; "
+                f"playback=sample needs a policy distribution")
+        return "greedy"
 
 
 def _grid_job(job: tuple) -> tuple:
@@ -208,6 +224,8 @@ def run_grid(run: RunSettings, specs):
     ``(config_id, seed)`` to the episode's cycle records.  Each policy
     column's bundle is loaded once and every cell's controller is built
     before the first episode, so a bad input fails before any episode runs.
+    A sampled policy draws its actions from a stream seeded by the cell's
+    seed.
     Jobs are independent; ``run.workers > 1`` runs them on a process pool.
     Output order and content are identical either way because each job owns
     its seed.
@@ -218,10 +236,14 @@ def run_grid(run: RunSettings, specs):
         raise ConfigurationError("duplicate config_id in comparison grid")
     bundles = {spec.config_id: PolicyBundle.load(spec.weights_path)
                for spec in specs if spec.controller == "policy"}
-    jobs = [(run, spec.config_id, seed,
-             make_controller(spec.controller, run, bundles.get(spec.config_id),
-                             sample_seed=seed))
-            for spec in specs for seed in run.seeds]
+    jobs = []
+    for spec in specs:
+        bundle = bundles.get(spec.config_id)
+        sampled = bundle is not None and spec.playback_for(bundle) == "sample"
+        jobs += [(run, spec.config_id, seed,
+                  make_controller(spec.controller, run, bundle,
+                                  sample_seed=seed if sampled else None))
+                 for seed in run.seeds]
     if run.workers > 1:
         # imported here: the process pool machinery costs every other run
         # about 1.5 MB of resident memory and part of the import time

@@ -145,13 +145,13 @@ def test_cycle_tracker_splits_on_cycle_wrap():
 
 
 def test_cycle_metric_idempotent_on_episode_ticks():
-    result = run_episode(LAYOUT, PLAN, uniform_flows(350.0),
-                         FixedTimeController(), seed=8, horizon_s=650,
-                         record_ticks=True)
+    logged = TickLog(FixedTimeController())
+    result = run_episode(LAYOUT, PLAN, uniform_flows(350.0), logged, seed=8,
+                         horizon_s=650)
     offset = 0
     assert len(result.records) >= 5
     for record in result.records:
-        chunk = result.tick_queues[offset:offset + record.cycle_len_s]
+        chunk = logged.queues[offset:offset + record.cycle_len_s]
         redone = cycle_queue_metric(chunk)
         assert redone.approach_max_queue == record.approach_max_queue
         assert redone.q_cycle == record.q_cycle
@@ -161,12 +161,13 @@ def test_cycle_metric_idempotent_on_episode_ticks():
 
 class TickLog:
     """Plays another controller and keeps every tick's clock, phase and
-    yellow flag."""
+    yellow flag, and its lane queues."""
 
     def __init__(self, inner):
         self.inner = inner
         self.controller_id = inner.controller_id
         self.ticks = []
+        self.queues = []
 
     def decide(self, sim):
         return self.inner.decide(sim)
@@ -175,6 +176,7 @@ class TickLog:
         if hasattr(self.inner, "on_tick"):
             self.inner.on_tick(sim)
         self.ticks.append((sim.clock, sim.current_phase, sim.in_yellow))
+        self.queues.append(tuple(sim.queued))
 
 
 def make_test_controller(kind, layout, seed):
@@ -213,12 +215,12 @@ def test_episode_records_match_tick_log_and_regimes(scenario):
     flows, layout, kind, seed, horizon, record_events = scenario
     logged = TickLog(make_test_controller(kind, layout, seed))
     result = run_episode(layout, PLAN, flows, logged, seed, horizon,
-                         record_events=record_events, record_ticks=True)
-    assert len(result.tick_queues) == len(logged.ticks) == horizon
+                         record_events=record_events)
+    assert len(logged.queues) == len(logged.ticks) == horizon
     assert [clock for clock, _phase, _yellow in logged.ticks] == list(range(1, horizon + 1))
     offset = 0
     for index, record in enumerate(result.records):
-        redone = cycle_queue_metric(result.tick_queues[offset:offset + record.cycle_len_s])
+        redone = cycle_queue_metric(logged.queues[offset:offset + record.cycle_len_s])
         assert record.cycle_index == index
         assert redone.approach_max_queue == record.approach_max_queue
         assert redone.q_cycle == record.q_cycle
@@ -305,7 +307,7 @@ def test_run_episode_zero_flow_has_empty_queues():
                          seed=0, horizon_s=400)
     assert result.controller_id == "fixed"
     assert all(r.q_cycle == 0 for r in result.records)
-    assert result.events is None and result.tick_queues is None
+    assert result.events is None
     assert result.webster_log is None
 
 
@@ -345,9 +347,9 @@ def test_run_episode_decides_at_every_decision_point_below_horizon():
     # end the episode exactly on a decision point, which must go unasked
     horizon = probe.decided[40]
     ctrl = RecordingController(seed=5)
-    result = run_episode(LAYOUT, PLAN, flows, ctrl, seed=2, horizon_s=horizon,
-                         record_ticks=True)
-    assert len(result.tick_queues) == horizon
+    logged = TickLog(ctrl)
+    run_episode(LAYOUT, PLAN, flows, logged, seed=2, horizon_s=horizon)
+    assert len(logged.ticks) == horizon
     assert ctrl.decided == probe.decided[:40]
     assert ctrl.decision_ticks == probe.decided[:41]
     assert max(ctrl.decided) < horizon
@@ -693,19 +695,20 @@ def test_run_settings_validation():
 # -- command line ----------------------------------------------------------------
 
 
-def test_cli_simulate(tmp_path, capsys):
+def test_cli_baseline_record_events(tmp_path, capsys):
     out = tmp_path / "sim"
-    assert main(["simulate", "--horizon", "300", "--out", str(out)]) == 0
+    assert main(["baseline", "--method", "fixed", "--horizon", "300", "--record-events",
+                 "--out", str(out)]) == 0
     assert (out / "events.csv").exists()
     assert (out / "cycles.csv").exists()
     lines = (out / "events.csv").read_text().splitlines()
     assert lines[0] == "tick,lane,event,vehicle_id"
     assert len(lines) > 1
-    assert "simulated 300s" in capsys.readouterr().out
+    assert "fixed seed=0 horizon=300s" in capsys.readouterr().out
 
 
-# SHA-256 of the files `tsclab simulate --method webster --seed 3 --horizon 3600`
-# writes: with the default scenario, and with an oversaturated one that has a
+# SHA-256 of the files `tsclab baseline --method webster --seed 3 --horizon 3600
+# --record-events` writes: with the default scenario, and with an oversaturated one that has a
 # fractional travel time, a 1.5 s headway and a flow change off the tick grid.
 # Any change to the simulator's draws, event order or vehicle ids shows here.
 _GOLDEN_HEAVY_CFG = """\
@@ -732,8 +735,8 @@ _GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("scenario", sorted(_GOLDEN_DIGESTS))
 def test_cli_simulate_record_events_golden(tmp_path, capsys, scenario):
     out = tmp_path / "sim"
-    argv = ["simulate", "--method", "webster", "--seed", "3", "--horizon", "3600",
-            "--out", str(out)]
+    argv = ["baseline", "--method", "webster", "--seed", "3", "--horizon", "3600",
+            "--record-events", "--out", str(out)]
     if scenario == "heavy":
         argv += ["--config", str(write_cfg(tmp_path, _GOLDEN_HEAVY_CFG))]
     assert main(argv) == 0
@@ -744,8 +747,8 @@ def test_cli_simulate_record_events_golden(tmp_path, capsys, scenario):
 
 # SHA-256 of every file that tiny runs of the CSV-writing commands write.  A
 # header, a column order or a cell's formatting (blank for None, a float as
-# its repr) that changes shows here; the eval at 500 s completes under 10
-# cycles, so its correlations are all blank cells.
+# its repr) that changes shows here; the policy-only compare at 500 s
+# completes under 10 cycles, so its correlations are all blank cells.
 _TINY_TRAINING_CFG = """\
 ppo.n_steps = 20
 ppo.batch_size = 10
@@ -763,6 +766,12 @@ _CLI_OUTPUT_DIGESTS = {
         "1ae6234f2440f3c291391bb43d5545a498fd628009b2c8ea55948dd4ef04787f",
     "baseline/webster_log.csv":
         "a074a9cec97fb28541e33e0009869ca7bc6a792bf1b1b59ffded38b18c75240b",
+    "compare/correlations_fixed.csv":
+        "2d1818aabf931e42bc09174420747d1a47e729de7fa42ff00218d5838baf557d",
+    "compare/correlations_ppo.csv":
+        "2d1818aabf931e42bc09174420747d1a47e729de7fa42ff00218d5838baf557d",
+    "compare/correlations_webster.csv":
+        "2d1818aabf931e42bc09174420747d1a47e729de7fa42ff00218d5838baf557d",
     "compare/cycles_fixed_seed0.csv":
         "6fea1625480e9cb722d8d663c4f91e695dec2245060e3044c30b66370e71a908",
     "compare/cycles_fixed_seed1.csv":
@@ -783,16 +792,20 @@ _CLI_OUTPUT_DIGESTS = {
         "88e970ddf797ceb9639cccb3b74a04e136125b393cf478d10425a98c63182e63",
     "dqn/training_log.csv":
         "1f35be7551e465c642caa548d811feaeae9508dad24ba35cef4d870379f18f0b",
-    "eval/correlations.csv":
+    "ppo/correlations_ppo.csv":
         "e1efb22626a277bfbea821084f689507b30dfbd1dfc603ed1f210d24bde36c4b",
-    "eval/cycles_seed0.csv":
+    "ppo/cycles_ppo_seed0.csv":
         "2fd3a01e0f8d31ecdf4b528711bc7ee8ad9a5d5bfec82a4ce8d3da18b3d335c6",
-    "eval/cycles_seed1.csv":
+    "ppo/cycles_ppo_seed1.csv":
         "9a932a2342ceb9d24d43dc076585684e6656a1e9b94f0f9e8005eb4750d8b8a1",
-    "eval_short/correlations.csv":
+    "ppo/summary.csv":
+        "23ff2b0af3f625c83487fc350acc0b23254d10aa15d75f2b0ba36acbc1352a9e",
+    "ppo_short/correlations_ppo.csv":
         "1bd61c0f8d95b8392d13f4d90771afb2290d1cbb8747207aced4a3c338bc1360",
-    "eval_short/cycles_seed0.csv":
+    "ppo_short/cycles_ppo_seed0.csv":
         "3da39e3df4a44a67e59c010dd0930c4251c0de63856723709b63a12c03d1220b",
+    "ppo_short/summary.csv":
+        "9bed0ce4f19344f25b55235877e1510195b11fb9b4ef3b80afbdc77806f80877",
     "train/cycles_train.csv":
         "879e9a7bbc20da68c6ff83645ce708d8d941bc04b1d6217317d5081462ab17df",
     "train/policy.tscw":
@@ -807,12 +820,14 @@ def test_cli_outputs_golden(tmp_path, capsys):
     weights = str(tmp_path / "train" / "policy.tscw")
     grid = write_cfg(tmp_path, "fixed controller=fixed\nwebster controller=webster\n"
                                f"ppo controller=policy weights={weights}\n", "grid.txt")
+    ppo_grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n",
+                         "ppo_grid.txt")
     runs = {
         "baseline": ["baseline", "--method", "webster", "--horizon", "1800"],
         "train": ["train", "--config", cfg, "--reward", "delay"],
         "dqn": ["dqn", "--config", cfg],
-        "eval": ["eval", "--weights", weights, "--seeds", "0,1", "--horizon", "2400"],
-        "eval_short": ["eval", "--weights", weights, "--seeds", "0", "--horizon", "500"],
+        "ppo": ["compare", "--grid", str(ppo_grid), "--seeds", "0,1", "--horizon", "2400"],
+        "ppo_short": ["compare", "--grid", str(ppo_grid), "--seeds", "0", "--horizon", "500"],
         "compare": ["compare", "--grid", str(grid), "--horizon", "400", "--seeds", "0,1"],
     }
     for name, argv in runs.items():
@@ -833,7 +848,7 @@ def test_cli_baseline_webster(tmp_path, capsys):
     assert "webster seed=0" in capsys.readouterr().out
 
 
-def test_cli_train_eval_round_trip(tmp_path, capsys):
+def test_cli_train_compare_round_trip(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
 ppo.n_steps = 20
 ppo.batch_size = 10
@@ -848,14 +863,16 @@ ppo.hidden_sizes = 16
     assert (train_out / "training_log.csv").exists()
     assert (train_out / "cycles_train.csv").exists()
 
+    grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n", "grid.txt")
     eval_out = tmp_path / "eval"
-    assert main(["eval", "--weights", str(weights), "--seeds", "0,1",
+    assert main(["compare", "--grid", str(grid), "--seeds", "0,1",
                  "--horizon", "2000", "--out", str(eval_out)]) == 0
-    assert (eval_out / "cycles_seed0.csv").exists()
-    assert (eval_out / "cycles_seed1.csv").exists()
-    with (eval_out / "correlations.csv").open(newline="") as fh:
+    assert (eval_out / "cycles_ppo_seed0.csv").exists()
+    assert (eval_out / "cycles_ppo_seed1.csv").exists()
+    with (eval_out / "correlations_ppo.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10  # 2 seeds x (4 per-phase rows + cycle length row)
+    assert [r["seed"] for r in rows] == ["0"] * 5 + ["1"] * 5
     quantities = {r["quantity"] for r in rows}
     assert quantities == {"green1_vs_phase_queue", "green2_vs_phase_queue",
                           "green3_vs_phase_queue", "green4_vs_phase_queue",
@@ -871,6 +888,7 @@ def test_cli_compare(tmp_path, capsys):
                  "--seeds", "0,1", "--plots", "--out", str(out)]) == 0
     assert (out / "summary.csv").exists()
     for config in ("fixed", "webster"):
+        assert (out / f"correlations_{config}.csv").exists()
         for seed in (0, 1):
             assert (out / f"cycles_{config}_seed{seed}.csv").exists()
     assert (out / "plot_summary.py").exists()
@@ -1079,60 +1097,115 @@ def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
     assert started == []
 
 
+def tiny_dqn_bundle():
+    return PolicyBundle("dqn", "resco_wait", Mlp([40, 8, 3], "tanh", seed=0), None,
+                        make_observation("dqn40"))
+
+
 @pytest.mark.parametrize("lines, horizon, message", [
     (["fixed controller=fixed"], "100", "longest cycle"),
     (["fixed controller=fixed", "lqr controller=lqr"], "400", "unknown controller"),
     (["fixed controller=fixed", "ppo controller=policy weights=absent.tscw"], "400",
      "cannot read weight file"),
-], ids=["short-horizon", "unknown-controller", "missing-bundle"])
+    (["fixed controller=fixed", "dqn controller=policy weights={dqn} playback=sample"],
+     "400", "a dqn bundle plays its argmax"),
+    (["fixed controller=fixed", "ppo controller=policy weights={ppo} playback=argmax"],
+     "400", "unknown playback 'argmax'"),
+    (["fixed controller=fixed", "ppo controller=policy weights={ppo} playback="],
+     "400", "unknown playback ''"),
+    (["fixed controller=fixed playback=greedy"], "400", "only policy entries take playback="),
+], ids=["short-horizon", "unknown-controller", "missing-bundle", "sampled-dqn",
+        "unknown-playback", "empty-playback", "playback-off-policy"])
 def test_cli_compare_rejects_bad_input_before_any_episode(tmp_path, capsys, episodes_started,
                                                           lines, horizon, message):
+    weights = {"ppo": tmp_path / "ppo.tscw", "dqn": tmp_path / "dqn.tscw"}
+    tiny_bundle().save(weights["ppo"])
+    tiny_dqn_bundle().save(weights["dqn"])
+    lines = [line.format(**weights) for line in lines]
     assert main(_grid_argv(tmp_path, lines, horizon)) == 1
     assert message in capsys.readouterr().err
     assert episodes_started == []
 
 
+@pytest.mark.parametrize("algo, playback, sampled", [
+    ("ppo", None, True), ("ppo", "sample", True), ("ppo", "greedy", False),
+    ("dqn", None, False), ("dqn", "greedy", False),
+])
+def test_cli_compare_plays_each_column_as_its_playback_says(tmp_path, capsys, algo,
+                                                           playback, sampled):
+    weights = tmp_path / f"{algo}.tscw"
+    (tiny_bundle() if algo == "ppo" else tiny_dqn_bundle()).save(weights)
+    line = f"p controller=policy weights={weights}"
+    if playback is not None:
+        line += f" playback={playback}"
+    argv = _grid_argv(tmp_path, [line], horizon="600")
+    assert main(argv) == 0
+    capsys.readouterr()
+    run = run_from_config({}, horizon_s=600, seeds=(0, 1, 2, 3, 4))
+    bundle = PolicyBundle.load(weights)
+    for seed in run.seeds:
+        played = {}
+        for mode, sample_seed in (("sampled", seed), ("greedy", None)):
+            records = run_episode(run.layout, run.plan, run.flows,
+                                  PolicyController(bundle, sample_seed=sample_seed),
+                                  seed, run.horizon_s).records
+            write_cycles_csv(tmp_path / f"{mode}.csv", records)
+            played[mode] = (tmp_path / f"{mode}.csv").read_bytes()
+        assert played["sampled"] != played["greedy"]
+        written = (tmp_path / "cmp" / f"cycles_p_seed{seed}.csv").read_bytes()
+        assert written == played["sampled" if sampled else "greedy"]
+
+
 def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_started):
     weights = tmp_path / "policy.tscw"
     tiny_bundle().save(weights)
+    grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n", "grid.txt")
     out = ["--out", str(tmp_path / "x")]
     assert main(["baseline", "--method", "fixed", "--horizon", "50", *out]) == 1
-    assert main(["eval", "--weights", str(weights), "--seeds", "1,1", *out]) == 1
+    # --seeds takes run.seeds' rule: integers, comma separated, distinct
+    for seeds in ("1,1", "0,x", ""):
+        assert main(["compare", "--grid", str(grid), "--seeds", seeds, *out]) == 1
     assert main(["train", "--repr", "ae8", "--encoder", str(tmp_path / "absent.tscw"),
                  *out]) == 1
     assert episodes_started == []
     capsys.readouterr()
 
 
-def test_cli_eval_with_few_cycles_writes_blank_correlations(tmp_path, capsys):
+def test_cli_compare_with_few_cycles_writes_blank_correlations(tmp_path, capsys):
     weights = tmp_path / "policy.tscw"
     tiny_bundle().save(weights)
+    grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n"
+                               "fixed controller=fixed\n", "grid.txt")
     out = tmp_path / "eval"
-    assert main(["eval", "--weights", str(weights), "--seeds", "0", "--horizon", "500",
+    assert main(["compare", "--grid", str(grid), "--seeds", "0", "--horizon", "500",
                  "--out", str(out)]) == 0
-    with (out / "correlations.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 5 and all(r["pearson_r"] == "" for r in rows)
+    for config in ("ppo", "fixed"):
+        with (out / f"correlations_{config}.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5 and all(r["pearson_r"] == "" for r in rows)
     capsys.readouterr()
 
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["conquer"]) == 1  # unknown subcommand
+    for gone in ("eval", "simulate"):  # folded into compare and baseline
+        assert main([gone]) == 1
     assert main(["compare"]) == 1  # missing required --grid
     assert main(["baseline"]) == 1  # missing required --method
-    assert main(["eval", "--weights", str(tmp_path / "absent.tscw")]) == 1
+    absent = write_cfg(tmp_path, f"ppo controller=policy weights={tmp_path / 'absent.tscw'}\n",
+                       "absent.txt")
+    assert main(["compare", "--grid", str(absent)]) == 1
+    baseline = ["baseline", "--method", "fixed", "--out", str(tmp_path / "x")]
     bad_cfg = write_cfg(tmp_path, "nope = 1\n")
-    assert main(["simulate", "--config", str(bad_cfg), "--horizon", "200",
-                 "--out", str(tmp_path / "x")]) == 1
+    assert main([*baseline, "--config", str(bad_cfg), "--horizon", "200"]) == 1
     for off_grid in ("plan.g_min_s = 10.5\n", "plan.yellow_s = 4.6\n"):
-        assert main(["simulate", "--config", str(write_cfg(tmp_path, off_grid)),
-                     "--out", str(tmp_path / "x")]) == 1
+        assert main([*baseline, "--config", str(write_cfg(tmp_path, off_grid))]) == 1
     for window in ("0.5", "900.7"):  # webster counts arrivals per whole second
         cfg = write_cfg(tmp_path, f"webster.flow_window_s = {window}\n")
-        assert main(["simulate", "--method", "webster", "--config", str(cfg),
+        assert main(["baseline", "--method", "webster", "--config", str(cfg),
                      "--horizon", "200", "--out", str(tmp_path / "x")]) == 1
     missing_cfg = tmp_path / "ghost.cfg"
-    assert main(["simulate", "--config", str(missing_cfg)]) == 1
+    assert main([*baseline, "--config", str(missing_cfg)]) == 1
     empty_grid = write_cfg(tmp_path, "# nothing\n", "grid.txt")
     assert main(["compare", "--grid", str(empty_grid)]) == 1
     assert main(["-h"]) == 0
@@ -1156,3 +1229,20 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "ae.tscw").exists()
     capsys.readouterr()
+
+
+def test_cli_docs_name_every_subcommand():
+    import argparse
+    import re
+
+    from tsclab.harness import cli
+
+    commands = set(cli._HANDLERS)
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == commands
+    assert set(re.findall(r"^    tsclab (\S+)", cli.__doc__, re.M)) == commands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^tsclab (\S+)", block, re.M)) == commands
