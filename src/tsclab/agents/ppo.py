@@ -18,16 +18,20 @@ from .bundle import PolicyBundle, TrainLogRow
 
 @dataclass(frozen=True)
 class PpoConfig:
-    learning_rate: float = 3e-6
-    n_steps: int = 200
-    batch_size: int = 64
+    """PPO settings.  The defaults are the ones tuned for this simulator's
+    default scenario (acceptance check C6 trains with them), not the
+    paper's SUMO settings."""
+
+    learning_rate: float = 1e-3
+    n_steps: int = 100
+    batch_size: int = 50
     n_epochs: int = 10
     gamma: float = 0.99
     gae_lambda: float = 0.95
-    clip_epsilon: float = 0.2
+    clip_epsilon: float = 0.1
     total_timesteps: int = 100_000
     value_coef: float = 0.5
-    entropy_coef: float = 0.01
+    entropy_coef: float = 0.005
     hidden_sizes: tuple = (64, 64)
     activation: str = "tanh"
 

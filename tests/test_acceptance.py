@@ -390,8 +390,7 @@ def control_study():
     evaluation episodes."""
     t0 = time.perf_counter()
     flows = default_flow_profile()
-    cfg = PpoConfig(learning_rate=1e-3, entropy_coef=0.005, n_steps=100,
-                    batch_size=50, clip_epsilon=0.1, total_timesteps=100_000)
+    cfg = PpoConfig(total_timesteps=100_000)
     norms = normalizers_for_training(cfg.total_timesteps, PLAN.default_cycle_s)
     reward = RewardSpec()
     eval_seeds = (0, 1, 2, 3, 4)

@@ -707,9 +707,10 @@ def test_cli_baseline_record_events(tmp_path, capsys):
     assert "fixed seed=0 horizon=300s" in capsys.readouterr().out
 
 
-# SHA-256 of the files `tsclab baseline --method webster --seed 3 --horizon 3600
-# --record-events` writes: with the default scenario, and with an oversaturated one that has a
-# fractional travel time, a 1.5 s headway and a flow change off the tick grid.
+# SHA-256 of the events and cycles that `tsclab baseline --method webster --seed 3
+# --horizon 3600 --record-events` writes: with the default scenario, and with an
+# oversaturated one that has a fractional travel time, a 1.5 s headway and a flow
+# change off the tick grid.
 # Any change to the simulator's draws, event order or vehicle ids shows here.
 _GOLDEN_HEAVY_CFG = """\
 sim.travel_time_to_stopline_s = 7.5
@@ -777,15 +778,15 @@ _CLI_OUTPUT_DIGESTS = {
     "compare/cycles_fixed_seed1.csv":
         "98c88d1e0dda171c839e15c8dea97160c3d6661a0f8728fc2ed90c4b307c4946",
     "compare/cycles_ppo_seed0.csv":
-        "8e1580a00c7e2f232f54df13b233cb76e6215ccef8a2326201e8cf76d670d7a0",
+        "661bb56633c1a721475bd8ecbd70d47040a07a1cfffde58d204b9f0c92ed9c42",
     "compare/cycles_ppo_seed1.csv":
-        "01a25b8cc5abaa8c59acd2ecbda7b598fdf20a6cba71704a58a92eff052ddbf4",
+        "46ec4af7e52fd8ac625186698dc3b10a815a30db97bb325506daa3a1a25dd86d",
     "compare/cycles_webster_seed0.csv":
         "deff7a46576c90e41830887d8e9846360380e9b3cecb585cf9b384d0b71cdc41",
     "compare/cycles_webster_seed1.csv":
         "47c1f93a79616ef2baf60046e96e51e656cda3f9cc3a9b89aab9a9cf327972f5",
     "compare/summary.csv":
-        "3fa92f95f550718b006b4f799ec4545ca72c8297cb357b33c6292b4762d96322",
+        "094206023d4833ae94849c13e9c67f68ceeb74234d316a04b4be65878acf6da9",
     "dqn/cycles_train.csv":
         "003b079bc21b36ce417cdc678c6e443cedc449091114a2a46d3e53f7136b39e5",
     "dqn/dqn.tscw":
@@ -793,25 +794,25 @@ _CLI_OUTPUT_DIGESTS = {
     "dqn/training_log.csv":
         "1f35be7551e465c642caa548d811feaeae9508dad24ba35cef4d870379f18f0b",
     "ppo/correlations_ppo.csv":
-        "e1efb22626a277bfbea821084f689507b30dfbd1dfc603ed1f210d24bde36c4b",
+        "e7a43e1eacc314da0cf5a6bd5f892ac124cc73c648a64eaa665eb015f57b8319",
     "ppo/cycles_ppo_seed0.csv":
-        "2fd3a01e0f8d31ecdf4b528711bc7ee8ad9a5d5bfec82a4ce8d3da18b3d335c6",
+        "5fe1e96ae2db887cc1ded8852b3ccdb14bf645c95008121c3c458ecbd869a119",
     "ppo/cycles_ppo_seed1.csv":
-        "9a932a2342ceb9d24d43dc076585684e6656a1e9b94f0f9e8005eb4750d8b8a1",
+        "b4b3339999c9043aaab7cab6d2f75a48b0fb92a4966ed63ba2bb3b0da06ff048",
     "ppo/summary.csv":
-        "23ff2b0af3f625c83487fc350acc0b23254d10aa15d75f2b0ba36acbc1352a9e",
+        "c5e92d659f5d5560a639b413759ff32e9c80fe82e7146e2496aadd3add67a9e5",
     "ppo_short/correlations_ppo.csv":
         "1bd61c0f8d95b8392d13f4d90771afb2290d1cbb8747207aced4a3c338bc1360",
     "ppo_short/cycles_ppo_seed0.csv":
-        "3da39e3df4a44a67e59c010dd0930c4251c0de63856723709b63a12c03d1220b",
+        "24471860804f3bffac99d2fb7510bb349b311d38c3aaada25459861cc664c7fa",
     "ppo_short/summary.csv":
-        "9bed0ce4f19344f25b55235877e1510195b11fb9b4ef3b80afbdc77806f80877",
+        "31be68444a76f56f93904acca11e8b255464d0e025306ae5f242da60b5b4a430",
     "train/cycles_train.csv":
         "879e9a7bbc20da68c6ff83645ce708d8d941bc04b1d6217317d5081462ab17df",
     "train/policy.tscw":
-        "6a9373216d2c691ac617c7c9a67b753a021fbcde9d0711dec9e34934183a7ed7",
+        "13812039a16aa90fb75487c1dd3d4cf8b94135cf461f336060b9c62efae7cfc2",
     "train/training_log.csv":
-        "5597a8a2f90d53c2a2ac223c0fe2fbbb2c450348ce25df4aefa66cd162f5db9e",
+        "f01e9ccdc195223a4c369cff60f0accf9bc6f64fa9a674e80d9eda4b2a4cad6f",
 }
 
 
