@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, check_non_negative
-from ..neural import Adam, Mlp
+from ..neural import Adam, Mlp, check_hidden_layers
 from .bundle import PolicyBundle, TrainLogRow
 
 
@@ -41,6 +41,7 @@ class DqnConfig:
             raise ConfigurationError("decay steps and sync interval must be positive")
         if self.log_interval_steps < 1:
             raise ConfigurationError("log interval must be positive")
+        check_hidden_layers(self.hidden_sizes, self.activation)
 
 
 def epsilon_at(cfg: DqnConfig, step: int) -> float:

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, check_non_negative
-from ..neural import Adam, Mlp, log_softmax, softmax_sample
+from ..neural import Adam, Mlp, check_hidden_layers, log_softmax, softmax_sample
 from .bundle import PolicyBundle, TrainLogRow
 
 
@@ -50,6 +50,7 @@ class PpoConfig:
             raise ConfigurationError("total_timesteps must be non-negative")
         for name in ("learning_rate", "value_coef", "entropy_coef"):
             check_non_negative(name, getattr(self, name))
+        check_hidden_layers(self.hidden_sizes, self.activation)
 
 
 def compute_gae(rewards: Sequence[float], values: Sequence[float], next_value: float,

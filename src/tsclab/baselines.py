@@ -10,7 +10,7 @@ each tick, which reads the tick from the simulator's ``arrivals`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,10 +81,29 @@ def default_lost_time_s(layout: IntersectionLayout, plan: PhasePlan) -> float:
 class FixedTimeController:
     """Runs the programmed plan untouched: always answers 'continue'."""
 
-    controller_id = "fixed"
-
     def decide(self, sim: SimState) -> int:
         return ACTION_CONTINUE
+
+
+@dataclass(frozen=True)
+class WebsterSettings:
+    """Dynamic Webster's timing: how often it recomputes, over how many
+    seconds of arrivals, and the per-cycle lost time (None derives it from
+    the layout and plan, see :func:`default_lost_time_s`)."""
+
+    recompute_interval_s: float = 145.0
+    flow_window_s: float = 900.0
+    lost_time_s: float | None = field(default=None, metadata={"type": float})
+
+    def __post_init__(self) -> None:
+        if not self.recompute_interval_s > 0.0:
+            raise ConfigurationError("webster recompute interval must be positive")
+        if not (self.flow_window_s >= 1.0 and float(self.flow_window_s).is_integer()):
+            raise ConfigurationError(
+                f"webster flow window must be a whole number of seconds >= 1, "
+                f"got {self.flow_window_s}")
+        if self.lost_time_s is not None and not self.lost_time_s > 0.0:
+            raise ConfigurationError("lost time must be positive")
 
 
 # the columns of one ``DynamicWebsterController.recompute_log`` row
@@ -104,28 +123,20 @@ class DynamicWebsterController:
     and the log belong to one episode: build a new controller per episode.
     """
 
-    controller_id = "webster"
-
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan,
-                 recompute_interval_s: float = 145.0, flow_window_s: float = 900.0,
-                 lost_time_s: float | None = None) -> None:
-        if not recompute_interval_s > 0.0:
-            raise ConfigurationError("webster recompute interval must be positive")
-        if not (flow_window_s >= 1.0 and float(flow_window_s).is_integer()):
-            raise ConfigurationError(
-                f"webster flow window must be a whole number of seconds >= 1, "
-                f"got {flow_window_s}")
+                 settings: WebsterSettings = WebsterSettings()) -> None:
         self.layout = layout
         self.plan = plan
-        self.recompute_interval_s = recompute_interval_s
-        self.flow_window_s = flow_window_s
+        self.settings = settings
         self.lost_time_s = (default_lost_time_s(layout, plan)
-                            if lost_time_s is None else lost_time_s)
+                            if settings.lost_time_s is None else settings.lost_time_s)
+        # a layout with no startup loss and a plan whose yellow is 2 s or
+        # shorter derive no lost time
         if self.lost_time_s <= 0.0:
             raise ConfigurationError("lost time must be positive")
         self.recompute_log: list[tuple] = []
-        self._window: deque = deque(maxlen=int(self.flow_window_s))
-        self._next_recompute = self.recompute_interval_s
+        self._window: deque = deque(maxlen=int(settings.flow_window_s))
+        self._next_recompute = settings.recompute_interval_s
         self._pending: tuple | None = None
 
     def _window_rates_veh_h(self) -> np.ndarray:
@@ -152,7 +163,7 @@ class DynamicWebsterController:
         self._window.append(sim.arrivals)
         if sim.clock >= self._next_recompute:
             self._recompute(sim.clock)
-            self._next_recompute += self.recompute_interval_s
+            self._next_recompute += self.settings.recompute_interval_s
         if self._pending is not None and sim.phase_changed:
             install_programmed_greens(sim, self._pending)
             self._pending = None

@@ -10,9 +10,9 @@ Subcommands::
     tsclab compare      play a controller grid over seeds: summary,
                         per-cycle records and correlations per column
 
-Every subcommand accepts ``--config FILE``; explicit flags override file
-values.  Exit codes: 0 success, 1 usage or configuration error, 2 runtime
-failure.
+Every subcommand accepts ``--config FILE``; a flag that mirrors a config
+key writes that key, over the file's value.  Exit codes: 0 success, 1 usage
+or configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -30,22 +30,16 @@ from ..agents.autoencoder import (
     train_autoencoder,
 )
 from ..agents.bundle import TRAINING_LOG_HEADER
-from ..agents.dqn import train_dqn
-from ..agents.ppo import train_ppo
+from ..agents.dqn import DqnConfig, train_dqn
+from ..agents.ppo import PpoConfig, train_ppo
 from ..baselines import WEBSTER_LOG_HEADER
 from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
-from ..rewards import REWARD_KINDS
+from ..rewards import REWARD_KINDS, RewardSpec
 from ..staterep import (REPRESENTATION_KINDS, DqnObservation, KPlanesParams,
                         make_observation)
-from .config import (
-    dqn_from_config,
-    normalizers_for_training,
-    parse_config_file,
-    ppo_from_config,
-    reward_from_config,
-    run_from_config,
-)
+from .config import (from_config, normalizers_for_training, parse_config_file,
+                     run_from_config)
 from .metrics import correlation_report, write_csv, write_cycles_csv
 from .runner import (
     CONTROLLER_KINDS,
@@ -86,11 +80,11 @@ def build_parser() -> _Parser:
     p = add("train", "train a PPO signal-control policy")
     p.add_argument("--repr", choices=REPRESENTATION_KINDS, default="expanded",
                    help="state representation (default: expanded)")
-    p.add_argument("--reward", choices=REWARD_KINDS, default=None,
+    p.add_argument("--reward", dest="reward.kind", choices=REWARD_KINDS,
                    help="reward formulation (default: reward.kind from --config, "
                         "else queue)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timesteps", type=int, default=None,
+    p.add_argument("--timesteps", dest="ppo.total_timesteps", metavar="TIMESTEPS",
                    help="training budget in simulated seconds")
     p.add_argument("--encoder", default=None, metavar="FILE",
                    help="pretrained autoencoder (required for ae* representations)")
@@ -110,13 +104,13 @@ def build_parser() -> _Parser:
     p = add("dqn", "train the value-based reference agent (reward: resco_wait "
                    "only; any other reward.kind is rejected)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timesteps", type=int, default=None)
+    p.add_argument("--timesteps", dest="dqn.total_timesteps", metavar="TIMESTEPS")
     p.add_argument("--out", default="runs/dqn", metavar="DIR")
 
     p = add("baseline", "run a classical controller for one episode")
     p.add_argument("--method", choices=_BASELINE_METHODS, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=None,
+    p.add_argument("--horizon", dest="run.horizon_s", metavar="HORIZON",
                    help="episode length in simulated seconds")
     p.add_argument("--record-events", action="store_true",
                    help="also write every vehicle event to events.csv")
@@ -126,10 +120,10 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", required=True, metavar="FILE",
                    help="grid file: one 'config_id controller=... [weights=...] "
                         "[playback=...]' per line")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", dest="run.workers", metavar="WORKERS",
                    help="process pool size (default: 1, sequential)")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--seeds", default=None, metavar="S1,S2,...",
+    p.add_argument("--horizon", dest="run.horizon_s", metavar="HORIZON")
+    p.add_argument("--seeds", dest="run.seeds", metavar="S1,S2,...",
                    help="comma separated seeds (overrides run.seeds)")
     p.add_argument("--plots", action="store_true",
                    help="also write standalone plot scripts")
@@ -139,12 +133,17 @@ def build_parser() -> _Parser:
 
 
 def _load_cfg(args) -> dict:
-    if args.config is None:
-        return {}
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    return parse_config_file(path)
+    """The config file's values, then each given flag whose ``dest`` is a
+    config key, as text, so both pass one conversion."""
+    cfg = {}
+    if args.config is not None:
+        path = Path(args.config)
+        if not path.exists():
+            raise ConfigurationError(f"config file not found: {path}")
+        cfg = parse_config_file(path)
+    cfg.update((key, value) for key, value in vars(args).items()
+               if "." in key and value is not None)
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -166,8 +165,8 @@ def _write_training_outputs(args, result, weights_name: str) -> Path:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     run = run_from_config(cfg)
-    ppo_cfg = ppo_from_config(cfg, total_timesteps=args.timesteps)
-    reward = reward_from_config(cfg, kind=args.reward)
+    ppo_cfg = from_config(cfg, PpoConfig)
+    reward = from_config(cfg, RewardSpec)
     norms = normalizers_for_training(ppo_cfg.total_timesteps, run.plan.default_cycle_s)
     encoder = None
     if args.repr.startswith("ae"):
@@ -211,13 +210,13 @@ def cmd_pretrain_ae(args) -> int:
 
 def cmd_dqn(args) -> int:
     cfg = _load_cfg(args)
-    kind = cfg.get("reward.kind", "resco_wait")
+    kind = cfg.setdefault("reward.kind", "resco_wait")
     if kind != "resco_wait":
         raise ConfigurationError(f"dqn trains on the resco_wait reward only, "
                                  f"got reward.kind = {kind}")
     run = run_from_config(cfg)
-    dqn_cfg = dqn_from_config(cfg, total_timesteps=args.timesteps)
-    reward = reward_from_config(cfg, kind="resco_wait")
+    dqn_cfg = from_config(cfg, DqnConfig)
+    reward = from_config(cfg, RewardSpec)
 
     def factory(seed: int) -> SignalControlEnv:
         return SignalControlEnv(run.layout, run.plan, run.flows, DqnObservation(),
@@ -231,7 +230,7 @@ def cmd_dqn(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    run = run_from_config(_load_cfg(args), horizon_s=args.horizon)
+    run = run_from_config(_load_cfg(args))
     controller = make_controller(args.method, run)
     result = run_episode(run.layout, run.plan, run.flows, controller, args.seed,
                          run.horizon_s, record_events=args.record_events)
@@ -280,10 +279,7 @@ def _parse_grid_file(path) -> list:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
-    if args.seeds is not None:
-        cfg["run.seeds"] = args.seeds
-    run = run_from_config(cfg, horizon_s=args.horizon, workers=args.workers)
+    run = run_from_config(_load_cfg(args))
     specs = _parse_grid_file(args.grid)
     rows, results = run_grid(run, specs)
     out = _out_dir(args)

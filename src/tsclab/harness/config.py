@@ -7,15 +7,23 @@ The configuration file is plain text: one ``key = value`` pair per line,
     flow.N0 = 0-2400@500, 2400-4800@300, 4800-7200@150
     flow.regimes = 0-2400@high, 2400-4800@medium, 4800-7200@low
 
-Any key can be omitted; module defaults apply.  Unknown keys are rejected
-so typos fail loudly.  Command-line flags override file values.
+Every other key is ``section.field``: each section builds one settings
+class (:data:`SECTIONS`), and each field whose default is an int, float, str
+or tuple is a key.  Its text converts by the type of that default (a
+tuple's, comma separated with no empty item, by its items' type); a field
+whose default is None names its type in ``field(metadata={"type": ...})``.
+
+Any key can be omitted; the class defaults apply.  Unknown keys are rejected
+so typos fail loudly.  A command-line flag that mirrors a key writes that
+key's text, over the file's value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ..baselines import WebsterSettings
 from ..errors import ConfigurationError
 from ..rewards import RewardSpec
 from ..sim import LANE_IDS, N_PHASES, FlowProfile, IntersectionLayout, PhasePlan
@@ -23,72 +31,6 @@ from ..staterep import DEFAULT_KPLANES_SEED, StateNormalizers
 from ..agents.dqn import DqnConfig
 from ..agents.ppo import PpoConfig
 
-_LAYOUT_KEYS = {
-    "sim.lane_storage_capacity": ("lane_storage_capacity", int),
-    "sim.travel_time_to_stopline_s": ("travel_time_to_stopline_s", float),
-    "sim.saturation_headway_s": ("saturation_headway_s", float),
-    "sim.startup_lost_time_s": ("startup_lost_time_s", float),
-    "sim.free_flow_speed_ms": ("free_flow_speed_ms", float),
-}
-_PLAN_KEYS = {
-    "plan.greens_s": ("programmed_green_s", "float_tuple"),
-    "plan.yellow_s": ("yellow_s", float),
-    "plan.g_min_s": ("g_min_s", float),
-    "plan.g_max_s": ("g_max_s", float),
-    "plan.delta_time_s": ("delta_time_s", float),
-}
-_REWARD_KEYS = {
-    "reward.kind": ("kind", str),
-    "reward.alpha_abs": ("alpha_abs", float),
-    "reward.alpha_red": ("alpha_red", float),
-    "reward.queue_norm": ("queue_norm", float),
-    "reward.resco_scale": ("resco_scale", float),
-    "reward.clip_min": ("clip_min", float),
-    "reward.clip_max": ("clip_max", float),
-}
-_PPO_KEYS = {
-    "ppo.learning_rate": ("learning_rate", float),
-    "ppo.n_steps": ("n_steps", int),
-    "ppo.batch_size": ("batch_size", int),
-    "ppo.n_epochs": ("n_epochs", int),
-    "ppo.gamma": ("gamma", float),
-    "ppo.gae_lambda": ("gae_lambda", float),
-    "ppo.clip_epsilon": ("clip_epsilon", float),
-    "ppo.total_timesteps": ("total_timesteps", int),
-    "ppo.value_coef": ("value_coef", float),
-    "ppo.entropy_coef": ("entropy_coef", float),
-    "ppo.hidden_sizes": ("hidden_sizes", "int_tuple"),
-    "ppo.activation": ("activation", str),
-}
-_DQN_KEYS = {
-    "dqn.learning_rate": ("learning_rate", float),
-    "dqn.replay_capacity": ("replay_capacity", int),
-    "dqn.batch_size": ("batch_size", int),
-    "dqn.target_sync_interval": ("target_sync_interval", int),
-    "dqn.epsilon_start": ("epsilon_start", float),
-    "dqn.epsilon_end": ("epsilon_end", float),
-    "dqn.epsilon_decay_steps": ("epsilon_decay_steps", int),
-    "dqn.gamma": ("gamma", float),
-    "dqn.total_timesteps": ("total_timesteps", int),
-    "dqn.hidden_sizes": ("hidden_sizes", "int_tuple"),
-    "dqn.activation": ("activation", str),
-    "dqn.log_interval_steps": ("log_interval_steps", int),
-}
-_WEBSTER_KEYS = {
-    "webster.recompute_interval_s": ("recompute_interval_s", float),
-    "webster.flow_window_s": ("flow_window_s", float),
-    "webster.lost_time_s": ("lost_time_s", float),
-}
-_RUN_KEYS = {
-    "run.horizon_s": ("horizon_s", int),
-    "run.seeds": ("seeds", "int_tuple"),
-    "run.kplanes_seed": ("kplanes_seed", int),
-    "run.workers": ("workers", int),
-}
-
-_ALL_SIMPLE_KEYS = (set(_LAYOUT_KEYS) | set(_PLAN_KEYS) | set(_REWARD_KEYS)
-                    | set(_PPO_KEYS) | set(_DQN_KEYS) | set(_WEBSTER_KEYS)
-                    | set(_RUN_KEYS))
 _FLOW_KEYS = {f"flow.{lane}" for lane in LANE_IDS} | {"flow.regimes"}
 
 
@@ -109,62 +51,16 @@ def parse_config_file(path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: empty key or value")
         if key in values:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key not in _ALL_SIMPLE_KEYS and key not in _FLOW_KEYS:
+        if key not in _SCHEMA and key not in _FLOW_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
-
-
-def _convert(key: str, raw: str, kind):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind == "int_tuple":
-            return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-        if kind == "float_tuple":
-            return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise ConfigurationError(f"bad value for {key}: {raw!r}")
-    raise ConfigurationError(f"unhandled kind for {key}")
-
-
-def _build_kwargs(cfg: dict, keymap: dict, overrides: dict) -> dict:
-    kwargs = {}
-    for key, (fieldname, kind) in keymap.items():
-        if key in cfg:
-            kwargs[fieldname] = _convert(key, cfg[key], kind)
-    for fieldname, value in overrides.items():
-        if value is not None:
-            kwargs[fieldname] = value
-    return kwargs
-
-
-def reward_from_config(cfg: dict, **overrides) -> RewardSpec:
-    return RewardSpec(**_build_kwargs(cfg, _REWARD_KEYS, overrides))
-
-
-def ppo_from_config(cfg: dict, **overrides) -> PpoConfig:
-    return PpoConfig(**_build_kwargs(cfg, _PPO_KEYS, overrides))
-
-
-def dqn_from_config(cfg: dict, **overrides) -> DqnConfig:
-    return DqnConfig(**_build_kwargs(cfg, _DQN_KEYS, overrides))
-
-
-def webster_from_config(cfg: dict) -> dict:
-    return _build_kwargs(cfg, _WEBSTER_KEYS, {})
 
 
 def _parse_segments(key: str, text: str):
     segments = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
         if "@" not in part or "-" not in part.split("@", 1)[0]:
             raise ConfigurationError(f"{key}: expected 'start-end@value', got {part!r}")
         span, value = part.split("@", 1)
@@ -173,8 +69,6 @@ def _parse_segments(key: str, text: str):
             segments.append((float(start), float(end), value.strip()))
         except ValueError:
             raise ConfigurationError(f"{key}: bad segment bounds in {part!r}")
-    if not segments:
-        raise ConfigurationError(f"{key}: no segments given")
     return segments
 
 
@@ -229,7 +123,7 @@ def default_flow_profile() -> FlowProfile:
 @dataclass(frozen=True)
 class RunSettings:
     """One fully resolved run: the scenario (layout, signal plan, flows), the
-    Webster controller's keyword arguments, and the episode settings.
+    Webster controller's settings, and the episode settings.
 
     The horizon must exceed the longest cycle any controller can run, every
     green at ``g_max_s`` plus its yellow, so every episode completes at
@@ -242,7 +136,7 @@ class RunSettings:
     layout: IntersectionLayout = IntersectionLayout()
     plan: PhasePlan = PhasePlan()
     flows: FlowProfile = field(default_factory=default_flow_profile)
-    webster: dict = field(default_factory=dict)
+    webster: WebsterSettings = WebsterSettings()
 
     def __post_init__(self) -> None:
         longest_cycle_s = N_PHASES * (self.plan.g_max_s + self.plan.yellow_s)
@@ -258,15 +152,51 @@ class RunSettings:
             raise ConfigurationError("workers must be positive")
 
 
-def run_from_config(cfg: dict, **overrides) -> RunSettings:
-    """Resolve a whole run from config values; non-None ``overrides``
-    (command-line flags) replace ``run.*`` values."""
+SECTIONS = {"sim": IntersectionLayout, "plan": PhasePlan, "reward": RewardSpec,
+            "ppo": PpoConfig, "dqn": DqnConfig, "webster": WebsterSettings,
+            "run": RunSettings}
+
+
+def _converter(f):
+    """The function that reads a key's text for field ``f``, or None when
+    no key sets the field."""
+    kind = f.metadata.get("type", type(f.default))
+    if kind is tuple:
+        item = type(f.default[0])
+        return lambda raw: tuple(item(part) for part in raw.split(","))
+    return kind if kind in (int, float, str) else None
+
+
+# key -> (class, field name, converter), for every key but the flow keys
+_SCHEMA = {f"{section}.{f.name}": (cls, f.name, convert)
+           for section, cls in SECTIONS.items() for f in fields(cls)
+           for convert in [_converter(f)] if convert is not None}
+
+
+def _kwargs(cfg: dict, cls) -> dict:
+    kwargs = {}
+    for key, (owner, name, convert) in _SCHEMA.items():
+        if owner is cls and key in cfg:
+            try:
+                kwargs[name] = convert(cfg[key])
+            except ValueError:
+                raise ConfigurationError(f"bad value for {key}: {cfg[key]!r}") from None
+    return kwargs
+
+
+def from_config(cfg: dict, cls):
+    """Build settings class ``cls`` from its section's keys in ``cfg``."""
+    return cls(**_kwargs(cfg, cls))
+
+
+def run_from_config(cfg: dict) -> RunSettings:
+    """Resolve a whole run from config values."""
     return RunSettings(
-        layout=IntersectionLayout(**_build_kwargs(cfg, _LAYOUT_KEYS, {})),
-        plan=PhasePlan(**_build_kwargs(cfg, _PLAN_KEYS, {})),
+        layout=from_config(cfg, IntersectionLayout),
+        plan=from_config(cfg, PhasePlan),
         flows=flows_from_config(cfg),
-        webster=webster_from_config(cfg),
-        **_build_kwargs(cfg, _RUN_KEYS, overrides),
+        webster=from_config(cfg, WebsterSettings),
+        **_kwargs(cfg, RunSettings),
     )
 
 

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..errors import ContractViolation
 from ..sim import APPROACHES, N_LANES, N_PHASES, PHASE_SERVED, FlowProfile
 
 
@@ -93,6 +94,13 @@ class CycleTracker:
                                self._flows.regime_at(start_tick - 1))
         self._next_index += 1
         return record
+
+
+def mean_q_cycle(records: Sequence[CycleRecord]) -> float:
+    """Mean per-cycle total queue over one episode's cycle records."""
+    if not records:
+        raise ContractViolation("episode completed no cycles")
+    return float(np.mean([r.q_cycle for r in records]))
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:

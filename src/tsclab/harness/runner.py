@@ -9,7 +9,7 @@ import numpy as np
 
 from ..baselines import DynamicWebsterController, FixedTimeController
 from ..envs import run_to_decision
-from ..errors import ConfigurationError, ContractViolation
+from ..errors import ConfigurationError
 from ..agents.bundle import PolicyBundle
 from ..sim import (
     FlowProfile,
@@ -22,7 +22,7 @@ from ..sim import (
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..neural import softmax_sample
 from .config import RunSettings
-from .metrics import CycleRecord, CycleTracker, mean_std, write_csv
+from .metrics import CycleRecord, CycleTracker, mean_q_cycle, mean_std, write_csv
 
 REGIME_ORDER = ("high", "medium", "low")
 
@@ -37,8 +37,6 @@ class PolicyController:
     Greedy playback can collapse a rarely-extended phase to a constant
     green, which hides the policy's queue responsiveness.
     """
-
-    controller_id = "policy"
 
     def __init__(self, bundle: PolicyBundle, sample_seed: int | None = None) -> None:
         self.bundle = bundle
@@ -65,7 +63,7 @@ def make_controller(kind: str, run: RunSettings, bundle: PolicyBundle | None = N
     if kind == "fixed":
         return FixedTimeController()
     if kind == "webster":
-        return DynamicWebsterController(run.layout, run.plan, **run.webster)
+        return DynamicWebsterController(run.layout, run.plan, run.webster)
     if kind == "policy":
         if bundle is None:
             raise ConfigurationError("policy controller needs a policy bundle")
@@ -79,18 +77,13 @@ def make_controller(kind: str, run: RunSettings, bundle: PolicyBundle | None = N
 class EpisodeResult:
     """Everything one evaluation episode produced."""
 
-    controller_id: str
-    seed: int
-    horizon_s: int
     records: list
     events: list | None = None
     webster_log: list | None = None
 
     @property
     def mean_q_cycle(self) -> float:
-        if not self.records:
-            raise ContractViolation("episode completed no cycles")
-        return float(np.mean([r.q_cycle for r in self.records]))
+        return mean_q_cycle(self.records)
 
 
 def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -112,9 +105,6 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
     tracker = CycleTracker(flows)
     records = [tracker.feed(entry) for entry in sim.completed_cycles]
     return EpisodeResult(
-        controller_id=controller.controller_id,
-        seed=seed,
-        horizon_s=horizon_s,
         records=records,
         events=list(sim.events) if record_events else None,
         webster_log=list(getattr(controller, "recompute_log", ())) or None,
@@ -195,7 +185,7 @@ def _aggregate(spec: RunSpec, per_seed: dict) -> SummaryRow:
     pooled: list[CycleRecord] = []
     # RunSettings' horizon floor gives every episode at least one cycle
     for _seed, records in sorted(per_seed.items()):
-        seed_means.append(float(np.mean([r.q_cycle for r in records])))
+        seed_means.append(mean_q_cycle(records))
         pooled.extend(records)
     mean, std = mean_std(seed_means)
     phase_regime: dict = {}

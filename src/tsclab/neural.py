@@ -15,9 +15,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ConfigurationError, ContractViolation
 
 ACTIVATIONS = ("tanh", "relu")
+
+
+def check_hidden_layers(hidden_sizes: Sequence[int], activation: str) -> None:
+    """Raise :class:`ConfigurationError` unless :class:`Mlp` can build these
+    hidden layers: every size at least 1, a known activation."""
+    if activation not in ACTIVATIONS:
+        raise ConfigurationError(
+            f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
+    if any(n < 1 for n in hidden_sizes):
+        raise ConfigurationError(f"hidden sizes must be at least 1, got {hidden_sizes}")
 
 
 class Mlp:

@@ -108,14 +108,14 @@ class PhasePlan:
     a green ends on the first whole second at or past its programmed value.
     """
 
-    programmed_green_s: tuple[float, float, float, float] = (20.0, 20.0, 20.0, 20.0)
+    greens_s: tuple[float, float, float, float] = (20.0, 20.0, 20.0, 20.0)
     yellow_s: float = 5.0
     g_min_s: float = 10.0
     g_max_s: float = 40.0
     delta_time_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if len(self.programmed_green_s) != N_PHASES:
+        if len(self.greens_s) != N_PHASES:
             raise ConfigurationError("plan needs one programmed green per phase")
         if self.g_min_s <= 0.0 or self.g_max_s <= 0.0:
             raise ConfigurationError("green bounds must be positive")
@@ -129,7 +129,7 @@ class PhasePlan:
             if not float(getattr(self, name)).is_integer():
                 raise ConfigurationError(
                     f"{name} must be a whole number of seconds, got {getattr(self, name)}")
-        for g in self.programmed_green_s:
+        for g in self.greens_s:
             if not (self.g_min_s <= g <= self.g_max_s):
                 raise ConfigurationError(
                     f"programmed green {g} outside [{self.g_min_s}, {self.g_max_s}]"
@@ -137,7 +137,7 @@ class PhasePlan:
 
     @property
     def default_cycle_s(self) -> float:
-        return sum(self.programmed_green_s) + N_PHASES * self.yellow_s
+        return sum(self.greens_s) + N_PHASES * self.yellow_s
 
 
 @dataclass(frozen=True)
@@ -315,8 +315,8 @@ class SimState:
         self.cycle_lane_max = [0] * N_LANES
         self.cycle_green_s = [0] * N_PHASES
         self.completed_cycles: list[tuple[int, int, tuple, tuple]] = []
-        self.default_green_s = list(plan.programmed_green_s)
-        self.programmed_green_s = list(plan.programmed_green_s)
+        self.default_green_s = list(plan.greens_s)
+        self.programmed_green_s = list(plan.greens_s)
         self.decision_queues = (0, 0, 0, 0)
         self.transit: deque = deque()
         self.queues = [deque() for _ in range(N_LANES)]

@@ -278,6 +278,9 @@ def test_ppo_config_validation():
         dict(value_coef=float("nan")),
         dict(value_coef=float("inf")),
         dict(value_coef=-0.5),
+        dict(activation="sigmoid"),
+        dict(hidden_sizes=(0,)),
+        dict(hidden_sizes=(8, -1)),
         dict(entropy_coef=float("nan")),
         dict(entropy_coef=float("-inf")),
         dict(entropy_coef=-0.01),
@@ -296,7 +299,7 @@ def driver_scenarios(draw):
     g_min = draw(st.integers(1, 20))
     g_max = g_min + draw(st.integers(0, 40))
     plan = PhasePlan(
-        programmed_green_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(4)),
+        greens_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(4)),
         yellow_s=draw(st.integers(1, 8)),
         g_min_s=g_min,
         g_max_s=g_max,
@@ -332,8 +335,6 @@ def test_run_to_decision_reaches_decisions_within_yellow_plus_g_max(scenario):
 
 class ReplayController:
     """Plays a fixed list of actions, one per decision point."""
-
-    controller_id = "replay"
 
     def __init__(self, actions):
         self.actions = list(actions)
@@ -614,6 +615,8 @@ def test_dqn_config_validation():
         dict(learning_rate=float("nan")),
         dict(learning_rate=float("inf")),
         dict(learning_rate=-1e-4),
+        dict(activation="gelu"),
+        dict(hidden_sizes=(0,)),
     ):
         with pytest.raises(ConfigurationError):
             DqnConfig(**bad)

@@ -12,6 +12,7 @@ from tsclab.baselines import (
     DynamicWebsterController,
     FixedTimeController,
     WebsterInput,
+    WebsterSettings,
     WebsterTimings,
     default_lost_time_s,
     webster_timings,
@@ -113,7 +114,6 @@ def test_fixed_time_always_continues():
     ctrl = FixedTimeController()
     sim = new_simulation(LAYOUT, PLAN, uniform_flows(0.0), seed=0)
     assert ctrl.decide(sim) == ACTION_CONTINUE
-    assert ctrl.controller_id == "fixed"
 
 
 def test_fixed_time_cycles_match_programmed_plan():
@@ -123,7 +123,7 @@ def test_fixed_time_cycles_match_programmed_plan():
     assert all(r.cycle_len_s == 100 for r in result.records)
     assert all(r.green_s == (20.0, 20.0, 20.0, 20.0) for r in result.records)
 
-    short = PhasePlan(programmed_green_s=(10.0, 10.0, 10.0, 10.0))
+    short = PhasePlan(greens_s=(10.0, 10.0, 10.0, 10.0))
     result = run_episode(LAYOUT, short, uniform_flows(0.0), FixedTimeController(),
                          seed=0, horizon_s=650)
     assert all(r.cycle_len_s == 60 for r in result.records)
@@ -134,12 +134,16 @@ def test_fixed_time_cycles_match_programmed_plan():
 
 def test_webster_controller_validation():
     with pytest.raises(ConfigurationError):
-        DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.0)
+        WebsterSettings(recompute_interval_s=0.0)
     for window in (-1.0, 0.0, 0.5, 900.7, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError):
-            DynamicWebsterController(LAYOUT, PLAN, flow_window_s=window)
+            WebsterSettings(flow_window_s=window)
     with pytest.raises(ConfigurationError):
-        DynamicWebsterController(LAYOUT, PLAN, lost_time_s=0.0)
+        WebsterSettings(lost_time_s=0.0)
+    # no startup loss and a 2 s yellow derive no lost time
+    with pytest.raises(ConfigurationError):
+        DynamicWebsterController(IntersectionLayout(startup_lost_time_s=0.0),
+                                 PhasePlan(yellow_s=2.0))
 
 
 def test_webster_controller_zero_flow_log():
@@ -195,17 +199,17 @@ def test_webster_installs_only_on_a_phase_change():
     rates = [700.0, 150.0, 150.0, 150.0, 700.0, 150.0, 150.0, 150.0]
     flows = FlowProfile.uniform(rates)
     sim = new_simulation(LAYOUT, PLAN, flows, seed=5)
-    ctrl = DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.5,
-                                    flow_window_s=60.0)
+    ctrl = DynamicWebsterController(
+        LAYOUT, PLAN, WebsterSettings(recompute_interval_s=0.5, flow_window_s=60.0))
     step(sim)
     ctrl.on_tick(sim)
     assert not sim.phase_changed and sim.phase_elapsed_s == 1
     assert len(ctrl.recompute_log) == 1
-    assert ctrl.recompute_log[0][6:10] != PLAN.programmed_green_s
-    assert tuple(sim.default_green_s) == PLAN.programmed_green_s
+    assert ctrl.recompute_log[0][6:10] != PLAN.greens_s
+    assert tuple(sim.default_green_s) == PLAN.greens_s
 
-    ctrl = DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.5,
-                                    flow_window_s=60.0)
+    ctrl = DynamicWebsterController(
+        LAYOUT, PLAN, WebsterSettings(recompute_interval_s=0.5, flow_window_s=60.0))
     result = run_episode(LAYOUT, PLAN, flows, ctrl, seed=5, horizon_s=900)
     assert len(result.webster_log) == 900
     assert [r.green_s for r in result.records[:2]] == [(20.0, 10.0, 10.0, 10.0),
@@ -230,7 +234,7 @@ def test_webster_first_recompute_reads_the_first_tick():
     # on_tick files a tick's arrivals before that tick can recompute, so even
     # a sub-second interval finds data in the window
     sim = new_simulation(LAYOUT, PLAN, uniform_flows(3000.0), seed=1)
-    ctrl = DynamicWebsterController(LAYOUT, PLAN, recompute_interval_s=0.5)
+    ctrl = DynamicWebsterController(LAYOUT, PLAN, WebsterSettings(recompute_interval_s=0.5))
     step(sim)
     ctrl.on_tick(sim)
     [row] = ctrl.recompute_log
@@ -246,7 +250,8 @@ class RingBufferWebster(DynamicWebsterController):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._ring = np.zeros((int(self.flow_window_s), N_LANES), dtype=np.int64)
+        self._ring = np.zeros((int(self.settings.flow_window_s), N_LANES),
+                              dtype=np.int64)
         self._ring_sum = np.zeros(N_LANES, dtype=np.int64)
         self._ring_pos = 0
         self._ticks_seen = 0
@@ -267,7 +272,7 @@ class RingBufferWebster(DynamicWebsterController):
 
 @st.composite
 def webster_scenarios(draw):
-    params = dict(
+    webster = WebsterSettings(
         flow_window_s=float(draw(st.one_of(st.integers(1, 30), st.integers(1, 1200)))),
         recompute_interval_s=draw(st.one_of(st.integers(1, 300).map(float),
                                             st.floats(0.5, 300.0))),
@@ -277,14 +282,14 @@ def webster_scenarios(draw):
     flows = FlowProfile.build({lane: [(0.0, cut, draw(st.floats(0.0, 2000.0))),
                                       (cut, span, draw(st.floats(0.0, 2000.0)))]
                                for lane in ("N0", "N1", "E0", "S0", "S1", "W0", "W1")})
-    return params, flows, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 2500))
+    return webster, flows, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 2500))
 
 
 @settings(max_examples=40, deadline=None)
 @given(webster_scenarios())
 def test_webster_window_matches_ring_buffer_reference(scenario):
-    params, flows, seed, horizon = scenario
-    runs = [run_episode(LAYOUT, PLAN, flows, cls(LAYOUT, PLAN, **params), seed, horizon)
+    webster, flows, seed, horizon = scenario
+    runs = [run_episode(LAYOUT, PLAN, flows, cls(LAYOUT, PLAN, webster), seed, horizon)
             for cls in (DynamicWebsterController, RingBufferWebster)]
     assert runs[0].webster_log == runs[1].webster_log
     assert runs[0].records == runs[1].records

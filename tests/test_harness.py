@@ -17,19 +17,19 @@ from hypothesis import strategies as st
 from conftest import rate_veh_h
 from tsclab.agents.autoencoder import AeResult, save_autoencoder
 from tsclab.agents.bundle import TRAINING_LOG_HEADER, PolicyBundle, TrainLogRow
+from tsclab.agents.ppo import PpoConfig
 from tsclab.baselines import (WEBSTER_LOG_HEADER, DynamicWebsterController,
-                              FixedTimeController)
+                              FixedTimeController, WebsterSettings)
 from tsclab.errors import ConfigurationError, ContractViolation
-from tsclab.harness.cli import main
+from tsclab.harness.cli import _load_cfg, build_parser, main
 from tsclab.harness.config import (
     default_flow_profile,
     flows_from_config,
+    from_config,
     normalizers_for_training,
     parse_config_file,
-    ppo_from_config,
     run_from_config,
     RunSettings,
-    webster_from_config,
 )
 from tsclab.harness.metrics import (
     CycleRecord,
@@ -165,7 +165,6 @@ class TickLog:
 
     def __init__(self, inner):
         self.inner = inner
-        self.controller_id = inner.controller_id
         self.ticks = []
         self.queues = []
 
@@ -305,7 +304,6 @@ def test_correlation_report_constant_green_is_undefined():
 def test_run_episode_zero_flow_has_empty_queues():
     result = run_episode(LAYOUT, PLAN, uniform_flows(0.0), FixedTimeController(),
                          seed=0, horizon_s=400)
-    assert result.controller_id == "fixed"
     assert all(r.q_cycle == 0 for r in result.records)
     assert result.events is None
     assert result.webster_log is None
@@ -323,8 +321,6 @@ def test_run_episode_deterministic():
 class RecordingController:
     """Random-action controller that logs the clock of every ``decide`` call
     and of every tick that ends on a decision point."""
-
-    controller_id = "recording"
 
     def __init__(self, seed):
         self.rng = np.random.Generator(np.random.PCG64(seed))
@@ -390,11 +386,11 @@ def test_policy_controller_greedy_differs_from_sampled():
 
 
 def test_make_controller_kinds_and_errors(tmp_path):
-    run = RunSettings(webster={"recompute_interval_s": 60.0})
+    run = RunSettings(webster=WebsterSettings(recompute_interval_s=60.0))
     assert isinstance(make_controller("fixed", run), FixedTimeController)
     webster = make_controller("webster", run)
     assert isinstance(webster, DynamicWebsterController)
-    assert webster.recompute_interval_s == 60.0
+    assert webster.settings is run.webster
     with pytest.raises(ConfigurationError):
         make_controller("policy", run)
     with pytest.raises(ConfigurationError):
@@ -403,7 +399,7 @@ def test_make_controller_kinds_and_errors(tmp_path):
     tiny_bundle().save(path)
     controller = make_controller("policy", run, PolicyBundle.load(path),
                                  sample_seed=1)
-    assert controller.controller_id == "policy"
+    assert isinstance(controller, PolicyController)
 
 
 # -- comparison grid -------------------------------------------------------------
@@ -433,8 +429,6 @@ def test_run_grid_rejects_duplicate_ids():
 
 
 class AlwaysExtend:
-    controller_id = "extend"
-
     def decide(self, sim):
         return ACTION_EXTEND
 
@@ -619,19 +613,22 @@ ppo.hidden_sizes = 16, 8
 ppo.learning_rate = 1e-3
 run.seeds = 3,4
 webster.recompute_interval_s = 60
+ppo.total_timesteps = 500
 """))
-    ppo = ppo_from_config(cfg)
+    ppo = from_config(cfg, PpoConfig)
     assert ppo.n_steps == 32
     assert ppo.hidden_sizes == (16, 8)
     assert ppo.learning_rate == 1e-3
-    # explicit overrides beat file values; None leaves the file value alone
-    assert ppo_from_config(cfg, n_steps=64).n_steps == 64
-    assert ppo_from_config(cfg, n_steps=None).n_steps == 32
     assert run_from_config(cfg).seeds == (3, 4)
-    assert webster_from_config(cfg) == {"recompute_interval_s": 60.0}
+    assert run_from_config(cfg).webster == WebsterSettings(recompute_interval_s=60.0)
     bad = parse_config_file(write_cfg(tmp_path, "ppo.n_steps = lots\n", "b.cfg"))
     with pytest.raises(ConfigurationError):
-        ppo_from_config(bad)
+        from_config(bad, PpoConfig)
+    # a given flag writes its key over the file's value; an absent one leaves it
+    path = str(tmp_path / "run.cfg")
+    for flags, timesteps in ((["--timesteps", "64"], 64), ([], 500)):
+        args = build_parser().parse_args(["train", "--config", path, *flags])
+        assert from_config(_load_cfg(args), PpoConfig).total_timesteps == timesteps
 
 
 def test_flows_from_config(tmp_path):
@@ -654,6 +651,8 @@ def test_flows_from_config_errors(tmp_path):
         "flow.N0 = a-b@300\n",
         "flow.N0 = 0-100@fast\n",
         "flow.N0 = ,\n",
+        "flow.N0 = 0-100@500,, 100-200@250\n",
+        "flow.regimes = 0-100@low, 100-200@high,\n",
     ):
         cfg = parse_config_file(write_cfg(tmp_path, text))
         with pytest.raises(ConfigurationError):
@@ -1016,18 +1015,19 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 @pytest.fixture
 def episodes_started(monkeypatch):
-    """Counts the episodes the runner starts (every episode makes one
-    simulation through ``tsclab.harness.runner.new_simulation``)."""
+    """Counts the episodes the runner and the training environments start
+    (every episode makes one simulation through its module's
+    ``new_simulation``)."""
+    import tsclab.envs as envs
     import tsclab.harness.runner as runner
 
     started = []
+    for module in (runner, envs):
+        def counting(*args, _real=module.new_simulation, **kwargs):
+            started.append(args)
+            return _real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        started.append(args)
-        return real(*args, **kwargs)
-
-    real = runner.new_simulation
-    monkeypatch.setattr(runner, "new_simulation", counting)
+        monkeypatch.setattr(module, "new_simulation", counting)
     return started
 
 
@@ -1142,7 +1142,7 @@ def test_cli_compare_plays_each_column_as_its_playback_says(tmp_path, capsys, al
     argv = _grid_argv(tmp_path, [line], horizon="600")
     assert main(argv) == 0
     capsys.readouterr()
-    run = run_from_config({}, horizon_s=600, seeds=(0, 1, 2, 3, 4))
+    run = RunSettings(horizon_s=600, seeds=(0, 1, 2, 3, 4))
     bundle = PolicyBundle.load(weights)
     for seed in run.seeds:
         played = {}
@@ -1163,13 +1163,26 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
     grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n", "grid.txt")
     out = ["--out", str(tmp_path / "x")]
     assert main(["baseline", "--method", "fixed", "--horizon", "50", *out]) == 1
-    # --seeds takes run.seeds' rule: integers, comma separated, distinct
-    for seeds in ("1,1", "0,x", ""):
+    # --seeds takes run.seeds' rule: integers, comma separated, none empty, distinct
+    for seeds in ("1,1", "0,x", "", "0,,1", "0,1,"):
         assert main(["compare", "--grid", str(grid), "--seeds", seeds, *out]) == 1
     assert main(["train", "--repr", "ae8", "--encoder", str(tmp_path / "absent.tscw"),
                  *out]) == 1
-    assert episodes_started == []
     capsys.readouterr()
+    # every command checks every section when its config loads
+    for command, line, message in (
+        ("train", "ppo.hidden_sizes = 8,,8", "bad value for ppo.hidden_sizes"),
+        ("train", "ppo.hidden_sizes = 0", "hidden sizes must be at least 1"),
+        ("train", "ppo.activation = sigmoid", "unknown activation 'sigmoid'"),
+        ("train", "plan.greens_s = 20,20,20,20,", "bad value for plan.greens_s"),
+        ("train", "webster.recompute_interval_s = -5", "recompute interval"),
+        ("dqn", "dqn.hidden_sizes = 8,,8", "bad value for dqn.hidden_sizes"),
+        ("dqn", "dqn.activation = gelu", "unknown activation 'gelu'"),
+    ):
+        cfg = write_cfg(tmp_path, line + "\n")
+        assert main([command, "--config", str(cfg), "--timesteps", "300", *out]) == 1
+        assert message in capsys.readouterr().err, line
+    assert episodes_started == []
 
 
 def test_cli_compare_with_few_cycles_writes_blank_correlations(tmp_path, capsys):
@@ -1247,3 +1260,19 @@ def test_cli_docs_name_every_subcommand():
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     assert set(re.findall(r"^tsclab (\S+)", block, re.M)) == commands
+
+
+def test_readme_config_table_names_every_key():
+    # the keys are derived from field names, so a renamed field renames a key
+    import re
+
+    from tsclab.harness import config
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.` \| `\w+` \| (.*) \|$", section, re.M)
+    documented = {f"{group}.{key}" for group, cells in rows if group != "flow"
+                  for key in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cells))}
+    assert documented == set(config._SCHEMA)
+    assert len(documented) == 48
+    assert {group for group, _ in rows} == set(config.SECTIONS) | {"flow"}

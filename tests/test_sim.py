@@ -98,13 +98,13 @@ def test_plan_validation():
     with pytest.raises(ConfigurationError):
         PhasePlan(g_min_s=40.0, g_max_s=10.0)
     with pytest.raises(ConfigurationError):
-        PhasePlan(programmed_green_s=(5.0, 20.0, 20.0, 20.0))
+        PhasePlan(greens_s=(5.0, 20.0, 20.0, 20.0))
     with pytest.raises(ConfigurationError):
         PhasePlan(yellow_s=0.0)
     with pytest.raises(ConfigurationError):
         PhasePlan(delta_time_s=0.0)
     with pytest.raises(ConfigurationError):
-        PhasePlan(programmed_green_s=(20.0, 20.0, 20.0))
+        PhasePlan(greens_s=(20.0, 20.0, 20.0))
     assert PhasePlan().default_cycle_s == pytest.approx(100.0)
 
 
@@ -121,7 +121,7 @@ def test_plan_timings_must_be_whole_seconds(field, value):
 
 
 def test_fractional_programmed_green_ends_on_next_whole_second():
-    sim = make_sim(plan=PhasePlan(programmed_green_s=(12.5, 20.0, 20.0, 20.0)))
+    sim = make_sim(plan=PhasePlan(greens_s=(12.5, 20.0, 20.0, 20.0)))
     while not sim.in_yellow:
         step(sim)
     assert sim.phase_elapsed_s == 13
@@ -350,7 +350,7 @@ def test_extend_action_adds_delta():
 
 
 def test_extend_clamps_at_g_max():
-    plan = PhasePlan(programmed_green_s=(40.0, 20.0, 20.0, 20.0))
+    plan = PhasePlan(greens_s=(40.0, 20.0, 20.0, 20.0))
     sim = make_sim(plan=plan)
     run_to_first_decision(sim)
     apply_action(sim, ACTION_EXTEND)
@@ -601,7 +601,7 @@ def lane_scenarios(draw):
     g_min = draw(st.integers(1, 15))
     g_max = g_min + draw(st.integers(0, 25))
     plan = PhasePlan(
-        programmed_green_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(N_PHASES)),
+        greens_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(N_PHASES)),
         yellow_s=draw(st.integers(1, 6)),
         g_min_s=g_min,
         g_max_s=g_max,
