@@ -3,16 +3,16 @@
 from .autoencoder import (AeResult, CANONICAL_LATENTS, collect_state_buffer,
                           load_autoencoder, reconstruction_mse, save_autoencoder,
                           train_autoencoder)
-from .bundle import PolicyBundle, TrainLogRow
-from .dqn import DqnConfig, DqnResult, ReplayBuffer, epsilon_at, train_dqn
-from .ppo import (MiniBatch, PpoConfig, PpoResult, RolloutBuffer, clipped_objective,
-                  compute_gae, normalize_advantages, ppo_surrogate, train_ppo)
+from .bundle import PolicyBundle, TrainLogRow, TrainResult
+from .dqn import DqnConfig, ReplayBuffer, epsilon_at, train_dqn
+from .ppo import (MiniBatch, PpoConfig, clipped_objective, compute_gae,
+                  normalize_advantages, ppo_surrogate, train_ppo)
 
 __all__ = [
     "AeResult", "CANONICAL_LATENTS", "collect_state_buffer", "load_autoencoder",
     "reconstruction_mse", "save_autoencoder", "train_autoencoder",
-    "PolicyBundle", "TrainLogRow",
-    "DqnConfig", "DqnResult", "ReplayBuffer", "epsilon_at", "train_dqn",
-    "MiniBatch", "PpoConfig", "PpoResult", "RolloutBuffer", "clipped_objective",
-    "compute_gae", "normalize_advantages", "ppo_surrogate", "train_ppo",
+    "PolicyBundle", "TrainLogRow", "TrainResult",
+    "DqnConfig", "ReplayBuffer", "epsilon_at", "train_dqn",
+    "MiniBatch", "PpoConfig", "clipped_objective", "compute_gae",
+    "normalize_advantages", "ppo_surrogate", "train_ppo",
 ]

@@ -1,5 +1,5 @@
-"""Artifacts shared by the trainers: the serializable policy bundle and the
-training-log row schema."""
+"""Artifacts shared by the trainers: the serializable policy bundle, the
+training-log row schema, and the result a trainer returns."""
 
 from __future__ import annotations
 
@@ -34,6 +34,16 @@ class TrainLogRow:
 
 TRAINING_LOG_HEADER = ("rollout_idx", "sim_time_s", "mean_reward",
                        "mean_Q_cycle", "policy_entropy", "value_loss")
+
+
+@dataclass
+class TrainResult:
+    """What a trainer returns: the trained bundle, its log rows, and every
+    cycle record the training environment completed, in order."""
+
+    bundle: PolicyBundle
+    log: list
+    cycle_records: list
 
 
 @dataclass

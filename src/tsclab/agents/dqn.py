@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers
-from .bundle import PolicyBundle, TrainLogRow
+from .bundle import PolicyBundle, TrainLogRow, TrainResult
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,8 @@ class ReplayBuffer:
         return (self.obs[idx], self.actions[idx], self.rewards[idx], self.next_obs[idx])
 
 
-@dataclass
-class DqnResult:
-    bundle: PolicyBundle
-    log: list
-    cycle_records: list = field(default_factory=list)
-
-
 def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig(),
-              seed: int = 0) -> DqnResult:
+              seed: int = 0) -> TrainResult:
     """Replay + target-network Q-learning over the environment's actions.
 
     The environment speaks :func:`~tsclab.agents.ppo.train_ppo`'s protocol:
@@ -112,10 +105,10 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
     replay = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
 
     log: list[TrainLogRow] = []
-    all_records: list = []
+    records: list = []
     window_rewards: list = []
     window_losses: list = []
-    window_records: list = []
+    window_first_record = 0
     obs = env.reset()
     step_count = 0
     rows = np.arange(cfg.batch_size)
@@ -125,13 +118,11 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
             action = int(explore_rng.integers(env.n_actions))
         else:
             action = int(np.argmax(q_net.predict(obs)))
-        next_obs, reward, info = env.step(action)
+        next_obs, reward, new_records = env.step(action)
         replay.add(obs, action, reward, next_obs)
         obs = next_obs
         window_rewards.append(reward)
-        new_records = list(info.get("cycles", ()))
-        window_records.extend(new_records)
-        all_records.extend(new_records)
+        records.extend(new_records)
 
         if len(replay) >= cfg.batch_size:
             b_obs, b_act, b_rew, b_next = replay.sample(cfg.batch_size, sample_rng)
@@ -151,7 +142,7 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
         if step_count % cfg.target_sync_interval == 0:
             target_net = q_net.copy()
         if step_count % cfg.log_interval_steps == 0:
-            q_vals = [r.q_cycle for r in window_records]
+            q_vals = [r.q_cycle for r in records[window_first_record:]]
             log.append(TrainLogRow(
                 rollout_idx=len(log),
                 sim_time_s=float(env.clock_s),
@@ -162,8 +153,8 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
             ))
             window_rewards = []
             window_losses = []
-            window_records = []
+            window_first_record = len(records)
 
     bundle = PolicyBundle("dqn", env.reward_spec.kind, q_net, None,
                           env.observation, seed)
-    return DqnResult(bundle=bundle, log=log, cycle_records=all_records)
+    return TrainResult(bundle, log, records)

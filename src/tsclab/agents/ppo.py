@@ -6,14 +6,14 @@ policy head and the squared-error value head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers, log_softmax, softmax_sample
-from .bundle import PolicyBundle, TrainLogRow
+from .bundle import PolicyBundle, TrainLogRow, TrainResult
 
 
 @dataclass(frozen=True)
@@ -96,66 +96,8 @@ class MiniBatch:
     returns: np.ndarray
 
 
-class RolloutBuffer:
-    """Fixed-length on-policy transition store."""
-
-    def __init__(self, n_steps: int, obs_dim: int) -> None:
-        self.n_steps = n_steps
-        self.obs = np.zeros((n_steps, obs_dim), dtype=np.float64)
-        self.actions = np.zeros(n_steps, dtype=np.int64)
-        self.log_probs = np.zeros(n_steps, dtype=np.float64)
-        self.rewards = np.zeros(n_steps, dtype=np.float64)
-        self.values = np.zeros(n_steps, dtype=np.float64)
-        self.advantages: np.ndarray | None = None
-        self.returns: np.ndarray | None = None
-        self.pos = 0
-
-    def reset(self) -> None:
-        self.pos = 0
-        self.advantages = None
-        self.returns = None
-
-    @property
-    def full(self) -> bool:
-        return self.pos >= self.n_steps
-
-    def add(self, obs, action: int, log_prob: float, reward: float, value: float) -> None:
-        if self.full:
-            raise ValueError("rollout buffer is full")
-        self.obs[self.pos] = obs
-        self.actions[self.pos] = action
-        self.log_probs[self.pos] = log_prob
-        self.rewards[self.pos] = reward
-        self.values[self.pos] = value
-        self.pos += 1
-
-    def finalize(self, next_value: float, gamma: float, lam: float) -> None:
-        """Compute advantages (normalized to mean 0, std 1) and returns."""
-        if not self.full:
-            raise ValueError("finalize needs a full buffer")
-        advantages, returns = compute_gae(self.rewards, self.values, next_value,
-                                          gamma, lam)
-        self.advantages = normalize_advantages(advantages)
-        self.returns = returns
-
-    def minibatches(self, batch_size: int, rng: np.random.Generator):
-        if self.advantages is None or self.returns is None:
-            raise ValueError("finalize must run before minibatching")
-        order = rng.permutation(self.n_steps)
-        for start in range(0, self.n_steps, batch_size):
-            idx = order[start:start + batch_size]
-            yield MiniBatch(
-                obs=self.obs[idx],
-                actions=self.actions[idx],
-                old_log_probs=self.log_probs[idx],
-                advantages=self.advantages[idx],
-                returns=self.returns[idx],
-            )
-
-
 @dataclass
 class SurrogateResult:
-    loss: float
     policy_loss: float
     value_loss: float
     entropy: float
@@ -166,9 +108,10 @@ class SurrogateResult:
 
 
 def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
-                  clip_epsilon: float, value_coef: float = 0.5,
-                  entropy_coef: float = 0.01) -> SurrogateResult:
-    """Loss and exact gradients of the clipped objective on one minibatch.
+                  clip_epsilon: float, value_coef: float,
+                  entropy_coef: float) -> SurrogateResult:
+    """Exact gradients of the clipped loss on one minibatch, with the loss's
+    policy, value and entropy terms reported apart.
 
     loss = -mean(min(r*A, clip(r)*A)) + value_coef * value-MSE
            - entropy_coef * mean(entropy).
@@ -211,13 +154,10 @@ def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
     value_loss = float(np.mean(v_err * v_err))
     value_grads, _ = value_net.backward((2.0 * value_coef / n) * v_err[:, None])
 
-    mean_entropy = float(entropy.mean())
-    loss = policy_loss + value_coef * value_loss - entropy_coef * mean_entropy
     return SurrogateResult(
-        loss=loss,
         policy_loss=policy_loss,
         value_loss=value_loss,
-        entropy=mean_entropy,
+        entropy=float(entropy.mean()),
         policy_grads=policy_grads,
         value_grads=value_grads,
         mean_ratio_dev=float(np.mean(np.abs(ratio - 1.0))),
@@ -225,19 +165,13 @@ def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
     )
 
 
-@dataclass
-class PpoResult:
-    bundle: PolicyBundle
-    log: list
-    cycle_records: list = field(default_factory=list)
-
-
 def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig(),
-              seed: int = 0) -> PpoResult:
+              seed: int = 0) -> TrainResult:
     """Train a policy on the environment built by ``env_factory(seed)``.
 
     The environment must expose ``obs_dim``, ``n_actions``, ``clock_s``,
-    ``reset() -> obs`` and ``step(a) -> (obs, reward, info)``; the budget
+    ``reset() -> obs`` and ``step(a) -> (obs, reward, records)``, where
+    ``records`` are the cycle records the transition completed; the budget
     counts simulated seconds via ``clock_s``.  Its ``observation`` and
     ``reward_spec.kind`` go into the returned bundle.  All randomness (network
     init, action sampling, minibatch shuffling) derives from ``seed``, so a
@@ -254,33 +188,43 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
     opt_policy = Adam([policy.flat], cfg.learning_rate)
     opt_value = Adam([value_net.flat], cfg.learning_rate)
 
-    buffer = RolloutBuffer(cfg.n_steps, env.obs_dim)
+    n_steps = cfg.n_steps
+    rollout_obs = np.zeros((n_steps, env.obs_dim), dtype=np.float64)
+    actions = np.zeros(n_steps, dtype=np.int64)
+    log_probs = np.zeros(n_steps, dtype=np.float64)
+    rewards = np.zeros(n_steps, dtype=np.float64)
+    values = np.zeros(n_steps, dtype=np.float64)
     log: list[TrainLogRow] = []
-    all_records: list = []
+    records: list = []
     obs = env.reset()
-    rollout_idx = 0
     while env.clock_s < cfg.total_timesteps:
-        buffer.reset()
-        rollout_records: list = []
-        while not buffer.full:
-            action, log_prob, _probs = softmax_sample(policy.predict(obs), act_rng)
-            value = float(value_net.predict(obs)[0])
-            next_obs, reward, info = env.step(action)
-            buffer.add(obs, action, log_prob, reward, value)
-            rollout_records.extend(info.get("cycles", ()))
-            obs = next_obs
-        buffer.finalize(float(value_net.predict(obs)[0]), cfg.gamma, cfg.gae_lambda)
+        first_record = len(records)
+        for t in range(n_steps):
+            rollout_obs[t] = obs
+            action, log_probs[t], _probs = softmax_sample(policy.predict(obs), act_rng)
+            actions[t] = action
+            values[t] = value_net.predict(obs)[0]
+            obs, rewards[t], new_records = env.step(action)
+            records.extend(new_records)
+        next_value = float(value_net.predict(obs)[0])
+        advantages, returns = compute_gae(rewards, values, next_value,
+                                          cfg.gamma, cfg.gae_lambda)
+        advantages = normalize_advantages(advantages)
 
         entropy_sum = 0.0
         value_loss_sum = 0.0
         n_updates = 0
         for _epoch in range(cfg.n_epochs):
-            for mb in buffer.minibatches(cfg.batch_size, shuffle_rng):
+            order = shuffle_rng.permutation(n_steps)
+            for start in range(0, n_steps, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                mb = MiniBatch(rollout_obs[idx], actions[idx], log_probs[idx],
+                               advantages[idx], returns[idx])
                 res = ppo_surrogate(mb, policy, value_net, cfg.clip_epsilon,
                                     cfg.value_coef, cfg.entropy_coef)
                 if res.mean_ratio_dev > 10.0:
                     raise DivergenceError(
-                        f"policy ratios diverged at rollout {rollout_idx} "
+                        f"policy ratios diverged at rollout {len(log)} "
                         f"(mean |ratio-1| = {res.mean_ratio_dev:.3g})"
                     )
                 opt_policy.step([res.policy_grads])
@@ -289,18 +233,16 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
                 value_loss_sum += res.value_loss
                 n_updates += 1
 
-        all_records.extend(rollout_records)
-        q_vals = [r.q_cycle for r in rollout_records]
+        q_vals = [r.q_cycle for r in records[first_record:]]
         log.append(TrainLogRow(
-            rollout_idx=rollout_idx,
+            rollout_idx=len(log),
             sim_time_s=float(env.clock_s),
-            mean_reward=float(buffer.rewards.mean()),
+            mean_reward=float(rewards.mean()),
             mean_q_cycle=(float(np.mean(q_vals)) if q_vals else None),
             policy_entropy=entropy_sum / n_updates,
             value_loss=value_loss_sum / n_updates,
         ))
-        rollout_idx += 1
 
     bundle = PolicyBundle("ppo", env.reward_spec.kind, policy, value_net,
                           env.observation, seed)
-    return PpoResult(bundle=bundle, log=log, cycle_records=all_records)
+    return TrainResult(bundle, log, records)

@@ -9,8 +9,9 @@ each tick, which reads the tick from the simulator's ``arrivals`` and
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,6 +97,10 @@ class WebsterSettings:
     lost_time_s: float | None = field(default=None, metadata={"type": float})
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"webster.{f.name} must be finite")
         if not self.recompute_interval_s > 0.0:
             raise ConfigurationError("webster recompute interval must be positive")
         if not (self.flow_window_s >= 1.0 and float(self.flow_window_s).is_integer()):

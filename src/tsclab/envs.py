@@ -50,7 +50,7 @@ class SignalControlEnv:
     ``observation`` is one of :mod:`tsclab.staterep`'s observations
     (see ``make_observation``); ``reward_spec`` picks the reward.  ``reset``
     starts a fresh seeded simulation and advances to the first decision
-    point; ``step`` returns (observation, reward, info) where info carries
+    point; ``step`` returns (observation, reward, records) where records are
     the cycle records completed during the transition.
     """
 
@@ -65,7 +65,6 @@ class SignalControlEnv:
         self.obs_dim = observation.dim
         self.n_actions = N_ACTIONS
         self.sim: SimState | None = None
-        self.cycle_records: list = []
 
     @property
     def clock_s(self) -> int:
@@ -74,7 +73,6 @@ class SignalControlEnv:
     def reset(self) -> np.ndarray:
         self.sim = new_simulation(self.layout, self.plan, self.flows, self.seed)
         self._tracker = CycleTracker(self.flows)
-        self.cycle_records = []
         self._run_to_decision()
         self._prev_wait = self._mean_wait()
         self._prev_in_system = self._in_system()
@@ -84,23 +82,19 @@ class SignalControlEnv:
         if self.sim is None:
             raise ContractViolation("step called before reset")
         apply_action(self.sim, action)
-        new_records = self._run_to_decision()
+        records = self._run_to_decision()
         reward = self._reward()
-        obs = self.observation.observe(self.sim)
-        info = {"sim_time_s": self.sim.clock, "cycles": new_records}
-        return obs, reward, info
+        return self.observation.observe(self.sim), reward, records
 
     # -- internals ------------------------------------------------------------
 
     def _run_to_decision(self) -> list:
         """Tick to the next decision point and return the cycle records it
         completed."""
+        first_new = len(self.sim.completed_cycles)
         if not run_to_decision(self.sim, self.sim.clock + _MAX_TICKS_BETWEEN_DECISIONS):
             raise ContractViolation("no decision point reached; phase machine is stuck")
-        new_records = [self._tracker.feed(entry) for entry
-                       in self.sim.completed_cycles[len(self.cycle_records):]]
-        self.cycle_records.extend(new_records)
-        return new_records
+        return [self._tracker.feed(entry) for entry in self.sim.completed_cycles[first_new:]]
 
     def _in_system(self) -> int:
         """Vehicles between entry and discharge: queued or still in transit."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -82,6 +82,9 @@ class IntersectionLayout:
     free_flow_speed_ms: float = 11.11
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"sim.{f.name} must be finite")
         if self.lane_storage_capacity < 1:
             raise ConfigurationError("lane storage capacity must be at least 1")
         if self.travel_time_to_stopline_s < 0.0:

@@ -115,8 +115,13 @@ _WEIGHT_V = np.array((1, 1, 3, 3))
 def _sample_planes(grids: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """Bilinearly sample each grid ``grids[k]`` at ``(uv[0, k], uv[1, k])``.
 
-    The four corners of every grid come from one indexed gather; each sample
-    then runs :func:`bilinear_sample`'s per-element arithmetic in its order.
+    A grid's nodes sit at coordinates i/(R-1) along its first two axes, and
+    coordinates clamp to [0, 1]; trailing axes (the per-node feature
+    vectors) interpolate componentwise.  The four corners of every grid come
+    from one indexed gather, and each sample is
+    ``(1-tu)(1-tv) g00 + tu (1-tv) g10 + (1-tu) tv g01 + tu tv g11``, each
+    weight formed before it scales its corner and the terms summed left to
+    right.
     """
     if np.isnan(uv).any():
         raise ContractViolation("cannot sample a feature plane at NaN")
@@ -132,22 +137,6 @@ def _sample_planes(grids: np.ndarray, uv: np.ndarray) -> np.ndarray:
     weights = factors[_WEIGHT_U] * factors[_WEIGHT_V]
     terms = weights.reshape(weights.shape + (1,) * (grids.ndim - 3)) * corners
     return terms[0] + terms[1] + terms[2] + terms[3]
-
-
-def bilinear_sample(plane: np.ndarray, u: float, v: float) -> np.ndarray:
-    """Bilinearly interpolate a regular grid at clamped coordinates.
-
-    The grid's nodes sit at coordinates k/(R-1) along each of the first two
-    axes; trailing axes (the per-node feature vectors kept by the planes)
-    interpolate componentwise.  The sample is
-    ``(1-tu)(1-tv) g00 + tu (1-tv) g10 + (1-tu) tv g01 + tu tv g11``, each
-    weight formed before it scales its corner and the terms summed left to
-    right.
-    """
-    grid = np.asarray(plane, dtype=np.float64)
-    if grid.ndim < 2 or grid.shape[0] < 2 or grid.shape[1] < 2:
-        raise ConfigurationError("plane must be at least 2x2")
-    return _sample_planes(grid[None], np.array(((float(u),), (float(v),))))[0]
 
 
 # continuous feature groups of the expanded vector: (name, component indices,

@@ -1,5 +1,5 @@
 """Learning agent tests: advantage estimation, the clipped surrogate and its
-gradients, rollout/replay plumbing, the policy-gradient and Q-learning
+gradients, replay plumbing, the policy-gradient and Q-learning
 trainers on a toy task, the state autoencoder, and bundle persistence."""
 
 import logging
@@ -29,7 +29,6 @@ from tsclab.agents.dqn import (
 from tsclab.agents.ppo import (
     MiniBatch,
     PpoConfig,
-    RolloutBuffer,
     clipped_objective,
     compute_gae,
     normalize_advantages,
@@ -153,7 +152,8 @@ def _surrogate_batch(seed, n=8, obs_dim=4, n_actions=3, offset_scale=0.3):
 
 def test_surrogate_identity_policy_has_unit_ratios():
     batch, policy, value_net = _surrogate_batch(seed=2, offset_scale=0.0)
-    res = ppo_surrogate(batch, policy, value_net, clip_epsilon=0.2)
+    res = ppo_surrogate(batch, policy, value_net, clip_epsilon=0.2, value_coef=0.5,
+                        entropy_coef=0.01)
     assert res.mean_ratio_dev == 0.0
     assert res.clip_fraction == 0.0
     assert res.policy_loss == pytest.approx(-float(batch.advantages.mean()),
@@ -164,7 +164,8 @@ def test_surrogate_flags_nonfinite_ratios():
     batch, policy, value_net = _surrogate_batch(seed=2)
     batch.old_log_probs[0] = -np.inf
     with pytest.raises(DivergenceError):
-        ppo_surrogate(batch, policy, value_net, clip_epsilon=0.2)
+        ppo_surrogate(batch, policy, value_net, clip_epsilon=0.2, value_coef=0.5,
+                      entropy_coef=0.01)
 
 
 def _fd_gradient(f, flat, h=1e-5):
@@ -230,35 +231,6 @@ def test_surrogate_gradients_match_finite_differences():
     analytic_v = res.value_grads
     numeric_v = _fd_gradient(value_part, value_net.flat)
     assert _rel_err(analytic_v, numeric_v) < 1e-4
-
-
-# -- rollout buffer --------------------------------------------------------------
-
-
-def test_rollout_buffer_lifecycle():
-    buf = RolloutBuffer(4, 2)
-    for i in range(4):
-        buf.add(np.array([i, i]), i % 3, -0.1, 0.5, 0.2)
-    assert buf.full
-    with pytest.raises(ValueError):
-        buf.add(np.zeros(2), 0, 0.0, 0.0, 0.0)
-    buf.finalize(0.0, 0.99, 0.95)
-    assert abs(buf.advantages.mean()) < 1e-9
-    rng = np.random.Generator(np.random.PCG64(0))
-    batches = list(buf.minibatches(2, rng))
-    assert [len(b.actions) for b in batches] == [2, 2]
-    seen = np.sort(np.concatenate([b.obs[:, 0] for b in batches]))
-    np.testing.assert_array_equal(seen, [0.0, 1.0, 2.0, 3.0])
-    buf.reset()
-    assert not buf.full and buf.advantages is None
-
-
-def test_rollout_buffer_order_checks():
-    buf = RolloutBuffer(3, 2)
-    with pytest.raises(ValueError):
-        buf.finalize(0.0, 0.99, 0.95)
-    with pytest.raises(ValueError):
-        next(buf.minibatches(2, np.random.Generator(np.random.PCG64(0))))
 
 
 def test_ppo_config_validation():
@@ -358,8 +330,7 @@ def test_env_cycles_equal_run_episode_replaying_its_actions(kind, rate, seed, n_
     actions = np.random.Generator(np.random.PCG64(seed)).integers(0, 3, n_steps).tolist()
     cycles = []
     for action in actions:
-        cycles.extend(env.step(action)[2]["cycles"])
-    assert cycles == env.cycle_records
+        cycles.extend(env.step(action)[2])
     replay = ReplayController(actions)
     result = run_episode(IntersectionLayout(), PhasePlan(), flows, replay, seed, env.clock_s)
     assert replay.played == n_steps
@@ -462,7 +433,7 @@ class BanditEnv:
     def step(self, action):
         reward = 1.0 if action == 0 else 0.0
         self.clock_s += 1
-        return self._draw(), reward, {}
+        return self._draw(), reward, []
 
 
 def test_train_ppo_learns_bandit():

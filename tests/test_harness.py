@@ -1185,6 +1185,21 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
     assert episodes_started == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", [
+    "sim.travel_time_to_stopline_s", "sim.saturation_headway_s",
+    "sim.startup_lost_time_s", "sim.free_flow_speed_ms",
+    "webster.lost_time_s", "webster.recompute_interval_s", "webster.flow_window_s",
+])
+def test_cli_rejects_non_finite_layout_and_webster_settings(tmp_path, capsys,
+                                                           episodes_started, key, value):
+    cfg = write_cfg(tmp_path, f"{key} = {value}\n")
+    assert main(["baseline", "--method", "webster", "--horizon", "400", "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert episodes_started == []
+
+
 def test_cli_compare_with_few_cycles_writes_blank_correlations(tmp_path, capsys):
     weights = tmp_path / "policy.tscw"
     tiny_bundle().save(weights)

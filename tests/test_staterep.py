@@ -28,7 +28,6 @@ from tsclab.staterep import (
     REPRESENTATION_KINDS,
     StateNormalizers,
     baseline_state,
-    bilinear_sample,
     expanded_state,
     kplanes_transform,
     make_observation,
@@ -130,27 +129,44 @@ def test_expanded_state_in_documented_ranges_under_load():
 # -- bilinear sampling -----------------------------------------------------------
 
 
+def _sample_first_plane(plane, u, v):
+    """Sample ``plane`` through :func:`kplanes_transform`: it becomes the
+    first plane (components 0 and 5) and every other plane holds ones, so at
+    the node and half-node coordinates used here the time group's features
+    are exactly that one sample."""
+    grid = np.asarray(plane, dtype=np.float64)
+    grid = grid.reshape(grid.shape[:2] + (-1,))
+    params = KPlanesParams(seed=0, resolution=grid.shape[0], feature_dim=grid.shape[2])
+    planes = np.ones((21,) + grid.shape)
+    planes[0] = grid
+    params.planes = planes
+    state = np.zeros(EXPANDED_DIM)
+    state[0], state[5] = u, v
+    features = kplanes_transform(params, state)[:grid.shape[2]]
+    return features if np.ndim(plane) > 2 else features[0]
+
+
 def test_bilinear_corners():
     plane = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert bilinear_sample(plane, 0, 0) == 1.0
-    assert bilinear_sample(plane, 0, 1) == 2.0
-    assert bilinear_sample(plane, 1, 0) == 3.0
-    assert bilinear_sample(plane, 1, 1) == 4.0
+    assert _sample_first_plane(plane, 0, 0) == 1.0
+    assert _sample_first_plane(plane, 0, 1) == 2.0
+    assert _sample_first_plane(plane, 1, 0) == 3.0
+    assert _sample_first_plane(plane, 1, 1) == 4.0
 
 
 def test_bilinear_center_and_edges():
     plane = np.array([[0.0, 1.0], [2.0, 3.0]])
-    assert bilinear_sample(plane, 0.5, 0.5) == pytest.approx(1.5, abs=1e-15)
-    assert bilinear_sample(plane, 0.5, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert _sample_first_plane(plane, 0.5, 0.5) == pytest.approx(1.5, abs=1e-15)
+    assert _sample_first_plane(plane, 0.5, 0.0) == pytest.approx(1.0, abs=1e-15)
     three = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     # u=0.25 lands halfway between the first two rows of a 3-node axis
-    assert bilinear_sample(three, 0.25, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert _sample_first_plane(three, 0.25, 0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_bilinear_clamps_out_of_range_coordinates():
     plane = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert bilinear_sample(plane, -1.0, 0.0) == bilinear_sample(plane, 0.0, 0.0)
-    assert bilinear_sample(plane, 2.0, 1.5) == bilinear_sample(plane, 1.0, 1.0)
+    assert _sample_first_plane(plane, -1.0, 0.0) == _sample_first_plane(plane, 0.0, 0.0)
+    assert _sample_first_plane(plane, 2.0, 1.5) == _sample_first_plane(plane, 1.0, 1.0)
 
 
 def test_bilinear_interpolates_feature_vectors_componentwise():
@@ -159,13 +175,13 @@ def test_bilinear_interpolates_feature_vectors_componentwise():
     plane[1, 0] = [3.0, 30.0]
     plane[0, 1] = [5.0, 50.0]
     plane[1, 1] = [7.0, 70.0]
-    np.testing.assert_allclose(bilinear_sample(plane, 0.5, 0.5), [4.0, 40.0],
+    np.testing.assert_allclose(_sample_first_plane(plane, 0.5, 0.5), [4.0, 40.0],
                                atol=1e-15)
 
 
 def test_bilinear_rejects_degenerate_grid():
     with pytest.raises(ConfigurationError):
-        bilinear_sample(np.ones((1, 2)), 0.5, 0.5)
+        KPlanesParams(seed=0, resolution=1)
 
 
 # -- factorized plane transform --------------------------------------------------
@@ -243,7 +259,7 @@ def test_kplanes_transform_rejects_nan():
     with pytest.raises(ContractViolation):
         kplanes_transform(KPlanesParams(seed=0), vec)
     with pytest.raises(ContractViolation):
-        bilinear_sample(np.ones((2, 2)), 0.5, float("nan"))
+        _sample_first_plane(np.ones((2, 2)), 0.5, float("nan"))
 
 
 def test_kplanes_transform_pure():
