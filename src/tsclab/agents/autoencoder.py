@@ -25,6 +25,7 @@ from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_
 logger = logging.getLogger(__name__)
 
 _HIDDEN = 32
+_MINIBATCH = 128
 
 
 @dataclass
@@ -40,12 +41,21 @@ class AeResult:
 
 
 def reconstruction_mse(encoder: Mlp, decoder: Mlp, states: np.ndarray) -> float:
-    """Mean squared reconstruction norm over a buffer."""
+    """Mean squared reconstruction norm over a buffer.
+
+    The buffer runs through the networks one training minibatch of rows at
+    a time, so the pass allocates one block's layers plus one sum per row,
+    not every layer for the whole buffer; the mean is taken once, over all
+    the row sums."""
     x = np.asarray(states, dtype=np.float64)
-    err = decoder.predict(encoder.predict(x))
-    err -= x
-    err *= err
-    return float(np.mean(np.sum(err, axis=1)))
+    row_sums = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _MINIBATCH):
+        rows = x[start:start + _MINIBATCH]
+        err = decoder.predict(encoder.predict(rows))
+        err -= rows
+        err *= err
+        np.sum(err, axis=1, out=row_sums[start:start + _MINIBATCH])
+    return float(np.mean(row_sums))
 
 
 def check_training_settings(k: int, epochs: int, lr: float) -> None:
@@ -59,7 +69,7 @@ def check_training_settings(k: int, epochs: int, lr: float) -> None:
 
 
 def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 1e-3,
-                      seed: int = 0, batch_size: int = 128) -> AeResult:
+                      seed: int = 0, batch_size: int = _MINIBATCH) -> AeResult:
     """Minimize mean squared reconstruction error with minibatch updates.
 
     ``epochs = 0`` returns the untrained pair with its buffer MSE.  Latent

@@ -66,6 +66,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def non_negative_int(text: str) -> int:
+    """The ``--seed`` type; argparse reports its ValueError as a usage error."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="tsclab",
                      description="adaptive traffic-signal control lab")
@@ -83,9 +91,11 @@ def build_parser() -> _Parser:
     p.add_argument("--reward", dest="reward.kind", choices=REWARD_KINDS,
                    help="reward formulation (default: reward.kind from --config, "
                         "else queue)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--timesteps", dest="ppo.total_timesteps", metavar="TIMESTEPS",
-                   help="training budget in simulated seconds")
+                   help="training budget in simulated seconds; training runs whole "
+                        "rollouts of ppo.n_steps decisions and stops after the first "
+                        "that ends at or past it (0 writes an untrained bundle)")
     p.add_argument("--encoder", default=None, metavar="FILE",
                    help="pretrained autoencoder (required for ae* representations)")
     p.add_argument("--out", default="runs/train", metavar="DIR")
@@ -97,19 +107,19 @@ def build_parser() -> _Parser:
                    help="decision-point states to collect (default: 10000)")
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", default=None, metavar="FILE",
                    help="output weights file (default: ae<latent>.tscw)")
 
     p = add("dqn", "train the value-based reference agent (reward: resco_wait "
                    "only; any other reward.kind is rejected)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--timesteps", dest="dqn.total_timesteps", metavar="TIMESTEPS")
     p.add_argument("--out", default="runs/dqn", metavar="DIR")
 
     p = add("baseline", "run a classical controller for one episode")
     p.add_argument("--method", choices=_BASELINE_METHODS, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--horizon", dest="run.horizon_s", metavar="HORIZON",
                    help="episode length in simulated seconds")
     p.add_argument("--record-events", action="store_true",
@@ -193,11 +203,13 @@ def cmd_train(args) -> int:
 def cmd_pretrain_ae(args) -> int:
     run = run_from_config(_load_cfg(args))
     check_training_settings(args.latent, args.epochs, args.lr)
+    out_path = Path(args.out) if args.out else Path(f"ae{args.latent}.tscw")
+    if out_path.is_dir():
+        raise ConfigurationError(f"--out {out_path} is a directory, not a weights file")
     buffer = collect_state_buffer(args.buffer_steps, run.flows, seed=args.seed,
                                   layout=run.layout, plan=run.plan)
     result = train_autoencoder(buffer, args.latent, epochs=args.epochs,
                                lr=args.lr, seed=args.seed)
-    out_path = Path(args.out) if args.out else Path(f"ae{args.latent}.tscw")
     if out_path.parent != Path("."):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     save_autoencoder(result, out_path, seed=args.seed)

@@ -148,6 +148,11 @@ class RunSettings:
             raise ConfigurationError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must be distinct, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be non-negative, got {self.seeds}")
+        if self.kplanes_seed < 0:
+            raise ConfigurationError(
+                f"kplanes_seed must be non-negative, got {self.kplanes_seed}")
         if self.workers < 1:
             raise ConfigurationError("workers must be positive")
 

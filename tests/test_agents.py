@@ -476,6 +476,47 @@ def test_autoencoder_zero_epochs_reports_initial_mse():
     assert result.decoder.layer_sizes == (4, 32, 19)
 
 
+def one_shot_mse(encoder, decoder, states):
+    """The reconstruction error with the whole buffer in one pass through
+    each network."""
+    err = decoder.predict(encoder.predict(states))
+    err -= states
+    err *= err
+    return float(np.mean(np.sum(err, axis=1)))
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 10_000])
+@pytest.mark.parametrize("k", [4, 8, 32])
+def test_reconstruction_mse_equals_the_one_shot_pass_on_exact_data(n, k):
+    # integer weights in {-1, 0, 1} and states in 0..3 keep every product,
+    # sum and square exact, so each row's sum cannot depend on how many rows
+    # BLAS multiplies at once, and the blocked mean must be the one-shot
+    # mean bit for bit, tail blocks of 127, 1 and 16 rows included
+    rng = np.random.Generator(np.random.PCG64(100 * n + k))
+    encoder = Mlp([19, 32, k], "relu", seed=0)
+    decoder = Mlp([k, 32, 19], "relu", seed=1)
+    for net in (encoder, decoder):
+        net.flat[...] = rng.integers(-1, 2, size=net.flat.shape)
+    states = rng.integers(0, 4, size=(n, 19)).astype(np.float64)
+    mse = reconstruction_mse(encoder, decoder, states)
+    assert mse > 0.0
+    assert mse == one_shot_mse(encoder, decoder, states)
+
+
+@pytest.mark.parametrize("n", [129, 257, 1000, 10_000])
+@pytest.mark.parametrize("k", [4, 8, 32])
+def test_reconstruction_mse_is_the_one_shot_pass_to_rounding(n, k):
+    # on arbitrary floats BLAS may round a row of a 128-row block differently
+    # from the same row of a longer product (it picks its kernel by the row
+    # count), so the two means may differ in their last bits
+    rng = np.random.Generator(np.random.PCG64(100 * n + k))
+    encoder = Mlp([19, 32, k], "relu", seed=2)
+    decoder = Mlp([k, 32, 19], "relu", seed=3)
+    states = rng.uniform(size=(n, 19))
+    assert reconstruction_mse(encoder, decoder, states) == pytest.approx(
+        one_shot_mse(encoder, decoder, states), rel=4 * np.finfo(float).eps, abs=0.0)
+
+
 def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=128):
     """The training loop that measured the full-buffer MSE after every epoch;
     returns (encoder, decoder, per-epoch MSE history with the untrained value

@@ -908,12 +908,9 @@ def test_cli_pretrain_ae(tmp_path, capsys):
     assert "latent=4" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--latent", "0"), ("--latent", "-3"), ("--epochs", "-1"),
-    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
-])
-def test_cli_pretrain_ae_rejects_bad_settings_before_collecting(tmp_path, capsys,
-                                                                monkeypatch, flag, value):
+@pytest.fixture
+def collection_starts(monkeypatch):
+    """The simulations that state collection starts, in order."""
     import tsclab.agents.autoencoder as autoencoder
 
     started = []
@@ -924,12 +921,43 @@ def test_cli_pretrain_ae_rejects_bad_settings_before_collecting(tmp_path, capsys
 
     real = autoencoder.new_simulation
     monkeypatch.setattr(autoencoder, "new_simulation", counting)
+    return started
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--latent", "0"), ("--latent", "-3"), ("--epochs", "-1"),
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
+])
+def test_cli_pretrain_ae_rejects_bad_settings_before_collecting(tmp_path, capsys,
+                                                                collection_starts,
+                                                                flag, value):
     out_file = tmp_path / "ae.tscw"
     assert main(["pretrain-ae", "--buffer-steps", "60", "--epochs", "1",
                  f"{flag}={value}", "--out", str(out_file)]) == 1
     assert "error:" in capsys.readouterr().err
-    assert started == []
+    assert collection_starts == []
     assert not out_file.exists()
+
+
+def test_cli_pretrain_ae_rejects_a_directory_out_before_collecting(tmp_path, capsys,
+                                                                  collection_starts):
+    assert main(["pretrain-ae", "--buffer-steps", "60", "--epochs", "1",
+                 "--out", str(tmp_path)]) == 1
+    assert "is a directory" in capsys.readouterr().err
+    assert collection_starts == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_train_runs_whole_rollouts_up_to_the_budget(tmp_path, capsys):
+    # the budget is checked between rollouts of ppo.n_steps (default 100)
+    # decisions: 0 trains none, and 300 s trains one whole rollout of 810 s
+    for timesteps, ends_s in (("0", []), ("300", ["810.0"])):
+        out = tmp_path / timesteps
+        assert main(["train", "--timesteps", timesteps, "--out", str(out)]) == 0
+        with (out / "training_log.csv").open(newline="") as fh:
+            assert [row["sim_time_s"] for row in csv.DictReader(fh)] == ends_s
+        assert PolicyBundle.load(out / "policy.tscw").algo == "ppo"
+    assert "(0 rollouts, final mean cycle queue n/a)" in capsys.readouterr().out
 
 
 def test_cli_dqn(tmp_path, capsys):
@@ -1257,6 +1285,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["dqn", "--config", str(cfg), "--timesteps", "0",
                  "--out", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "ae.tscw").exists()
+    # seeds must be non-negative, as a flag, a seed list or a config key
+    negative = tmp_path / "negative"
+    for command in (["train", "--timesteps", "0"], ["pretrain-ae", "--buffer-steps", "8"],
+                    ["dqn", "--timesteps", "0"], ["baseline", "--method", "fixed"]):
+        assert main([*command, "--seed", "-1", "--out", str(negative)]) == 1
+    fixed = write_cfg(tmp_path, "fixed controller=fixed\n", "fixed.txt")
+    assert main(["compare", "--grid", str(fixed), "--seeds=-1,2", "--horizon", "200",
+                 "--out", str(negative)]) == 1
+    cfg = write_cfg(tmp_path, "run.kplanes_seed = -1\n")
+    assert main(["train", "--repr", "kplanes", "--config", str(cfg), "--timesteps", "0",
+                 "--out", str(negative)]) == 1
+    assert not negative.exists()
     capsys.readouterr()
 
 
