@@ -101,7 +101,7 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
             recon = decoder.forward(z)
             err = recon - batch
             dec_gradient, dz = decoder.backward((2.0 / b) * err)
-            enc_gradient, _ = encoder.backward(dz)
+            enc_gradient, _ = encoder.backward(dz, input_grad=False)
             opt.step([enc_gradient, dec_gradient])
     final_mse = reconstruction_mse(encoder, decoder, x) if epochs else initial_mse
     return AeResult(encoder=encoder, decoder=decoder,

@@ -134,7 +134,7 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
                 raise DivergenceError(f"Q-learning loss diverged at step {step_count}")
             upstream = np.zeros_like(q_values)
             upstream[rows, b_act] = (2.0 / cfg.batch_size) * err
-            gradient, _ = q_net.backward(upstream)
+            gradient, _ = q_net.backward(upstream, input_grad=False)
             opt.step([gradient])
             window_losses.append(loss)
 

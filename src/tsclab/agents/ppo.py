@@ -84,7 +84,7 @@ def clipped_objective(ratio, advantage, epsilon):
     """Per-sample clipped surrogate: min(r*A, clip(r, 1-eps, 1+eps)*A)."""
     r = np.asarray(ratio, dtype=np.float64)
     a = np.asarray(advantage, dtype=np.float64)
-    return np.minimum(r * a, np.clip(r, 1.0 - epsilon, 1.0 + epsilon) * a)
+    return np.minimum(r * a, np.minimum(np.maximum(r, 1.0 - epsilon), 1.0 + epsilon) * a)
 
 
 @dataclass
@@ -127,41 +127,43 @@ def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
     rows = np.arange(n)
     logp = logp_all[rows, batch.actions]
     ratio = np.exp(logp - batch.old_log_probs)
-    if not np.all(np.isfinite(ratio)):
+    if not np.isfinite(ratio).all():
         raise DivergenceError("non-finite policy ratios in surrogate")
 
     adv = batch.advantages
     unclipped = ratio * adv
-    clipped = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv
     per_sample = clipped_objective(ratio, adv, clip_epsilon)
-    policy_loss = -float(per_sample.mean())
+    policy_loss = -(float(per_sample.sum()) / n)
 
     # d(objective)/d(ratio): the advantage where the unclipped branch wins
-    active = unclipped <= clipped
-    dobj_dratio = np.where(active, adv, 0.0)
-    onehot = np.zeros_like(probs)
-    onehot[rows, batch.actions] = 1.0
+    # (the minimum equals the unclipped branch exactly when it is not larger)
+    dobj_dratio = np.where(per_sample == unclipped, adv, 0.0)
     coef = (-1.0 / n) * dobj_dratio * ratio
-    upstream = coef[:, None] * (onehot - probs)
+    # coef * (onehot(a) - probs), built in place; 0.0 - probs rather than
+    # -probs keeps the sign of a zero probability as the subtraction has it
+    upstream = 0.0 - probs
+    upstream[rows, batch.actions] += 1.0
+    upstream *= coef[:, None]
 
-    entropy = -np.sum(probs * logp_all, axis=1)
+    entropy = -(probs * logp_all).sum(axis=1)
     # d(-entropy_coef * mean(H))/d(logits)
     upstream += (entropy_coef / n) * probs * (logp_all + entropy[:, None])
-    policy_grads, _ = policy.backward(upstream)
+    policy_grads, _ = policy.backward(upstream, input_grad=False)
 
     v = value_net.forward(batch.obs)[:, 0]
     v_err = v - batch.returns
-    value_loss = float(np.mean(v_err * v_err))
-    value_grads, _ = value_net.backward((2.0 * value_coef / n) * v_err[:, None])
+    value_grads, _ = value_net.backward((2.0 * value_coef / n) * v_err[:, None],
+                                        input_grad=False)
 
+    ratio_dev = np.abs(ratio - 1.0)
     return SurrogateResult(
         policy_loss=policy_loss,
-        value_loss=value_loss,
-        entropy=float(entropy.mean()),
+        value_loss=float((v_err * v_err).sum()) / n,
+        entropy=float(entropy.sum()) / n,
         policy_grads=policy_grads,
         value_grads=value_grads,
-        mean_ratio_dev=float(np.mean(np.abs(ratio - 1.0))),
-        clip_fraction=float(np.mean(np.abs(ratio - 1.0) > clip_epsilon)),
+        mean_ratio_dev=float(ratio_dev.sum()) / n,
+        clip_fraction=np.count_nonzero(ratio_dev > clip_epsilon) / n,
     )
 
 

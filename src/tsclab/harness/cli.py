@@ -156,16 +156,22 @@ def _load_cfg(args) -> dict:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    """``path`` as an output directory, checked before the job runs so a
+    path that cannot be one fails at once rather than after the run: it, or
+    else its nearest existing parent, must be a directory.  The directory
+    is made when the outputs are written."""
+    out = Path(path)
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigurationError(f"output directory {out}: {existing} is not a directory")
     return out
 
 
-def _write_training_outputs(args, result, weights_name: str) -> Path:
-    """Save a trainer's bundle, training log and training cycles; return
-    the bundle's path."""
-    out = _out_dir(args)
+def _write_training_outputs(out: Path, result, weights_name: str) -> Path:
+    """Save a trainer's bundle, training log and training cycles into
+    ``out``; return the bundle's path."""
+    out.mkdir(parents=True, exist_ok=True)
     result.bundle.save(out / weights_name)
     write_csv(out / "training_log.csv", TRAINING_LOG_HEADER, map(astuple, result.log))
     write_cycles_csv(out / "cycles_train.csv", result.cycle_records)
@@ -173,6 +179,7 @@ def _write_training_outputs(args, result, weights_name: str) -> Path:
 
 
 def cmd_train(args) -> int:
+    out = _out_dir(args.out)
     cfg = _load_cfg(args)
     run = run_from_config(cfg)
     ppo_cfg = from_config(cfg, PpoConfig)
@@ -190,7 +197,7 @@ def cmd_train(args) -> int:
         return SignalControlEnv(run.layout, run.plan, run.flows, obs, reward, seed)
 
     result = train_ppo(factory, ppo_cfg, args.seed)
-    weights = _write_training_outputs(args, result, "policy.tscw")
+    weights = _write_training_outputs(out, result, "policy.tscw")
     final_q = next((row.mean_q_cycle for row in reversed(result.log)
                     if row.mean_q_cycle is not None), None)
     q_text = "n/a" if final_q is None else f"{final_q:.2f}"
@@ -206,12 +213,12 @@ def cmd_pretrain_ae(args) -> int:
     out_path = Path(args.out) if args.out else Path(f"ae{args.latent}.tscw")
     if out_path.is_dir():
         raise ConfigurationError(f"--out {out_path} is a directory, not a weights file")
+    _out_dir(out_path.parent)
     buffer = collect_state_buffer(args.buffer_steps, run.flows, seed=args.seed,
                                   layout=run.layout, plan=run.plan)
     result = train_autoencoder(buffer, args.latent, epochs=args.epochs,
                                lr=args.lr, seed=args.seed)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_autoencoder(result, out_path, seed=args.seed)
     print(f"autoencoder latent={args.latent}: reconstruction mse "
           f"{result.initial_mse:.4f} -> {result.final_mse:.4f} "
@@ -221,6 +228,7 @@ def cmd_pretrain_ae(args) -> int:
 
 
 def cmd_dqn(args) -> int:
+    out = _out_dir(args.out)
     cfg = _load_cfg(args)
     kind = cfg.setdefault("reward.kind", "resco_wait")
     if kind != "resco_wait":
@@ -235,18 +243,19 @@ def cmd_dqn(args) -> int:
                                 reward, seed)
 
     result = train_dqn(factory, dqn_cfg, args.seed)
-    weights = _write_training_outputs(args, result, "dqn.tscw")
+    weights = _write_training_outputs(out, result, "dqn.tscw")
     print(f"trained dqn seed={args.seed} ({len(result.log)} log points)")
     print(f"wrote {weights}")
     return 0
 
 
 def cmd_baseline(args) -> int:
+    out = _out_dir(args.out)
     run = run_from_config(_load_cfg(args))
     controller = make_controller(args.method, run)
     result = run_episode(run.layout, run.plan, run.flows, controller, args.seed,
                          run.horizon_s, record_events=args.record_events)
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     write_cycles_csv(out / "cycles.csv", result.records)
     if result.webster_log:
         write_csv(out / "webster_log.csv", WEBSTER_LOG_HEADER, result.webster_log)
@@ -291,10 +300,11 @@ def _parse_grid_file(path) -> list:
 
 
 def cmd_compare(args) -> int:
+    out = _out_dir(args.out)
     run = run_from_config(_load_cfg(args))
     specs = _parse_grid_file(args.grid)
     rows, results = run_grid(run, specs)
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(out / "summary.csv", rows)
     for (config_id, seed), records in sorted(results.items()):
         write_cycles_csv(out / f"cycles_{config_id}_seed{seed}.csv", records)

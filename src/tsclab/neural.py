@@ -68,11 +68,6 @@ class Mlp:
             return np.tanh(z, out=out)
         return np.maximum(z, 0.0, out=out)
 
-    def _activate_grad(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        if self.hidden_activation == "tanh":
-            return 1.0 - a * a
-        return (z > 0.0).astype(np.float64)
-
     def _check_input(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
         if arr.ndim not in (1, 2) or arr.shape[-1] != self.layer_sizes[0]:
@@ -115,13 +110,15 @@ class Mlp:
             a = z if idx == last else self._activate(z, out=z)
         return a
 
-    def backward(self, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, upstream: np.ndarray, *,
+                 input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Exact reverse-mode gradients from the last :meth:`forward` call.
 
         ``upstream`` is d(loss)/d(output) with the same shape the forward
         pass returned.  Returns the parameter gradient, summed over the
         batch, as one fresh vector laid out like :attr:`flat`, plus
-        d(loss)/d(input).
+        d(loss)/d(input), or None in its place with ``input_grad=False``,
+        which skips the first layer's input product.
         """
         if self._tape is None:
             raise ContractViolation("backward called before forward")
@@ -137,13 +134,22 @@ class Mlp:
             )
         gradient = np.empty_like(self.flat)
         views = self._views(gradient)
+        tanh = self.hidden_activation == "tanh"
         for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(delta.T, activations[layer], out=views[2 * layer])
             delta.sum(axis=0, out=views[2 * layer + 1])
+            if layer == 0:
+                break
+            # delta is the fresh product, never the caller's upstream
             delta = delta @ self.weights[layer]
-            if layer > 0:
-                # delta is the fresh product above, never the caller's upstream
-                delta *= self._activate_grad(pre[layer - 1], activations[layer])
+            if tanh:
+                slope = activations[layer] * activations[layer]
+                delta *= np.subtract(1.0, slope, out=slope)
+            else:
+                delta *= pre[layer - 1] > 0.0
+        if not input_grad:
+            return gradient, None
+        delta = delta @ self.weights[0]
         return gradient, (delta[0] if squeeze else delta)
 
     # -- parameter plumbing ---------------------------------------------------
@@ -171,8 +177,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
-    z = z - np.max(z, axis=-1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float, np.ndarray]:

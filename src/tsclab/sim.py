@@ -374,38 +374,6 @@ def new_simulation(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfi
     return SimState(layout, plan, flows, seed, record_events)
 
 
-def _advance_signal(sim: SimState) -> bool:
-    """Run the phase machine for the tick that is about to execute.
-
-    Sets ``sim.phase_changed`` and returns True when the tick wraps the
-    cycle.  Green ends once the elapsed green reaches the live programmed
-    green; yellow runs for the full yellow interval; the cycle wrap restores
-    the per-cycle green defaults.
-    """
-    sim.phase_changed = False
-    if sim.in_yellow:
-        if sim.yellow_elapsed_s >= sim.plan.yellow_s:
-            sim.in_yellow = False
-            sim.yellow_elapsed_s = 0
-            sim.current_phase = (sim.current_phase + 1) % N_PHASES
-            sim.phase_elapsed_s = 0
-            sim.phase_changed = True
-            sim.credit = [0.0] * N_LANES
-            if sim.current_phase == 0:
-                sim.completed_cycles.append(
-                    (sim.cycle_start_tick, sim.clock - sim.cycle_start_tick,
-                     tuple(sim.cycle_lane_max), tuple(sim.cycle_green_s)))
-                sim.cycle_start_tick = sim.clock
-                sim.programmed_green_s = list(sim.default_green_s)
-                return True
-    elif sim.phase_elapsed_s >= sim.programmed_green_s[sim.current_phase]:
-        sim.in_yellow = True
-        sim.cycle_green_s[sim.current_phase] = sim.phase_elapsed_s
-        sim.yellow_elapsed_s = 0
-        sim.credit = [0.0] * N_LANES
-    return False
-
-
 def _draw_arrivals(sim: SimState) -> list:
     """Draw the next block of per-tick arrival counts and return its first row.
 
@@ -434,15 +402,41 @@ def step(sim: SimState) -> SimState:
     """
     sim.clock += 1
     clock = sim.clock
-    cycle_completed = _advance_signal(sim)
+
+    # signal phase machine: green ends once the elapsed green reaches the live
+    # programmed green, yellow runs for the full yellow interval, and the
+    # cycle wrap restores the per-cycle green defaults
+    sim.phase_changed = cycle_completed = False
+    if sim.in_yellow:
+        if sim.yellow_elapsed_s >= sim.plan.yellow_s:
+            sim.in_yellow = False
+            sim.yellow_elapsed_s = 0
+            sim.current_phase = (sim.current_phase + 1) % N_PHASES
+            sim.phase_elapsed_s = 0
+            sim.phase_changed = True
+            sim.credit = [0.0] * N_LANES
+            if sim.current_phase == 0:
+                sim.completed_cycles.append(
+                    (sim.cycle_start_tick, clock - sim.cycle_start_tick,
+                     tuple(sim.cycle_lane_max), tuple(sim.cycle_green_s)))
+                sim.cycle_start_tick = clock
+                sim.programmed_green_s = list(sim.default_green_s)
+                cycle_completed = True
+    elif sim.phase_elapsed_s >= sim.programmed_green_s[sim.current_phase]:
+        sim.in_yellow = True
+        sim.cycle_green_s[sim.current_phase] = sim.phase_elapsed_s
+        sim.yellow_elapsed_s = 0
+        sim.credit = [0.0] * N_LANES
+
     ids = sim.vehicle_ids
-    log = sim.events.append
+    if ids is not None:
+        log = sim.events.append
     queued = sim.queued
+    transit = sim.transit
 
     arrivals = sim.arrivals = next(sim._arrival_rows, None) or _draw_arrivals(sim)
     if any(arrivals):
-        sim.transit.append((math.ceil(clock + sim.layout.travel_time_to_stopline_s),
-                            arrivals))
+        transit.append((math.ceil(clock + sim.layout.travel_time_to_stopline_s), arrivals))
         if ids is not None:
             for i in range(N_LANES):
                 for vid in range(sim._next_vehicle_id, sim._next_vehicle_id + arrivals[i]):
@@ -457,8 +451,12 @@ def step(sim: SimState) -> SimState:
                      and sim.phase_elapsed_s >= sim.layout.startup_lost_time_s)
     discharges = sim.discharges = [0] * N_LANES
     joined = []
-    while sim.transit and sim.transit[0][0] <= clock:
-        counts = sim.transit.popleft()[1]
+    if transit and transit[0][0] <= clock:
+        counts = transit.popleft()[1]
+        # runs due on one tick (a travel time below the clock's rounding)
+        # cross as one, so each lane's vehicles cross together and in order
+        while transit and transit[0][0] <= clock:
+            counts = [a + b for a, b in zip(counts, transit.popleft()[1])]
         for i in range(N_LANES):
             n = counts[i]
             if not n:
@@ -480,8 +478,9 @@ def step(sim: SimState) -> SimState:
     # second once the startup lost time has elapsed; credit resets with the phase
     if green_flowing:
         credit = sim.credit
+        earned = 1.0 / sim.layout.saturation_headway_s
         for i in served:
-            credit[i] += 1.0 / sim.layout.saturation_headway_s
+            credit[i] += earned
             while credit[i] >= 1.0 and queued[i]:
                 head = sim.queues[i][0]
                 head[1] -= 1

@@ -29,6 +29,7 @@ from tsclab.agents.dqn import (
 from tsclab.agents.ppo import (
     MiniBatch,
     PpoConfig,
+    SurrogateResult,
     clipped_objective,
     compute_gae,
     normalize_advantages,
@@ -231,6 +232,88 @@ def test_surrogate_gradients_match_finite_differences():
     analytic_v = res.value_grads
     numeric_v = _fd_gradient(value_part, value_net.flat)
     assert _rel_err(analytic_v, numeric_v) < 1e-4
+
+
+def _reference_surrogate(batch, policy, value_net, clip_epsilon, value_coef,
+                         entropy_coef):
+    """``ppo_surrogate`` written plainly, as before it computed each quantity
+    once: ``np.max``/``np.sum`` log-softmax, both branches through
+    ``np.clip``, a one-hot upstream, the full input gradient and ``np.mean``."""
+    n = batch.obs.shape[0]
+    z = policy.forward(batch.obs)
+    z = z - np.max(z, axis=-1, keepdims=True)
+    logp_all = z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    probs = np.exp(logp_all)
+    rows = np.arange(n)
+    ratio = np.exp(logp_all[rows, batch.actions] - batch.old_log_probs)
+    adv = batch.advantages
+    unclipped = ratio * adv
+    clipped = np.clip(ratio, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * adv
+    per_sample = np.minimum(unclipped, clipped)
+    dobj_dratio = np.where(unclipped <= clipped, adv, 0.0)
+    onehot = np.zeros_like(probs)
+    onehot[rows, batch.actions] = 1.0
+    coef = (-1.0 / n) * dobj_dratio * ratio
+    upstream = coef[:, None] * (onehot - probs)
+    entropy = -np.sum(probs * logp_all, axis=1)
+    upstream += (entropy_coef / n) * probs * (logp_all + entropy[:, None])
+    policy_grads, _ = policy.backward(upstream)
+    v_err = value_net.forward(batch.obs)[:, 0] - batch.returns
+    value_grads, _ = value_net.backward((2.0 * value_coef / n) * v_err[:, None])
+    return SurrogateResult(
+        policy_loss=-float(per_sample.mean()),
+        value_loss=float(np.mean(v_err * v_err)),
+        entropy=float(entropy.mean()),
+        policy_grads=policy_grads,
+        value_grads=value_grads,
+        mean_ratio_dev=float(np.mean(np.abs(ratio - 1.0))),
+        clip_fraction=float(np.mean(np.abs(ratio - 1.0) > clip_epsilon)),
+    )
+
+
+@st.composite
+def surrogate_cases(draw):
+    """A minibatch, its networks and coefficients.  Ratio offsets and
+    advantages include exact zeros, and about half the cases take the clip
+    epsilon from one sample's ratio, so that sample sits exactly on 1 +- eps."""
+    n = draw(st.integers(1, 12))
+    obs_dim, n_actions = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    activation = draw(st.sampled_from(("tanh", "relu")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    policy = Mlp([obs_dim, 6, n_actions], activation, seed=seed)
+    value_net = Mlp([obs_dim, 6, 1], activation, seed=seed + 1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    obs = draw(st.sampled_from((0.1, 1.0, 10.0))) * rng.normal(size=(n, obs_dim))
+    actions = rng.integers(0, n_actions, size=n)
+    offsets = np.array(draw(st.lists(st.floats(-0.6, 0.6), min_size=n, max_size=n)))
+    advantages = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    logp = log_softmax(policy.predict(obs))[np.arange(n), actions]
+    old_log_probs = logp - offsets
+    ratio = np.exp(logp - old_log_probs)
+    edge = draw(st.integers(0, n - 1))
+    if draw(st.booleans()) and ratio[edge] != 1.0:
+        # within [0.5, 2] both ratio - 1 and 1 -+ (that difference) are exact
+        eps = abs(ratio[edge] - 1.0)
+        assert ratio[edge] in (1.0 - eps, 1.0 + eps)
+    else:
+        eps = draw(st.floats(0.01, 0.9))
+    batch = MiniBatch(obs, actions, old_log_probs, advantages, rng.normal(size=n))
+    coefs = draw(st.tuples(st.sampled_from((0.0, 0.5, 1.0)),
+                           st.sampled_from((0.0, 0.005, 0.1))))
+    return batch, policy, value_net, eps, *coefs
+
+
+@settings(max_examples=200, deadline=None)
+@given(surrogate_cases())
+def test_surrogate_matches_the_plain_reference_bitwise(case):
+    batch, policy, value_net, eps, value_coef, entropy_coef = case
+    got = ppo_surrogate(batch, policy, value_net, eps, value_coef, entropy_coef)
+    ref = _reference_surrogate(batch, policy, value_net, eps, value_coef, entropy_coef)
+    assert got.policy_grads.tobytes() == ref.policy_grads.tobytes()
+    assert got.value_grads.tobytes() == ref.value_grads.tobytes()
+    for name in ("policy_loss", "value_loss", "entropy", "mean_ratio_dev",
+                 "clip_fraction"):
+        assert getattr(got, name) == getattr(ref, name), name
 
 
 def test_ppo_config_validation():

@@ -1297,6 +1297,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["train", "--repr", "kplanes", "--config", str(cfg), "--timesteps", "0",
                  "--out", str(negative)]) == 1
     assert not negative.exists()
+    # an --out that cannot be a directory is refused before the job runs
+    a_file = tmp_path / "a_file"
+    a_file.write_text("kept\n")
+    for command in (["baseline", "--method", "fixed", "--horizon", "400"],
+                    ["train", "--timesteps", "0"], ["dqn", "--timesteps", "0"],
+                    ["compare", "--grid", str(fixed), "--horizon", "200"]):
+        for out in (a_file, a_file / "sub"):
+            assert main([*command, "--out", str(out)]) == 1
+    assert main(["pretrain-ae", "--buffer-steps", "8", "--out", str(a_file / "ae.tscw")]) == 1
+    capsys.readouterr()
+    assert main(["train", "--timesteps", "1000000", "--out", str(a_file)]) == 1
+    printed = capsys.readouterr()
+    assert "trained" not in printed.out and "is not a directory" in printed.err
+    assert a_file.read_text() == "kept\n"
     capsys.readouterr()
 
 

@@ -446,6 +446,11 @@ def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, se
     assert not np.shares_memory(gradient, net.flat)
     assert gradient.tobytes() == ref_gradient.tobytes()
     assert dx.tobytes() == ref_dx.tobytes()
+    # without the input gradient: the same parameter gradient, no input product
+    gradient, dx = net.backward(upstream, input_grad=False)
+    assert upstream.tobytes() == upstream_before
+    assert gradient.tobytes() == ref_gradient.tobytes()
+    assert dx is None
 
 
 # -- allocation budgets ------------------------------------------------------------

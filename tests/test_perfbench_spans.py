@@ -10,11 +10,15 @@ import importlib.util
 from pathlib import Path
 
 import tsclab.envs
+import tsclab.harness.cli
 import tsclab.sim
 from tsclab.agents.bundle import PolicyBundle
+from tsclab.agents.ppo import PpoConfig
 from tsclab.baselines import FixedTimeController
+from tsclab.envs import SignalControlEnv
 from tsclab.harness.runner import PolicyController, run_episode
 from tsclab.neural import Mlp
+from tsclab.rewards import RewardSpec
 from tsclab.sim import FlowProfile, IntersectionLayout, N_LANES, PhasePlan
 from tsclab.staterep import make_observation
 
@@ -60,3 +64,30 @@ def test_tracer_times_a_loaded_kplanes_policy(tmp_path):
     assert len(tracer.durations["bundle.load"]) == 1
     assert decisions > 0
     assert len(tracer.durations["staterep.kplanes"]) == decisions
+
+
+def test_tracer_pairs_each_ppo_update_with_its_two_adam_steps():
+    # ppo.update spans pair the surrogate with the policy and the value Adam
+    # step that follow it; a fused optimizer or a renamed trainer breaks them
+    def factory(seed):
+        return SignalControlEnv(IntersectionLayout(), PhasePlan(),
+                                FlowProfile.uniform([400.0] * N_LANES),
+                                make_observation("expanded"), RewardSpec(), seed)
+
+    def config(budget_s):
+        return PpoConfig(n_steps=10, batch_size=5, n_epochs=3, hidden_sizes=(8,),
+                         total_timesteps=budget_s)
+
+    # training stops after the first rollout that ends at or past its budget
+    env = factory(0)
+    env.reset()
+    one_rollout = tsclab.harness.cli.train_ppo(factory, config(env.clock_s + 1), 0)
+    cfg = config(int(one_rollout.log[0].sim_time_s) + 1)
+    with load_spans().Tracer() as tracer:
+        result = tsclab.harness.cli.train_ppo(factory, cfg, 0)
+    updates = len(result.log) * cfg.n_epochs * (cfg.n_steps // cfg.batch_size)
+    assert len(result.log) == 2
+    assert len(tracer.durations["ppo.train"]) == 1
+    assert len(tracer.durations["ppo.surrogate"]) == updates
+    assert len(tracer.durations["ppo.update"]) == tracer.counters["work.updates"] == updates
+    assert len(tracer.durations["neural.adam"]) == 2 * updates

@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import force_queue, force_transit, lane_events, lane_index, rate_veh_h
@@ -623,6 +623,13 @@ def lane_scenarios(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(lane_scenarios())
+# a travel time of one ulp of 1.0 rounds away at clock 2, so the runs that
+# entered on ticks 1 and 2 both reach the stopline on tick 2
+@example((IntersectionLayout(travel_time_to_stopline_s=2.0**-52, saturation_headway_s=1.0,
+                             startup_lost_time_s=0.0),
+          PhasePlan((1.0,) * N_PHASES, yellow_s=1, g_min_s=1, g_max_s=1, delta_time_s=1),
+          FlowProfile.uniform([0.0, 0.0, 0.0, 0.0, 1800.0, 1.0, 1.0, 745.0], span_s=20.0),
+          [0], 0, True))
 def test_counter_lanes_match_per_vehicle_model(scenario):
     layout, plan, flows, actions, seed, record_events = scenario
     sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
