@@ -112,8 +112,8 @@ class SignalControlEnv:
             wait, self._prev_wait = self._prev_wait, self._mean_wait()
             return delay_reward(wait, self._prev_wait)
         if kind == "pressure":
-            # outflow minus inflow over the interval is the drop in vehicles
-            # in the system (see rewards.pressure_reward)
+            # negated pressure: outflow minus inflow over the interval, which
+            # is the drop in vehicles in the system
             before, self._prev_in_system = self._prev_in_system, self._in_system()
             return float(before - self._prev_in_system)
         if kind == "speed":

@@ -47,7 +47,6 @@ from .runner import (
     make_controller,
     run_episode,
     run_grid,
-    write_plot_scripts,
     write_summary_csv,
 )
 
@@ -135,8 +134,6 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", dest="run.horizon_s", metavar="HORIZON")
     p.add_argument("--seeds", dest="run.seeds", metavar="S1,S2,...",
                    help="comma separated seeds (overrides run.seeds)")
-    p.add_argument("--plots", action="store_true",
-                   help="also write standalone plot scripts")
     p.add_argument("--out", default="runs/compare", metavar="DIR")
 
     return parser
@@ -317,8 +314,6 @@ def cmd_compare(args) -> int:
             corr_rows.append((seed, "cycle_len_vs_total_queue", report.cycle_len_vs_q))
         write_csv(out / f"correlations_{row.config_id}.csv",
                   ("seed", "quantity", "pearson_r"), corr_rows)
-    if args.plots:
-        write_plot_scripts(out)
     width = max(len(r.config_id) for r in rows)
     print(f"{len(rows)} configs x {len(run.seeds)} seeds, {run.horizon_s}s each")
     for row in rows:

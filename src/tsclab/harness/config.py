@@ -208,4 +208,4 @@ def run_from_config(cfg: dict) -> RunSettings:
 def normalizers_for_training(total_timesteps: int,
                              nominal_cycle_s: float = 100.0) -> StateNormalizers:
     """Normalizers whose cycle counter spans the training horizon."""
-    return StateNormalizers.for_horizon(max(total_timesteps, 1), nominal_cycle_s)
+    return StateNormalizers(cycles_max=max(1.0, max(total_timesteps, 1) / nominal_cycle_s))

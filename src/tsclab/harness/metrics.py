@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ContractViolation
-from ..sim import APPROACHES, N_LANES, N_PHASES, PHASE_SERVED, FlowProfile
+from ..sim import APPROACHES, N_PHASES, PHASE_SERVED, FlowProfile
 
 
 @dataclass(frozen=True)
@@ -56,32 +56,13 @@ def _cycle_record(lane_max: Sequence[int], cycle_index: int, cycle_len_s: int,
     )
 
 
-def cycle_queue_metric(tick_queues: Sequence[Sequence[int]], cycle_index: int = 0,
-                       green_s: Sequence[float] = (0.0,) * N_PHASES,
-                       regime: str = "") -> CycleRecord:
-    """Reduce one cycle's per-tick lane queues to a :class:`CycleRecord`.
-
-    ``tick_queues`` holds one 8-lane queue-length row per tick of the cycle.
-    Per lane take the max over ticks, per approach the max over its lanes,
-    then sum the approaches.  The per-phase maxima group the same lane maxima
-    by the lanes each phase serves.
-    """
-    arr = np.asarray(tick_queues)
-    if arr.size == 0:
-        raise ValueError("empty tick log: a cycle needs at least one tick")
-    if arr.ndim != 2 or arr.shape[1] != N_LANES:
-        raise ValueError(f"tick log must be T x {N_LANES} queue lengths")
-    return _cycle_record(arr.max(axis=0).tolist(), cycle_index, arr.shape[0], green_s,
-                         regime)
-
-
 class CycleTracker:
     """Turns the simulator's completed cycles into numbered records.
 
     ``feed`` takes one ``SimState.completed_cycles`` entry, ``(start_tick,
-    length_s, lane_max, green_s)``, whose lane maxima already are the per-tick
-    maxima :func:`cycle_queue_metric` defines, and tags the cycle with the
-    regime of ``flows`` during its first tick.
+    length_s, lane_max, green_s)``, whose lane maxima the simulator keeps as
+    each lane's largest queue over the cycle's ticks, and tags the cycle with
+    the regime of ``flows`` during its first tick.
     """
 
     def __init__(self, flows: FlowProfile) -> None:

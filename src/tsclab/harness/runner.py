@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -269,67 +268,3 @@ def write_summary_csv(path, rows) -> None:
                 row.std_q_cycle, *(row.phase_regime_mean.get(key) for key in pair_keys)]
                for row in rows))
 
-
-_PLOT_SUMMARY_SRC = '''\
-"""Bar chart of mean cycle queues per config from summary.csv.
-
-Usage: python plot_summary.py [summary.csv] [out.png]
-"""
-import csv
-import sys
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-src = sys.argv[1] if len(sys.argv) > 1 else "summary.csv"
-dst = sys.argv[2] if len(sys.argv) > 2 else "summary.png"
-with open(src, newline="") as fh:
-    rows = list(csv.DictReader(fh))
-labels = [r["config_id"] for r in rows]
-means = [float(r["mean_Q_cycle"]) for r in rows]
-stds = [float(r["std_Q_cycle"]) for r in rows]
-fig, ax = plt.subplots(figsize=(1.2 * len(rows) + 2, 4))
-ax.bar(labels, means, yerr=stds, capsize=4, color="#4878a8")
-ax.set_ylabel("mean cycle queue (veh)")
-ax.set_title("Controller comparison")
-fig.tight_layout()
-fig.savefig(dst, dpi=150)
-print(f"wrote {dst}")
-'''
-
-_PLOT_CYCLES_SRC = '''\
-"""Per-cycle queue traces from one or more cycles CSV files.
-
-Usage: python plot_cycles.py cycles_a.csv [cycles_b.csv ...]
-"""
-import csv
-import sys
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-paths = sys.argv[1:] or ["cycles.csv"]
-fig, ax = plt.subplots(figsize=(8, 4))
-for path in paths:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    xs = [int(r["cycle_index"]) for r in rows]
-    ys = [float(r["Q_cycle"]) for r in rows]
-    ax.plot(xs, ys, label=path)
-ax.set_xlabel("cycle")
-ax.set_ylabel("cycle queue (veh)")
-ax.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig("cycles.png", dpi=150)
-print("wrote cycles.png")
-'''
-
-
-def write_plot_scripts(out_dir) -> None:
-    """Drop standalone matplotlib scripts next to the CSV outputs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "plot_summary.py").write_text(_PLOT_SUMMARY_SRC)
-    (out / "plot_cycles.py").write_text(_PLOT_CYCLES_SRC)

@@ -167,14 +167,6 @@ class Mlp:
         return clone
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
@@ -210,32 +202,8 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, f
     return action, float(logp[action]), probs
 
 
-def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
-              moments: tuple[list[np.ndarray], list[np.ndarray]],
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, t: int = 1):
-    """One bias-corrected adaptive-moment update.
-
-    ``moments`` is the (first, second) moment lists; ``t`` is the 1-based
-    update count.  Parameters and moments update in place and are returned
-    for convenience.
-    """
-    if t < 1:
-        raise ValueError("update count t starts at 1")
-    m, v = moments
-    for p, g, mi, vi in zip(params, grads, m, v):
-        mi *= beta1
-        mi += (1.0 - beta1) * g
-        vi *= beta2
-        vi += (1.0 - beta2) * (g * g)
-        m_hat = mi / (1.0 - beta1 ** t)
-        v_hat = vi / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params, (m, v)
-
-
 class Adam:
-    """Stateful wrapper around :func:`adam_step` for one parameter list
+    """Bias-corrected adaptive-moment optimizer over one parameter list
     (the trainers pass one :attr:`Mlp.flat` vector per network)."""
 
     def __init__(self, params: Sequence[np.ndarray], lr: float,
@@ -250,8 +218,17 @@ class Adam:
         self.v = [np.zeros_like(p) for p in self.params]
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
+        """Update the parameters and moments in place from ``grads``, one
+        gradient per parameter; ``t`` counts the updates from 1."""
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
         self.t += 1
-        adam_step(self.params, grads, (self.m, self.v),
-                  self.lr, self.beta1, self.beta2, self.eps, self.t)
+        lr, beta1, beta2, eps, t = self.lr, self.beta1, self.beta2, self.eps, self.t
+        for p, g, mi, vi in zip(self.params, grads, self.m, self.v):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * (g * g)
+            m_hat = mi / (1.0 - beta1 ** t)
+            v_hat = vi / (1.0 - beta2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -1,10 +1,12 @@
 """Reward formulations scoring one decision-interval transition.
 
-Five interchangeable signals: the weighted queue reward (absolute level plus
+Five interchangeable signals, one picked per experiment via
+:class:`RewardSpec`: the weighted queue reward (absolute level plus
 reduction), waiting-time difference, negated lane pressure, mean vehicle
 speed, and a clipped negative-total-wait signal used by the DQN baseline.
-All are pure functions; the environment picks one per experiment via
-:class:`RewardSpec`.
+Four are the pure functions here.  Negated pressure, outflow minus inflow
+over the interval, equals the drop in vehicles in the system, which
+:class:`~tsclab.envs.SignalControlEnv` counts itself.
 """
 
 from __future__ import annotations
@@ -69,17 +71,6 @@ def delay_reward(w_prev_s: float, w_now_s: float) -> float:
     """Change in average accumulated waiting time across lanes (positive when
     waiting went down)."""
     return w_prev_s - w_now_s
-
-
-def pressure_reward(inflow: Sequence[float], outflow: Sequence[float]) -> float:
-    """Negated lane pressure: outflow minus inflow summed over lanes.
-
-    Inputs are vehicle counts accumulated over the decision interval, per
-    lane or already totalled.  The sign makes serving more vehicles than arrive rewarding.
-    Over an interval this equals the drop in vehicles in the system, which is
-    how :class:`~tsclab.envs.SignalControlEnv` computes it without a tick hook.
-    """
-    return float(sum(outflow)) - float(sum(inflow))
 
 
 def speed_reward(sum_speeds_ms: float, vehicle_count: int) -> float:

@@ -50,27 +50,6 @@ N_ACTIONS = 3
 ARRIVAL_BLOCK_TICKS = 256
 
 
-def yellow_time(t_f: float, w: float, length: float, u0: float, a: float) -> float:
-    """Minimum yellow interval that closes the dilemma zone.
-
-    ``t_f`` is driver reaction time (s), ``w`` the intersection width (m),
-    ``length`` the vehicle length (m), ``u0`` the approach speed (m/s) and
-    ``a`` the comfortable deceleration (m/s^2).  The result is the reaction
-    time plus crossing time plus braking time; callers round up to whole
-    seconds before programming a signal.
-    """
-    values = (t_f, w, length, u0, a)
-    if any(not math.isfinite(v) for v in values):
-        raise ValueError("yellow_time inputs must be finite")
-    if u0 <= 0.0:
-        raise ValueError("approach speed must be positive")
-    if a <= 0.0:
-        raise ValueError("deceleration must be positive")
-    if t_f < 0.0 or w < 0.0 or length < 0.0:
-        raise ValueError("reaction time, width and vehicle length must be non-negative")
-    return t_f + (w + length) / u0 + u0 / (2.0 * a)
-
-
 @dataclass(frozen=True)
 class IntersectionLayout:
     """Geometry and driver-behaviour constants of the intersection."""
@@ -223,15 +202,6 @@ class FlowProfile:
             if lane not in lane_segments:
                 lane_segments[lane] = (FlowSegment(0.0, span, 0.0),)
         return FlowProfile(lane_segments=lane_segments, regimes=tuple(regimes))
-
-    @staticmethod
-    def uniform(rates_veh_h: Sequence[float], span_s: float = 3600.0) -> "FlowProfile":
-        """Constant per-lane rates, ordered as ``LANE_IDS``."""
-        if len(rates_veh_h) != N_LANES:
-            raise ConfigurationError("uniform profile needs one rate per lane")
-        return FlowProfile.build(
-            {lane: [(0.0, span_s, rate)] for lane, rate in zip(LANE_IDS, rates_veh_h)}
-        )
 
     def scaled(self, factors: Sequence[float]) -> "FlowProfile":
         """New profile with each lane's rates multiplied by its factor."""

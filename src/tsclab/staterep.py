@@ -47,13 +47,6 @@ class StateNormalizers:
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be positive")
 
-    @staticmethod
-    def for_horizon(horizon_s: float, nominal_cycle_s: float = 100.0) -> "StateNormalizers":
-        """Normalizers whose cycle-count scale matches a run horizon."""
-        if horizon_s <= 0.0 or nominal_cycle_s <= 0.0:
-            raise ConfigurationError("horizon and nominal cycle must be positive")
-        return StateNormalizers(cycles_max=max(1.0, horizon_s / nominal_cycle_s))
-
     def as_array(self) -> np.ndarray:
         return np.array(
             [self.queue_max, self.green_max_s, self.cycle_time_max_s, self.cycles_max],

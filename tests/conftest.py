@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tsclab.sim import FlowProfile, IntersectionLayout, LANE_IDS, N_LANES, PhasePlan
+from tsclab.harness.metrics import CycleRecord
+from tsclab.sim import FlowProfile, IntersectionLayout, LANE_IDS, N_LANES, N_PHASES, PhasePlan
 
 # (label, passed, detail) tuples collected by the acceptance tests and
 # replayed as one line each at the end of the pytest run
@@ -39,7 +40,45 @@ def plan() -> PhasePlan:
 
 @pytest.fixture
 def zero_flows() -> FlowProfile:
-    return FlowProfile.uniform([0.0] * N_LANES)
+    return uniform_profile([0.0] * N_LANES)
+
+
+def uniform_profile(rates_veh_h, span_s: float = 3600.0) -> FlowProfile:
+    """Constant per-lane rates in veh/h, ordered as ``LANE_IDS``."""
+    return FlowProfile.build(
+        {lane: [(0.0, span_s, rate)] for lane, rate in zip(LANE_IDS, rates_veh_h, strict=True)}
+    )
+
+
+def softmax(logits) -> np.ndarray:
+    """Stable softmax along the last axis: the plain reference the sampler
+    and the trained policies are checked against."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def cycle_queue_metric(tick_queues, cycle_index: int = 0,
+                       green_s=(0.0,) * N_PHASES, regime: str = "") -> CycleRecord:
+    """Brute-force Q_cycle of one cycle from its per-tick lane queues, one
+    8-lane row per tick: per lane the max over ticks, per approach the max
+    over its two lanes, summed over the approaches.  The reference the
+    simulator's running per-cycle maxima are replayed against."""
+    arr = np.asarray(tick_queues)
+    if arr.size == 0:
+        raise ValueError("empty tick log: a cycle needs at least one tick")
+    if arr.ndim != 2 or arr.shape[1] != N_LANES:
+        raise ValueError(f"tick log must be T x {N_LANES} queue lengths")
+    lane_max = arr.max(axis=0)
+    # LANE_IDS run N0 N1 E0 E1 S0 S1 W0 W1: an approach is two adjacent
+    # lanes, and lanes i and i + 4 face each other and share phase i
+    approach_max = tuple(lane_max.reshape(4, 2).max(axis=1).tolist())
+    phase_max = tuple(lane_max.reshape(2, 4).max(axis=0).tolist())
+    return CycleRecord(cycle_index=cycle_index, approach_max_queue=approach_max,
+                       q_cycle=sum(approach_max), cycle_len_s=arr.shape[0],
+                       green_s=tuple(float(g) for g in green_s),
+                       phase_max_queue=phase_max, regime=regime)
 
 
 def force_queue(sim, lane: int, count: int, join_tick: int | None = None) -> None:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import softmax, uniform_profile
 from tsclab.agents.autoencoder import (
     CANONICAL_LATENTS,
     collect_state_buffer,
@@ -39,8 +40,8 @@ from tsclab.agents.ppo import (
 from tsclab.envs import SignalControlEnv, run_to_decision
 from tsclab.errors import ConfigurationError, DivergenceError
 from tsclab.harness.runner import run_episode
-from tsclab.neural import Adam, Mlp, log_softmax, softmax
-from tsclab.rewards import REWARD_KINDS, RewardSpec, pressure_reward
+from tsclab.neural import Adam, Mlp, log_softmax
+from tsclab.rewards import REWARD_KINDS, RewardSpec
 from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                         apply_action, at_decision_point, new_simulation)
 from tsclab.staterep import (REPRESENTATION_KINDS, ExpandedObservation, KPlanesParams,
@@ -361,7 +362,7 @@ def driver_scenarios(draw):
         delta_time_s=draw(st.integers(1, 15)),
     )
     # idle lanes up to well past the 1800 veh/h saturation flow
-    flows = FlowProfile.uniform([draw(st.floats(0.0, 2500.0)) for _ in range(N_LANES)])
+    flows = uniform_profile([draw(st.floats(0.0, 2500.0)) for _ in range(N_LANES)])
     return plan, flows, draw(st.integers(0, 2**32 - 1))
 
 
@@ -425,7 +426,7 @@ def test_env_cycles_equal_run_episode_replaying_its_actions(kind, rate, seed, n_
        n_steps=st.integers(1, 150))
 def test_env_pressure_reward_matches_per_tick_counts(rate, seed, n_steps):
     layout, plan = IntersectionLayout(), PhasePlan()
-    flows = FlowProfile.uniform([rate] * N_LANES)
+    flows = uniform_profile([rate] * N_LANES)
     env = SignalControlEnv(layout, plan, flows, ExpandedObservation(),
                            RewardSpec(kind="pressure"), seed)
     env.reset()
@@ -445,7 +446,8 @@ def test_env_pressure_reward_matches_per_tick_counts(rate, seed, n_steps):
         apply_action(twin, action)
         counted[:] = [0, 0]
         assert run_to_decision(twin, twin.clock + 4000, count)
-        assert reward == pressure_reward((counted[0],), (counted[1],))
+        # negated pressure: outflow (discharges) minus inflow (arrivals)
+        assert reward == float(counted[1]) - float(counted[0])
     assert twin.clock == env.clock_s
 
 
@@ -455,7 +457,7 @@ def test_env_pressure_reward_matches_per_tick_counts(rate, seed, n_steps):
 def traffic_env_factory(rate=300.0):
     layout = IntersectionLayout()
     plan = PhasePlan()
-    flows = FlowProfile.uniform([rate] * N_LANES)
+    flows = uniform_profile([rate] * N_LANES)
 
     def factory(seed):
         return SignalControlEnv(layout, plan, flows, ExpandedObservation(),
@@ -682,7 +684,7 @@ def test_load_autoencoder_rejects_other_files(tmp_path):
 
 
 def test_collect_state_buffer_shape_and_determinism():
-    flows = FlowProfile.uniform([300.0] * N_LANES)
+    flows = uniform_profile([300.0] * N_LANES)
     states = collect_state_buffer(50, flows, seed=4)
     assert states.shape == (50, 19)
     assert (states >= -1.0).all() and (states <= 1.0).all()
@@ -844,7 +846,7 @@ def test_bundle_round_trip_every_kind(tmp_path, kind):
     loaded.save(again)
     assert again.read_bytes() == path.read_bytes()
 
-    flows = FlowProfile.uniform([600.0] * N_LANES)
+    flows = uniform_profile([600.0] * N_LANES)
     sim = new_simulation(ROUND_TRIP_LAYOUT, PhasePlan(), flows, seed=4)
     for point in range(8):
         assert run_to_decision(sim, 4000)

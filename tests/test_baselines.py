@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import uniform_profile
 from tsclab.baselines import (
     DynamicWebsterController,
     FixedTimeController,
@@ -38,7 +39,7 @@ PLAN = PhasePlan()
 
 
 def uniform_flows(rate):
-    return FlowProfile.uniform([rate] * N_LANES)
+    return uniform_profile([rate] * N_LANES)
 
 
 # -- cycle-length formula --------------------------------------------------------
@@ -171,7 +172,7 @@ def test_webster_controller_waits_for_first_interval():
 
 def test_webster_controller_installs_at_phase_boundary():
     rates = [700.0, 150.0, 150.0, 150.0, 700.0, 150.0, 150.0, 150.0]
-    sim = new_simulation(LAYOUT, PLAN, FlowProfile.uniform(rates), seed=5)
+    sim = new_simulation(LAYOUT, PLAN, uniform_profile(rates), seed=5)
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
     default = list(sim.default_green_s)
     change_tick = None
@@ -197,7 +198,7 @@ def test_webster_installs_only_on_a_phase_change():
     # a sub-second interval recomputes on tick 1, which is no phase change,
     # so the plan computed there waits for phase 1's green
     rates = [700.0, 150.0, 150.0, 150.0, 700.0, 150.0, 150.0, 150.0]
-    flows = FlowProfile.uniform(rates)
+    flows = uniform_profile(rates)
     sim = new_simulation(LAYOUT, PLAN, flows, seed=5)
     ctrl = DynamicWebsterController(
         LAYOUT, PLAN, WebsterSettings(recompute_interval_s=0.5, flow_window_s=60.0))

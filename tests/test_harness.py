@@ -1,6 +1,7 @@
 """Experiment harness tests: cycle metrics, aggregation, the episode and grid
 runners, CSV output, configuration parsing, and the command line."""
 
+import ast
 import csv
 import hashlib
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rate_veh_h
+from conftest import cycle_queue_metric, rate_veh_h, uniform_profile
 from tsclab.agents.autoencoder import AeResult, save_autoencoder
 from tsclab.agents.bundle import TRAINING_LOG_HEADER, PolicyBundle, TrainLogRow
 from tsclab.agents.ppo import PpoConfig
@@ -35,7 +36,6 @@ from tsclab.harness.metrics import (
     CycleRecord,
     CycleTracker,
     correlation_report,
-    cycle_queue_metric,
     mean_std,
     pearson,
     write_csv,
@@ -68,7 +68,7 @@ PLAN = PhasePlan()
 
 
 def uniform_flows(rate):
-    return FlowProfile.uniform([rate] * N_LANES)
+    return uniform_profile([rate] * N_LANES)
 
 
 def tiny_bundle(seed=0):
@@ -680,6 +680,8 @@ def test_normalizers_for_training():
     assert normalizers_for_training(100_000, 100.0).cycles_max == 1000.0
     assert normalizers_for_training(7200, 100.0).cycles_max == 72.0
     assert normalizers_for_training(0, 100.0).cycles_max == 1.0
+    assert normalizers_for_training(50, 100.0).cycles_max == 1.0
+    assert normalizers_for_training(3600, 60.0).cycles_max == 60.0
 
 
 def test_run_settings_validation():
@@ -885,14 +887,12 @@ def test_cli_compare(tmp_path, capsys):
     grid.write_text("fixed controller=fixed\nwebster controller=webster\n")
     out = tmp_path / "cmp"
     assert main(["compare", "--grid", str(grid), "--horizon", "400",
-                 "--seeds", "0,1", "--plots", "--out", str(out)]) == 0
+                 "--seeds", "0,1", "--out", str(out)]) == 0
     assert (out / "summary.csv").exists()
     for config in ("fixed", "webster"):
         assert (out / f"correlations_{config}.csv").exists()
         for seed in (0, 1):
             assert (out / f"cycles_{config}_seed{seed}.csv").exists()
-    assert (out / "plot_summary.py").exists()
-    assert (out / "plot_cycles.py").exists()
     assert "2 configs x 2 seeds" in capsys.readouterr().out
 
 
@@ -1247,6 +1247,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["conquer"]) == 1  # unknown subcommand
     for gone in ("eval", "simulate"):  # folded into compare and baseline
         assert main([gone]) == 1
+    fixed_grid = write_cfg(tmp_path, "fixed controller=fixed\n", "fixed.txt")
+    assert main(["compare", "--grid", str(fixed_grid), "--horizon", "200", "--seeds", "0",
+                 "--plots", "--out", str(tmp_path / "plots")]) == 1  # plot scripts gone
+    assert not (tmp_path / "plots").exists()
     assert main(["compare"]) == 1  # missing required --grid
     assert main(["baseline"]) == 1  # missing required --method
     absent = write_cfg(tmp_path, f"ppo controller=policy weights={tmp_path / 'absent.tscw'}\n",
@@ -1345,3 +1349,48 @@ def test_readme_config_table_names_every_key():
     assert documented == set(config._SCHEMA)
     assert len(documented) == 48
     assert {group for group, _ in rows} == set(config.SECTIONS) | {"flow"}
+
+
+def unreferenced_definitions(package: Path) -> list[str]:
+    """Top-level functions and classes, and static methods as
+    ``Class.name``, that no code under ``package`` names outside their own
+    bodies; dunders are skipped.  A top-level name counts when it appears as a
+    name or as any attribute (``module.name``); a static method counts only
+    as ``Class.name``, so ``rng.uniform`` does not stand for
+    ``FlowProfile.uniform``.  Imports and strings are not references."""
+    trees = [ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))]
+    defined = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node] = node.name
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    (item, f"{node.name}.{item.name}") for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in item.decorator_list))
+    used = set()
+    stack = [(tree, ()) for tree in trees]
+    while stack:
+        node, owners = stack.pop()
+        names = []
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            if isinstance(node.value, ast.Name):
+                names.append(f"{node.value.id}.{node.attr}")
+        used.update(name for name in names if name not in owners)
+        if node in defined:
+            owners = (*owners, defined[node])
+        stack.extend((child, owners) for child in ast.iter_child_nodes(node))
+    return sorted(name for name in defined.values()
+                  if name not in used and not name.split(".")[-1].startswith("__"))
+
+
+def test_src_holds_no_code_only_tests_use():
+    # the package keeps only what a command runs; a reference implementation
+    # that only tests call belongs in the tests
+    package = Path(__file__).resolve().parents[1] / "src" / "tsclab"
+    assert unreferenced_definitions(package) == []

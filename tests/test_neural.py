@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from tsclab.agents.autoencoder import reconstruction_mse
 from tsclab.errors import ContractViolation
-from tsclab.neural import (ACTIVATIONS, Adam, Mlp, adam_step, log_softmax, softmax,
-                           softmax_sample)
+from conftest import softmax
+from tsclab.neural import ACTIVATIONS, Adam, Mlp, log_softmax, softmax_sample
 from tsclab.weights import mlp_from_arrays
 
 
@@ -262,8 +262,7 @@ def test_softmax_sample_matches_reference_bitwise():
 
 def test_adam_zero_gradient_leaves_params():
     params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-    moments = ([np.zeros(2), np.zeros((1, 1))], [np.zeros(2), np.zeros((1, 1))])
-    adam_step(params, [np.zeros(2), np.zeros((1, 1))], moments, lr=0.1, t=1)
+    Adam(params, lr=0.1).step([np.zeros(2), np.zeros((1, 1))])
     np.testing.assert_array_equal(params[0], [1.0, -2.0])
     np.testing.assert_array_equal(params[1], [[3.0]])
 
@@ -271,8 +270,7 @@ def test_adam_zero_gradient_leaves_params():
 def test_adam_first_step_is_lr_times_sign():
     params = [np.array([1.0, 1.0, 1.0])]
     grads = [np.array([0.5, -3.0, 1e-5])]
-    moments = ([np.zeros(3)], [np.zeros(3)])
-    adam_step(params, grads, moments, lr=0.01, t=1)
+    Adam(params, lr=0.01).step(grads)
     # bias-corrected ratio m_hat/sqrt(v_hat) = sign(g) up to eps rounding
     np.testing.assert_allclose(params[0], [1.0 - 0.01, 1.0 + 0.01, 1.0 - 0.01],
                                atol=1e-4)
@@ -290,9 +288,6 @@ def test_adam_deterministic():
 
 
 def test_adam_validation():
-    with pytest.raises(ValueError):
-        adam_step([np.zeros(2)], [np.zeros(2)],
-                  ([np.zeros(2)], [np.zeros(2)]), lr=0.1, t=0)
     opt = Adam([np.zeros(2)], lr=0.1)
     with pytest.raises(ValueError):
         opt.step([np.zeros(2), np.zeros(2)])

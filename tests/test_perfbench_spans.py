@@ -9,6 +9,7 @@ only read ``perfbench/``.
 import importlib.util
 from pathlib import Path
 
+from conftest import uniform_profile
 import tsclab.envs
 import tsclab.harness.cli
 import tsclab.sim
@@ -19,7 +20,7 @@ from tsclab.envs import SignalControlEnv
 from tsclab.harness.runner import PolicyController, run_episode
 from tsclab.neural import Mlp
 from tsclab.rewards import RewardSpec
-from tsclab.sim import FlowProfile, IntersectionLayout, N_LANES, PhasePlan
+from tsclab.sim import IntersectionLayout, N_LANES, PhasePlan
 from tsclab.staterep import make_observation
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -39,7 +40,7 @@ def test_tracer_installs_and_uninstalls_every_target():
     tracer.install()
     try:
         assert tsclab.envs.step is not raw_step
-        flows = FlowProfile.uniform([400.0] * N_LANES)
+        flows = uniform_profile([400.0] * N_LANES)
         result = run_episode(IntersectionLayout(), PhasePlan(), flows,
                              FixedTimeController(), seed=3, horizon_s=300,
                              record_events=True)
@@ -58,7 +59,7 @@ def test_tracer_times_a_loaded_kplanes_policy(tmp_path):
     tracer = load_spans().Tracer()
     with tracer:
         controller = PolicyController(PolicyBundle.load(path), sample_seed=0)
-        run_episode(IntersectionLayout(), PhasePlan(), FlowProfile.uniform([400.0] * N_LANES),
+        run_episode(IntersectionLayout(), PhasePlan(), uniform_profile([400.0] * N_LANES),
                     controller, seed=3, horizon_s=300)
     decisions = len(tracer.durations["runner.decide"])
     assert len(tracer.durations["bundle.load"]) == 1
@@ -71,7 +72,7 @@ def test_tracer_pairs_each_ppo_update_with_its_two_adam_steps():
     # step that follow it; a fused optimizer or a renamed trainer breaks them
     def factory(seed):
         return SignalControlEnv(IntersectionLayout(), PhasePlan(),
-                                FlowProfile.uniform([400.0] * N_LANES),
+                                uniform_profile([400.0] * N_LANES),
                                 make_observation("expanded"), RewardSpec(), seed)
 
     def config(budget_s):

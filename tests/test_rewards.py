@@ -10,7 +10,6 @@ from tsclab.rewards import (
     REWARD_KINDS,
     RewardSpec,
     delay_reward,
-    pressure_reward,
     queue_reward,
     resco_wait_reward,
     speed_reward,
@@ -65,12 +64,6 @@ def test_delay_reward():
     assert delay_reward(0.0, 0.0) == 0.0
     # per-lane waits (8,0,...) then (16,0,...): averages 1 then 2
     assert delay_reward(8 / 8, 16 / 8) == -1.0
-
-
-def test_pressure_reward():
-    assert pressure_reward([1, 2, 3, 0, 0, 0, 0, 0], [1, 2, 3, 0, 0, 0, 0, 0]) == 0.0
-    assert pressure_reward([6, 0, 0, 0, 0, 0, 0, 0], [4, 0, 0, 0, 0, 0, 0, 0]) == -2.0
-    assert pressure_reward([0] * 8, [0] * 8) == 0.0
 
 
 def test_speed_reward():

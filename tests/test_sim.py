@@ -1,7 +1,6 @@
 """Simulator unit tests: formula oracles, point-queue dynamics, the phase
 machine, flow profiles, and the module's invariants."""
 
-import math
 from collections import deque
 
 import numpy as np
@@ -9,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import force_queue, force_transit, lane_events, lane_index, rate_veh_h
+from conftest import (force_queue, force_transit, lane_events, lane_index, rate_veh_h,
+                      uniform_profile)
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.sim import (
     ACTION_CONTINUE,
@@ -28,41 +28,13 @@ from tsclab.sim import (
     install_programmed_greens,
     new_simulation,
     step,
-    yellow_time,
 )
 
 
 def make_sim(seed=0, rates=None, layout=None, plan=None, record_events=False):
-    flows = FlowProfile.uniform(rates if rates is not None else [0.0] * N_LANES)
+    flows = uniform_profile(rates if rates is not None else [0.0] * N_LANES)
     return new_simulation(layout or IntersectionLayout(), plan or PhasePlan(),
                           flows, seed, record_events=record_events)
-
-
-# -- yellow_time ---------------------------------------------------------------
-
-
-def test_yellow_time_reference_value():
-    z = yellow_time(1, 12.4, 10.2, 11.11, 3.53)
-    assert abs(z - 4.608) < 1e-3
-    assert math.ceil(z) == 5
-
-
-def test_yellow_time_simple_decomposition():
-    # reaction 0, no crossing distance, braking term u0/(2a) = 1/(2*0.5)
-    assert yellow_time(0, 0, 0, 1, 0.5) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_yellow_time_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        yellow_time(1, 12.4, 10.2, 11.11, 0)
-    with pytest.raises(ValueError):
-        yellow_time(1, 12.4, 10.2, 0, 3.53)
-    with pytest.raises(ValueError):
-        yellow_time(1, 12.4, 10.2, -5.0, 3.53)
-    with pytest.raises(ValueError):
-        yellow_time(float("nan"), 12.4, 10.2, 11.11, 3.53)
-    with pytest.raises(ValueError):
-        yellow_time(-1.0, 12.4, 10.2, 11.11, 3.53)
 
 
 # -- construction --------------------------------------------------------------
@@ -516,9 +488,7 @@ def test_flow_profile_build_fills_missing_lanes_with_zero():
 
 
 def test_flow_profile_uniform_and_scaled():
-    with pytest.raises(ConfigurationError):
-        FlowProfile.uniform([100.0] * 3)
-    profile = FlowProfile.uniform([100.0] * N_LANES, span_s=500.0)
+    profile = uniform_profile([100.0] * N_LANES, span_s=500.0)
     doubled = profile.scaled([2.0] * N_LANES)
     assert rate_veh_h(doubled, 3, 10) == pytest.approx(200.0)
     with pytest.raises(ConfigurationError):
@@ -628,7 +598,7 @@ def lane_scenarios(draw):
 @example((IntersectionLayout(travel_time_to_stopline_s=2.0**-52, saturation_headway_s=1.0,
                              startup_lost_time_s=0.0),
           PhasePlan((1.0,) * N_PHASES, yellow_s=1, g_min_s=1, g_max_s=1, delta_time_s=1),
-          FlowProfile.uniform([0.0, 0.0, 0.0, 0.0, 1800.0, 1.0, 1.0, 745.0], span_s=20.0),
+          uniform_profile([0.0, 0.0, 0.0, 0.0, 1800.0, 1.0, 1.0, 745.0], span_s=20.0),
           [0], 0, True))
 def test_counter_lanes_match_per_vehicle_model(scenario):
     layout, plan, flows, actions, seed, record_events = scenario

@@ -5,12 +5,11 @@ the encoder/observation wrappers."""
 import numpy as np
 import pytest
 
-from conftest import force_queue, lane_index
+from conftest import force_queue, lane_index, uniform_profile
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.neural import Mlp
 from tsclab.sim import (
     ACTION_EXTEND,
-    FlowProfile,
     IntersectionLayout,
     N_LANES,
     PhasePlan,
@@ -35,7 +34,7 @@ from tsclab.staterep import (
 
 
 def make_sim(seed=0, rates=None):
-    flows = FlowProfile.uniform(rates if rates is not None else [0.0] * N_LANES)
+    flows = uniform_profile(rates if rates is not None else [0.0] * N_LANES)
     return new_simulation(IntersectionLayout(), PhasePlan(), flows, seed)
 
 
@@ -375,18 +374,11 @@ def test_normalizer_defaults_and_horizon_scaling():
     norms = StateNormalizers()
     assert (norms.queue_max, norms.green_max_s) == (25.0, 40.0)
     assert (norms.cycle_time_max_s, norms.cycles_max) == (180.0, 72.0)
-    assert StateNormalizers.for_horizon(7200.0).cycles_max == 72.0
-    assert StateNormalizers.for_horizon(50.0).cycles_max == 1.0
-    assert StateNormalizers.for_horizon(3600.0, nominal_cycle_s=60.0).cycles_max == 60.0
 
 
 def test_normalizer_validation_and_round_trip():
     with pytest.raises(ConfigurationError):
         StateNormalizers(queue_max=0.0)
-    with pytest.raises(ConfigurationError):
-        StateNormalizers.for_horizon(0.0)
-    with pytest.raises(ConfigurationError):
-        StateNormalizers.for_horizon(100.0, nominal_cycle_s=-1.0)
     norms = StateNormalizers(queue_max=30.0, cycles_max=10.0)
     again = StateNormalizers.from_array(norms.as_array())
     assert again == norms
