@@ -19,13 +19,14 @@ from ..neural import Adam, Mlp
 from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                    apply_action, new_simulation)
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
-from ..staterep import CANONICAL_LATENTS, EXPANDED_DIM, StateNormalizers, expanded_state
+from ..staterep import CANONICAL_LATENTS, EXPANDED_DIM, expanded_state
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_arrays
 
 logger = logging.getLogger(__name__)
 
 _HIDDEN = 32
 _MINIBATCH = 128
+_EPISODE_HORIZON_S = 7200
 
 
 @dataclass
@@ -69,7 +70,7 @@ def check_training_settings(k: int, epochs: int, lr: float) -> None:
 
 
 def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 1e-3,
-                      seed: int = 0, batch_size: int = _MINIBATCH) -> AeResult:
+                      seed: int = 0) -> AeResult:
     """Minimize mean squared reconstruction error with minibatch updates.
 
     ``epochs = 0`` returns the untrained pair with its buffer MSE.  Latent
@@ -94,8 +95,8 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
     n = x.shape[0]
     for _epoch in range(epochs):
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = x[order[start:start + batch_size]]
+        for start in range(0, n, _MINIBATCH):
+            batch = x[order[start:start + _MINIBATCH]]
             b = batch.shape[0]
             z = encoder.forward(batch)
             recon = decoder.forward(z)
@@ -110,16 +111,13 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
 
 def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
                          layout: IntersectionLayout = IntersectionLayout(),
-                         plan: PhasePlan = PhasePlan(),
-                         norms: StateNormalizers = StateNormalizers(),
-                         scale_range: tuple = (0.5, 1.5),
-                         episode_horizon_s: int = 7200) -> np.ndarray:
+                         plan: PhasePlan = PhasePlan()) -> np.ndarray:
     """Record decision-point states under fixed-time control.
 
     Each episode rescales every lane's arrival rates by an independent
-    uniform factor from ``scale_range`` and simulates ``episode_horizon_s``
-    seconds; decision-point states accumulate until ``n_states`` are
-    collected.
+    uniform factor from [0.5, 1.5) and simulates 7200 s; decision-point
+    states, scaled by the default :class:`StateNormalizers`, accumulate
+    until ``n_states`` are collected.
     """
     if n_states < 1:
         raise ConfigurationError("need at least one state")
@@ -129,10 +127,10 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
     while filled < n_states:
         s_scale, s_sim = ss.spawn(2)
         scale_rng = np.random.Generator(np.random.PCG64(s_scale))
-        factors = scale_rng.uniform(scale_range[0], scale_range[1], size=N_LANES)
+        factors = scale_rng.uniform(0.5, 1.5, size=N_LANES)
         sim = new_simulation(layout, plan, flows.scaled(factors), seed=s_sim)
-        while run_to_decision(sim, int(episode_horizon_s)):
-            states[filled] = expanded_state(sim, norms)
+        while run_to_decision(sim, _EPISODE_HORIZON_S):
+            states[filled] = expanded_state(sim)
             filled += 1
             if filled >= n_states:
                 return states

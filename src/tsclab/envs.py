@@ -4,8 +4,10 @@ The simulator ticks once per second, but a controller only acts at decision
 points (every ``delta_time`` seconds of green once the minimum green is
 served).  :class:`SignalControlEnv` hides the ticks: ``step`` applies one
 action, advances the simulation to the next decision point, and returns the
-next observation plus the reward for the transition.  The task is continuing;
-there is no terminal state, so nothing like a done flag is produced.
+next observation plus the reward for the transition, scored by
+:mod:`tsclab.rewards` from the reward's level at the transition's two ends.
+The task is continuing; there is no terminal state, so nothing like a done
+flag is produced.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ import numpy as np
 
 from .errors import ContractViolation
 from .harness.metrics import CycleTracker
-from .rewards import (RewardSpec, delay_reward, queue_reward, resco_wait_reward,
-                      speed_reward)
-from .sim import (FlowProfile, IntersectionLayout, N_ACTIONS, N_LANES, PhasePlan,
-                  SimState, apply_action, at_decision_point, new_simulation, step)
+from .rewards import RewardSpec, reward, reward_level
+from .sim import (FlowProfile, IntersectionLayout, N_ACTIONS, PhasePlan, SimState,
+                  apply_action, at_decision_point, new_simulation, step)
 
 # a decision point arrives within one phase remainder + yellow + minimum
 # green of the next phase; anything past a few full cycles is a machine bug
@@ -49,9 +50,10 @@ class SignalControlEnv:
 
     ``observation`` is one of :mod:`tsclab.staterep`'s observations
     (see ``make_observation``); ``reward_spec`` picks the reward.  ``reset``
-    starts a fresh seeded simulation and advances to the first decision
-    point; ``step`` returns (observation, reward, records) where records are
-    the cycle records completed during the transition.
+    starts a fresh seeded simulation, advances to the first decision point
+    and reads the reward's level there; ``step`` returns (observation,
+    reward, records) where records are the cycle records completed during
+    the transition, and keeps the level it reached for the next step.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -74,8 +76,7 @@ class SignalControlEnv:
         self.sim = new_simulation(self.layout, self.plan, self.flows, self.seed)
         self._tracker = CycleTracker(self.flows)
         self._run_to_decision()
-        self._prev_wait = self._mean_wait()
-        self._prev_in_system = self._in_system()
+        self._level = reward_level(self.sim, self.reward_spec.kind)
         return self.observation.observe(self.sim)
 
     def step(self, action: int):
@@ -83,8 +84,9 @@ class SignalControlEnv:
             raise ContractViolation("step called before reset")
         apply_action(self.sim, action)
         records = self._run_to_decision()
-        reward = self._reward()
-        return self.observation.observe(self.sim), reward, records
+        before, self._level = self._level, reward_level(self.sim, self.reward_spec.kind)
+        r = reward(self.reward_spec, before, self._level)
+        return self.observation.observe(self.sim), r, records
 
     # -- internals ------------------------------------------------------------
 
@@ -95,34 +97,3 @@ class SignalControlEnv:
         if not run_to_decision(self.sim, self.sim.clock + _MAX_TICKS_BETWEEN_DECISIONS):
             raise ContractViolation("no decision point reached; phase machine is stuck")
         return [self._tracker.feed(entry) for entry in self.sim.completed_cycles[first_new:]]
-
-    def _in_system(self) -> int:
-        """Vehicles between entry and discharge: queued or still in transit."""
-        return sum(self.sim.queued) + sum(sum(counts) for _tick, counts in self.sim.transit)
-
-    def _mean_wait(self) -> float:
-        return sum(self.sim.lane_wait_s(lane) for lane in range(N_LANES)) / N_LANES
-
-    def _reward(self) -> float:
-        kind = self.reward_spec.kind
-        if kind == "queue":
-            return queue_reward(self.sim.approach_queues(), self.sim.decision_queues,
-                                self.reward_spec)
-        if kind == "delay":
-            wait, self._prev_wait = self._prev_wait, self._mean_wait()
-            return delay_reward(wait, self._prev_wait)
-        if kind == "pressure":
-            # negated pressure: outflow minus inflow over the interval, which
-            # is the drop in vehicles in the system
-            before, self._prev_in_system = self._prev_in_system, self._in_system()
-            return float(before - self._prev_in_system)
-        if kind == "speed":
-            total_speed = 0.0
-            count = 0
-            for lane in range(N_LANES):
-                approaching, queued, _wait, speeds = self.sim.lane_observables(lane)
-                total_speed += speeds
-                count += approaching + queued
-            return speed_reward(total_speed, count)
-        total_wait = sum(self.sim.lane_wait_s(lane) for lane in range(N_LANES))
-        return resco_wait_reward(total_wait, self.reward_spec)

@@ -1,19 +1,2 @@
 """Experiment orchestration: metrics, configuration, the episode/grid
-runner, and the command-line interface.
-
-``runner`` and ``cli`` load lazily: they depend on the environment module,
-which itself uses the metrics here, so importing them eagerly would cycle.
-"""
-
-from importlib import import_module
-
-from . import metrics
-from . import config
-
-__all__ = ["metrics", "config", "runner", "cli"]
-
-
-def __getattr__(name: str):
-    if name in ("runner", "cli"):
-        return import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+runner, and the command-line interface."""

@@ -187,10 +187,9 @@ def _aggregate(spec: RunSpec, per_seed: dict) -> SummaryRow:
         seed_means.append(mean_q_cycle(records))
         pooled.extend(records)
     mean, std = mean_std(seed_means)
+    # regimes in the order they first appear; write_summary_csv sorts them
     phase_regime: dict = {}
-    regimes = sorted({r.regime for r in pooled},
-                     key=lambda s: (REGIME_ORDER.index(s) if s in REGIME_ORDER else 99, s))
-    for regime in regimes:
+    for regime in dict.fromkeys(r.regime for r in pooled):
         subset = [r for r in pooled if r.regime == regime]
         for p in range(N_PHASES):
             phase_regime[(regime, p)] = float(

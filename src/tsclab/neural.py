@@ -202,17 +202,17 @@ def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, f
     return action, float(logp[action]), probs
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected adaptive-moment optimizer over one parameter list
     (the trainers pass one :attr:`Mlp.flat` vector per network)."""
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def __init__(self, params: Sequence[np.ndarray], lr: float) -> None:
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
@@ -223,7 +223,7 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
         self.t += 1
-        lr, beta1, beta2, eps, t = self.lr, self.beta1, self.beta2, self.eps, self.t
+        lr, beta1, beta2, eps, t = self.lr, _BETA1, _BETA2, _EPS, self.t
         for p, g, mi, vi in zip(self.params, grads, self.m, self.v):
             mi *= beta1
             mi += (1.0 - beta1) * g

@@ -3,19 +3,19 @@
 Five interchangeable signals, one picked per experiment via
 :class:`RewardSpec`: the weighted queue reward (absolute level plus
 reduction), waiting-time difference, negated lane pressure, mean vehicle
-speed, and a clipped negative-total-wait signal used by the DQN baseline.
-Four are the pure functions here.  Negated pressure, outflow minus inflow
-over the interval, equals the drop in vehicles in the system, which
-:class:`~tsclab.envs.SignalControlEnv` counts itself.
+speed, and a clipped negative-total-wait signal (the RESCO reward) used by
+the DQN baseline.  All five follow one rule: :func:`reward_level` reads a
+level at every decision point and :func:`reward` scores the transition from
+the levels at its two ends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 from .errors import ConfigurationError
+from .sim import N_LANES, SimState
 
 REWARD_KINDS = ("queue", "delay", "pressure", "speed", "resco_wait")
 
@@ -52,39 +52,43 @@ class RewardSpec:
             raise ConfigurationError("clip bounds must satisfy min < max")
 
 
-def queue_reward(q_t: Sequence[float], q_prev: Sequence[float],
-                 spec: RewardSpec = RewardSpec()) -> float:
-    """Weighted combination of absolute queue penalty and queue reduction.
-
-    ``q_t`` and ``q_prev`` are the per-approach max queues at this and the
-    previous decision point.  Both terms share the normalizer N * queue_norm
-    so the absolute term lives in [-alpha_abs, 0] and the reduction term in
-    [-alpha_red, +alpha_red] for queues within the nominal storage.
-    """
-    scale = N_APPROACHES * spec.queue_norm
-    total_now = float(sum(q_t))
-    reduction = float(sum(q_prev)) - total_now
-    return spec.alpha_abs * (-total_now / scale) + spec.alpha_red * (reduction / scale)
-
-
-def delay_reward(w_prev_s: float, w_now_s: float) -> float:
-    """Change in average accumulated waiting time across lanes (positive when
-    waiting went down)."""
-    return w_prev_s - w_now_s
-
-
-def speed_reward(sum_speeds_ms: float, vehicle_count: int) -> float:
-    """Mean speed of vehicles currently in the network; 0 when empty."""
-    if vehicle_count < 0:
-        raise ConfigurationError("vehicle count must be non-negative")
-    if vehicle_count == 0:
-        return 0.0
-    return sum_speeds_ms / vehicle_count
+def reward_level(sim: SimState, kind: str):
+    """The level reward ``kind`` reads from ``sim`` at a decision point:
+    the summed approach queues (queue), the mean lane wait (delay), the
+    vehicles queued or in transit (pressure), their mean speed, 0 with none
+    (speed), or the summed wait (resco_wait).  The pressure and resco_wait
+    levels are ints, so a zero-wait resco_wait reward is 0.0, not -0.0."""
+    if kind == "queue":
+        return float(sum(sim.approach_queues()))
+    if kind == "delay":
+        return sum(sim.lane_wait_s(lane) for lane in range(N_LANES)) / N_LANES
+    if kind == "pressure":
+        return sum(sim.queued) + sum(sum(counts) for _tick, counts in sim.transit)
+    if kind == "speed":
+        total_speed, count = 0.0, 0
+        for lane in range(N_LANES):
+            approaching, queued, _wait, speeds = sim.lane_observables(lane)
+            total_speed += speeds
+            count += approaching + queued
+        return total_speed / count if count else 0.0
+    return sum(sim.lane_wait_s(lane) for lane in range(N_LANES))
 
 
-def resco_wait_reward(total_wait_s: float, spec: RewardSpec = RewardSpec(kind="resco_wait")) -> float:
-    """Scaled, clipped negative total waiting time."""
-    if not math.isfinite(total_wait_s):
-        raise ConfigurationError("total wait must be finite")
-    raw = -total_wait_s / spec.resco_scale
-    return min(max(raw, spec.clip_min), spec.clip_max)
+def reward(spec: RewardSpec, before, after) -> float:
+    """Score a decision interval from the :func:`reward_level` at its start
+    (``before``) and at its end (``after``).  queue weights the absolute
+    level against its reduction, both over N * queue_norm, so the terms lie
+    in [-alpha_abs, 0] and [-alpha_red, +alpha_red] for queues within the
+    nominal storage; delay and pressure score the drop in their level
+    (negated pressure, outflow minus inflow, is the drop in vehicles in the
+    system); speed scores the level reached; resco_wait negates, scales and
+    clips it."""
+    kind = spec.kind
+    if kind == "queue":
+        scale = N_APPROACHES * spec.queue_norm
+        return spec.alpha_abs * (-after / scale) + spec.alpha_red * ((before - after) / scale)
+    if kind in ("delay", "pressure"):
+        return float(before - after)
+    if kind == "speed":
+        return after
+    return min(max(-after / spec.resco_scale, spec.clip_min), spec.clip_max)

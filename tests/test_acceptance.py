@@ -28,7 +28,7 @@ from tsclab.harness.config import default_flow_profile, normalizers_for_training
 from tsclab.harness.metrics import correlation_report
 from tsclab.harness.runner import PolicyController, run_episode
 from tsclab.neural import Mlp
-from tsclab.rewards import RewardSpec, queue_reward
+from tsclab.rewards import RewardSpec, reward
 from tsclab.sim import (
     IntersectionLayout,
     PhasePlan,
@@ -62,7 +62,7 @@ def test_c1_closed_form_values():
     ok_yellow = abs(t_y - 4.608) <= 1e-3 and math.ceil(t_y) == PhasePlan().yellow_s
 
     # 0.4 * (-20/100) + 0.6 * ((24-20)/100)
-    r = queue_reward((10, 5, 0, 5), (12, 5, 2, 5))
+    r = reward(RewardSpec(), 24.0, 20.0)  # approach queues (12,5,2,5) -> (10,5,0,5)
     ok_reward = abs(r - (-0.056)) <= 1e-12
 
     t = webster_timings(WebsterInput(12.0, (0.3, 0.1, 0.15, 0.05)))

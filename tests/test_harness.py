@@ -1394,3 +1394,51 @@ def test_src_holds_no_code_only_tests_use():
     # that only tests call belongs in the tests
     package = Path(__file__).resolve().parents[1] / "src" / "tsclab"
     assert unreferenced_definitions(package) == []
+
+
+def unpassed_defaults(package: Path) -> list[str]:
+    """Defaulted parameters, as ``function.name`` (``Class.name`` for
+    ``__init__``), that no call under ``package`` passes by position or by
+    keyword.  A call counts for every function of its name, ``Class(...)``
+    for the class's ``__init__``; ``self`` and ``cls`` take no position, and
+    a ``*args`` or ``**kwargs`` call passes every parameter."""
+    trees = [ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))]
+    defaulted = {}  # (callee, parameter) -> position in a call, None if keyword-only
+    calls = []
+    stack = [(tree, None) for tree in trees]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            positional = [arg.arg for arg in a.posonlyargs + a.args]
+            if owner is not None and positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            callee = owner if node.name == "__init__" else node.name
+            for name in positional[len(positional) - len(a.defaults):]:
+                defaulted[callee, name] = positional.index(name)
+            defaulted.update(((callee, arg.arg), None)
+                             for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                             if default is not None)
+        elif isinstance(node, ast.Call):
+            calls.append(node)
+        inner = node.name if isinstance(node, ast.ClassDef) else (
+            None if isinstance(node, ast.FunctionDef) else owner)
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+    passed = set()
+    for call in calls:
+        func = call.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        keywords = {k.arg for k in call.keywords}
+        spread = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+        passed.update(
+            key for key, position in defaulted.items() if key[0] == name and (
+                spread or key[1] in keywords
+                or (position is not None and position < len(call.args))))
+    return sorted(f"{callee}.{name}" for callee, name in defaulted.keys() - passed)
+
+
+def test_src_defaults_are_passed_somewhere():
+    # a default that no caller overrides is a constant, not a setting; the
+    # console script calls main() and perfbench calls main([...])
+    package = Path(__file__).resolve().parents[1] / "src" / "tsclab"
+    assert unpassed_defaults(package) == ["main.argv"]
