@@ -39,16 +39,9 @@ from ..rewards import REWARD_KINDS, RewardSpec
 from ..staterep import (REPRESENTATION_KINDS, DqnObservation, KPlanesParams,
                         make_observation)
 from .config import (from_config, normalizers_for_training, parse_config_file,
-                     run_from_config)
-from .metrics import correlation_report, write_csv, write_cycles_csv
-from .runner import (
-    CONTROLLER_KINDS,
-    RunSpec,
-    make_controller,
-    run_episode,
-    run_grid,
-    write_summary_csv,
-)
+                     read_lines, run_from_config)
+from .metrics import correlation_report, summary_table, write_csv, write_cycles_csv
+from .runner import CONTROLLER_KINDS, RunSpec, make_controller, run_episode, run_grid
 
 # the kinds a one-episode command can run without a policy bundle
 _BASELINE_METHODS = tuple(kind for kind in CONTROLLER_KINDS if kind != "policy")
@@ -144,10 +137,7 @@ def _load_cfg(args) -> dict:
     config key, as text, so both pass one conversion."""
     cfg = {}
     if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigurationError(f"config file not found: {path}")
-        cfg = parse_config_file(path)
+        cfg = parse_config_file(args.config)
     cfg.update((key, value) for key, value in vars(args).items()
                if "." in key and value is not None)
     return cfg
@@ -266,33 +256,29 @@ def cmd_baseline(args) -> int:
 
 
 def _parse_grid_file(path) -> list:
-    grid_path = Path(path)
-    if not grid_path.exists():
-        raise ConfigurationError(f"grid file not found: {grid_path}")
     specs = []
-    for lineno, raw in enumerate(grid_path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path, "grid file"):
         tokens = line.split()
         config_id = tokens[0]
         fields = {}
         for token in tokens[1:]:
             if "=" not in token:
                 raise ConfigurationError(
-                    f"{grid_path}:{lineno}: expected key=value, got {token!r}"
+                    f"{path}:{lineno}: expected key=value, got {token!r}"
                 )
             key, value = token.split("=", 1)
             if key not in ("controller", "weights", "playback"):
-                raise ConfigurationError(f"{grid_path}:{lineno}: unknown field {key!r}")
+                raise ConfigurationError(f"{path}:{lineno}: unknown field {key!r}")
+            if key in fields:
+                raise ConfigurationError(f"{path}:{lineno}: duplicate field {key!r}")
             fields[key] = value
         if "controller" not in fields:
-            raise ConfigurationError(f"{grid_path}:{lineno}: missing controller=")
+            raise ConfigurationError(f"{path}:{lineno}: missing controller=")
         specs.append(RunSpec(config_id=config_id, controller=fields["controller"],
                              weights_path=fields.get("weights"),
                              playback=fields.get("playback")))
     if not specs:
-        raise ConfigurationError(f"{grid_path}: no grid entries")
+        raise ConfigurationError(f"{path}: no grid entries")
     return specs
 
 
@@ -300,25 +286,21 @@ def cmd_compare(args) -> int:
     out = _out_dir(args.out)
     run = run_from_config(_load_cfg(args))
     specs = _parse_grid_file(args.grid)
-    rows, results = run_grid(run, specs)
+    results = run_grid(run, specs)
+    columns = [(spec.config_id, spec.controller) for spec in specs]
+    header, rows = summary_table(columns, run.seeds, results)
     out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(out / "summary.csv", rows)
+    write_csv(out / "summary.csv", header, rows)
     for (config_id, seed), records in sorted(results.items()):
         write_cycles_csv(out / f"cycles_{config_id}_seed{seed}.csv", records)
-    for row in rows:
-        corr_rows = []
-        for seed in run.seeds:
-            report = correlation_report(results[(row.config_id, seed)])
-            corr_rows += [(seed, f"green{p + 1}_vs_phase_queue", r)
-                          for p, r in enumerate(report.green_vs_queue)]
-            corr_rows.append((seed, "cycle_len_vs_total_queue", report.cycle_len_vs_q))
-        write_csv(out / f"correlations_{row.config_id}.csv",
-                  ("seed", "quantity", "pearson_r"), corr_rows)
-    width = max(len(r.config_id) for r in rows)
+    for config_id, _ in columns:
+        write_csv(out / f"correlations_{config_id}.csv", ("seed", "quantity", "pearson_r"),
+                  [(seed, name, r) for seed in run.seeds
+                   for name, r in correlation_report(results[(config_id, seed)]).items()])
+    width = max(len(config_id) for config_id, _ in columns)
     print(f"{len(rows)} configs x {len(run.seeds)} seeds, {run.horizon_s}s each")
-    for row in rows:
-        print(f"  {row.config_id:<{width}}  mean cycle queue "
-              f"{row.mean_q_cycle:8.2f} +/- {row.std_q_cycle:.2f}")
+    for config_id, _, _, mean, std, *_ in rows:
+        print(f"  {config_id:<{width}}  mean cycle queue {mean:8.2f} +/- {std:.2f}")
     print(f"wrote {out / 'summary.csv'}")
     return 0
 

@@ -34,14 +34,27 @@ from ..agents.ppo import PpoConfig
 _FLOW_KEYS = {f"flow.{lane}" for lane in LANE_IDS} | {"flow.regimes"}
 
 
+def read_lines(path, what: str):
+    """Yield ``(lineno, line)`` for each line of the UTF-8 text file
+    ``path`` (a leading byte order mark dropped) that holds more than a
+    ``#`` comment, with the comment and the surrounding blanks stripped.  A file that is missing, or that cannot be
+    read as UTF-8 text, raises ConfigurationError naming it as ``what``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines into an ordered dict of strings."""
     values: dict[str, str] = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path, "config file"):
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)

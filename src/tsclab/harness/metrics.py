@@ -1,4 +1,4 @@
-"""Per-cycle queue metrics, aggregation helpers, and correlation reports.
+"""Per-cycle queue metrics, the comparison report's tables, and CSV output.
 
 The headline evaluation number for a run is the per-cycle total queue: for
 each signal cycle, take every lane's maximum queue over the cycle's ticks,
@@ -109,33 +109,52 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     return float((xc @ yc) / (sx * sy))
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Adaptivity diagnostics over a run's cycles."""
+def correlation_report(records: Sequence[CycleRecord]) -> dict:
+    """Adaptivity diagnostics over a run's cycles, by the quantity names of
+    ``correlations_*.csv``: per phase, the correlation between allocated
+    green and the phase's max queue, then cycle length against total queue.
+    Under 10 cycles say nothing meaningful, so every correlation is then
+    undefined (None)."""
+    pairs = {f"green{p + 1}_vs_phase_queue": ([r.green_s[p] for r in records],
+                                              [r.phase_max_queue[p] for r in records])
+             for p in range(N_PHASES)}
+    pairs["cycle_len_vs_total_queue"] = ([r.cycle_len_s for r in records],
+                                         [r.q_cycle for r in records])
+    enough = len(records) >= 10
+    return {name: pearson(x, y) if enough else None for name, (x, y) in pairs.items()}
 
-    n_cycles: int
-    green_vs_queue: tuple  # per phase: r between allocated green and phase max queue
-    cycle_len_vs_q: float | None
+
+REGIME_ORDER = ("high", "medium", "low")
 
 
-def correlation_report(records: Sequence[CycleRecord]) -> CorrelationReport:
-    """Per-phase correlation between allocated green and the phase's max
-    queue, plus cycle length against total queue.  Under 10 cycles say
-    nothing meaningful, so every correlation is then undefined (None)."""
-    if len(records) < 10:
-        return CorrelationReport(len(records), (None,) * N_PHASES, None)
-    per_phase = []
-    for p in range(N_PHASES):
-        greens = [r.green_s[p] for r in records]
-        queues = [r.phase_max_queue[p] for r in records]
-        per_phase.append(pearson(greens, queues))
-    lens = [r.cycle_len_s for r in records]
-    totals = [r.q_cycle for r in records]
-    return CorrelationReport(
-        n_cycles=len(records),
-        green_vs_queue=tuple(per_phase),
-        cycle_len_vs_q=pearson(lens, totals),
-    )
+def summary_table(columns: Sequence[tuple], seeds: Iterable[int],
+                  results: dict) -> tuple[list, list]:
+    """``summary.csv``'s header and rows: one row per ``(config_id,
+    controller)`` column with its seed count and the mean and std of
+    Q_cycle across seeds, then per flow regime (in :data:`REGIME_ORDER`,
+    then by name) each phase's mean max queue over the column's cycles in
+    that regime, blank where it has none.  ``results`` maps ``(config_id,
+    seed)`` to an episode's cycle records."""
+    seeds = sorted(seeds)
+    pooled = {config_id: [r for seed in seeds for r in results[(config_id, seed)]]
+              for config_id, _ in columns}
+    regimes = sorted({r.regime for records in pooled.values() for r in records},
+                     key=lambda g: (REGIME_ORDER.index(g) if g in REGIME_ORDER
+                                    else len(REGIME_ORDER), g))
+    header = ["config_id", "controller", "n_seeds", "mean_Q_cycle", "std_Q_cycle"]
+    header += [f"p{p + 1}_mean_q_{regime or 'all'}"
+               for regime in regimes for p in range(N_PHASES)]
+    rows = []
+    for config_id, controller in columns:
+        # RunSettings' horizon floor gives every episode at least one cycle
+        mean, std = mean_std([mean_q_cycle(results[(config_id, seed)]) for seed in seeds])
+        cells = []
+        for regime in regimes:
+            subset = [r for r in pooled[config_id] if r.regime == regime]
+            cells += [float(np.mean([r.phase_max_queue[p] for r in subset]))
+                      if subset else None for p in range(N_PHASES)]
+        rows.append([config_id, controller, len(seeds), mean, std, *cells])
+    return header, rows
 
 
 # -- CSV output ---------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from ..agents.bundle import PolicyBundle
 from ..sim import (
     FlowProfile,
     IntersectionLayout,
-    N_PHASES,
     PhasePlan,
     apply_action,
     new_simulation,
@@ -21,9 +20,7 @@ from ..sim import (
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..neural import softmax_sample
 from .config import RunSettings
-from .metrics import CycleRecord, CycleTracker, mean_q_cycle, mean_std, write_csv
-
-REGIME_ORDER = ("high", "medium", "low")
+from .metrics import CycleTracker, mean_q_cycle
 
 
 class PolicyController:
@@ -128,6 +125,10 @@ class RunSpec:
     playback: str | None = None
 
     def __post_init__(self) -> None:
+        if "/" in self.config_id or "\0" in self.config_id:
+            # the id names the column's output files
+            raise ConfigurationError(
+                f"{self.config_id!r}: a config_id may not contain '/' or a NUL byte")
         if self.controller not in CONTROLLER_KINDS:
             raise ConfigurationError(
                 f"{self.config_id}: unknown controller {self.controller!r}; "
@@ -167,53 +168,14 @@ def _grid_job(job: tuple) -> tuple:
     return config_id, seed, result.records
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    """Aggregated episode metric for one grid column."""
-
-    config_id: str
-    controller: str
-    n_seeds: int
-    mean_q_cycle: float
-    std_q_cycle: float
-    phase_regime_mean: dict = field(hash=False, default_factory=dict)
-
-
-def _aggregate(spec: RunSpec, per_seed: dict) -> SummaryRow:
-    seed_means = []
-    pooled: list[CycleRecord] = []
-    # RunSettings' horizon floor gives every episode at least one cycle
-    for _seed, records in sorted(per_seed.items()):
-        seed_means.append(mean_q_cycle(records))
-        pooled.extend(records)
-    mean, std = mean_std(seed_means)
-    # regimes in the order they first appear; write_summary_csv sorts them
-    phase_regime: dict = {}
-    for regime in dict.fromkeys(r.regime for r in pooled):
-        subset = [r for r in pooled if r.regime == regime]
-        for p in range(N_PHASES):
-            phase_regime[(regime, p)] = float(
-                np.mean([r.phase_max_queue[p] for r in subset])
-            )
-    return SummaryRow(
-        config_id=spec.config_id,
-        controller=spec.controller,
-        n_seeds=len(seed_means),
-        mean_q_cycle=mean,
-        std_q_cycle=std,
-        phase_regime_mean=phase_regime,
-    )
-
-
 def run_grid(run: RunSettings, specs):
-    """Run every (config, seed) cell and aggregate per config.
+    """Run every (config, seed) cell; return a dict that maps ``(config_id,
+    seed)`` to the episode's cycle records.
 
-    Returns ``(summary_rows, results)`` where ``results`` maps
-    ``(config_id, seed)`` to the episode's cycle records.  Each policy
-    column's bundle is loaded once and every cell's controller is built
-    before the first episode, so a bad input fails before any episode runs.
-    A sampled policy draws its actions from a stream seeded by the cell's
-    seed.
+    Each policy column's bundle is loaded once and every cell's controller
+    is built before the first episode, so a bad input fails before any
+    episode runs.  A sampled policy draws its actions from a stream seeded
+    by the cell's seed.
     Jobs are independent; ``run.workers > 1`` runs them on a process pool.
     Output order and content are identical either way because each job owns
     its seed.
@@ -241,29 +203,4 @@ def run_grid(run: RunSettings, specs):
             outcomes = list(pool.map(_grid_job, jobs))
     else:
         outcomes = [_grid_job(job) for job in jobs]
-    results = {(config_id, seed): records for config_id, seed, records in outcomes}
-    rows = []
-    for spec in specs:
-        per_seed = {seed: results[(spec.config_id, seed)] for seed in run.seeds}
-        rows.append(_aggregate(spec, per_seed))
-    return rows, results
-
-
-def write_summary_csv(path, rows) -> None:
-    """One row per config: mean and std of Q_cycle across seeds, then the
-    per-phase mean queue split by flow regime."""
-    rows = list(rows)
-    pair_keys: list = []
-    for row in rows:
-        for key in row.phase_regime_mean:
-            if key not in pair_keys:
-                pair_keys.append(key)
-    pair_keys.sort(key=lambda k: (REGIME_ORDER.index(k[0]) if k[0] in REGIME_ORDER
-                                  else 99, k[0], k[1]))
-    header = ["config_id", "controller", "n_seeds", "mean_Q_cycle", "std_Q_cycle"]
-    header += [f"p{p + 1}_mean_q_{regime or 'all'}" for regime, p in pair_keys]
-    write_csv(path, header,
-              ([row.config_id, row.controller, row.n_seeds, row.mean_q_cycle,
-                row.std_q_cycle, *(row.phase_regime_mean.get(key) for key in pair_keys)]
-               for row in rows))
-
+    return {(config_id, seed): records for config_id, seed, records in outcomes}

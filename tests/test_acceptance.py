@@ -461,8 +461,8 @@ def test_c7_green_allocation_tracks_queues(control_study):
     for episodes in control_study["per_seed"]:
         pooled = [record for episode in episodes for record in episode.records]
         report = correlation_report(pooled)
-        r0 = report.green_vs_queue[0]
-        r2 = report.green_vs_queue[2]
+        r0 = report["green1_vs_phase_queue"]
+        r2 = report["green3_vs_phase_queue"]
         ok = (r0 is not None and r2 is not None and r0 > 0.0 and r2 > 0.0)
         wins += ok
         details.append(

@@ -38,17 +38,16 @@ from tsclab.harness.metrics import (
     correlation_report,
     mean_std,
     pearson,
+    summary_table,
     write_csv,
     write_cycles_csv,
 )
 from tsclab.harness.runner import (
     PolicyController,
     RunSpec,
-    SummaryRow,
     make_controller,
     run_episode,
     run_grid,
-    write_summary_csv,
 )
 from tsclab.neural import Mlp
 from tsclab.sim import (
@@ -274,28 +273,31 @@ def _synth_records(n, greens=None, queues=None):
     return records
 
 
+CORRELATION_QUANTITIES = ["green1_vs_phase_queue", "green2_vs_phase_queue",
+                          "green3_vs_phase_queue", "green4_vs_phase_queue",
+                          "cycle_len_vs_total_queue"]
+
+
 def test_correlation_report_needs_ten_cycles():
     # perfectly aligned, but nine cycles are too few to report anything
     greens = [10.0 + i for i in range(9)]
     report = correlation_report(_synth_records(9, greens, [2 * i for i in range(9)]))
-    assert report.n_cycles == 9
-    assert report.green_vs_queue == (None, None, None, None)
-    assert report.cycle_len_vs_q is None
+    assert list(report) == CORRELATION_QUANTITIES
+    assert all(r is None for r in report.values())
 
 
 def test_correlation_report_perfect_alignment():
     greens = [10.0 + i for i in range(12)]
     queues = [2 * i for i in range(12)]
     report = correlation_report(_synth_records(12, greens, queues))
-    assert report.n_cycles == 12
-    for r in report.green_vs_queue:
+    assert list(report) == CORRELATION_QUANTITIES
+    for r in report.values():
         assert r == pytest.approx(1.0, abs=1e-12)
-    assert report.cycle_len_vs_q == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlation_report_constant_green_is_undefined():
     report = correlation_report(_synth_records(12))
-    assert report.green_vs_queue == (None, None, None, None)
+    assert [report[f"green{p}_vs_phase_queue"] for p in (1, 2, 3, 4)] == [None] * 4
 
 
 # -- episode runner --------------------------------------------------------------
@@ -415,12 +417,11 @@ def test_run_grid_parallel_matches_sequential(tmp_path):
     tiny_bundle().save(weights)
     specs = [RunSpec("fixed", "fixed"), RunSpec("webster", "webster"),
              RunSpec("ppo", "policy", str(weights))]
-    rows1, results1 = run_grid(grid_experiment(workers=1), specs)
-    rows2, results2 = run_grid(grid_experiment(workers=2), specs)
-    assert rows1 == rows2
+    results1 = run_grid(grid_experiment(workers=1), specs)
+    results2 = run_grid(grid_experiment(workers=2), specs)
     assert results1 == results2
-    assert [r.config_id for r in rows1] == ["fixed", "webster", "ppo"]
-    assert all(r.n_seeds == 2 for r in rows1)
+    assert list(results1) == [(config_id, seed) for config_id in ("fixed", "webster", "ppo")
+                              for seed in (0, 1)]
 
 
 def test_run_grid_rejects_duplicate_ids():
@@ -478,27 +479,45 @@ def test_cycles_csv_layout(tmp_path):
                                         r.cycle_len_s, *r.green_s, r.regime)]
 
 
+def _regime_records(q_cycles, phase_queue, regimes):
+    """Cycle records with the given totals, each phase's max queue
+    ``phase_queue`` and the given regime labels."""
+    return [CycleRecord(cycle_index=i, approach_max_queue=(q, 0, 0, 0), q_cycle=q,
+                        cycle_len_s=100, green_s=(20.0,) * 4,
+                        phase_max_queue=(phase_queue,) * 4, regime=regime)
+            for i, (q, regime) in enumerate(zip(q_cycles, regimes))]
+
+
 def test_summary_csv_layout(tmp_path):
-    rows = [
-        SummaryRow(config_id="ppo", controller="policy", n_seeds=5,
-                   mean_q_cycle=18.5, std_q_cycle=1.25,
-                   phase_regime_mean={("low", 0): 3.0, ("high", 1): 9.5}),
-        SummaryRow(config_id="fixed", controller="fixed", n_seeds=5,
-                   mean_q_cycle=44.0, std_q_cycle=2.0,
-                   phase_regime_mean={("low", 0): 6.0}),
+    results = {
+        ("ppo", 3): _regime_records([10, 20], 4, ["low", "high"]),
+        ("ppo", 0): _regime_records([30], 2, ["low"]),
+        ("fixed", 3): _regime_records([40], 6, ["low"]),
+        ("fixed", 0): _regime_records([50, 60], 8, ["low", "medium"]),
+    }
+    header, rows = summary_table([("ppo", "policy"), ("fixed", "fixed")], (3, 0), results)
+    assert header == ["config_id", "controller", "n_seeds", "mean_Q_cycle", "std_Q_cycle",
+                      *(f"p{p}_mean_q_{regime}" for regime in ("high", "medium", "low")
+                        for p in (1, 2, 3, 4))]
+    # seed means (30 and 15, 55 and 40) in sorted-seed order; high sorts
+    # first; ppo ran no medium cycle and fixed no high one, so those are blank
+    assert rows == [
+        ["ppo", "policy", 2, 22.5, float(np.std([30.0, 15.0], ddof=1)),
+         *[4.0] * 4, *[None] * 4, *[3.0] * 4],
+        ["fixed", "fixed", 2, 47.5, float(np.std([55.0, 40.0], ddof=1)),
+         *[None] * 4, *[8.0] * 4, *[(8.0 + 6.0) / 2] * 4],
     ]
     path = tmp_path / "summary.csv"
-    write_summary_csv(path, rows)
+    write_csv(path, header, rows)
     with path.open(newline="") as fh:
         parsed = list(csv.DictReader(fh))
-    assert [r["config_id"] for r in parsed] == ["ppo", "fixed"]
-    # high sorts before low in the regime columns
-    header = parsed[0].keys()
-    assert list(header)[:5] == ["config_id", "controller", "n_seeds",
-                                "mean_Q_cycle", "std_Q_cycle"]
-    assert "p2_mean_q_high" in header and "p1_mean_q_low" in header
-    assert float(parsed[0]["mean_Q_cycle"]) == 18.5
-    assert parsed[1]["p2_mean_q_high"] == ""
+    assert parsed[0]["mean_Q_cycle"] == "22.5" and parsed[0]["p1_mean_q_medium"] == ""
+    # a profile without regime labels gets one "all" column per phase
+    header, rows = summary_table([("fixed", "fixed")], (0,),
+                                 {("fixed", 0): _regime_records([5, 7], 1, ["", ""])})
+    assert header[5:] == ["p1_mean_q_all", "p2_mean_q_all", "p3_mean_q_all",
+                          "p4_mean_q_all"]
+    assert rows == [["fixed", "fixed", 1, 6.0, 0.0, 1.0, 1.0, 1.0, 1.0]]
 
 
 def test_correlations_csv_blank_for_undefined(tmp_path):
@@ -591,6 +610,9 @@ flow.N0 = 0-100@500
     values = parse_config_file(path)
     assert values == {"ppo.n_steps": "32", "run.horizon_s": "3600",
                       "flow.N0": "0-100@500"}
+    # a leading byte order mark, as some editors write, is not part of the first key
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert parse_config_file(path) == values
 
 
 def test_parse_config_file_errors(tmp_path):
@@ -1143,8 +1165,10 @@ def tiny_dqn_bundle():
     (["fixed controller=fixed", "ppo controller=policy weights={ppo} playback="],
      "400", "unknown playback ''"),
     (["fixed controller=fixed playback=greedy"], "400", "only policy entries take playback="),
+    (["fixed controller=fixed", "a controller=fixed controller=webster"], "400",
+     "grid.txt:2: duplicate field 'controller'"),
 ], ids=["short-horizon", "unknown-controller", "missing-bundle", "sampled-dqn",
-        "unknown-playback", "empty-playback", "playback-off-policy"])
+        "unknown-playback", "empty-playback", "playback-off-policy", "duplicate-field"])
 def test_cli_compare_rejects_bad_input_before_any_episode(tmp_path, capsys, episodes_started,
                                                           lines, horizon, message):
     weights = {"ppo": tmp_path / "ppo.tscw", "dqn": tmp_path / "dqn.tscw"}
@@ -1269,6 +1293,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main([*baseline, "--config", str(missing_cfg)]) == 1
     empty_grid = write_cfg(tmp_path, "# nothing\n", "grid.txt")
     assert main(["compare", "--grid", str(empty_grid)]) == 1
+    # a grid or config path that is a directory, or a file that is not UTF-8
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"fixed controller=fixed  # caf\xe9\n")
+    unread = tmp_path / "unread"
+    for bad in (tmp_path, not_utf8):
+        assert main(["compare", "--grid", str(bad), "--horizon", "200", "--seeds", "0",
+                     "--out", str(unread)]) == 1
+        assert main([*baseline, "--config", str(bad)]) == 1
+    # a config_id names the column's output files
+    for bad_id in ("a/b", "a\0b"):
+        grid = write_cfg(tmp_path, f"{bad_id} controller=fixed\n", "bad_id.txt")
+        assert main(["compare", "--grid", str(grid), "--horizon", "200", "--seeds", "0",
+                     "--out", str(unread)]) == 1
+    assert not unread.exists()
     assert main(["-h"]) == 0
     assert main(["train", "--repr", "ae8"]) == 1  # ae repr without encoder
     for bad in ("nan", "inf", "-1"):  # rates and loss weights must be finite and >= 0
