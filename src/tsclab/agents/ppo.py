@@ -203,7 +203,7 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
         first_record = len(records)
         for t in range(n_steps):
             rollout_obs[t] = obs
-            action, log_probs[t], _probs = softmax_sample(policy.predict(obs), act_rng)
+            action, log_probs[t] = softmax_sample(policy.predict(obs), act_rng)
             actions[t] = action
             values[t] = value_net.predict(obs)[0]
             obs, rewards[t], new_records = env.step(action)

@@ -173,33 +173,49 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float, np.ndarray]:
+def _add_reduce(values: list[float]) -> float:
+    """``np.add.reduce`` of a list of floats, bit for bit.  numpy adds fewer
+    than 8 terms left to right, as this loop does (Python's ``sum`` does not:
+    from 3.12 on it compensates float sums); 8 or more it adds pairwise, so
+    those go to numpy."""
+    if len(values) >= 8:
+        return float(np.add.reduce(values))
+    total = -0.0  # -0.0 + v is v for every float v, -0.0 included
+    for v in values:
+        total += v
+    return total
+
+
+def softmax_sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
     """Sample one action from a categorical over the logits.
 
-    Returns (action index, log probability of that action, full probability
-    vector).  Max-subtraction keeps huge logits from overflowing.
+    Returns (action index, log probability of that action).  Max-subtraction
+    keeps huge logits from overflowing.  The arithmetic runs on Python floats
+    in numpy's order; only ``exp`` and ``log`` stay numpy calls, whose results
+    Python's ``math`` does not always reproduce bit for bit.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("softmax_sample expects a single logit vector")
-    m = z.max()
-    if m != m:
+    values = z.tolist()
+    if any(x != x for x in values):
         raise ValueError("NaN logits")
-    z = z - m
-    logp = z - np.log(np.exp(z).sum())
-    probs = np.exp(logp)
-    probs /= probs.sum()
-    # inverse CDF over a left-to-right running sum, as searchsorted(side="right")
-    # on np.cumsum finds it (a NaN sum sorts last, so it also stops there)
+    m = max(values)
+    shifted = [x - m for x in values]
+    log_norm = float(np.log(_add_reduce(np.exp(shifted).tolist())))
+    logp = [x - log_norm for x in shifted]
+    probs = np.exp(logp).tolist()
+    total_p = _add_reduce(probs)
+    # inverse CDF over a left-to-right running sum of the normalized
+    # probabilities, as searchsorted(side="right") on their cumsum finds it
+    # (a NaN sum sorts last, so it also stops there)
     u = rng.random()
-    action = len(probs) - 1
     total = 0.0
-    for i, p in enumerate(probs.tolist()):
-        total += p
+    for action, p in enumerate(probs):
+        total += p / total_p
         if not u >= total:
-            action = i
-            break
-    return action, float(logp[action]), probs
+            return action, logp[action]
+    return len(probs) - 1, logp[-1]
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)

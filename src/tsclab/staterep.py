@@ -100,52 +100,26 @@ def expanded_state(sim: SimState,
     return np.minimum(np.maximum(raw, _LOWER), 1.0)
 
 
-# weight factor rows, out of (1-tu, 1-tv, tu, tv), for corners g00, g10, g01, g11
-_WEIGHT_U = np.array((0, 2, 0, 2))
-_WEIGHT_V = np.array((1, 1, 3, 3))
-
-
-def _sample_planes(grids: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """Bilinearly sample each grid ``grids[k]`` at ``(uv[0, k], uv[1, k])``.
-
-    A grid's nodes sit at coordinates i/(R-1) along its first two axes, and
-    coordinates clamp to [0, 1]; trailing axes (the per-node feature
-    vectors) interpolate componentwise.  The four corners of every grid come
-    from one indexed gather, and each sample is
-    ``(1-tu)(1-tv) g00 + tu (1-tv) g10 + (1-tu) tv g01 + tu tv g11``, each
-    weight formed before it scales its corner and the terms summed left to
-    right.
-    """
-    if np.isnan(uv).any():
-        raise ContractViolation("cannot sample a feature plane at NaN")
-    n, rows, cols = grids.shape[:3]
-    last = np.array(((rows - 1,), (cols - 1,)))
-    xy = np.minimum(np.maximum(uv, 0.0), 1.0) * last
-    ij = np.minimum(xy.astype(np.intp), last - 1)
-    t = xy - ij
-    first = np.arange(0, n * rows * cols, rows * cols) + ij[0] * cols + ij[1]
-    corners = grids.reshape((-1,) + grids.shape[3:])[
-        first + np.array(((0,), (cols,), (1,), (cols + 1,)))]
-    factors = np.concatenate((1.0 - t, t))
-    weights = factors[_WEIGHT_U] * factors[_WEIGHT_V]
-    terms = weights.reshape(weights.shape + (1,) * (grids.ndim - 3)) * corners
-    return terms[0] + terms[1] + terms[2] + terms[3]
-
-
-# continuous feature groups of the expanded vector: (name, component indices,
-# rescale from [-1,1] to [0,1] before sampling)
+# continuous feature groups of the expanded vector: (name, component indices);
+# the "dq" components rescale from [-1, 1] to [0, 1] before sampling
 _KPLANES_GROUPS = (
-    ("time", (_IDX_TC, _IDX_TP, _IDX_NCYC), False),
-    ("queue", tuple(range(7, 11)), False),
-    ("dq", tuple(range(11, 15)), True),
-    ("green", tuple(range(15, 19)), False),
+    ("time", (_IDX_TC, _IDX_TP, _IDX_NCYC)),
+    ("queue", tuple(range(7, 11))),
+    ("dq", tuple(range(11, 15))),
+    ("green", tuple(range(15, 19))),
 )
-# every unordered component pair of each group owns one plane, in this order
-_GROUP_PAIRS = tuple(tuple(combinations(indices, 2)) for _n, indices, _r in _KPLANES_GROUPS)
+# every unordered component pair of each group owns one plane, in this order;
+# column k of _PLANE_UV holds plane k's (u, v) components
+_GROUP_PAIRS = tuple(tuple(combinations(indices, 2)) for _n, indices in _KPLANES_GROUPS)
 _PLANE_UV = np.array([pair for pairs in _GROUP_PAIRS for pair in pairs]).T
 _GROUP_STARTS = np.cumsum([0] + [len(pairs) for pairs in _GROUP_PAIRS[:-1]])
-_RESCALED = np.array([i for _n, indices, rescale in _KPLANES_GROUPS if rescale
-                      for i in indices])
+# the planes of the third group, "dq"
+_DQ_PLANES = slice(int(_GROUP_STARTS[2]), int(_GROUP_STARTS[3]))
+_PLANE_NUMBERS = np.arange(_PLANE_UV.shape[1])
+# a cell's corners g00, g10, g01, g11 as steps from g00 along u (the grid's
+# first axis) and v
+_CORNER_DU = np.array(((0,), (1,), (0,), (1,)))
+_CORNER_DV = np.array(((0,), (0,), (1,), (1,)))
 
 
 class KPlanesParams:
@@ -184,13 +158,40 @@ def kplanes_transform(params: KPlanesParams, state: np.ndarray) -> np.ndarray:
     bilinearly at the two component values; the samples multiply element-wise,
     left to right, into one feature vector per group.  The four group vectors
     concatenate with the one-hot phase, giving 4*F + 4 features.
+
+    An R x R plane's nodes sit at coordinates i/(R-1) along its first two
+    axes, and coordinates clamp to [0, 1]; the per-node feature vectors
+    interpolate componentwise.  Each sample is ``(1-tu)(1-tv) g00 +
+    tu (1-tv) g10 + (1-tu) tv g01 + tu tv g11``, each weight formed before it
+    scales its corner and the terms summed left to right.  All planes sample
+    at once, with one gather of their corners from ``params.planes`` as the
+    call finds it.  A NaN in a sampled component raises
+    :class:`ContractViolation`; the one-hot phase passes through as given.
     """
     s = np.asarray(state, dtype=np.float64)
     if s.shape != (EXPANDED_DIM,):
         raise ContractViolation(f"expected a {EXPANDED_DIM}-component state")
-    coords = s.copy()
-    coords[_RESCALED] = (s[_RESCALED] + 1.0) / 2.0
-    samples = _sample_planes(params.planes, coords[_PLANE_UV])
+    uv = s[_PLANE_UV]
+    dq = uv[:, _DQ_PLANES]
+    dq += 1.0
+    dq /= 2.0
+    if np.isnan(uv).any():
+        raise ContractViolation("cannot sample a feature plane at NaN")
+    planes = params.planes
+    n, r = planes.shape[:2]
+    xy = np.minimum(np.maximum(uv, 0.0), 1.0)
+    xy *= r - 1
+    ij = np.minimum(xy.astype(np.intp), r - 2)
+    t = xy - ij
+    # corners[c, k] is corner c of plane k's cell, gathered in one index
+    corners = planes[_PLANE_NUMBERS, ij[0] + _CORNER_DU, ij[1] + _CORNER_DV]
+    # factors[side, axis]: side 0 is 1 - t and side 1 is t, axis 0 is u and
+    # 1 is v; weights[b, a] = u-factor a times v-factor b, in corner order
+    factors = np.concatenate((1.0 - t, t)).reshape(2, 2, n)
+    weights = (factors[None, :, 0] * factors[:, None, 1]).reshape(4, n, 1)
+    # -0.0 starts the sum, not add's identity 0.0, so that four -0.0 terms
+    # sum to -0.0 as they do left to right
+    samples = np.add.reduce(corners * weights, axis=0, initial=-0.0)
     features = np.multiply.reduceat(samples, _GROUP_STARTS, axis=0)
     return np.concatenate((features.ravel(), s[_IDX_PHASE]))
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from tsclab.errors import ContractViolation
 from tsclab.harness.metrics import CycleRecord
 from tsclab.sim import FlowProfile, IntersectionLayout, LANE_IDS, N_LANES, N_PHASES, PhasePlan
 
@@ -57,6 +60,69 @@ def softmax(logits) -> np.ndarray:
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def reference_softmax_sample(logits, rng) -> tuple[int, float]:
+    """The categorical draw as it ran on numpy arrays: max-subtracted
+    log-softmax, normalized probabilities and a left-to-right inverse CDF.
+    Training and evaluation results depend on every bit of its action, its
+    log-probability and the one ``rng.random()`` it consumes."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError("softmax_sample expects a single logit vector")
+    m = z.max()
+    if m != m:
+        raise ValueError("NaN logits")
+    z = z - m
+    logp = z - np.log(np.exp(z).sum())
+    probs = np.exp(logp)
+    probs /= probs.sum()
+    u = rng.random()
+    action = len(probs) - 1
+    total = 0.0
+    for i, p in enumerate(probs.tolist()):
+        total += p
+        if not u >= total:
+            action = i
+            break
+    return action, float(logp[action])
+
+
+# the K-Planes groups of expanded-state components; one plane per pair
+_REF_GROUPS = ((0, 5, 6), (7, 8, 9, 10), (11, 12, 13, 14), (15, 16, 17, 18))
+_REF_PLANE_UV = np.array([pair for group in _REF_GROUPS
+                          for pair in combinations(group, 2)]).T
+_REF_GROUP_STARTS = np.array((0, 3, 9, 15))
+
+
+def reference_kplanes_transform(params, state) -> np.ndarray:
+    """The K-Planes transform as it ran plane-array by plane-array: the "dq"
+    components rescaled in a state copy, per-axis grid sizes, a corner index
+    built on every call, weights from four gathered factor rows and the four
+    weighted corners summed by hand.  Every K-Planes observation depends on
+    every bit of it."""
+    s = np.asarray(state, dtype=np.float64)
+    if s.shape != (19,):
+        raise ContractViolation("expected a 19-component state")
+    coords = s.copy()
+    coords[11:15] = (s[11:15] + 1.0) / 2.0
+    uv = coords[_REF_PLANE_UV]
+    if np.isnan(uv).any():
+        raise ContractViolation("cannot sample a feature plane at NaN")
+    grids = params.planes
+    n, rows, cols = grids.shape[:3]
+    last = np.array(((rows - 1,), (cols - 1,)))
+    xy = np.minimum(np.maximum(uv, 0.0), 1.0) * last
+    ij = np.minimum(xy.astype(np.intp), last - 1)
+    t = xy - ij
+    first = np.arange(0, n * rows * cols, rows * cols) + ij[0] * cols + ij[1]
+    corners = grids.reshape((-1,) + grids.shape[3:])[
+        first + np.array(((0,), (cols,), (1,), (cols + 1,)))]
+    factors = np.concatenate((1.0 - t, t))  # rows 1-tu, 1-tv, tu, tv
+    terms = (factors[[0, 2, 0, 2]] * factors[[1, 1, 3, 3]])[..., None] * corners
+    samples = terms[0] + terms[1] + terms[2] + terms[3]
+    features = np.multiply.reduceat(samples, _REF_GROUP_STARTS, axis=0)
+    return np.concatenate((features.ravel(), s[1:5]))
 
 
 def cycle_queue_metric(tick_queues, cycle_index: int = 0,

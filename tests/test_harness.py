@@ -772,7 +772,9 @@ def test_cli_simulate_record_events_golden(tmp_path, capsys, scenario):
 # SHA-256 of every file that tiny runs of the CSV-writing commands write.  A
 # header, a column order or a cell's formatting (blank for None, a float as
 # its repr) that changes shows here; the policy-only compare at 500 s
-# completes under 10 cycles, so its correlations are all blank cells.
+# completes under 10 cycles, so its correlations are all blank cells.  The
+# kplanes runs pin the K-Planes transform and the sampled and greedy
+# playback of a policy trained on it.
 _TINY_TRAINING_CFG = """\
 ppo.n_steps = 20
 ppo.batch_size = 10
@@ -816,6 +818,26 @@ _CLI_OUTPUT_DIGESTS = {
         "88e970ddf797ceb9639cccb3b74a04e136125b393cf478d10425a98c63182e63",
     "dqn/training_log.csv":
         "1f35be7551e465c642caa548d811feaeae9508dad24ba35cef4d870379f18f0b",
+    "kplanes/cycles_train.csv":
+        "160f0e22025cbb5bd155dcb2190d54553bf2a525ee316646b35e8f1cbe9bdebc",
+    "kplanes/policy.tscw":
+        "fac0c5facb802213176740622d128ea0092ed28fb256cc940610816e26ffe29c",
+    "kplanes/training_log.csv":
+        "9b8d3af3075b1b10b2ebc3ef2e50bf414ec304c3f445eb1d393361d3803bd841",
+    "kplanes_compare/correlations_kplanes.csv":
+        "53360b47c6e3490aa73a6c05d16127e5f0808820cbc80244c819b8fbe55e4acf",
+    "kplanes_compare/correlations_kplanes_greedy.csv":
+        "0d7651d362b47b2b40eb53eba2158495274d489f88f45a1acd7e3e18aa792921",
+    "kplanes_compare/cycles_kplanes_greedy_seed0.csv":
+        "cf8de902fbaa3e29f7cdb0150e68c55e6db9d5913badb58a82a135b6a3350b8a",
+    "kplanes_compare/cycles_kplanes_greedy_seed1.csv":
+        "6424ffa9ffa873e55000aef240ec63e68b738ff9785125fa239c99bc0b68fd6b",
+    "kplanes_compare/cycles_kplanes_seed0.csv":
+        "96291050dcfdcd5d6dbfe1567c566f1c950ccfafc317e9581874787bf5733504",
+    "kplanes_compare/cycles_kplanes_seed1.csv":
+        "bdcbe6e39cd92a0bedae6c00484c23c158e7444530b371c8f961c45ec933d8ac",
+    "kplanes_compare/summary.csv":
+        "4eb191cd0cee8c21e48f44b660c5777e546068aff47913aa4c54a9d78b1cb527",
     "ppo/correlations_ppo.csv":
         "e7a43e1eacc314da0cf5a6bd5f892ac124cc73c648a64eaa665eb015f57b8319",
     "ppo/cycles_ppo_seed0.csv":
@@ -846,6 +868,11 @@ def test_cli_outputs_golden(tmp_path, capsys):
                                f"ppo controller=policy weights={weights}\n", "grid.txt")
     ppo_grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n",
                          "ppo_grid.txt")
+    kplanes_weights = str(tmp_path / "kplanes" / "policy.tscw")
+    kplanes_grid = write_cfg(
+        tmp_path, f"kplanes controller=policy weights={kplanes_weights}\n"
+                  f"kplanes_greedy controller=policy weights={kplanes_weights} "
+                  "playback=greedy\n", "kplanes_grid.txt")
     runs = {
         "baseline": ["baseline", "--method", "webster", "--horizon", "1800"],
         "train": ["train", "--config", cfg, "--reward", "delay"],
@@ -853,6 +880,9 @@ def test_cli_outputs_golden(tmp_path, capsys):
         "ppo": ["compare", "--grid", str(ppo_grid), "--seeds", "0,1", "--horizon", "2400"],
         "ppo_short": ["compare", "--grid", str(ppo_grid), "--seeds", "0", "--horizon", "500"],
         "compare": ["compare", "--grid", str(grid), "--horizon", "400", "--seeds", "0,1"],
+        "kplanes": ["train", "--config", cfg, "--repr", "kplanes"],
+        "kplanes_compare": ["compare", "--grid", str(kplanes_grid), "--seeds", "0,1",
+                            "--horizon", "1200"],
     }
     for name, argv in runs.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 0, name

@@ -3,6 +3,7 @@ finite differences and a plain reference, allocation budgets, softmax
 behavior, and the optimizer."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from tsclab.agents.autoencoder import reconstruction_mse
 from tsclab.errors import ContractViolation
-from conftest import softmax
+from conftest import reference_softmax_sample, softmax
 from tsclab.neural import ACTIVATIONS, Adam, Mlp, log_softmax, softmax_sample
 from tsclab.weights import mlp_from_arrays
 
@@ -194,8 +195,11 @@ def test_softmax_sums_to_one_and_positive(logits):
 
 def test_softmax_sample_rejects_nan():
     rng = np.random.Generator(np.random.PCG64(0))
-    with pytest.raises(ValueError):
-        softmax_sample(np.array([float("nan"), 0.0, 0.0]), rng)
+    # a NaN anywhere, not only where max() starts, and before any draw
+    for logits in ([float("nan"), 0.0, 0.0], [0.0, float("nan"), 1.0], [1.0, 2.0, float("nan")]):
+        with pytest.raises(ValueError, match="NaN"):
+            softmax_sample(np.array(logits), rng)
+    assert rng.bit_generator.state == np.random.Generator(np.random.PCG64(0)).bit_generator.state
     with pytest.raises(ValueError):
         softmax_sample(np.zeros((2, 3)), rng)
 
@@ -207,9 +211,8 @@ def test_softmax_sample_frequencies_match_probabilities():
     counts = np.zeros(3)
     n = 100_000
     for _ in range(n):
-        action, log_prob, returned = softmax_sample(logits, rng)
+        action, log_prob = softmax_sample(logits, rng)
         counts[action] += 1
-    np.testing.assert_allclose(returned, probs, atol=1e-12)
     assert log_prob == pytest.approx(float(np.log(probs[action])), abs=1e-12)
     np.testing.assert_allclose(counts / n, probs, atol=0.01)
 
@@ -229,19 +232,6 @@ def test_softmax_sample_draws_as_generator_choice():
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-def _reference_softmax_sample(logits, rng):
-    # the sampler before its one-pass rewrite: numpy log-softmax, cumsum and
-    # searchsorted; training and evaluation results depend on every bit of it
-    z = np.asarray(logits, dtype=np.float64)
-    logp = log_softmax(z)
-    probs = np.exp(logp)
-    probs = probs / probs.sum()
-    u = rng.random()
-    action = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    action = min(action, len(probs) - 1)
-    return action, float(logp[action]), probs
-
-
 def test_softmax_sample_matches_reference_bitwise():
     logit_rng = np.random.Generator(np.random.PCG64(5))
     ours = np.random.Generator(np.random.PCG64(13))
@@ -249,12 +239,56 @@ def test_softmax_sample_matches_reference_bitwise():
     for trial in range(20_000):
         scale = (0.01, 0.3, 3.0, 30.0)[trial % 4]
         logits = scale * logit_rng.standard_normal(2 + (trial // 4) % 4)
-        action, log_prob, probs = softmax_sample(logits, ours)
-        ref_action, ref_log_prob, ref_probs = _reference_softmax_sample(logits, theirs)
+        action, log_prob = softmax_sample(logits, ours)
+        ref_action, ref_log_prob = reference_softmax_sample(logits, theirs)
         assert action == ref_action
         assert log_prob.hex() == ref_log_prob.hex()
-        assert probs.tobytes() == ref_probs.tobytes()
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _draw_or_error(sampler, logits, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    try:
+        action, log_prob = sampler(logits, rng)
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc)
+    return action, struct.pack("<d", log_prob), rng.bit_generator.state
+
+
+# up to 12 logits: numpy sums fewer than 8 terms left to right and longer
+# vectors pairwise, and the sampler must follow it on both sides
+_LOGIT_LISTS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 700.0, -700.0, -36.8]),
+              st.floats(min_value=-700.0, max_value=700.0)),
+    min_size=1, max_size=12)
+
+
+@given(values=_LOGIT_LISTS, neg_inf=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_softmax_sample_bitwise_equals_numpy_reference(values, neg_inf, seed):
+    # the sampler before its Python-float rewrite (conftest), over ties,
+    # signed zeros, spreads up to 1400 and at most one -inf logit
+    logits = np.array(values)
+    if len(values) > 1 and neg_inf < len(values):
+        logits[neg_inf] = -np.inf
+    assert (_draw_or_error(softmax_sample, logits, seed)
+            == _draw_or_error(reference_softmax_sample, logits, seed))
+    with np.errstate(all="raise"):
+        ours = _draw_or_error(softmax_sample, logits, seed)
+        theirs = _draw_or_error(reference_softmax_sample, logits, seed)
+    if ours == FloatingPointError:
+        assert theirs == FloatingPointError
+
+
+@pytest.mark.parametrize("n_small", [2, 9])
+def test_softmax_sample_sums_as_numpy_not_compensated(n_small):
+    # exp(log(1e-16)) terms vanish against 1.0 one at a time, as numpy adds
+    # them, but not in a compensated sum (Python's sum from 3.12 on), which
+    # would round the normalizer, and so the log-probs, up by an ulp
+    logits = np.array([0.0] + [math.log(1e-16)] * n_small)
+    for seed in range(50):
+        assert (_draw_or_error(softmax_sample, logits, seed)
+                == _draw_or_error(reference_softmax_sample, logits, seed))
 
 
 # -- optimizer -----------------------------------------------------------------

@@ -4,8 +4,10 @@ the encoder/observation wrappers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import force_queue, lane_index, uniform_profile
+from conftest import force_queue, lane_index, reference_kplanes_transform, uniform_profile
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.neural import Mlp
 from tsclab.sim import (
@@ -259,6 +261,12 @@ def test_kplanes_transform_rejects_nan():
         kplanes_transform(KPlanesParams(seed=0), vec)
     with pytest.raises(ContractViolation):
         _sample_first_plane(np.ones((2, 2)), 0.5, float("nan"))
+    # the one-hot phase (components 1-4) is copied, not sampled: a NaN there
+    # passes through
+    vec = expanded_state(make_sim())
+    vec[2] = np.nan
+    out = kplanes_transform(KPlanesParams(seed=0), vec)
+    assert np.isnan(out[65]) and np.isfinite(np.delete(out, 65)).all()
 
 
 def test_kplanes_transform_pure():
@@ -274,32 +282,6 @@ def test_kplanes_transform_pure():
         np.testing.assert_array_equal(grid, saved)
 
 
-def _per_plane_kplanes(params, state):
-    """The transform one plane at a time, in plain Python scalars."""
-    planes = list(params.planes)
-    groups = ([0, 5, 6], [7, 8, 9, 10], [11, 12, 13, 14], [15, 16, 17, 18])
-    pieces = []
-    for g, indices in enumerate(groups):
-        vals = [float(state[i]) for i in indices]
-        if g == 2:
-            vals = [(x + 1.0) / 2.0 for x in vals]
-        features = np.ones(params.feature_dim)
-        for a in range(len(vals)):
-            for b in range(a + 1, len(vals)):
-                grid = planes.pop(0)
-                x = min(max(vals[a], 0.0), 1.0) * (grid.shape[0] - 1)
-                y = min(max(vals[b], 0.0), 1.0) * (grid.shape[1] - 1)
-                i0 = min(int(x), grid.shape[0] - 2)
-                j0 = min(int(y), grid.shape[1] - 2)
-                tu, tv = x - i0, y - j0
-                features *= ((1.0 - tu) * (1.0 - tv) * grid[i0, j0]
-                             + tu * (1.0 - tv) * grid[i0 + 1, j0]
-                             + (1.0 - tu) * tv * grid[i0, j0 + 1]
-                             + tu * tv * grid[i0 + 1, j0 + 1])
-        pieces.append(features)
-    return np.concatenate(pieces + [state[1:5]])
-
-
 @pytest.mark.parametrize("resolution, feature_dim", [(8, 16), (2, 1), (5, 3)])
 def test_kplanes_transform_bitwise_equals_per_plane_sampling(resolution, feature_dim):
     params = KPlanesParams(seed=resolution, resolution=resolution, feature_dim=feature_dim)
@@ -310,7 +292,62 @@ def test_kplanes_transform_bitwise_equals_per_plane_sampling(resolution, feature
             vec = np.round(vec * (resolution - 1)) / (resolution - 1)
         vec[1:5] = np.eye(4)[trial % 4]
         assert (kplanes_transform(params, vec).tobytes()
-                == _per_plane_kplanes(params, vec).tobytes())
+                == reference_kplanes_transform(params, vec).tobytes())
+
+
+def _transform_or_error(transform, params, state):
+    try:
+        return transform(params, state).tobytes()
+    except (ContractViolation, FloatingPointError) as exc:
+        return type(exc)
+
+
+_SPECIAL_COMPONENTS = (0.0, -0.0, 1.0, -1.0, 0.5, 1.5, -1.5, 2.0, 5e-324, 1e300, -1e300,
+                       np.inf, -np.inf)
+
+
+@st.composite
+def _kplanes_cases(draw):
+    """Plane shapes, an optional seed of reassigned planes, and a state whose
+    components sit on grid nodes (as sampled, and as the "dq" group's
+    [-1, 1] values that rescale onto them), at edge or out-of-range values,
+    or anywhere in [-2, 2], with a NaN in at most one component."""
+    resolution = draw(st.integers(2, 9))
+    feature_dim = draw(st.integers(1, 17))
+    last = resolution - 1
+    component = st.one_of(st.integers(0, last).map(lambda i: i / last),
+                          st.integers(0, last).map(lambda i: 2.0 * i / last - 1.0),
+                          st.sampled_from(_SPECIAL_COMPONENTS),
+                          st.floats(min_value=-2.0, max_value=2.0))
+    state = np.array(draw(st.lists(component, min_size=EXPANDED_DIM, max_size=EXPANDED_DIM)))
+    nan_at = draw(st.none() | st.integers(0, EXPANDED_DIM - 1))
+    if nan_at is not None:
+        state[nan_at] = np.nan
+    planes_seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    return resolution, feature_dim, state, planes_seed
+
+
+@given(case=_kplanes_cases())
+@settings(max_examples=400, deadline=None)
+def test_kplanes_transform_bitwise_equals_reference(case):
+    # the transform before its one-gather rewrite (conftest); reassigned
+    # planes, rounded so that exact and signed zeros occur, replace planes
+    # the transform has already read
+    resolution, feature_dim, state, planes_seed = case
+    params = KPlanesParams(seed=resolution, resolution=resolution, feature_dim=feature_dim)
+    _transform_or_error(kplanes_transform, params, state)
+    if planes_seed is not None:
+        rng = np.random.Generator(np.random.PCG64(planes_seed))
+        params.planes = np.round(rng.uniform(-2.0, 2.0, params.planes.shape), 1)
+    ours = _transform_or_error(kplanes_transform, params, state)
+    assert ours == _transform_or_error(reference_kplanes_transform, params, state)
+    sampled = np.delete(state, range(1, 5))
+    assert (ours == ContractViolation) == bool(np.isnan(sampled).any())
+    with np.errstate(all="raise"):
+        ours = _transform_or_error(kplanes_transform, params, state)
+        theirs = _transform_or_error(reference_kplanes_transform, params, state)
+    if ours == FloatingPointError:
+        assert theirs == FloatingPointError
 
 
 # -- encoder wrapper -------------------------------------------------------------
