@@ -20,7 +20,7 @@ from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                    apply_action, new_simulation)
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..staterep import CANONICAL_LATENTS, EXPANDED_DIM, expanded_state
-from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_arrays
+from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, save_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +116,7 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
 
     Each episode rescales every lane's arrival rates by an independent
     uniform factor from [0.5, 1.5) and simulates 7200 s; decision-point
-    states, scaled by the default :class:`StateNormalizers`, accumulate
+    states, their cycle count divided by the default ``cycles_max``, accumulate
     until ``n_states`` are collected.
     """
     if n_states < 1:
@@ -138,23 +138,31 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
     return states
 
 
+def _header(encoder: Mlp, decoder: Mlp) -> str:
+    """The tag of an autoencoder file; :func:`load_autoencoder` accepts a
+    file only if the networks it rebuilds give back that tag."""
+    return encode_tag(kind="autoencoder", latent=encoder.layer_sizes[-1],
+                      encoder=len(encoder.parameters()),
+                      decoder=len(decoder.parameters()), act=encoder.hidden_activation)
+
+
 def save_autoencoder(result: AeResult, path, seed: int = 0) -> None:
-    enc = result.encoder.parameters()
-    dec = result.decoder.parameters()
-    tag = encode_tag(kind="autoencoder", latent=result.encoder.layer_sizes[-1],
-                     encoder=len(enc), decoder=len(dec), act="relu")
-    save_arrays(path, enc + dec, tag=tag, seed=seed)
+    save_arrays(path, result.encoder.parameters() + result.decoder.parameters(),
+                tag=_header(result.encoder, result.decoder), seed=seed)
 
 
 def load_autoencoder(path) -> tuple[Mlp, Mlp]:
+    """Read an encoder/decoder pair; a file that does not parse, or whose
+    header is not the one saving the pair writes, raises
+    :class:`ConfigurationError`."""
     blob = load_arrays(path)
-    fields = parse_tag(blob.tag)
-    if fields.get("kind") != "autoencoder":
+    fields = read_fields(path, blob.tag, kind=str, encoder=int)
+    if fields["kind"] != "autoencoder":
         raise ConfigurationError(f"{path}: not an autoencoder file")
-    try:
-        n_enc = int(fields["encoder"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: bad autoencoder header ({exc})") from exc
-    encoder = mlp_from_arrays(blob.arrays[:n_enc], fields.get("act", "relu"))
-    decoder = mlp_from_arrays(blob.arrays[n_enc:], fields.get("act", "relu"))
+    # relu, as train_autoencoder builds them and a policy bundle reloads
+    # its encoder; the header check refuses a file that says otherwise
+    encoder = mlp_from_arrays(blob.arrays[:fields["encoder"]], "relu")
+    decoder = mlp_from_arrays(blob.arrays[fields["encoder"]:], "relu")
+    if _header(encoder, decoder) != blob.tag:
+        raise ConfigurationError(f"{path}: header does not describe the networks it holds")
     return encoder, decoder

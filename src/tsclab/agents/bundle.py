@@ -10,8 +10,9 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..neural import Mlp
 from ..sim import N_ACTIONS
-from ..staterep import KPlanesParams, Observation, StateNormalizers, make_observation
-from ..weights import encode_tag, load_arrays, mlp_from_arrays, parse_tag, save_arrays
+from ..staterep import (CYCLE_TIME_MAX_S, GREEN_MAX_S, KPLANES_FEATURES, KPLANES_RESOLUTION,
+                        QUEUE_MAX, Observation, make_observation)
+from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, save_arrays
 
 
 @dataclass
@@ -61,65 +62,59 @@ class PolicyBundle:
     def greedy_action(self, obs: np.ndarray) -> int:
         return int(np.argmax(self.policy.predict(obs)))
 
-    def save(self, path) -> None:
+    def _header(self) -> tuple[str, np.ndarray]:
+        """The tag and normalizer array of this bundle's file; :meth:`load`
+        accepts a file only if the bundle it rebuilds gives back both."""
         obs = self.observation
-        policy_arrays = self.policy.parameters()
-        value_arrays = self.value.parameters() if self.value is not None else []
-        encoder_arrays = obs.encoder.parameters() if obs.encoder is not None else []
+        planes = obs.kplanes_seed is not None
         tag = encode_tag(
             algo=self.algo,
             repr=obs.kind,
             reward=self.reward_kind,
             act=self.policy.hidden_activation,
-            policy=len(policy_arrays),
-            value=len(value_arrays),
-            encoder=len(encoder_arrays),
-            kseed=obs.params.seed if obs.params is not None else -1,
-            kres=obs.params.resolution if obs.params is not None else 0,
-            kfeat=obs.params.feature_dim if obs.params is not None else 0,
+            policy=len(self.policy.parameters()),
+            value=len(self.value.parameters()) if self.value is not None else 0,
+            encoder=len(obs.encoder.parameters()) if obs.encoder is not None else 0,
+            kseed=obs.kplanes_seed if planes else -1,
+            kres=KPLANES_RESOLUTION if planes else 0,
+            kfeat=KPLANES_FEATURES if planes else 0,
         )
-        arrays = [obs.norms.as_array()] + policy_arrays + value_arrays + encoder_arrays
+        norms = np.array([QUEUE_MAX, GREEN_MAX_S, CYCLE_TIME_MAX_S, obs.cycles_max])
+        return tag, norms
+
+    def save(self, path) -> None:
+        tag, norms = self._header()
+        nets = (self.policy, self.value, self.observation.encoder)
+        arrays = [norms] + [a for net in nets if net is not None for a in net.parameters()]
         save_arrays(path, arrays, tag=tag, seed=self.seed)
 
     @staticmethod
     def load(path) -> "PolicyBundle":
         """Read a bundle and rebuild its observation; a file that does not
-        parse, or whose networks do not take the observation's length or do
-        not give one output per action (policy) or one value, raises
+        parse, whose header is not the one saving the rebuilt bundle writes,
+        or whose networks do not take the observation's length or do not
+        give one output per action (policy) or one value, raises
         :class:`ConfigurationError`."""
         blob = load_arrays(path)
-        fields = parse_tag(blob.tag)
-        try:
-            algo, kind, reward_kind, act = (
-                fields[key] for key in ("algo", "repr", "reward", "act"))
-            n_policy, n_value, n_encoder = (
-                int(fields[key]) for key in ("policy", "value", "encoder"))
-            kseed = int(fields.get("kseed", -1))
-            kplanes = None
-            if kseed >= 0:
-                kplanes = KPlanesParams(kseed, int(fields["kres"]), int(fields["kfeat"]))
-        except KeyError as missing:
-            raise ConfigurationError(f"{path}: not a policy bundle (missing {missing})")
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: bad policy bundle header ({exc})") from exc
+        fields = read_fields(path, blob.tag, algo=str, repr=str, reward=str, act=str,
+                             policy=int, value=int, encoder=int, kseed=int)
+        counts = [fields[key] for key in ("policy", "value", "encoder")]
         arrays = blob.arrays
-        if len(arrays) != 1 + n_policy + n_value + n_encoder:
-            raise ConfigurationError(f"{path}: array count does not match the header")
-        if arrays[0].shape != (4,):
-            raise ConfigurationError(f"{path}: normalizer array must hold 4 values")
-        norms = StateNormalizers.from_array(arrays[0])
-        cursor = 1
-        policy = mlp_from_arrays(arrays[cursor:cursor + n_policy], act)
-        cursor += n_policy
-        value = None
-        if n_value:
-            value = mlp_from_arrays(arrays[cursor:cursor + n_value], act)
-            cursor += n_value
-        encoder = None
-        if n_encoder:
-            encoder = mlp_from_arrays(arrays[cursor:cursor + n_encoder], "relu")
-        observation = make_observation(kind, norms, ae_encoder=encoder,
-                                       kplanes_params=kplanes)
+        if len(arrays) != 1 + sum(counts) or arrays[0].shape != (4,):
+            raise ConfigurationError(f"{path}: arrays do not match the header")
+        act, kind = fields["act"], fields["repr"]
+        cut = 1 + counts[0]
+        policy = mlp_from_arrays(arrays[1:cut], act)
+        value = mlp_from_arrays(arrays[cut:cut + counts[1]], act) if counts[1] else None
+        cut += counts[1]
+        encoder = mlp_from_arrays(arrays[cut:], "relu") if counts[2] else None
+        observation = make_observation(kind, float(arrays[0][3]), encoder, fields["kseed"])
+        bundle = PolicyBundle(fields["algo"], fields["reward"], policy, value, observation,
+                              blob.seed)
+        tag, norms = bundle._header()
+        if tag != blob.tag or not np.array_equal(norms.astype(np.float32), arrays[0]):
+            raise ConfigurationError(
+                f"{path}: header does not describe the bundle it holds")
         for name, net, n_outputs in (("policy", policy, N_ACTIONS), ("value", value, 1)):
             if net is None:
                 continue
@@ -133,4 +128,4 @@ class PolicyBundle:
                     f"{path}: the {name} network has {net.layer_sizes[-1]} outputs, "
                     f"not {n_outputs}"
                 )
-        return PolicyBundle(algo, reward_kind, policy, value, observation, blob.seed)
+        return bundle

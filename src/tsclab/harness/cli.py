@@ -36,10 +36,9 @@ from ..baselines import WEBSTER_LOG_HEADER
 from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
 from ..rewards import REWARD_KINDS, RewardSpec
-from ..staterep import (REPRESENTATION_KINDS, DqnObservation, KPlanesParams,
-                        make_observation)
-from .config import (from_config, normalizers_for_training, parse_config_file,
-                     read_lines, run_from_config)
+from ..staterep import REPRESENTATION_KINDS, DqnObservation, make_observation
+from .config import (cycles_max_for_training, from_config, parse_config_file, read_lines,
+                     run_from_config)
 from .metrics import correlation_report, summary_table, write_csv, write_cycles_csv
 from .runner import CONTROLLER_KINDS, RunSpec, make_controller, run_episode, run_grid
 
@@ -59,9 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def non_negative_int(text: str) -> int:
-    """The ``--seed`` type; argparse reports its ValueError as a usage error."""
+    """The ``--seed`` type: an integer in [0, 2**64), the range a weight
+    file's header stores; argparse reports its ValueError as a usage error."""
     value = int(text)
-    if value < 0:
+    if not 0 <= value < 2**64:
         raise ValueError(text)
     return value
 
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
                         "rollouts of ppo.n_steps decisions and stops after the first "
                         "that ends at or past it (0 writes an untrained bundle)")
     p.add_argument("--encoder", default=None, metavar="FILE",
-                   help="pretrained autoencoder (required for ae* representations)")
+                   help="pretrained autoencoder (ae* representations only; required for them)")
     p.add_argument("--out", default="runs/train", metavar="DIR")
 
     p = add("pretrain-ae", "train a state autoencoder")
@@ -171,14 +171,12 @@ def cmd_train(args) -> int:
     run = run_from_config(cfg)
     ppo_cfg = from_config(cfg, PpoConfig)
     reward = from_config(cfg, RewardSpec)
-    norms = normalizers_for_training(ppo_cfg.total_timesteps, run.plan.default_cycle_s)
-    encoder = None
-    if args.repr.startswith("ae"):
-        if args.encoder is None:
-            raise _UsageError("tsclab train: --encoder is required for ae* representations")
-        encoder, _decoder = load_autoencoder(args.encoder)
-    kplanes = KPlanesParams(run.kplanes_seed) if args.repr == "kplanes" else None
-    obs = make_observation(args.repr, norms, ae_encoder=encoder, kplanes_params=kplanes)
+    cycles_max = cycles_max_for_training(ppo_cfg.total_timesteps, run.plan.default_cycle_s)
+    if args.repr.startswith("ae") != (args.encoder is not None):
+        raise _UsageError("tsclab train: --encoder is required for ae* representations, "
+                          f"and applies to them only (--repr {args.repr})")
+    encoder = load_autoencoder(args.encoder)[0] if args.encoder is not None else None
+    obs = make_observation(args.repr, cycles_max, encoder, run.kplanes_seed)
 
     def factory(seed: int) -> SignalControlEnv:
         return SignalControlEnv(run.layout, run.plan, run.flows, obs, reward, seed)

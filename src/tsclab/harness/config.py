@@ -27,7 +27,7 @@ from ..baselines import WebsterSettings
 from ..errors import ConfigurationError
 from ..rewards import RewardSpec
 from ..sim import LANE_IDS, N_PHASES, FlowProfile, IntersectionLayout, PhasePlan
-from ..staterep import DEFAULT_KPLANES_SEED, StateNormalizers
+from ..staterep import DEFAULT_KPLANES_SEED
 from ..agents.dqn import DqnConfig
 from ..agents.ppo import PpoConfig
 
@@ -218,7 +218,6 @@ def run_from_config(cfg: dict) -> RunSettings:
     )
 
 
-def normalizers_for_training(total_timesteps: int,
-                             nominal_cycle_s: float = 100.0) -> StateNormalizers:
-    """Normalizers whose cycle counter spans the training horizon."""
-    return StateNormalizers(cycles_max=max(1.0, max(total_timesteps, 1) / nominal_cycle_s))
+def cycles_max_for_training(total_timesteps: int, nominal_cycle_s: float = 100.0) -> float:
+    """The completed-cycle divisor that spans the training horizon."""
+    return max(1.0, max(total_timesteps, 1) / nominal_cycle_s)

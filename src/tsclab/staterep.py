@@ -11,7 +11,6 @@ return identical vectors; :func:`make_observation` builds each kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -33,30 +32,14 @@ _LOWER = np.zeros(EXPANDED_DIM)
 _LOWER[11:15] = -1.0
 
 
-@dataclass(frozen=True)
-class StateNormalizers:
-    """Constants dividing the raw state components into [0, 1] ranges."""
-
-    queue_max: float = 25.0
-    green_max_s: float = 40.0
-    cycle_time_max_s: float = 180.0
-    cycles_max: float = 72.0
-
-    def __post_init__(self) -> None:
-        for name in ("queue_max", "green_max_s", "cycle_time_max_s", "cycles_max"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.queue_max, self.green_max_s, self.cycle_time_max_s, self.cycles_max],
-            dtype=np.float64,
-        )
-
-    @staticmethod
-    def from_array(values: np.ndarray) -> "StateNormalizers":
-        q, g, c, n = (float(v) for v in values)
-        return StateNormalizers(queue_max=q, green_max_s=g, cycle_time_max_s=c, cycles_max=n)
+# divisors scaling the raw state components into [0, 1]: queues, greens and
+# the elapsed cycle are fixed; the completed-cycle count's divisor
+# ``cycles_max`` is the one an observation chooses (training sets it from its
+# budget), by default the nominal cycles of a 7200 s episode
+QUEUE_MAX = 25.0
+GREEN_MAX_S = 40.0
+CYCLE_TIME_MAX_S = 180.0
+DEFAULT_CYCLES_MAX = 72.0
 
 
 def baseline_state(sim: SimState) -> np.ndarray:
@@ -74,8 +57,7 @@ def baseline_state(sim: SimState) -> np.ndarray:
     )
 
 
-def expanded_state(sim: SimState,
-                   norms: StateNormalizers = StateNormalizers()) -> np.ndarray:
+def expanded_state(sim: SimState, cycles_max: float = DEFAULT_CYCLES_MAX) -> np.ndarray:
     """Normalized 19-component observation.
 
     Layout: cycle-elapsed time, 4-D one-hot active phase, phase-elapsed green,
@@ -85,13 +67,13 @@ def expanded_state(sim: SimState,
     and the change components into [-1, 1], so saturated lanes cannot push
     the vector out of its documented range.
     """
-    q_max, g_max = norms.queue_max, norms.green_max_s
+    q_max, g_max = QUEUE_MAX, GREEN_MAX_S
     q_now = sim.approach_queues()
     phase = [0.0] * N_PHASES
     phase[sim.current_phase] = 1.0
     raw = np.array(
-        [sim.cycle_elapsed_s / norms.cycle_time_max_s, *phase,
-         sim.phase_elapsed_s / g_max, len(sim.completed_cycles) / norms.cycles_max]
+        [sim.cycle_elapsed_s / CYCLE_TIME_MAX_S, *phase,
+         sim.phase_elapsed_s / g_max, len(sim.completed_cycles) / cycles_max]
         + [q / q_max for q in q_now]
         + [(q - p) / q_max for q, p in zip(q_now, sim.decision_queues)]
         + [g / g_max for g in sim.programmed_green_s],
@@ -122,37 +104,33 @@ _CORNER_DU = np.array(((0,), (1,), (0,), (1,)))
 _CORNER_DV = np.array(((0,), (0,), (1,), (1,)))
 
 
-class KPlanesParams:
-    """Fixed random feature planes for the factorized 68-D transform.
+# every plane is a KPLANES_RESOLUTION x KPLANES_RESOLUTION grid of
+# KPLANES_FEATURES-dimensional feature vectors
+KPLANES_RESOLUTION = 8
+KPLANES_FEATURES = 16
 
-    Each continuous group of the expanded state owns one R x R grid of
-    F-dimensional feature vectors per unordered pair of its components.
-    Group sizes (3, 4, 4, 4) give 3 + 6 + 6 + 6 = 21 planes, stacked in
-    ``planes`` as one (21, R, R, F) array.  Grids fill from a seeded
-    uniform(0.5, 1.5) draw, are frozen after construction, and the same seed
-    always reproduces the same grids.
+
+def kplanes_planes(seed: int) -> np.ndarray:
+    """The fixed random feature planes of the factorized 68-D transform.
+
+    Each continuous group of the expanded state owns one plane per unordered
+    pair of its components.  Group sizes (3, 4, 4, 4) give 3 + 6 + 6 + 6 = 21
+    planes, stacked as one read-only (21, R, R, F) array filled from a
+    uniform(0.5, 1.5) draw seeded by ``seed``; the same seed always draws the
+    same planes, and a negative one raises :class:`ConfigurationError`.
     """
-
-    def __init__(self, seed: int, resolution: int = 8, feature_dim: int = 16) -> None:
-        if resolution < 2:
-            raise ConfigurationError("grid resolution must be at least 2")
-        if feature_dim < 1:
-            raise ConfigurationError("feature dimension must be at least 1")
-        self.seed = int(seed)
-        self.resolution = resolution
-        self.feature_dim = feature_dim
-        rng = np.random.Generator(np.random.PCG64(self.seed))
-        self.planes = rng.uniform(0.5, 1.5,
-                                  size=(_PLANE_UV.shape[1], resolution, resolution, feature_dim))
-        self.planes.flags.writeable = False
-
-    @property
-    def output_dim(self) -> int:
-        return len(_KPLANES_GROUPS) * self.feature_dim + N_PHASES
+    if seed < 0:
+        raise ConfigurationError(f"plane seed must be non-negative, got {seed}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    planes = rng.uniform(0.5, 1.5, size=(_PLANE_UV.shape[1], KPLANES_RESOLUTION,
+                                         KPLANES_RESOLUTION, KPLANES_FEATURES))
+    planes.flags.writeable = False
+    return planes
 
 
-def kplanes_transform(params: KPlanesParams, state: np.ndarray) -> np.ndarray:
-    """Expand a 19-component state through the fixed feature planes.
+def kplanes_transform(planes: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Expand a 19-component state through feature planes ``planes``, one
+    (21, R, R, F) array such as :func:`kplanes_planes` draws.
 
     For every component pair inside a group, the pair's plane is sampled
     bilinearly at the two component values; the samples multiply element-wise,
@@ -164,8 +142,8 @@ def kplanes_transform(params: KPlanesParams, state: np.ndarray) -> np.ndarray:
     interpolate componentwise.  Each sample is ``(1-tu)(1-tv) g00 +
     tu (1-tv) g10 + (1-tu) tv g01 + tu tv g11``, each weight formed before it
     scales its corner and the terms summed left to right.  All planes sample
-    at once, with one gather of their corners from ``params.planes`` as the
-    call finds it.  A NaN in a sampled component raises
+    at once, with one gather of their corners from ``planes`` as the call
+    finds it.  A NaN in a sampled component raises
     :class:`ContractViolation`; the one-hot phase passes through as given.
     """
     s = np.asarray(state, dtype=np.float64)
@@ -177,7 +155,6 @@ def kplanes_transform(params: KPlanesParams, state: np.ndarray) -> np.ndarray:
     dq /= 2.0
     if np.isnan(uv).any():
         raise ContractViolation("cannot sample a feature plane at NaN")
-    planes = params.planes
     n, r = planes.shape[:2]
     xy = np.minimum(np.maximum(uv, 0.0), 1.0)
     xy *= r - 1
@@ -201,13 +178,15 @@ def kplanes_transform(params: KPlanesParams, state: np.ndarray) -> np.ndarray:
 
 class Observation:
     """Base of the observation kinds: ``kind`` names one, ``dim`` is its
-    length and ``observe(sim)`` computes it.  ``norms``, ``encoder`` and
-    ``params`` are the fixed parts a policy bundle saves with it; a kind that
-    uses none of them keeps these defaults."""
+    length and ``observe(sim)`` computes it.  Besides its kind, an
+    observation keeps only what training chose for it, which a policy bundle
+    saves with it: the completed-cycle divisor ``cycles_max``, the
+    ``encoder`` of a latent and the ``kplanes_seed`` of K-Planes.  A kind
+    that uses none of them keeps these defaults."""
 
-    norms = StateNormalizers()
+    cycles_max = DEFAULT_CYCLES_MAX
     encoder: Mlp | None = None
-    params: KPlanesParams | None = None
+    kplanes_seed: int | None = None
 
 
 class BaselineObservation(Observation):
@@ -222,46 +201,42 @@ class ExpandedObservation(Observation):
     kind = "expanded"
     dim = EXPANDED_DIM
 
-    def __init__(self, norms: StateNormalizers = StateNormalizers()) -> None:
-        self.norms = norms
+    def __init__(self, cycles_max: float = DEFAULT_CYCLES_MAX) -> None:
+        self.cycles_max = cycles_max
 
     def observe(self, sim: SimState) -> np.ndarray:
-        return expanded_state(sim, self.norms)
+        return expanded_state(sim, self.cycles_max)
 
 
 class LatentObservation(Observation):
     """Autoencoder latent of the expanded state."""
 
-    def __init__(self, encoder: Mlp, norms: StateNormalizers = StateNormalizers()) -> None:
+    def __init__(self, encoder: Mlp, cycles_max: float = DEFAULT_CYCLES_MAX) -> None:
         if encoder.layer_sizes[0] != EXPANDED_DIM:
             raise ConfigurationError(
                 f"encoder takes {encoder.layer_sizes[0]} inputs, expected the "
                 f"{EXPANDED_DIM}-component expanded state"
             )
         self.encoder = encoder
-        self.norms = norms
+        self.cycles_max = cycles_max
         self.dim = encoder.layer_sizes[-1]
         self.kind = f"ae{self.dim}"
 
     def observe(self, sim: SimState) -> np.ndarray:
-        return self.encoder.predict(expanded_state(sim, self.norms))
+        return self.encoder.predict(expanded_state(sim, self.cycles_max))
 
 
 class KPlanesObservation(Observation):
     kind = "kplanes"
     dim = KPLANES_DIM
 
-    def __init__(self, params: KPlanesParams,
-                 norms: StateNormalizers = StateNormalizers()) -> None:
-        if params.output_dim != KPLANES_DIM:
-            raise ConfigurationError(
-                f"plane parameters produce {params.output_dim} features, expected {KPLANES_DIM}"
-            )
-        self.params = params
-        self.norms = norms
+    def __init__(self, seed: int, cycles_max: float = DEFAULT_CYCLES_MAX) -> None:
+        self.planes = kplanes_planes(seed)
+        self.kplanes_seed = seed
+        self.cycles_max = cycles_max
 
     def observe(self, sim: SimState) -> np.ndarray:
-        return kplanes_transform(self.params, expanded_state(sim, self.norms))
+        return kplanes_transform(self.planes, expanded_state(sim, self.cycles_max))
 
 
 class DqnObservation(Observation):
@@ -302,30 +277,32 @@ REPRESENTATION_KINDS = ("baseline", "expanded",
 DEFAULT_KPLANES_SEED = 1234
 
 
-def make_observation(kind: str, norms: StateNormalizers = StateNormalizers(),
-                     ae_encoder: Mlp | None = None,
-                     kplanes_params: KPlanesParams | None = None) -> Observation:
+def make_observation(kind: str, cycles_max: float = DEFAULT_CYCLES_MAX,
+                     encoder: Mlp | None = None,
+                     kplanes_seed: int = DEFAULT_KPLANES_SEED) -> Observation:
     """Build the observation of a representation kind, ``dqn40`` included.
 
-    ``norms`` scales the expanded state of the kinds built on it; an
-    ``ae<k>`` kind needs the encoder, and ``kplanes`` takes its planes from
-    ``kplanes_params`` (default: the planes of :data:`DEFAULT_KPLANES_SEED`).
+    ``cycles_max``, which must be positive and finite, divides the
+    completed-cycle count of the kinds built on the expanded state; an
+    ``ae<k>`` kind needs the encoder, and ``kplanes`` draws its planes from
+    ``kplanes_seed``.  The kinds that do not use a value ignore it.
     """
+    if not 0.0 < cycles_max < float("inf"):
+        raise ConfigurationError(f"cycles_max must be positive and finite, got {cycles_max}")
     if kind == "baseline":
         return BaselineObservation()
     if kind == "expanded":
-        return ExpandedObservation(norms)
+        return ExpandedObservation(cycles_max)
     if kind == "kplanes":
-        params = kplanes_params or KPlanesParams(DEFAULT_KPLANES_SEED)
-        return KPlanesObservation(params, norms)
+        return KPlanesObservation(kplanes_seed, cycles_max)
     if kind == "dqn40":
         return DqnObservation()
     if kind.startswith("ae"):
-        if ae_encoder is None:
+        if encoder is None:
             raise ConfigurationError(
                 f"representation {kind!r} needs a pretrained encoder"
             )
-        obs = LatentObservation(ae_encoder, norms)
+        obs = LatentObservation(encoder, cycles_max)
         if obs.kind != kind:
             raise ConfigurationError(
                 f"encoder latent size {obs.dim} does not match representation {kind!r}"

@@ -6,15 +6,15 @@ Layout (all integers little-endian):
     version u32      currently 1
     seed    u64      generator seed associated with the payload
     tag     u16 length + that many UTF-8 bytes (``key=value`` fields joined
-            by ``;``, see :func:`encode_tag`)
+            by ``;``, see :func:`encode_tag` and :func:`read_fields`)
     count   u32      number of arrays
     per array: ndim u32, then ndim u32 dims, then row-major float32 data
 
 Arrays load back as 64-bit for compute; storage is 32-bit by design, so a
 save/load round trip quantizes to float32 precision.  A file that does not
-parse (bad magic, unknown version, truncation, a tag that is not UTF-8,
-arrays that do not chain into a network) or cannot be read at all raises
-:class:`ConfigurationError`.
+parse (bad magic, unknown version, truncation, bytes after the last array,
+a tag that is not UTF-8, arrays that do not chain into a network) or cannot
+be read at all raises :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ def save_arrays(path: str | Path, arrays: Sequence[np.ndarray],
     tag_bytes = tag.encode("utf-8")
     if len(tag_bytes) > 0xFFFF:
         raise ValueError("tag too long")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} does not fit the header's u64")
     chunks = [MAGIC,
               struct.pack("<I", VERSION),
-              struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF),
+              struct.pack("<Q", seed),
               struct.pack("<H", len(tag_bytes)), tag_bytes,
               struct.pack("<I", len(arrays))]
     for arr in arrays:
@@ -57,9 +59,18 @@ def encode_tag(**fields) -> str:
     return ";".join(f"{key}={value}" for key, value in fields.items())
 
 
-def parse_tag(tag: str) -> dict:
-    """Fields of a header tag as strings; items without ``=`` are ignored."""
-    return dict(item.split("=", 1) for item in tag.split(";") if "=" in item)
+def read_fields(path, tag: str, **types) -> dict:
+    """The fields of the header tag of file ``path`` that ``types`` names,
+    each converted by its type; a missing field, or one its type rejects,
+    raises :class:`ConfigurationError`.  A loader checks the rest of the tag
+    by rebuilding it from what it loaded."""
+    fields = dict(item.split("=", 1) for item in tag.split(";") if "=" in item)
+    try:
+        return {key: kind(fields[key]) for key, kind in types.items()}
+    except KeyError as missing:
+        raise ConfigurationError(f"{path}: header has no {missing.args[0]}= field") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: bad header field ({exc})") from None
 
 
 @dataclass
@@ -105,6 +116,8 @@ def load_arrays(path: str | Path) -> WeightFile:
         dims = unpack(f"<{ndim}I")
         data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
         arrays.append(data.reshape(dims).astype(np.float64))
+    if offset != len(view):
+        raise ConfigurationError(f"{path}: {len(view) - offset} bytes after the last array")
     return WeightFile(version=version, seed=seed, tag=tag, arrays=arrays)
 
 

@@ -10,6 +10,7 @@ import pytest
 from tsclab.errors import ContractViolation
 from tsclab.harness.metrics import CycleRecord
 from tsclab.sim import FlowProfile, IntersectionLayout, LANE_IDS, N_LANES, N_PHASES, PhasePlan
+from tsclab.weights import load_arrays, save_arrays
 
 # (label, passed, detail) tuples collected by the acceptance tests and
 # replayed as one line each at the end of the pytest run
@@ -95,7 +96,15 @@ _REF_PLANE_UV = np.array([pair for group in _REF_GROUPS
 _REF_GROUP_STARTS = np.array((0, 3, 9, 15))
 
 
-def reference_kplanes_transform(params, state) -> np.ndarray:
+def random_planes(seed: int, resolution: int, feature_dim: int) -> np.ndarray:
+    """21 random (resolution, resolution, feature_dim) feature planes, drawn
+    as ``kplanes_planes`` draws its 8 x 8 x 16 ones, for transform tests
+    over other plane shapes."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.uniform(0.5, 1.5, size=(21, resolution, resolution, feature_dim))
+
+
+def reference_kplanes_transform(planes, state) -> np.ndarray:
     """The K-Planes transform as it ran plane-array by plane-array: the "dq"
     components rescaled in a state copy, per-axis grid sizes, a corner index
     built on every call, weights from four gathered factor rows and the four
@@ -109,7 +118,7 @@ def reference_kplanes_transform(params, state) -> np.ndarray:
     uv = coords[_REF_PLANE_UV]
     if np.isnan(uv).any():
         raise ContractViolation("cannot sample a feature plane at NaN")
-    grids = params.planes
+    grids = planes
     n, rows, cols = grids.shape[:3]
     last = np.array(((rows - 1,), (cols - 1,)))
     xy = np.minimum(np.maximum(uv, 0.0), 1.0) * last
@@ -123,6 +132,21 @@ def reference_kplanes_transform(params, state) -> np.ndarray:
     samples = terms[0] + terms[1] + terms[2] + terms[3]
     features = np.multiply.reduceat(samples, _REF_GROUP_STARTS, axis=0)
     return np.concatenate((features.ravel(), s[1:5]))
+
+
+def rewrite_weight_file(src, dst, norms=None, **fields) -> None:
+    """Copy weight file ``src`` to ``dst`` with the given tag fields' values
+    replaced or, for a field the tag lacks, appended (a value of None drops
+    the field) and, when ``norms`` is given, its first array replaced; every
+    other byte stays as saved."""
+    blob = load_arrays(src)
+    items = dict(item.split("=", 1) for item in blob.tag.split(";"))
+    items.update(fields)
+    tag = ";".join(f"{key}={value}" for key, value in items.items() if value is not None)
+    arrays = blob.arrays
+    if norms is not None:
+        arrays = [np.array(norms, dtype=np.float64)] + arrays[1:]
+    save_arrays(dst, arrays, tag=tag, seed=blob.seed)
 
 
 def cycle_queue_metric(tick_queues, cycle_index: int = 0,

@@ -24,7 +24,7 @@ from tsclab.baselines import (
     webster_timings,
 )
 from tsclab.envs import SignalControlEnv
-from tsclab.harness.config import default_flow_profile, normalizers_for_training
+from tsclab.harness.config import cycles_max_for_training, default_flow_profile
 from tsclab.harness.metrics import correlation_report
 from tsclab.harness.runner import PolicyController, run_episode
 from tsclab.neural import Mlp
@@ -37,7 +37,7 @@ from tsclab.sim import (
     new_simulation,
     step,
 )
-from tsclab.staterep import KPlanesParams, kplanes_transform, make_observation
+from tsclab.staterep import kplanes_planes, kplanes_transform, make_observation
 
 LAYOUT = IntersectionLayout()
 PLAN = PhasePlan()
@@ -73,10 +73,9 @@ def test_c1_closed_form_values():
                                                   abs=1e-9)
                   and not t.saturated)
 
-    params = KPlanesParams(seed=0)
     state = np.zeros(19)
     state[1] = 1.0  # a valid one-hot phase
-    out = kplanes_transform(params, state)
+    out = kplanes_transform(kplanes_planes(0), state)
     # 4 feature groups of 16 plus the 4-way phase one-hot
     ok_planes = out.shape == (4 * 16 + 4,) and out.shape == (68,)
 
@@ -184,11 +183,11 @@ def test_c3_training_is_bit_reproducible():
     t0 = time.perf_counter()
     flows = default_flow_profile()
     cfg = PpoConfig(total_timesteps=20_000)
-    norms = normalizers_for_training(cfg.total_timesteps, PLAN.default_cycle_s)
+    cycles_max = cycles_max_for_training(cfg.total_timesteps, PLAN.default_cycle_s)
     reward = RewardSpec()
 
     def factory(seed: int) -> SignalControlEnv:
-        obs = make_observation("expanded", norms)
+        obs = make_observation("expanded", cycles_max)
         return SignalControlEnv(LAYOUT, PLAN, flows, obs, reward, seed)
 
     first = train_ppo(factory, cfg, seed=0)
@@ -395,13 +394,13 @@ def control_study():
     t0 = time.perf_counter()
     flows = default_flow_profile()
     cfg = PpoConfig(total_timesteps=100_000)
-    norms = normalizers_for_training(cfg.total_timesteps, PLAN.default_cycle_s)
+    cycles_max = cycles_max_for_training(cfg.total_timesteps, PLAN.default_cycle_s)
     reward = RewardSpec()
     eval_seeds = (0, 1, 2, 3, 4)
     horizon = 7200
 
     def factory(seed: int) -> SignalControlEnv:
-        obs = make_observation("expanded", norms)
+        obs = make_observation("expanded", cycles_max)
         return SignalControlEnv(LAYOUT, PLAN, flows, obs, reward, seed)
 
     per_seed = []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import softmax, uniform_profile
+from conftest import rewrite_weight_file, softmax, uniform_profile
 from tsclab.agents.autoencoder import (
     CANONICAL_LATENTS,
     collect_state_buffer,
@@ -44,9 +44,8 @@ from tsclab.neural import Adam, Mlp, log_softmax
 from tsclab.rewards import REWARD_KINDS, RewardSpec
 from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
                         apply_action, at_decision_point, new_simulation)
-from tsclab.staterep import (REPRESENTATION_KINDS, ExpandedObservation, KPlanesParams,
-                             StateNormalizers, make_observation)
-from tsclab.weights import mlp_from_arrays, save_arrays
+from tsclab.staterep import REPRESENTATION_KINDS, ExpandedObservation, make_observation
+from tsclab.weights import load_arrays, mlp_from_arrays, save_arrays
 
 
 # -- advantage estimation --------------------------------------------------------
@@ -830,8 +829,7 @@ def test_bundle_round_trip_every_kind(tmp_path, kind):
     encoder = None
     if kind.startswith("ae"):
         encoder = quantized(Mlp([19, 32, int(kind[2:])], "relu", seed=3))
-    obs = make_observation(kind, StateNormalizers(cycles_max=36.0), ae_encoder=encoder,
-                           kplanes_params=KPlanesParams(seed=7))
+    obs = make_observation(kind, 36.0, encoder, kplanes_seed=7)
     bundle = PolicyBundle("ppo", "delay", Mlp([obs.dim, 8, 3], "tanh", seed=1),
                           Mlp([obs.dim, 8, 1], "tanh", seed=2), obs, seed=11)
     path = tmp_path / "policy.tscw"
@@ -839,7 +837,8 @@ def test_bundle_round_trip_every_kind(tmp_path, kind):
     loaded = PolicyBundle.load(path)
     assert (loaded.algo, loaded.reward_kind, loaded.seed) == ("ppo", "delay", 11)
     assert (loaded.observation.kind, loaded.observation.dim) == (kind, obs.dim)
-    assert loaded.observation.norms == obs.norms
+    assert loaded.observation.cycles_max == obs.cycles_max
+    assert loaded.observation.kplanes_seed == obs.kplanes_seed
     for orig, got in zip(bundle.policy.parameters(), loaded.policy.parameters()):
         np.testing.assert_array_equal(got, orig.astype(np.float32))
     again = tmp_path / "again.tscw"
@@ -865,7 +864,7 @@ def test_bundle_round_trip_minimal(tmp_path):
     loaded = PolicyBundle.load(path)
     assert loaded.value is None
     assert loaded.observation.encoder is None
-    assert loaded.observation.params is None
+    assert loaded.observation.kplanes_seed is None
     assert loaded.policy.hidden_activation == "relu"
 
 
@@ -924,3 +923,152 @@ def test_weight_file_format_errors_are_configuration_errors(tmp_path):
     assert ae.read_bytes() != ae_blob
     with pytest.raises(ConfigurationError):
         load_autoencoder(ae)
+    # bytes after the last array, in a bundle and in an autoencoder file
+    for loader, data in ((PolicyBundle.load, blob), (load_autoencoder, ae_blob)):
+        trailing = tmp_path / "trailing.tscw"
+        trailing.write_bytes(data + bytes(8))
+        with pytest.raises(ConfigurationError, match="8 bytes after the last array"):
+            loader(trailing)
+
+
+def test_save_arrays_rejects_a_seed_the_header_cannot_hold(tmp_path):
+    path = tmp_path / "w.tscw"
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(ValueError):
+            save_arrays(path, [np.ones(2)], seed=seed)
+        with pytest.raises(ValueError):
+            PolicyBundle("ppo", "queue", Mlp([19, 4, 3], "tanh", seed=0), None,
+                         make_observation("expanded"), seed=seed).save(path)
+    assert not path.exists()
+    save_arrays(path, [np.ones(2)], seed=2**64 - 1)
+    assert load_arrays(path).seed == 2**64 - 1
+
+
+def header_test_bundle(kind):
+    encoder = Mlp([19, 8, 4], "relu", seed=3) if kind == "ae4" else None
+    obs = make_observation(kind, 36.0, encoder, kplanes_seed=7)
+    value = None if kind == "dqn40" else Mlp([obs.dim, 4, 1], "tanh", seed=2)
+    return PolicyBundle("dqn" if kind == "dqn40" else "ppo", "queue",
+                        Mlp([obs.dim, 4, 3], "tanh", seed=1), value, obs, seed=5)
+
+
+# a bundle kind, then the tag fields (None drops one) and the normalizer
+# array its file is rewritten with; every one of them must fail to load
+LYING_HEADERS = {
+    "cycles-max-nan": ("expanded", {}, [25.0, 40.0, 180.0, np.nan]),
+    "cycles-max-inf": ("expanded", {}, [25.0, 40.0, 180.0, np.inf]),
+    "cycles-max-zero": ("kplanes", {}, [25.0, 40.0, 180.0, 0.0]),
+    "queue-max-30": ("expanded", {}, [30.0, 40.0, 180.0, 36.0]),
+    "green-max-41": ("ae4", {}, [25.0, 41.0, 180.0, 36.0]),
+    "cycle-time-max-100": ("kplanes", {}, [25.0, 40.0, 100.0, 36.0]),
+    "queue-max-nan-on-baseline": ("baseline", {}, [np.nan, 40.0, 180.0, 72.0]),
+    "cycles-max-on-dqn40": ("dqn40", {}, [25.0, 40.0, 180.0, 36.0]),
+    "normalizers-3": ("expanded", {}, [25.0, 40.0, 180.0]),
+    "normalizers-5": ("expanded", {}, [25.0, 40.0, 180.0, 36.0, 1.0]),
+    "kres-3": ("kplanes", {"kres": 3}, None),
+    "kfeat-8": ("kplanes", {"kfeat": 8}, None),
+    "kres-on-expanded": ("expanded", {"kres": 8}, None),
+    "kseed-negative": ("kplanes", {"kseed": -5}, None),
+    "kseed-none-on-kplanes": ("kplanes", {"kseed": -1}, None),
+    "kseed-on-expanded": ("expanded", {"kseed": 3}, None),
+    "kseed-missing": ("kplanes", {"kseed": None}, None),
+    "policy-count-negative": ("expanded", {"policy": -4, "value": 12}, None),
+    "encoder-count-zero": ("ae4", {"encoder": 0}, None),
+    "value-count-not-canonical": ("expanded", {"value": "+4"}, None),
+    "extra-field": ("expanded", {"extra": 1}, None),
+}
+
+
+@pytest.mark.parametrize("case", LYING_HEADERS)
+def test_bundle_load_rejects_a_header_saving_would_not_write(tmp_path, case):
+    kind, fields, norms = LYING_HEADERS[case]
+    path = tmp_path / "policy.tscw"
+    header_test_bundle(kind).save(path)
+    PolicyBundle.load(path)
+    lying = tmp_path / "lying.tscw"
+    rewrite_weight_file(path, lying, norms, **fields)
+    assert lying.read_bytes() != path.read_bytes()
+    with pytest.raises(ConfigurationError):
+        PolicyBundle.load(lying)
+
+
+def test_bundle_load_rejects_an_array_the_header_does_not_count(tmp_path):
+    path = tmp_path / "policy.tscw"
+    header_test_bundle("expanded").save(path)
+    blob = load_arrays(path)
+    save_arrays(path, blob.arrays + [np.ones(2)], tag=blob.tag, seed=blob.seed)
+    with pytest.raises(ConfigurationError, match="arrays do not match the header"):
+        PolicyBundle.load(path)
+
+
+def test_bundle_load_draws_planes_from_the_seed_alone(tmp_path, monkeypatch):
+    # a kres= value is never an array size: the one plane draw load makes
+    # is kplanes_planes' own, of the seed, before the header check rejects it
+    import tsclab.staterep as staterep
+
+    drawn = []
+    real = staterep.kplanes_planes
+
+    def recording(seed):
+        drawn.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(staterep, "kplanes_planes", recording)
+    path = tmp_path / "policy.tscw"
+    header_test_bundle("kplanes").save(path)
+    rewrite_weight_file(path, path, kres=100_000, kfeat=100_000)
+    with pytest.raises(ConfigurationError, match="header does not describe"):
+        PolicyBundle.load(path)
+    assert drawn == [7, 7]
+
+
+@pytest.mark.parametrize("fields", [
+    {"encoder": -2}, {"encoder": 2}, {"encoder": 6}, {"latent": 4}, {"latent": 16},
+    {"decoder": 2}, {"kind": "autoencoders"}, {"encoder": None}, {"act": "tanh"},
+], ids=["encoder--2", "encoder-2", "encoder-6", "latent-4", "latent-16", "decoder-2",
+        "kind", "encoder-missing", "act-tanh"])
+def test_load_autoencoder_rejects_a_header_saving_would_not_write(tmp_path, fields):
+    path = tmp_path / "ae8.tscw"
+    save_autoencoder(train_autoencoder(constant_buffer(8), k=8, epochs=0), path)
+    encoder, decoder = load_autoencoder(path)
+    assert (encoder.layer_sizes, decoder.layer_sizes) == ((19, 32, 8), (8, 32, 19))
+    rewrite_weight_file(path, path, **fields)
+    with pytest.raises(ConfigurationError):
+        load_autoencoder(path)
+
+
+@pytest.fixture(scope="module")
+def header_test_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("bundles")
+    paths = []
+    for kind in ("expanded", "kplanes", "ae4", "dqn40"):
+        paths.append(folder / f"{kind}.tscw")
+        header_test_bundle(kind).save(paths[-1])
+    return paths
+
+
+_TAG_VALUES = st.one_of(
+    st.sampled_from(["ppo", "dqn", "delay", "baseline", "expanded", "kplanes", "ae4",
+                     "ae8", "dqn40", "tanh", "relu", "sigmoid", "+4", "04", " 4", "4 ",
+                     "-0", "x", "", "a=b", "a;b", ";", "kres=8"]),
+    st.integers(-3, 20).map(str),
+    st.text(max_size=6),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_bundle_with_one_tag_field_replaced_loads_only_as_it_saves(header_test_files,
+                                                                    tmp_path_factory, data):
+    path = data.draw(st.sampled_from(header_test_files))
+    key = data.draw(st.sampled_from([item.split("=", 1)[0]
+                                     for item in load_arrays(path).tag.split(";")]))
+    edited = tmp_path_factory.getbasetemp() / "edited.tscw"
+    rewrite_weight_file(path, edited, **{key: data.draw(_TAG_VALUES)})
+    try:
+        bundle = PolicyBundle.load(edited)
+    except ConfigurationError:
+        return
+    back = tmp_path_factory.getbasetemp() / "back.tscw"
+    bundle.save(back)
+    assert back.read_bytes() == edited.read_bytes()

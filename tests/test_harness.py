@@ -15,19 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_queue_metric, rate_veh_h, uniform_profile
+from conftest import cycle_queue_metric, rate_veh_h, rewrite_weight_file, uniform_profile
 from tsclab.agents.autoencoder import AeResult, save_autoencoder
 from tsclab.agents.bundle import TRAINING_LOG_HEADER, PolicyBundle, TrainLogRow
 from tsclab.agents.ppo import PpoConfig
 from tsclab.baselines import (WEBSTER_LOG_HEADER, DynamicWebsterController,
                               FixedTimeController, WebsterSettings)
 from tsclab.errors import ConfigurationError, ContractViolation
-from tsclab.harness.cli import _load_cfg, build_parser, main
+from tsclab.harness.cli import _load_cfg, build_parser, main, non_negative_int
 from tsclab.harness.config import (
+    cycles_max_for_training,
     default_flow_profile,
     flows_from_config,
     from_config,
-    normalizers_for_training,
     parse_config_file,
     run_from_config,
     RunSettings,
@@ -61,6 +61,7 @@ from tsclab.sim import (
     at_decision_point,
 )
 from tsclab.staterep import make_observation
+from tsclab.weights import load_arrays
 
 LAYOUT = IntersectionLayout()
 PLAN = PhasePlan()
@@ -699,11 +700,11 @@ def test_default_flow_profile_shape():
 
 
 def test_normalizers_for_training():
-    assert normalizers_for_training(100_000, 100.0).cycles_max == 1000.0
-    assert normalizers_for_training(7200, 100.0).cycles_max == 72.0
-    assert normalizers_for_training(0, 100.0).cycles_max == 1.0
-    assert normalizers_for_training(50, 100.0).cycles_max == 1.0
-    assert normalizers_for_training(3600, 60.0).cycles_max == 60.0
+    assert cycles_max_for_training(100_000, 100.0) == 1000.0
+    assert cycles_max_for_training(7200, 100.0) == 72.0
+    assert cycles_max_for_training(0, 100.0) == 1.0
+    assert cycles_max_for_training(50, 100.0) == 1.0
+    assert cycles_max_for_training(3600, 60.0) == 60.0
 
 
 def test_run_settings_validation():
@@ -1176,6 +1177,76 @@ def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
                  "--out", str(tmp_path / "x")]) == 1
     assert "encoder takes 20 inputs" in capsys.readouterr().err
     assert started == []
+
+
+@pytest.mark.parametrize("norms, fields, message", [
+    ([25.0, 40.0, 180.0, float("nan")], {}, "cycles_max must be positive and finite"),
+    ([25.0, 40.0, 180.0, float("inf")], {}, "cycles_max must be positive and finite"),
+    ([30.0, 40.0, 180.0, 72.0], {}, "header does not describe"),
+    (None, {"kres": 3}, "header does not describe"),
+    (None, {"kseed": -5}, "plane seed must be non-negative"),
+], ids=["cycles-max-nan", "cycles-max-inf", "queue-max-30", "kres-3", "kseed-negative"])
+def test_cli_compare_rejects_a_bundle_whose_header_lies(tmp_path, capsys, episodes_started,
+                                                       norms, fields, message):
+    weights = tmp_path / "policy.tscw"
+    PolicyBundle("ppo", "queue", Mlp([68, 16, 3], "tanh", seed=0), None,
+                 make_observation("kplanes")).save(weights)
+    rewrite_weight_file(weights, weights, norms, **fields)
+    argv = _grid_argv(tmp_path, ["fixed controller=fixed",
+                                 f"ppo controller=policy weights={weights}"])
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert episodes_started == []
+
+
+def _ae8_file(path):
+    save_autoencoder(AeResult(Mlp([19, 32, 8], "relu", seed=0),
+                              Mlp([8, 32, 19], "relu", seed=1), 0.0, 0.0), path)
+    return path
+
+
+@pytest.mark.parametrize("fields", [{"encoder": -2}, {"encoder": 2}, {"encoder": 6},
+                                    {"latent": 4}],
+                         ids=["encoder--2", "encoder-2", "encoder-6", "latent-4"])
+def test_cli_train_rejects_an_autoencoder_file_whose_header_lies(tmp_path, capsys,
+                                                                 episodes_started, fields):
+    encoder = _ae8_file(tmp_path / "ae8.tscw")
+    rewrite_weight_file(encoder, encoder, **fields)
+    assert main(["train", "--repr", "ae8", "--encoder", str(encoder), "--timesteps", "0",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "header does not describe the networks it holds" in capsys.readouterr().err
+    assert episodes_started == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_train_rejects_an_encoder_its_representation_does_not_use(tmp_path, capsys,
+                                                                      episodes_started):
+    encoder = _ae8_file(tmp_path / "ae8.tscw")
+    for repr_kind in ("expanded", "kplanes", "baseline"):
+        for path in (encoder, tmp_path / "absent.tscw"):
+            assert main(["train", "--repr", repr_kind, "--encoder", str(path),
+                         "--timesteps", "0", "--out", str(tmp_path / "x")]) == 1
+            assert "applies to them only (--repr" in capsys.readouterr().err
+    assert episodes_started == []
+    assert not (tmp_path / "x").exists()
+    assert main(["train", "--repr", "ae8", "--encoder", str(encoder), "--timesteps", "0",
+                 "--out", str(tmp_path / "x")]) == 0
+
+
+def test_cli_rejects_seeds_a_weight_file_cannot_hold(tmp_path, capsys, episodes_started):
+    out = tmp_path / "x"
+    for seed in (2**64, 2**64 + 1):
+        for command in (["train", "--timesteps", "0"], ["dqn", "--timesteps", "0"],
+                        ["pretrain-ae", "--buffer-steps", "8"],
+                        ["baseline", "--method", "fixed"]):
+            assert main([*command, "--seed", str(seed), "--out", str(out)]) == 1
+    assert episodes_started == []
+    assert not out.exists()
+    assert non_negative_int(str(2**64 - 1)) == 2**64 - 1
+    assert main(["train", "--timesteps", "0", "--seed", str(2**64 - 1),
+                 "--out", str(out)]) == 0
+    assert load_arrays(out / "policy.tscw").seed == 2**64 - 1
+    capsys.readouterr()
 
 
 def tiny_dqn_bundle():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import force_queue, lane_index, reference_kplanes_transform, uniform_profile
+from conftest import (force_queue, lane_index, random_planes, reference_kplanes_transform,
+                      uniform_profile)
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.neural import Mlp
 from tsclab.sim import (
@@ -21,15 +22,19 @@ from tsclab.sim import (
     step,
 )
 from tsclab.staterep import (
+    CYCLE_TIME_MAX_S,
+    DEFAULT_CYCLES_MAX,
     EXPANDED_DIM,
+    GREEN_MAX_S,
     KPLANES_DIM,
-    KPlanesObservation,
-    KPlanesParams,
+    KPLANES_FEATURES,
+    KPLANES_RESOLUTION,
+    QUEUE_MAX,
     LatentObservation,
     REPRESENTATION_KINDS,
-    StateNormalizers,
     baseline_state,
     expanded_state,
+    kplanes_planes,
     kplanes_transform,
     make_observation,
 )
@@ -137,13 +142,11 @@ def _sample_first_plane(plane, u, v):
     are exactly that one sample."""
     grid = np.asarray(plane, dtype=np.float64)
     grid = grid.reshape(grid.shape[:2] + (-1,))
-    params = KPlanesParams(seed=0, resolution=grid.shape[0], feature_dim=grid.shape[2])
     planes = np.ones((21,) + grid.shape)
     planes[0] = grid
-    params.planes = planes
     state = np.zeros(EXPANDED_DIM)
     state[0], state[5] = u, v
-    features = kplanes_transform(params, state)[:grid.shape[2]]
+    features = kplanes_transform(planes, state)[:grid.shape[2]]
     return features if np.ndim(plane) > 2 else features[0]
 
 
@@ -180,65 +183,47 @@ def test_bilinear_interpolates_feature_vectors_componentwise():
                                atol=1e-15)
 
 
-def test_bilinear_rejects_degenerate_grid():
-    with pytest.raises(ConfigurationError):
-        KPlanesParams(seed=0, resolution=1)
-
-
 # -- factorized plane transform --------------------------------------------------
 
 
 def test_kplanes_params_shape_and_count():
-    params = KPlanesParams(seed=3)
-    assert len(params.planes) == 21
-    assert params.output_dim == KPLANES_DIM == 68
-    for grid in params.planes:
-        assert grid.shape == (8, 8, 16)
-        assert grid.min() >= 0.5 and grid.max() <= 1.5
+    planes = kplanes_planes(3)
+    assert planes.shape == (21, KPLANES_RESOLUTION, KPLANES_RESOLUTION, KPLANES_FEATURES)
+    assert (KPLANES_RESOLUTION, KPLANES_FEATURES) == (8, 16)
+    assert 4 * KPLANES_FEATURES + 4 == KPLANES_DIM == 68
+    assert planes.min() >= 0.5 and planes.max() <= 1.5
 
 
 def test_kplanes_params_frozen_and_reproducible():
-    params = KPlanesParams(seed=9)
+    planes = kplanes_planes(9)
     with pytest.raises(ValueError):
-        params.planes[0][0, 0, 0] = 2.0
-    again = KPlanesParams(seed=9)
-    for a, b in zip(params.planes, again.planes):
-        np.testing.assert_array_equal(a, b)
-    other = KPlanesParams(seed=10)
-    assert any(not np.array_equal(a, b)
-               for a, b in zip(params.planes, other.planes))
-
-
-def test_kplanes_params_validation():
+        planes[0][0, 0, 0] = 2.0
+    np.testing.assert_array_equal(planes, kplanes_planes(9))
+    assert not np.array_equal(planes, kplanes_planes(10))
     with pytest.raises(ConfigurationError):
-        KPlanesParams(seed=0, resolution=1)
-    with pytest.raises(ConfigurationError):
-        KPlanesParams(seed=0, feature_dim=0)
+        kplanes_planes(-1)
 
 
 def test_kplanes_transform_length_and_phase_passthrough():
-    params = KPlanesParams(seed=3)
+    planes = kplanes_planes(3)
     vec = expanded_state(make_sim())
-    out = kplanes_transform(params, vec)
+    out = kplanes_transform(planes, vec)
     assert out.shape == (68,)
     np.testing.assert_array_equal(out[64:], vec[1:5])
 
 
 def test_kplanes_transform_with_unit_planes():
-    params = KPlanesParams(seed=0)
-    params.planes = np.ones((21, 8, 8, 16))
     vec = expanded_state(make_sim())
-    out = kplanes_transform(params, vec)
+    out = kplanes_transform(np.ones((21, 8, 8, 16)), vec)
     # every sample is 1 so each group collapses to ones; the one-hot follows
     np.testing.assert_array_equal(out, np.concatenate([np.ones(64), vec[1:5]]))
 
 
 def test_kplanes_transform_group_products():
-    params = KPlanesParams(seed=0, resolution=2, feature_dim=1)
     consts = np.linspace(1.01, 1.21, 21)
-    params.planes = consts[:, None, None, None] * np.ones((21, 2, 2, 1))
+    planes = consts[:, None, None, None] * np.ones((21, 2, 2, 1))
     vec = expanded_state(make_sim())
-    out = kplanes_transform(params, vec)
+    out = kplanes_transform(planes, vec)
     assert out.shape == (4 * 1 + 4,)
     # groups own 3, 6, 6, 6 consecutive planes; constant grids make the
     # group feature the plain product of its constants
@@ -249,55 +234,53 @@ def test_kplanes_transform_group_products():
 
 
 def test_kplanes_transform_rejects_wrong_shape():
-    params = KPlanesParams(seed=0)
     with pytest.raises(ContractViolation):
-        kplanes_transform(params, np.zeros(8))
+        kplanes_transform(kplanes_planes(0), np.zeros(8))
 
 
 def test_kplanes_transform_rejects_nan():
     vec = expanded_state(make_sim())
     vec[8] = np.nan
     with pytest.raises(ContractViolation):
-        kplanes_transform(KPlanesParams(seed=0), vec)
+        kplanes_transform(kplanes_planes(0), vec)
     with pytest.raises(ContractViolation):
         _sample_first_plane(np.ones((2, 2)), 0.5, float("nan"))
     # the one-hot phase (components 1-4) is copied, not sampled: a NaN there
     # passes through
     vec = expanded_state(make_sim())
     vec[2] = np.nan
-    out = kplanes_transform(KPlanesParams(seed=0), vec)
+    out = kplanes_transform(kplanes_planes(0), vec)
     assert np.isnan(out[65]) and np.isfinite(np.delete(out, 65)).all()
 
 
 def test_kplanes_transform_pure():
-    params = KPlanesParams(seed=6)
-    before = [grid.copy() for grid in params.planes]
+    planes = random_planes(6, 8, 16)
+    before = planes.copy()
     vec = expanded_state(make_sim())
     vec[7:11] = [0.3, 0.8, 0.1, 1.0]
     vec[11:15] = [-0.5, 0.2, 0.9, -1.0]
-    first = kplanes_transform(params, vec)
-    second = kplanes_transform(params, vec)
+    first = kplanes_transform(planes, vec)
+    second = kplanes_transform(planes, vec)
     np.testing.assert_array_equal(first, second)
-    for grid, saved in zip(params.planes, before):
-        np.testing.assert_array_equal(grid, saved)
+    np.testing.assert_array_equal(planes, before)
 
 
 @pytest.mark.parametrize("resolution, feature_dim", [(8, 16), (2, 1), (5, 3)])
 def test_kplanes_transform_bitwise_equals_per_plane_sampling(resolution, feature_dim):
-    params = KPlanesParams(seed=resolution, resolution=resolution, feature_dim=feature_dim)
+    planes = random_planes(resolution, resolution, feature_dim)
     rng = np.random.Generator(np.random.PCG64(resolution))
     for trial in range(300):
         vec = rng.uniform(-0.2, 1.2, EXPANDED_DIM)
         if trial % 3 == 0:  # components on grid nodes, including both edges
             vec = np.round(vec * (resolution - 1)) / (resolution - 1)
         vec[1:5] = np.eye(4)[trial % 4]
-        assert (kplanes_transform(params, vec).tobytes()
-                == reference_kplanes_transform(params, vec).tobytes())
+        assert (kplanes_transform(planes, vec).tobytes()
+                == reference_kplanes_transform(planes, vec).tobytes())
 
 
-def _transform_or_error(transform, params, state):
+def _transform_or_error(transform, planes, state):
     try:
-        return transform(params, state).tobytes()
+        return transform(planes, state).tobytes()
     except (ContractViolation, FloatingPointError) as exc:
         return type(exc)
 
@@ -330,22 +313,22 @@ def _kplanes_cases(draw):
 @given(case=_kplanes_cases())
 @settings(max_examples=400, deadline=None)
 def test_kplanes_transform_bitwise_equals_reference(case):
-    # the transform before its one-gather rewrite (conftest); reassigned
-    # planes, rounded so that exact and signed zeros occur, replace planes
-    # the transform has already read
+    # the transform before its one-gather rewrite (conftest); other planes,
+    # rounded so that exact and signed zeros occur, follow planes of the same
+    # shape the transform has already read
     resolution, feature_dim, state, planes_seed = case
-    params = KPlanesParams(seed=resolution, resolution=resolution, feature_dim=feature_dim)
-    _transform_or_error(kplanes_transform, params, state)
+    planes = random_planes(resolution, resolution, feature_dim)
+    _transform_or_error(kplanes_transform, planes, state)
     if planes_seed is not None:
         rng = np.random.Generator(np.random.PCG64(planes_seed))
-        params.planes = np.round(rng.uniform(-2.0, 2.0, params.planes.shape), 1)
-    ours = _transform_or_error(kplanes_transform, params, state)
-    assert ours == _transform_or_error(reference_kplanes_transform, params, state)
+        planes = np.round(rng.uniform(-2.0, 2.0, planes.shape), 1)
+    ours = _transform_or_error(kplanes_transform, planes, state)
+    assert ours == _transform_or_error(reference_kplanes_transform, planes, state)
     sampled = np.delete(state, range(1, 5))
     assert (ours == ContractViolation) == bool(np.isnan(sampled).any())
     with np.errstate(all="raise"):
-        ours = _transform_or_error(kplanes_transform, params, state)
-        theirs = _transform_or_error(reference_kplanes_transform, params, state)
+        ours = _transform_or_error(kplanes_transform, planes, state)
+        theirs = _transform_or_error(reference_kplanes_transform, planes, state)
     if ours == FloatingPointError:
         assert theirs == FloatingPointError
 
@@ -367,7 +350,7 @@ def test_encode_rejects_dimension_mismatch():
     with pytest.raises(ConfigurationError):
         LatentObservation(Mlp([8, 32, 8], "relu", seed=2))
     with pytest.raises(ConfigurationError):
-        make_observation("ae8", ae_encoder=Mlp([20, 32, 8], "relu", seed=2))
+        make_observation("ae8", encoder=Mlp([20, 32, 8], "relu", seed=2))
 
 
 # -- observation factory ---------------------------------------------------------
@@ -383,7 +366,7 @@ def test_make_observation_dims():
 
 
 def test_make_observation_latent():
-    obs = make_observation("ae8", ae_encoder=Mlp([19, 32, 8], "relu", seed=1))
+    obs = make_observation("ae8", encoder=Mlp([19, 32, 8], "relu", seed=1))
     assert obs.kind == "ae8"
     assert obs.dim == 8
     assert obs.observe(make_sim()).shape == (8,)
@@ -395,27 +378,33 @@ def test_make_observation_errors():
     with pytest.raises(ConfigurationError):
         make_observation("ae8")
     with pytest.raises(ConfigurationError):
-        make_observation("ae4", ae_encoder=Mlp([19, 32, 8], "relu", seed=1))
-    assert "baseline" in REPRESENTATION_KINDS and "kplanes" in REPRESENTATION_KINDS
-
-
-def test_kplanes_observation_rejects_wrong_output_dim():
+        make_observation("ae4", encoder=Mlp([19, 32, 8], "relu", seed=1))
     with pytest.raises(ConfigurationError):
-        KPlanesObservation(KPlanesParams(seed=0, feature_dim=8))
+        make_observation("kplanes", kplanes_seed=-1)
+    assert "baseline" in REPRESENTATION_KINDS and "kplanes" in REPRESENTATION_KINDS
 
 
 # -- normalizers -----------------------------------------------------------------
 
 
 def test_normalizer_defaults_and_horizon_scaling():
-    norms = StateNormalizers()
-    assert (norms.queue_max, norms.green_max_s) == (25.0, 40.0)
-    assert (norms.cycle_time_max_s, norms.cycles_max) == (180.0, 72.0)
+    assert (QUEUE_MAX, GREEN_MAX_S, CYCLE_TIME_MAX_S) == (25.0, 40.0, 180.0)
+    assert DEFAULT_CYCLES_MAX == 72.0
+    sim = make_sim()
+    sim.completed_cycles.extend([None] * 9)
+    assert expanded_state(sim)[6] == 9.0 / 72.0
+    assert expanded_state(sim, 36.0)[6] == 9.0 / 36.0
+    assert make_observation("expanded", 36.0).observe(sim)[6] == 9.0 / 36.0
 
 
 def test_normalizer_validation_and_round_trip():
-    with pytest.raises(ConfigurationError):
-        StateNormalizers(queue_max=0.0)
-    norms = StateNormalizers(queue_max=30.0, cycles_max=10.0)
-    again = StateNormalizers.from_array(norms.as_array())
-    assert again == norms
+    # cycles_max is the one divisor an observation chooses; the kinds built
+    # on the expanded state keep it, the others keep the default
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            make_observation("expanded", bad)
+    for kind in ("expanded", "kplanes"):
+        assert make_observation(kind, 10.0).cycles_max == 10.0
+    assert make_observation("ae8", 10.0, Mlp([19, 32, 8], "relu", seed=1)).cycles_max == 10.0
+    for kind in ("baseline", "dqn40"):
+        assert make_observation(kind, 10.0).cycles_max == DEFAULT_CYCLES_MAX
