@@ -121,8 +121,11 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
     """
     if n_states < 1:
         raise ConfigurationError("need at least one state")
+    try:
+        states = np.empty((n_states, EXPANDED_DIM), dtype=np.float64)
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"cannot hold a buffer of {n_states} states") from None
     ss = np.random.SeedSequence(seed)
-    states = np.empty((n_states, EXPANDED_DIM), dtype=np.float64)
     filled = 0
     while filled < n_states:
         s_scale, s_sim = ss.spawn(2)

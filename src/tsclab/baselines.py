@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigurationError, check_non_negative
-from .sim import (ACTION_CONTINUE, IntersectionLayout, N_PHASES,
+from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES,
                   PHASE_SERVED, PhasePlan, SimState, install_programmed_greens)
 
 
@@ -119,13 +119,16 @@ WEBSTER_LOG_HEADER = ("clock_s", "y1", "y2", "y3", "y4", "cycle_s",
 class DynamicWebsterController:
     """Webster timings recomputed on a fixed interval from recent flows.
 
-    Keeps the last ``flow_window_s`` ticks' arrival rows; every
-    ``recompute_interval_s`` it turns window rates into per-phase flow
-    ratios (max over the phase's lanes, against the lane saturation flow),
-    solves the cycle formula, and installs the resulting greens at the next
-    phase boundary.  A tick's arrivals enter the window before that tick can
-    recompute, so the window is never empty when it is read.  The window
-    and the log belong to one episode: build a new controller per episode.
+    Every ``recompute_interval_s`` it turns the arrival rates of the last
+    ``flow_window_s`` ticks into per-phase flow ratios (max over the phase's
+    lanes, against the lane saturation flow), solves the cycle formula, and
+    installs the resulting greens at the next phase boundary.  The window
+    keeps ``(tick number, arrival row)`` only for ticks with arrivals;
+    rows older than ``flow_window_s`` ticks leave it at a recompute, and
+    the rates divide by the ticks the window covers, min(ticks seen,
+    ``flow_window_s``).  A tick is counted before that tick can recompute,
+    so the window never covers zero ticks when it is read.  The window and
+    the log belong to one episode: build a new controller per episode.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan,
@@ -140,15 +143,21 @@ class DynamicWebsterController:
         if self.lost_time_s <= 0.0:
             raise ConfigurationError("lost time must be positive")
         self.recompute_log: list[tuple] = []
-        self._window: deque = deque(maxlen=int(settings.flow_window_s))
+        self._window_s = int(settings.flow_window_s)
+        self._window: deque = deque()
+        self._ticks = 0
         self._next_recompute = settings.recompute_interval_s
         self._pending: tuple | None = None
 
     def _window_rates_veh_h(self) -> np.ndarray:
-        counts = np.array([sum(lane) for lane in zip(*self._window)], dtype=np.int64)
-        return counts * (3600.0 / len(self._window))
+        counts = [sum(lane) for lane in zip(*(row for _tick, row in self._window))]
+        return (np.array(counts or [0] * N_LANES, dtype=np.int64)
+                * (3600.0 / min(self._ticks, self._window_s)))
 
     def _recompute(self, clock: int) -> None:
+        window, oldest = self._window, self._ticks - self._window_s
+        while window and window[0][0] <= oldest:
+            window.popleft()
         rates = self._window_rates_veh_h()
         sat = self.layout.saturation_flow_veh_h
         y = tuple(
@@ -165,7 +174,9 @@ class DynamicWebsterController:
         )
 
     def on_tick(self, sim: SimState) -> None:
-        self._window.append(sim.arrivals)
+        self._ticks += 1
+        if any(sim.arrivals):
+            self._window.append((self._ticks, sim.arrivals))
         if sim.clock >= self._next_recompute:
             self._recompute(sim.clock)
             self._next_recompute += self.settings.recompute_interval_s

@@ -54,6 +54,8 @@ class Mlp:
         views = self._views(self.flat)
         self.weights: list[np.ndarray] = views[0::2]
         self.biases: list[np.ndarray] = views[1::2]
+        # (transposed weights, bias) per layer for predict, views into flat
+        self._predict_layers = [(w.T, b) for w, b in zip(self.weights, self.biases)]
         rng = np.random.Generator(np.random.PCG64(seed))
         for w in self.weights:
             fan_out, fan_in = w.shape
@@ -63,10 +65,10 @@ class Mlp:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _activate(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _activate(self, z: np.ndarray) -> np.ndarray:
         if self.hidden_activation == "tanh":
-            return np.tanh(z, out=out)
-        return np.maximum(z, 0.0, out=out)
+            return np.tanh(z)
+        return np.maximum(z, 0.0)
 
     def _check_input(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -98,17 +100,21 @@ class Mlp:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Run the network without touching the tape (safe for concurrent
         read-only inference on a frozen net).  A 1-D input runs as given,
-        with the same values as the row of a one-row batch.  Each layer's
-        product is the only array that layer allocates: the bias and the
-        activation are applied to it in place, and the input is never
-        written."""
+        with the same values as the row of a one-row batch.  Each layer
+        multiplies by the transposed view of its weights kept since
+        construction, which reads :attr:`flat` as it is now.  The product is
+        the only array a layer allocates: the bias and the activation are
+        applied to it in place, and the input is never written."""
         a = self._check_input(x)
-        last = len(self.weights) - 1
-        for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T
-            z += b
-            a = z if idx == last else self._activate(z, out=z)
-        return a
+        tanh = self.hidden_activation == "tanh"
+        *hidden, (w_t, b) = self._predict_layers
+        for hidden_w_t, hidden_b in hidden:
+            z = a @ hidden_w_t
+            z += hidden_b
+            a = np.tanh(z, out=z) if tanh else np.maximum(z, 0.0, out=z)
+        z = a @ w_t
+        z += b
+        return z
 
     def backward(self, upstream: np.ndarray, *,
                  input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:

@@ -49,6 +49,9 @@ N_ACTIONS = 3
 # most ticks of arrivals drawn in one generator call
 ARRIVAL_BLOCK_TICKS = 256
 
+# a tick's ``discharges`` when no vehicle crosses the stopline
+NO_DISCHARGES = (0,) * N_LANES
+
 
 @dataclass(frozen=True)
 class IntersectionLayout:
@@ -268,8 +271,10 @@ class SimState:
     the tick's per-lane arrival counts; ``discharges``, the per-lane
     vehicles that crossed the stopline (passed through or discharged); and
     ``phase_changed``, True on the tick a new phase's green began.  They
-    describe the last tick only and are read-only: ``arrivals`` is the same
-    list that ``transit`` holds.
+    describe the last tick only and are read-only sequences: ``arrivals``
+    is the same list that ``transit`` holds, and on a tick where no vehicle
+    crosses, ``discharges`` is the all-zero tuple that every such tick
+    shares.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -303,7 +308,7 @@ class SimState:
         self._rates_valid_until = 0
         self._arrival_rows = iter(())
         self.arrivals = [0] * N_LANES
-        self.discharges = [0] * N_LANES
+        self.discharges = NO_DISCHARGES
         self.phase_changed = False
 
     # -- observation helpers -------------------------------------------------
@@ -368,36 +373,42 @@ def step(sim: SimState) -> SimState:
     in-transit vehicles (queue join or pass-through), saturation-rate
     discharge of the served queues, and the cycle and timer bookkeeping.
     The tick's ``arrivals``, ``discharges`` and ``phase_changed`` are left
-    on ``sim``.
+    on ``sim``; ``discharges`` is a fresh list only on a tick where a
+    vehicle crosses the stopline, and the shared all-zero tuple
+    ``NO_DISCHARGES`` otherwise.
     """
-    sim.clock += 1
-    clock = sim.clock
+    clock = sim.clock = sim.clock + 1
+    phase = sim.current_phase
+    in_yellow = sim.in_yellow
+    elapsed = sim.phase_elapsed_s
 
     # signal phase machine: green ends once the elapsed green reaches the live
     # programmed green, yellow runs for the full yellow interval, and the
     # cycle wrap restores the per-cycle green defaults
-    sim.phase_changed = cycle_completed = False
-    if sim.in_yellow:
+    phase_changed = cycle_completed = False
+    if in_yellow:
         if sim.yellow_elapsed_s >= sim.plan.yellow_s:
-            sim.in_yellow = False
+            in_yellow = sim.in_yellow = False
             sim.yellow_elapsed_s = 0
-            sim.current_phase = (sim.current_phase + 1) % N_PHASES
-            sim.phase_elapsed_s = 0
-            sim.phase_changed = True
+            phase = sim.current_phase = (phase + 1) % N_PHASES
+            elapsed = 0
+            phase_changed = True
             sim.credit = [0.0] * N_LANES
-            if sim.current_phase == 0:
+            if phase == 0:
                 sim.completed_cycles.append(
                     (sim.cycle_start_tick, clock - sim.cycle_start_tick,
                      tuple(sim.cycle_lane_max), tuple(sim.cycle_green_s)))
                 sim.cycle_start_tick = clock
                 sim.programmed_green_s = list(sim.default_green_s)
                 cycle_completed = True
-    elif sim.phase_elapsed_s >= sim.programmed_green_s[sim.current_phase]:
-        sim.in_yellow = True
-        sim.cycle_green_s[sim.current_phase] = sim.phase_elapsed_s
+    elif elapsed >= sim.programmed_green_s[phase]:
+        in_yellow = sim.in_yellow = True
+        sim.cycle_green_s[phase] = elapsed
         sim.yellow_elapsed_s = 0
         sim.credit = [0.0] * N_LANES
+    sim.phase_changed = phase_changed
 
+    layout = sim.layout
     ids = sim.vehicle_ids
     if ids is not None:
         log = sim.events.append
@@ -406,7 +417,7 @@ def step(sim: SimState) -> SimState:
 
     arrivals = sim.arrivals = next(sim._arrival_rows, None) or _draw_arrivals(sim)
     if any(arrivals):
-        transit.append((math.ceil(clock + sim.layout.travel_time_to_stopline_s), arrivals))
+        transit.append((math.ceil(clock + layout.travel_time_to_stopline_s), arrivals))
         if ids is not None:
             for i in range(N_LANES):
                 for vid in range(sim._next_vehicle_id, sim._next_vehicle_id + arrivals[i]):
@@ -416,17 +427,17 @@ def step(sim: SimState) -> SimState:
 
     # stopline transfer: vehicles whose free-flow travel is complete either
     # pass straight through (served green, no queue, startup done) or join
-    served = PHASE_SERVED[sim.current_phase]
-    green_flowing = (not sim.in_yellow
-                     and sim.phase_elapsed_s >= sim.layout.startup_lost_time_s)
-    discharges = sim.discharges = [0] * N_LANES
-    joined = []
+    served = PHASE_SERVED[phase]
+    green_flowing = not in_yellow and elapsed >= layout.startup_lost_time_s
+    discharges = NO_DISCHARGES
+    joined = None
     if transit and transit[0][0] <= clock:
         counts = transit.popleft()[1]
         # runs due on one tick (a travel time below the clock's rounding)
         # cross as one, so each lane's vehicles cross together and in order
         while transit and transit[0][0] <= clock:
             counts = [a + b for a, b in zip(counts, transit.popleft()[1])]
+        joined = []
         for i in range(N_LANES):
             n = counts[i]
             if not n:
@@ -437,6 +448,8 @@ def step(sim: SimState) -> SimState:
                     log((clock, LANE_IDS[i], "pass" if passing else "join",
                          ids[i].popleft() if passing else ids[i][k]))
             if passing:
+                if discharges is NO_DISCHARGES:
+                    discharges = [0] * N_LANES
                 discharges[i] += n
             else:
                 sim.queues[i].append([clock, n])
@@ -448,7 +461,7 @@ def step(sim: SimState) -> SimState:
     # second once the startup lost time has elapsed; credit resets with the phase
     if green_flowing:
         credit = sim.credit
-        earned = 1.0 / sim.layout.saturation_headway_s
+        earned = 1.0 / layout.saturation_headway_s
         for i in served:
             credit[i] += earned
             while credit[i] >= 1.0 and queued[i]:
@@ -459,22 +472,25 @@ def step(sim: SimState) -> SimState:
                 credit[i] -= 1.0
                 queued[i] -= 1
                 sim.join_ticks[i] -= head[0]
+                if discharges is NO_DISCHARGES:
+                    discharges = [0] * N_LANES
                 discharges[i] += 1
                 if ids is not None:
                     log((clock, LANE_IDS[i], "discharge", ids[i].popleft()))
+    sim.discharges = discharges
 
     # only a join raises a queue, so only joined lanes can set a new maximum
     if cycle_completed:
         sim.cycle_lane_max = queued[:]
-    else:
+    elif joined:
         lane_max = sim.cycle_lane_max
         for i in joined:
             if queued[i] > lane_max[i]:
                 lane_max[i] = queued[i]
-    if sim.in_yellow:
+    if in_yellow:
         sim.yellow_elapsed_s += 1
     else:
-        sim.phase_elapsed_s += 1
+        sim.phase_elapsed_s = elapsed + 1
 
     return sim
 

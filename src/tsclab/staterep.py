@@ -30,6 +30,9 @@ _IDX_NCYC = 6
 # lower clamp per component: the queue changes (11-14) reach down to -1
 _LOWER = np.zeros(EXPANDED_DIM)
 _LOWER[11:15] = -1.0
+# the one-hot active phase, per phase
+_PHASE_ONE_HOT = tuple(tuple(float(p == active) for p in range(N_PHASES))
+                       for active in range(N_PHASES))
 
 
 # divisors scaling the raw state components into [0, 1]: queues, greens and
@@ -68,18 +71,19 @@ def expanded_state(sim: SimState, cycles_max: float = DEFAULT_CYCLES_MAX) -> np.
     the vector out of its documented range.
     """
     q_max, g_max = QUEUE_MAX, GREEN_MAX_S
-    q_now = sim.approach_queues()
-    phase = [0.0] * N_PHASES
-    phase[sim.current_phase] = 1.0
+    q0, q1, q2, q3 = sim.approach_queues()
+    p0, p1, p2, p3 = sim.decision_queues
+    g0, g1, g2, g3 = sim.programmed_green_s
     raw = np.array(
-        [sim.cycle_elapsed_s / CYCLE_TIME_MAX_S, *phase,
-         sim.phase_elapsed_s / g_max, len(sim.completed_cycles) / cycles_max]
-        + [q / q_max for q in q_now]
-        + [(q - p) / q_max for q, p in zip(q_now, sim.decision_queues)]
-        + [g / g_max for g in sim.programmed_green_s],
+        (sim.cycle_elapsed_s / CYCLE_TIME_MAX_S, *_PHASE_ONE_HOT[sim.current_phase],
+         sim.phase_elapsed_s / g_max, len(sim.completed_cycles) / cycles_max,
+         q0 / q_max, q1 / q_max, q2 / q_max, q3 / q_max,
+         (q0 - p0) / q_max, (q1 - p1) / q_max, (q2 - p2) / q_max, (q3 - p3) / q_max,
+         g0 / g_max, g1 / g_max, g2 / g_max, g3 / g_max),
         dtype=np.float64,
     )
-    return np.minimum(np.maximum(raw, _LOWER), 1.0)
+    np.maximum(raw, _LOWER, out=raw)
+    return np.minimum(raw, 1.0, out=raw)
 
 
 # continuous feature groups of the expanded vector: (name, component indices);

@@ -134,6 +134,28 @@ def reference_kplanes_transform(planes, state) -> np.ndarray:
     return np.concatenate((features.ravel(), s[1:5]))
 
 
+def reference_expanded_state(sim, cycles_max: float = 72.0) -> np.ndarray:
+    """The expanded state as it was built from lists: a one-hot phase list,
+    the queue, change and green components from comprehensions, one array
+    of the concatenation, and a clamp into fresh arrays.  Every expanded,
+    latent and K-Planes observation depends on every bit of it."""
+    q_max, g_max = 25.0, 40.0
+    q_now = sim.approach_queues()
+    phase = [0.0] * N_PHASES
+    phase[sim.current_phase] = 1.0
+    raw = np.array(
+        [sim.cycle_elapsed_s / 180.0, *phase,
+         sim.phase_elapsed_s / g_max, len(sim.completed_cycles) / cycles_max]
+        + [q / q_max for q in q_now]
+        + [(q - p) / q_max for q, p in zip(q_now, sim.decision_queues)]
+        + [g / g_max for g in sim.programmed_green_s],
+        dtype=np.float64,
+    )
+    lower = np.zeros(19)
+    lower[11:15] = -1.0
+    return np.minimum(np.maximum(raw, lower), 1.0)
+
+
 def rewrite_weight_file(src, dst, norms=None, **fields) -> None:
     """Copy weight file ``src`` to ``dst`` with the given tag fields' values
     replaced or, for a field the tag lacks, appended (a value of None drops

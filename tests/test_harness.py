@@ -1427,6 +1427,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "reward.resco_scale = inf\n")
     assert main(["dqn", "--config", str(cfg), "--timesteps", "0",
                  "--out", str(tmp_path / "x")]) == 1
+    # a budget or buffer too large to count or to hold
+    assert main(["train", "--timesteps", "1" + "0" * 400, "--out", str(tmp_path / "x")]) == 1
+    assert main(["train", "--timesteps", str(2**53 + 1), "--out", str(tmp_path / "x")]) == 1
+    assert main(["pretrain-ae", "--buffer-steps", "1" + "0" * 30,
+                 "--out", str(tmp_path / "ae.tscw")]) == 1
     assert not (tmp_path / "ae.tscw").exists()
     # seeds must be non-negative, as a flag, a seed list or a config key
     negative = tmp_path / "negative"

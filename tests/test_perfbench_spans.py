@@ -15,7 +15,7 @@ import tsclab.harness.cli
 import tsclab.sim
 from tsclab.agents.bundle import PolicyBundle
 from tsclab.agents.ppo import PpoConfig
-from tsclab.baselines import FixedTimeController
+from tsclab.baselines import DynamicWebsterController, FixedTimeController
 from tsclab.envs import SignalControlEnv
 from tsclab.harness.runner import PolicyController, run_episode
 from tsclab.neural import Mlp
@@ -50,6 +50,17 @@ def test_tracer_installs_and_uninstalls_every_target():
     assert len(tracer.durations["sim.step"]) == 300
     entered = sum(1 for _t, _lane, event, _vid in result.events if event == "enter")
     assert tracer.counters["sim.vehicles"] == entered > 0
+
+
+def test_tracer_times_every_webster_tick_and_recompute():
+    # the window work stays inside on_tick, and each recompute solves the
+    # cycle formula once, so the two spans count ticks and log rows
+    layout, plan = IntersectionLayout(), PhasePlan()
+    with load_spans().Tracer() as tracer:
+        result = run_episode(layout, plan, uniform_profile([400.0] * N_LANES),
+                             DynamicWebsterController(layout, plan), seed=3, horizon_s=300)
+    assert len(tracer.durations["baselines.webster_tick"]) == 300
+    assert len(tracer.durations["baselines.webster_recompute"]) == len(result.webster_log) > 0
 
 
 def test_tracer_times_a_loaded_kplanes_policy(tmp_path):

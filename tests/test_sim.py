@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (force_queue, force_transit, lane_events, lane_index, rate_veh_h,
-                      uniform_profile)
+from conftest import (cycle_queue_metric, force_queue, force_transit, lane_events,
+                      lane_index, rate_veh_h, uniform_profile)
 from tsclab.errors import ConfigurationError, ContractViolation
+from tsclab.harness.metrics import CycleTracker
 from tsclab.sim import (
     ACTION_CONTINUE,
     ACTION_END,
@@ -606,6 +607,9 @@ def test_counter_lanes_match_per_vehicle_model(scenario):
     ref = PerVehicleLanes(layout, flows, seed)
     entered = [0] * N_LANES
     decisions = 0
+    ref_queues = []  # the reference lanes' end-of-tick queue lengths, per tick
+    tracker = CycleTracker(flows)
+    replayed = 0
     for _ in range(600):
         if at_decision_point(sim):
             apply_action(sim, actions[decisions % len(actions)])
@@ -627,5 +631,17 @@ def test_counter_lanes_match_per_vehicle_model(scenario):
                                                    waits)
             assert entered[i] == (ref.passed[i] + ref.discharged[i]
                                   + sim.queued[i] + sim.lane_observables(i)[0])
+        # Q_cycle: each completed cycle's lane maxima, and the running maxima
+        # of the cycle in progress, replayed from the reference's tick log
+        ref_queues.append(tuple(len(q) for q in ref.queue))
+        for start, length, lane_max, green_s in sim.completed_cycles[replayed:]:
+            ticks = ref_queues[start - 1:start - 1 + length]
+            assert len(ticks) == length
+            assert lane_max == tuple(max(lane) for lane in zip(*ticks))
+            assert (tracker.feed((start, length, lane_max, green_s))
+                    == cycle_queue_metric(ticks, replayed, green_s))
+            replayed += 1
+        assert sim.cycle_lane_max == [max(lane) for lane in
+                                      zip(*ref_queues[sim.cycle_start_tick - 1:])]
     if record_events:
         assert sim.events == ref.events

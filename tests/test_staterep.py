@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (force_queue, lane_index, random_planes, reference_kplanes_transform,
-                      uniform_profile)
+from conftest import (force_queue, lane_index, random_planes, reference_expanded_state,
+                      reference_kplanes_transform, uniform_profile)
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.neural import Mlp
 from tsclab.sim import (
     ACTION_EXTEND,
     IntersectionLayout,
     N_LANES,
+    N_PHASES,
     PhasePlan,
     apply_action,
     at_decision_point,
@@ -130,6 +131,38 @@ def test_expanded_state_in_documented_ranges_under_load():
     # 100 s nominal cycles over 10k s: the cycle-count component must have
     # hit its clamp ceiling by the end
     assert expanded_state(sim)[6] == 1.0
+
+
+@st.composite
+def _expanded_cases(draw):
+    """A simulation set to any phase and timers, with queues past
+    ``QUEUE_MAX``, queue drops past -``QUEUE_MAX``, greens past
+    ``GREEN_MAX_S``, and a completed-cycle divisor."""
+    sim = make_sim()
+    sim.clock = draw(st.integers(0, 20_000))
+    sim.cycle_start_tick = draw(st.integers(1, sim.clock + 1))
+    sim.current_phase = draw(st.integers(0, N_PHASES - 1))
+    sim.phase_elapsed_s = draw(st.integers(0, 120))
+    sim.completed_cycles = [None] * draw(st.integers(0, 400))
+    sim.queued = draw(st.lists(st.integers(0, 4 * int(QUEUE_MAX)),
+                               min_size=N_LANES, max_size=N_LANES))
+    sim.decision_queues = tuple(draw(st.lists(st.integers(0, 6 * int(QUEUE_MAX)),
+                                              min_size=4, max_size=4)))
+    sim.programmed_green_s = draw(st.lists(
+        st.floats(1.0, 3 * GREEN_MAX_S) | st.integers(1, 3 * int(GREEN_MAX_S)).map(float),
+        min_size=N_PHASES, max_size=N_PHASES))
+    cycles_max = draw(st.sampled_from((DEFAULT_CYCLES_MAX, 1.0, 3.0, 1000.0))
+                      | st.floats(1e-3, 1e6))
+    return sim, cycles_max
+
+
+@given(case=_expanded_cases())
+@settings(max_examples=300, deadline=None)
+def test_expanded_state_bitwise_equals_reference(case):
+    sim, cycles_max = case
+    ours = expanded_state(sim, cycles_max)
+    assert ours.dtype == np.float64 and ours.shape == (EXPANDED_DIM,)
+    assert ours.tobytes() == reference_expanded_state(sim, cycles_max).tobytes()
 
 
 # -- bilinear sampling -----------------------------------------------------------
