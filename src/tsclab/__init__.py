@@ -6,24 +6,4 @@ representations and reward formulations, small from-scratch neural agents
 baselines, and a multi-seed experiment harness with a CLI.
 """
 
-from . import agents, baselines, envs, errors, harness, neural, rewards, sim, staterep, weights
-from .errors import ConfigurationError, ContractViolation, DivergenceError
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "agents",
-    "baselines",
-    "envs",
-    "errors",
-    "harness",
-    "neural",
-    "rewards",
-    "sim",
-    "staterep",
-    "weights",
-    "ConfigurationError",
-    "ContractViolation",
-    "DivergenceError",
-    "__version__",
-]

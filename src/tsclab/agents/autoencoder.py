@@ -16,8 +16,8 @@ import numpy as np
 from ..envs import run_to_decision
 from ..errors import ConfigurationError, check_non_negative
 from ..neural import Adam, Mlp
-from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
-                   apply_action, new_simulation)
+from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan, SimState,
+                   apply_action)
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..staterep import CANONICAL_LATENTS, EXPANDED_DIM, expanded_state
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, save_arrays
@@ -131,7 +131,7 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
         s_scale, s_sim = ss.spawn(2)
         scale_rng = np.random.Generator(np.random.PCG64(s_scale))
         factors = scale_rng.uniform(0.5, 1.5, size=N_LANES)
-        sim = new_simulation(layout, plan, flows.scaled(factors), seed=s_sim)
+        sim = SimState(layout, plan, flows.scaled(factors), s_sim)
         while run_to_decision(sim, _EPISODE_HORIZON_S):
             states[filled] = expanded_state(sim)
             filled += 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,6 +40,10 @@ class DqnConfig:
             raise ConfigurationError("decay steps and sync interval must be positive")
         if self.log_interval_steps < 1:
             raise ConfigurationError("log interval must be positive")
+        # as in PpoConfig: the log keeps simulated seconds as floats
+        if not 0 <= self.total_timesteps <= 2**53:
+            raise ConfigurationError(
+                f"total_timesteps must lie in [0, 2**53], got {self.total_timesteps}")
         check_hidden_layers(self.hidden_sizes, self.activation)
 
 
@@ -81,8 +84,7 @@ class ReplayBuffer:
         return (self.obs[idx], self.actions[idx], self.rewards[idx], self.next_obs[idx])
 
 
-def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig(),
-              seed: int = 0) -> TrainResult:
+def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
     """Replay + target-network Q-learning over the environment's actions.
 
     The environment speaks :func:`~tsclab.agents.ppo.train_ppo`'s protocol:
@@ -93,7 +95,6 @@ def train_dqn(env_factory: Callable[[int], object], cfg: DqnConfig = DqnConfig()
     holds one batch; earlier steps only explore.  Deterministic for a fixed
     (seed, config) pair.
     """
-    env = env_factory(seed)
     ss = np.random.SeedSequence(seed)
     s_net, s_explore, s_sample = ss.spawn(3)
     q_net = Mlp([env.obs_dim, *cfg.hidden_sizes, env.n_actions],

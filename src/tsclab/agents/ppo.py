@@ -7,7 +7,7 @@ policy head and the squared-error value head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -170,9 +170,8 @@ def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
     )
 
 
-def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig(),
-              seed: int = 0) -> TrainResult:
-    """Train a policy on the environment built by ``env_factory(seed)``.
+def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
+    """Train a policy on ``env``, which training resets once.
 
     The environment must expose ``obs_dim``, ``n_actions``, ``clock_s``,
     ``reset() -> obs`` and ``step(a) -> (obs, reward, records)``, where
@@ -182,7 +181,6 @@ def train_ppo(env_factory: Callable[[int], object], cfg: PpoConfig = PpoConfig()
     init, action sampling, minibatch shuffling) derives from ``seed``, so a
     (seed, config) pair reproduces the run bit for bit.
     """
-    env = env_factory(seed)
     ss = np.random.SeedSequence(seed)
     s_policy, s_value, s_act, s_shuffle = ss.spawn(4)
     policy = Mlp([env.obs_dim, *cfg.hidden_sizes, env.n_actions],

@@ -15,60 +15,40 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, check_non_negative
+from .errors import ConfigurationError
 from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES,
                   PHASE_SERVED, PhasePlan, SimState, install_programmed_greens)
 
 
-@dataclass(frozen=True)
-class WebsterInput:
-    """Inputs of the cycle-length formula: total lost time per cycle and the
-    per-phase flow ratios (critical-lane flow over saturation flow)."""
+def webster_timings(lost_time_s: float, y_ratios: tuple,
+                    plan: PhasePlan) -> tuple[float, tuple, bool]:
+    """Cycle length (1.5L + 5)/(1 - sum Y) with proportional green split,
+    from the per-cycle lost time L and the per-phase flow ratios Y
+    (critical-lane flow over saturation flow); returns ``(cycle_s,
+    greens_s, saturated)``.
 
-    lost_time_s: float
-    y_ratios: tuple
-
-    def __post_init__(self) -> None:
-        if self.lost_time_s <= 0.0:
-            raise ConfigurationError("lost time must be positive")
-        if len(self.y_ratios) != N_PHASES:
-            raise ConfigurationError("need one flow ratio per phase")
-        for y in self.y_ratios:
-            check_non_negative("flow ratio", y)
-
-
-@dataclass(frozen=True)
-class WebsterTimings:
-    cycle_s: float
-    greens_s: tuple
-    saturated: bool
-
-
-def webster_timings(inp: WebsterInput, g_min_s: float = 10.0, g_max_s: float = 40.0,
-                    yellow_s: float = 5.0) -> WebsterTimings:
-    """Cycle length (1.5L + 5)/(1 - sum Y) with proportional green split.
-
-    The cycle is capped above at the longest feasible cycle 4*g_max + 4*Z;
-    below it the formula's value is returned as-is, even when shorter than
-    the minimal plan (the split greens are clamped to [g_min, g_max]
-    individually, so the installed plan is always feasible).  A demand at or
-    beyond saturation (sum Y >= 1) falls back to the maximum plan with the
-    saturated flag set.
+    The cycle is capped above at the plan's longest feasible cycle
+    4*g_max + 4*Z; below it the formula's value is returned as-is, even
+    when shorter than the minimal plan (the split greens are clamped to
+    [g_min, g_max] individually, so the installed plan is always feasible).
+    A demand at or beyond saturation (sum Y >= 1) falls back to the maximum
+    plan with the saturated flag set.
     """
-    y_sum = float(sum(inp.y_ratios))
-    cycle_cap = N_PHASES * g_max_s + N_PHASES * yellow_s
+    g_min_s, g_max_s = plan.g_min_s, plan.g_max_s
+    y_sum = float(sum(y_ratios))
+    cycle_cap = N_PHASES * g_max_s + N_PHASES * plan.yellow_s
     if y_sum >= 1.0:
-        return WebsterTimings(cycle_cap, (g_max_s,) * N_PHASES, True)
-    c_o = (1.5 * inp.lost_time_s + 5.0) / (1.0 - y_sum)
+        return cycle_cap, (g_max_s,) * N_PHASES, True
+    c_o = (1.5 * lost_time_s + 5.0) / (1.0 - y_sum)
     c_o = min(c_o, cycle_cap)
-    effective = c_o - inp.lost_time_s
+    effective = c_o - lost_time_s
     if y_sum == 0.0:
         greens = (g_min_s,) * N_PHASES
     else:
         greens = tuple(
-            min(max((y / y_sum) * effective, g_min_s), g_max_s) for y in inp.y_ratios
+            min(max((y / y_sum) * effective, g_min_s), g_max_s) for y in y_ratios
         )
-    return WebsterTimings(c_o, greens, False)
+    return c_o, greens, False
 
 
 def default_lost_time_s(layout: IntersectionLayout, plan: PhasePlan) -> float:
@@ -101,8 +81,11 @@ class WebsterSettings:
             value = getattr(self, f.name)
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"webster.{f.name} must be finite")
-        if not self.recompute_interval_s > 0.0:
-            raise ConfigurationError("webster recompute interval must be positive")
+        # the controller recomputes at most once per 1 s tick
+        if not self.recompute_interval_s >= 1.0:
+            raise ConfigurationError(
+                f"webster recompute interval must be at least 1 s, "
+                f"got {self.recompute_interval_s}")
         if not (self.flow_window_s >= 1.0 and float(self.flow_window_s).is_integer()):
             raise ConfigurationError(
                 f"webster flow window must be a whole number of seconds >= 1, "
@@ -163,15 +146,8 @@ class DynamicWebsterController:
         y = tuple(
             max(rates[lane] / sat for lane in PHASE_SERVED[p]) for p in range(N_PHASES)
         )
-        timings = webster_timings(
-            WebsterInput(self.lost_time_s, y),
-            g_min_s=self.plan.g_min_s, g_max_s=self.plan.g_max_s,
-            yellow_s=self.plan.yellow_s,
-        )
-        self._pending = timings.greens_s
-        self.recompute_log.append(
-            (clock, *y, timings.cycle_s, *timings.greens_s, int(timings.saturated))
-        )
+        cycle_s, self._pending, saturated = webster_timings(self.lost_time_s, y, self.plan)
+        self.recompute_log.append((clock, *y, cycle_s, *self._pending, int(saturated)))
 
     def on_tick(self, sim: SimState) -> None:
         self._ticks += 1

@@ -18,7 +18,7 @@ from .errors import ContractViolation
 from .harness.metrics import CycleTracker
 from .rewards import RewardSpec, reward, reward_level
 from .sim import (FlowProfile, IntersectionLayout, N_ACTIONS, PhasePlan, SimState,
-                  apply_action, at_decision_point, new_simulation, step)
+                  apply_action, at_decision_point, step)
 
 # a decision point arrives within one phase remainder + yellow + minimum
 # green of the next phase; anything past a few full cycles is a machine bug
@@ -73,7 +73,7 @@ class SignalControlEnv:
         return 0 if self.sim is None else self.sim.clock
 
     def reset(self) -> np.ndarray:
-        self.sim = new_simulation(self.layout, self.plan, self.flows, self.seed)
+        self.sim = SimState(self.layout, self.plan, self.flows, self.seed)
         self._tracker = CycleTracker(self.flows)
         self._run_to_decision()
         self._level = reward_level(self.sim, self.reward_spec.kind)

@@ -36,10 +36,12 @@ from ..baselines import WEBSTER_LOG_HEADER
 from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
 from ..rewards import REWARD_KINDS, RewardSpec
+from ..sim import SimState
 from ..staterep import REPRESENTATION_KINDS, DqnObservation, make_observation
 from .config import (cycles_max_for_training, from_config, parse_config_file, read_lines,
                      run_from_config)
-from .metrics import correlation_report, summary_table, write_csv, write_cycles_csv
+from .metrics import (correlation_report, mean_q_cycle, summary_table, write_csv,
+                      write_cycles_csv)
 from .runner import CONTROLLER_KINDS, RunSpec, make_controller, run_episode, run_grid
 
 # the kinds a one-episode command can run without a policy bundle
@@ -178,10 +180,8 @@ def cmd_train(args) -> int:
     encoder = load_autoencoder(args.encoder)[0] if args.encoder is not None else None
     obs = make_observation(args.repr, cycles_max, encoder, run.kplanes_seed)
 
-    def factory(seed: int) -> SignalControlEnv:
-        return SignalControlEnv(run.layout, run.plan, run.flows, obs, reward, seed)
-
-    result = train_ppo(factory, ppo_cfg, args.seed)
+    env = SignalControlEnv(run.layout, run.plan, run.flows, obs, reward, args.seed)
+    result = train_ppo(env, ppo_cfg, args.seed)
     weights = _write_training_outputs(out, result, "policy.tscw")
     final_q = next((row.mean_q_cycle for row in reversed(result.log)
                     if row.mean_q_cycle is not None), None)
@@ -223,11 +223,9 @@ def cmd_dqn(args) -> int:
     dqn_cfg = from_config(cfg, DqnConfig)
     reward = from_config(cfg, RewardSpec)
 
-    def factory(seed: int) -> SignalControlEnv:
-        return SignalControlEnv(run.layout, run.plan, run.flows, DqnObservation(),
-                                reward, seed)
-
-    result = train_dqn(factory, dqn_cfg, args.seed)
+    env = SignalControlEnv(run.layout, run.plan, run.flows, DqnObservation(), reward,
+                           args.seed)
+    result = train_dqn(env, dqn_cfg, args.seed)
     weights = _write_training_outputs(out, result, "dqn.tscw")
     print(f"trained dqn seed={args.seed} ({len(result.log)} log points)")
     print(f"wrote {weights}")
@@ -238,18 +236,17 @@ def cmd_baseline(args) -> int:
     out = _out_dir(args.out)
     run = run_from_config(_load_cfg(args))
     controller = make_controller(args.method, run)
-    result = run_episode(run.layout, run.plan, run.flows, controller, args.seed,
-                         run.horizon_s, record_events=args.record_events)
+    sim = SimState(run.layout, run.plan, run.flows, args.seed, args.record_events)
+    records = run_episode(sim, controller, run.horizon_s)
     out.mkdir(parents=True, exist_ok=True)
-    write_cycles_csv(out / "cycles.csv", result.records)
-    if result.webster_log:
-        write_csv(out / "webster_log.csv", WEBSTER_LOG_HEADER, result.webster_log)
+    write_cycles_csv(out / "cycles.csv", records)
+    webster_log = getattr(controller, "recompute_log", None)
+    if webster_log:
+        write_csv(out / "webster_log.csv", WEBSTER_LOG_HEADER, webster_log)
     if args.record_events:
-        write_csv(out / "events.csv", ("tick", "lane", "event", "vehicle_id"),
-                  result.events)
+        write_csv(out / "events.csv", ("tick", "lane", "event", "vehicle_id"), sim.events)
     print(f"{args.method} seed={args.seed} horizon={run.horizon_s}s: "
-          f"mean cycle queue {result.mean_q_cycle:.2f} "
-          f"over {len(result.records)} cycles")
+          f"mean cycle queue {mean_q_cycle(records):.2f} over {len(records)} cycles")
     return 0
 
 

@@ -10,17 +10,11 @@ from ..baselines import DynamicWebsterController, FixedTimeController
 from ..envs import run_to_decision
 from ..errors import ConfigurationError
 from ..agents.bundle import PolicyBundle
-from ..sim import (
-    FlowProfile,
-    IntersectionLayout,
-    PhasePlan,
-    apply_action,
-    new_simulation,
-)
+from ..sim import SimState, apply_action
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..neural import softmax_sample
 from .config import RunSettings
-from .metrics import CycleTracker, mean_q_cycle
+from .metrics import CycleRecord, CycleTracker
 
 
 class PolicyController:
@@ -69,24 +63,10 @@ def make_controller(kind: str, run: RunSettings, bundle: PolicyBundle | None = N
     )
 
 
-@dataclass
-class EpisodeResult:
-    """Everything one evaluation episode produced."""
-
-    records: list
-    events: list | None = None
-    webster_log: list | None = None
-
-    @property
-    def mean_q_cycle(self) -> float:
-        return mean_q_cycle(self.records)
-
-
-def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
-                controller, seed: int, horizon_s: int,
-                record_events: bool = False) -> EpisodeResult:
-    """Drive one seeded episode under ``controller`` for ``horizon_s``
-    simulated seconds and collect its per-cycle queue records.
+def run_episode(sim: SimState, controller, horizon_s: int) -> list[CycleRecord]:
+    """Drive ``sim`` under ``controller`` until the clock reaches
+    ``horizon_s`` and return the per-cycle queue records of the cycles it
+    completed.
 
     A controller object plays one episode: build a new one per call.  The
     controller is consulted at every decision point below the horizon,
@@ -94,17 +74,11 @@ def run_episode(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
     training.  Only a controller that defines ``on_tick(sim)`` puts a hook
     on the ticks; the cycle records come from the simulator's
     ``completed_cycles``."""
-    sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
     on_tick = getattr(controller, "on_tick", None)
     while run_to_decision(sim, horizon_s, on_tick):
         apply_action(sim, controller.decide(sim))
-    tracker = CycleTracker(flows)
-    records = [tracker.feed(entry) for entry in sim.completed_cycles]
-    return EpisodeResult(
-        records=records,
-        events=list(sim.events) if record_events else None,
-        webster_log=list(getattr(controller, "recompute_log", ())) or None,
-    )
+    tracker = CycleTracker(sim.flows)
+    return [tracker.feed(entry) for entry in sim.completed_cycles]
 
 
 # -- comparison grid -----------------------------------------------------------
@@ -163,9 +137,8 @@ class RunSpec:
 
 def _grid_job(job: tuple) -> tuple:
     run, config_id, seed, controller = job
-    result = run_episode(run.layout, run.plan, run.flows, controller, seed,
-                         run.horizon_s)
-    return config_id, seed, result.records
+    sim = SimState(run.layout, run.plan, run.flows, seed)
+    return config_id, seed, run_episode(sim, controller, run.horizon_s)
 
 
 def run_grid(run: RunSettings, specs):

@@ -245,10 +245,10 @@ class FlowProfile:
 class SimState:
     """Mutable state of one simulation run.
 
-    Create instances through :func:`new_simulation`.  ``programmed_green_s``
-    holds the live per-phase greens for the current cycle; it resets to
-    ``default_green_s`` every time the cycle wraps back to phase 0, so a
-    truncation or extension applies to one cycle only.  ``phase_elapsed_s``
+    A new state starts at clock 0, phase 0, with empty lanes.
+    ``programmed_green_s`` holds the live per-phase greens for the current
+    cycle; it resets to ``default_green_s`` every time the cycle wraps back
+    to phase 0, so a truncation or extension applies to one cycle only.  ``phase_elapsed_s``
     counts completed green seconds of the current phase and freezes during
     yellow.  ``decision_queues`` holds :meth:`approach_queues` as of the
     last action (zeros before the first), the reference for queue changes
@@ -341,12 +341,6 @@ class SimState:
 
     def green_active(self) -> bool:
         return not self.in_yellow
-
-
-def new_simulation(layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
-                   seed: int, record_events: bool = False) -> SimState:
-    """Create a fresh simulation at clock 0, phase 0, empty lanes."""
-    return SimState(layout, plan, flows, seed, record_events)
 
 
 def _draw_arrivals(sim: SimState) -> list:

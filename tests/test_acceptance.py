@@ -20,21 +20,20 @@ from tsclab.agents.ppo import PpoConfig, clipped_objective, train_ppo
 from tsclab.baselines import (
     DynamicWebsterController,
     FixedTimeController,
-    WebsterInput,
     webster_timings,
 )
 from tsclab.envs import SignalControlEnv
 from tsclab.harness.config import cycles_max_for_training, default_flow_profile
-from tsclab.harness.metrics import correlation_report
+from tsclab.harness.metrics import correlation_report, mean_q_cycle
 from tsclab.harness.runner import PolicyController, run_episode
 from tsclab.neural import Mlp
 from tsclab.rewards import RewardSpec, reward
 from tsclab.sim import (
     IntersectionLayout,
     PhasePlan,
+    SimState,
     apply_action,
     at_decision_point,
-    new_simulation,
     step,
 )
 from tsclab.staterep import kplanes_planes, kplanes_transform, make_observation
@@ -65,13 +64,13 @@ def test_c1_closed_form_values():
     r = reward(RewardSpec(), 24.0, 20.0)  # approach queues (12,5,2,5) -> (10,5,0,5)
     ok_reward = abs(r - (-0.056)) <= 1e-12
 
-    t = webster_timings(WebsterInput(12.0, (0.3, 0.1, 0.15, 0.05)))
+    cycle_s, greens_s, saturated = webster_timings(12.0, (0.3, 0.1, 0.15, 0.05),
+                                                   PhasePlan())
     # (1.5*12 + 5) / (1 - 0.6) = 57.5; proportional split of 45.5 effective
     # seconds gives (22.75, 7.58->10, 11.375, 3.79->10) after the g_min clamp
-    ok_webster = (abs(t.cycle_s - 57.5) <= 1e-9
-                  and t.greens_s == pytest.approx((22.75, 10.0, 11.375, 10.0),
-                                                  abs=1e-9)
-                  and not t.saturated)
+    ok_webster = (abs(cycle_s - 57.5) <= 1e-9
+                  and greens_s == pytest.approx((22.75, 10.0, 11.375, 10.0), abs=1e-9)
+                  and not saturated)
 
     state = np.zeros(19)
     state[1] = 1.0  # a valid one-hot phase
@@ -84,7 +83,7 @@ def test_c1_closed_form_values():
     record_criterion(
         "C1 closed-form formula values",
         passed,
-        f"yellow {t_y:.3f}s, reward {r:.3f}, cycle {t.cycle_s}s, "
+        f"yellow {t_y:.3f}s, reward {r:.3f}, cycle {cycle_s}s, "
         f"features {out.shape[0]}, {elapsed * 1000:.0f}ms",
     )
     assert ok_yellow
@@ -184,14 +183,9 @@ def test_c3_training_is_bit_reproducible():
     flows = default_flow_profile()
     cfg = PpoConfig(total_timesteps=20_000)
     cycles_max = cycles_max_for_training(cfg.total_timesteps, PLAN.default_cycle_s)
-    reward = RewardSpec()
-
-    def factory(seed: int) -> SignalControlEnv:
-        obs = make_observation("expanded", cycles_max)
-        return SignalControlEnv(LAYOUT, PLAN, flows, obs, reward, seed)
-
-    first = train_ppo(factory, cfg, seed=0)
-    second = train_ppo(factory, cfg, seed=0)
+    obs = make_observation("expanded", cycles_max)
+    envs = [SignalControlEnv(LAYOUT, PLAN, flows, obs, RewardSpec(), 0) for _ in range(2)]
+    first, second = (train_ppo(env, cfg, seed=0) for env in envs)
     same_log = first.log == second.log
     same_records = first.cycle_records == second.cycle_records
     same_weights = (
@@ -297,7 +291,7 @@ def _replay_scenario(scenario_seed):
     rates = rng.uniform(0.0, 25.0, size=8)
     horizon = int(rng.integers(150, 301))
     flows = uniform_profile(list(rates))
-    sim = new_simulation(LAYOUT, PLAN, flows, seed=scenario_seed)
+    sim = SimState(LAYOUT, PLAN, flows, scenario_seed)
     act_rng = np.random.Generator(np.random.PCG64(scenario_seed + 991))
     schedule = []
     ticks = []  # (clock, arrivals, lane queues) after each step
@@ -395,22 +389,19 @@ def control_study():
     flows = default_flow_profile()
     cfg = PpoConfig(total_timesteps=100_000)
     cycles_max = cycles_max_for_training(cfg.total_timesteps, PLAN.default_cycle_s)
-    reward = RewardSpec()
     eval_seeds = (0, 1, 2, 3, 4)
     horizon = 7200
 
-    def factory(seed: int) -> SignalControlEnv:
-        obs = make_observation("expanded", cycles_max)
-        return SignalControlEnv(LAYOUT, PLAN, flows, obs, reward, seed)
-
     per_seed = []
     for train_seed in range(5):
-        result = train_ppo(factory, cfg, train_seed)
+        obs = make_observation("expanded", cycles_max)
+        env = SignalControlEnv(LAYOUT, PLAN, flows, obs, RewardSpec(), train_seed)
+        result = train_ppo(env, cfg, train_seed)
         episodes = [
             run_episode(
-                LAYOUT, PLAN, flows,
+                SimState(LAYOUT, PLAN, flows, s),
                 PolicyController(result.bundle, sample_seed=1000 * train_seed + s),
-                seed=s, horizon_s=horizon,
+                horizon,
             )
             for s in eval_seeds
         ]
@@ -419,11 +410,8 @@ def control_study():
     baselines = {}
     for name, build in (("fixed", FixedTimeController),
                         ("webster", lambda: DynamicWebsterController(LAYOUT, PLAN))):
-        scores = [
-            run_episode(LAYOUT, PLAN, flows, build(), seed=s,
-                        horizon_s=horizon).mean_q_cycle
-            for s in eval_seeds
-        ]
+        scores = [mean_q_cycle(run_episode(SimState(LAYOUT, PLAN, flows, s), build(), horizon))
+                  for s in eval_seeds]
         baselines[name] = float(np.mean(scores))
     return {
         "per_seed": per_seed,
@@ -434,7 +422,7 @@ def control_study():
 
 def test_c6_learned_control_beats_both_baselines(control_study):
     seed_scores = [
-        float(np.mean([episode.mean_q_cycle for episode in episodes]))
+        float(np.mean([mean_q_cycle(episode) for episode in episodes]))
         for episodes in control_study["per_seed"]
     ]
     learned = float(np.mean(seed_scores))
@@ -458,7 +446,7 @@ def test_c7_green_allocation_tracks_queues(control_study):
     wins = 0
     details = []
     for episodes in control_study["per_seed"]:
-        pooled = [record for episode in episodes for record in episode.records]
+        pooled = [record for episode in episodes for record in episode]
         report = correlation_report(pooled)
         r0 = report["green1_vs_phase_queue"]
         r2 = report["green3_vs_phase_queue"]

@@ -43,7 +43,7 @@ from tsclab.harness.runner import run_episode
 from tsclab.neural import Adam, Mlp, log_softmax
 from tsclab.rewards import REWARD_KINDS, RewardSpec
 from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
-                        apply_action, at_decision_point, new_simulation)
+                        SimState, apply_action, at_decision_point)
 from tsclab.staterep import REPRESENTATION_KINDS, ExpandedObservation, make_observation
 from tsclab.weights import load_arrays, mlp_from_arrays, save_arrays
 
@@ -369,7 +369,7 @@ def driver_scenarios(draw):
 @given(driver_scenarios())
 def test_run_to_decision_reaches_decisions_within_yellow_plus_g_max(scenario):
     plan, flows, seed = scenario
-    sim = new_simulation(IntersectionLayout(), plan, flows, seed)
+    sim = SimState(IntersectionLayout(), plan, flows, seed)
     actions = np.random.Generator(np.random.PCG64(seed))
     horizon = 2000
     flags = []  # per tick since the last decision: did it end on a decision point
@@ -415,9 +415,10 @@ def test_env_cycles_equal_run_episode_replaying_its_actions(kind, rate, seed, n_
     for action in actions:
         cycles.extend(env.step(action)[2])
     replay = ReplayController(actions)
-    result = run_episode(IntersectionLayout(), PhasePlan(), flows, replay, seed, env.clock_s)
+    records = run_episode(SimState(IntersectionLayout(), PhasePlan(), flows, seed), replay,
+                          env.clock_s)
     assert replay.played == n_steps
-    assert result.records == cycles
+    assert records == cycles
 
 
 @settings(max_examples=25, deadline=None)
@@ -431,7 +432,7 @@ def test_env_pressure_reward_matches_per_tick_counts(rate, seed, n_steps):
     env.reset()
     # reference: the same run on a twin simulation, counting every tick's
     # arrivals and discharges
-    twin = new_simulation(layout, plan, flows, seed)
+    twin = SimState(layout, plan, flows, seed)
     counted = [0, 0]
 
     def count(sim):
@@ -453,20 +454,14 @@ def test_env_pressure_reward_matches_per_tick_counts(rate, seed, n_steps):
 # -- trainers on environments ----------------------------------------------------
 
 
-def traffic_env_factory(rate=300.0):
-    layout = IntersectionLayout()
-    plan = PhasePlan()
-    flows = uniform_profile([rate] * N_LANES)
-
-    def factory(seed):
-        return SignalControlEnv(layout, plan, flows, ExpandedObservation(),
-                                RewardSpec(), seed)
-
-    return factory
+def traffic_env(seed):
+    return SignalControlEnv(IntersectionLayout(), PhasePlan(),
+                            uniform_profile([300.0] * N_LANES), ExpandedObservation(),
+                            RewardSpec(), seed)
 
 
 def test_train_ppo_zero_budget_returns_untrained_bundle():
-    result = train_ppo(traffic_env_factory(), PpoConfig(total_timesteps=0), seed=1)
+    result = train_ppo(traffic_env(1), PpoConfig(total_timesteps=0), seed=1)
     assert result.log == []
     assert result.cycle_records == []
     assert result.bundle.algo == "ppo"
@@ -481,7 +476,7 @@ def test_train_ppo_deterministic():
                     total_timesteps=400)
 
     def run():
-        return train_ppo(traffic_env_factory(), cfg, seed=7)
+        return train_ppo(traffic_env(7), cfg, seed=7)
 
     a, b = run(), run()
     np.testing.assert_array_equal(a.bundle.policy.flat, b.bundle.policy.flat)
@@ -523,7 +518,7 @@ class BanditEnv:
 def test_train_ppo_learns_bandit():
     cfg = PpoConfig(learning_rate=3e-3, n_steps=64, batch_size=32,
                     total_timesteps=4000, hidden_sizes=(16,))
-    result = train_ppo(BanditEnv, cfg, seed=0)
+    result = train_ppo(BanditEnv(0), cfg, seed=0)
     for context in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         probs = softmax(result.bundle.policy.predict(context))
         assert probs[0] > 0.95
@@ -713,9 +708,13 @@ def test_dqn_config_validation():
         dict(learning_rate=-1e-4),
         dict(activation="gelu"),
         dict(hidden_sizes=(0,)),
+        dict(total_timesteps=-1),
+        dict(total_timesteps=2**53 + 1),
     ):
         with pytest.raises(ConfigurationError):
             DqnConfig(**bad)
+    for budget in (0, 2**53):
+        assert DqnConfig(total_timesteps=budget).total_timesteps == budget
 
 
 def test_epsilon_schedule():
@@ -753,17 +752,12 @@ class RecordingEnv(BanditEnv):
 
 
 def test_dqn_explores_uniformly_before_updates():
-    holder = {}
-
-    def factory(seed):
-        holder["env"] = RecordingEnv(seed)
-        return holder["env"]
-
+    env = RecordingEnv(9)
     cfg = DqnConfig(replay_capacity=50_000, batch_size=50_000,
                     epsilon_start=1.0, epsilon_end=1.0,
                     total_timesteps=30_000, log_interval_steps=10_000)
-    result = train_dqn(factory, cfg, seed=9)
-    taken = np.array(holder["env"].taken)
+    result = train_dqn(env, cfg, seed=9)
+    taken = np.array(env.taken)
     assert len(taken) == 30_000
     freqs = np.bincount(taken, minlength=3) / len(taken)
     np.testing.assert_allclose(freqs, 1 / 3, atol=0.02)
@@ -777,7 +771,7 @@ def test_train_dqn_learns_bandit():
                     target_sync_interval=250, epsilon_decay_steps=5000,
                     total_timesteps=6000, hidden_sizes=(16,),
                     log_interval_steps=1000)
-    result = train_dqn(BanditEnv, cfg, seed=0)
+    result = train_dqn(BanditEnv(0), cfg, seed=0)
     assert result.bundle.algo == "dqn"
     assert result.bundle.value is None
     for context in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
@@ -788,8 +782,8 @@ def test_train_dqn_deterministic():
     cfg = DqnConfig(replay_capacity=500, batch_size=16, epsilon_decay_steps=500,
                     total_timesteps=800, hidden_sizes=(8,),
                     log_interval_steps=400)
-    a = train_dqn(BanditEnv, cfg, seed=3)
-    b = train_dqn(BanditEnv, cfg, seed=3)
+    a = train_dqn(BanditEnv(3), cfg, seed=3)
+    b = train_dqn(BanditEnv(3), cfg, seed=3)
     np.testing.assert_array_equal(a.bundle.policy.flat, b.bundle.policy.flat)
     assert a.log == b.log
 
@@ -846,7 +840,7 @@ def test_bundle_round_trip_every_kind(tmp_path, kind):
     assert again.read_bytes() == path.read_bytes()
 
     flows = uniform_profile([600.0] * N_LANES)
-    sim = new_simulation(ROUND_TRIP_LAYOUT, PhasePlan(), flows, seed=4)
+    sim = SimState(ROUND_TRIP_LAYOUT, PhasePlan(), flows, 4)
     for point in range(8):
         assert run_to_decision(sim, 4000)
         want = obs.observe(sim)

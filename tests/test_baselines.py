@@ -1,4 +1,4 @@
-"""Classical controller tests: the cycle-length formula, its input checks,
+"""Classical controller tests: the cycle-length formula, the lost-time checks,
 the fixed-time controller, and the flow-driven recomputing controller."""
 
 import hashlib
@@ -12,9 +12,7 @@ from conftest import uniform_profile
 from tsclab.baselines import (
     DynamicWebsterController,
     FixedTimeController,
-    WebsterInput,
     WebsterSettings,
-    WebsterTimings,
     default_lost_time_s,
     webster_timings,
 )
@@ -28,9 +26,9 @@ from tsclab.sim import (
     N_PHASES,
     PHASE_SERVED,
     PhasePlan,
+    SimState,
     apply_action,
     at_decision_point,
-    new_simulation,
     step,
 )
 
@@ -46,61 +44,72 @@ def uniform_flows(rate):
 
 
 def test_webster_reference_case():
-    out = webster_timings(WebsterInput(12.0, (0.3, 0.1, 0.15, 0.05)))
-    assert out.cycle_s == pytest.approx(57.5, abs=1e-9)
-    assert out.greens_s == pytest.approx((22.75, 10.0, 11.375, 10.0), abs=1e-9)
-    assert not out.saturated
+    cycle_s, greens_s, saturated = webster_timings(12.0, (0.3, 0.1, 0.15, 0.05), PLAN)
+    assert cycle_s == pytest.approx(57.5, abs=1e-9)
+    assert greens_s == pytest.approx((22.75, 10.0, 11.375, 10.0), abs=1e-9)
+    assert not saturated
 
 
 def test_webster_zero_demand_gives_minimal_plan():
-    out = webster_timings(WebsterInput(12.0, (0.0, 0.0, 0.0, 0.0)))
-    assert out.cycle_s == pytest.approx(23.0, abs=1e-12)
-    assert out.greens_s == (10.0, 10.0, 10.0, 10.0)
-    assert not out.saturated
+    cycle_s, greens_s, saturated = webster_timings(12.0, (0.0, 0.0, 0.0, 0.0), PLAN)
+    assert cycle_s == pytest.approx(23.0, abs=1e-12)
+    assert greens_s == (10.0, 10.0, 10.0, 10.0)
+    assert not saturated
 
 
 def test_webster_cycle_capped_near_saturation():
-    out = webster_timings(WebsterInput(12.0, (0.9, 0.03, 0.03, 0.03)))
-    assert out.cycle_s == 180.0
-    assert not out.saturated
+    cycle_s, _greens_s, saturated = webster_timings(12.0, (0.9, 0.03, 0.03, 0.03), PLAN)
+    assert cycle_s == 180.0
+    assert not saturated
 
 
 def test_webster_saturated_falls_back_to_max_plan():
     for y in ((0.25, 0.25, 0.25, 0.25), (1.2, 0.1, 0.0, 0.0)):
-        out = webster_timings(WebsterInput(12.0, y))
-        assert out == WebsterTimings(180.0, (40.0, 40.0, 40.0, 40.0), True)
+        assert webster_timings(12.0, y, PLAN) == (180.0, (40.0, 40.0, 40.0, 40.0), True)
+
+
+def test_webster_takes_its_bounds_from_the_plan():
+    plan = PhasePlan(g_min_s=5.0, g_max_s=60.0, yellow_s=3.0)
+    # the cap is 4 x (60 s + 3 s yellow)
+    assert webster_timings(12.0, (0.9, 0.03, 0.03, 0.03), plan)[0] == 252.0
+    assert webster_timings(12.0, (0.5, 0.5, 0.0, 0.0), plan) == (252.0, (60.0,) * 4, True)
+    # the reference case: a 57.5 s cycle splits 45.5 s of green, and only
+    # phase 4's 3.79 s share rises to the plan's 5 s minimum
+    cycle_s, greens_s, _ = webster_timings(12.0, (0.3, 0.1, 0.15, 0.05), plan)
+    assert cycle_s == pytest.approx(57.5, abs=1e-9)
+    assert greens_s == pytest.approx((22.75, 45.5 / 6, 11.375, 5.0), abs=1e-9)
+    # a 153.3 s cycle gives phase 1 all 141.3 s of green, cut to 60 s
+    cycle_s, greens_s, _ = webster_timings(12.0, (0.85, 0.0, 0.0, 0.0), plan)
+    assert cycle_s == pytest.approx(23.0 / 0.15, abs=1e-9)
+    assert greens_s == (60.0, 5.0, 5.0, 5.0)
 
 
 def test_webster_cycle_monotone_in_demand_and_lost_time():
-    cycles = [
-        webster_timings(WebsterInput(12.0, (y, 0.0, 0.0, 0.0))).cycle_s
-        for y in (0.0, 0.2, 0.4, 0.6, 0.8)
-    ]
+    cycles = [webster_timings(12.0, (y, 0.0, 0.0, 0.0), PLAN)[0]
+              for y in (0.0, 0.2, 0.4, 0.6, 0.8)]
     assert cycles == sorted(cycles) and len(set(cycles)) == len(cycles)
-    by_lost = [
-        webster_timings(WebsterInput(l, (0.1, 0.1, 0.1, 0.1))).cycle_s
-        for l in (4.0, 8.0, 12.0, 16.0)
-    ]
+    by_lost = [webster_timings(l, (0.1, 0.1, 0.1, 0.1), PLAN)[0]
+               for l in (4.0, 8.0, 12.0, 16.0)]
     assert by_lost == sorted(by_lost) and len(set(by_lost)) == len(by_lost)
 
 
 def test_webster_split_is_proportional():
-    out = webster_timings(WebsterInput(20.0, (0.2, 0.2, 0.2, 0.2)))
-    assert out.cycle_s == pytest.approx(175.0, abs=1e-9)
-    assert out.greens_s == pytest.approx((38.75,) * 4, abs=1e-9)
+    cycle_s, greens_s, _ = webster_timings(20.0, (0.2, 0.2, 0.2, 0.2), PLAN)
+    assert cycle_s == pytest.approx(175.0, abs=1e-9)
+    assert greens_s == pytest.approx((38.75,) * 4, abs=1e-9)
     # unclamped splits share the effective green exactly
-    assert sum(out.greens_s) == pytest.approx(out.cycle_s - 20.0, abs=1e-9)
+    assert sum(greens_s) == pytest.approx(cycle_s - 20.0, abs=1e-9)
 
 
 def test_webster_input_validation():
+    # lost time is checked where it is resolved: in the settings, and by
+    # the controller for a value it derives
     with pytest.raises(ConfigurationError):
-        WebsterInput(0.0, (0.1, 0.1, 0.1, 0.1))
+        WebsterSettings(lost_time_s=0.0)
+    # no startup loss and a 2 s yellow derive no lost time
     with pytest.raises(ConfigurationError):
-        WebsterInput(12.0, (0.1, 0.1, 0.1))
-    with pytest.raises(ConfigurationError):
-        WebsterInput(12.0, (0.1, -0.1, 0.1, 0.1))
-    with pytest.raises(ConfigurationError):
-        WebsterInput(12.0, (0.1, float("inf"), 0.1, 0.1))
+        DynamicWebsterController(IntersectionLayout(startup_lost_time_s=0.0),
+                                 PhasePlan(yellow_s=2.0))
 
 
 def test_default_lost_time():
@@ -113,45 +122,41 @@ def test_default_lost_time():
 
 def test_fixed_time_always_continues():
     ctrl = FixedTimeController()
-    sim = new_simulation(LAYOUT, PLAN, uniform_flows(0.0), seed=0)
+    sim = SimState(LAYOUT, PLAN, uniform_flows(0.0), 0)
     assert ctrl.decide(sim) == ACTION_CONTINUE
 
 
 def test_fixed_time_cycles_match_programmed_plan():
-    result = run_episode(LAYOUT, PLAN, uniform_flows(0.0), FixedTimeController(),
-                         seed=0, horizon_s=650)
-    assert len(result.records) >= 5
-    assert all(r.cycle_len_s == 100 for r in result.records)
-    assert all(r.green_s == (20.0, 20.0, 20.0, 20.0) for r in result.records)
+    records = run_episode(SimState(LAYOUT, PLAN, uniform_flows(0.0), 0),
+                          FixedTimeController(), 650)
+    assert len(records) >= 5
+    assert all(r.cycle_len_s == 100 for r in records)
+    assert all(r.green_s == (20.0, 20.0, 20.0, 20.0) for r in records)
 
     short = PhasePlan(greens_s=(10.0, 10.0, 10.0, 10.0))
-    result = run_episode(LAYOUT, short, uniform_flows(0.0), FixedTimeController(),
-                         seed=0, horizon_s=650)
-    assert all(r.cycle_len_s == 60 for r in result.records)
+    records = run_episode(SimState(LAYOUT, short, uniform_flows(0.0), 0),
+                          FixedTimeController(), 650)
+    assert all(r.cycle_len_s == 60 for r in records)
 
 
 # -- flow-driven recomputing controller --------------------------------------------
 
 
 def test_webster_controller_validation():
-    with pytest.raises(ConfigurationError):
-        WebsterSettings(recompute_interval_s=0.0)
+    # one recompute per 1 s tick at most: a shorter interval would be rounded
+    for interval in (-1.0, 0.0, 0.25, 0.5, 0.999):
+        with pytest.raises(ConfigurationError, match="at least 1 s"):
+            WebsterSettings(recompute_interval_s=interval)
+    assert WebsterSettings(recompute_interval_s=1.0).recompute_interval_s == 1.0
     for window in (-1.0, 0.0, 0.5, 900.7, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError):
             WebsterSettings(flow_window_s=window)
-    with pytest.raises(ConfigurationError):
-        WebsterSettings(lost_time_s=0.0)
-    # no startup loss and a 2 s yellow derive no lost time
-    with pytest.raises(ConfigurationError):
-        DynamicWebsterController(IntersectionLayout(startup_lost_time_s=0.0),
-                                 PhasePlan(yellow_s=2.0))
 
 
 def test_webster_controller_zero_flow_log():
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
-    result = run_episode(LAYOUT, PLAN, uniform_flows(0.0), ctrl, seed=0,
-                         horizon_s=600)
-    log = result.webster_log
+    run_episode(SimState(LAYOUT, PLAN, uniform_flows(0.0), 0), ctrl, 600)
+    log = ctrl.recompute_log
     assert [row[0] for row in log] == [145, 290, 435, 580]
     for row in log:
         assert len(row) == 11
@@ -163,16 +168,16 @@ def test_webster_controller_zero_flow_log():
 
 def test_webster_controller_waits_for_first_interval():
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
-    run_episode(LAYOUT, PLAN, uniform_flows(0.0), ctrl, seed=0, horizon_s=144)
+    run_episode(SimState(LAYOUT, PLAN, uniform_flows(0.0), 0), ctrl, 144)
     assert ctrl.recompute_log == []
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
-    run_episode(LAYOUT, PLAN, uniform_flows(0.0), ctrl, seed=0, horizon_s=145)
+    run_episode(SimState(LAYOUT, PLAN, uniform_flows(0.0), 0), ctrl, 145)
     assert len(ctrl.recompute_log) == 1
 
 
 def test_webster_controller_installs_at_phase_boundary():
     rates = [700.0, 150.0, 150.0, 150.0, 700.0, 150.0, 150.0, 150.0]
-    sim = new_simulation(LAYOUT, PLAN, uniform_profile(rates), seed=5)
+    sim = SimState(LAYOUT, PLAN, uniform_profile(rates), 5)
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
     default = list(sim.default_green_s)
     change_tick = None
@@ -195,13 +200,13 @@ def test_webster_controller_installs_at_phase_boundary():
 
 
 def test_webster_installs_only_on_a_phase_change():
-    # a sub-second interval recomputes on tick 1, which is no phase change,
-    # so the plan computed there waits for phase 1's green
+    # a 1 s interval recomputes on tick 1, which is no phase change, so the
+    # plan computed there waits for phase 1's green
     rates = [700.0, 150.0, 150.0, 150.0, 700.0, 150.0, 150.0, 150.0]
     flows = uniform_profile(rates)
-    sim = new_simulation(LAYOUT, PLAN, flows, seed=5)
+    sim = SimState(LAYOUT, PLAN, flows, 5)
     ctrl = DynamicWebsterController(
-        LAYOUT, PLAN, WebsterSettings(recompute_interval_s=0.5, flow_window_s=60.0))
+        LAYOUT, PLAN, WebsterSettings(recompute_interval_s=1.0, flow_window_s=60.0))
     step(sim)
     ctrl.on_tick(sim)
     assert not sim.phase_changed and sim.phase_elapsed_s == 1
@@ -210,32 +215,31 @@ def test_webster_installs_only_on_a_phase_change():
     assert tuple(sim.default_green_s) == PLAN.greens_s
 
     ctrl = DynamicWebsterController(
-        LAYOUT, PLAN, WebsterSettings(recompute_interval_s=0.5, flow_window_s=60.0))
-    result = run_episode(LAYOUT, PLAN, flows, ctrl, seed=5, horizon_s=900)
-    assert len(result.webster_log) == 900
-    assert [r.green_s for r in result.records[:2]] == [(20.0, 10.0, 10.0, 10.0),
-                                                       (40.0, 10.0, 12.0, 32.0)]
+        LAYOUT, PLAN, WebsterSettings(recompute_interval_s=1.0, flow_window_s=60.0))
+    records = run_episode(SimState(LAYOUT, PLAN, flows, 5), ctrl, 900)
+    assert len(ctrl.recompute_log) == 900
+    assert [r.green_s for r in records[:2]] == [(20.0, 10.0, 10.0, 10.0),
+                                                (40.0, 10.0, 12.0, 32.0)]
     # pinned, so that how the hook reads its tick cannot change the run
-    log = [tuple(map(float, row)) for row in result.webster_log]
-    digest = hashlib.sha256(repr((log, result.records)).encode()).hexdigest()
+    log = [tuple(map(float, row)) for row in ctrl.recompute_log]
+    digest = hashlib.sha256(repr((log, records)).encode()).hexdigest()
     assert digest == "da5c256166d4c986fd10e742a52f20fd19f84a910d5f1dfaf00a4f4310f910e7"
 
 
 def test_webster_controller_deterministic():
     def run():
         ctrl = DynamicWebsterController(LAYOUT, PLAN)
-        result = run_episode(LAYOUT, PLAN, uniform_flows(400.0), ctrl, seed=3,
-                             horizon_s=700)
-        return result.webster_log, [(r.q_cycle, r.cycle_len_s) for r in result.records]
+        records = run_episode(SimState(LAYOUT, PLAN, uniform_flows(400.0), 3), ctrl, 700)
+        return ctrl.recompute_log, [(r.q_cycle, r.cycle_len_s) for r in records]
 
     assert run() == run()
 
 
 def test_webster_first_recompute_reads_the_first_tick():
     # on_tick files a tick's arrivals before that tick can recompute, so even
-    # a sub-second interval finds data in the window
-    sim = new_simulation(LAYOUT, PLAN, uniform_flows(3000.0), seed=1)
-    ctrl = DynamicWebsterController(LAYOUT, PLAN, WebsterSettings(recompute_interval_s=0.5))
+    # the shortest interval finds data in the window
+    sim = SimState(LAYOUT, PLAN, uniform_flows(3000.0), 1)
+    ctrl = DynamicWebsterController(LAYOUT, PLAN, WebsterSettings(recompute_interval_s=1.0))
     step(sim)
     ctrl.on_tick(sim)
     [row] = ctrl.recompute_log
@@ -276,7 +280,7 @@ def webster_scenarios(draw):
     webster = WebsterSettings(
         flow_window_s=float(draw(st.one_of(st.integers(1, 30), st.integers(1, 1200)))),
         recompute_interval_s=draw(st.one_of(st.integers(1, 300).map(float),
-                                            st.floats(0.5, 300.0))),
+                                            st.floats(1.0, 300.0))),
     )
     span = draw(st.floats(50.0, 1500.0))
     cut = draw(st.floats(1.0, span - 1.0))
@@ -290,7 +294,9 @@ def webster_scenarios(draw):
 @given(webster_scenarios())
 def test_webster_window_matches_ring_buffer_reference(scenario):
     webster, flows, seed, horizon = scenario
-    runs = [run_episode(LAYOUT, PLAN, flows, cls(LAYOUT, PLAN, webster), seed, horizon)
-            for cls in (DynamicWebsterController, RingBufferWebster)]
-    assert runs[0].webster_log == runs[1].webster_log
-    assert runs[0].records == runs[1].records
+    controllers = [cls(LAYOUT, PLAN, webster)
+                   for cls in (DynamicWebsterController, RingBufferWebster)]
+    records = [run_episode(SimState(LAYOUT, PLAN, flows, seed), ctrl, horizon)
+               for ctrl in controllers]
+    assert controllers[0].recompute_log == controllers[1].recompute_log
+    assert records[0] == records[1]

@@ -36,6 +36,7 @@ from tsclab.harness.metrics import (
     CycleRecord,
     CycleTracker,
     correlation_report,
+    mean_q_cycle,
     mean_std,
     pearson,
     summary_table,
@@ -58,6 +59,7 @@ from tsclab.sim import (
     N_LANES,
     N_PHASES,
     PhasePlan,
+    SimState,
     at_decision_point,
 )
 from tsclab.staterep import make_observation
@@ -146,11 +148,10 @@ def test_cycle_tracker_splits_on_cycle_wrap():
 
 def test_cycle_metric_idempotent_on_episode_ticks():
     logged = TickLog(FixedTimeController())
-    result = run_episode(LAYOUT, PLAN, uniform_flows(350.0), logged, seed=8,
-                         horizon_s=650)
+    records = run_episode(SimState(LAYOUT, PLAN, uniform_flows(350.0), 8), logged, 650)
     offset = 0
-    assert len(result.records) >= 5
-    for record in result.records:
+    assert len(records) >= 5
+    for record in records:
         chunk = logged.queues[offset:offset + record.cycle_len_s]
         redone = cycle_queue_metric(chunk)
         assert redone.approach_max_queue == record.approach_max_queue
@@ -213,12 +214,11 @@ def regime_scenarios(draw):
 def test_episode_records_match_tick_log_and_regimes(scenario):
     flows, layout, kind, seed, horizon, record_events = scenario
     logged = TickLog(make_test_controller(kind, layout, seed))
-    result = run_episode(layout, PLAN, flows, logged, seed, horizon,
-                         record_events=record_events)
+    records = run_episode(SimState(layout, PLAN, flows, seed, record_events), logged, horizon)
     assert len(logged.queues) == len(logged.ticks) == horizon
     assert [clock for clock, _phase, _yellow in logged.ticks] == list(range(1, horizon + 1))
     offset = 0
-    for index, record in enumerate(result.records):
+    for index, record in enumerate(records):
         redone = cycle_queue_metric(logged.queues[offset:offset + record.cycle_len_s])
         assert record.cycle_index == index
         assert redone.approach_max_queue == record.approach_max_queue
@@ -235,9 +235,9 @@ def test_episode_records_match_tick_log_and_regimes(scenario):
         offset += record.cycle_len_s
     assert offset <= horizon
     # without a tick hook (none for fixed and policy) the records are the same
-    bare = run_episode(layout, PLAN, flows, make_test_controller(kind, layout, seed), seed,
-                       horizon, record_events=record_events)
-    assert bare.records == result.records
+    bare = run_episode(SimState(layout, PLAN, flows, seed, record_events),
+                       make_test_controller(kind, layout, seed), horizon)
+    assert bare == records
 
 
 # -- aggregation statistics ------------------------------------------------------
@@ -305,18 +305,17 @@ def test_correlation_report_constant_green_is_undefined():
 
 
 def test_run_episode_zero_flow_has_empty_queues():
-    result = run_episode(LAYOUT, PLAN, uniform_flows(0.0), FixedTimeController(),
-                         seed=0, horizon_s=400)
-    assert all(r.q_cycle == 0 for r in result.records)
-    assert result.events is None
-    assert result.webster_log is None
+    sim = SimState(LAYOUT, PLAN, uniform_flows(0.0), 0)
+    records = run_episode(sim, FixedTimeController(), 400)
+    assert records and all(r.q_cycle == 0 for r in records)
+    # the episode runs on the caller's simulation, up to the horizon
+    assert sim.clock == 400
 
 
 def test_run_episode_deterministic():
     def run():
-        result = run_episode(LAYOUT, PLAN, uniform_flows(300.0),
-                             FixedTimeController(), seed=21, horizon_s=500)
-        return result.records
+        return run_episode(SimState(LAYOUT, PLAN, uniform_flows(300.0), 21),
+                           FixedTimeController(), 500)
 
     assert run() == run()
 
@@ -342,12 +341,12 @@ class RecordingController:
 def test_run_episode_decides_at_every_decision_point_below_horizon():
     flows = uniform_flows(500.0)
     probe = RecordingController(seed=5)
-    run_episode(LAYOUT, PLAN, flows, probe, seed=2, horizon_s=1500)
+    run_episode(SimState(LAYOUT, PLAN, flows, 2), probe, 1500)
     # end the episode exactly on a decision point, which must go unasked
     horizon = probe.decided[40]
     ctrl = RecordingController(seed=5)
     logged = TickLog(ctrl)
-    run_episode(LAYOUT, PLAN, flows, logged, seed=2, horizon_s=horizon)
+    run_episode(SimState(LAYOUT, PLAN, flows, 2), logged, horizon)
     assert len(logged.ticks) == horizon
     assert ctrl.decided == probe.decided[:40]
     assert ctrl.decision_ticks == probe.decided[:41]
@@ -355,11 +354,8 @@ def test_run_episode_decides_at_every_decision_point_below_horizon():
 
 
 def test_mean_q_cycle_requires_records():
-    result = run_episode(LAYOUT, PLAN, uniform_flows(0.0), FixedTimeController(),
-                         seed=0, horizon_s=400)
-    result.records.clear()
     with pytest.raises(ContractViolation):
-        result.mean_q_cycle
+        mean_q_cycle([])
 
 
 # -- policy playback -------------------------------------------------------------
@@ -370,21 +366,17 @@ def test_policy_controller_sampled_playback_is_deterministic():
 
     def run():
         controller = PolicyController(bundle, sample_seed=42)
-        result = run_episode(LAYOUT, PLAN, uniform_flows(300.0), controller,
-                             seed=3, horizon_s=600)
-        return result.records
+        return run_episode(SimState(LAYOUT, PLAN, uniform_flows(300.0), 3), controller, 600)
 
     assert run() == run()
 
 
 def test_policy_controller_greedy_differs_from_sampled():
     bundle = tiny_bundle()
-    greedy = run_episode(LAYOUT, PLAN, uniform_flows(300.0),
-                         PolicyController(bundle), seed=3,
-                         horizon_s=600).records
-    sampled = run_episode(LAYOUT, PLAN, uniform_flows(300.0),
-                          PolicyController(bundle, sample_seed=42),
-                          seed=3, horizon_s=600).records
+    greedy = run_episode(SimState(LAYOUT, PLAN, uniform_flows(300.0), 3),
+                         PolicyController(bundle), 600)
+    sampled = run_episode(SimState(LAYOUT, PLAN, uniform_flows(300.0), 3),
+                          PolicyController(bundle, sample_seed=42), 600)
     assert greedy != sampled
 
 
@@ -440,9 +432,9 @@ def test_run_settings_horizon_must_exceed_the_longest_cycle():
     with pytest.raises(ConfigurationError):
         grid_experiment(horizon=180)
     run = grid_experiment(horizon=181)
-    result = run_episode(run.layout, run.plan, run.flows, AlwaysExtend(), 0,
-                         run.horizon_s)
-    assert [r.cycle_len_s for r in result.records] == [180]
+    records = run_episode(SimState(run.layout, run.plan, run.flows, 0), AlwaysExtend(),
+                          run.horizon_s)
+    assert [r.cycle_len_s for r in records] == [180]
     with pytest.raises(ConfigurationError):
         RunSettings(horizon_s=200, plan=PhasePlan(g_max_s=50.0))
 
@@ -466,16 +458,16 @@ def test_grid_input_validation():
 def test_cycles_csv_layout(tmp_path):
     flows = FlowProfile.build({lane: [(0.0, 200.0, 350.0)] for lane in LANE_IDS},
                               regimes=[(0.0, 100.0, "low"), (100.0, 200.0, "high")])
-    result = run_episode(LAYOUT, PLAN, flows, FixedTimeController(), seed=1, horizon_s=450)
+    records = run_episode(SimState(LAYOUT, PLAN, flows, 1), FixedTimeController(), 450)
     path = tmp_path / "cycles.csv"
-    write_cycles_csv(path, result.records)
+    write_cycles_csv(path, records)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["cycle_index", "Q_cycle", "Q_N", "Q_E", "Q_S", "Q_W",
                        "cycle_len_s", "g1", "g2", "g3", "g4", "regime"]
-    assert len(rows) == len(result.records) + 1
+    assert len(rows) == len(records) + 1
     assert {row[-1] for row in rows[1:]} == {"low", "high"}
-    for row, r in zip(rows[1:], result.records):
+    for row, r in zip(rows[1:], records):
         assert row == [str(v) for v in (r.cycle_index, r.q_cycle, *r.approach_max_queue,
                                         r.cycle_len_s, *r.green_s, r.regime)]
 
@@ -533,7 +525,7 @@ def test_correlations_csv_blank_for_undefined(tmp_path):
 
 def test_webster_log_csv(tmp_path):
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
-    run_episode(LAYOUT, PLAN, uniform_flows(0.0), ctrl, seed=0, horizon_s=300)
+    run_episode(SimState(LAYOUT, PLAN, uniform_flows(0.0), 0), ctrl, 300)
     path = tmp_path / "webster.csv"
     write_csv(path, WEBSTER_LOG_HEADER, ctrl.recompute_log)
     with path.open(newline="") as fh:
@@ -546,7 +538,7 @@ def test_webster_log_csv(tmp_path):
 
 def test_webster_log_csv_cells_are_plain_numbers(tmp_path):
     ctrl = DynamicWebsterController(LAYOUT, PLAN)
-    run_episode(LAYOUT, PLAN, uniform_flows(400.0), ctrl, seed=0, horizon_s=600)
+    run_episode(SimState(LAYOUT, PLAN, uniform_flows(400.0), 0), ctrl, 600)
     path = tmp_path / "webster.csv"
     write_csv(path, WEBSTER_LOG_HEADER, ctrl.recompute_log)
     with path.open(newline="") as fh:
@@ -972,8 +964,8 @@ def collection_starts(monkeypatch):
         started.append(args)
         return real(*args, **kwargs)
 
-    real = autoencoder.new_simulation
-    monkeypatch.setattr(autoencoder, "new_simulation", counting)
+    real = autoencoder.SimState
+    monkeypatch.setattr(autoencoder, "SimState", counting)
     return started
 
 
@@ -1061,13 +1053,13 @@ def test_cli_dqn_accepts_only_the_resco_wait_reward(tmp_path, capsys, monkeypatc
     import tsclab.envs as envs
 
     started = []
-    real = envs.new_simulation
+    real = envs.SimState
 
     def counting(*args, **kwargs):
         started.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(envs, "new_simulation", counting)
+    monkeypatch.setattr(envs, "SimState", counting)
     cfg = str(write_cfg(tmp_path, _TINY_TRAINING_CFG + f"reward.kind = {kind}\n"))
     out = tmp_path / "dqn"
     assert main(["dqn", "--config", cfg, "--out", str(out)]) == code
@@ -1096,19 +1088,19 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 @pytest.fixture
 def episodes_started(monkeypatch):
-    """Counts the episodes the runner and the training environments start
-    (every episode makes one simulation through its module's
-    ``new_simulation``)."""
+    """Counts the episodes the grid runner, the baseline command and the
+    training environments start (every episode builds one ``SimState``)."""
     import tsclab.envs as envs
+    import tsclab.harness.cli as cli
     import tsclab.harness.runner as runner
 
     started = []
-    for module in (runner, envs):
-        def counting(*args, _real=module.new_simulation, **kwargs):
+    for module in (runner, envs, cli):
+        def counting(*args, _real=module.SimState, **kwargs):
             started.append(args)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "new_simulation", counting)
+        monkeypatch.setattr(module, "SimState", counting)
     return started
 
 
@@ -1163,13 +1155,13 @@ def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
     import tsclab.envs as envs
 
     started = []
-    real = envs.new_simulation
+    real = envs.SimState
 
     def counting(*args, **kwargs):
         started.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(envs, "new_simulation", counting)
+    monkeypatch.setattr(envs, "SimState", counting)
     encoder = tmp_path / "ae8.tscw"
     save_autoencoder(AeResult(Mlp([20, 32, 8], "relu", seed=0),
                               Mlp([8, 32, 20], "relu", seed=1), 0.0, 0.0), encoder)
@@ -1300,9 +1292,9 @@ def test_cli_compare_plays_each_column_as_its_playback_says(tmp_path, capsys, al
     for seed in run.seeds:
         played = {}
         for mode, sample_seed in (("sampled", seed), ("greedy", None)):
-            records = run_episode(run.layout, run.plan, run.flows,
+            records = run_episode(SimState(run.layout, run.plan, run.flows, seed),
                                   PolicyController(bundle, sample_seed=sample_seed),
-                                  seed, run.horizon_s).records
+                                  run.horizon_s)
             write_cycles_csv(tmp_path / f"{mode}.csv", records)
             played[mode] = (tmp_path / f"{mode}.csv").read_bytes()
         assert played["sampled"] != played["greedy"]
@@ -1368,7 +1360,7 @@ def test_cli_compare_with_few_cycles_writes_blank_correlations(tmp_path, capsys)
     capsys.readouterr()
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, episodes_started):
     assert main(["conquer"]) == 1  # unknown subcommand
     for gone in ("eval", "simulate"):  # folded into compare and baseline
         assert main([gone]) == 1
@@ -1390,6 +1382,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         cfg = write_cfg(tmp_path, f"webster.flow_window_s = {window}\n")
         assert main(["baseline", "--method", "webster", "--config", str(cfg),
                      "--horizon", "200", "--out", str(tmp_path / "x")]) == 1
+    for interval in ("0.25", "0.5"):  # and recomputes at most once per second
+        cfg = write_cfg(tmp_path, f"webster.recompute_interval_s = {interval}\n")
+        assert main(["baseline", "--method", "webster", "--config", str(cfg),
+                     "--horizon", "400", "--out", str(tmp_path / "x")]) == 1
     missing_cfg = tmp_path / "ghost.cfg"
     assert main([*baseline, "--config", str(missing_cfg)]) == 1
     empty_grid = write_cfg(tmp_path, "# nothing\n", "grid.txt")
@@ -1430,6 +1426,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a budget or buffer too large to count or to hold
     assert main(["train", "--timesteps", "1" + "0" * 400, "--out", str(tmp_path / "x")]) == 1
     assert main(["train", "--timesteps", str(2**53 + 1), "--out", str(tmp_path / "x")]) == 1
+    for budget in ("-5", str(2**53 + 1)):  # dqn's budget has train's range
+        assert main(["dqn", "--timesteps", budget, "--out", str(tmp_path / "x")]) == 1
     assert main(["pretrain-ae", "--buffer-steps", "1" + "0" * 30,
                  "--out", str(tmp_path / "ae.tscw")]) == 1
     assert not (tmp_path / "ae.tscw").exists()
@@ -1460,6 +1458,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "trained" not in printed.out and "is not a directory" in printed.err
     assert a_file.read_text() == "kept\n"
     capsys.readouterr()
+    assert episodes_started == []
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_docs_name_every_subcommand():

@@ -20,7 +20,7 @@ from tsclab.envs import SignalControlEnv
 from tsclab.harness.runner import PolicyController, run_episode
 from tsclab.neural import Mlp
 from tsclab.rewards import RewardSpec
-from tsclab.sim import IntersectionLayout, N_LANES, PhasePlan
+from tsclab.sim import IntersectionLayout, N_LANES, PhasePlan, SimState
 from tsclab.staterep import make_observation
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -41,14 +41,13 @@ def test_tracer_installs_and_uninstalls_every_target():
     try:
         assert tsclab.envs.step is not raw_step
         flows = uniform_profile([400.0] * N_LANES)
-        result = run_episode(IntersectionLayout(), PhasePlan(), flows,
-                             FixedTimeController(), seed=3, horizon_s=300,
-                             record_events=True)
+        sim = SimState(IntersectionLayout(), PhasePlan(), flows, 3, record_events=True)
+        run_episode(sim, FixedTimeController(), 300)
     finally:
         tracer.uninstall()
     assert tsclab.envs.step is raw_step and tsclab.sim.step is raw_step
     assert len(tracer.durations["sim.step"]) == 300
-    entered = sum(1 for _t, _lane, event, _vid in result.events if event == "enter")
+    entered = sum(1 for _t, _lane, event, _vid in sim.events if event == "enter")
     assert tracer.counters["sim.vehicles"] == entered > 0
 
 
@@ -56,11 +55,13 @@ def test_tracer_times_every_webster_tick_and_recompute():
     # the window work stays inside on_tick, and each recompute solves the
     # cycle formula once, so the two spans count ticks and log rows
     layout, plan = IntersectionLayout(), PhasePlan()
+    sim = SimState(layout, plan, uniform_profile([400.0] * N_LANES), 3)
+    controller = DynamicWebsterController(layout, plan)
     with load_spans().Tracer() as tracer:
-        result = run_episode(layout, plan, uniform_profile([400.0] * N_LANES),
-                             DynamicWebsterController(layout, plan), seed=3, horizon_s=300)
+        run_episode(sim, controller, 300)
     assert len(tracer.durations["baselines.webster_tick"]) == 300
-    assert len(tracer.durations["baselines.webster_recompute"]) == len(result.webster_log) > 0
+    assert (len(tracer.durations["baselines.webster_recompute"])
+            == len(controller.recompute_log) > 0)
 
 
 def test_tracer_times_a_loaded_kplanes_policy(tmp_path):
@@ -70,8 +71,8 @@ def test_tracer_times_a_loaded_kplanes_policy(tmp_path):
     tracer = load_spans().Tracer()
     with tracer:
         controller = PolicyController(PolicyBundle.load(path), sample_seed=0)
-        run_episode(IntersectionLayout(), PhasePlan(), uniform_profile([400.0] * N_LANES),
-                    controller, seed=3, horizon_s=300)
+        run_episode(SimState(IntersectionLayout(), PhasePlan(),
+                             uniform_profile([400.0] * N_LANES), 3), controller, 300)
     decisions = len(tracer.durations["runner.decide"])
     assert len(tracer.durations["bundle.load"]) == 1
     assert decisions > 0
@@ -81,22 +82,21 @@ def test_tracer_times_a_loaded_kplanes_policy(tmp_path):
 def test_tracer_pairs_each_ppo_update_with_its_two_adam_steps():
     # ppo.update spans pair the surrogate with the policy and the value Adam
     # step that follow it; a fused optimizer or a renamed trainer breaks them
-    def factory(seed):
-        return SignalControlEnv(IntersectionLayout(), PhasePlan(),
-                                uniform_profile([400.0] * N_LANES),
-                                make_observation("expanded"), RewardSpec(), seed)
+    env = SignalControlEnv(IntersectionLayout(), PhasePlan(),
+                           uniform_profile([400.0] * N_LANES), make_observation("expanded"),
+                           RewardSpec(), 0)
 
     def config(budget_s):
         return PpoConfig(n_steps=10, batch_size=5, n_epochs=3, hidden_sizes=(8,),
                          total_timesteps=budget_s)
 
-    # training stops after the first rollout that ends at or past its budget
-    env = factory(0)
+    # training stops after the first rollout that ends at or past its budget;
+    # each run resets the environment
     env.reset()
-    one_rollout = tsclab.harness.cli.train_ppo(factory, config(env.clock_s + 1), 0)
+    one_rollout = tsclab.harness.cli.train_ppo(env, config(env.clock_s + 1), 0)
     cfg = config(int(one_rollout.log[0].sim_time_s) + 1)
     with load_spans().Tracer() as tracer:
-        result = tsclab.harness.cli.train_ppo(factory, cfg, 0)
+        result = tsclab.harness.cli.train_ppo(env, cfg, 0)
     updates = len(result.log) * cfg.n_epochs * (cfg.n_steps // cfg.batch_size)
     assert len(result.log) == 2
     assert len(tracer.durations["ppo.train"]) == 1

@@ -18,7 +18,7 @@ from tsclab.rewards import (
     reward,
     reward_level,
 )
-from tsclab.sim import IntersectionLayout, N_LANES, PhasePlan, new_simulation
+from tsclab.sim import IntersectionLayout, N_LANES, PhasePlan, SimState
 from tsclab.staterep import ExpandedObservation
 
 queues = st.lists(st.floats(min_value=0.0, max_value=25.0), min_size=4, max_size=4)
@@ -176,7 +176,7 @@ def test_speed_reward():
     assert reward(speed, 0.0, 5.0) == 5.0
     assert reward(speed, 5.555, 0.0) == 0.0
     # an empty intersection has no vehicles to average over
-    sim = new_simulation(IntersectionLayout(), PhasePlan(), uniform_profile([0.0] * N_LANES), 0)
+    sim = SimState(IntersectionLayout(), PhasePlan(), uniform_profile([0.0] * N_LANES), 0)
     assert reward_level(sim, "speed") == 0.0
 
 

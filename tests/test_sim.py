@@ -24,18 +24,18 @@ from tsclab.sim import (
     N_PHASES,
     PHASE_SERVED,
     PhasePlan,
+    SimState,
     apply_action,
     at_decision_point,
     install_programmed_greens,
-    new_simulation,
     step,
 )
 
 
 def make_sim(seed=0, rates=None, layout=None, plan=None, record_events=False):
     flows = uniform_profile(rates if rates is not None else [0.0] * N_LANES)
-    return new_simulation(layout or IntersectionLayout(), plan or PhasePlan(),
-                          flows, seed, record_events=record_events)
+    return SimState(layout or IntersectionLayout(), plan or PhasePlan(), flows, seed,
+                    record_events)
 
 
 # -- construction --------------------------------------------------------------
@@ -603,7 +603,7 @@ def lane_scenarios(draw):
           [0], 0, True))
 def test_counter_lanes_match_per_vehicle_model(scenario):
     layout, plan, flows, actions, seed, record_events = scenario
-    sim = new_simulation(layout, plan, flows, seed, record_events=record_events)
+    sim = SimState(layout, plan, flows, seed, record_events)
     ref = PerVehicleLanes(layout, flows, seed)
     entered = [0] * N_LANES
     decisions = 0

@@ -17,9 +17,9 @@ from tsclab.sim import (
     N_LANES,
     N_PHASES,
     PhasePlan,
+    SimState,
     apply_action,
     at_decision_point,
-    new_simulation,
     step,
 )
 from tsclab.staterep import (
@@ -43,7 +43,7 @@ from tsclab.staterep import (
 
 def make_sim(seed=0, rates=None):
     flows = uniform_profile(rates if rates is not None else [0.0] * N_LANES)
-    return new_simulation(IntersectionLayout(), PhasePlan(), flows, seed)
+    return SimState(IntersectionLayout(), PhasePlan(), flows, seed)
 
 
 def run_to_decision(sim):
