@@ -8,7 +8,6 @@ being trained on top of it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,8 @@ from ..neural import Adam, Mlp
 from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan, SimState,
                    apply_action)
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
-from ..staterep import CANONICAL_LATENTS, EXPANDED_DIM, expanded_state
+from ..staterep import EXPANDED_DIM, expanded_state
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, save_arrays
-
-logger = logging.getLogger(__name__)
 
 _HIDDEN = 32
 _MINIBATCH = 128
@@ -73,16 +70,12 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
                       seed: int = 0) -> AeResult:
     """Minimize mean squared reconstruction error with minibatch updates.
 
-    ``epochs = 0`` returns the untrained pair with its buffer MSE.  Latent
-    sizes outside the canonical set train fine but are logged as unusual.
+    ``epochs = 0`` returns the untrained pair with its buffer MSE.
     """
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != EXPANDED_DIM or x.shape[0] < 1:
         raise ConfigurationError(f"state buffer must be N x {EXPANDED_DIM}")
     check_training_settings(k, epochs, lr)
-    if k not in CANONICAL_LATENTS:
-        logger.warning("latent size %d outside the benchmarked set %s",
-                       k, CANONICAL_LATENTS)
 
     ss = np.random.SeedSequence(seed)
     s_enc, s_dec, s_shuffle = ss.spawn(3)

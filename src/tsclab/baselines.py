@@ -81,11 +81,12 @@ class WebsterSettings:
             value = getattr(self, f.name)
             if value is not None and not math.isfinite(value):
                 raise ConfigurationError(f"webster.{f.name} must be finite")
-        # the controller recomputes at most once per 1 s tick
-        if not self.recompute_interval_s >= 1.0:
+        # the controller recomputes on the 1 s tick, at most once per tick
+        if not (self.recompute_interval_s >= 1.0
+                and float(self.recompute_interval_s).is_integer()):
             raise ConfigurationError(
-                f"webster recompute interval must be at least 1 s, "
-                f"got {self.recompute_interval_s}")
+                f"webster recompute interval must be a whole number of seconds, "
+                f"at least 1 s, got {self.recompute_interval_s}")
         if not (self.flow_window_s >= 1.0 and float(self.flow_window_s).is_integer()):
             raise ConfigurationError(
                 f"webster flow window must be a whole number of seconds >= 1, "
@@ -129,7 +130,7 @@ class DynamicWebsterController:
         self._window_s = int(settings.flow_window_s)
         self._window: deque = deque()
         self._ticks = 0
-        self._next_recompute = settings.recompute_interval_s
+        self._next_recompute = int(settings.recompute_interval_s)
         self._pending: tuple | None = None
 
     def _window_rates_veh_h(self) -> np.ndarray:
@@ -155,7 +156,7 @@ class DynamicWebsterController:
             self._window.append((self._ticks, sim.arrivals))
         if sim.clock >= self._next_recompute:
             self._recompute(sim.clock)
-            self._next_recompute += self.settings.recompute_interval_s
+            self._next_recompute += int(self.settings.recompute_interval_s)
         if self._pending is not None and sim.phase_changed:
             install_programmed_greens(sim, self._pending)
             self._pending = None

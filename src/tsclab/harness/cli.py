@@ -37,7 +37,8 @@ from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
 from ..rewards import REWARD_KINDS, RewardSpec
 from ..sim import SimState
-from ..staterep import REPRESENTATION_KINDS, DqnObservation, make_observation
+from ..staterep import (CANONICAL_LATENTS, REPRESENTATION_KINDS, DqnObservation,
+                        make_observation)
 from .config import (cycles_max_for_training, from_config, parse_config_file, read_lines,
                      run_from_config)
 from .metrics import (correlation_report, mean_q_cycle, summary_table, write_csv,
@@ -95,8 +96,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="runs/train", metavar="DIR")
 
     p = add("pretrain-ae", "train a state autoencoder")
-    p.add_argument("--latent", type=int, default=16,
-                   help="latent dimension (default: 16)")
+    p.add_argument("--latent", type=int, default=16, choices=CANONICAL_LATENTS,
+                   help="latent dimension, one of the train --repr ae<k> sizes "
+                        "(default: 16)")
     p.add_argument("--buffer-steps", type=int, default=10_000,
                    help="decision-point states to collect (default: 10000)")
     p.add_argument("--epochs", type=int, default=40)

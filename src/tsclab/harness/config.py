@@ -86,7 +86,10 @@ def _parse_segments(key: str, text: str):
 
 
 def flows_from_config(cfg: dict) -> FlowProfile:
-    """Build the flow profile from flow.* keys, or the default profile."""
+    """Build the flow profile from the flow.* keys, or the default profile
+    when there are none."""
+    if not _FLOW_KEYS.intersection(cfg):
+        return default_flow_profile()
     lane_rates = {}
     for lane in LANE_IDS:
         key = f"flow.{lane}"
@@ -100,10 +103,7 @@ def flows_from_config(cfg: dict) -> FlowProfile:
             lane_rates[lane] = segs
     regimes = []
     if "flow.regimes" in cfg:
-        regimes = [(s, e, label) for s, e, label in
-                   _parse_segments("flow.regimes", cfg["flow.regimes"])]
-    if not lane_rates:
-        return default_flow_profile()
+        regimes = _parse_segments("flow.regimes", cfg["flow.regimes"])
     return FlowProfile.build(lane_rates, regimes)
 
 

@@ -25,8 +25,9 @@ arrivals are drawn in blocks that equal one draw per tick value for value.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -126,120 +127,94 @@ class PhasePlan:
 
 
 @dataclass(frozen=True)
-class FlowSegment:
-    start_s: float
-    end_s: float
-    rate_veh_h: float
-
-
-@dataclass(frozen=True)
 class FlowProfile:
-    """Piecewise-constant Poisson arrival rates per lane.
+    """Piecewise-constant Poisson arrival rates per lane, as one table.
 
-    Segments for each lane must tile ``[0, span)`` without gaps or overlap;
-    lanes absent from ``lane_segments`` carry zero flow.  For clocks past the
-    span the profile repeats (lookup wraps modulo the span), so a short
-    profile can drive arbitrarily long runs.  ``regimes`` optionally labels
-    sub-intervals of the span (for example high / medium / low demand) and is
-    carried through to per-cycle records.
+    Row ``k`` runs from ``starts_s[k]`` until the next start, or until
+    ``span_s`` for the last row.  It holds the eight lane rates of that
+    stretch in veh/h, in ``LANE_IDS`` order, and its regime label (for
+    example high / medium / low demand, carried through to per-cycle
+    records), ``""`` where none was given.  For clocks past the span the
+    profile repeats (lookup wraps modulo the span), so a short profile can
+    drive arbitrarily long runs.  :meth:`build` makes and checks a profile.
     """
 
-    lane_segments: dict[str, tuple[FlowSegment, ...]]
-    regimes: tuple[tuple[float, float, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.lane_segments:
-            raise ConfigurationError("flow profile needs at least one lane")
-        span = None
-        for lane_id, segments in self.lane_segments.items():
-            if lane_id not in LANE_IDS:
-                raise ConfigurationError(f"unknown lane id {lane_id!r}")
-            if not segments:
-                raise ConfigurationError(f"lane {lane_id} has no flow segments")
-            cursor = 0.0
-            for seg in segments:
-                if seg.start_s != cursor:
-                    raise ConfigurationError(
-                        f"lane {lane_id} segments must tile the span without gaps"
-                    )
-                if seg.end_s <= seg.start_s:
-                    raise ConfigurationError(f"lane {lane_id} has an empty segment")
-                check_non_negative(f"lane {lane_id} arrival rate", seg.rate_veh_h)
-                cursor = seg.end_s
-            if span is None:
-                span = cursor
-            elif cursor != span:
-                raise ConfigurationError("all lanes must cover the same span")
-        if self.regimes:
-            cursor = 0.0
-            for start, end, _label in self.regimes:
-                if start != cursor or end <= start:
-                    raise ConfigurationError("regimes must tile the span without gaps")
-                cursor = end
-            if cursor != span:
-                raise ConfigurationError("regimes must cover exactly the flow span")
-
-    @property
-    def span_s(self) -> float:
-        segments = next(iter(self.lane_segments.values()))
-        return segments[-1].end_s
+    starts_s: tuple[float, ...]
+    rates_veh_h: tuple[tuple[float, ...], ...]
+    regimes: tuple[str, ...]
+    span_s: float
 
     @staticmethod
     def build(rates: dict[str, Sequence[tuple[float, float, float]]],
               regimes: Sequence[tuple[float, float, str]] = ()) -> "FlowProfile":
-        """Build a profile from ``{lane: [(start, end, veh_per_hour), ...]}``.
+        """Build a profile from ``{lane: [(start, end, veh_per_hour), ...]}``
+        and optional regimes ``[(start, end, label), ...]``.
 
-        Lanes not mentioned get a single zero-rate segment across the span.
+        Each lane's segments, and the regimes, must tile one common span
+        ``[0, span)``.  At least one lane is required; lanes not named carry
+        zero flow.  The rows start at every start of a lane or a regime.
         """
-        lane_segments = {
-            lane: tuple(FlowSegment(s, e, r) for s, e, r in segs)
-            for lane, segs in rates.items()
-        }
-        if lane_segments:
-            span = max(segs[-1].end_s for segs in lane_segments.values())
-        elif regimes:
-            span = max(end for _s, end, _l in regimes)
-        else:
-            span = 3600.0
-        for lane in LANE_IDS:
-            if lane not in lane_segments:
-                lane_segments[lane] = (FlowSegment(0.0, span, 0.0),)
-        return FlowProfile(lane_segments=lane_segments, regimes=tuple(regimes))
+        if not rates:
+            raise ConfigurationError("flow profile needs at least one lane")
+        tilings = {}
+        for lane, segments in rates.items():
+            if lane not in LANE_IDS:
+                raise ConfigurationError(f"unknown lane id {lane!r}")
+            for _start, _end, rate in segments:
+                check_non_negative(f"lane {lane} arrival rate", rate)
+            tilings[f"lane {lane}"] = segments
+        if regimes:
+            tilings["regimes"] = regimes
+        span = None
+        for name, segments in tilings.items():
+            if not segments:
+                raise ConfigurationError(f"{name} has no segments")
+            cursor = 0.0
+            for start, end, _value in segments:
+                if start != cursor:
+                    raise ConfigurationError(f"{name} must tile the span without gaps")
+                if end <= start:
+                    raise ConfigurationError(f"{name} has an empty segment")
+                cursor = end
+            if span is None:
+                span = cursor
+            elif cursor != span:
+                raise ConfigurationError(
+                    f"{name} ends at {cursor:g}, not at the span {span:g}")
+        if not math.isfinite(span):
+            raise ConfigurationError(f"flow span must be finite, got {span}")
+        starts = sorted({start for segments in tilings.values()
+                         for start, _end, _value in segments})
+
+        def column(segments):
+            seg_starts = [start for start, _end, _value in segments]
+            return [segments[bisect_right(seg_starts, t) - 1][2] for t in starts]
+
+        lanes = [column(rates.get(lane, [(0.0, span, 0.0)])) for lane in LANE_IDS]
+        return FlowProfile(tuple(starts), tuple(zip(*lanes)),
+                           tuple(column(regimes or [(0.0, span, "")])), span)
 
     def scaled(self, factors: Sequence[float]) -> "FlowProfile":
         """New profile with each lane's rates multiplied by its factor."""
         if len(factors) != N_LANES:
             raise ConfigurationError("need one scale factor per lane")
-        lane_segments = {
-            LANE_IDS[i]: tuple(
-                FlowSegment(s.start_s, s.end_s, s.rate_veh_h * float(factors[i]))
-                for s in self.lane_segments[LANE_IDS[i]]
-            )
-            for i in range(N_LANES)
-        }
-        return FlowProfile(lane_segments=lane_segments, regimes=self.regimes)
+        factors = [float(f) for f in factors]
+        return replace(self, rates_veh_h=tuple(
+            tuple(rate * f for rate, f in zip(row, factors)) for row in self.rates_veh_h))
+
+    def _row(self, t_s: float) -> tuple[int, float]:
+        """The row in force at clock ``t_s``, and the clock wrapped into the span."""
+        t = t_s % self.span_s
+        return bisect_right(self.starts_s, t) - 1, t
 
     def rates_and_horizon(self, t_s: float) -> tuple[np.ndarray, float]:
         """Per-lane rates in veh/s at time ``t_s`` and how long they stay valid."""
-        t = t_s % self.span_s
-        rates = np.empty(N_LANES, dtype=np.float64)
-        valid = self.span_s - t
-        for i, lane_id in enumerate(LANE_IDS):
-            for seg in self.lane_segments[lane_id]:
-                if seg.start_s <= t < seg.end_s:
-                    rates[i] = seg.rate_veh_h / 3600.0
-                    valid = min(valid, seg.end_s - t)
-                    break
-        return rates, valid
+        k, t = self._row(t_s)
+        end = self.starts_s[k + 1] if k + 1 < len(self.starts_s) else self.span_s
+        return np.array(self.rates_veh_h[k], dtype=np.float64) / 3600.0, end - t
 
     def regime_at(self, t_s: float) -> str:
-        if not self.regimes:
-            return ""
-        t = t_s % self.span_s
-        for start, end, label in self.regimes:
-            if start <= t < end:
-                return label
-        return self.regimes[-1][2]
+        return self.regimes[self._row(t_s)[0]]
 
 
 class SimState:
@@ -346,9 +321,9 @@ class SimState:
 def _draw_arrivals(sim: SimState) -> list:
     """Draw the next block of per-tick arrival counts and return its first row.
 
-    Rates are piecewise constant and cached until their segment ends; a block
-    covers at most the ticks left in that segment, so its rows equal, value
-    for value, one draw per tick.
+    Rates are piecewise constant and cached until their row of the flow
+    table ends; a block covers at most the ticks left in that row, so its
+    rows equal, value for value, one draw per tick.
     """
     if sim.clock > sim._rates_valid_until:
         rates, valid = sim.flows.rates_and_horizon(sim.clock - 1)

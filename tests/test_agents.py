@@ -2,7 +2,6 @@
 gradients, replay plumbing, the policy-gradient and Q-learning
 trainers on a toy task, the state autoencoder, and bundle persistence."""
 
-import logging
 import struct
 from types import SimpleNamespace
 
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from conftest import rewrite_weight_file, softmax, uniform_profile
 from tsclab.agents.autoencoder import (
-    CANONICAL_LATENTS,
     collect_state_buffer,
     load_autoencoder,
     reconstruction_mse,
@@ -650,13 +648,6 @@ def test_autoencoder_validation():
     for lr in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ConfigurationError):
             train_autoencoder(constant_buffer(8), k=4, lr=lr)
-
-
-def test_autoencoder_warns_on_unusual_latent(caplog):
-    with caplog.at_level(logging.WARNING, logger="tsclab.agents.autoencoder"):
-        train_autoencoder(constant_buffer(8), k=5, epochs=0)
-    assert any("5" in rec.getMessage() for rec in caplog.records)
-    assert 5 not in CANONICAL_LATENTS
 
 
 def test_autoencoder_save_load_round_trip(tmp_path):

@@ -127,8 +127,9 @@ def test_cycle_tracker_splits_on_cycle_wrap():
     # the simulator closes a cycle at each wrap as (start_tick, length_s,
     # lane_max, green_s); tick t covers the second [t - 1, t): tick 1 runs in
     # "low", tick 4 in "medium", while the seconds at their end clocks are "high"
-    flows = FlowProfile.build({}, regimes=[(0.0, 1.0, "low"), (1.0, 3.0, "high"),
-                                           (3.0, 4.0, "medium"), (4.0, 6.0, "high")])
+    flows = FlowProfile.build({"N0": [(0.0, 6.0, 0.0)]},
+                              regimes=[(0.0, 1.0, "low"), (1.0, 3.0, "high"),
+                                       (3.0, 4.0, "medium"), (4.0, 6.0, "high")])
     tracker = CycleTracker(flows)
     record = tracker.feed((1, 3, (1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0)))
     assert record.cycle_index == 0
@@ -667,6 +668,9 @@ def test_flows_from_config_errors(tmp_path):
         "flow.N0 = 0-100@fast\n",
         "flow.N0 = ,\n",
         "flow.N0 = 0-100@500,, 100-200@250\n",
+        "flow.N0 = 0-inf@500\n",
+        "flow.N0 = 0-1e400@500\n",
+        "flow.N0 = 0-nan@500\n",
         "flow.regimes = 0-100@low, 100-200@high,\n",
     ):
         cfg = parse_config_file(write_cfg(tmp_path, text))
@@ -970,7 +974,7 @@ def collection_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--latent", "0"), ("--latent", "-3"), ("--epochs", "-1"),
+    ("--latent", "0"), ("--latent", "-3"), ("--latent", "7"), ("--epochs", "-1"),
     ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
 ])
 def test_cli_pretrain_ae_rejects_bad_settings_before_collecting(tmp_path, capsys,
@@ -1345,6 +1349,17 @@ def test_cli_rejects_non_finite_layout_and_webster_settings(tmp_path, capsys,
     assert episodes_started == []
 
 
+def test_cli_rejects_regimes_without_a_lane(tmp_path, capsys, episodes_started):
+    # without a flow.<lane> key there is no demand for the regimes to label
+    cfg = write_cfg(tmp_path, "flow.regimes = 0-1000@a, 1000-7200@b\n")
+    out = tmp_path / "x"
+    assert main(["baseline", "--method", "fixed", "--horizon", "2000", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    assert "at least one lane" in capsys.readouterr().err
+    assert episodes_started == []
+    assert not out.exists()
+
+
 def test_cli_compare_with_few_cycles_writes_blank_correlations(tmp_path, capsys):
     weights = tmp_path / "policy.tscw"
     tiny_bundle().save(weights)
@@ -1382,7 +1397,7 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
         cfg = write_cfg(tmp_path, f"webster.flow_window_s = {window}\n")
         assert main(["baseline", "--method", "webster", "--config", str(cfg),
                      "--horizon", "200", "--out", str(tmp_path / "x")]) == 1
-    for interval in ("0.25", "0.5"):  # and recomputes at most once per second
+    for interval in ("0.25", "0.5", "1.5", "145.5"):  # and recomputes on whole seconds
         cfg = write_cfg(tmp_path, f"webster.recompute_interval_s = {interval}\n")
         assert main(["baseline", "--method", "webster", "--config", str(cfg),
                      "--horizon", "400", "--out", str(tmp_path / "x")]) == 1

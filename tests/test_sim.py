@@ -17,7 +17,6 @@ from tsclab.sim import (
     ACTION_END,
     ACTION_EXTEND,
     FlowProfile,
-    FlowSegment,
     IntersectionLayout,
     LANE_IDS,
     N_LANES,
@@ -436,26 +435,27 @@ def test_unserved_lane_queue_is_non_decreasing():
 
 
 def test_flow_profile_requires_tiling_segments():
-    with pytest.raises(ConfigurationError):
-        FlowProfile({"N0": (FlowSegment(0, 100, 10), FlowSegment(150, 200, 10))})
-    with pytest.raises(ConfigurationError):
-        FlowProfile({"N0": (FlowSegment(10, 100, 10),)})
-    with pytest.raises(ConfigurationError):
-        FlowProfile({"N0": (FlowSegment(0, 0, 10),)})
-    with pytest.raises(ConfigurationError):
-        FlowProfile({"N0": (FlowSegment(0, 100, -5.0),)})
-    with pytest.raises(ConfigurationError):
-        FlowProfile({"XX": (FlowSegment(0, 100, 10),)})
-    with pytest.raises(ConfigurationError):
-        FlowProfile({})
+    for rates in (
+        {"N0": [(0, 100, 10), (150, 200, 10)]},  # gap
+        {"N0": [(0, 100, 10), (90, 200, 10)]},  # overlap
+        {"N0": [(10, 100, 10)]},  # does not start at 0
+        {"N0": [(0, 0, 10)]},  # empty segment
+        {"N0": [(0, 100, -5.0)]},
+        {"N0": [(0, 100, float("nan"))]},
+        {"N0": [(0, 100, float("inf"))]},
+        {"N0": [(0, float("inf"), 10)]},
+        {"N0": [(0, float("nan"), 10)]},
+        {"XX": [(0, 100, 10)]},
+        {"N0": []},
+        {},
+    ):
+        with pytest.raises(ConfigurationError):
+            FlowProfile.build(rates)
 
 
 def test_flow_profile_span_must_match_across_lanes():
     with pytest.raises(ConfigurationError):
-        FlowProfile({
-            "N0": (FlowSegment(0, 100, 10),),
-            "S0": (FlowSegment(0, 200, 10),),
-        })
+        FlowProfile.build({"N0": [(0, 100, 10)], "S0": [(0, 200, 10)]})
 
 
 def test_flow_profile_regimes_must_tile_span():
@@ -464,6 +464,12 @@ def test_flow_profile_regimes_must_tile_span():
     with pytest.raises(ConfigurationError):
         FlowProfile.build({"N0": [(0, 100, 10)]},
                           regimes=[(0, 60, "a"), (70, 100, "b")])
+    with pytest.raises(ConfigurationError):
+        FlowProfile.build({"N0": [(0, 100, 10)]},
+                          regimes=[(0, 60, "a"), (60, 60, "b"), (60, 100, "c")])
+    # regimes label lanes' demand: alone they are refused
+    with pytest.raises(ConfigurationError):
+        FlowProfile.build({}, regimes=[(0, 100, "a")])
 
 
 def test_flow_profile_lookup_wraps_modulo_span():
@@ -484,7 +490,9 @@ def test_flow_profile_lookup_wraps_modulo_span():
 
 def test_flow_profile_build_fills_missing_lanes_with_zero():
     profile = FlowProfile.build({"N0": [(0, 100, 10)]})
-    assert set(profile.lane_segments) == set(LANE_IDS)
+    assert profile.starts_s == (0,) and profile.span_s == 100
+    assert profile.rates_veh_h == ((10, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),)
+    assert profile.regimes == ("",)
     assert rate_veh_h(profile, lane_index("W1"), 50) == 0.0
 
 
@@ -494,6 +502,73 @@ def test_flow_profile_uniform_and_scaled():
     assert rate_veh_h(doubled, 3, 10) == pytest.approx(200.0)
     with pytest.raises(ConfigurationError):
         profile.scaled([2.0] * 3)
+
+
+def segment_lookup(segments, t_s):
+    """``(value, end)`` of the segment of a tiling that holds ``t_s``: the
+    per-lane search the flow table replaces, kept as its reference."""
+    for start, end, value in segments:
+        if start <= t_s < end:
+            return value, end
+    raise AssertionError(f"{t_s} outside the tiling")
+
+
+def tilings(draw, span, values):
+    cuts = sorted(draw(st.sets(st.floats(0.0, span, exclude_min=True, exclude_max=True),
+                               max_size=4)))
+    bounds = [0.0, *cuts, span]
+    return [(a, b, draw(values)) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def flow_tables(draw):
+    """Lanes cut at their own breakpoints, regimes (or none) cut at theirs,
+    and a clock that is often a breakpoint and often past the span."""
+    span = draw(st.one_of(st.integers(1, 3000).map(float), st.floats(0.5, 3000.0)))
+    lanes = sorted(draw(st.sets(st.sampled_from(LANE_IDS), min_size=1)))
+    rates = {lane: tilings(draw, span, st.floats(0.0, 4000.0)) for lane in lanes}
+    regimes = (tilings(draw, span, st.sampled_from(("low", "medium", "high")))
+               if draw(st.booleans()) else [])
+    starts = [start for segments in (*rates.values(), regimes) for start, _e, _v in segments]
+    t_s = draw(st.one_of(st.sampled_from(starts), st.integers(0, 20_000),
+                         st.floats(0.0, 20_000.0)))
+    return rates, regimes, t_s
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_tables())
+def test_flow_table_matches_per_lane_segment_search(table):
+    rates, regimes, t_s = table
+    profile = FlowProfile.build(rates, regimes)
+    t = t_s % profile.span_s
+    looked_up = [segment_lookup(rates[lane], t) if lane in rates else (0.0, profile.span_s)
+                 for lane in LANE_IDS]
+    ends = [end for _rate, end in looked_up]
+    label = ""
+    if regimes:
+        label, regime_end = segment_lookup(regimes, t)
+        ends.append(regime_end)
+    got_rates, horizon = profile.rates_and_horizon(t_s)
+    np.testing.assert_array_equal(got_rates, [rate / 3600.0 for rate, _end in looked_up])
+    assert horizon == min(ends) - t
+    assert profile.regime_at(t_s) == label
+
+
+def test_misaligned_regimes_leave_arrivals_unchanged(plan):
+    # each lane breaks at its own times; the regimes break inside lane
+    # segments, which splits arrival blocks but leaves each tick's draw as is
+    span = 3000.0
+    rates = {lane: [(0.0, cut, rate), (cut, span, 3 * rate)]
+             for lane, cut, rate in zip(LANE_IDS, (1000.0, 1000.0, 1500.0, 1500.0,
+                                                   1000.0, 2000.0, 1500.0, 2000.0),
+                                        (60.0, 20.0, 100.0, 30.0, 60.0, 20.0, 100.0, 30.0))}
+    regimes = [(0.0, 700.5, "low"), (700.5, 2222.0, "medium"), (2222.0, span, "high")]
+    plain, labelled = FlowProfile.build(rates), FlowProfile.build(rates, regimes)
+    assert len(labelled.starts_s) > len(plain.starts_s)
+    for seed in range(5):
+        sims = [SimState(IntersectionLayout(), plan, flows, seed) for flows in (plain, labelled)]
+        for _ in range(4000):  # past the span, so the table wraps
+            assert step(sims[0]).arrivals == step(sims[1]).arrivals
 
 
 def test_phase_served_covers_all_lanes_once():
