@@ -5,10 +5,9 @@ Subcommands::
     tsclab train        train a PPO policy and save the bundle
     tsclab pretrain-ae  train a state autoencoder for latent representations
     tsclab dqn          train the value-based reference agent
-    tsclab baseline     run one fixed-time or adaptive-Webster episode
-                        (--record-events also dumps per-vehicle events)
     tsclab compare      play a controller grid over seeds: summary,
-                        per-cycle records and correlations per column
+                        per-cycle records and correlations per column,
+                        and each Webster cell's timing log
 
 Every subcommand accepts ``--config FILE``; a flag that mirrors a config
 key writes that key, over the file's value.  Exit codes: 0 success, 1 usage
@@ -36,17 +35,12 @@ from ..baselines import WEBSTER_LOG_HEADER
 from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
 from ..rewards import REWARD_KINDS, RewardSpec
-from ..sim import SimState
 from ..staterep import (CANONICAL_LATENTS, REPRESENTATION_KINDS, DqnObservation,
                         make_observation)
 from .config import (cycles_max_for_training, from_config, parse_config_file, read_lines,
                      run_from_config)
-from .metrics import (correlation_report, mean_q_cycle, summary_table, write_csv,
-                      write_cycles_csv)
-from .runner import CONTROLLER_KINDS, RunSpec, make_controller, run_episode, run_grid
-
-# the kinds a one-episode command can run without a policy bundle
-_BASELINE_METHODS = tuple(kind for kind in CONTROLLER_KINDS if kind != "policy")
+from .metrics import correlation_report, summary_table, write_csv, write_cycles_csv
+from .runner import RunSpec, run_grid
 
 
 class _UsageError(Exception):
@@ -112,15 +106,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--timesteps", dest="dqn.total_timesteps", metavar="TIMESTEPS")
     p.add_argument("--out", default="runs/dqn", metavar="DIR")
-
-    p = add("baseline", "run a classical controller for one episode")
-    p.add_argument("--method", choices=_BASELINE_METHODS, required=True)
-    p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--horizon", dest="run.horizon_s", metavar="HORIZON",
-                   help="episode length in simulated seconds")
-    p.add_argument("--record-events", action="store_true",
-                   help="also write every vehicle event to events.csv")
-    p.add_argument("--out", default="runs/baseline", metavar="DIR")
 
     p = add("compare", "run a controller comparison grid")
     p.add_argument("--grid", required=True, metavar="FILE",
@@ -234,24 +219,6 @@ def cmd_dqn(args) -> int:
     return 0
 
 
-def cmd_baseline(args) -> int:
-    out = _out_dir(args.out)
-    run = run_from_config(_load_cfg(args))
-    controller = make_controller(args.method, run)
-    sim = SimState(run.layout, run.plan, run.flows, args.seed, args.record_events)
-    records = run_episode(sim, controller, run.horizon_s)
-    out.mkdir(parents=True, exist_ok=True)
-    write_cycles_csv(out / "cycles.csv", records)
-    webster_log = getattr(controller, "recompute_log", None)
-    if webster_log:
-        write_csv(out / "webster_log.csv", WEBSTER_LOG_HEADER, webster_log)
-    if args.record_events:
-        write_csv(out / "events.csv", ("tick", "lane", "event", "vehicle_id"), sim.events)
-    print(f"{args.method} seed={args.seed} horizon={run.horizon_s}s: "
-          f"mean cycle queue {mean_q_cycle(records):.2f} over {len(records)} cycles")
-    return 0
-
-
 def _parse_grid_file(path) -> list:
     specs = []
     for lineno, line in read_lines(path, "grid file"):
@@ -283,13 +250,15 @@ def cmd_compare(args) -> int:
     out = _out_dir(args.out)
     run = run_from_config(_load_cfg(args))
     specs = _parse_grid_file(args.grid)
-    results = run_grid(run, specs)
+    results, webster_logs = run_grid(run, specs)
     columns = [(spec.config_id, spec.controller) for spec in specs]
     header, rows = summary_table(columns, run.seeds, results)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "summary.csv", header, rows)
     for (config_id, seed), records in sorted(results.items()):
         write_cycles_csv(out / f"cycles_{config_id}_seed{seed}.csv", records)
+    for (config_id, seed), log in sorted(webster_logs.items()):
+        write_csv(out / f"webster_log_{config_id}_seed{seed}.csv", WEBSTER_LOG_HEADER, log)
     for config_id, _ in columns:
         write_csv(out / f"correlations_{config_id}.csv", ("seed", "quantity", "pearson_r"),
                   [(seed, name, r) for seed in run.seeds
@@ -306,7 +275,6 @@ _HANDLERS = {
     "train": cmd_train,
     "pretrain-ae": cmd_pretrain_ae,
     "dqn": cmd_dqn,
-    "baseline": cmd_baseline,
     "compare": cmd_compare,
 }
 

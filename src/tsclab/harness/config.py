@@ -104,6 +104,8 @@ def flows_from_config(cfg: dict) -> FlowProfile:
     regimes = []
     if "flow.regimes" in cfg:
         regimes = _parse_segments("flow.regimes", cfg["flow.regimes"])
+        if not all(label for _start, _end, label in regimes):
+            raise ConfigurationError("flow.regimes: a regime label may not be empty")
     return FlowProfile.build(lane_rates, regimes)
 
 

@@ -138,12 +138,14 @@ class RunSpec:
 def _grid_job(job: tuple) -> tuple:
     run, config_id, seed, controller = job
     sim = SimState(run.layout, run.plan, run.flows, seed)
-    return config_id, seed, run_episode(sim, controller, run.horizon_s)
+    records = run_episode(sim, controller, run.horizon_s)
+    return (config_id, seed), records, getattr(controller, "recompute_log", None)
 
 
 def run_grid(run: RunSettings, specs):
-    """Run every (config, seed) cell; return a dict that maps ``(config_id,
-    seed)`` to the episode's cycle records.
+    """Run every (config, seed) cell; return two dicts keyed by
+    ``(config_id, seed)``: every cell's cycle records, and each Webster
+    cell's timing recomputations (its controller's ``recompute_log``).
 
     Each policy column's bundle is loaded once and every cell's controller
     is built before the first episode, so a bad input fails before any
@@ -176,4 +178,5 @@ def run_grid(run: RunSettings, specs):
             outcomes = list(pool.map(_grid_job, jobs))
     else:
         outcomes = [_grid_job(job) for job in jobs]
-    return {(config_id, seed): records for config_id, seed, records in outcomes}
+    return ({key: records for key, records, _log in outcomes},
+            {key: log for key, _records, log in outcomes if log is not None})

@@ -238,9 +238,7 @@ class SimState:
     Per-lane lists follow ``LANE_IDS``.  ``transit`` holds FIFO runs
     ``(stopline_tick, per-lane counts)``, one per tick with arrivals;
     ``queues`` holds each lane's FIFO runs ``[join_tick, count]``;
-    ``queued`` and ``join_ticks`` total them.  A lane is first in, first
-    out end to end, so vehicle ids are implicit; they are kept in
-    ``vehicle_ids``, queued first, only when events are recorded.
+    ``queued`` and ``join_ticks`` total them.
 
     Each :func:`step` leaves what its tick did on the state: ``arrivals``,
     the tick's per-lane arrival counts; ``discharges``, the per-lane
@@ -253,7 +251,7 @@ class SimState:
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
-                 seed: int, record_events: bool = False) -> None:
+                 seed: int) -> None:
         self.layout = layout
         self.plan = plan
         self.flows = flows
@@ -276,9 +274,6 @@ class SimState:
         self.queued = [0] * N_LANES
         self.join_ticks = [0] * N_LANES
         self.credit = [0.0] * N_LANES
-        self.events: list[tuple[int, str, str, int]] = []
-        self.vehicle_ids = [deque() for _ in range(N_LANES)] if record_events else None
-        self._next_vehicle_id = 0
         self._rates_veh_s = np.zeros(N_LANES, dtype=np.float64)
         self._rates_valid_until = 0
         self._arrival_rows = iter(())
@@ -378,21 +373,12 @@ def step(sim: SimState) -> SimState:
     sim.phase_changed = phase_changed
 
     layout = sim.layout
-    ids = sim.vehicle_ids
-    if ids is not None:
-        log = sim.events.append
     queued = sim.queued
     transit = sim.transit
 
     arrivals = sim.arrivals = next(sim._arrival_rows, None) or _draw_arrivals(sim)
     if any(arrivals):
         transit.append((math.ceil(clock + layout.travel_time_to_stopline_s), arrivals))
-        if ids is not None:
-            for i in range(N_LANES):
-                for vid in range(sim._next_vehicle_id, sim._next_vehicle_id + arrivals[i]):
-                    ids[i].append(vid)
-                    log((clock, LANE_IDS[i], "enter", vid))
-                sim._next_vehicle_id += arrivals[i]
 
     # stopline transfer: vehicles whose free-flow travel is complete either
     # pass straight through (served green, no queue, startup done) or join
@@ -411,12 +397,7 @@ def step(sim: SimState) -> SimState:
             n = counts[i]
             if not n:
                 continue
-            passing = green_flowing and i in served and not queued[i]
-            if ids is not None:
-                for k in range(queued[i], queued[i] + n):
-                    log((clock, LANE_IDS[i], "pass" if passing else "join",
-                         ids[i].popleft() if passing else ids[i][k]))
-            if passing:
+            if green_flowing and i in served and not queued[i]:
                 if discharges is NO_DISCHARGES:
                     discharges = [0] * N_LANES
                 discharges[i] += n
@@ -444,8 +425,6 @@ def step(sim: SimState) -> SimState:
                 if discharges is NO_DISCHARGES:
                     discharges = [0] * N_LANES
                 discharges[i] += 1
-                if ids is not None:
-                    log((clock, LANE_IDS[i], "discharge", ids[i].popleft()))
     sim.discharges = discharges
 
     # only a join raises a queue, so only joined lanes can set a new maximum

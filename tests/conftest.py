@@ -195,32 +195,19 @@ def cycle_queue_metric(tick_queues, cycle_index: int = 0,
 
 def force_queue(sim, lane: int, count: int, join_tick: int | None = None) -> None:
     """Plant ``count`` vehicles at the back of a lane's queue, joined at
-    ``join_tick`` (default: now), in a run that records no events (test
-    scaffolding)."""
+    ``join_tick`` (default: now) (test scaffolding)."""
     join = sim.clock if join_tick is None else join_tick
     sim.queues[lane].append([join, count])
     sim.queued[lane] += count
     sim.join_ticks[lane] += join * count
 
 
-def force_transit(sim, lane: int, count: int, stopline_tick: int) -> list[int]:
+def force_transit(sim, lane: int, count: int, stopline_tick: int) -> None:
     """Plant ``count`` vehicles travelling in a lane that reach its stopline
-    at ``stopline_tick``, after any already travelling; return their ids."""
-    first = sim._next_vehicle_id
-    sim._next_vehicle_id += count
-    ids = list(range(first, first + count))
-    if sim.vehicle_ids is not None:
-        sim.vehicle_ids[lane].extend(ids)
+    at ``stopline_tick``, after any already travelling."""
     counts = [0] * N_LANES
     counts[lane] = count
     sim.transit.append((stopline_tick, counts))
-    return ids
-
-
-def lane_events(sim, lane: int) -> list[tuple[int, str, int]]:
-    """(tick, event, vehicle id) of every recorded event of one lane."""
-    return [(tick, event, vid) for tick, lane_id, event, vid in sim.events
-            if lane_id == LANE_IDS[lane]]
 
 
 def rate_veh_h(profile, lane: int, t_s: float) -> float:

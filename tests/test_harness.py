@@ -207,15 +207,15 @@ def regime_scenarios(draw):
     )
     return (FlowProfile.build(rates, regimes), layout,
             draw(st.sampled_from(("fixed", "webster", "policy"))),
-            draw(st.integers(0, 2**32 - 1)), draw(st.integers(200, 1500)), draw(st.booleans()))
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(200, 1500)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(regime_scenarios())
 def test_episode_records_match_tick_log_and_regimes(scenario):
-    flows, layout, kind, seed, horizon, record_events = scenario
+    flows, layout, kind, seed, horizon = scenario
     logged = TickLog(make_test_controller(kind, layout, seed))
-    records = run_episode(SimState(layout, PLAN, flows, seed, record_events), logged, horizon)
+    records = run_episode(SimState(layout, PLAN, flows, seed), logged, horizon)
     assert len(logged.queues) == len(logged.ticks) == horizon
     assert [clock for clock, _phase, _yellow in logged.ticks] == list(range(1, horizon + 1))
     offset = 0
@@ -236,7 +236,7 @@ def test_episode_records_match_tick_log_and_regimes(scenario):
         offset += record.cycle_len_s
     assert offset <= horizon
     # without a tick hook (none for fixed and policy) the records are the same
-    bare = run_episode(SimState(layout, PLAN, flows, seed, record_events),
+    bare = run_episode(SimState(layout, PLAN, flows, seed),
                        make_test_controller(kind, layout, seed), horizon)
     assert bare == records
 
@@ -411,11 +411,13 @@ def test_run_grid_parallel_matches_sequential(tmp_path):
     tiny_bundle().save(weights)
     specs = [RunSpec("fixed", "fixed"), RunSpec("webster", "webster"),
              RunSpec("ppo", "policy", str(weights))]
-    results1 = run_grid(grid_experiment(workers=1), specs)
-    results2 = run_grid(grid_experiment(workers=2), specs)
-    assert results1 == results2
+    results1, logs1 = run_grid(grid_experiment(workers=1), specs)
+    results2, logs2 = run_grid(grid_experiment(workers=2), specs)
+    assert (results1, logs1) == (results2, logs2)
     assert list(results1) == [(config_id, seed) for config_id in ("fixed", "webster", "ppo")
                               for seed in (0, 1)]
+    # only the Webster cells log, and their logs come back from the workers
+    assert list(logs1) == [("webster", 0), ("webster", 1)] and all(logs1.values())
 
 
 def test_run_grid_rejects_duplicate_ids():
@@ -548,15 +550,6 @@ def test_webster_log_csv_cells_are_plain_numbers(tmp_path):
     for row in rows:
         for cell in row:
             float(cell)
-
-
-def test_events_csv(tmp_path):
-    path = tmp_path / "events.csv"
-    write_csv(path, ("tick", "lane", "event", "vehicle_id"),
-              [(4, 0, "enter", 0), (19, 0, "discharge", 0)])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "tick,lane,event,vehicle_id"
-    assert lines[1:] == ["4,0,enter,0", "19,0,discharge,0"]
 
 
 def test_write_csv_cell_rule(tmp_path):
@@ -715,23 +708,10 @@ def test_run_settings_validation():
 # -- command line ----------------------------------------------------------------
 
 
-def test_cli_baseline_record_events(tmp_path, capsys):
-    out = tmp_path / "sim"
-    assert main(["baseline", "--method", "fixed", "--horizon", "300", "--record-events",
-                 "--out", str(out)]) == 0
-    assert (out / "events.csv").exists()
-    assert (out / "cycles.csv").exists()
-    lines = (out / "events.csv").read_text().splitlines()
-    assert lines[0] == "tick,lane,event,vehicle_id"
-    assert len(lines) > 1
-    assert "fixed seed=0 horizon=300s" in capsys.readouterr().out
-
-
-# SHA-256 of the events and cycles that `tsclab baseline --method webster --seed 3
-# --horizon 3600 --record-events` writes: with the default scenario, and with an
-# oversaturated one that has a fractional travel time, a 1.5 s headway and a flow
-# change off the tick grid.
-# Any change to the simulator's draws, event order or vehicle ids shows here.
+# SHA-256 of the cycles that `tsclab compare` writes for one Webster column on
+# seed 3 over 3600 s: with the default scenario, and with an oversaturated one
+# that has a fractional travel time, a 1.5 s headway and a flow change off the
+# tick grid.  Any change to the simulator's draws or queue dynamics shows here.
 _GOLDEN_HEAVY_CFG = """\
 sim.travel_time_to_stopline_s = 7.5
 sim.saturation_headway_s = 1.5
@@ -742,28 +722,23 @@ flow.S1 = 0-1800@300, 1800-3600@900
 flow.W1 = 0-3600@250
 """
 _GOLDEN_DIGESTS = {
-    "default": {
-        "events.csv": "ffc78a0db22f039da5b4b51171ea702262f100f31ea9f6516b7132f63a13c383",
-        "cycles.csv": "b93c672489baa25b4d4ab3f7cb72265016e26b28c407fd715e7b46f48e0ea5de",
-    },
-    "heavy": {
-        "events.csv": "227afa9692882ae2038fb87ab075d57b6516c9e9e6826622746637537ae557fb",
-        "cycles.csv": "db79f992d31d769f12eb01d4d8d4a1d180af98f49f5ecbc34579781c3432cfef",
-    },
+    "default": "b93c672489baa25b4d4ab3f7cb72265016e26b28c407fd715e7b46f48e0ea5de",
+    "heavy": "db79f992d31d769f12eb01d4d8d4a1d180af98f49f5ecbc34579781c3432cfef",
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(_GOLDEN_DIGESTS))
-def test_cli_simulate_record_events_golden(tmp_path, capsys, scenario):
-    out = tmp_path / "sim"
-    argv = ["baseline", "--method", "webster", "--seed", "3", "--horizon", "3600",
-            "--record-events", "--out", str(out)]
+def test_cli_webster_golden(tmp_path, capsys, scenario):
+    grid = write_cfg(tmp_path, "webster controller=webster\n", "grid.txt")
+    out = tmp_path / "cmp"
+    argv = ["compare", "--grid", str(grid), "--seeds", "3", "--horizon", "3600",
+            "--out", str(out)]
     if scenario == "heavy":
         argv += ["--config", str(write_cfg(tmp_path, _GOLDEN_HEAVY_CFG))]
     assert main(argv) == 0
     capsys.readouterr()
-    for name, digest in _GOLDEN_DIGESTS[scenario].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    cycles = (out / "cycles_webster_seed3.csv").read_bytes()
+    assert hashlib.sha256(cycles).hexdigest() == _GOLDEN_DIGESTS[scenario]
 
 
 # SHA-256 of every file that tiny runs of the CSV-writing commands write.  A
@@ -771,7 +746,8 @@ def test_cli_simulate_record_events_golden(tmp_path, capsys, scenario):
 # its repr) that changes shows here; the policy-only compare at 500 s
 # completes under 10 cycles, so its correlations are all blank cells.  The
 # kplanes runs pin the K-Planes transform and the sampled and greedy
-# playback of a policy trained on it.
+# playback of a policy trained on it, and dqn_compare the greedy playback of
+# the dqn run's bundle.
 _TINY_TRAINING_CFG = """\
 ppo.n_steps = 20
 ppo.batch_size = 10
@@ -785,9 +761,13 @@ dqn.log_interval_steps = 10
 dqn.hidden_sizes = 8
 """
 _CLI_OUTPUT_DIGESTS = {
-    "baseline/cycles.csv":
+    "baseline/correlations_webster.csv":
+        "59efdecc2a5a895430a7afb04829449df2e8d555ca95d3bc3d2dc4d78b42e248",
+    "baseline/cycles_webster_seed0.csv":
         "1ae6234f2440f3c291391bb43d5545a498fd628009b2c8ea55948dd4ef04787f",
-    "baseline/webster_log.csv":
+    "baseline/summary.csv":
+        "f6e9cc7d1d01e0ee9f08ac7f0f5a284de8c1ce928abdcadd055f461027c60e27",
+    "baseline/webster_log_webster_seed0.csv":
         "a074a9cec97fb28541e33e0009869ca7bc6a792bf1b1b59ffded38b18c75240b",
     "compare/correlations_fixed.csv":
         "2d1818aabf931e42bc09174420747d1a47e729de7fa42ff00218d5838baf557d",
@@ -809,12 +789,24 @@ _CLI_OUTPUT_DIGESTS = {
         "47c1f93a79616ef2baf60046e96e51e656cda3f9cc3a9b89aab9a9cf327972f5",
     "compare/summary.csv":
         "094206023d4833ae94849c13e9c67f68ceeb74234d316a04b4be65878acf6da9",
+    "compare/webster_log_webster_seed0.csv":
+        "b3fcdc2e6305ea71996b91564cee7e32b66bf276c64389ed8b270a88d9fb9000",
+    "compare/webster_log_webster_seed1.csv":
+        "a52c7e0d9b2bea9d416123a541d442c03d4cb467461c88f364407012cc48f205",
     "dqn/cycles_train.csv":
         "003b079bc21b36ce417cdc678c6e443cedc449091114a2a46d3e53f7136b39e5",
     "dqn/dqn.tscw":
         "88e970ddf797ceb9639cccb3b74a04e136125b393cf478d10425a98c63182e63",
     "dqn/training_log.csv":
         "1f35be7551e465c642caa548d811feaeae9508dad24ba35cef4d870379f18f0b",
+    "dqn_compare/correlations_dqn.csv":
+        "1bafba9d23f386bcdde4b9c0286c7e143c7e87602de7ab1717b09e7362b18ea8",
+    "dqn_compare/cycles_dqn_seed0.csv":
+        "4f1d0eae62fbe659cdfcebb4e2d735f5f517897080ae3f87f16810e75dbcb5c2",
+    "dqn_compare/cycles_dqn_seed1.csv":
+        "1cea298cba2c01266d96dd568b24320895717922fa0751659f8e8644588ceab4",
+    "dqn_compare/summary.csv":
+        "791319c704732bff1a1015cac74d6e9e91955881fe690540a910c36e356df2d6",
     "kplanes/cycles_train.csv":
         "160f0e22025cbb5bd155dcb2190d54553bf2a525ee316646b35e8f1cbe9bdebc",
     "kplanes/policy.tscw":
@@ -865,15 +857,22 @@ def test_cli_outputs_golden(tmp_path, capsys):
                                f"ppo controller=policy weights={weights}\n", "grid.txt")
     ppo_grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n",
                          "ppo_grid.txt")
+    webster_grid = write_cfg(tmp_path, "webster controller=webster\n", "webster_grid.txt")
+    dqn_weights = str(tmp_path / "dqn" / "dqn.tscw")
+    dqn_grid = write_cfg(tmp_path, f"dqn controller=policy weights={dqn_weights}\n",
+                         "dqn_grid.txt")
     kplanes_weights = str(tmp_path / "kplanes" / "policy.tscw")
     kplanes_grid = write_cfg(
         tmp_path, f"kplanes controller=policy weights={kplanes_weights}\n"
                   f"kplanes_greedy controller=policy weights={kplanes_weights} "
                   "playback=greedy\n", "kplanes_grid.txt")
     runs = {
-        "baseline": ["baseline", "--method", "webster", "--horizon", "1800"],
+        "baseline": ["compare", "--grid", str(webster_grid), "--seeds", "0",
+                     "--horizon", "1800"],
         "train": ["train", "--config", cfg, "--reward", "delay"],
         "dqn": ["dqn", "--config", cfg],
+        "dqn_compare": ["compare", "--grid", str(dqn_grid), "--seeds", "0,1",
+                        "--horizon", "2400"],
         "ppo": ["compare", "--grid", str(ppo_grid), "--seeds", "0,1", "--horizon", "2400"],
         "ppo_short": ["compare", "--grid", str(ppo_grid), "--seeds", "0", "--horizon", "500"],
         "compare": ["compare", "--grid", str(grid), "--horizon", "400", "--seeds", "0,1"],
@@ -891,12 +890,23 @@ def test_cli_outputs_golden(tmp_path, capsys):
 
 
 def test_cli_baseline_webster(tmp_path, capsys):
+    # each Webster cell writes the recomputations of its own episode
+    grid = write_cfg(tmp_path, "fixed controller=fixed\nwebster controller=webster\n",
+                     "grid.txt")
     out = tmp_path / "base"
-    assert main(["baseline", "--method", "webster", "--horizon", "600",
+    assert main(["compare", "--grid", str(grid), "--seeds", "0,1", "--horizon", "600",
                  "--out", str(out)]) == 0
-    assert (out / "cycles.csv").exists()
-    assert (out / "webster_log.csv").exists()
-    assert "webster seed=0" in capsys.readouterr().out
+    assert "2 configs x 2 seeds" in capsys.readouterr().out
+    assert sorted(path.name for path in out.glob("webster_log*")) == [
+        "webster_log_webster_seed0.csv", "webster_log_webster_seed1.csv"]
+    run = RunSettings(horizon_s=600)
+    for seed in (0, 1):
+        controller = DynamicWebsterController(run.layout, run.plan)
+        run_episode(SimState(run.layout, run.plan, run.flows, seed), controller, 600)
+        assert len(controller.recompute_log) == 4  # at 145, 290, 435 and 580 s
+        write_csv(tmp_path / "direct.csv", WEBSTER_LOG_HEADER, controller.recompute_log)
+        assert ((out / f"webster_log_webster_seed{seed}.csv").read_bytes()
+                == (tmp_path / "direct.csv").read_bytes())
 
 
 def test_cli_train_compare_round_trip(tmp_path, capsys):
@@ -1092,14 +1102,13 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 @pytest.fixture
 def episodes_started(monkeypatch):
-    """Counts the episodes the grid runner, the baseline command and the
-    training environments start (every episode builds one ``SimState``)."""
+    """Counts the episodes the grid runner and the training environments
+    start (every episode builds one ``SimState``)."""
     import tsclab.envs as envs
-    import tsclab.harness.cli as cli
     import tsclab.harness.runner as runner
 
     started = []
-    for module in (runner, envs, cli):
+    for module in (runner, envs):
         def counting(*args, _real=module.SimState, **kwargs):
             started.append(args)
             return _real(*args, **kwargs)
@@ -1233,8 +1242,7 @@ def test_cli_rejects_seeds_a_weight_file_cannot_hold(tmp_path, capsys, episodes_
     out = tmp_path / "x"
     for seed in (2**64, 2**64 + 1):
         for command in (["train", "--timesteps", "0"], ["dqn", "--timesteps", "0"],
-                        ["pretrain-ae", "--buffer-steps", "8"],
-                        ["baseline", "--method", "fixed"]):
+                        ["pretrain-ae", "--buffer-steps", "8"]):
             assert main([*command, "--seed", str(seed), "--out", str(out)]) == 1
     assert episodes_started == []
     assert not out.exists()
@@ -1311,7 +1319,7 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
     tiny_bundle().save(weights)
     grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n", "grid.txt")
     out = ["--out", str(tmp_path / "x")]
-    assert main(["baseline", "--method", "fixed", "--horizon", "50", *out]) == 1
+    assert main(["compare", "--grid", str(grid), "--horizon", "50", *out]) == 1
     # --seeds takes run.seeds' rule: integers, comma separated, none empty, distinct
     for seeds in ("1,1", "0,x", "", "0,,1", "0,1,"):
         assert main(["compare", "--grid", str(grid), "--seeds", seeds, *out]) == 1
@@ -1343,8 +1351,8 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
 def test_cli_rejects_non_finite_layout_and_webster_settings(tmp_path, capsys,
                                                            episodes_started, key, value):
     cfg = write_cfg(tmp_path, f"{key} = {value}\n")
-    assert main(["baseline", "--method", "webster", "--horizon", "400", "--config", str(cfg),
-                 "--out", str(tmp_path / "x")]) == 1
+    assert main([*_grid_argv(tmp_path, ["webster controller=webster"]),
+                 "--config", str(cfg)]) == 1
     assert f"{key} must be finite" in capsys.readouterr().err
     assert episodes_started == []
 
@@ -1352,12 +1360,20 @@ def test_cli_rejects_non_finite_layout_and_webster_settings(tmp_path, capsys,
 def test_cli_rejects_regimes_without_a_lane(tmp_path, capsys, episodes_started):
     # without a flow.<lane> key there is no demand for the regimes to label
     cfg = write_cfg(tmp_path, "flow.regimes = 0-1000@a, 1000-7200@b\n")
-    out = tmp_path / "x"
-    assert main(["baseline", "--method", "fixed", "--horizon", "2000", "--config", str(cfg),
-                 "--out", str(out)]) == 1
+    argv = _grid_argv(tmp_path, ["fixed controller=fixed"], horizon="2000")
+    assert main([*argv, "--config", str(cfg)]) == 1
     assert "at least one lane" in capsys.readouterr().err
     assert episodes_started == []
-    assert not out.exists()
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_cli_rejects_an_empty_regime_label(tmp_path, capsys, episodes_started):
+    # an empty label would read as "no regime", like a profile without labels
+    cfg = write_cfg(tmp_path, "flow.N0 = 0-100@5\nflow.regimes = 0-50@, 50-100@b\n")
+    assert main([*_grid_argv(tmp_path, ["fixed controller=fixed"]), "--config", str(cfg)]) == 1
+    assert "flow.regimes" in capsys.readouterr().err
+    assert episodes_started == []
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_cli_compare_with_few_cycles_writes_blank_correlations(tmp_path, capsys):
@@ -1377,32 +1393,34 @@ def test_cli_compare_with_few_cycles_writes_blank_correlations(tmp_path, capsys)
 
 def test_cli_exit_codes(tmp_path, capsys, episodes_started):
     assert main(["conquer"]) == 1  # unknown subcommand
-    for gone in ("eval", "simulate"):  # folded into compare and baseline
+    for gone in ("eval", "simulate", "baseline"):  # folded into compare
         assert main([gone]) == 1
     fixed_grid = write_cfg(tmp_path, "fixed controller=fixed\n", "fixed.txt")
     assert main(["compare", "--grid", str(fixed_grid), "--horizon", "200", "--seeds", "0",
                  "--plots", "--out", str(tmp_path / "plots")]) == 1  # plot scripts gone
     assert not (tmp_path / "plots").exists()
     assert main(["compare"]) == 1  # missing required --grid
-    assert main(["baseline"]) == 1  # missing required --method
     absent = write_cfg(tmp_path, f"ppo controller=policy weights={tmp_path / 'absent.tscw'}\n",
                        "absent.txt")
     assert main(["compare", "--grid", str(absent)]) == 1
-    baseline = ["baseline", "--method", "fixed", "--out", str(tmp_path / "x")]
+    fixed_run = ["compare", "--grid", str(fixed_grid), "--seeds", "0",
+                "--out", str(tmp_path / "x")]
+    webster = ["compare", "--grid", str(write_cfg(tmp_path, "webster controller=webster\n",
+                                                  "webster.txt")), "--seeds", "0"]
     bad_cfg = write_cfg(tmp_path, "nope = 1\n")
-    assert main([*baseline, "--config", str(bad_cfg), "--horizon", "200"]) == 1
+    assert main([*fixed_run, "--config", str(bad_cfg), "--horizon", "200"]) == 1
     for off_grid in ("plan.g_min_s = 10.5\n", "plan.yellow_s = 4.6\n"):
-        assert main([*baseline, "--config", str(write_cfg(tmp_path, off_grid))]) == 1
+        assert main([*fixed_run, "--config", str(write_cfg(tmp_path, off_grid))]) == 1
     for window in ("0.5", "900.7"):  # webster counts arrivals per whole second
         cfg = write_cfg(tmp_path, f"webster.flow_window_s = {window}\n")
-        assert main(["baseline", "--method", "webster", "--config", str(cfg),
+        assert main([*webster, "--config", str(cfg),
                      "--horizon", "200", "--out", str(tmp_path / "x")]) == 1
     for interval in ("0.25", "0.5", "1.5", "145.5"):  # and recomputes on whole seconds
         cfg = write_cfg(tmp_path, f"webster.recompute_interval_s = {interval}\n")
-        assert main(["baseline", "--method", "webster", "--config", str(cfg),
+        assert main([*webster, "--config", str(cfg),
                      "--horizon", "400", "--out", str(tmp_path / "x")]) == 1
     missing_cfg = tmp_path / "ghost.cfg"
-    assert main([*baseline, "--config", str(missing_cfg)]) == 1
+    assert main([*fixed_run, "--config", str(missing_cfg)]) == 1
     empty_grid = write_cfg(tmp_path, "# nothing\n", "grid.txt")
     assert main(["compare", "--grid", str(empty_grid)]) == 1
     # a grid or config path that is a directory, or a file that is not UTF-8
@@ -1412,7 +1430,7 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
     for bad in (tmp_path, not_utf8):
         assert main(["compare", "--grid", str(bad), "--horizon", "200", "--seeds", "0",
                      "--out", str(unread)]) == 1
-        assert main([*baseline, "--config", str(bad)]) == 1
+        assert main([*fixed_run, "--config", str(bad)]) == 1
     # a config_id names the column's output files
     for bad_id in ("a/b", "a\0b"):
         grid = write_cfg(tmp_path, f"{bad_id} controller=fixed\n", "bad_id.txt")
@@ -1449,7 +1467,7 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
     # seeds must be non-negative, as a flag, a seed list or a config key
     negative = tmp_path / "negative"
     for command in (["train", "--timesteps", "0"], ["pretrain-ae", "--buffer-steps", "8"],
-                    ["dqn", "--timesteps", "0"], ["baseline", "--method", "fixed"]):
+                    ["dqn", "--timesteps", "0"]):
         assert main([*command, "--seed", "-1", "--out", str(negative)]) == 1
     fixed = write_cfg(tmp_path, "fixed controller=fixed\n", "fixed.txt")
     assert main(["compare", "--grid", str(fixed), "--seeds=-1,2", "--horizon", "200",
@@ -1461,8 +1479,7 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
     # an --out that cannot be a directory is refused before the job runs
     a_file = tmp_path / "a_file"
     a_file.write_text("kept\n")
-    for command in (["baseline", "--method", "fixed", "--horizon", "400"],
-                    ["train", "--timesteps", "0"], ["dqn", "--timesteps", "0"],
+    for command in (["train", "--timesteps", "0"], ["dqn", "--timesteps", "0"],
                     ["compare", "--grid", str(fixed), "--horizon", "200"]):
         for out in (a_file, a_file / "sub"):
             assert main([*command, "--out", str(out)]) == 1

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cycle_queue_metric, force_queue, force_transit, lane_events,
-                      lane_index, rate_veh_h, uniform_profile)
+from conftest import (cycle_queue_metric, force_queue, force_transit, lane_index,
+                      rate_veh_h, uniform_profile)
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.harness.metrics import CycleTracker
 from tsclab.sim import (
@@ -31,10 +31,9 @@ from tsclab.sim import (
 )
 
 
-def make_sim(seed=0, rates=None, layout=None, plan=None, record_events=False):
+def make_sim(seed=0, rates=None, layout=None, plan=None):
     flows = uniform_profile(rates if rates is not None else [0.0] * N_LANES)
-    return SimState(layout or IntersectionLayout(), plan or PhasePlan(), flows, seed,
-                    record_events)
+    return SimState(layout or IntersectionLayout(), plan or PhasePlan(), flows, seed)
 
 
 # -- construction --------------------------------------------------------------
@@ -102,10 +101,11 @@ def test_fractional_programmed_green_ends_on_next_whole_second():
 def test_same_seed_reproduces_arrival_events():
     logs = []
     for _ in range(2):
-        sim = make_sim(seed=42, rates=[400.0] * N_LANES, record_events=True)
-        while sum(1 for e in sim.events if e[2] == "enter") < 1000:
-            step(sim)
-        logs.append([e for e in sim.events if e[2] == "enter"][:1000])
+        sim = make_sim(seed=42, rates=[400.0] * N_LANES)
+        arrivals = []
+        while sum(map(sum, arrivals)) < 1000:
+            arrivals.append(tuple(step(sim).arrivals))
+        logs.append(arrivals)
     assert logs[0] == logs[1]
 
 
@@ -147,19 +147,11 @@ def test_step_returns_sim_with_the_tick_on_it():
     # tools that wrap step (the benchmark's span tracer) read the tick's
     # arrivals from its return value
     rates = [900.0, 0.0, 450.0, 300.0, 1200.0, 60.0, 700.0, 2000.0]
-    sim = make_sim(seed=21, rates=rates, record_events=True)
+    sim = make_sim(seed=21, rates=rates)
     ref = np.random.Generator(np.random.PCG64(21))
     for _ in range(300):
-        seen = len(sim.events)
         assert step(sim) is sim
         assert sim.arrivals == ref.poisson(np.array(rates) / 3600.0).tolist()
-        events = sim.events[seen:]
-        for i, lane_id in enumerate(LANE_IDS):
-            assert sim.arrivals[i] == sum(1 for _t, lane, event, _vid in events
-                                          if lane == lane_id and event == "enter")
-            assert sim.discharges[i] == sum(1 for _t, lane, event, _vid in events
-                                            if lane == lane_id
-                                            and event in ("pass", "discharge"))
 
 
 def test_poisson_arrival_mean():
@@ -177,42 +169,40 @@ def test_poisson_arrival_mean():
 
 
 def test_pass_through_on_green_with_empty_queue():
-    sim = make_sim(record_events=True)
+    sim = make_sim()
     for _ in range(3):
         step(sim)  # phase_elapsed 3 >= startup 2
-    (vid,) = force_transit(sim, 0, 1, stopline_tick=sim.clock + 1)
+    force_transit(sim, 0, 1, stopline_tick=sim.clock + 1)
     step(sim)
-    assert lane_events(sim, 0) == [(sim.clock, "pass", vid)]  # never queued
     assert sim.discharges[0] == 1
     assert sim.queued[0] == 0
+    assert not sim.queues[0] and sim.cycle_lane_max[0] == 0  # never queued
 
 
 def test_unserved_arrival_joins_queue():
-    sim = make_sim(record_events=True)
+    sim = make_sim()
     for _ in range(3):
         step(sim)
     lane = lane_index("E0")  # phase 2 lane, not served during phase 0
-    (vid,) = force_transit(sim, lane, 1, stopline_tick=sim.clock + 1)
+    force_transit(sim, lane, 1, stopline_tick=sim.clock + 1)
     step(sim)
-    assert lane_events(sim, lane) == [(sim.clock, "join", vid)]
+    assert list(sim.queues[lane]) == [[sim.clock, 1]]
     assert sim.discharges[lane] == 0
     assert sim.queued[lane] == 1
     assert sim.lane_wait_s(lane) == 0  # joined this tick
 
 
 def test_arrival_before_startup_queues_then_discharges():
-    sim = make_sim(record_events=True)
-    (vid,) = force_transit(sim, 0, 1, stopline_tick=1)
+    sim = make_sim()
+    force_transit(sim, 0, 1, stopline_tick=1)
     step(sim)  # phase_elapsed 0 < startup: must queue even though served
-    assert lane_events(sim, 0) == [(1, "join", vid)]
-    assert sim.queued[0] == 1
+    assert list(sim.queues[0]) == [[1, 1]]
+    assert sim.discharges[0] == 0
     discharged = 0
     for _ in range(3):
         discharged += step(sim).discharges[0]
     assert discharged == 1
-    (join_tick, _, _), (discharge_tick, event, discharged_vid) = lane_events(sim, 0)
-    assert (event, discharged_vid) == ("discharge", vid)
-    assert discharge_tick - join_tick >= 0
+    assert sim.queued[0] == 0 and not sim.queues[0]
 
 
 # -- observation helpers -------------------------------------------------------
@@ -403,19 +393,20 @@ def test_vehicle_conservation_every_tick():
 
 def test_determinism_with_identical_action_sequence():
     def run():
-        sim = make_sim(seed=123, rates=[500.0] * N_LANES, record_events=True)
+        sim = make_sim(seed=123, rates=[500.0] * N_LANES)
         rng = np.random.Generator(np.random.PCG64(7))
         rows = []
         for _ in range(500):
             if at_decision_point(sim):
                 apply_action(sim, int(rng.integers(0, 3)))
-            rows.append(tuple(step(sim).queued))
-        return rows, sim.events
+            step(sim)
+            rows.append((tuple(sim.arrivals), tuple(sim.discharges), tuple(sim.queued)))
+        return rows, sim.completed_cycles
 
-    rows_a, events_a = run()
-    rows_b, events_b = run()
+    rows_a, cycles_a = run()
+    rows_b, cycles_b = run()
     assert rows_a == rows_b
-    assert events_a == events_b
+    assert cycles_a == cycles_b and cycles_a
 
 
 def test_unserved_lane_queue_is_non_decreasing():
@@ -585,7 +576,10 @@ class PerVehicleLanes:
     arrivals one tick at a time, from rates looked up afresh every tick.
 
     The signal state of each tick is taken from the simulator under test;
-    everything that happens in the lanes is recomputed here.
+    everything that happens in the lanes is recomputed here.  Vehicles get
+    increasing ids as they enter, and every vehicle that crosses a lane's
+    stopline, passing or discharged, must have entered after the one that
+    crossed before it: each lane is first in, first out.
     """
 
     def __init__(self, layout, flows, seed):
@@ -597,8 +591,12 @@ class PerVehicleLanes:
         self.credit = [0.0] * N_LANES
         self.passed = [0] * N_LANES
         self.discharged = [0] * N_LANES
-        self.events = []
+        self.last_crossed = [-1] * N_LANES
         self.next_id = 0
+
+    def _cross(self, lane, vid):
+        assert vid > self.last_crossed[lane], "a lane let a vehicle overtake"
+        self.last_crossed[lane] = vid
 
     def tick(self, clock, served, green_flowing, signal_changed):
         if signal_changed:
@@ -608,7 +606,6 @@ class PerVehicleLanes:
             for _ in range(int(counts[i])):
                 self.transit[i].append(
                     (clock + self.layout.travel_time_to_stopline_s, self.next_id))
-                self.events.append((clock, LANE_IDS[i], "enter", self.next_id))
                 self.next_id += 1
         discharges = [0] * N_LANES
         for i in range(N_LANES):
@@ -617,10 +614,9 @@ class PerVehicleLanes:
                 if green_flowing and i in served and not self.queue[i]:
                     self.passed[i] += 1
                     discharges[i] += 1
-                    self.events.append((clock, LANE_IDS[i], "pass", vid))
+                    self._cross(i, vid)
                 else:
                     self.queue[i].append((clock, vid))
-                    self.events.append((clock, LANE_IDS[i], "join", vid))
         if green_flowing:
             for i in served:
                 self.credit[i] += 1.0 / self.layout.saturation_headway_s
@@ -629,7 +625,7 @@ class PerVehicleLanes:
                     self.credit[i] -= 1.0
                     self.discharged[i] += 1
                     discharges[i] += 1
-                    self.events.append((clock, LANE_IDS[i], "discharge", vid))
+                    self._cross(i, vid)
         return tuple(int(c) for c in counts), tuple(discharges)
 
 
@@ -664,7 +660,7 @@ def lane_scenarios(draw):
                        for a, b in zip(bounds, bounds[1:])]
     flows = FlowProfile.build(rates)
     actions = draw(st.lists(st.integers(0, 2), min_size=1, max_size=50))
-    return layout, plan, flows, actions, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+    return layout, plan, flows, actions, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -675,10 +671,10 @@ def lane_scenarios(draw):
                              startup_lost_time_s=0.0),
           PhasePlan((1.0,) * N_PHASES, yellow_s=1, g_min_s=1, g_max_s=1, delta_time_s=1),
           uniform_profile([0.0, 0.0, 0.0, 0.0, 1800.0, 1.0, 1.0, 745.0], span_s=20.0),
-          [0], 0, True))
+          [0], 0))
 def test_counter_lanes_match_per_vehicle_model(scenario):
-    layout, plan, flows, actions, seed, record_events = scenario
-    sim = SimState(layout, plan, flows, seed, record_events)
+    layout, plan, flows, actions, seed = scenario
+    sim = SimState(layout, plan, flows, seed)
     ref = PerVehicleLanes(layout, flows, seed)
     entered = [0] * N_LANES
     decisions = 0
@@ -718,5 +714,3 @@ def test_counter_lanes_match_per_vehicle_model(scenario):
             replayed += 1
         assert sim.cycle_lane_max == [max(lane) for lane in
                                       zip(*ref_queues[sim.cycle_start_tick - 1:])]
-    if record_events:
-        assert sim.events == ref.events
