@@ -14,7 +14,7 @@ import numpy as np
 
 from ..envs import run_to_decision
 from ..errors import ConfigurationError, check_non_negative
-from ..neural import Adam, Mlp
+from ..neural import Adam, Mlp, share_parameters
 from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan, SimState,
                    apply_action)
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
@@ -81,7 +81,10 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
     s_enc, s_dec, s_shuffle = ss.spawn(3)
     encoder = Mlp([EXPANDED_DIM, _HIDDEN, int(k)], "relu", seed=s_enc)
     decoder = Mlp([int(k), _HIDDEN, EXPANDED_DIM], "relu", seed=s_dec)
-    opt = Adam([encoder.flat, decoder.flat], lr)
+    # one parameter and one gradient vector for both networks, so each
+    # minibatch makes one optimizer pass
+    params, grads = share_parameters(encoder, decoder)
+    opt = Adam([params], lr)
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
 
     initial_mse = reconstruction_mse(encoder, decoder, x)
@@ -94,9 +97,10 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
             z = encoder.forward(batch)
             recon = decoder.forward(z)
             err = recon - batch
-            dec_gradient, dz = decoder.backward((2.0 / b) * err)
-            enc_gradient, _ = encoder.backward(dz, input_grad=False)
-            opt.step([enc_gradient, dec_gradient])
+            err *= 2.0 / b
+            _, dz = decoder.backward(err)
+            encoder.backward(dz, input_grad=False)
+            opt.step([grads])
     final_mse = reconstruction_mse(encoder, decoder, x) if epochs else initial_mse
     return AeResult(encoder=encoder, decoder=decoder,
                     initial_mse=initial_mse, final_mse=final_mse)

@@ -44,31 +44,19 @@ class Mlp:
         self.layer_sizes = sizes
         self.hidden_activation = hidden_activation
         self.seed = seed
-        # every weight and bias is a view into one vector, laid out in
-        # parameters() order, so an optimizer can treat the net as one array
         shapes = [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
                   for shape in ((fan_out, fan_in), (fan_out,))]
         ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         self._layout = list(zip([0, *ends[:-1]], ends, shapes))
-        self.flat = np.zeros(ends[-1], dtype=np.float64)
-        views = self._views(self.flat)
-        self.weights: list[np.ndarray] = views[0::2]
-        self.biases: list[np.ndarray] = views[1::2]
-        # (transposed weights, bias) per layer for predict, views into flat
-        self._predict_layers = [(w.T, b) for w, b in zip(self.weights, self.biases)]
+        self._bind(np.zeros(ends[-1]), np.zeros(ends[-1]))
         rng = np.random.Generator(np.random.PCG64(seed))
         for w in self.weights:
             fan_out, fan_in = w.shape
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             w[...] = rng.uniform(-limit, limit, size=w.shape)
-        self._tape: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+        self._tape: list[np.ndarray] | None = None
 
     # -- forward / backward ---------------------------------------------------
-
-    def _activate(self, z: np.ndarray) -> np.ndarray:
-        if self.hidden_activation == "tanh":
-            return np.tanh(z)
-        return np.maximum(z, 0.0)
 
     def _check_input(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -79,31 +67,35 @@ class Mlp:
         return arr
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network and cache intermediates for :meth:`backward`."""
+        """Run the network and keep the input and each layer's output, and
+        nothing else, for :meth:`backward`.  Each layer runs as in
+        :meth:`predict`."""
         arr = self._check_input(x)
         squeeze = arr.ndim == 1
         if squeeze:
             arr = arr[None, :]
-        activations = [arr]
-        pre = []
+        tanh = self.hidden_activation == "tanh"
+        *hidden, (w_t, b) = self._predict_layers
         a = arr
-        last = len(self.weights) - 1
-        for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T
-            z += b
-            pre.append(z)
-            a = z if idx == last else self._activate(z)
+        activations = [a]
+        for hidden_w_t, hidden_b in hidden:
+            z = a @ hidden_w_t
+            z += hidden_b
+            a = np.tanh(z, out=z) if tanh else np.maximum(z, 0.0, out=z)
             activations.append(a)
-        self._tape = (activations, pre)
-        return a[0] if squeeze else a
+        z = a @ w_t
+        z += b
+        activations.append(z)
+        self._tape = activations
+        return z[0] if squeeze else z
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Run the network without touching the tape (safe for concurrent
         read-only inference on a frozen net).  A 1-D input runs as given,
         with the same values as the row of a one-row batch.  Each layer
-        multiplies by the transposed view of its weights kept since
-        construction, which reads :attr:`flat` as it is now.  The product is
-        the only array a layer allocates: the bias and the activation are
+        multiplies by the transposed view of its weights that :meth:`_bind`
+        built, which reads :attr:`flat` as it is now.  The product is the
+        only array a layer allocates: the bias and the activation are
         applied to it in place, and the input is never written."""
         a = self._check_input(x)
         tanh = self.hidden_activation == "tanh"
@@ -121,14 +113,14 @@ class Mlp:
         """Exact reverse-mode gradients from the last :meth:`forward` call.
 
         ``upstream`` is d(loss)/d(output) with the same shape the forward
-        pass returned.  Returns the parameter gradient, summed over the
-        batch, as one fresh vector laid out like :attr:`flat`, plus
-        d(loss)/d(input), or None in its place with ``input_grad=False``,
-        which skips the first layer's input product.
+        pass returned.  Writes the parameter gradient, summed over the batch,
+        into :attr:`grad` and returns it, plus d(loss)/d(input), or None in
+        its place with ``input_grad=False``, which skips the first layer's
+        input product.  The next call overwrites :attr:`grad`.
         """
         if self._tape is None:
             raise ContractViolation("backward called before forward")
-        activations, pre = self._tape
+        activations = self._tape
         delta = np.asarray(upstream, dtype=np.float64)
         squeeze = delta.ndim == 1
         if squeeze:
@@ -138,12 +130,11 @@ class Mlp:
                 f"upstream shape {np.shape(upstream)} does not match output "
                 f"shape {activations[-1].shape}"
             )
-        gradient = np.empty_like(self.flat)
-        views = self._views(gradient)
         tanh = self.hidden_activation == "tanh"
         for layer in range(len(self.weights) - 1, -1, -1):
-            np.matmul(delta.T, activations[layer], out=views[2 * layer])
-            delta.sum(axis=0, out=views[2 * layer + 1])
+            d_weight, d_bias = self._grad_layers[layer]
+            np.matmul(delta.T, activations[layer], out=d_weight)
+            delta.sum(axis=0, out=d_bias)
             if layer == 0:
                 break
             # delta is the fresh product, never the caller's upstream
@@ -152,25 +143,52 @@ class Mlp:
                 slope = activations[layer] * activations[layer]
                 delta *= np.subtract(1.0, slope, out=slope)
             else:
-                delta *= pre[layer - 1] > 0.0
+                # relu(z) > 0 exactly where z > 0, NaN and -0.0 included
+                delta *= activations[layer] > 0.0
         if not input_grad:
-            return gradient, None
+            return self.grad, None
         delta = delta @ self.weights[0]
-        return gradient, (delta[0] if squeeze else delta)
+        return self.grad, (delta[0] if squeeze else delta)
 
     # -- parameter plumbing ---------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def _views(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Views of a vector laid out like :attr:`flat`, in parameters() order."""
-        return [vector[start:end].reshape(shape) for start, end, shape in self._layout]
+    def _bind(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Make ``flat`` and ``grad`` the parameter and gradient vectors, both
+        laid out in parameters() order, and build every view into them: the
+        weights and biases, their transposed pairs for :meth:`predict` and
+        :meth:`forward`, and each layer's gradient pair for :meth:`backward`."""
+        def views(vector):
+            return [vector[start:end].reshape(shape) for start, end, shape in self._layout]
+
+        self.flat, self.grad = flat, grad
+        params, grads = views(flat), views(grad)
+        self.weights: list[np.ndarray] = params[0::2]
+        self.biases: list[np.ndarray] = params[1::2]
+        self._predict_layers = [(w.T, b) for w, b in zip(self.weights, self.biases)]
+        self._grad_layers = list(zip(grads[0::2], grads[1::2]))
 
     def copy(self) -> "Mlp":
         clone = Mlp(self.layer_sizes, self.hidden_activation, self.seed)
         clone.flat[...] = self.flat
         return clone
+
+
+def share_parameters(*nets: Mlp) -> tuple[np.ndarray, np.ndarray]:
+    """Lay the nets' parameters end to end in one new vector and their
+    gradients in another, and rebind each net's views into them, keeping
+    every value.  Returns (parameters, gradients), so one optimizer pass
+    updates every net."""
+    params = np.concatenate([net.flat for net in nets])
+    grads = np.concatenate([net.grad for net in nets])
+    start = 0
+    for net in nets:
+        end = start + net.flat.size
+        net._bind(params[start:end], grads[start:end])
+        start = end
+    return params, grads
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -230,7 +248,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Bias-corrected adaptive-moment optimizer over one parameter list
-    (the trainers pass one :attr:`Mlp.flat` vector per network)."""
+    (PPO and DQN pass one :attr:`Mlp.flat` vector per network, the
+    autoencoder one vector for both of its networks)."""
 
     def __init__(self, params: Sequence[np.ndarray], lr: float) -> None:
         self.params = list(params)

@@ -13,8 +13,8 @@ Layout (all integers little-endian):
 Arrays load back as 64-bit for compute; storage is 32-bit by design, so a
 save/load round trip quantizes to float32 precision.  A file that does not
 parse (bad magic, unknown version, truncation, bytes after the last array,
-a tag that is not UTF-8, arrays that do not chain into a network) or cannot
-be read at all raises :class:`ConfigurationError`.
+a tag that is not UTF-8, a NaN or infinite value, arrays that do not chain
+into a network) or cannot be read at all raises :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -115,6 +115,8 @@ def load_arrays(path: str | Path) -> WeightFile:
         (ndim,) = unpack("<I")
         dims = unpack(f"<{ndim}I")
         data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
+        if not np.isfinite(data).all():
+            raise ConfigurationError(f"{path}: array {len(arrays)} holds a non-finite value")
         arrays.append(data.reshape(dims).astype(np.float64))
     if offset != len(view):
         raise ConfigurationError(f"{path}: {len(view) - offset} bytes after the last array")

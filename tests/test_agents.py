@@ -668,6 +668,23 @@ def test_load_autoencoder_rejects_other_files(tmp_path):
         load_autoencoder(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_weight_files_with_a_non_finite_value_fail_to_load(tmp_path, value):
+    # a NaN output bias once loaded and then stopped a compare run with NaN
+    # logits; +inf played on with NaN log-probs
+    bundle = header_test_bundle("expanded")
+    bundle.policy.biases[-1][0] = value
+    path = tmp_path / "policy.tscw"
+    bundle.save(path)
+    with pytest.raises(ConfigurationError, match="array 4 holds a non-finite value"):
+        PolicyBundle.load(path)
+    result = train_autoencoder(constant_buffer(8), k=4, epochs=0)
+    result.decoder.weights[0][3, 1] = value
+    save_autoencoder(result, path)
+    with pytest.raises(ConfigurationError, match="array 4 holds a non-finite value"):
+        load_autoencoder(path)
+
+
 def test_collect_state_buffer_shape_and_determinism():
     flows = uniform_profile([300.0] * N_LANES)
     states = collect_state_buffer(50, flows, seed=4)

@@ -1136,6 +1136,20 @@ def test_cli_compare_rejects_a_truncated_bundle(tmp_path, capsys, episodes_start
     assert episodes_started == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_cli_compare_rejects_a_bundle_with_non_finite_weights(tmp_path, capsys,
+                                                             episodes_started, value):
+    weights = tmp_path / "policy.tscw"
+    bundle = tiny_bundle()
+    bundle.policy.biases[-1][0] = value
+    bundle.save(weights)
+    argv = _grid_argv(tmp_path, ["fixed controller=fixed",
+                                 f"ppo controller=policy weights={weights}"])
+    assert main(argv) == 1
+    assert "array 4 holds a non-finite value" in capsys.readouterr().err
+    assert episodes_started == []
+
+
 def test_cli_compare_rejects_a_bundle_its_observation_cannot_feed(tmp_path, capsys,
                                                                   episodes_started):
     weights = tmp_path / "policy.tscw"
@@ -1185,8 +1199,8 @@ def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
 
 
 @pytest.mark.parametrize("norms, fields, message", [
-    ([25.0, 40.0, 180.0, float("nan")], {}, "cycles_max must be positive and finite"),
-    ([25.0, 40.0, 180.0, float("inf")], {}, "cycles_max must be positive and finite"),
+    ([25.0, 40.0, 180.0, float("nan")], {}, "array 0 holds a non-finite value"),
+    ([25.0, 40.0, 180.0, float("inf")], {}, "array 0 holds a non-finite value"),
     ([30.0, 40.0, 180.0, 72.0], {}, "header does not describe"),
     (None, {"kres": 3}, "header does not describe"),
     (None, {"kseed": -5}, "plane seed must be non-negative"),

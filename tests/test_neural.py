@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from tsclab.agents.autoencoder import reconstruction_mse
 from tsclab.errors import ContractViolation
 from conftest import reference_softmax_sample, softmax
-from tsclab.neural import ACTIVATIONS, Adam, Mlp, log_softmax, softmax_sample
+from tsclab.neural import (ACTIVATIONS, Adam, Mlp, log_softmax, share_parameters,
+                            softmax_sample)
 from tsclab.weights import mlp_from_arrays
 
 
@@ -400,6 +401,48 @@ def test_adam_on_flat_matches_per_array_steps(sizes, activation, seed):
         assert net.flat.tobytes() == twin.flat.tobytes()
 
 
+@settings(max_examples=25, deadline=None)
+@given(first=layer_sizes, second=layer_sizes, activation=st.sampled_from(ACTIVATIONS),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_nets_keep_their_values_and_step_as_separate_ones(first, second,
+                                                                activation, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    inputs = [rng.standard_normal((3, sizes[0])) for sizes in (first, second)]
+    for scale in (1e-6, 1.0, 1e3):
+        nets = [Mlp(first, activation, seed=seed), Mlp(second, activation, seed=seed + 1)]
+        twins = [net.copy() for net in nets]
+        params, grads = share_parameters(*nets)
+        assert params.tobytes() == b"".join(twin.flat.tobytes() for twin in twins)
+        assert grads.shape == params.shape
+        for net, twin, x in zip(nets, twins, inputs):
+            views = [net.flat, *net.parameters(), *(w_t for w_t, _ in net._predict_layers)]
+            assert all(np.shares_memory(v, params) for v in views)
+            grad_views = [net.grad, *(g for pair in net._grad_layers for g in pair)]
+            assert all(np.shares_memory(g, grads) for g in grad_views)
+            assert net.predict(x).tobytes() == twin.predict(x).tobytes()
+            for other in (net.copy(), mlp_from_arrays(net.parameters(), activation)):
+                for vector in (other.flat, other.grad):
+                    assert not np.shares_memory(vector, params)
+                    assert not np.shares_memory(vector, grads)
+            net.forward(x)
+            upstream = rng.standard_normal((3, net.layer_sizes[-1]))
+            gradient, _ = net.backward(upstream)
+            assert gradient is net.grad
+            twin.forward(x)
+            assert gradient.tobytes() == twin.backward(upstream)[0].tobytes()
+        # 50 steps over the joint vector against one step per net's vector
+        joint_opt = Adam([params], lr=1e-3)
+        twin_opt = Adam([twin.flat for twin in twins], lr=1e-3)
+        split = nets[0].flat.size
+        for _ in range(50):
+            grads[...] = scale * rng.standard_normal(grads.size)
+            joint_opt.step([grads])
+            twin_opt.step([grads[:split].copy(), grads[split:].copy()])
+        assert params.tobytes() == b"".join(twin.flat.tobytes() for twin in twins)
+        for net, twin, x in zip(nets, twins, inputs):
+            assert net.predict(x).tobytes() == twin.predict(x).tobytes()
+
+
 def test_same_seed_same_init():
     a = Mlp([6, 8, 3], seed=42)
     b = Mlp([6, 8, 3], seed=42)
@@ -454,17 +497,27 @@ def _reference_pass(net, x, upstream):
     return a, gradient, delta
 
 
+# input entries where a relu mask read from layer outputs could first differ
+# from one read from pre-activations
+_SPECIAL_ENTRIES = st.lists(
+    st.tuples(st.integers(0, 2**16), st.sampled_from([np.nan, np.inf, -np.inf, -0.0])),
+    max_size=4)
+
+
 @settings(max_examples=100, deadline=None)
 @given(sizes=layer_sizes, activation=st.sampled_from(ACTIVATIONS),
        seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 6),
-       scale=st.sampled_from((1e-3, 1.0, 30.0)))
+       scale=st.sampled_from((1e-3, 1.0, 30.0)), specials=_SPECIAL_ENTRIES)
+@np.errstate(invalid="ignore", over="ignore")
 def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, seed,
-                                                           rows, scale):
+                                                           rows, scale, specials):
     # rows = 0 stands for a single 1-D input
     net = Mlp(sizes, activation, seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     shape = (rows,) if rows else ()
     x = scale * rng.standard_normal((*shape, sizes[0]))
+    for position, value in specials:
+        x.flat[position % x.size] = value
     upstream = rng.standard_normal((*shape, sizes[-1]))
     x_before, upstream_before = x.tobytes(), upstream.tobytes()
     ref_out, ref_gradient, ref_dx = _reference_pass(net, x, upstream)
@@ -475,6 +528,7 @@ def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, se
     assert net.forward(x).tobytes() == out.tobytes()
     gradient, dx = net.backward(upstream)
     assert upstream.tobytes() == upstream_before
+    assert gradient is net.grad
     assert gradient.shape == net.flat.shape
     assert not np.shares_memory(gradient, net.flat)
     assert gradient.tobytes() == ref_gradient.tobytes()
@@ -509,6 +563,18 @@ def test_predict_holds_at_most_two_layers_and_the_output(sizes, activation):
     widths = sizes[1:]
     widest_pair = max(a + b for a, b in zip(widths[:-1], widths[1:]))
     assert _peak_traced_bytes(net.predict, x) <= 8 * n * (widest_pair + widths[-1])
+
+
+@pytest.mark.parametrize("sizes", [[19, 64, 64, 3], [8, 32, 19], [5, 100, 7, 100, 2]])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_forward_holds_one_array_per_layer(sizes, activation):
+    # the tape keeps each layer's output and nothing else: the bias and the
+    # activation are applied in place on the layer's product; the slack is
+    # the 64 KiB ufunc buffer numpy lends a broadcast bias add
+    n = 20_000
+    net = Mlp(sizes, activation, seed=0)
+    x = np.random.Generator(np.random.PCG64(1)).standard_normal((n, sizes[0]))
+    assert _peak_traced_bytes(net.forward, x) <= 8 * n * sum(sizes[1:]) + 96 * 2**10
 
 
 def test_reconstruction_mse_allocation_budget():

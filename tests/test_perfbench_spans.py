@@ -105,3 +105,19 @@ def test_tracer_pairs_each_ppo_update_with_its_two_adam_steps():
     assert len(tracer.durations["ppo.surrogate"]) == updates
     assert len(tracer.durations["ppo.update"]) == tracer.counters["work.updates"] == updates
     assert len(tracer.durations["neural.adam"]) == 2 * updates
+
+
+def test_tracer_counts_one_adam_step_per_autoencoder_minibatch():
+    # the encoder and decoder share one parameter vector, so a minibatch is
+    # one Adam step after a forward and a backward through each network
+    flows = uniform_profile([400.0] * N_LANES)
+    with load_spans().Tracer() as tracer:
+        states = tsclab.harness.cli.collect_state_buffer(300, flows, seed=0)
+        tsclab.harness.cli.train_autoencoder(states, k=8, epochs=2, seed=0)
+    minibatches = 3 * 2  # 300 states in minibatches of 128, 128 and 44, twice
+    assert len(tracer.durations["autoencoder.collect"]) == 1
+    assert len(tracer.durations["autoencoder.fit"]) == 1
+    assert len(tracer.durations["neural.adam"]) == tracer.counters["work.updates"] == minibatches
+    assert len(tracer.durations["neural.forward"]) == 2 * minibatches
+    assert len(tracer.durations["neural.backward"]) == 2 * minibatches
+    assert "ppo.update" not in tracer.durations
