@@ -104,8 +104,10 @@ class SurrogateResult:
     policy_loss: float
     value_loss: float
     entropy: float
-    policy_grads: np.ndarray  # laid out like policy.flat
-    value_grads: np.ndarray  # laid out like value_net.flat
+    # the nets' own gradient vectors, policy.grad and value_net.grad: valid
+    # until the next backward on those nets overwrites them
+    policy_grads: np.ndarray
+    value_grads: np.ndarray
     mean_ratio_dev: float
     clip_fraction: float
 
@@ -122,6 +124,10 @@ def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
     The ratio gradient flows only through samples whose unclipped branch is
     active; the derivative of the ratio with respect to the logits is
     r * (onehot(a) - softmax(logits)).
+
+    The gradients returned are ``policy.grad`` and ``value_net.grad``, not
+    copies: the next backward on either net overwrites them, so use or copy
+    them before that.
     """
     n = batch.obs.shape[0]
     logits = policy.forward(batch.obs)

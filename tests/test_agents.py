@@ -305,8 +305,14 @@ def surrogate_cases(draw):
 @given(surrogate_cases())
 def test_surrogate_matches_the_plain_reference_bitwise(case):
     batch, policy, value_net, eps, value_coef, entropy_coef = case
+    # the reference runs on copies: the result's gradients are the nets' own
+    # grad vectors, which a backward on the same nets would overwrite
+    ref = _reference_surrogate(batch, policy.copy(), value_net.copy(), eps, value_coef,
+                               entropy_coef)
     got = ppo_surrogate(batch, policy, value_net, eps, value_coef, entropy_coef)
-    ref = _reference_surrogate(batch, policy, value_net, eps, value_coef, entropy_coef)
+    assert got.policy_grads is policy.grad and got.value_grads is value_net.grad
+    assert not np.shares_memory(got.policy_grads, ref.policy_grads)
+    assert not np.shares_memory(got.value_grads, ref.value_grads)
     assert got.policy_grads.tobytes() == ref.policy_grads.tobytes()
     assert got.value_grads.tobytes() == ref.value_grads.tobytes()
     for name in ("policy_loss", "value_loss", "entropy", "mean_ratio_dev",

@@ -526,6 +526,8 @@ def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, se
     assert x.tobytes() == x_before
     assert out.tobytes() == ref_out.tobytes()
     assert net.forward(x).tobytes() == out.tobytes()
+    # poison the persistent gradient so that an entry backward leaves unwritten shows
+    net.grad.fill(np.nan)
     gradient, dx = net.backward(upstream)
     assert upstream.tobytes() == upstream_before
     assert gradient is net.grad
@@ -534,6 +536,7 @@ def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, se
     assert gradient.tobytes() == ref_gradient.tobytes()
     assert dx.tobytes() == ref_dx.tobytes()
     # without the input gradient: the same parameter gradient, no input product
+    net.grad.fill(np.nan)
     gradient, dx = net.backward(upstream, input_grad=False)
     assert upstream.tobytes() == upstream_before
     assert gradient.tobytes() == ref_gradient.tobytes()
