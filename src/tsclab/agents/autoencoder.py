@@ -84,7 +84,7 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
     # one parameter and one gradient vector for both networks, so each
     # minibatch makes one optimizer pass
     params, grads = share_parameters(encoder, decoder)
-    opt = Adam([params], lr)
+    opt = Adam(params, lr)
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
 
     initial_mse = reconstruction_mse(encoder, decoder, x)
@@ -100,7 +100,7 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
             err *= 2.0 / b
             _, dz = decoder.backward(err)
             encoder.backward(dz, input_grad=False)
-            opt.step([grads])
+            opt.step(grads)
     final_mse = reconstruction_mse(encoder, decoder, x) if epochs else initial_mse
     return AeResult(encoder=encoder, decoder=decoder,
                     initial_mse=initial_mse, final_mse=final_mse)

@@ -100,7 +100,7 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
     q_net = Mlp([env.obs_dim, *cfg.hidden_sizes, env.n_actions],
                 cfg.activation, seed=s_net)
     target_net = q_net.copy()
-    opt = Adam([q_net.flat], cfg.learning_rate)
+    opt = Adam(q_net.flat, cfg.learning_rate)
     explore_rng = np.random.Generator(np.random.PCG64(s_explore))
     sample_rng = np.random.Generator(np.random.PCG64(s_sample))
     replay = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
@@ -136,7 +136,7 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
             upstream = np.zeros_like(q_values)
             upstream[rows, b_act] = (2.0 / cfg.batch_size) * err
             gradient, _ = q_net.backward(upstream, input_grad=False)
-            opt.step([gradient])
+            opt.step(gradient)
             window_losses.append(loss)
 
         step_count += 1

@@ -194,8 +194,8 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
     value_net = Mlp([env.obs_dim, *cfg.hidden_sizes, 1], cfg.activation, seed=s_value)
     act_rng = np.random.Generator(np.random.PCG64(s_act))
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
-    opt_policy = Adam([policy.flat], cfg.learning_rate)
-    opt_value = Adam([value_net.flat], cfg.learning_rate)
+    opt_policy = Adam(policy.flat, cfg.learning_rate)
+    opt_value = Adam(value_net.flat, cfg.learning_rate)
 
     n_steps = cfg.n_steps
     rollout_obs = np.zeros((n_steps, env.obs_dim), dtype=np.float64)
@@ -236,8 +236,8 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
                         f"policy ratios diverged at rollout {len(log)} "
                         f"(mean |ratio-1| = {res.mean_ratio_dev:.3g})"
                     )
-                opt_policy.step([res.policy_grads])
-                opt_value.step([res.value_grads])
+                opt_policy.step(res.policy_grads)
+                opt_value.step(res.value_grads)
                 entropy_sum += res.entropy
                 value_loss_sum += res.value_loss
                 n_updates += 1

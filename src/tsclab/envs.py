@@ -30,8 +30,8 @@ def run_to_decision(sim: SimState, until_s: int, on_tick=None) -> bool:
 
     Ticks while the clock is below ``until_s``, calling ``on_tick(sim)``,
     if given, after every tick, so a call made at a decision point moves
-    past it.  The hook reads the tick from ``sim`` (its ``arrivals``,
-    ``discharges`` and ``phase_changed`` describe the tick just run).
+    past it.  The hook reads the tick from ``sim`` (its ``arrivals`` and
+    ``phase_changed`` describe the tick just run).
     Returns True at the first decision point whose clock is below
     ``until_s`` and False once the clock reaches ``until_s``.  Training,
     evaluation and state collection all step the simulator through here.

@@ -74,38 +74,36 @@ class Mlp:
         squeeze = arr.ndim == 1
         if squeeze:
             arr = arr[None, :]
-        tanh = self.hidden_activation == "tanh"
-        *hidden, (w_t, b) = self._predict_layers
-        a = arr
-        activations = [a]
-        for hidden_w_t, hidden_b in hidden:
-            z = a @ hidden_w_t
-            z += hidden_b
-            a = np.tanh(z, out=z) if tanh else np.maximum(z, 0.0, out=z)
-            activations.append(a)
-        z = a @ w_t
-        z += b
-        activations.append(z)
-        self._tape = activations
+        tape = [arr]
+        z = self._layers(arr, tape)
+        self._tape = tape
         return z[0] if squeeze else z
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Run the network without touching the tape (safe for concurrent
         read-only inference on a frozen net).  A 1-D input runs as given,
-        with the same values as the row of a one-row batch.  Each layer
+        with the same values as the row of a one-row batch."""
+        return self._layers(self._check_input(x), None)
+
+    def _layers(self, a: np.ndarray, tape: list | None) -> np.ndarray:
+        """The layer loop of :meth:`forward` and :meth:`predict`, appending
+        each layer's output to ``tape`` when one is given.  Each layer
         multiplies by the transposed view of its weights that :meth:`_bind`
         built, which reads :attr:`flat` as it is now.  The product is the
         only array a layer allocates: the bias and the activation are
         applied to it in place, and the input is never written."""
-        a = self._check_input(x)
         tanh = self.hidden_activation == "tanh"
         *hidden, (w_t, b) = self._predict_layers
         for hidden_w_t, hidden_b in hidden:
             z = a @ hidden_w_t
             z += hidden_b
             a = np.tanh(z, out=z) if tanh else np.maximum(z, 0.0, out=z)
+            if tape is not None:
+                tape.append(a)
         z = a @ w_t
         z += b
+        if tape is not None:
+            tape.append(z)
         return z
 
     def backward(self, upstream: np.ndarray, *,
@@ -247,29 +245,30 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer over one parameter list
-    (PPO and DQN pass one :attr:`Mlp.flat` vector per network, the
-    autoencoder one vector for both of its networks)."""
+    """Bias-corrected adaptive-moment optimizer over one parameter vector
+    (PPO and DQN pass one :attr:`Mlp.flat` per network, the autoencoder the
+    vector :func:`share_parameters` lays both of its networks in)."""
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float) -> None:
-        self.params = list(params)
+    def __init__(self, param: np.ndarray, lr: float) -> None:
+        self.param = param
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
 
-    def step(self, grads: Sequence[np.ndarray]) -> None:
-        """Update the parameters and moments in place from ``grads``, one
-        gradient per parameter; ``t`` counts the updates from 1."""
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list does not match parameter list")
+    def step(self, grad: np.ndarray) -> None:
+        """Update the parameters and moments in place from ``grad``, which
+        has the parameters' shape; ``t`` counts the updates from 1."""
+        if np.shape(grad) != self.param.shape:
+            raise ValueError(f"gradient shape {np.shape(grad)} does not match "
+                             f"parameter shape {self.param.shape}")
         self.t += 1
         lr, beta1, beta2, eps, t = self.lr, _BETA1, _BETA2, _EPS, self.t
-        for p, g, mi, vi in zip(self.params, grads, self.m, self.v):
-            mi *= beta1
-            mi += (1.0 - beta1) * g
-            vi *= beta2
-            vi += (1.0 - beta2) * (g * g)
-            m_hat = mi / (1.0 - beta1 ** t)
-            v_hat = vi / (1.0 - beta2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = self.m, self.v
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * (grad * grad)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        self.param -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -50,9 +50,6 @@ N_ACTIONS = 3
 # most ticks of arrivals drawn in one generator call
 ARRIVAL_BLOCK_TICKS = 256
 
-# a tick's ``discharges`` when no vehicle crosses the stopline
-NO_DISCHARGES = (0,) * N_LANES
-
 
 @dataclass(frozen=True)
 class IntersectionLayout:
@@ -241,13 +238,10 @@ class SimState:
     ``queued`` and ``join_ticks`` total them.
 
     Each :func:`step` leaves what its tick did on the state: ``arrivals``,
-    the tick's per-lane arrival counts; ``discharges``, the per-lane
-    vehicles that crossed the stopline (passed through or discharged); and
-    ``phase_changed``, True on the tick a new phase's green began.  They
-    describe the last tick only and are read-only sequences: ``arrivals``
-    is the same list that ``transit`` holds, and on a tick where no vehicle
-    crosses, ``discharges`` is the all-zero tuple that every such tick
-    shares.
+    the tick's per-lane arrival counts, and ``phase_changed``, True on the
+    tick a new phase's green began.  They describe the last tick only;
+    ``arrivals`` is read-only, as it is the same list that ``transit``
+    holds.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -255,7 +249,6 @@ class SimState:
         self.layout = layout
         self.plan = plan
         self.flows = flows
-        self.seed = seed
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self.clock = 0
         self.current_phase = 0
@@ -278,7 +271,6 @@ class SimState:
         self._rates_valid_until = 0
         self._arrival_rows = iter(())
         self.arrivals = [0] * N_LANES
-        self.discharges = NO_DISCHARGES
         self.phase_changed = False
 
     # -- observation helpers -------------------------------------------------
@@ -306,12 +298,6 @@ class SimState:
             approaching * self.layout.free_flow_speed_ms,
         )
 
-    def lane_served(self, lane: int) -> bool:
-        return lane in PHASE_SERVED[self.current_phase]
-
-    def green_active(self) -> bool:
-        return not self.in_yellow
-
 
 def _draw_arrivals(sim: SimState) -> list:
     """Draw the next block of per-tick arrival counts and return its first row.
@@ -336,10 +322,7 @@ def step(sim: SimState) -> SimState:
     next row of the arrival block, all eight lanes), stopline transfer of
     in-transit vehicles (queue join or pass-through), saturation-rate
     discharge of the served queues, and the cycle and timer bookkeeping.
-    The tick's ``arrivals``, ``discharges`` and ``phase_changed`` are left
-    on ``sim``; ``discharges`` is a fresh list only on a tick where a
-    vehicle crosses the stopline, and the shared all-zero tuple
-    ``NO_DISCHARGES`` otherwise.
+    The tick's ``arrivals`` and ``phase_changed`` are left on ``sim``.
     """
     clock = sim.clock = sim.clock + 1
     phase = sim.current_phase
@@ -384,7 +367,6 @@ def step(sim: SimState) -> SimState:
     # pass straight through (served green, no queue, startup done) or join
     served = PHASE_SERVED[phase]
     green_flowing = not in_yellow and elapsed >= layout.startup_lost_time_s
-    discharges = NO_DISCHARGES
     joined = None
     if transit and transit[0][0] <= clock:
         counts = transit.popleft()[1]
@@ -395,13 +377,7 @@ def step(sim: SimState) -> SimState:
         joined = []
         for i in range(N_LANES):
             n = counts[i]
-            if not n:
-                continue
-            if green_flowing and i in served and not queued[i]:
-                if discharges is NO_DISCHARGES:
-                    discharges = [0] * N_LANES
-                discharges[i] += n
-            else:
+            if n and not (green_flowing and i in served and not queued[i]):
                 sim.queues[i].append([clock, n])
                 queued[i] += n
                 sim.join_ticks[i] += clock * n
@@ -422,10 +398,6 @@ def step(sim: SimState) -> SimState:
                 credit[i] -= 1.0
                 queued[i] -= 1
                 sim.join_ticks[i] -= head[0]
-                if discharges is NO_DISCHARGES:
-                    discharges = [0] * N_LANES
-                discharges[i] += 1
-    sim.discharges = discharges
 
     # only a join raises a queue, so only joined lanes can set a new maximum
     if cycle_completed:

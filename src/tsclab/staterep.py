@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .neural import Mlp
-from .sim import N_LANES, N_PHASES, SimState
+from .sim import N_LANES, N_PHASES, PHASE_SERVED, SimState
 
 EXPANDED_DIM = 19
 KPLANES_DIM = 68
@@ -259,11 +259,11 @@ class DqnObservation(Observation):
         count_scale = float(sim.layout.lane_storage_capacity)
         speed_scale = sim.layout.lane_storage_capacity * sim.layout.free_flow_speed_ms
         out = np.zeros(self.dim, dtype=np.float64)
-        green = sim.green_active()
+        served = () if sim.in_yellow else PHASE_SERVED[sim.current_phase]
         for lane in range(N_LANES):
             approaching, queued, wait_s, speeds = sim.lane_observables(lane)
             base = 5 * lane
-            out[base] = 1.0 if (green and sim.lane_served(lane)) else 0.0
+            out[base] = 1.0 if lane in served else 0.0
             out[base + 1] = approaching / count_scale
             out[base + 2] = queued / count_scale
             out[base + 3] = wait_s / 600.0

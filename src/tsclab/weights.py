@@ -75,7 +75,6 @@ def read_fields(path, tag: str, **types) -> dict:
 
 @dataclass
 class WeightFile:
-    version: int
     seed: int
     tag: str
     arrays: list
@@ -120,7 +119,7 @@ def load_arrays(path: str | Path) -> WeightFile:
         arrays.append(data.reshape(dims).astype(np.float64))
     if offset != len(view):
         raise ConfigurationError(f"{path}: {len(view) - offset} bytes after the last array")
-    return WeightFile(version=version, seed=seed, tag=tag, arrays=arrays)
+    return WeightFile(seed=seed, tag=tag, arrays=arrays)
 
 
 def mlp_from_arrays(arrays: Sequence[np.ndarray], hidden_activation: str) -> Mlp:

@@ -9,7 +9,8 @@ import pytest
 
 from tsclab.errors import ContractViolation
 from tsclab.harness.metrics import CycleRecord
-from tsclab.sim import FlowProfile, IntersectionLayout, LANE_IDS, N_LANES, N_PHASES, PhasePlan
+from tsclab.sim import (FlowProfile, IntersectionLayout, LANE_IDS, N_LANES, N_PHASES, PhasePlan,
+                        step)
 from tsclab.weights import load_arrays, save_arrays
 
 # (label, passed, detail) tuples collected by the acceptance tests and
@@ -208,6 +209,20 @@ def force_transit(sim, lane: int, count: int, stopline_tick: int) -> None:
     counts = [0] * N_LANES
     counts[lane] = count
     sim.transit.append((stopline_tick, counts))
+
+
+def step_crossings(sim) -> list[int]:
+    """Advance ``sim`` one tick and return each lane's vehicles that crossed
+    its stopline on it, passed through or discharged.  The simulator keeps
+    no such count; it follows from conservation: the lane's queued and
+    approaching vehicles before the tick, plus its arrivals, minus its
+    queued and approaching vehicles after it."""
+    def held():
+        return [sim.queued[i] + sim.lane_observables(i)[0] for i in range(N_LANES)]
+
+    before = held()
+    step(sim)
+    return [b + a - h for b, a, h in zip(before, sim.arrivals, held())]
 
 
 def rate_veh_h(profile, lane: int, t_s: float) -> float:

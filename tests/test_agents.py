@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_weight_file, softmax, uniform_profile
+from conftest import rewrite_weight_file, softmax, step_crossings, uniform_profile
 from tsclab.agents.autoencoder import (
     collect_state_buffer,
     load_autoencoder,
@@ -40,7 +40,7 @@ from tsclab.errors import ConfigurationError, DivergenceError
 from tsclab.harness.runner import run_episode
 from tsclab.neural import Adam, Mlp, log_softmax
 from tsclab.rewards import REWARD_KINDS, RewardSpec
-from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
+from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PHASE_SERVED, PhasePlan,
                         SimState, apply_action, at_decision_point)
 from tsclab.staterep import REPRESENTATION_KINDS, ExpandedObservation, make_observation
 from tsclab.weights import load_arrays, mlp_from_arrays, save_arrays
@@ -435,23 +435,23 @@ def test_env_pressure_reward_matches_per_tick_counts(rate, seed, n_steps):
                            RewardSpec(kind="pressure"), seed)
     env.reset()
     # reference: the same run on a twin simulation, counting every tick's
-    # arrivals and discharges
+    # arrivals and stopline crossings; the twin ticks by hand because a
+    # tick's crossings need the lanes as they were before it
     twin = SimState(layout, plan, flows, seed)
-    counted = [0, 0]
-
-    def count(sim):
-        counted[0] += sum(sim.arrivals)
-        counted[1] += sum(sim.discharges)
-
     assert run_to_decision(twin, 4000)
     actions = np.random.Generator(np.random.PCG64(seed)).integers(0, 3, n_steps).tolist()
     for action in actions:
         reward = env.step(action)[1]
         apply_action(twin, action)
-        counted[:] = [0, 0]
-        assert run_to_decision(twin, twin.clock + 4000, count)
-        # negated pressure: outflow (discharges) minus inflow (arrivals)
-        assert reward == float(counted[1]) - float(counted[0])
+        inflow = outflow = 0
+        for _ in range(4000):
+            outflow += sum(step_crossings(twin))
+            inflow += sum(twin.arrivals)
+            if at_decision_point(twin):
+                break
+        assert at_decision_point(twin)
+        # negated pressure: outflow (crossings) minus inflow (arrivals)
+        assert reward == float(outflow) - float(inflow)
     assert twin.clock == env.clock_s
 
 
@@ -608,7 +608,7 @@ def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=1
     s_enc, s_dec, s_shuffle = np.random.SeedSequence(seed).spawn(3)
     encoder = Mlp([19, 32, k], "relu", seed=s_enc)
     decoder = Mlp([k, 32, 19], "relu", seed=s_dec)
-    opt = Adam([encoder.flat, decoder.flat], lr)
+    enc_opt, dec_opt = Adam(encoder.flat, lr), Adam(decoder.flat, lr)
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
     history = [reconstruction_mse(encoder, decoder, x)]
     n = x.shape[0]
@@ -619,7 +619,8 @@ def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=1
             err = decoder.forward(encoder.forward(batch)) - batch
             dec_gradient, dz = decoder.backward((2.0 / batch.shape[0]) * err)
             enc_gradient, _ = encoder.backward(dz)
-            opt.step([enc_gradient, dec_gradient])
+            enc_opt.step(enc_gradient)
+            dec_opt.step(dec_gradient)
         history.append(reconstruction_mse(encoder, decoder, x))
     return encoder, decoder, history
 
@@ -818,11 +819,11 @@ def reference_dqn_observation(layout, sim):
     count_scale = float(layout.lane_storage_capacity)
     speed_scale = layout.lane_storage_capacity * layout.free_flow_speed_ms
     out = np.zeros(5 * N_LANES)
-    green = sim.green_active()
+    green = not sim.in_yellow
     for lane in range(N_LANES):
         approaching, queued, wait_s, speeds = sim.lane_observables(lane)
         out[5 * lane:5 * lane + 5] = (
-            1.0 if (green and sim.lane_served(lane)) else 0.0,
+            1.0 if (green and lane in PHASE_SERVED[sim.current_phase]) else 0.0,
             approaching / count_scale, queued / count_scale, wait_s / 600.0,
             speeds / speed_scale)
     return out

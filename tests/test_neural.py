@@ -296,45 +296,45 @@ def test_softmax_sample_sums_as_numpy_not_compensated(n_small):
 
 
 def test_adam_zero_gradient_leaves_params():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-    Adam(params, lr=0.1).step([np.zeros(2), np.zeros((1, 1))])
-    np.testing.assert_array_equal(params[0], [1.0, -2.0])
-    np.testing.assert_array_equal(params[1], [[3.0]])
+    param = np.array([1.0, -2.0, 3.0])
+    Adam(param, lr=0.1).step(np.zeros(3))
+    np.testing.assert_array_equal(param, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_is_lr_times_sign():
-    params = [np.array([1.0, 1.0, 1.0])]
-    grads = [np.array([0.5, -3.0, 1e-5])]
-    Adam(params, lr=0.01).step(grads)
+    param = np.array([1.0, 1.0, 1.0])
+    Adam(param, lr=0.01).step(np.array([0.5, -3.0, 1e-5]))
     # bias-corrected ratio m_hat/sqrt(v_hat) = sign(g) up to eps rounding
-    np.testing.assert_allclose(params[0], [1.0 - 0.01, 1.0 + 0.01, 1.0 - 0.01],
-                               atol=1e-4)
+    np.testing.assert_allclose(param, [1.0 - 0.01, 1.0 + 0.01, 1.0 - 0.01], atol=1e-4)
 
 
 def test_adam_deterministic():
     def run():
-        params = [np.array([0.3, -0.7])]
-        opt = Adam(params, lr=0.05)
+        param = np.array([0.3, -0.7])
+        opt = Adam(param, lr=0.05)
         for i in range(10):
-            opt.step([np.array([0.1 * i, -0.2])])
-        return params[0].copy()
+            opt.step(np.array([0.1 * i, -0.2]))
+        return param.copy()
 
     np.testing.assert_array_equal(run(), run())
 
 
 def test_adam_validation():
-    opt = Adam([np.zeros(2)], lr=0.1)
-    with pytest.raises(ValueError):
-        opt.step([np.zeros(2), np.zeros(2)])
+    opt = Adam(np.zeros(2), lr=0.1)
+    # a length-1 gradient would broadcast silently
+    for grad in (np.zeros(3), np.zeros(1), np.zeros((2, 1)), [np.zeros(2), np.zeros(2)]):
+        with pytest.raises(ValueError):
+            opt.step(grad)
+    assert opt.t == 0
 
 
 def test_adam_lr_zero_leaves_params_bit_identical():
     net = Mlp([4, 6, 2], seed=3)
     before = net.flat.copy()
-    opt = Adam([net.flat], lr=0.0)
+    opt = Adam(net.flat, lr=0.0)
     net.forward(np.ones(4))
     gradient, _ = net.backward(np.ones(2))
-    opt.step([gradient])
+    opt.step(gradient)
     np.testing.assert_array_equal(net.flat, before)
 
 
@@ -391,13 +391,15 @@ def test_adam_on_flat_matches_per_array_steps(sizes, activation, seed):
     for scale in (1e-6, 1.0, 1e3):
         net = Mlp(sizes, activation, seed=seed)
         twin = net.copy()
-        flat_opt = Adam([net.flat], lr=1e-3)
-        array_opt = Adam(twin.parameters(), lr=1e-3)
+        flat_opt = Adam(net.flat, lr=1e-3)
+        array_opts = [Adam(p, lr=1e-3) for p in twin.parameters()]
         for _ in range(50):
-            grads = [(scale * rng.standard_normal(w.shape), scale * rng.standard_normal(b.shape))
-                     for w, b in zip(net.weights, net.biases)]
-            flat_opt.step([np.concatenate([g for pair in grads for g in pair], axis=None)])
-            array_opt.step([g for pair in grads for g in pair])
+            grads = [g for w, b in zip(net.weights, net.biases)
+                     for g in (scale * rng.standard_normal(w.shape),
+                               scale * rng.standard_normal(b.shape))]
+            flat_opt.step(np.concatenate(grads, axis=None))
+            for opt, g in zip(array_opts, grads):
+                opt.step(g)
         assert net.flat.tobytes() == twin.flat.tobytes()
 
 
@@ -431,13 +433,14 @@ def test_shared_nets_keep_their_values_and_step_as_separate_ones(first, second,
             twin.forward(x)
             assert gradient.tobytes() == twin.backward(upstream)[0].tobytes()
         # 50 steps over the joint vector against one step per net's vector
-        joint_opt = Adam([params], lr=1e-3)
-        twin_opt = Adam([twin.flat for twin in twins], lr=1e-3)
+        joint_opt = Adam(params, lr=1e-3)
+        twin_opts = [Adam(twin.flat, lr=1e-3) for twin in twins]
         split = nets[0].flat.size
         for _ in range(50):
             grads[...] = scale * rng.standard_normal(grads.size)
-            joint_opt.step([grads])
-            twin_opt.step([grads[:split].copy(), grads[split:].copy()])
+            joint_opt.step(grads)
+            twin_opts[0].step(grads[:split].copy())
+            twin_opts[1].step(grads[split:].copy())
         assert params.tobytes() == b"".join(twin.flat.tobytes() for twin in twins)
         for net, twin, x in zip(nets, twins, inputs):
             assert net.predict(x).tobytes() == twin.predict(x).tobytes()
