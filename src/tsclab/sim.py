@@ -12,11 +12,11 @@ approaches move together, giving four signal phases served in fixed order:
 Vehicles are generated by per-lane Poisson processes, travel a fixed free-flow
 time to the stopline, and then either join a vertical (point) queue or, if the
 lane has an active green with no queue in front, pass straight through.  A
-queued lane discharges at the saturation flow rate while green, modelled by a
-fractional credit accumulator, after a fixed startup lost time at the beginning
-of each green.  Time advances in one-second ticks; all per-tick work runs in a
-fixed lane order and draws random numbers from a single seeded generator, so a
-(seed, configuration) pair reproduces a run bit for bit.
+green flows once its startup lost time, rounded up to whole seconds, is over;
+a served lane's k-th departure then falls k saturation headways into the flow.
+Time advances in one-second ticks; all per-tick work runs in a fixed lane order
+and draws random numbers from a single seeded generator, so a (seed,
+configuration) pair reproduces a run bit for bit.
 
 Lanes hold vehicle counts, not vehicle objects (see :class:`SimState`), and
 arrivals are drawn in blocks that equal one draw per tick value for value.
@@ -49,6 +49,9 @@ N_ACTIONS = 3
 
 # most ticks of arrivals drawn in one generator call
 ARRIVAL_BLOCK_TICKS = 256
+# a departure due this little past a tick leaves on it: in binary, k headways
+# can overshoot the whole second they make (25 x 1.12 s = 28.000000000000004 s)
+DEPARTURE_SLACK_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -234,8 +237,8 @@ class SimState:
 
     Per-lane lists follow ``LANE_IDS``.  ``transit`` holds FIFO runs
     ``(stopline_tick, per-lane counts)``, one per tick with arrivals;
-    ``queues`` holds each lane's FIFO runs ``[join_tick, count]``;
-    ``queued`` and ``join_ticks`` total them.
+    ``queues`` holds each lane's FIFO runs ``[join_tick, count]``; ``queued``
+    and ``join_ticks`` total them; ``departed`` counts this green's departures.
 
     Each :func:`step` leaves what its tick did on the state: ``arrivals``,
     the tick's per-lane arrival counts, and ``phase_changed``, True on the
@@ -266,7 +269,7 @@ class SimState:
         self.queues = [deque() for _ in range(N_LANES)]
         self.queued = [0] * N_LANES
         self.join_ticks = [0] * N_LANES
-        self.credit = [0.0] * N_LANES
+        self.departed = [0] * N_LANES
         self._rates_veh_s = np.zeros(N_LANES, dtype=np.float64)
         self._rates_valid_until = 0
         self._arrival_rows = iter(())
@@ -340,7 +343,7 @@ def step(sim: SimState) -> SimState:
             phase = sim.current_phase = (phase + 1) % N_PHASES
             elapsed = 0
             phase_changed = True
-            sim.credit = [0.0] * N_LANES
+            sim.departed = [0] * N_LANES
             if phase == 0:
                 sim.completed_cycles.append(
                     (sim.cycle_start_tick, clock - sim.cycle_start_tick,
@@ -352,7 +355,6 @@ def step(sim: SimState) -> SimState:
         in_yellow = sim.in_yellow = True
         sim.cycle_green_s[phase] = elapsed
         sim.yellow_elapsed_s = 0
-        sim.credit = [0.0] * N_LANES
     sim.phase_changed = phase_changed
 
     layout = sim.layout
@@ -383,19 +385,17 @@ def step(sim: SimState) -> SimState:
                 sim.join_ticks[i] += clock * n
                 joined.append(i)
 
-    # queue discharge: each served lane earns 1/headway of a vehicle per green
-    # second once the startup lost time has elapsed; credit resets with the phase
+    # queue discharge: a served lane's k-th departure of the green falls k
+    # headways into the green's flowing ticks, this one included
     if green_flowing:
-        credit = sim.credit
-        earned = 1.0 / layout.saturation_headway_s
+        flowing = elapsed + 1 - math.ceil(layout.startup_lost_time_s) + DEPARTURE_SLACK_S
         for i in served:
-            credit[i] += earned
-            while credit[i] >= 1.0 and queued[i]:
+            while queued[i] and (sim.departed[i] + 1) * layout.saturation_headway_s <= flowing:
                 head = sim.queues[i][0]
                 head[1] -= 1
                 if not head[1]:
                     sim.queues[i].popleft()
-                credit[i] -= 1.0
+                sim.departed[i] += 1
                 queued[i] -= 1
                 sim.join_ticks[i] -= head[0]
 

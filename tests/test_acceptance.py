@@ -509,10 +509,11 @@ def test_c8_clipped_surrogate_identity():
 WEBSTER_TOLERANCE = 0.15
 C9_TICKS = 100_000
 C9_WARMUP_TICKS = 2_000
-# (saturation headway s, green step s).  Each headway's reciprocal is exact
-# in binary, so a green's discharge credit sums to whole vehicles, and each
-# step is the shortest whole-second green that holds whole headways.
-C9_HEADWAYS = ((1.6, 8), (2.0, 2), (3.2, 16))
+# (saturation headway s, green step s).  Each step is the shortest
+# whole-second green that holds whole headways, so the effective green lets
+# exactly green / headway vehicles go.  The reciprocals of 1.2, 1.5, 2.5 and
+# 3.0 s are not binary fractions, so a summed 1/headway would lose vehicles.
+C9_HEADWAYS = ((1.2, 6), (1.5, 3), (1.6, 8), (2.0, 2), (2.5, 5), (3.0, 3), (3.2, 16))
 
 
 def webster_queues(rate, saturation_flow, green_s, cycle_s):
@@ -564,6 +565,7 @@ def test_c9_queue_matches_webster_delay():
     @given(webster_cases())
     @example((2.0, 2, 5, (20.0,) * 4, 100 / 324, 0))  # the default plan at 100 veh/h
     @example((2.0, 2, 5, (20.0,) * 4, 200 / 324, 0))  # and at 200 veh/h
+    @example((1.5, 2, 5, (20.0,) * 4, 0.5, 0))  # 12 vehicles per effective green
     def run_case(case):
         headway, startup, yellow, greens, x, seed = case
         plan = PhasePlan(greens_s=greens, yellow_s=yellow)

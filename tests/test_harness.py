@@ -723,7 +723,7 @@ flow.W1 = 0-3600@250
 """
 _GOLDEN_DIGESTS = {
     "default": "b93c672489baa25b4d4ab3f7cb72265016e26b28c407fd715e7b46f48e0ea5de",
-    "heavy": "db79f992d31d769f12eb01d4d8d4a1d180af98f49f5ecbc34579781c3432cfef",
+    "heavy": "2e277aecdfa1006d80be1477e6e5083dd3d0d86183c64efe9e51be1c7ea81ab4",
 }
 
 

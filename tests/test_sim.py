@@ -1,6 +1,7 @@
 """Simulator unit tests: formula oracles, point-queue dynamics, the phase
 machine, flow profiles, and the module's invariants."""
 
+import math
 from collections import deque
 
 import numpy as np
@@ -16,6 +17,7 @@ from tsclab.sim import (
     ACTION_CONTINUE,
     ACTION_END,
     ACTION_EXTEND,
+    DEPARTURE_SLACK_S,
     FlowProfile,
     IntersectionLayout,
     LANE_IDS,
@@ -133,6 +135,43 @@ def test_queue_discharge_rate_bounded_by_saturation():
         total += crossed
     # 20 s green minus 2 s startup at one vehicle per 2 s
     assert total == 9
+
+
+def departure_curve(headway, startup, green_s, queue):
+    """N0's departures so far after each tick of a phase-0 green of
+    ``green_s`` seconds and the 5 s yellow after it, from a queue of
+    ``queue`` vehicles with nothing arriving."""
+    layout = IntersectionLayout(saturation_headway_s=headway, startup_lost_time_s=startup)
+    plan = PhasePlan(greens_s=(float(green_s),) * N_PHASES, g_min_s=1, g_max_s=green_s)
+    sim = make_sim(layout=layout, plan=plan)
+    force_queue(sim, 0, queue)
+    departed = [0]
+    for _ in range(green_s + int(plan.yellow_s)):
+        departed.append(departed[-1] + step_crossings(sim)[0])
+    return departed[1:]
+
+
+@pytest.mark.parametrize("headway, whole_headways", [
+    (0.7, 17), (1.2, 10), (1.5, 8), (1.6, 7), (2.0, 6), (2.5, 4), (3.3, 3)])
+def test_green_discharges_every_whole_headway(headway, whole_headways):
+    # a 12 s green with no startup loss lets floor(12 / h) queued vehicles go,
+    # whatever the headway's binary rounding (a summed 1/h credit let 7 go at 1.5 s)
+    departed = departure_curve(headway, 0, 12, 30)
+    assert departed[11] == departed[-1] == whole_headways
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(60, 400), st.one_of(st.integers(0, 3), st.floats(0.0, 3.0)),
+       st.integers(1, 40), st.integers(0, 40))
+@example(112, 0, 28, 30)  # 25 x 1.12 s multiply out to 28.000000000000004 s
+def test_departures_after_f_flowing_ticks_are_floor_f_over_h(centis, startup, green_s, queue):
+    # the headway is centis / 100 s; until its queue empties, a served lane
+    # has let floor(f / h) vehicles go after f flowing ticks, counted in exact
+    # decimal.  A fractional startup loss takes effect from the next whole
+    # second, and the yellow lets none go.
+    departed = departure_curve(centis / 100, startup, green_s, queue)
+    flowing = [max(0, min(t, green_s) - math.ceil(startup)) for t in range(1, len(departed) + 1)]
+    assert departed == [min(queue, f * 100 // centis) for f in flowing]
 
 
 def test_no_discharge_during_yellow():
@@ -373,27 +412,6 @@ def test_install_programmed_greens_rejected_mid_phase():
 # -- invariants ----------------------------------------------------------------
 
 
-def test_vehicle_conservation_every_tick():
-    # no vehicle appears or vanishes: a tick's crossings, the change in a
-    # lane's held vehicles net of its arrivals, are never negative and fall
-    # only on the lanes of a flowing green
-    sim = make_sim(seed=9, rates=[450.0] * N_LANES)
-    rng = np.random.Generator(np.random.PCG64(17))
-    left = 0
-    for _ in range(1500):
-        if at_decision_point(sim):
-            apply_action(sim, int(rng.integers(0, 3)))
-        crossed = step_crossings(sim)
-        assert sim.queued == [sum(count for _tick, count in runs) for runs in sim.queues]
-        assert min(crossed) >= 0
-        flowing = (not sim.in_yellow
-                   and sim.phase_elapsed_s - 1 >= sim.layout.startup_lost_time_s)
-        open_lanes = PHASE_SERVED[sim.current_phase] if flowing else ()
-        assert all(not crossed[i] for i in range(N_LANES) if i not in open_lanes)
-        left += sum(crossed)
-    assert left > 0
-
-
 def test_unserved_lane_queue_is_non_decreasing():
     # E0 is served by phase 2, which first turns green at t = 50; before that
     # its queue can only grow
@@ -573,7 +591,8 @@ class PerVehicleLanes:
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self.transit = [deque() for _ in range(N_LANES)]  # (stopline eta, id)
         self.queue = [deque() for _ in range(N_LANES)]  # (join tick, id)
-        self.credit = [0.0] * N_LANES
+        self.flowing = 0  # flowing ticks of the current green
+        self.departed = [0] * N_LANES  # queued vehicles let go this green
         self.passed = [0] * N_LANES
         self.discharged = [0] * N_LANES
         self.last_crossed = [-1] * N_LANES
@@ -585,7 +604,8 @@ class PerVehicleLanes:
 
     def tick(self, clock, served, green_flowing, signal_changed):
         if signal_changed:
-            self.credit = [0.0] * N_LANES
+            self.flowing = 0
+            self.departed = [0] * N_LANES
         counts = self.rng.poisson(self.flows.rates_and_horizon(clock - 1)[0])
         for i in range(N_LANES):
             for _ in range(int(counts[i])):
@@ -603,11 +623,12 @@ class PerVehicleLanes:
                 else:
                     self.queue[i].append((clock, vid))
         if green_flowing:
+            self.flowing += 1
             for i in served:
-                self.credit[i] += 1.0 / self.layout.saturation_headway_s
-                while self.credit[i] >= 1.0 and self.queue[i]:
+                while (self.queue[i] and (self.departed[i] + 1) * self.layout.saturation_headway_s
+                       <= self.flowing + DEPARTURE_SLACK_S):
                     _join, vid = self.queue[i].popleft()
-                    self.credit[i] -= 1.0
+                    self.departed[i] += 1
                     self.discharged[i] += 1
                     discharges[i] += 1
                     self._cross(i, vid)
@@ -725,3 +746,25 @@ def test_determinism_with_identical_action_sequence(scenario):
     rows_b, cycles_b = run()
     assert rows_a == rows_b
     assert cycles_a == cycles_b and cycles_a
+
+
+@settings(max_examples=30, deadline=None)
+@given(lane_scenarios())
+def test_vehicle_conservation_every_tick(scenario):
+    # no vehicle appears or vanishes, over random valid configurations: a
+    # tick's crossings, the change in a lane's held vehicles net of its
+    # arrivals, are never negative and fall only on the lanes of a flowing green
+    layout, plan, flows, actions, seed = scenario
+    sim = SimState(layout, plan, flows, seed)
+    decisions = 0
+    for _ in range(600):
+        if at_decision_point(sim):
+            apply_action(sim, actions[decisions % len(actions)])
+            decisions += 1
+        crossed = step_crossings(sim)
+        assert sim.queued == [sum(count for _tick, count in runs) for runs in sim.queues]
+        assert min(crossed) >= 0
+        flowing = (not sim.in_yellow
+                   and sim.phase_elapsed_s - 1 >= sim.layout.startup_lost_time_s)
+        open_lanes = PHASE_SERVED[sim.current_phase] if flowing else ()
+        assert all(not crossed[i] for i in range(N_LANES) if i not in open_lanes)
