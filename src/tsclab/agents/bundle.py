@@ -9,6 +9,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..neural import Mlp
+from ..rewards import REWARD_KINDS
 from ..sim import N_ACTIONS
 from ..staterep import (CYCLE_TIME_MAX_S, GREEN_MAX_S, KPLANES_FEATURES, KPLANES_RESOLUTION,
                         QUEUE_MAX, Observation, make_observation)
@@ -45,6 +46,10 @@ class TrainResult:
     bundle: PolicyBundle
     log: list
     cycle_records: list
+
+
+# the trainers a bundle can come from: ``algo`` in its weight file's header
+ALGORITHMS = ("ppo", "dqn")
 
 
 @dataclass
@@ -91,13 +96,18 @@ class PolicyBundle:
     @staticmethod
     def load(path) -> "PolicyBundle":
         """Read a bundle and rebuild its observation; a file that does not
-        parse, whose header is not the one saving the rebuilt bundle writes,
-        or whose networks do not take the observation's length or do not
-        give one output per action (policy) or one value, raises
-        :class:`ConfigurationError`."""
+        parse, that names an algo outside :data:`ALGORITHMS` or a reward
+        outside :data:`~tsclab.rewards.REWARD_KINDS`, whose header is not
+        the one saving the rebuilt bundle writes, or whose networks do not
+        take the observation's length or do not give one output per action
+        (policy) or one value, raises :class:`ConfigurationError`."""
         blob = load_arrays(path)
         fields = read_fields(path, blob.tag, algo=str, repr=str, reward=str, act=str,
                              policy=int, value=int, encoder=int, kseed=int)
+        for key, kinds in (("algo", ALGORITHMS), ("reward", REWARD_KINDS)):
+            if fields[key] not in kinds:
+                raise ConfigurationError(
+                    f"{path}: unknown {key} {fields[key]!r}; expected one of {kinds}")
         counts = [fields[key] for key in ("policy", "value", "encoder")]
         arrays = blob.arrays
         if len(arrays) != 1 + sum(counts) or arrays[0].shape != (4,):

@@ -37,10 +37,9 @@ from ..errors import ConfigurationError
 from ..rewards import REWARD_KINDS, RewardSpec
 from ..staterep import (CANONICAL_LATENTS, REPRESENTATION_KINDS, DqnObservation,
                         make_observation)
-from .config import (cycles_max_for_training, from_config, parse_config_file, read_lines,
-                     run_from_config)
+from .config import cycles_max_for_training, from_config, parse_config_file, run_from_config
 from .metrics import correlation_report, summary_table, write_csv, write_cycles_csv
-from .runner import RunSpec, run_grid
+from .runner import read_grid, run_grid
 
 
 class _UsageError(Exception):
@@ -68,13 +67,14 @@ def build_parser() -> _Parser:
                      description="adaptive traffic-signal control lab")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, helptext: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, helptext: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext, description=helptext)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key-value configuration file")
         return p
 
-    p = add("train", "train a PPO signal-control policy")
+    p = add("train", cmd_train, "train a PPO signal-control policy")
     p.add_argument("--repr", choices=REPRESENTATION_KINDS, default="expanded",
                    help="state representation (default: expanded)")
     p.add_argument("--reward", dest="reward.kind", choices=REWARD_KINDS,
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
                    help="pretrained autoencoder (ae* representations only; required for them)")
     p.add_argument("--out", default="runs/train", metavar="DIR")
 
-    p = add("pretrain-ae", "train a state autoencoder")
+    p = add("pretrain-ae", cmd_pretrain_ae, "train a state autoencoder")
     p.add_argument("--latent", type=int, default=16, choices=CANONICAL_LATENTS,
                    help="latent dimension, one of the train --repr ae<k> sizes "
                         "(default: 16)")
@@ -101,13 +101,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="output weights file (default: ae<latent>.tscw)")
 
-    p = add("dqn", "train the value-based reference agent (reward: resco_wait "
-                   "only; any other reward.kind is rejected)")
+    p = add("dqn", cmd_dqn, "train the value-based reference agent (reward: "
+                            "resco_wait only; any other reward.kind is rejected)")
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--timesteps", dest="dqn.total_timesteps", metavar="TIMESTEPS")
     p.add_argument("--out", default="runs/dqn", metavar="DIR")
 
-    p = add("compare", "run a controller comparison grid")
+    p = add("compare", cmd_compare, "run a controller comparison grid")
     p.add_argument("--grid", required=True, metavar="FILE",
                    help="grid file: one 'config_id controller=... [weights=...] "
                         "[playback=...]' per line")
@@ -219,37 +219,10 @@ def cmd_dqn(args) -> int:
     return 0
 
 
-def _parse_grid_file(path) -> list:
-    specs = []
-    for lineno, line in read_lines(path, "grid file"):
-        tokens = line.split()
-        config_id = tokens[0]
-        fields = {}
-        for token in tokens[1:]:
-            if "=" not in token:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {token!r}"
-                )
-            key, value = token.split("=", 1)
-            if key not in ("controller", "weights", "playback"):
-                raise ConfigurationError(f"{path}:{lineno}: unknown field {key!r}")
-            if key in fields:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate field {key!r}")
-            fields[key] = value
-        if "controller" not in fields:
-            raise ConfigurationError(f"{path}:{lineno}: missing controller=")
-        specs.append(RunSpec(config_id=config_id, controller=fields["controller"],
-                             weights_path=fields.get("weights"),
-                             playback=fields.get("playback")))
-    if not specs:
-        raise ConfigurationError(f"{path}: no grid entries")
-    return specs
-
-
 def cmd_compare(args) -> int:
     out = _out_dir(args.out)
     run = run_from_config(_load_cfg(args))
-    specs = _parse_grid_file(args.grid)
+    specs = read_grid(args.grid)
     results, webster_logs = run_grid(run, specs)
     columns = [(spec.config_id, spec.controller) for spec in specs]
     header, rows = summary_table(columns, run.seeds, results)
@@ -271,19 +244,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "train": cmd_train,
-    "pretrain-ae": cmd_pretrain_ae,
-    "dqn": cmd_dqn,
-    "compare": cmd_compare,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except SystemExit as exc:  # argparse -h / --help
         code = exc.code
         return code if isinstance(code, int) else 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from ..agents.bundle import PolicyBundle
 from ..sim import SimState, apply_action
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..neural import softmax_sample
-from .config import RunSettings
+from .config import RunSettings, read_lines
 from .metrics import CycleRecord, CycleTracker
 
 
@@ -43,24 +43,14 @@ class PolicyController:
         return softmax_sample(self.bundle.policy.predict(obs), self._rng)[0]
 
 
-CONTROLLER_KINDS = ("fixed", "webster", "policy")
-
-
-def make_controller(kind: str, run: RunSettings, bundle: PolicyBundle | None = None,
-                    sample_seed: int | None = None):
-    """Build a controller for one episode of ``run`` by name (one of
-    :data:`CONTROLLER_KINDS`); ``policy`` plays a loaded ``bundle``."""
-    if kind == "fixed":
-        return FixedTimeController()
-    if kind == "webster":
-        return DynamicWebsterController(run.layout, run.plan, run.webster)
-    if kind == "policy":
-        if bundle is None:
-            raise ConfigurationError("policy controller needs a policy bundle")
-        return PolicyController(bundle, sample_seed=sample_seed)
-    raise ConfigurationError(
-        f"unknown controller {kind!r}; expected one of {CONTROLLER_KINDS}"
-    )
+# How a grid cell builds each controller kind from the run, its column's
+# bundle (policy columns only) and its sample seed (sampled playback only).
+CONTROLLERS = {
+    "fixed": lambda run, bundle, sample_seed: FixedTimeController(),
+    "webster": lambda run, bundle, sample_seed: DynamicWebsterController(
+        run.layout, run.plan, run.webster),
+    "policy": lambda run, bundle, sample_seed: PolicyController(bundle, sample_seed),
+}
 
 
 def run_episode(sim: SimState, controller, horizon_s: int) -> list[CycleRecord]:
@@ -89,13 +79,15 @@ PLAYBACK_KINDS = ("sample", "greedy")
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One named column of a comparison: a controller, its weights and, for
-    a policy, how it plays them (one of :data:`PLAYBACK_KINDS`; None picks
-    the bundle's default, see :meth:`playback_for`)."""
+    """One named column of a comparison: a controller (a key of
+    :data:`CONTROLLERS`) and, for a policy only, its weight file and how it
+    plays them (one of :data:`PLAYBACK_KINDS`; None picks the bundle's
+    default, see :meth:`playback_for`).  A grid line's keys are these
+    fields' names, see :func:`read_grid`."""
 
     config_id: str
     controller: str
-    weights_path: str | None = None
+    weights: str | None = None
     playback: str | None = None
 
     def __post_init__(self) -> None:
@@ -103,23 +95,23 @@ class RunSpec:
             # the id names the column's output files
             raise ConfigurationError(
                 f"{self.config_id!r}: a config_id may not contain '/' or a NUL byte")
-        if self.controller not in CONTROLLER_KINDS:
+        if self.controller not in CONTROLLERS:
             raise ConfigurationError(
                 f"{self.config_id}: unknown controller {self.controller!r}; "
-                f"expected one of {CONTROLLER_KINDS}"
+                f"expected one of {tuple(CONTROLLERS)}"
             )
-        if self.controller == "policy" and not self.weights_path:
+        if self.controller == "policy" and not self.weights:
             raise ConfigurationError(
                 f"{self.config_id}: policy entries need weights=<path>"
             )
-        if self.playback is not None:
-            if self.controller != "policy":
+        for key in ("weights", "playback"):
+            if self.controller != "policy" and getattr(self, key) is not None:
                 raise ConfigurationError(
-                    f"{self.config_id}: only policy entries take playback=")
-            if self.playback not in PLAYBACK_KINDS:
-                raise ConfigurationError(
-                    f"{self.config_id}: unknown playback {self.playback!r}; "
-                    f"expected one of {PLAYBACK_KINDS}")
+                    f"{self.config_id}: only policy entries take {key}=")
+        if self.playback is not None and self.playback not in PLAYBACK_KINDS:
+            raise ConfigurationError(
+                f"{self.config_id}: unknown playback {self.playback!r}; "
+                f"expected one of {PLAYBACK_KINDS}")
 
     def playback_for(self, bundle: PolicyBundle) -> str:
         """The playback of this column's ``bundle``: a PPO policy samples
@@ -133,6 +125,34 @@ class RunSpec:
                 f"{self.config_id}: a dqn bundle plays its argmax; "
                 f"playback=sample needs a policy distribution")
         return "greedy"
+
+
+def read_grid(path) -> list[RunSpec]:
+    """The columns of grid file ``path``: each line is a ``config_id``
+    followed by ``key=value`` tokens whose keys are :class:`RunSpec`'s other
+    fields, each at most once; ``controller`` is required."""
+    keys = {field.name for field in fields(RunSpec)} - {"config_id"}
+    specs = []
+    for lineno, line in read_lines(path, "grid file"):
+        config_id, *tokens = line.split()
+        values = {}
+        for token in tokens:
+            if "=" not in token:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: expected key=value, got {token!r}"
+                )
+            key, value = token.split("=", 1)
+            if key not in keys:
+                raise ConfigurationError(f"{path}:{lineno}: unknown field {key!r}")
+            if key in values:
+                raise ConfigurationError(f"{path}:{lineno}: duplicate field {key!r}")
+            values[key] = value
+        if "controller" not in values:
+            raise ConfigurationError(f"{path}:{lineno}: missing controller=")
+        specs.append(RunSpec(config_id, **values))
+    if not specs:
+        raise ConfigurationError(f"{path}: no grid entries")
+    return specs
 
 
 def _grid_job(job: tuple) -> tuple:
@@ -159,15 +179,14 @@ def run_grid(run: RunSettings, specs):
     ids = [s.config_id for s in specs]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("duplicate config_id in comparison grid")
-    bundles = {spec.config_id: PolicyBundle.load(spec.weights_path)
+    bundles = {spec.config_id: PolicyBundle.load(spec.weights)
                for spec in specs if spec.controller == "policy"}
     jobs = []
     for spec in specs:
         bundle = bundles.get(spec.config_id)
         sampled = bundle is not None and spec.playback_for(bundle) == "sample"
         jobs += [(run, spec.config_id, seed,
-                  make_controller(spec.controller, run, bundle,
-                                  sample_seed=seed if sampled else None))
+                  CONTROLLERS[spec.controller](run, bundle, seed if sampled else None))
                  for seed in run.seeds]
     if run.workers > 1:
         # imported here: the process pool machinery costs every other run

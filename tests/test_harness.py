@@ -2,8 +2,11 @@
 runners, CSV output, configuration parsing, and the command line."""
 
 import ast
+import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -44,9 +47,10 @@ from tsclab.harness.metrics import (
     write_cycles_csv,
 )
 from tsclab.harness.runner import (
+    CONTROLLERS,
     PolicyController,
     RunSpec,
-    make_controller,
+    read_grid,
     run_episode,
     run_grid,
 )
@@ -381,20 +385,18 @@ def test_policy_controller_greedy_differs_from_sampled():
     assert greedy != sampled
 
 
-def test_make_controller_kinds_and_errors(tmp_path):
+def test_controller_table_builds_each_kind(tmp_path):
+    # an unknown kind and a policy without weights are RunSpec's to reject,
+    # see test_grid_input_validation
     run = RunSettings(webster=WebsterSettings(recompute_interval_s=60.0))
-    assert isinstance(make_controller("fixed", run), FixedTimeController)
-    webster = make_controller("webster", run)
+    assert list(CONTROLLERS) == ["fixed", "webster", "policy"]
+    assert isinstance(CONTROLLERS["fixed"](run, None, None), FixedTimeController)
+    webster = CONTROLLERS["webster"](run, None, None)
     assert isinstance(webster, DynamicWebsterController)
     assert webster.settings is run.webster
-    with pytest.raises(ConfigurationError):
-        make_controller("policy", run)
-    with pytest.raises(ConfigurationError):
-        make_controller("lqr", run)
     path = tmp_path / "p.tscw"
     tiny_bundle().save(path)
-    controller = make_controller("policy", run, PolicyBundle.load(path),
-                                 sample_seed=1)
+    controller = CONTROLLERS["policy"](run, PolicyBundle.load(path), 1)
     assert isinstance(controller, PolicyController)
 
 
@@ -453,6 +455,62 @@ def test_grid_input_validation():
         RunSpec("p", "policy")
     with pytest.raises(ConfigurationError):
         RunSpec("l", "lqr")
+    with pytest.raises(ConfigurationError):
+        RunSpec("f", "fixed", weights="p.tscw")
+
+
+# A grid token is split on whitespace, and ``#`` starts a comment; an id may
+# hold neither '/' nor NUL (a NUL is a control character).
+_GRID_TEXT = st.text(st.characters(exclude_categories=("C", "Z"), exclude_characters="/#"),
+                     min_size=1, max_size=8)
+_GRID_KEYS = [field.name for field in dataclasses.fields(RunSpec)
+              if field.name != "config_id"]
+
+
+@st.composite
+def grid_specs(draw):
+    controller = draw(st.sampled_from(list(CONTROLLERS)))
+    if controller != "policy":
+        return RunSpec(draw(_GRID_TEXT), controller)
+    weights = draw(st.lists(_GRID_TEXT, min_size=1, max_size=3).map("/".join))
+    return RunSpec(draw(_GRID_TEXT), controller, weights,
+                   draw(st.sampled_from([None, "sample", "greedy"])))
+
+
+@given(specs=st.lists(grid_specs(), min_size=1, max_size=4), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_grid_lines_read_back_as_the_specs_they_write(tmp_path_factory, specs, data):
+    lines = []
+    for spec in specs:
+        keys = data.draw(st.permutations(_GRID_KEYS))
+        lines.append(" ".join([spec.config_id] + [f"{key}={getattr(spec, key)}" for key in keys
+                                                  if getattr(spec, key) is not None]))
+    grid = tmp_path_factory.getbasetemp() / "roundtrip.txt"
+    grid.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert read_grid(grid) == specs
+
+
+@given(key=st.text(st.characters(exclude_categories=("C", "Z"), exclude_characters="#="),
+                   min_size=1, max_size=10).filter(
+                       lambda key: key not in {f.name for f in dataclasses.fields(RunSpec)}))
+@settings(max_examples=50, deadline=None)
+def test_a_grid_key_outside_runspec_fails_naming_it(tmp_path_factory, key):
+    grid = tmp_path_factory.getbasetemp() / "unknown-key.txt"
+    grid.write_text(f"fixed controller=fixed\nf controller=fixed {key}=1\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["compare", "--grid", str(grid), "--horizon", "400", "--seeds", "0",
+                     "--out", str(tmp_path_factory.getbasetemp() / "cmp")])
+    assert code == 1
+    assert f"{grid}:2: unknown field {key!r}" in err.getvalue()
+
+
+def test_readme_grid_section_names_every_grid_key():
+    # the keys are RunSpec's field names, so a renamed field renames a key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Comparison grids\n", 1)[1].split("\n## ", 1)[0]
+    for key in _GRID_KEYS:
+        assert f"{key}=" in section, key
 
 
 # -- CSV output ------------------------------------------------------------------
@@ -1204,7 +1262,10 @@ def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
     ([30.0, 40.0, 180.0, 72.0], {}, "header does not describe"),
     (None, {"kres": 3}, "header does not describe"),
     (None, {"kseed": -5}, "plane seed must be non-negative"),
-], ids=["cycles-max-nan", "cycles-max-inf", "queue-max-30", "kres-3", "kseed-negative"])
+    (None, {"algo": "xyz"}, "unknown algo 'xyz'"),
+    (None, {"reward": "bogus"}, "unknown reward 'bogus'"),
+], ids=["cycles-max-nan", "cycles-max-inf", "queue-max-30", "kres-3", "kseed-negative",
+        "algo-xyz", "reward-bogus"])
 def test_cli_compare_rejects_a_bundle_whose_header_lies(tmp_path, capsys, episodes_started,
                                                        norms, fields, message):
     weights = tmp_path / "policy.tscw"
@@ -1284,10 +1345,13 @@ def tiny_dqn_bundle():
     (["fixed controller=fixed", "ppo controller=policy weights={ppo} playback="],
      "400", "unknown playback ''"),
     (["fixed controller=fixed playback=greedy"], "400", "only policy entries take playback="),
+    (["fixed controller=fixed weights=/nonexistent/x.tscw"], "400",
+     "only policy entries take weights="),
     (["fixed controller=fixed", "a controller=fixed controller=webster"], "400",
      "grid.txt:2: duplicate field 'controller'"),
 ], ids=["short-horizon", "unknown-controller", "missing-bundle", "sampled-dqn",
-        "unknown-playback", "empty-playback", "playback-off-policy", "duplicate-field"])
+        "unknown-playback", "empty-playback", "playback-off-policy", "weights-off-policy",
+        "duplicate-field"])
 def test_cli_compare_rejects_bad_input_before_any_episode(tmp_path, capsys, episodes_started,
                                                           lines, horizon, message):
     weights = {"ppo": tmp_path / "ppo.tscw", "dqn": tmp_path / "dqn.tscw"}
@@ -1514,10 +1578,10 @@ def test_cli_docs_name_every_subcommand():
 
     from tsclab.harness import cli
 
-    commands = set(cli._HANDLERS)
     (subparsers,) = [action for action in cli.build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]
-    assert set(subparsers.choices) == commands
+    commands = set(subparsers.choices)
+    assert all(callable(p.get_default("handler")) for p in subparsers.choices.values())
     assert set(re.findall(r"^    tsclab (\S+)", cli.__doc__, re.M)) == commands
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
