@@ -38,6 +38,15 @@ TRAINING_LOG_HEADER = ("rollout_idx", "sim_time_s", "mean_reward",
                        "mean_Q_cycle", "policy_entropy", "value_loss")
 
 
+def check_budget(total_timesteps: int) -> None:
+    """Raise :class:`ConfigurationError` unless a trainer's budget of
+    simulated seconds lies in [0, 2**53]: the log's ``sim_time_s`` is a
+    float, which counts whole seconds exactly up to 2**53."""
+    if not 0 <= total_timesteps <= 2**53:
+        raise ConfigurationError(
+            f"total_timesteps must lie in [0, 2**53], got {total_timesteps}")
+
+
 @dataclass
 class TrainResult:
     """What a trainer returns: the trained bundle, its log rows, and every

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers
-from .bundle import PolicyBundle, TrainLogRow, TrainResult
+from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,7 @@ class DqnConfig:
             raise ConfigurationError("decay steps and sync interval must be positive")
         if self.log_interval_steps < 1:
             raise ConfigurationError("log interval must be positive")
-        # as in PpoConfig: the log keeps simulated seconds as floats
-        if not 0 <= self.total_timesteps <= 2**53:
-            raise ConfigurationError(
-                f"total_timesteps must lie in [0, 2**53], got {self.total_timesteps}")
+        check_budget(self.total_timesteps)
         check_hidden_layers(self.hidden_sizes, self.activation)
 
 

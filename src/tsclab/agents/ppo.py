@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers, log_softmax, softmax_sample
-from .bundle import PolicyBundle, TrainLogRow, TrainResult
+from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,7 @@ class PpoConfig:
             raise ConfigurationError("batch_size must lie in [1, n_steps]")
         if self.n_steps < 1 or self.n_epochs < 1:
             raise ConfigurationError("n_steps and n_epochs must be positive")
-        # the training log keeps simulated seconds as floats, which count
-        # whole seconds exactly up to 2**53
-        if not 0 <= self.total_timesteps <= 2**53:
-            raise ConfigurationError(
-                f"total_timesteps must lie in [0, 2**53], got {self.total_timesteps}")
+        check_budget(self.total_timesteps)
         for name in ("learning_rate", "value_coef", "entropy_coef"):
             check_non_negative(name, getattr(self, name))
         check_hidden_layers(self.hidden_sizes, self.activation)

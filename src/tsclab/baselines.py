@@ -9,13 +9,12 @@ each tick, which reads the tick from the simulator's ``arrivals`` and
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite_fields, check_whole_seconds
 from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES,
                   PHASE_SERVED, PhasePlan, SimState, install_programmed_greens)
 
@@ -77,20 +76,10 @@ class WebsterSettings:
     lost_time_s: float | None = field(default=None, metadata={"type": float})
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"webster.{f.name} must be finite")
+        check_finite_fields("webster", self)
         # the controller recomputes on the 1 s tick, at most once per tick
-        if not (self.recompute_interval_s >= 1.0
-                and float(self.recompute_interval_s).is_integer()):
-            raise ConfigurationError(
-                f"webster recompute interval must be a whole number of seconds, "
-                f"at least 1 s, got {self.recompute_interval_s}")
-        if not (self.flow_window_s >= 1.0 and float(self.flow_window_s).is_integer()):
-            raise ConfigurationError(
-                f"webster flow window must be a whole number of seconds >= 1, "
-                f"got {self.flow_window_s}")
+        check_whole_seconds("webster.recompute_interval_s", self.recompute_interval_s)
+        check_whole_seconds("webster.flow_window_s", self.flow_window_s)
         if self.lost_time_s is not None and not self.lost_time_s > 0.0:
             raise ConfigurationError("lost time must be positive")
 

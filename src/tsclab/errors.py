@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one finite-number check."""
+"""Exception types shared across the package, and the settings checks that
+more than one settings class makes."""
 
 import math
+from dataclasses import fields
 
 
 class ConfigurationError(ValueError):
@@ -19,3 +21,23 @@ def check_non_negative(name: str, value: float) -> None:
     """Raise :class:`ConfigurationError` unless ``value`` is finite and >= 0."""
     if not (math.isfinite(value) and value >= 0.0):
         raise ConfigurationError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+def check_finite_fields(section: str, settings) -> None:
+    """Raise :class:`ConfigurationError` naming ``<section>.<field>`` at the
+    first field of the dataclass ``settings`` that holds NaN or an infinity;
+    str and None values are skipped.  Run it before any other check: every
+    ordering test passes on NaN."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if not (value is None or isinstance(value, str) or math.isfinite(value)):
+            raise ConfigurationError(f"{section}.{f.name} must be finite")
+
+
+def check_whole_seconds(name: str, value: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a whole number of
+    seconds, at least 1 s: the simulator's tick.  For a whole number, > 0
+    and >= 1 are the same test."""
+    if not (value >= 1.0 and float(value).is_integer()):
+        raise ConfigurationError(
+            f"{name} must be a whole number of seconds, at least 1 s, got {value}")

@@ -85,11 +85,31 @@ def _parse_segments(key: str, text: str):
     return segments
 
 
+# the default demand, as the flow.* values of a config file: three regimes
+# over 7200 s, heaviest on the north-south through+left movement, repeating
+# for longer horizons.  The dominant direction also swings between regimes
+# (E-W heavy while medium, N-S heavy while high), so controllers that react
+# only to long flow averages lag the shift.  Demand ramps up over the span:
+# the easy regime comes first, which also gives learning agents a gentle
+# opening stretch before the crunch.
+DEFAULT_FLOWS = {
+    "flow.N0": "0-2400@60, 2400-4800@168, 4800-7200@434",
+    "flow.N1": "0-2400@20, 2400-4800@42, 4800-7200@98",
+    "flow.E0": "0-2400@100, 2400-4800@294, 4800-7200@126",
+    "flow.E1": "0-2400@30, 2400-4800@84, 4800-7200@42",
+    "flow.S0": "0-2400@60, 2400-4800@168, 4800-7200@434",
+    "flow.S1": "0-2400@20, 2400-4800@42, 4800-7200@98",
+    "flow.W0": "0-2400@100, 2400-4800@294, 4800-7200@126",
+    "flow.W1": "0-2400@30, 2400-4800@84, 4800-7200@42",
+    "flow.regimes": "0-2400@low, 2400-4800@medium, 4800-7200@high",
+}
+
+
 def flows_from_config(cfg: dict) -> FlowProfile:
-    """Build the flow profile from the flow.* keys, or the default profile
-    when there are none."""
+    """Build the flow profile from the flow.* keys, or from
+    :data:`DEFAULT_FLOWS` when there are none."""
     if not _FLOW_KEYS.intersection(cfg):
-        return default_flow_profile()
+        cfg = DEFAULT_FLOWS
     lane_rates = {}
     for lane in LANE_IDS:
         key = f"flow.{lane}"
@@ -110,29 +130,8 @@ def flows_from_config(cfg: dict) -> FlowProfile:
 
 
 def default_flow_profile() -> FlowProfile:
-    """Synthetic demand: three regimes over 7200 s, heaviest on the
-    north-south through+left movement; repeats for longer horizons.
-
-    The dominant direction also swings between regimes (E-W heavy while
-    medium, N-S heavy while high), so controllers that react only to long
-    flow averages lag the shift.  Demand ramps up over the span: the easy
-    regime comes first, which also gives learning agents a gentle opening
-    stretch before the crunch."""
-    rates = {
-        "N0": (60.0, 168.0, 434.0), "S0": (60.0, 168.0, 434.0),
-        "E0": (100.0, 294.0, 126.0), "W0": (100.0, 294.0, 126.0),
-        "N1": (20.0, 42.0, 98.0), "S1": (20.0, 42.0, 98.0),
-        "E1": (30.0, 84.0, 42.0), "W1": (30.0, 84.0, 42.0),
-    }
-    return FlowProfile.build(
-        {
-            lane: [(i * 2400.0, (i + 1) * 2400.0, rate)
-                   for i, rate in enumerate(per_regime)]
-            for lane, per_regime in rates.items()
-        },
-        regimes=[(0.0, 2400.0, "low"), (2400.0, 4800.0, "medium"),
-                 (4800.0, 7200.0, "high")],
-    )
+    """The profile :data:`DEFAULT_FLOWS` describes."""
+    return flows_from_config({})
 
 
 @dataclass(frozen=True)

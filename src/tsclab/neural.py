@@ -22,7 +22,8 @@ ACTIVATIONS = ("tanh", "relu")
 
 def check_hidden_layers(hidden_sizes: Sequence[int], activation: str) -> None:
     """Raise :class:`ConfigurationError` unless :class:`Mlp` can build these
-    hidden layers: every size at least 1, a known activation."""
+    layers (a config's hidden layers, or every layer of a net): every size
+    at least 1, a known activation."""
     if activation not in ACTIVATIONS:
         raise ConfigurationError(
             f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
@@ -37,10 +38,9 @@ class Mlp:
     def __init__(self, layer_sizes: Sequence[int], hidden_activation: str = "tanh",
                  seed: int = 0) -> None:
         sizes = tuple(int(n) for n in layer_sizes)
-        if len(sizes) < 2 or any(n < 1 for n in sizes):
-            raise ValueError("layer sizes need at least input and output dims, all >= 1")
-        if hidden_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {hidden_activation!r}")
+        if len(sizes) < 2:
+            raise ValueError("layer sizes need at least input and output dims")
+        check_hidden_layers(sizes, hidden_activation)
         self.layer_sizes = sizes
         self.hidden_activation = hidden_activation
         self.seed = seed
@@ -58,26 +58,23 @@ class Mlp:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _check_input(self, x) -> np.ndarray:
+    def _check_input(self, x, ndims: tuple = (1, 2)) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim not in (1, 2) or arr.shape[-1] != self.layer_sizes[0]:
+        if arr.ndim not in ndims or arr.shape[-1] != self.layer_sizes[0]:
             raise ValueError(
-                f"input shape {np.shape(x)} incompatible with {self.layer_sizes[0]} inputs"
+                f"input shape {np.shape(x)} incompatible with {self.layer_sizes[0]} inputs "
+                f"in a {'/'.join(map(str, ndims))}-D array"
             )
         return arr
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network and keep the input and each layer's output, and
-        nothing else, for :meth:`backward`.  Each layer runs as in
-        :meth:`predict`."""
-        arr = self._check_input(x)
-        squeeze = arr.ndim == 1
-        if squeeze:
-            arr = arr[None, :]
-        tape = [arr]
-        z = self._layers(arr, tape)
+        """Run the network on a 2-D batch, one row per input, and keep the
+        input and each layer's output, and nothing else, for
+        :meth:`backward`.  Each layer runs as in :meth:`predict`."""
+        tape = [self._check_input(x, (2,))]
+        z = self._layers(tape[0], tape)
         self._tape = tape
-        return z[0] if squeeze else z
+        return z
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Run the network without touching the tape (safe for concurrent
@@ -120,9 +117,6 @@ class Mlp:
             raise ContractViolation("backward called before forward")
         activations = self._tape
         delta = np.asarray(upstream, dtype=np.float64)
-        squeeze = delta.ndim == 1
-        if squeeze:
-            delta = delta[None, :]
         if delta.shape != activations[-1].shape:
             raise ValueError(
                 f"upstream shape {np.shape(upstream)} does not match output "
@@ -145,8 +139,7 @@ class Mlp:
                 delta *= activations[layer] > 0.0
         if not input_grad:
             return self.grad, None
-        delta = delta @ self.weights[0]
-        return self.grad, (delta[0] if squeeze else delta)
+        return self.grad, delta @ self.weights[0]
 
     # -- parameter plumbing ---------------------------------------------------
 

@@ -11,10 +11,9 @@ the levels at its two ends.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_finite_fields
 from .sim import N_LANES, SimState
 
 REWARD_KINDS = ("queue", "delay", "pressure", "speed", "resco_wait")
@@ -35,13 +34,11 @@ class RewardSpec:
     clip_max: float = 4.0
 
     def __post_init__(self) -> None:
+        check_finite_fields("reward", self)
         if self.kind not in REWARD_KINDS:
             raise ConfigurationError(
                 f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}"
             )
-        for f in fields(self):
-            if f.name != "kind" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigurationError(f"reward.{f.name} must be finite")
         if abs(self.alpha_abs + self.alpha_red - 1.0) > 1e-12:
             raise ConfigurationError("queue reward weights must sum to 1")
         if self.queue_norm <= 0.0:

@@ -27,12 +27,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation, check_non_negative
+from .errors import (ConfigurationError, ContractViolation, check_finite_fields,
+                     check_non_negative, check_whole_seconds)
 
 LANE_IDS = ("N0", "N1", "E0", "E1", "S0", "S1", "W0", "W1")
 APPROACHES = ("N", "E", "S", "W")
@@ -65,9 +66,7 @@ class IntersectionLayout:
     free_flow_speed_ms: float = 11.11
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigurationError(f"sim.{f.name} must be finite")
+        check_finite_fields("sim", self)
         if self.lane_storage_capacity < 1:
             raise ConfigurationError("lane storage capacity must be at least 1")
         if self.travel_time_to_stopline_s < 0.0:
@@ -89,9 +88,10 @@ class PhasePlan:
     """Signal timing plan: per-phase green defaults and shared intervals.
 
     The signal runs on the simulator's one-second tick, so ``yellow_s``,
-    ``g_min_s``, ``g_max_s`` and ``delta_time_s`` must be whole seconds.
-    Programmed greens may be fractional (Webster installs fractional greens):
-    a green ends on the first whole second at or past its programmed value.
+    ``g_min_s``, ``g_max_s`` and ``delta_time_s`` must be whole seconds, at
+    least 1 s.  Programmed greens may be fractional (Webster installs
+    fractional greens): a green ends on the first whole second at or past
+    its programmed value.
     """
 
     greens_s: tuple[float, float, float, float] = (20.0, 20.0, 20.0, 20.0)
@@ -103,18 +103,10 @@ class PhasePlan:
     def __post_init__(self) -> None:
         if len(self.greens_s) != N_PHASES:
             raise ConfigurationError("plan needs one programmed green per phase")
-        if self.g_min_s <= 0.0 or self.g_max_s <= 0.0:
-            raise ConfigurationError("green bounds must be positive")
+        for name in ("yellow_s", "g_min_s", "g_max_s", "delta_time_s"):
+            check_whole_seconds(f"plan.{name}", getattr(self, name))
         if self.g_min_s > self.g_max_s:
             raise ConfigurationError("g_min must not exceed g_max")
-        if self.yellow_s <= 0.0:
-            raise ConfigurationError("yellow interval must be positive")
-        if self.delta_time_s <= 0.0:
-            raise ConfigurationError("decision interval must be positive")
-        for name in ("yellow_s", "g_min_s", "g_max_s", "delta_time_s"):
-            if not float(getattr(self, name)).is_integer():
-                raise ConfigurationError(
-                    f"{name} must be a whole number of seconds, got {getattr(self, name)}")
         for g in self.greens_s:
             if not (self.g_min_s <= g <= self.g_max_s):
                 raise ConfigurationError(

@@ -153,8 +153,8 @@ def test_c2_gradients_match_finite_differences():
         else:
             x = rng.uniform(-1.0, 1.0, size=sizes[0])
         upstream = rng.normal(size=sizes[-1])
-        net.forward(x)
-        analytic, _ = net.backward(upstream)
+        net.forward(x[None])
+        analytic, _ = net.backward(upstream[None])
         flat = net.flat
         coords = rng.choice(flat.size, size=min(flat.size, 300), replace=False)
         for j in coords:
@@ -435,11 +435,16 @@ def test_c6_learned_control_beats_both_baselines(control_study):
     elapsed = control_study["elapsed_s"]
     passed = (learned <= 0.9 * fixed and learned <= 0.9 * webster
               and elapsed < 7200.0)
+    # the gate reads the mean alone; the per-seed scores show whether one
+    # seed collapsed while the others carried the mean
+    within = sum(score <= 0.9 * webster for score in seed_scores)
     record_criterion(
         "C6 learned control beats both baselines by 10%",
         passed,
         f"learned {learned:.3f} vs fixed {fixed:.3f} / webster {webster:.3f}, "
-        f"{elapsed:.0f}s",
+        f"{elapsed:.0f}s; per seed {' '.join(f'{score:.2f}' for score in seed_scores)}, "
+        f"median {float(np.median(seed_scores)):.2f}, "
+        f"{within}/{len(seed_scores)} at or below 0.9 x webster",
     )
     assert learned <= 0.9 * fixed
     assert learned <= 0.9 * webster
@@ -556,6 +561,15 @@ def test_c9_queue_matches_webster_delay():
     errs by about 1/sqrt(n) for n vehicles, so a case is drawn only if
     five such errors fit within the tolerance, and the queue is held at or
     above the D/D/1 term only where the formula lies five errors above it.
+
+    What the tolerance cannot see: a simulator that loses one queued
+    vehicle per green.  At x <= 0.7 that moves the time-averaged queue by
+    far less than 15%; a simulator that lost up to one vehicle per green at
+    the 1.2, 1.5, 2.5 and 3.0 s headways passed this check with a worst
+    error of 2.1%.  The check that can see it is ``tests/test_sim.py``'s
+    exact-departure tests, ``test_green_discharges_every_whole_headway`` and
+    ``test_departures_after_f_flowing_ticks_are_floor_f_over_h``, which count
+    every vehicle a green lets go.
     """
     t0 = time.perf_counter()
     cases = []  # (x, relative error, D/D/1 bound checked, bound held)

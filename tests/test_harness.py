@@ -729,6 +729,15 @@ def test_flows_from_config_errors(tmp_path):
             flows_from_config(cfg)
 
 
+def test_readme_default_flow_block_parses_to_the_default_profile(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = [block for block in section.split("```")[1::2]
+                if "flow.regimes = 0-2400@low" in block]
+    assert flows_from_config(parse_config_file(write_cfg(tmp_path, block))) == \
+        default_flow_profile()
+
+
 def test_default_flow_profile_shape():
     flows = default_flow_profile()
     assert flows.span_s == 7200.0
@@ -1410,7 +1419,9 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
         ("train", "ppo.hidden_sizes = 0", "hidden sizes must be at least 1"),
         ("train", "ppo.activation = sigmoid", "unknown activation 'sigmoid'"),
         ("train", "plan.greens_s = 20,20,20,20,", "bad value for plan.greens_s"),
-        ("train", "webster.recompute_interval_s = -5", "recompute interval"),
+        ("train", "plan.yellow_s = 0", "plan.yellow_s must be a whole number of seconds"),
+        ("train", "webster.recompute_interval_s = -5",
+         "webster.recompute_interval_s must be a whole number of seconds, at least 1 s"),
         ("dqn", "dqn.hidden_sizes = 8,,8", "bad value for dqn.hidden_sizes"),
         ("dqn", "dqn.activation = gelu", "unknown activation 'gelu'"),
     ):

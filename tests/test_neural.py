@@ -70,6 +70,10 @@ def test_forward_rejects_bad_input_shape():
     net = Mlp([4, 2], seed=0)
     with pytest.raises(ValueError):
         net.predict(np.zeros(3))
+    # forward keeps a tape for backward, so it takes batches only
+    for x in (np.zeros(4), np.zeros((1, 3)), np.zeros((1, 1, 4))):
+        with pytest.raises(ValueError):
+            net.forward(x)
 
 
 def test_mlp_constructor_validation():
@@ -87,25 +91,25 @@ def test_mlp_constructor_validation():
 def test_backward_linear_layer_outer_product():
     net = Mlp([3, 2], seed=5)
     x = np.array([1.0, -2.0, 0.5])
-    net.forward(x)
+    net.forward(x[None])
     upstream = np.array([0.7, -0.3])
-    gradient, dx = net.backward(upstream)
+    gradient, dx = net.backward(upstream[None])
     dW, db = layer_gradients(net, gradient)[0]
     np.testing.assert_allclose(dW, np.outer(upstream, x), atol=1e-15)
     np.testing.assert_allclose(db, upstream, atol=1e-15)
-    np.testing.assert_allclose(dx, upstream @ net.weights[0], atol=1e-15)
+    np.testing.assert_allclose(dx, [upstream @ net.weights[0]], atol=1e-15)
 
 
 def test_backward_before_forward_rejected():
     net = Mlp([3, 2], seed=0)
     with pytest.raises(ContractViolation):
-        net.backward(np.zeros(2))
+        net.backward(np.zeros((1, 2)))
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
     net = Mlp([4, 6, 2], seed=1)
-    net.forward(np.ones(4))
-    gradient, dx = net.backward(np.zeros(2))
+    net.forward(np.ones((1, 4)))
+    gradient, dx = net.backward(np.zeros((1, 2)))
     for dW, db in layer_gradients(net, gradient):
         assert not dW.any()
         assert not db.any()
@@ -114,9 +118,11 @@ def test_backward_zero_upstream_gives_zero_gradients():
 
 def test_backward_shape_mismatch_rejected():
     net = Mlp([4, 6, 2], seed=1)
-    net.forward(np.ones(4))
-    with pytest.raises(ValueError):
-        net.backward(np.zeros(3))
+    net.forward(np.ones((1, 4)))
+    # a wrong width, a wrong row count, and the row without its batch axis
+    for upstream in (np.zeros((1, 3)), np.zeros((2, 2)), np.zeros(2)):
+        with pytest.raises(ValueError):
+            net.backward(upstream)
 
 
 def finite_difference_check(net, x, upstream, h=1e-5, kink_margin=1e-3):
@@ -158,8 +164,8 @@ def finite_difference_check(net, x, upstream, h=1e-5, kink_margin=1e-3):
 def test_gradients_match_finite_differences_relu():
     net = Mlp([19, 32, 16], "relu", seed=7)
     rng = np.random.Generator(np.random.PCG64(21))
-    x = rng.normal(size=19)
-    upstream = rng.normal(size=16)
+    x = rng.normal(size=(1, 19))
+    upstream = rng.normal(size=(1, 16))
     assert finite_difference_check(net, x, upstream) < 1e-4
 
 
@@ -332,8 +338,8 @@ def test_adam_lr_zero_leaves_params_bit_identical():
     net = Mlp([4, 6, 2], seed=3)
     before = net.flat.copy()
     opt = Adam(net.flat, lr=0.0)
-    net.forward(np.ones(4))
-    gradient, _ = net.backward(np.ones(2))
+    net.forward(np.ones((1, 4)))
+    gradient, _ = net.backward(np.ones((1, 2)))
     opt.step(gradient)
     np.testing.assert_array_equal(net.flat, before)
 
@@ -514,7 +520,8 @@ _SPECIAL_ENTRIES = st.lists(
 @np.errstate(invalid="ignore", over="ignore")
 def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, seed,
                                                            rows, scale, specials):
-    # rows = 0 stands for a single 1-D input
+    # rows = 0 stands for a single 1-D input, which predict takes as it is
+    # and forward and backward as a one-row batch
     net = Mlp(sizes, activation, seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     shape = (rows,) if rows else ()
@@ -528,10 +535,11 @@ def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, se
     out = net.predict(x)
     assert x.tobytes() == x_before
     assert out.tobytes() == ref_out.tobytes()
-    assert net.forward(x).tobytes() == out.tobytes()
+    batch, upstream_batch = (x, upstream) if rows else (x[None], upstream[None])
+    assert net.forward(batch).tobytes() == out.tobytes()
     # poison the persistent gradient so that an entry backward leaves unwritten shows
     net.grad.fill(np.nan)
-    gradient, dx = net.backward(upstream)
+    gradient, dx = net.backward(upstream_batch)
     assert upstream.tobytes() == upstream_before
     assert gradient is net.grad
     assert gradient.shape == net.flat.shape
@@ -540,7 +548,7 @@ def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, se
     assert dx.tobytes() == ref_dx.tobytes()
     # without the input gradient: the same parameter gradient, no input product
     net.grad.fill(np.nan)
-    gradient, dx = net.backward(upstream, input_grad=False)
+    gradient, dx = net.backward(upstream_batch, input_grad=False)
     assert upstream.tobytes() == upstream_before
     assert gradient.tobytes() == ref_gradient.tobytes()
     assert dx is None

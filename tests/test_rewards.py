@@ -220,3 +220,42 @@ def test_rewards_are_pure():
     q_prev = np.array([5.0, 1.0, 4.0, 1.0])
     values = {queue_total_reward(q_t, q_prev) for _ in range(5)}
     assert len(values) == 1
+
+
+# -- the discounted sum of the level-based rewards -----------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("queue", "delay", "pressure")),
+       levels=st.lists(st.floats(0.0, 400.0), min_size=2, max_size=60),
+       alpha_abs=st.floats(0.0, 1.0), queue_norm=st.floats(1.0, 100.0),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_discounted_reward_sum_equals_its_closed_form(kind, levels, alpha_abs,
+                                                       queue_norm, gamma):
+    # For levels L_0 .. L_T the discounted sum of reward(spec, L_t, L_{t+1})
+    # is  a L_0 - w sum_{t<T} gamma^t L_{t+1} - a gamma^T L_T:  a start term
+    # and an end term in the level (a potential), and the discounted level
+    # at weight w.  queue: a = alpha_red / s and w = (alpha_abs + alpha_red
+    # (1 - gamma)) / s with s = N * queue_norm; delay and pressure: a = 1 and
+    # w = 1 - gamma.
+    spec = RewardSpec(kind=kind, alpha_abs=alpha_abs, alpha_red=1.0 - alpha_abs,
+                      queue_norm=queue_norm)
+    if kind == "pressure":  # vehicles in the system: a count
+        levels = [round(level) for level in levels]
+    horizon = len(levels) - 1
+    discounts = [gamma ** t for t in range(horizon + 1)]
+    rewards = [reward(spec, levels[t], levels[t + 1]) for t in range(horizon)]
+    discounted = sum(d * r for d, r in zip(discounts, rewards))
+
+    # every level enters a reward at a weight of at most `unit`
+    unit = 1.0 / (N_APPROACHES * spec.queue_norm) if kind == "queue" else 1.0
+    if kind == "queue":
+        potential = spec.alpha_red * unit
+        level_weight = (spec.alpha_abs + spec.alpha_red * (1.0 - gamma)) * unit
+    else:
+        potential, level_weight = 1.0, 1.0 - gamma
+    closed = (potential * levels[0]
+              - level_weight * sum(d * level for d, level in zip(discounts, levels[1:]))
+              - potential * discounts[horizon] * levels[horizon])
+    # to rounding: a few ulps per term of the largest discounted level
+    tolerance = 1e-13 * len(levels) * unit * max(levels)
+    assert abs(discounted - closed) <= tolerance
