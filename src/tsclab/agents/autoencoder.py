@@ -23,7 +23,6 @@ from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, sav
 
 _HIDDEN = 32
 _MINIBATCH = 128
-_EPISODE_HORIZON_S = 7200
 
 
 @dataclass
@@ -108,13 +107,13 @@ def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 
 
 def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
                          layout: IntersectionLayout = IntersectionLayout(),
-                         plan: PhasePlan = PhasePlan()) -> np.ndarray:
+                         plan: PhasePlan = PhasePlan(), horizon_s: int = 7200) -> np.ndarray:
     """Record decision-point states under fixed-time control.
 
     Each episode rescales every lane's arrival rates by an independent
-    uniform factor from [0.5, 1.5) and simulates 7200 s; decision-point
-    states, their cycle count divided by the default ``cycles_max``, accumulate
-    until ``n_states`` are collected.
+    uniform factor from [0.5, 1.5) and simulates ``horizon_s``, past the
+    plan's longest cycle; decision-point states, their cycle count divided
+    by the default ``cycles_max``, accumulate until ``n_states`` are collected.
     """
     if n_states < 1:
         raise ConfigurationError("need at least one state")
@@ -129,7 +128,7 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
         scale_rng = np.random.Generator(np.random.PCG64(s_scale))
         factors = scale_rng.uniform(0.5, 1.5, size=N_LANES)
         sim = SimState(layout, plan, flows.scaled(factors), s_sim)
-        while run_to_decision(sim, _EPISODE_HORIZON_S):
+        while run_to_decision(sim, horizon_s):
             states[filled] = expanded_state(sim)
             filled += 1
             if filled >= n_states:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, check_finite_fields, check_whole_seconds
 from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES,
-                  PHASE_SERVED, PhasePlan, SimState, install_programmed_greens)
+                  PHASE_SERVED, PhasePlan, SimState, install_programmed_greens,
+                  sum_in_order)
 
 
 def webster_timings(lost_time_s: float, y_ratios: tuple,
@@ -26,16 +27,16 @@ def webster_timings(lost_time_s: float, y_ratios: tuple,
     (critical-lane flow over saturation flow); returns ``(cycle_s,
     greens_s, saturated)``.
 
-    The cycle is capped above at the plan's longest feasible cycle
-    4*g_max + 4*Z; below it the formula's value is returned as-is, even
-    when shorter than the minimal plan (the split greens are clamped to
-    [g_min, g_max] individually, so the installed plan is always feasible).
+    The cycle is capped above at the plan's ``longest_cycle_s``; below it
+    the formula's value is returned as-is, even when shorter than the
+    minimal plan (the split greens are clamped to [g_min, g_max]
+    individually, so the installed plan is always feasible).
     A demand at or beyond saturation (sum Y >= 1) falls back to the maximum
     plan with the saturated flag set.
     """
     g_min_s, g_max_s = plan.g_min_s, plan.g_max_s
-    y_sum = float(sum(y_ratios))
-    cycle_cap = N_PHASES * g_max_s + N_PHASES * plan.yellow_s
+    y_sum = float(sum_in_order(y_ratios))
+    cycle_cap = plan.longest_cycle_s
     if y_sum >= 1.0:
         return cycle_cap, (g_max_s,) * N_PHASES, True
     c_o = (1.5 * lost_time_s + 5.0) / (1.0 - y_sum)

@@ -20,10 +20,6 @@ from .rewards import RewardSpec, reward, reward_level
 from .sim import (FlowProfile, IntersectionLayout, N_ACTIONS, PhasePlan, SimState,
                   apply_action, at_decision_point, step)
 
-# a decision point arrives within one phase remainder + yellow + minimum
-# green of the next phase; anything past a few full cycles is a machine bug
-_MAX_TICKS_BETWEEN_DECISIONS = 4000
-
 
 def run_to_decision(sim: SimState, until_s: int, on_tick=None) -> bool:
     """Advance ``sim`` to its next decision point before ``until_s``.
@@ -94,6 +90,6 @@ class SignalControlEnv:
         """Tick to the next decision point and return the cycle records it
         completed."""
         first_new = len(self.sim.completed_cycles)
-        if not run_to_decision(self.sim, self.sim.clock + _MAX_TICKS_BETWEEN_DECISIONS):
+        if not run_to_decision(self.sim, self.sim.clock + self.plan.longest_cycle_s):
             raise ContractViolation("no decision point reached; phase machine is stuck")
         return [self._tracker.feed(entry) for entry in self.sim.completed_cycles[first_new:]]

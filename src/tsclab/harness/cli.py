@@ -29,28 +29,24 @@ from ..agents.autoencoder import (
     train_autoencoder,
 )
 from ..agents.bundle import TRAINING_LOG_HEADER
-from ..agents.dqn import DqnConfig, train_dqn
-from ..agents.ppo import PpoConfig, train_ppo
+from ..agents.dqn import train_dqn
+from ..agents.ppo import train_ppo
 from ..baselines import WEBSTER_LOG_HEADER
 from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
-from ..rewards import REWARD_KINDS, RewardSpec
+from ..rewards import REWARD_KINDS
 from ..staterep import (CANONICAL_LATENTS, REPRESENTATION_KINDS, DqnObservation,
                         make_observation)
-from .config import cycles_max_for_training, from_config, parse_config_file, run_from_config
+from .config import RunSettings, cycles_max_for_training, parse_config_file, run_from_config
 from .metrics import correlation_report, summary_table, write_csv, write_cycles_csv
 from .runner import read_grid, run_grid
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Argparse variant that raises instead of calling sys.exit(2)."""
+    """Argparse variant that raises ConfigurationError, not sys.exit(2)."""
 
     def error(self, message: str):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ConfigurationError(f"{self.prog}: {message}")
 
 
 def non_negative_int(text: str) -> int:
@@ -121,15 +117,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_cfg(args) -> dict:
-    """The config file's values, then each given flag whose ``dest`` is a
-    config key, as text, so both pass one conversion."""
-    cfg = {}
+def _load_run(args, defaults=()) -> RunSettings:
+    """The command's run, resolved from the config values ``defaults``, over
+    them the config file's, and over those each given flag whose ``dest`` is
+    a config key, as text, so all pass one conversion."""
+    cfg = dict(defaults)
     if args.config is not None:
-        cfg = parse_config_file(args.config)
+        cfg.update(parse_config_file(args.config))
     cfg.update((key, value) for key, value in vars(args).items()
                if "." in key and value is not None)
-    return cfg
+    return run_from_config(cfg)
 
 
 def _out_dir(path) -> Path:
@@ -156,38 +153,35 @@ def _write_training_outputs(out: Path, result, weights_name: str) -> Path:
 
 def cmd_train(args) -> int:
     out = _out_dir(args.out)
-    cfg = _load_cfg(args)
-    run = run_from_config(cfg)
-    ppo_cfg = from_config(cfg, PpoConfig)
-    reward = from_config(cfg, RewardSpec)
-    cycles_max = cycles_max_for_training(ppo_cfg.total_timesteps, run.plan.default_cycle_s)
+    run = _load_run(args)
+    cycles_max = cycles_max_for_training(run.ppo.total_timesteps, run.plan.default_cycle_s)
     if args.repr.startswith("ae") != (args.encoder is not None):
-        raise _UsageError("tsclab train: --encoder is required for ae* representations, "
-                          f"and applies to them only (--repr {args.repr})")
+        raise ConfigurationError("tsclab train: --encoder is required for ae* representations, "
+                                 f"and applies to them only (--repr {args.repr})")
     encoder = load_autoencoder(args.encoder)[0] if args.encoder is not None else None
     obs = make_observation(args.repr, cycles_max, encoder, run.kplanes_seed)
 
-    env = SignalControlEnv(run.layout, run.plan, run.flows, obs, reward, args.seed)
-    result = train_ppo(env, ppo_cfg, args.seed)
+    env = SignalControlEnv(run.layout, run.plan, run.flows, obs, run.reward, args.seed)
+    result = train_ppo(env, run.ppo, args.seed)
     weights = _write_training_outputs(out, result, "policy.tscw")
     final_q = next((row.mean_q_cycle for row in reversed(result.log)
                     if row.mean_q_cycle is not None), None)
     q_text = "n/a" if final_q is None else f"{final_q:.2f}"
-    print(f"trained ppo repr={args.repr} reward={reward.kind} seed={args.seed} "
+    print(f"trained ppo repr={args.repr} reward={run.reward.kind} seed={args.seed} "
           f"({len(result.log)} rollouts, final mean cycle queue {q_text})")
     print(f"wrote {weights}")
     return 0
 
 
 def cmd_pretrain_ae(args) -> int:
-    run = run_from_config(_load_cfg(args))
+    run = _load_run(args)
     check_training_settings(args.latent, args.epochs, args.lr)
     out_path = Path(args.out) if args.out else Path(f"ae{args.latent}.tscw")
     if out_path.is_dir():
         raise ConfigurationError(f"--out {out_path} is a directory, not a weights file")
     _out_dir(out_path.parent)
     buffer = collect_state_buffer(args.buffer_steps, run.flows, seed=args.seed,
-                                  layout=run.layout, plan=run.plan)
+                                  layout=run.layout, plan=run.plan, horizon_s=run.horizon_s)
     result = train_autoencoder(buffer, args.latent, epochs=args.epochs,
                                lr=args.lr, seed=args.seed)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -201,18 +195,14 @@ def cmd_pretrain_ae(args) -> int:
 
 def cmd_dqn(args) -> int:
     out = _out_dir(args.out)
-    cfg = _load_cfg(args)
-    kind = cfg.setdefault("reward.kind", "resco_wait")
-    if kind != "resco_wait":
+    run = _load_run(args, {"reward.kind": "resco_wait"})
+    if run.reward.kind != "resco_wait":
         raise ConfigurationError(f"dqn trains on the resco_wait reward only, "
-                                 f"got reward.kind = {kind}")
-    run = run_from_config(cfg)
-    dqn_cfg = from_config(cfg, DqnConfig)
-    reward = from_config(cfg, RewardSpec)
+                                 f"got reward.kind = {run.reward.kind}")
 
-    env = SignalControlEnv(run.layout, run.plan, run.flows, DqnObservation(), reward,
+    env = SignalControlEnv(run.layout, run.plan, run.flows, DqnObservation(), run.reward,
                            args.seed)
-    result = train_dqn(env, dqn_cfg, args.seed)
+    result = train_dqn(env, run.dqn, args.seed)
     weights = _write_training_outputs(out, result, "dqn.tscw")
     print(f"trained dqn seed={args.seed} ({len(result.log)} log points)")
     print(f"wrote {weights}")
@@ -221,7 +211,7 @@ def cmd_dqn(args) -> int:
 
 def cmd_compare(args) -> int:
     out = _out_dir(args.out)
-    run = run_from_config(_load_cfg(args))
+    run = _load_run(args)
     specs = read_grid(args.grid)
     results, webster_logs = run_grid(run, specs)
     columns = [(spec.config_id, spec.controller) for spec in specs]
@@ -252,7 +242,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse -h / --help
         code = exc.code
         return code if isinstance(code, int) else 0
-    except (_UsageError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001  (runtime failures map to exit 2)

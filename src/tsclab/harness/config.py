@@ -26,7 +26,7 @@ from pathlib import Path
 from ..baselines import WebsterSettings
 from ..errors import ConfigurationError
 from ..rewards import RewardSpec
-from ..sim import LANE_IDS, N_PHASES, FlowProfile, IntersectionLayout, PhasePlan
+from ..sim import LANE_IDS, FlowProfile, IntersectionLayout, PhasePlan
 from ..staterep import DEFAULT_KPLANES_SEED
 from ..agents.dqn import DqnConfig
 from ..agents.ppo import PpoConfig
@@ -137,11 +137,11 @@ def default_flow_profile() -> FlowProfile:
 @dataclass(frozen=True)
 class RunSettings:
     """One fully resolved run: the scenario (layout, signal plan, flows), the
-    Webster controller's settings, and the episode settings.
+    Webster controller's, the reward's and each trainer's settings, and the
+    episode settings.
 
-    The horizon must exceed the longest cycle any controller can run, every
-    green at ``g_max_s`` plus its yellow, so every episode completes at
-    least one cycle."""
+    The horizon must exceed the plan's longest cycle, so every episode
+    completes at least one cycle."""
 
     horizon_s: int = 7200
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -151,13 +151,15 @@ class RunSettings:
     plan: PhasePlan = PhasePlan()
     flows: FlowProfile = field(default_factory=default_flow_profile)
     webster: WebsterSettings = WebsterSettings()
+    reward: RewardSpec = RewardSpec()
+    ppo: PpoConfig = PpoConfig()
+    dqn: DqnConfig = DqnConfig()
 
     def __post_init__(self) -> None:
-        longest_cycle_s = N_PHASES * (self.plan.g_max_s + self.plan.yellow_s)
-        if not self.horizon_s > longest_cycle_s:
+        if not self.horizon_s > self.plan.longest_cycle_s:
             raise ConfigurationError(
                 f"horizon {self.horizon_s}s must exceed the longest cycle, "
-                f"{longest_cycle_s:g}s, so that every episode completes one")
+                f"{self.plan.longest_cycle_s:g}s, so that every episode completes one")
         if not self.seeds:
             raise ConfigurationError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -203,20 +205,14 @@ def _kwargs(cfg: dict, cls) -> dict:
     return kwargs
 
 
-def from_config(cfg: dict, cls):
-    """Build settings class ``cls`` from its section's keys in ``cfg``."""
-    return cls(**_kwargs(cfg, cls))
-
-
 def run_from_config(cfg: dict) -> RunSettings:
-    """Resolve a whole run from config values."""
-    return RunSettings(
-        layout=from_config(cfg, IntersectionLayout),
-        plan=from_config(cfg, PhasePlan),
-        flows=flows_from_config(cfg),
-        webster=from_config(cfg, WebsterSettings),
-        **_kwargs(cfg, RunSettings),
-    )
+    """Resolve a whole run from config values: each field holding a
+    section's settings class is built from that section's keys, the flows
+    from the flow keys, and the rest from the ``run.`` keys, so every key
+    is checked here, whichever command reads it."""
+    nested = {f.name: cls(**_kwargs(cfg, cls)) for f in fields(RunSettings)
+              for cls in [type(f.default)] if cls in SECTIONS.values()}
+    return RunSettings(flows=flows_from_config(cfg), **nested, **_kwargs(cfg, RunSettings))
 
 
 def cycles_max_for_training(total_timesteps: int, nominal_cycle_s: float = 100.0) -> float:

@@ -171,7 +171,8 @@ def run_grid(run: RunSettings, specs):
     is built before the first episode, so a bad input fails before any
     episode runs.  A sampled policy draws its actions from a stream seeded
     by the cell's seed.
-    Jobs are independent; ``run.workers > 1`` runs them on a process pool.
+    Jobs are independent; ``run.workers > 1`` runs them on a process pool
+    of that many workers, but no more than the cells (a pool starts them all).
     Output order and content are identical either way because each job owns
     its seed.
     """
@@ -188,12 +189,13 @@ def run_grid(run: RunSettings, specs):
         jobs += [(run, spec.config_id, seed,
                   CONTROLLERS[spec.controller](run, bundle, seed if sampled else None))
                  for seed in run.seeds]
-    if run.workers > 1:
+    workers = min(run.workers, len(jobs))
+    if workers > 1:
         # imported here: the process pool machinery costs every other run
         # about 1.5 MB of resident memory and part of the import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=run.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_grid_job, jobs))
     else:
         outcomes = [_grid_job(job) for job in jobs]

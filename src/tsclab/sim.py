@@ -83,6 +83,15 @@ class IntersectionLayout:
         return 3600.0 / self.saturation_headway_s
 
 
+def sum_in_order(values) -> float:
+    """``values`` added left to right, the same bits on every Python (from
+    3.12 on, builtin ``sum`` compensates floats, which can move the last bit)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class PhasePlan:
     """Signal timing plan: per-phase green defaults and shared intervals.
@@ -115,7 +124,13 @@ class PhasePlan:
 
     @property
     def default_cycle_s(self) -> float:
-        return sum(self.greens_s) + N_PHASES * self.yellow_s
+        return sum_in_order(self.greens_s) + N_PHASES * self.yellow_s
+
+    @property
+    def longest_cycle_s(self) -> float:
+        """Every green at ``g_max_s`` plus its yellow: no controller can run
+        a longer cycle, so a decision point comes within this many ticks."""
+        return N_PHASES * (self.g_max_s + self.yellow_s)
 
 
 @dataclass(frozen=True)

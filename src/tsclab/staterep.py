@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .neural import Mlp
-from .sim import N_LANES, N_PHASES, PHASE_SERVED, SimState
+from .sim import N_LANES, N_PHASES, PHASE_SERVED, SimState, sum_in_order
 
 EXPANDED_DIM = 19
 KPLANES_DIM = 68
@@ -50,7 +50,7 @@ def baseline_state(sim: SimState) -> np.ndarray:
     1-based active phase, remaining green of the active phase, and the total
     queue (per-approach maxima summed).  Nothing is normalized."""
     greens = sim.programmed_green_s
-    cycle_len = sum(greens) + N_PHASES * sim.plan.yellow_s
+    cycle_len = sum_in_order(greens) + N_PHASES * sim.plan.yellow_s
     remaining = max(greens[sim.current_phase] - sim.phase_elapsed_s, 0.0)
     total_q = float(sum(sim.approach_queues()))
     return np.array(

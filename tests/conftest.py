@@ -230,6 +230,20 @@ def rate_veh_h(profile, lane: int, t_s: float) -> float:
     return float(profile.rates_and_horizon(t_s)[0][lane]) * 3600.0
 
 
+def compensated_sum(values, start=0):
+    """A sum of floats as Python 3.12's builtin ``sum`` takes it: compensated
+    (Neumaier), so it can differ in the last bit from adding left to right."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
 def lane_index(lane_id: str) -> int:
     return LANE_IDS.index(lane_id)
 

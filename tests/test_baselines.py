@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import uniform_profile
+from conftest import compensated_sum, uniform_profile
+import tsclab.baselines as baselines
 from tsclab.baselines import (
     DynamicWebsterController,
     FixedTimeController,
@@ -61,6 +62,17 @@ def test_webster_cycle_capped_near_saturation():
     cycle_s, _greens_s, saturated = webster_timings(12.0, (0.9, 0.03, 0.03, 0.03), PLAN)
     assert cycle_s == 180.0
     assert not saturated
+
+
+def test_webster_sums_its_flow_ratios_left_to_right(monkeypatch):
+    # these ratios sum to other bits under a compensated sum, as builtin sum
+    # takes floats from Python 3.12 on; the timings must not depend on it
+    y = (0.027586206896551724, 0.013793103448275862, 0.10344827586206896,
+         0.013793103448275862)
+    assert compensated_sum(y) != ((y[0] + y[1]) + y[2]) + y[3]
+    expected = webster_timings(20.0, y, PLAN)
+    monkeypatch.setattr(baselines, "sum", compensated_sum, raising=False)
+    assert webster_timings(20.0, y, PLAN) == expected
 
 
 def test_webster_saturated_falls_back_to_max_plan():

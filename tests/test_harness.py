@@ -1,6 +1,7 @@
 """Experiment harness tests: cycle metrics, aggregation, the episode and grid
 runners, CSV output, configuration parsing, and the command line."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -21,19 +22,19 @@ from hypothesis import strategies as st
 from conftest import cycle_queue_metric, rate_veh_h, rewrite_weight_file, uniform_profile
 from tsclab.agents.autoencoder import AeResult, save_autoencoder
 from tsclab.agents.bundle import TRAINING_LOG_HEADER, PolicyBundle, TrainLogRow
-from tsclab.agents.ppo import PpoConfig
+from tsclab.agents.dqn import DqnConfig
 from tsclab.baselines import (WEBSTER_LOG_HEADER, DynamicWebsterController,
                               FixedTimeController, WebsterSettings)
 from tsclab.errors import ConfigurationError, ContractViolation
-from tsclab.harness.cli import _load_cfg, build_parser, main, non_negative_int
+from tsclab.harness.cli import _load_run, build_parser, main, non_negative_int
 from tsclab.harness.config import (
     cycles_max_for_training,
     default_flow_profile,
     flows_from_config,
-    from_config,
     parse_config_file,
     run_from_config,
     RunSettings,
+    SECTIONS,
 )
 from tsclab.harness.metrics import (
     CycleRecord,
@@ -55,6 +56,7 @@ from tsclab.harness.runner import (
     run_grid,
 )
 from tsclab.neural import Mlp
+from tsclab.rewards import RewardSpec
 from tsclab.sim import (
     ACTION_EXTEND,
     FlowProfile,
@@ -422,6 +424,35 @@ def test_run_grid_parallel_matches_sequential(tmp_path):
     assert list(logs1) == [("webster", 0), ("webster", 1)] and all(logs1.values())
 
 
+@pytest.mark.parametrize("cells, pool_sizes", [(("fixed",), []), (("fixed", "webster"), [2])])
+def test_run_grid_starts_no_more_workers_than_cells(monkeypatch, cells, pool_sizes):
+    # a pool starts every worker at its first submit, so the fake records the
+    # size asked for and runs the jobs in this process; one cell runs without
+    # a pool
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    specs = [RunSpec(kind, kind) for kind in cells]
+    results, _ = run_grid(grid_experiment(seeds=(0,), workers=64), specs)
+    assert started == pool_sizes
+    assert results == run_grid(grid_experiment(seeds=(0,)), specs)[0]
+
+
 def test_run_grid_rejects_duplicate_ids():
     with pytest.raises(ConfigurationError):
         run_grid(grid_experiment(), [RunSpec("a", "fixed"), RunSpec("a", "webster")])
@@ -682,20 +713,22 @@ run.seeds = 3,4
 webster.recompute_interval_s = 60
 ppo.total_timesteps = 500
 """))
-    ppo = from_config(cfg, PpoConfig)
-    assert ppo.n_steps == 32
-    assert ppo.hidden_sizes == (16, 8)
-    assert ppo.learning_rate == 1e-3
-    assert run_from_config(cfg).seeds == (3, 4)
-    assert run_from_config(cfg).webster == WebsterSettings(recompute_interval_s=60.0)
+    run = run_from_config(cfg)
+    assert run.ppo.n_steps == 32
+    assert run.ppo.hidden_sizes == (16, 8)
+    assert run.ppo.learning_rate == 1e-3
+    assert run.seeds == (3, 4)
+    assert run.webster == WebsterSettings(recompute_interval_s=60.0)
+    # the sections no key names keep their class defaults
+    assert (run.reward, run.dqn) == (RewardSpec(), DqnConfig())
     bad = parse_config_file(write_cfg(tmp_path, "ppo.n_steps = lots\n", "b.cfg"))
     with pytest.raises(ConfigurationError):
-        from_config(bad, PpoConfig)
+        run_from_config(bad)
     # a given flag writes its key over the file's value; an absent one leaves it
     path = str(tmp_path / "run.cfg")
     for flags, timesteps in ((["--timesteps", "64"], 64), ([], 500)):
         args = build_parser().parse_args(["train", "--config", path, *flags])
-        assert from_config(_load_cfg(args), PpoConfig).total_timesteps == timesteps
+        assert _load_run(args).ppo.total_timesteps == timesteps
 
 
 def test_flows_from_config(tmp_path):
@@ -1431,6 +1464,76 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
     assert episodes_started == []
 
 
+# one bad value per config section, and a fragment of the error it raises
+BAD_SECTION_VALUES = {
+    "sim": ("sim.saturation_headway_s = 0", "saturation headway must be positive"),
+    "plan": ("plan.yellow_s = 0", "plan.yellow_s must be a whole number of seconds"),
+    "reward": ("reward.kind = bogus", "bogus"),
+    "ppo": ("ppo.gamma = 5", "gamma must lie in (0, 1)"),
+    "dqn": ("dqn.activation = gelu", "unknown activation 'gelu'"),
+    "webster": ("webster.flow_window_s = 0.5",
+                "webster.flow_window_s must be a whole number of seconds"),
+    "run": ("run.workers = 0", "workers must be positive"),
+}
+
+
+def _subcommands() -> dict:
+    """The parser's subcommands, each name to its parser."""
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("section", tuple(SECTIONS))
+@pytest.mark.parametrize("command", tuple(_subcommands()))
+def test_cli_every_command_rejects_a_bad_value_in_every_section(
+        tmp_path, capsys, episodes_started, command, section):
+    # one config file may serve every command, so each checks every section
+    # at load, whether it reads that section or not
+    out = tmp_path / "out"
+    grid = write_cfg(tmp_path, "fixed controller=fixed\n", "grid.txt")
+    argv = {"train": ["--timesteps", "0", "--out", str(out)],
+            "pretrain-ae": ["--buffer-steps", "8", "--out", str(out / "ae.tscw")],
+            "dqn": ["--timesteps", "0", "--out", str(out)],
+            "compare": ["--grid", str(grid), "--out", str(out)]}
+    assert set(argv) == set(_subcommands())
+    line, message = BAD_SECTION_VALUES[section]
+    cfg = write_cfg(tmp_path, line + "\n")
+    assert main([command, *argv[command], "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert episodes_started == []
+    assert not out.exists()
+
+
+# greens longer than an hour: the longest cycle, 4 x (5000 s + 5 s yellow),
+# is far past any fixed tick budget between decision points
+LONG_GREENS = """
+plan.greens_s = 5000,5000,5000,5000
+plan.g_min_s = 5000
+plan.g_max_s = 5000
+run.horizon_s = 30000
+ppo.n_steps = 1
+ppo.batch_size = 1
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "dqn"])
+def test_cli_trains_on_any_plan_its_settings_accept(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, LONG_GREENS)
+    assert main([command, "--config", str(cfg), "--timesteps", "10",
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_pretrain_ae_collects_over_the_run_horizon(tmp_path, capsys):
+    # no decision point falls in a 7200 s episode of 8000 s greens
+    cfg = write_cfg(tmp_path, "plan.greens_s = 8000,8000,8000,8000\nplan.g_min_s = 8000\n"
+                              "plan.g_max_s = 8000\nrun.horizon_s = 40000\n")
+    out = tmp_path / "ae.tscw"
+    assert main(["pretrain-ae", "--config", str(cfg), "--buffer-steps", "10",
+                 "--out", str(out)]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", [
     "sim.travel_time_to_stopline_s", "sim.saturation_headway_s",
@@ -1584,15 +1687,12 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
 
 
 def test_cli_docs_name_every_subcommand():
-    import argparse
     import re
 
     from tsclab.harness import cli
 
-    (subparsers,) = [action for action in cli.build_parser()._actions
-                     if isinstance(action, argparse._SubParsersAction)]
-    commands = set(subparsers.choices)
-    assert all(callable(p.get_default("handler")) for p in subparsers.choices.values())
+    commands = set(_subcommands())
+    assert all(callable(p.get_default("handler")) for p in _subcommands().values())
     assert set(re.findall(r"^    tsclab (\S+)", cli.__doc__, re.M)) == commands
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cycle_queue_metric, force_queue, force_transit, lane_index,
-                      rate_veh_h, step_crossings, uniform_profile)
+from conftest import (compensated_sum, cycle_queue_metric, force_queue, force_transit,
+                      lane_index, rate_veh_h, step_crossings, uniform_profile)
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.harness.metrics import CycleTracker
 from tsclab.sim import (
@@ -91,6 +91,23 @@ def test_plan_validation():
 def test_plan_timings_must_be_whole_seconds(field, value):
     with pytest.raises(ConfigurationError, match=field):
         PhasePlan(**{field: value})
+
+
+def test_cycle_length_sums_the_greens_left_to_right(monkeypatch):
+    # these greens sum to other bits under a compensated sum, as builtin sum
+    # takes floats from Python 3.12 on; the cycle length must not depend on it
+    import tsclab.sim
+    import tsclab.staterep
+    from tsclab.staterep import baseline_state
+
+    greens = (24.9, 23.5, 29.5, 33.7)
+    in_order = ((greens[0] + greens[1]) + greens[2]) + greens[3]
+    assert compensated_sum(greens) != in_order
+    for module in (tsclab.sim, tsclab.staterep):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    plan = PhasePlan(greens_s=greens)
+    assert plan.default_cycle_s == in_order + N_PHASES * plan.yellow_s
+    assert baseline_state(make_sim(plan=plan))[0] == plan.default_cycle_s
 
 
 def test_fractional_programmed_green_ends_on_next_whole_second():
