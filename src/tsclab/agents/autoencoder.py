@@ -111,12 +111,13 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
     """Record decision-point states under fixed-time control.
 
     Each episode rescales every lane's arrival rates by an independent
-    uniform factor from [0.5, 1.5) and simulates ``horizon_s``, past the
-    plan's longest cycle; decision-point states, their cycle count divided
-    by the default ``cycles_max``, accumulate until ``n_states`` are collected.
+    uniform factor from [0.5, 1.5) and simulates ``horizon_s``, which must
+    exceed the plan's longest cycle; decision-point states (cycle count over
+    the default ``cycles_max``) accumulate until ``n_states`` are collected.
     """
     if n_states < 1:
         raise ConfigurationError("need at least one state")
+    plan.check_horizon(horizon_s)
     try:
         states = np.empty((n_states, EXPANDED_DIM), dtype=np.float64)
     except (ValueError, MemoryError):

@@ -119,7 +119,7 @@ class PolicyBundle:
                     f"{path}: unknown {key} {fields[key]!r}; expected one of {kinds}")
         counts = [fields[key] for key in ("policy", "value", "encoder")]
         arrays = blob.arrays
-        if len(arrays) != 1 + sum(counts) or arrays[0].shape != (4,):
+        if min(counts) < 0 or len(arrays) != 1 + sum(counts) or arrays[0].shape != (4,):
             raise ConfigurationError(f"{path}: arrays do not match the header")
         act, kind = fields["act"], fields["repr"]
         cut = 1 + counts[0]

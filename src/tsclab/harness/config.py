@@ -156,10 +156,7 @@ class RunSettings:
     dqn: DqnConfig = DqnConfig()
 
     def __post_init__(self) -> None:
-        if not self.horizon_s > self.plan.longest_cycle_s:
-            raise ConfigurationError(
-                f"horizon {self.horizon_s}s must exceed the longest cycle, "
-                f"{self.plan.longest_cycle_s:g}s, so that every episode completes one")
+        self.plan.check_horizon(self.horizon_s)
         if not self.seeds:
             raise ConfigurationError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):

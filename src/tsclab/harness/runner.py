@@ -22,8 +22,9 @@ class PolicyController:
     point.
 
     With ``sample_seed`` set, actions are drawn from the policy's action
-    distribution (the object the training objective optimizes) using a
-    dedicated deterministic stream; without it, playback is greedy argmax.
+    distribution (the object the training objective optimizes); :func:`run_grid`
+    seeds their generator with the cell's seed, as it seeds the arrivals, so
+    both start in one state.  Without it, playback is greedy argmax.
     Greedy playback can collapse a rarely-extended phase to a constant
     green, which hides the policy's queue responsiveness.
     """

@@ -23,11 +23,10 @@ N_APPROACHES = 4
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """Which reward to use and its constants."""
+    """Which reward to use and its constants; ``alpha_red`` is 1 - ``alpha_abs``."""
 
     kind: str = "queue"
     alpha_abs: float = 0.4
-    alpha_red: float = 0.6
     queue_norm: float = 25.0
     resco_scale: float = 100.0
     clip_min: float = -4.0
@@ -39,14 +38,16 @@ class RewardSpec:
             raise ConfigurationError(
                 f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}"
             )
-        if abs(self.alpha_abs + self.alpha_red - 1.0) > 1e-12:
-            raise ConfigurationError("queue reward weights must sum to 1")
         if self.queue_norm <= 0.0:
             raise ConfigurationError("queue normalizer must be positive")
         if self.resco_scale <= 0.0:
             raise ConfigurationError("wait-reward scale must be positive")
         if self.clip_min >= self.clip_max:
             raise ConfigurationError("clip bounds must satisfy min < max")
+
+    @property
+    def alpha_red(self) -> float:
+        return 1.0 - self.alpha_abs
 
 
 def reward_level(sim: SimState, kind: str):

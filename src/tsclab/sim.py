@@ -53,30 +53,26 @@ ARRIVAL_BLOCK_TICKS = 256
 # a departure due this little past a tick leaves on it: in binary, k headways
 # can overshoot the whole second they make (25 x 1.12 s = 28.000000000000004 s)
 DEPARTURE_SLACK_S = 1e-9
+# the speed of an approaching vehicle: it moves at free flow, a queued one stands
+FREE_FLOW_SPEED_MS = 11.11
 
 
 @dataclass(frozen=True)
 class IntersectionLayout:
-    """Geometry and driver-behaviour constants of the intersection."""
+    """Driver-behaviour timings of the intersection, each read by :func:`step`."""
 
-    lane_storage_capacity: int = 25
     travel_time_to_stopline_s: float = 15.0
     saturation_headway_s: float = 2.0
     startup_lost_time_s: float = 2.0
-    free_flow_speed_ms: float = 11.11
 
     def __post_init__(self) -> None:
         check_finite_fields("sim", self)
-        if self.lane_storage_capacity < 1:
-            raise ConfigurationError("lane storage capacity must be at least 1")
         if self.travel_time_to_stopline_s < 0.0:
             raise ConfigurationError("travel time to stopline must be non-negative")
         if self.saturation_headway_s <= 0.0:
             raise ConfigurationError("saturation headway must be positive")
         if self.startup_lost_time_s < 0.0:
             raise ConfigurationError("startup lost time must be non-negative")
-        if self.free_flow_speed_ms <= 0.0:
-            raise ConfigurationError("free-flow speed must be positive")
 
     @property
     def saturation_flow_veh_h(self) -> float:
@@ -131,6 +127,13 @@ class PhasePlan:
         """Every green at ``g_max_s`` plus its yellow: no controller can run
         a longer cycle, so a decision point comes within this many ticks."""
         return N_PHASES * (self.g_max_s + self.yellow_s)
+
+    def check_horizon(self, horizon_s) -> None:
+        """Reject a horizon in which an episode may complete no cycle."""
+        if not horizon_s > self.longest_cycle_s:
+            raise ConfigurationError(
+                f"horizon {horizon_s}s must exceed the longest cycle, "
+                f"{self.longest_cycle_s:g}s, so that every episode completes one")
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,7 @@ class SimState:
             approaching,
             self.queued[lane],
             self.lane_wait_s(lane),
-            approaching * self.layout.free_flow_speed_ms,
+            approaching * FREE_FLOW_SPEED_MS,
         )
 
 

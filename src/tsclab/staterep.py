@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .neural import Mlp
-from .sim import N_LANES, N_PHASES, PHASE_SERVED, SimState, sum_in_order
+from .sim import FREE_FLOW_SPEED_MS, N_LANES, N_PHASES, PHASE_SERVED, SimState, sum_in_order
 
 EXPANDED_DIM = 19
 KPLANES_DIM = 68
@@ -247,27 +247,24 @@ class DqnObservation(Observation):
     """Per-lane feature rows for the DQN baseline, flattened to 40 values.
 
     Each lane contributes (served-by-active-green flag, approaching count,
-    queue length, total wait, summed speeds).  The counts divide by the
-    simulated layout's lane storage capacity, the wait by 600 s and the
-    speeds by the capacity times the free-flow speed, so magnitudes stay
-    near [0, 1]."""
+    queue length, total wait, summed speeds).  The counts divide by
+    ``QUEUE_MAX``, the wait by 600 s and the speeds by ``QUEUE_MAX`` times
+    the free-flow speed, so magnitudes stay near [0, 1]."""
 
     kind = "dqn40"
     dim = 5 * N_LANES
 
     def observe(self, sim: SimState) -> np.ndarray:
-        count_scale = float(sim.layout.lane_storage_capacity)
-        speed_scale = sim.layout.lane_storage_capacity * sim.layout.free_flow_speed_ms
         out = np.zeros(self.dim, dtype=np.float64)
         served = () if sim.in_yellow else PHASE_SERVED[sim.current_phase]
         for lane in range(N_LANES):
             approaching, queued, wait_s, speeds = sim.lane_observables(lane)
             base = 5 * lane
             out[base] = 1.0 if lane in served else 0.0
-            out[base + 1] = approaching / count_scale
-            out[base + 2] = queued / count_scale
+            out[base + 1] = approaching / QUEUE_MAX
+            out[base + 2] = queued / QUEUE_MAX
             out[base + 3] = wait_s / 600.0
-            out[base + 4] = speeds / speed_scale
+            out[base + 4] = speeds / (QUEUE_MAX * FREE_FLOW_SPEED_MS)
         return out
 
 

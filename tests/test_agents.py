@@ -40,9 +40,10 @@ from tsclab.errors import ConfigurationError, DivergenceError
 from tsclab.harness.runner import run_episode
 from tsclab.neural import Adam, Mlp, log_softmax
 from tsclab.rewards import REWARD_KINDS, RewardSpec
-from tsclab.sim import (FlowProfile, IntersectionLayout, N_LANES, PHASE_SERVED, PhasePlan,
-                        SimState, apply_action, at_decision_point)
-from tsclab.staterep import REPRESENTATION_KINDS, ExpandedObservation, make_observation
+from tsclab.sim import (FREE_FLOW_SPEED_MS, FlowProfile, IntersectionLayout, N_LANES,
+                        PHASE_SERVED, PhasePlan, SimState, apply_action, at_decision_point)
+from tsclab.staterep import (QUEUE_MAX, REPRESENTATION_KINDS, ExpandedObservation,
+                             make_observation)
 from tsclab.weights import load_arrays, mlp_from_arrays, save_arrays
 
 
@@ -705,6 +706,13 @@ def test_collect_state_buffer_shape_and_determinism():
         collect_state_buffer(0, flows)
 
 
+def test_collect_state_buffer_rejects_a_horizon_without_a_decision_point():
+    # no decision point falls in a 7200 s episode of 8000 s greens
+    plan = PhasePlan(greens_s=(8000.0,) * 4, g_min_s=8000.0, g_max_s=8000.0)
+    with pytest.raises(ConfigurationError, match="must exceed the longest cycle"):
+        collect_state_buffer(10, uniform_profile([300.0] * N_LANES), plan=plan)
+
+
 # -- deep Q baseline -------------------------------------------------------------
 
 
@@ -813,11 +821,11 @@ def quantized(net):
                             for a in net.parameters()], net.hidden_activation)
 
 
-def reference_dqn_observation(layout, sim):
-    """The DQN observation with its scales fixed from ``layout`` when it is
-    built, as it was before it read them from the simulator."""
-    count_scale = float(layout.lane_storage_capacity)
-    speed_scale = layout.lane_storage_capacity * layout.free_flow_speed_ms
+def reference_dqn_observation(sim):
+    """The DQN observation written out: counts over 25 vehicles, waits over
+    600 s and summed speeds over 25 vehicles at the free-flow speed."""
+    count_scale = QUEUE_MAX
+    speed_scale = QUEUE_MAX * FREE_FLOW_SPEED_MS
     out = np.zeros(5 * N_LANES)
     green = not sim.in_yellow
     for lane in range(N_LANES):
@@ -827,10 +835,6 @@ def reference_dqn_observation(layout, sim):
             approaching / count_scale, queued / count_scale, wait_s / 600.0,
             speeds / speed_scale)
     return out
-
-
-# differs from the default layout in both scales of the DQN observation
-ROUND_TRIP_LAYOUT = IntersectionLayout(lane_storage_capacity=30, free_flow_speed_ms=11.0)
 
 
 @pytest.mark.parametrize("kind", (*REPRESENTATION_KINDS, "dqn40"))
@@ -855,13 +859,13 @@ def test_bundle_round_trip_every_kind(tmp_path, kind):
     assert again.read_bytes() == path.read_bytes()
 
     flows = uniform_profile([600.0] * N_LANES)
-    sim = SimState(ROUND_TRIP_LAYOUT, PhasePlan(), flows, 4)
+    sim = SimState(IntersectionLayout(), PhasePlan(), flows, 4)
     for point in range(8):
         assert run_to_decision(sim, 4000)
         want = obs.observe(sim)
         assert loaded.observation.observe(sim).tobytes() == want.tobytes()
         if kind == "dqn40":
-            assert want.tobytes() == reference_dqn_observation(ROUND_TRIP_LAYOUT, sim).tobytes()
+            assert want.tobytes() == reference_dqn_observation(sim).tobytes()
         apply_action(sim, point % 3)
 
 
@@ -1006,6 +1010,20 @@ def test_bundle_load_rejects_an_array_the_header_does_not_count(tmp_path):
     header_test_bundle("expanded").save(path)
     blob = load_arrays(path)
     save_arrays(path, blob.arrays + [np.ones(2)], tag=blob.tag, seed=blob.seed)
+    with pytest.raises(ConfigurationError, match="arrays do not match the header"):
+        PolicyBundle.load(path)
+
+
+@pytest.mark.parametrize("counts", [(-2, 1, 0), (-1, 0, 0)])
+def test_bundle_load_rejects_negative_counts_in_a_file_without_arrays(tmp_path, counts):
+    # counts summing to -1 ask for 1 + -1 arrays, as many as the file holds
+    path = tmp_path / "policy.tscw"
+    header_test_bundle("expanded").save(path)
+    blob = load_arrays(path)
+    items = dict(item.split("=", 1) for item in blob.tag.split(";"))
+    items.update(zip(("policy", "value", "encoder"), map(str, counts)))
+    tag = ";".join(f"{key}={value}" for key, value in items.items())
+    save_arrays(path, [], tag=tag, seed=blob.seed)
     with pytest.raises(ConfigurationError, match="arrays do not match the header"):
         PolicyBundle.load(path)
 

@@ -1464,6 +1464,17 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
     assert episodes_started == []
 
 
+@pytest.mark.parametrize("key", ["sim.lane_storage_capacity", "sim.free_flow_speed_ms",
+                                 "reward.alpha_red"])
+def test_cli_rejects_a_key_the_run_would_not_read(tmp_path, capsys, episodes_started, key):
+    # the simulator has no storage limit or speed to set, and the queue
+    # reward's reduction weight is 1 - reward.alpha_abs
+    cfg = write_cfg(tmp_path, f"{key} = 0.6\n")
+    assert main([*_grid_argv(tmp_path, ["fixed controller=fixed"]), "--config", str(cfg)]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert episodes_started == []
+
+
 # one bad value per config section, and a fragment of the error it raises
 BAD_SECTION_VALUES = {
     "sim": ("sim.saturation_headway_s = 0", "saturation headway must be positive"),
@@ -1537,7 +1548,7 @@ def test_cli_pretrain_ae_collects_over_the_run_horizon(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", [
     "sim.travel_time_to_stopline_s", "sim.saturation_headway_s",
-    "sim.startup_lost_time_s", "sim.free_flow_speed_ms",
+    "sim.startup_lost_time_s",
     "webster.lost_time_s", "webster.recompute_interval_s", "webster.flow_window_s",
 ])
 def test_cli_rejects_non_finite_layout_and_webster_settings(tmp_path, capsys,
@@ -1712,7 +1723,7 @@ def test_readme_config_table_names_every_key():
     documented = {f"{group}.{key}" for group, cells in rows if group != "flow"
                   for key in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cells))}
     assert documented == set(config._SCHEMA)
-    assert len(documented) == 48
+    assert len(documented) == 45
     assert {group for group, _ in rows} == set(config.SECTIONS) | {"flow"}
 
 

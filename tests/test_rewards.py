@@ -157,7 +157,7 @@ def test_queue_reward_monotonicity(q_t, q_prev, j, bump):
 
 
 def test_queue_reward_respects_custom_spec():
-    spec = RewardSpec(kind="queue", alpha_abs=0.5, alpha_red=0.5, queue_norm=10.0)
+    spec = RewardSpec(kind="queue", alpha_abs=0.5, queue_norm=10.0)
     # scale 40: r = 0.5*(-20/40) + 0.5*(4/40)
     assert reward(spec, 24.0, 20.0) == pytest.approx(-0.2)
 
@@ -198,21 +198,20 @@ def test_reward_spec_validation():
     with pytest.raises(ConfigurationError):
         RewardSpec(kind="nonsense")
     with pytest.raises(ConfigurationError):
-        RewardSpec(alpha_abs=0.5, alpha_red=0.6)
-    with pytest.raises(ConfigurationError):
         RewardSpec(queue_norm=0.0)
     with pytest.raises(ConfigurationError):
         RewardSpec(clip_min=4.0, clip_max=-4.0)
     with pytest.raises(ConfigurationError):
         RewardSpec(resco_scale=-1.0)
     # every ordering check passes on NaN, so each constant is checked finite first
-    for name in ("alpha_abs", "alpha_red", "queue_norm", "resco_scale", "clip_min",
-                 "clip_max"):
+    for name in ("alpha_abs", "queue_norm", "resco_scale", "clip_min", "clip_max"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigurationError, match=f"reward.{name} must be finite"):
                 RewardSpec(**{name: bad})
     assert set(REWARD_KINDS) == {"queue", "delay", "pressure", "speed",
                                  "resco_wait"}
+    # the reduction's weight is the rest of 1, not a setting of its own
+    assert [RewardSpec(alpha_abs=a).alpha_red for a in (0.4, 1.0, 0.0)] == [0.6, 0.0, 1.0]
 
 
 def test_rewards_are_pure():
@@ -237,8 +236,7 @@ def test_discounted_reward_sum_equals_its_closed_form(kind, levels, alpha_abs,
     # at weight w.  queue: a = alpha_red / s and w = (alpha_abs + alpha_red
     # (1 - gamma)) / s with s = N * queue_norm; delay and pressure: a = 1 and
     # w = 1 - gamma.
-    spec = RewardSpec(kind=kind, alpha_abs=alpha_abs, alpha_red=1.0 - alpha_abs,
-                      queue_norm=queue_norm)
+    spec = RewardSpec(kind=kind, alpha_abs=alpha_abs, queue_norm=queue_norm)
     if kind == "pressure":  # vehicles in the system: a count
         levels = [round(level) for level in levels]
     horizon = len(levels) - 1

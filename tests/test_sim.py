@@ -52,18 +52,11 @@ def test_new_simulation_starts_empty():
     assert sim.completed_cycles == []
 
 
-def test_zero_capacity_layout_rejected():
-    with pytest.raises(ConfigurationError):
-        IntersectionLayout(lane_storage_capacity=0)
-
-
 def test_layout_field_validation():
     with pytest.raises(ConfigurationError):
         IntersectionLayout(saturation_headway_s=0.0)
     with pytest.raises(ConfigurationError):
         IntersectionLayout(travel_time_to_stopline_s=-1.0)
-    with pytest.raises(ConfigurationError):
-        IntersectionLayout(free_flow_speed_ms=0.0)
     assert IntersectionLayout().saturation_flow_veh_h == pytest.approx(1800.0)
 
 
