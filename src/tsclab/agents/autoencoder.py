@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..envs import run_to_decision
-from ..errors import ConfigurationError, check_non_negative
+from ..errors import ConfigurationError, allocate, check_non_negative
 from ..neural import Adam, Mlp, share_parameters
 from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan, SimState,
                    apply_action)
@@ -118,10 +118,7 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
     if n_states < 1:
         raise ConfigurationError("need at least one state")
     plan.check_horizon(horizon_s)
-    try:
-        states = np.empty((n_states, EXPANDED_DIM), dtype=np.float64)
-    except (ValueError, MemoryError):
-        raise ConfigurationError(f"cannot hold a buffer of {n_states} states") from None
+    states = allocate("the state buffer", (n_states, EXPANDED_DIM))
     ss = np.random.SeedSequence(seed)
     filled = 0
     while filled < n_states:

@@ -12,7 +12,7 @@ from ..neural import Mlp
 from ..rewards import REWARD_KINDS
 from ..sim import N_ACTIONS
 from ..staterep import (CYCLE_TIME_MAX_S, GREEN_MAX_S, KPLANES_FEATURES, KPLANES_RESOLUTION,
-                        QUEUE_MAX, Observation, make_observation)
+                        QUEUE_MAX, LatentObservation, Observation, make_observation)
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, save_arrays
 
 
@@ -104,7 +104,8 @@ class PolicyBundle:
 
     @staticmethod
     def load(path) -> "PolicyBundle":
-        """Read a bundle and rebuild its observation; a file that does not
+        """Read a bundle and rebuild its observation, the latent of the
+        encoder a file holds or else its ``repr``; a file that does not
         parse, that names an algo outside :data:`ALGORITHMS` or a reward
         outside :data:`~tsclab.rewards.REWARD_KINDS`, whose header is not
         the one saving the rebuilt bundle writes, or whose networks do not
@@ -126,8 +127,11 @@ class PolicyBundle:
         policy = mlp_from_arrays(arrays[1:cut], act)
         value = mlp_from_arrays(arrays[cut:cut + counts[1]], act) if counts[1] else None
         cut += counts[1]
-        encoder = mlp_from_arrays(arrays[cut:], "relu") if counts[2] else None
-        observation = make_observation(kind, float(arrays[0][3]), encoder, fields["kseed"])
+        cycles_max = float(arrays[0][3])  # finite, as load_arrays checks
+        if not cycles_max > 0.0:
+            raise ConfigurationError(f"{path}: cycles_max must be positive, got {cycles_max}")
+        observation = (LatentObservation(mlp_from_arrays(arrays[cut:], "relu"), cycles_max)
+                       if counts[2] else make_observation(kind, cycles_max, fields["kseed"]))
         bundle = PolicyBundle(fields["algo"], fields["reward"], policy, value, observation,
                               blob.seed)
         tag, norms = bundle._header()

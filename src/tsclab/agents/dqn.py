@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, DivergenceError, check_non_negative
+from ..errors import ConfigurationError, DivergenceError, allocate, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers
 from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget
 
@@ -57,10 +57,10 @@ class ReplayBuffer:
         if capacity < 1:
             raise ConfigurationError("replay capacity must be positive")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim), dtype=np.float64)
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity, dtype=np.float64)
-        self.next_obs = np.zeros((capacity, obs_dim), dtype=np.float64)
+        self.obs = allocate("dqn.replay_capacity", (capacity, obs_dim))
+        self.actions = allocate("dqn.replay_capacity", (capacity,), np.int64)
+        self.rewards = allocate("dqn.replay_capacity", (capacity,))
+        self.next_obs = allocate("dqn.replay_capacity", (capacity, obs_dim))
         self._size = 0
         self._pos = 0
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, DivergenceError, check_non_negative
+from ..errors import ConfigurationError, DivergenceError, allocate, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers, log_softmax, softmax_sample
 from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget
 
@@ -194,11 +194,11 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
     opt_value = Adam(value_net.flat, cfg.learning_rate)
 
     n_steps = cfg.n_steps
-    rollout_obs = np.zeros((n_steps, env.obs_dim), dtype=np.float64)
-    actions = np.zeros(n_steps, dtype=np.int64)
-    log_probs = np.zeros(n_steps, dtype=np.float64)
-    rewards = np.zeros(n_steps, dtype=np.float64)
-    values = np.zeros(n_steps, dtype=np.float64)
+    rollout_obs = allocate("ppo.n_steps", (n_steps, env.obs_dim))
+    actions = allocate("ppo.n_steps", (n_steps,), np.int64)
+    log_probs = allocate("ppo.n_steps", (n_steps,))
+    rewards = allocate("ppo.n_steps", (n_steps,))
+    values = allocate("ppo.n_steps", (n_steps,))
     log: list[TrainLogRow] = []
     records: list = []
     obs = env.reset()

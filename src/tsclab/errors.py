@@ -4,6 +4,8 @@ more than one settings class makes."""
 import math
 from dataclasses import fields
 
+import numpy as np
+
 
 class ConfigurationError(ValueError):
     """Raised when a configuration object or file is internally inconsistent."""
@@ -41,3 +43,12 @@ def check_whole_seconds(name: str, value: float) -> None:
     if not (value >= 1.0 and float(value).is_integer()):
         raise ConfigurationError(
             f"{name} must be a whole number of seconds, at least 1 s, got {value}")
+
+
+def allocate(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A zeroed array of ``shape``, which the setting ``name`` sizes; a shape
+    numpy cannot allocate raises :class:`ConfigurationError` naming it."""
+    try:
+        return np.zeros(shape, dtype)
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"{name} is too large: numpy cannot allocate {shape}") from None

@@ -35,7 +35,7 @@ from ..baselines import WEBSTER_LOG_HEADER
 from ..envs import SignalControlEnv
 from ..errors import ConfigurationError
 from ..rewards import REWARD_KINDS
-from ..staterep import (CANONICAL_LATENTS, REPRESENTATION_KINDS, DqnObservation,
+from ..staterep import (REPRESENTATION_KINDS, DqnObservation, LatentObservation,
                         make_observation)
 from .config import RunSettings, cycles_max_for_training, parse_config_file, run_from_config
 from .metrics import correlation_report, summary_table, write_csv, write_cycles_csv
@@ -71,8 +71,13 @@ def build_parser() -> _Parser:
         return p
 
     p = add("train", cmd_train, "train a PPO signal-control policy")
-    p.add_argument("--repr", choices=REPRESENTATION_KINDS, default="expanded",
-                   help="state representation (default: expanded)")
+    # one state input: None, not "expanded", is the default, since argparse
+    # does not count a flag whose value is its default object as given
+    state = p.add_mutually_exclusive_group()
+    state.add_argument("--repr", choices=REPRESENTATION_KINDS, default=None,
+                       help="state representation (default: expanded)")
+    state.add_argument("--encoder", default=None, metavar="FILE",
+                       help="pretrained autoencoder: train on its latent")
     p.add_argument("--reward", dest="reward.kind", choices=REWARD_KINDS,
                    help="reward formulation (default: reward.kind from --config, "
                         "else queue)")
@@ -81,14 +86,10 @@ def build_parser() -> _Parser:
                    help="training budget in simulated seconds; training runs whole "
                         "rollouts of ppo.n_steps decisions and stops after the first "
                         "that ends at or past it (0 writes an untrained bundle)")
-    p.add_argument("--encoder", default=None, metavar="FILE",
-                   help="pretrained autoencoder (ae* representations only; required for them)")
     p.add_argument("--out", default="runs/train", metavar="DIR")
 
     p = add("pretrain-ae", cmd_pretrain_ae, "train a state autoencoder")
-    p.add_argument("--latent", type=int, default=16, choices=CANONICAL_LATENTS,
-                   help="latent dimension, one of the train --repr ae<k> sizes "
-                        "(default: 16)")
+    p.add_argument("--latent", type=int, default=16, help="latent dimension (default: 16)")
     p.add_argument("--buffer-steps", type=int, default=10_000,
                    help="decision-point states to collect (default: 10000)")
     p.add_argument("--epochs", type=int, default=40)
@@ -155,11 +156,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
     run = _load_run(args)
     cycles_max = cycles_max_for_training(run.ppo.total_timesteps, run.plan.default_cycle_s)
-    if args.repr.startswith("ae") != (args.encoder is not None):
-        raise ConfigurationError("tsclab train: --encoder is required for ae* representations, "
-                                 f"and applies to them only (--repr {args.repr})")
-    encoder = load_autoencoder(args.encoder)[0] if args.encoder is not None else None
-    obs = make_observation(args.repr, cycles_max, encoder, run.kplanes_seed)
+    if args.encoder is not None:
+        obs = LatentObservation(load_autoencoder(args.encoder)[0], cycles_max)
+    else:
+        obs = make_observation(args.repr or "expanded", cycles_max, run.kplanes_seed)
 
     env = SignalControlEnv(run.layout, run.plan, run.flows, obs, run.reward, args.seed)
     result = train_ppo(env, run.ppo, args.seed)
@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
     final_q = next((row.mean_q_cycle for row in reversed(result.log)
                     if row.mean_q_cycle is not None), None)
     q_text = "n/a" if final_q is None else f"{final_q:.2f}"
-    print(f"trained ppo repr={args.repr} reward={run.reward.kind} seed={args.seed} "
+    print(f"trained ppo repr={obs.kind} reward={run.reward.kind} seed={args.seed} "
           f"({len(result.log)} rollouts, final mean cycle queue {q_text})")
     print(f"wrote {weights}")
     return 0

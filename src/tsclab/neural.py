@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, allocate
 
 ACTIVATIONS = ("tanh", "relu")
 
@@ -48,7 +48,8 @@ class Mlp:
                   for shape in ((fan_out, fan_in), (fan_out,))]
         ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         self._layout = list(zip([0, *ends[:-1]], ends, shapes))
-        self._bind(np.zeros(ends[-1]), np.zeros(ends[-1]))
+        name = f"layer sizes {sizes}"
+        self._bind(allocate(name, (ends[-1],)), allocate(name, (ends[-1],)))
         rng = np.random.Generator(np.random.PCG64(seed))
         for w in self.weights:
             fan_out, fan_in = w.shape

@@ -268,28 +268,22 @@ class DqnObservation(Observation):
         return out
 
 
-# autoencoder latent sizes with a representation kind ``ae<k>`` each
-CANONICAL_LATENTS = (4, 8, 16, 19, 32)
-
-# the kinds a PPO policy trains on; the DQN baseline's ``dqn40`` is not one
-REPRESENTATION_KINDS = ("baseline", "expanded",
-                        *(f"ae{k}" for k in CANONICAL_LATENTS), "kplanes")
+# the encoder-free kinds a PPO policy trains on; a latent's kind ``ae<k>``
+# comes from its encoder, and the DQN baseline's ``dqn40`` is not one
+REPRESENTATION_KINDS = ("baseline", "expanded", "kplanes")
 
 DEFAULT_KPLANES_SEED = 1234
 
 
 def make_observation(kind: str, cycles_max: float = DEFAULT_CYCLES_MAX,
-                     encoder: Mlp | None = None,
                      kplanes_seed: int = DEFAULT_KPLANES_SEED) -> Observation:
-    """Build the observation of a representation kind, ``dqn40`` included.
+    """Build the observation of an encoder-free kind, ``dqn40`` included; a
+    latent is built from its encoder, as :class:`LatentObservation`.
 
-    ``cycles_max``, which must be positive and finite, divides the
-    completed-cycle count of the kinds built on the expanded state; an
-    ``ae<k>`` kind needs the encoder, and ``kplanes`` draws its planes from
+    ``cycles_max`` divides the completed-cycle count of the kinds built on
+    the expanded state, and ``kplanes`` draws its planes from
     ``kplanes_seed``.  The kinds that do not use a value ignore it.
     """
-    if not 0.0 < cycles_max < float("inf"):
-        raise ConfigurationError(f"cycles_max must be positive and finite, got {cycles_max}")
     if kind == "baseline":
         return BaselineObservation()
     if kind == "expanded":
@@ -298,17 +292,6 @@ def make_observation(kind: str, cycles_max: float = DEFAULT_CYCLES_MAX,
         return KPlanesObservation(kplanes_seed, cycles_max)
     if kind == "dqn40":
         return DqnObservation()
-    if kind.startswith("ae"):
-        if encoder is None:
-            raise ConfigurationError(
-                f"representation {kind!r} needs a pretrained encoder"
-            )
-        obs = LatentObservation(encoder, cycles_max)
-        if obs.kind != kind:
-            raise ConfigurationError(
-                f"encoder latent size {obs.dim} does not match representation {kind!r}"
-            )
-        return obs
     raise ConfigurationError(
         f"unknown representation {kind!r}; expected dqn40 or one of {REPRESENTATION_KINDS}"
     )

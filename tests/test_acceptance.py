@@ -14,8 +14,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 from conftest import record_criterion, uniform_profile
 from tsclab.agents.autoencoder import collect_state_buffer, train_autoencoder
@@ -514,6 +512,7 @@ def test_c8_clipped_surrogate_identity():
 WEBSTER_TOLERANCE = 0.15
 C9_TICKS = 100_000
 C9_WARMUP_TICKS = 2_000
+C9_SEED = 1958
 # (saturation headway s, green step s).  Each step is the shortest
 # whole-second green that holds whole headways, so the effective green lets
 # exactly green / headway vehicles go.  The reciprocals of 1.2, 1.5, 2.5 and
@@ -537,19 +536,20 @@ def webster_queues(rate, saturation_flow, green_s, cycle_s):
     return rate * (uniform + overflow - correction), rate * uniform
 
 
-@st.composite
-def webster_cases(draw):
+def webster_case(rng):
     """One lane, N0, under a fixed plan: (headway, startup loss, yellow,
-    greens, degree of saturation x, seed).  Timings are whole seconds, as
-    the tick serves them, and N0's effective green holds whole headways."""
+    greens, degree of saturation x, seed), drawn from ``rng``.  Timings are
+    whole seconds, as the tick serves them, and N0's effective green holds
+    whole headways."""
     g_min, g_max = int(PLAN.g_min_s), int(PLAN.g_max_s)
-    headway, step_s = draw(st.sampled_from(C9_HEADWAYS))
-    startup = draw(st.integers(0, 3))
-    steps = draw(st.integers(math.ceil((g_min - startup) / step_s), (g_max - startup) // step_s))
+    headway, step_s = C9_HEADWAYS[rng.integers(len(C9_HEADWAYS))]
+    startup = int(rng.integers(0, 4))
+    steps = int(rng.integers(math.ceil((g_min - startup) / step_s),
+                             (g_max - startup) // step_s + 1))
     greens = (float(startup + steps * step_s),
-              *(float(draw(st.integers(g_min, g_max))) for _ in range(3)))
-    return (headway, startup, draw(st.integers(1, 6)), greens, draw(st.floats(0.3, 0.7)),
-            draw(st.integers(0, 2**32 - 1)))
+              *(float(rng.integers(g_min, g_max + 1)) for _ in range(3)))
+    return (headway, startup, int(rng.integers(1, 7)), greens, float(rng.uniform(0.3, 0.7)),
+            int(rng.integers(0, 2**32)))
 
 
 def test_c9_queue_matches_webster_delay():
@@ -574,20 +574,16 @@ def test_c9_queue_matches_webster_delay():
     t0 = time.perf_counter()
     cases = []  # (x, relative error, D/D/1 bound checked, bound held)
 
-    # the same cases every run: a statistical check must not flake on a rare seed
-    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-    @given(webster_cases())
-    @example((2.0, 2, 5, (20.0,) * 4, 100 / 324, 0))  # the default plan at 100 veh/h
-    @example((2.0, 2, 5, (20.0,) * 4, 200 / 324, 0))  # and at 200 veh/h
-    @example((1.5, 2, 5, (20.0,) * 4, 0.5, 0))  # 12 vehicles per effective green
     def run_case(case):
+        """Run a case the tolerance resolves, and say whether it did."""
         headway, startup, yellow, greens, x, seed = case
         plan = PhasePlan(greens_s=greens, yellow_s=yellow)
         effective = greens[0] - startup
         rate = x * effective / plan.default_cycle_s / headway
         measured = C9_TICKS - C9_WARMUP_TICKS
         resolution = 5.0 / math.sqrt(rate * measured)
-        assume(resolution <= WEBSTER_TOLERANCE)
+        if resolution > WEBSTER_TOLERANCE:
+            return False
         formula, uniform = webster_queues(rate, 1.0 / headway, effective, plan.default_cycle_s)
         bounded = formula - uniform >= resolution * uniform
 
@@ -605,8 +601,17 @@ def test_c9_queue_matches_webster_delay():
         formula, uniform = webster_queues(arrived / measured, 1.0 / headway, effective,
                                           plan.default_cycle_s)
         cases.append((x, (queue - formula) / formula, bounded, queue >= uniform))
+        return True
 
-    run_case()
+    run_case((2.0, 2, 5, (20.0,) * 4, 100 / 324, 0))  # the default plan at 100 veh/h
+    run_case((2.0, 2, 5, (20.0,) * 4, 200 / 324, 0))  # and at 200 veh/h
+    run_case((1.5, 2, 5, (20.0,) * 4, 0.5, 0))  # 12 vehicles per effective green
+    # then ten resolved cases, the same every run: C9_SEED was fixed before
+    # any run, since a statistical check must not flake on a rare draw
+    rng = np.random.Generator(np.random.PCG64(C9_SEED))
+    drawn = 0
+    while drawn < 10:
+        drawn += run_case(webster_case(rng))
     elapsed = time.perf_counter() - t0
     worst = max(abs(error) for _x, error, _bounded, _held in cases)
     bounded = [held for _x, _error, checked, held in cases if checked]

@@ -43,7 +43,7 @@ from tsclab.rewards import REWARD_KINDS, RewardSpec
 from tsclab.sim import (FREE_FLOW_SPEED_MS, FlowProfile, IntersectionLayout, N_LANES,
                         PHASE_SERVED, PhasePlan, SimState, apply_action, at_decision_point)
 from tsclab.staterep import (QUEUE_MAX, REPRESENTATION_KINDS, ExpandedObservation,
-                             make_observation)
+                             LatentObservation, make_observation)
 from tsclab.weights import load_arrays, mlp_from_arrays, save_arrays
 
 
@@ -837,12 +837,13 @@ def reference_dqn_observation(sim):
     return out
 
 
-@pytest.mark.parametrize("kind", (*REPRESENTATION_KINDS, "dqn40"))
+@pytest.mark.parametrize("kind", (*REPRESENTATION_KINDS, "dqn40",
+                                  *(f"ae{k}" for k in (4, 8, 16, 19, 32))))
 def test_bundle_round_trip_every_kind(tmp_path, kind):
-    encoder = None
     if kind.startswith("ae"):
-        encoder = quantized(Mlp([19, 32, int(kind[2:])], "relu", seed=3))
-    obs = make_observation(kind, 36.0, encoder, kplanes_seed=7)
+        obs = LatentObservation(quantized(Mlp([19, 32, int(kind[2:])], "relu", seed=3)), 36.0)
+    else:
+        obs = make_observation(kind, 36.0, kplanes_seed=7)
     bundle = PolicyBundle("ppo", "delay", Mlp([obs.dim, 8, 3], "tanh", seed=1),
                           Mlp([obs.dim, 8, 1], "tanh", seed=2), obs, seed=11)
     path = tmp_path / "policy.tscw"
@@ -958,8 +959,10 @@ def test_save_arrays_rejects_a_seed_the_header_cannot_hold(tmp_path):
 
 
 def header_test_bundle(kind):
-    encoder = Mlp([19, 8, 4], "relu", seed=3) if kind == "ae4" else None
-    obs = make_observation(kind, 36.0, encoder, kplanes_seed=7)
+    if kind == "ae4":
+        obs = LatentObservation(Mlp([19, 8, 4], "relu", seed=3), 36.0)
+    else:
+        obs = make_observation(kind, 36.0, kplanes_seed=7)
     value = None if kind == "dqn40" else Mlp([obs.dim, 4, 1], "tanh", seed=2)
     return PolicyBundle("dqn" if kind == "dqn40" else "ppo", "queue",
                         Mlp([obs.dim, 4, 3], "tanh", seed=1), value, obs, seed=5)
@@ -971,6 +974,7 @@ LYING_HEADERS = {
     "cycles-max-nan": ("expanded", {}, [25.0, 40.0, 180.0, np.nan]),
     "cycles-max-inf": ("expanded", {}, [25.0, 40.0, 180.0, np.inf]),
     "cycles-max-zero": ("kplanes", {}, [25.0, 40.0, 180.0, 0.0]),
+    "cycles-max-negative-on-ae4": ("ae4", {}, [25.0, 40.0, 180.0, -36.0]),
     "queue-max-30": ("expanded", {}, [30.0, 40.0, 180.0, 36.0]),
     "green-max-41": ("ae4", {}, [25.0, 41.0, 180.0, 36.0]),
     "cycle-time-max-100": ("kplanes", {}, [25.0, 40.0, 100.0, 36.0]),
@@ -987,6 +991,8 @@ LYING_HEADERS = {
     "kseed-missing": ("kplanes", {"kseed": None}, None),
     "policy-count-negative": ("expanded", {"policy": -4, "value": 12}, None),
     "encoder-count-zero": ("ae4", {"encoder": 0}, None),
+    "repr-ae8-over-ae4": ("ae4", {"repr": "ae8"}, None),
+    "repr-expanded-over-ae4": ("ae4", {"repr": "expanded"}, None),
     "value-count-not-canonical": ("expanded", {"value": "+4"}, None),
     "extra-field": ("expanded", {"extra": 1}, None),
 }
@@ -1001,8 +1007,11 @@ def test_bundle_load_rejects_a_header_saving_would_not_write(tmp_path, case):
     lying = tmp_path / "lying.tscw"
     rewrite_weight_file(path, lying, norms, **fields)
     assert lying.read_bytes() != path.read_bytes()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as raised:
         PolicyBundle.load(lying)
+    if case.startswith("repr-"):
+        # the encoder makes the latent, so the header rule refuses any other repr
+        assert "header does not describe" in str(raised.value)
 
 
 def test_bundle_load_rejects_an_array_the_header_does_not_count(tmp_path):

@@ -68,7 +68,7 @@ from tsclab.sim import (
     SimState,
     at_decision_point,
 )
-from tsclab.staterep import make_observation
+from tsclab.staterep import REPRESENTATION_KINDS, make_observation
 from tsclab.weights import load_arrays
 
 LAYOUT = IntersectionLayout()
@@ -861,6 +861,20 @@ dqn.log_interval_steps = 10
 dqn.hidden_sizes = 8
 """
 _CLI_OUTPUT_DIGESTS = {
+    "ae4/cycles_train.csv":
+        "8760c1202f9790d7c46767c6c330de3bb303cc0e4d8858cffa0400177a4b2a66",
+    "ae4/policy.tscw":
+        "e7205513d96e10acd634531c506405c7625d9dc6f4cdad646cb0477b8c4aea80",
+    "ae4/training_log.csv":
+        "1a4455aac6d4fb92efb9ef948ab696ca3d6706b830a71fa5de610b3226900362",
+    "ae4_compare/correlations_ae4.csv":
+        "bf1dc4ba7995b961e6435eb49e01062a3ef8447dc978171af767f27cbd1fa6f6",
+    "ae4_compare/cycles_ae4_seed0.csv":
+        "9c74dce287eb95d3d31dcfcda42ee3bfeb4cf69ac999b873f4b78e7ee105fc3d",
+    "ae4_compare/cycles_ae4_seed1.csv":
+        "f655a4da1a7be88e881497db2b7f8b60ec87866486cdbce0841323063bad541c",
+    "ae4_compare/summary.csv":
+        "906e5ad2cafb03065ae7ad72223b0a94f56c615fca7c07c0867bbbc5c2c1b1e2",
     "baseline/correlations_webster.csv":
         "59efdecc2a5a895430a7afb04829449df2e8d555ca95d3bc3d2dc4d78b42e248",
     "baseline/cycles_webster_seed0.csv":
@@ -966,6 +980,12 @@ def test_cli_outputs_golden(tmp_path, capsys):
         tmp_path, f"kplanes controller=policy weights={kplanes_weights}\n"
                   f"kplanes_greedy controller=policy weights={kplanes_weights} "
                   "playback=greedy\n", "kplanes_grid.txt")
+    encoder = str(tmp_path / "ae4.tscw")
+    assert main(["pretrain-ae", "--latent", "4", "--buffer-steps", "60", "--epochs", "1",
+                 "--out", encoder]) == 0
+    ae4_weights = str(tmp_path / "ae4" / "policy.tscw")
+    ae4_grid = write_cfg(tmp_path, f"ae4 controller=policy weights={ae4_weights}\n",
+                         "ae4_grid.txt")
     runs = {
         "baseline": ["compare", "--grid", str(webster_grid), "--seeds", "0",
                      "--horizon", "1800"],
@@ -979,6 +999,9 @@ def test_cli_outputs_golden(tmp_path, capsys):
         "kplanes": ["train", "--config", cfg, "--repr", "kplanes"],
         "kplanes_compare": ["compare", "--grid", str(kplanes_grid), "--seeds", "0,1",
                             "--horizon", "1200"],
+        "ae4": ["train", "--config", cfg, "--encoder", encoder],
+        "ae4_compare": ["compare", "--grid", str(ae4_grid), "--seeds", "0,1",
+                        "--horizon", "1200"],
     }
     for name, argv in runs.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
@@ -1056,15 +1079,23 @@ def test_cli_compare(tmp_path, capsys):
 
 
 def test_cli_pretrain_ae(tmp_path, capsys):
-    out_file = tmp_path / "ae4.tscw"
-    assert main(["pretrain-ae", "--latent", "4", "--buffer-steps", "60",
+    # any positive latent size, end to end: pretrain, train on it, compare
+    out_file = tmp_path / "ae5.tscw"
+    assert main(["pretrain-ae", "--latent", "5", "--buffer-steps", "60",
                  "--epochs", "1", "--out", str(out_file)]) == 0
     assert out_file.exists()
     from tsclab.agents.autoencoder import load_autoencoder
 
     encoder, decoder = load_autoencoder(out_file)
-    assert encoder.layer_sizes == (19, 32, 4)
-    assert "latent=4" in capsys.readouterr().out
+    assert encoder.layer_sizes == (19, 32, 5)
+    assert "latent=5" in capsys.readouterr().out
+    assert main(["train", "--encoder", str(out_file), "--timesteps", "0",
+                 "--out", str(tmp_path / "train")]) == 0
+    assert "trained ppo repr=ae5 " in capsys.readouterr().out
+    assert PolicyBundle.load(tmp_path / "train" / "policy.tscw").observation.dim == 5
+    argv = _grid_argv(tmp_path, [f"ae5 controller=policy weights={tmp_path}/train/policy.tscw"])
+    assert main(argv) == 0
+    assert "ae5" in capsys.readouterr().out
 
 
 @pytest.fixture
@@ -1084,7 +1115,7 @@ def collection_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--latent", "0"), ("--latent", "-3"), ("--latent", "7"), ("--epochs", "-1"),
+    ("--latent", "0"), ("--latent", "-3"), ("--epochs", "-1"),
     ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
 ])
 def test_cli_pretrain_ae_rejects_bad_settings_before_collecting(tmp_path, capsys,
@@ -1292,8 +1323,7 @@ def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
     encoder = tmp_path / "ae8.tscw"
     save_autoencoder(AeResult(Mlp([20, 32, 8], "relu", seed=0),
                               Mlp([8, 32, 20], "relu", seed=1), 0.0, 0.0), encoder)
-    assert main(["train", "--repr", "ae8", "--encoder", str(encoder),
-                 "--out", str(tmp_path / "x")]) == 1
+    assert main(["train", "--encoder", str(encoder), "--out", str(tmp_path / "x")]) == 1
     assert "encoder takes 20 inputs" in capsys.readouterr().err
     assert started == []
 
@@ -1334,7 +1364,7 @@ def test_cli_train_rejects_an_autoencoder_file_whose_header_lies(tmp_path, capsy
                                                                  episodes_started, fields):
     encoder = _ae8_file(tmp_path / "ae8.tscw")
     rewrite_weight_file(encoder, encoder, **fields)
-    assert main(["train", "--repr", "ae8", "--encoder", str(encoder), "--timesteps", "0",
+    assert main(["train", "--encoder", str(encoder), "--timesteps", "0",
                  "--out", str(tmp_path / "x")]) == 1
     assert "header does not describe the networks it holds" in capsys.readouterr().err
     assert episodes_started == []
@@ -1343,16 +1373,46 @@ def test_cli_train_rejects_an_autoencoder_file_whose_header_lies(tmp_path, capsy
 
 def test_cli_train_rejects_an_encoder_its_representation_does_not_use(tmp_path, capsys,
                                                                       episodes_started):
+    # the state is one input: a --repr kind, the default spelled out
+    # included, or an encoder, never both
     encoder = _ae8_file(tmp_path / "ae8.tscw")
-    for repr_kind in ("expanded", "kplanes", "baseline"):
+    for repr_kind in REPRESENTATION_KINDS:
         for path in (encoder, tmp_path / "absent.tscw"):
-            assert main(["train", "--repr", repr_kind, "--encoder", str(path),
-                         "--timesteps", "0", "--out", str(tmp_path / "x")]) == 1
-            assert "applies to them only (--repr" in capsys.readouterr().err
+            for argv in (["--repr", repr_kind, "--encoder", str(path)],
+                         ["--encoder", str(path), "--repr", repr_kind]):
+                assert main(["train", *argv, "--timesteps", "0",
+                             "--out", str(tmp_path / "x")]) == 1
+                assert "not allowed with argument" in capsys.readouterr().err
     assert episodes_started == []
     assert not (tmp_path / "x").exists()
-    assert main(["train", "--repr", "ae8", "--encoder", str(encoder), "--timesteps", "0",
+    assert main(["train", "--encoder", str(encoder), "--timesteps", "0",
                  "--out", str(tmp_path / "x")]) == 0
+    assert "trained ppo repr=ae8 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, key, name", [
+    ("train", "ppo.n_steps", "ppo.n_steps"),
+    ("dqn", "dqn.replay_capacity", "dqn.replay_capacity"),
+    ("train", "ppo.hidden_sizes", f"layer sizes (19, {10**15}, 3)"),
+])
+def test_cli_rejects_arrays_numpy_cannot_allocate(tmp_path, capsys, command, key, name):
+    # 10**15 rows: far past any address space, so no machine reserves them
+    cfg = write_cfg(tmp_path, f"{key} = {10**15}\n")
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--timesteps", "0", "--out", str(out)]) == 1
+    assert f"error: {name} is too large: numpy cannot allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    lines = [line.split() for block in blocks for line in block.split("```")[0].splitlines()
+             if line.startswith("tsclab ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 def test_cli_rejects_seeds_a_weight_file_cannot_hold(tmp_path, capsys, episodes_started):
@@ -1443,8 +1503,7 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
     # --seeds takes run.seeds' rule: integers, comma separated, none empty, distinct
     for seeds in ("1,1", "0,x", "", "0,,1", "0,1,"):
         assert main(["compare", "--grid", str(grid), "--seeds", seeds, *out]) == 1
-    assert main(["train", "--repr", "ae8", "--encoder", str(tmp_path / "absent.tscw"),
-                 *out]) == 1
+    assert main(["train", "--encoder", str(tmp_path / "absent.tscw"), *out]) == 1
     capsys.readouterr()
     # every command checks every section when its config loads
     for command, line, message in (
@@ -1641,7 +1700,7 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
                      "--out", str(unread)]) == 1
     assert not unread.exists()
     assert main(["-h"]) == 0
-    assert main(["train", "--repr", "ae8"]) == 1  # ae repr without encoder
+    assert main(["train", "--repr", "ae8"]) == 1  # a latent is named by its --encoder
     for bad in ("nan", "inf", "-1"):  # rates and loss weights must be finite and >= 0
         assert main(["pretrain-ae", f"--lr={bad}", "--buffer-steps", "8",
                      "--out", str(tmp_path / "ae.tscw")]) == 1
@@ -1665,6 +1724,8 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
     for budget in ("-5", str(2**53 + 1)):  # dqn's budget has train's range
         assert main(["dqn", "--timesteps", budget, "--out", str(tmp_path / "x")]) == 1
     assert main(["pretrain-ae", "--buffer-steps", "1" + "0" * 30,
+                 "--out", str(tmp_path / "ae.tscw")]) == 1
+    assert main(["pretrain-ae", "--latent", str(10**15), "--buffer-steps", "8",
                  "--out", str(tmp_path / "ae.tscw")]) == 1
     assert not (tmp_path / "ae.tscw").exists()
     # seeds must be non-negative, as a flag, a seed list or a config key
