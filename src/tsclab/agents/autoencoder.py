@@ -55,36 +55,44 @@ def reconstruction_mse(encoder: Mlp, decoder: Mlp, states: np.ndarray) -> float:
     return float(np.mean(row_sums))
 
 
-def check_training_settings(k: int, epochs: int, lr: float) -> None:
-    """Reject a latent size, epoch count or learning rate that
-    :func:`train_autoencoder` cannot honour, before any state is collected."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ConfigurationError(f"latent size must be a positive integer, got {k!r}")
+def check_training_settings(epochs: int, lr: float) -> None:
+    """Reject an epoch count or learning rate that :func:`train_autoencoder`
+    cannot honour, before any state is collected."""
     if epochs < 0:
         raise ConfigurationError("epochs must be non-negative")
     check_non_negative("learning rate", lr)
 
 
-def train_autoencoder(states: np.ndarray, k: int, epochs: int = 40, lr: float = 1e-3,
-                      seed: int = 0) -> AeResult:
-    """Minimize mean squared reconstruction error with minibatch updates.
+def untrained_autoencoder(k: int, seed: int = 0) -> tuple[Mlp, Mlp, np.random.Generator]:
+    """What :func:`train_autoencoder` starts from: the encoder and decoder
+    of latent size ``k`` and the epoch shuffler, from ``SeedSequence(seed)``'s
+    first three children.  Raises :class:`ConfigurationError` for a ``k``
+    that is not a positive integer or is too large to allocate."""
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ConfigurationError(f"latent size must be a positive integer, got {k!r}")
+    s_enc, s_dec, s_shuffle = np.random.SeedSequence(seed).spawn(3)
+    return (Mlp([EXPANDED_DIM, _HIDDEN, int(k)], "relu", seed=s_enc),
+            Mlp([int(k), _HIDDEN, EXPANDED_DIM], "relu", seed=s_dec),
+            np.random.Generator(np.random.PCG64(s_shuffle)))
+
+
+def train_autoencoder(states: np.ndarray, untrained: tuple, epochs: int = 40,
+                      lr: float = 1e-3) -> AeResult:
+    """Minimize mean squared reconstruction error with minibatch updates,
+    training :func:`untrained_autoencoder`'s networks in place.
 
     ``epochs = 0`` returns the untrained pair with its buffer MSE.
     """
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != EXPANDED_DIM or x.shape[0] < 1:
         raise ConfigurationError(f"state buffer must be N x {EXPANDED_DIM}")
-    check_training_settings(k, epochs, lr)
+    check_training_settings(epochs, lr)
 
-    ss = np.random.SeedSequence(seed)
-    s_enc, s_dec, s_shuffle = ss.spawn(3)
-    encoder = Mlp([EXPANDED_DIM, _HIDDEN, int(k)], "relu", seed=s_enc)
-    decoder = Mlp([int(k), _HIDDEN, EXPANDED_DIM], "relu", seed=s_dec)
+    encoder, decoder, shuffle_rng = untrained
     # one parameter and one gradient vector for both networks, so each
     # minibatch makes one optimizer pass
     params, grads = share_parameters(encoder, decoder)
     opt = Adam(params, lr)
-    shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
 
     initial_mse = reconstruction_mse(encoder, decoder, x)
     n = x.shape[0]

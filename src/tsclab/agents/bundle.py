@@ -19,14 +19,14 @@ from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, sav
 @dataclass
 class TrainLogRow:
     """One aggregated line of a training run; ``dataclasses.astuple`` gives
-    its cells in :data:`TRAINING_LOG_HEADER` order.
+    its cells in :data:`TRAINING_LOG_HEADER` order after the first, the
+    row's position in its log.
 
     For the policy-gradient trainer a row covers one rollout/update pass;
     for the DQN it covers a fixed step window and the entropy column records
     the exploration rate instead.  ``mean_q_cycle`` is None when no cycle
     completed inside the window."""
 
-    rollout_idx: int
     sim_time_s: float
     mean_reward: float
     mean_q_cycle: float | None
@@ -49,8 +49,8 @@ def check_budget(total_timesteps: int) -> None:
 
 @dataclass
 class TrainResult:
-    """What a trainer returns: the trained bundle, its log rows, and every
-    cycle record the training environment completed, in order."""
+    """What a trainer returns: the trained bundle, its log rows, and the
+    training environment's ``records``, every cycle it completed, in order."""
 
     bundle: PolicyBundle
     log: list

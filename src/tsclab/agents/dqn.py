@@ -85,12 +85,12 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
     """Replay + target-network Q-learning over the environment's actions.
 
     The environment speaks :func:`~tsclab.agents.ppo.train_ppo`'s protocol:
-    ``obs_dim``, ``n_actions``, ``clock_s``, ``reset`` and ``step``, plus the
-    ``observation`` and ``reward_spec.kind`` that go into the returned
-    bundle.  The task is continuing, so targets always bootstrap from the
-    target network (no terminal masking).  Updates start once the replay
-    holds one batch; earlier steps only explore.  Deterministic for a fixed
-    (seed, config) pair.
+    ``obs_dim``, ``n_actions``, ``clock_s``, ``reset``, ``step`` and
+    ``records``, plus the ``observation`` and ``reward_spec.kind`` that go
+    into the returned bundle.  The task is continuing, so targets always
+    bootstrap from the target network (no terminal masking).  Updates start
+    once the replay holds one batch; earlier steps only explore.
+    Deterministic for a fixed (seed, config) pair.
     """
     ss = np.random.SeedSequence(seed)
     s_net, s_explore, s_sample = ss.spawn(3)
@@ -103,7 +103,6 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
     replay = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
 
     log: list[TrainLogRow] = []
-    records: list = []
     window_rewards: list = []
     window_losses: list = []
     window_first_record = 0
@@ -116,11 +115,10 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
             action = int(explore_rng.integers(env.n_actions))
         else:
             action = int(np.argmax(q_net.predict(obs)))
-        next_obs, reward, new_records = env.step(action)
+        next_obs, reward = env.step(action)
         replay.add(obs, action, reward, next_obs)
         obs = next_obs
         window_rewards.append(reward)
-        records.extend(new_records)
 
         if len(replay) >= cfg.batch_size:
             b_obs, b_act, b_rew, b_next = replay.sample(cfg.batch_size, sample_rng)
@@ -140,9 +138,8 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
         if step_count % cfg.target_sync_interval == 0:
             target_net = q_net.copy()
         if step_count % cfg.log_interval_steps == 0:
-            q_vals = [r.q_cycle for r in records[window_first_record:]]
+            q_vals = [r.q_cycle for r in env.records[window_first_record:]]
             log.append(TrainLogRow(
-                rollout_idx=len(log),
                 sim_time_s=float(env.clock_s),
                 mean_reward=float(np.mean(window_rewards)),
                 mean_q_cycle=(float(np.mean(q_vals)) if q_vals else None),
@@ -151,8 +148,8 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
             ))
             window_rewards = []
             window_losses = []
-            window_first_record = len(records)
+            window_first_record = len(env.records)
 
     bundle = PolicyBundle("dqn", env.reward_spec.kind, q_net, None,
                           env.observation, seed)
-    return TrainResult(bundle, log, records)
+    return TrainResult(bundle, log, env.records)

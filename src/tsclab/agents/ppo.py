@@ -176,9 +176,9 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
     """Train a policy on ``env``, which training resets once.
 
     The environment must expose ``obs_dim``, ``n_actions``, ``clock_s``,
-    ``reset() -> obs`` and ``step(a) -> (obs, reward, records)``, where
-    ``records`` are the cycle records the transition completed; the budget
-    counts simulated seconds via ``clock_s``.  Its ``observation`` and
+    ``reset() -> obs``, ``step(a) -> (obs, reward)`` and ``records``, the
+    cycle records completed since ``reset``, which the result returns; the
+    budget counts simulated seconds via ``clock_s``.  Its ``observation`` and
     ``reward_spec.kind`` go into the returned bundle.  All randomness (network
     init, action sampling, minibatch shuffling) derives from ``seed``, so a
     (seed, config) pair reproduces the run bit for bit.
@@ -200,17 +200,15 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
     rewards = allocate("ppo.n_steps", (n_steps,))
     values = allocate("ppo.n_steps", (n_steps,))
     log: list[TrainLogRow] = []
-    records: list = []
     obs = env.reset()
     while env.clock_s < cfg.total_timesteps:
-        first_record = len(records)
+        first_record = len(env.records)
         for t in range(n_steps):
             rollout_obs[t] = obs
             action, log_probs[t] = softmax_sample(policy.predict(obs), act_rng)
             actions[t] = action
             values[t] = value_net.predict(obs)[0]
-            obs, rewards[t], new_records = env.step(action)
-            records.extend(new_records)
+            obs, rewards[t] = env.step(action)
         next_value = float(value_net.predict(obs)[0])
         advantages, returns = compute_gae(rewards, values, next_value,
                                           cfg.gamma, cfg.gae_lambda)
@@ -238,9 +236,8 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
                 value_loss_sum += res.value_loss
                 n_updates += 1
 
-        q_vals = [r.q_cycle for r in records[first_record:]]
+        q_vals = [r.q_cycle for r in env.records[first_record:]]
         log.append(TrainLogRow(
-            rollout_idx=len(log),
             sim_time_s=float(env.clock_s),
             mean_reward=float(rewards.mean()),
             mean_q_cycle=(float(np.mean(q_vals)) if q_vals else None),
@@ -250,4 +247,4 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
 
     bundle = PolicyBundle("ppo", env.reward_spec.kind, policy, value_net,
                           env.observation, seed)
-    return TrainResult(bundle, log, records)
+    return TrainResult(bundle, log, env.records)

@@ -48,8 +48,8 @@ class SignalControlEnv:
     (see ``make_observation``); ``reward_spec`` picks the reward.  ``reset``
     starts a fresh seeded simulation, advances to the first decision point
     and reads the reward's level there; ``step`` returns (observation,
-    reward, records) where records are the cycle records completed during
-    the transition, and keeps the level it reached for the next step.
+    reward) and keeps the level it reached for the next step.  ``records``
+    lists the record of every cycle completed since ``reset``.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan, flows: FlowProfile,
@@ -71,6 +71,7 @@ class SignalControlEnv:
     def reset(self) -> np.ndarray:
         self.sim = SimState(self.layout, self.plan, self.flows, self.seed)
         self._tracker = CycleTracker(self.flows)
+        self.records = []
         self._run_to_decision()
         self._level = reward_level(self.sim, self.reward_spec.kind)
         return self.observation.observe(self.sim)
@@ -79,17 +80,16 @@ class SignalControlEnv:
         if self.sim is None:
             raise ContractViolation("step called before reset")
         apply_action(self.sim, action)
-        records = self._run_to_decision()
+        self._run_to_decision()
         before, self._level = self._level, reward_level(self.sim, self.reward_spec.kind)
         r = reward(self.reward_spec, before, self._level)
-        return self.observation.observe(self.sim), r, records
+        return self.observation.observe(self.sim), r
 
     # -- internals ------------------------------------------------------------
 
-    def _run_to_decision(self) -> list:
-        """Tick to the next decision point and return the cycle records it
-        completed."""
-        first_new = len(self.sim.completed_cycles)
+    def _run_to_decision(self) -> None:
+        """Tick to the next decision point and record the cycles it
+        completed (``records`` runs parallel to ``sim.completed_cycles``)."""
         if not run_to_decision(self.sim, self.sim.clock + self.plan.longest_cycle_s):
             raise ContractViolation("no decision point reached; phase machine is stuck")
-        return [self._tracker.feed(entry) for entry in self.sim.completed_cycles[first_new:]]
+        self.records += map(self._tracker.feed, self.sim.completed_cycles[len(self.records):])

@@ -27,6 +27,7 @@ from ..agents.autoencoder import (
     load_autoencoder,
     save_autoencoder,
     train_autoencoder,
+    untrained_autoencoder,
 )
 from ..agents.bundle import TRAINING_LOG_HEADER
 from ..agents.dqn import train_dqn
@@ -147,7 +148,8 @@ def _write_training_outputs(out: Path, result, weights_name: str) -> Path:
     ``out``; return the bundle's path."""
     out.mkdir(parents=True, exist_ok=True)
     result.bundle.save(out / weights_name)
-    write_csv(out / "training_log.csv", TRAINING_LOG_HEADER, map(astuple, result.log))
+    write_csv(out / "training_log.csv", TRAINING_LOG_HEADER,
+              ((i, *astuple(row)) for i, row in enumerate(result.log)))
     write_cycles_csv(out / "cycles_train.csv", result.cycle_records)
     return out / weights_name
 
@@ -175,15 +177,15 @@ def cmd_train(args) -> int:
 
 def cmd_pretrain_ae(args) -> int:
     run = _load_run(args)
-    check_training_settings(args.latent, args.epochs, args.lr)
+    check_training_settings(args.epochs, args.lr)
     out_path = Path(args.out) if args.out else Path(f"ae{args.latent}.tscw")
     if out_path.is_dir():
         raise ConfigurationError(f"--out {out_path} is a directory, not a weights file")
     _out_dir(out_path.parent)
+    untrained = untrained_autoencoder(args.latent, args.seed)
     buffer = collect_state_buffer(args.buffer_steps, run.flows, seed=args.seed,
                                   layout=run.layout, plan=run.plan, horizon_s=run.horizon_s)
-    result = train_autoencoder(buffer, args.latent, epochs=args.epochs,
-                               lr=args.lr, seed=args.seed)
+    result = train_autoencoder(buffer, untrained, epochs=args.epochs, lr=args.lr)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_autoencoder(result, out_path, seed=args.seed)
     print(f"autoencoder latent={args.latent}: reconstruction mse "

@@ -22,59 +22,45 @@ from ..sim import APPROACHES, N_PHASES, PHASE_SERVED, FlowProfile
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Queue statistics of one completed signal cycle."""
+    """Queue statistics of one completed signal cycle.  A cycle's number is
+    its position in its run's list of records."""
 
-    cycle_index: int
     approach_max_queue: tuple
-    q_cycle: int
     cycle_len_s: int
     green_s: tuple
     phase_max_queue: tuple
     regime: str = ""
 
-    def __post_init__(self) -> None:
-        if len(self.approach_max_queue) != len(APPROACHES):
-            raise ValueError("need one max queue per approach")
-        if self.q_cycle != sum(self.approach_max_queue):
-            raise ValueError("total must equal the summed approach maxima")
-
-
-def _cycle_record(lane_max: Sequence[int], cycle_index: int, cycle_len_s: int,
-                  green_s: Sequence[float], regime: str) -> CycleRecord:
-    approach_max = tuple(
-        max(lane_max[2 * a], lane_max[2 * a + 1]) for a in range(len(APPROACHES))
-    )
-    phase_max = tuple(max(lane_max[i] for i in PHASE_SERVED[p]) for p in range(N_PHASES))
-    return CycleRecord(
-        cycle_index=cycle_index,
-        approach_max_queue=approach_max,
-        q_cycle=sum(approach_max),
-        cycle_len_s=cycle_len_s,
-        green_s=tuple(float(g) for g in green_s),
-        phase_max_queue=phase_max,
-        regime=regime,
-    )
+    @property
+    def q_cycle(self) -> int:
+        """The cycle's total queue: its approach maxima summed."""
+        return sum(self.approach_max_queue)
 
 
 class CycleTracker:
-    """Turns the simulator's completed cycles into numbered records.
+    """Turns the simulator's completed cycles into records.
 
     ``feed`` takes one ``SimState.completed_cycles`` entry, ``(start_tick,
     length_s, lane_max, green_s)``, whose lane maxima the simulator keeps as
-    each lane's largest queue over the cycle's ticks, and tags the cycle with
-    the regime of ``flows`` during its first tick.
+    each lane's largest queue over the cycle's ticks, reduces each approach
+    and each phase to its worse lane, and tags the cycle with the regime of
+    ``flows`` during its first tick.
     """
 
     def __init__(self, flows: FlowProfile) -> None:
         self._flows = flows
-        self._next_index = 0
 
     def feed(self, entry: tuple) -> CycleRecord:
         start_tick, length_s, lane_max, green_s = entry
-        record = _cycle_record(lane_max, self._next_index, length_s, green_s,
-                               self._flows.regime_at(start_tick - 1))
-        self._next_index += 1
-        return record
+        return CycleRecord(
+            approach_max_queue=tuple(max(lane_max[2 * a], lane_max[2 * a + 1])
+                                     for a in range(len(APPROACHES))),
+            cycle_len_s=length_s,
+            green_s=tuple(float(g) for g in green_s),
+            phase_max_queue=tuple(max(lane_max[i] for i in PHASE_SERVED[p])
+                                  for p in range(N_PHASES)),
+            regime=self._flows.regime_at(start_tick - 1),
+        )
 
 
 def mean_q_cycle(records: Sequence[CycleRecord]) -> float:
@@ -179,5 +165,5 @@ CYCLES_CSV_HEADER = ("cycle_index", "Q_cycle", "Q_N", "Q_E", "Q_S", "Q_W",
 
 def write_cycles_csv(path, records: Iterable[CycleRecord]) -> None:
     write_csv(path, CYCLES_CSV_HEADER,
-              ((r.cycle_index, r.q_cycle, *r.approach_max_queue, r.cycle_len_s,
-                *r.green_s, r.regime) for r in records))
+              ((i, r.q_cycle, *r.approach_max_queue, r.cycle_len_s, *r.green_s, r.regime)
+               for i, r in enumerate(records)))

@@ -172,8 +172,8 @@ def rewrite_weight_file(src, dst, norms=None, **fields) -> None:
     save_arrays(dst, arrays, tag=tag, seed=blob.seed)
 
 
-def cycle_queue_metric(tick_queues, cycle_index: int = 0,
-                       green_s=(0.0,) * N_PHASES, regime: str = "") -> CycleRecord:
+def cycle_queue_metric(tick_queues, green_s=(0.0,) * N_PHASES,
+                       regime: str = "") -> CycleRecord:
     """Brute-force Q_cycle of one cycle from its per-tick lane queues, one
     8-lane row per tick: per lane the max over ticks, per approach the max
     over its two lanes, summed over the approaches.  The reference the
@@ -188,8 +188,7 @@ def cycle_queue_metric(tick_queues, cycle_index: int = 0,
     # lanes, and lanes i and i + 4 face each other and share phase i
     approach_max = tuple(lane_max.reshape(4, 2).max(axis=1).tolist())
     phase_max = tuple(lane_max.reshape(2, 4).max(axis=0).tolist())
-    return CycleRecord(cycle_index=cycle_index, approach_max_queue=approach_max,
-                       q_cycle=sum(approach_max), cycle_len_s=arr.shape[0],
+    return CycleRecord(approach_max_queue=approach_max, cycle_len_s=arr.shape[0],
                        green_s=tuple(float(g) for g in green_s),
                        phase_max_queue=phase_max, regime=regime)
 

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion, uniform_profile
-from tsclab.agents.autoencoder import collect_state_buffer, train_autoencoder
+from tsclab.agents.autoencoder import (collect_state_buffer, train_autoencoder,
+                                       untrained_autoencoder)
 from tsclab.agents.ppo import PpoConfig, clipped_objective, train_ppo
 from tsclab.baselines import (
     DynamicWebsterController,
@@ -357,7 +358,8 @@ def test_c5_latent_capacity_orders_reconstruction():
     for seed in range(5):
         finals = {}
         for k in (4, 8, 19):
-            res = train_autoencoder(buffer, k, epochs=40, lr=1e-3, seed=seed)
+            res = train_autoencoder(buffer, untrained_autoencoder(k, seed=seed),
+                                    epochs=40, lr=1e-3)
             finals[k] = res.final_mse
             if res.final_mse > 0.5 * res.initial_mse:
                 all_halved = False

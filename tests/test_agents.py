@@ -17,6 +17,7 @@ from tsclab.agents.autoencoder import (
     reconstruction_mse,
     save_autoencoder,
     train_autoencoder,
+    untrained_autoencoder,
 )
 from tsclab.agents.bundle import PolicyBundle
 from tsclab.agents.dqn import (
@@ -416,14 +417,20 @@ def test_env_cycles_equal_run_episode_replaying_its_actions(kind, rate, seed, n_
                            RewardSpec(kind=kind), seed)
     env.reset()
     actions = np.random.Generator(np.random.PCG64(seed)).integers(0, 3, n_steps).tolist()
-    cycles = []
     for action in actions:
-        cycles.extend(env.step(action)[2])
+        before = list(env.records)
+        env.step(action)
+        # a step only appends the cycles it completed
+        assert env.records[:len(before)] == before
     replay = ReplayController(actions)
     records = run_episode(SimState(IntersectionLayout(), PhasePlan(), flows, seed), replay,
                           env.clock_s)
     assert replay.played == n_steps
-    assert records == cycles
+    assert records == env.records
+    # reset starts a new list, so a trainer's result keeps the run's records
+    cycles = env.records
+    env.reset()
+    assert env.records == [] and cycles == records
 
 
 @settings(max_examples=25, deadline=None)
@@ -512,12 +519,13 @@ class BanditEnv:
 
     def reset(self):
         self.clock_s = 0
+        self.records = []
         return self._draw()
 
     def step(self, action):
         reward = 1.0 if action == 0 else 0.0
         self.clock_s += 1
-        return self._draw(), reward, []
+        return self._draw(), reward
 
 
 def test_train_ppo_learns_bandit():
@@ -544,7 +552,7 @@ def constant_buffer(n=256):
 
 def test_autoencoder_fits_constant_buffer():
     states = constant_buffer()
-    result = train_autoencoder(states, k=8, epochs=150, lr=1e-2, seed=0)
+    result = train_autoencoder(states, untrained_autoencoder(8, seed=0), epochs=150, lr=1e-2)
     assert result.final_mse < 1e-6
     assert result.initial_mse > result.final_mse
     recon = reconstruction_mse(result.encoder, result.decoder, states)
@@ -553,7 +561,7 @@ def test_autoencoder_fits_constant_buffer():
 
 def test_autoencoder_zero_epochs_reports_initial_mse():
     states = constant_buffer(32)
-    result = train_autoencoder(states, k=4, epochs=0, seed=1)
+    result = train_autoencoder(states, untrained_autoencoder(4, seed=1), epochs=0)
     assert result.final_mse == result.initial_mse
     assert result.initial_mse == reconstruction_mse(result.encoder, result.decoder, states)
     assert result.encoder.layer_sizes == (19, 32, 4)
@@ -631,7 +639,7 @@ def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=1
 def test_autoencoder_matches_per_epoch_reference(k, epochs):
     # 300 rows in minibatches of 128: the last minibatch of each epoch holds 44
     states = np.random.Generator(np.random.PCG64(7)).uniform(0.0, 1.0, size=(300, 19))
-    result = train_autoencoder(states, k, epochs=epochs, lr=1e-2, seed=5)
+    result = train_autoencoder(states, untrained_autoencoder(k, seed=5), epochs=epochs, lr=1e-2)
     encoder, decoder, history = reference_train_autoencoder(states, k, epochs,
                                                             lr=1e-2, seed=5)
     assert result.encoder.flat.tobytes() == encoder.flat.tobytes()
@@ -642,24 +650,24 @@ def test_autoencoder_matches_per_epoch_reference(k, epochs):
 
 def test_autoencoder_validation():
     with pytest.raises(ConfigurationError):
-        train_autoencoder(np.zeros((10, 8)), k=4)
+        train_autoencoder(np.zeros((10, 8)), untrained_autoencoder(4))
     with pytest.raises(ConfigurationError):
-        train_autoencoder(np.zeros((0, 19)), k=4)
+        train_autoencoder(np.zeros((0, 19)), untrained_autoencoder(4))
     with pytest.raises(ConfigurationError):
-        train_autoencoder(constant_buffer(8), k=0)
+        untrained_autoencoder(0)
     with pytest.raises(ConfigurationError):
-        train_autoencoder(constant_buffer(8), k=True)
+        untrained_autoencoder(True)
     with pytest.raises(ConfigurationError):
-        train_autoencoder(constant_buffer(8), k="4")
+        untrained_autoencoder("4")
     with pytest.raises(ConfigurationError):
-        train_autoencoder(constant_buffer(8), k=4, epochs=-1)
+        train_autoencoder(constant_buffer(8), untrained_autoencoder(4), epochs=-1)
     for lr in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ConfigurationError):
-            train_autoencoder(constant_buffer(8), k=4, lr=lr)
+            train_autoencoder(constant_buffer(8), untrained_autoencoder(4), lr=lr)
 
 
 def test_autoencoder_save_load_round_trip(tmp_path):
-    result = train_autoencoder(constant_buffer(16), k=8, epochs=0, seed=3)
+    result = train_autoencoder(constant_buffer(16), untrained_autoencoder(8, seed=3), epochs=0)
     path = tmp_path / "ae.bin"
     save_autoencoder(result, path, seed=3)
     encoder, decoder = load_autoencoder(path)
@@ -686,7 +694,7 @@ def test_weight_files_with_a_non_finite_value_fail_to_load(tmp_path, value):
     bundle.save(path)
     with pytest.raises(ConfigurationError, match="array 4 holds a non-finite value"):
         PolicyBundle.load(path)
-    result = train_autoencoder(constant_buffer(8), k=4, epochs=0)
+    result = train_autoencoder(constant_buffer(8), untrained_autoencoder(4), epochs=0)
     result.decoder.weights[0][3, 1] = value
     save_autoencoder(result, path)
     with pytest.raises(ConfigurationError, match="array 4 holds a non-finite value"):
@@ -883,7 +891,7 @@ def test_bundle_round_trip_minimal(tmp_path):
 
 
 def test_bundle_load_rejects_other_files(tmp_path):
-    result = train_autoencoder(constant_buffer(8), k=4, epochs=0)
+    result = train_autoencoder(constant_buffer(8), untrained_autoencoder(4), epochs=0)
     path = tmp_path / "ae.bin"
     save_autoencoder(result, path)
     with pytest.raises(ConfigurationError):
@@ -931,7 +939,8 @@ def test_weight_file_format_errors_are_configuration_errors(tmp_path):
     with pytest.raises(ConfigurationError):
         mlp_from_arrays([np.ones((4, 19)), np.ones(4)], "sigmoid")
     ae = tmp_path / "ae.tscw"
-    save_autoencoder(train_autoencoder(constant_buffer(8), k=4, epochs=0), ae)
+    save_autoencoder(train_autoencoder(constant_buffer(8), untrained_autoencoder(4), epochs=0),
+                     ae)
     ae_blob = ae.read_bytes()
     ae.write_bytes(ae_blob.replace(b"encoder=4", b"encoder=x"))
     assert ae.read_bytes() != ae_blob
@@ -1065,7 +1074,8 @@ def test_bundle_load_draws_planes_from_the_seed_alone(tmp_path, monkeypatch):
         "kind", "encoder-missing", "act-tanh"])
 def test_load_autoencoder_rejects_a_header_saving_would_not_write(tmp_path, fields):
     path = tmp_path / "ae8.tscw"
-    save_autoencoder(train_autoencoder(constant_buffer(8), k=8, epochs=0), path)
+    save_autoencoder(train_autoencoder(constant_buffer(8), untrained_autoencoder(8), epochs=0),
+                     path)
     encoder, decoder = load_autoencoder(path)
     assert (encoder.layer_sizes, decoder.layer_sizes) == ((19, 32, 8), (8, 32, 19))
     rewrite_weight_file(path, path, **fields)

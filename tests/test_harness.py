@@ -11,7 +11,6 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +20,13 @@ from hypothesis import strategies as st
 
 from conftest import cycle_queue_metric, rate_veh_h, rewrite_weight_file, uniform_profile
 from tsclab.agents.autoencoder import AeResult, save_autoencoder
-from tsclab.agents.bundle import TRAINING_LOG_HEADER, PolicyBundle, TrainLogRow
+from tsclab.agents.bundle import TRAINING_LOG_HEADER, PolicyBundle, TrainLogRow, TrainResult
 from tsclab.agents.dqn import DqnConfig
 from tsclab.baselines import (WEBSTER_LOG_HEADER, DynamicWebsterController,
                               FixedTimeController, WebsterSettings)
 from tsclab.errors import ConfigurationError, ContractViolation
-from tsclab.harness.cli import _load_run, build_parser, main, non_negative_int
+from tsclab.harness.cli import (_load_run, _write_training_outputs, build_parser, main,
+                                non_negative_int)
 from tsclab.harness.config import (
     cycles_max_for_training,
     default_flow_profile,
@@ -99,14 +99,12 @@ def test_cycle_metric_reduces_lane_maxima():
         (4, 0, 7, 1, 0, 3, 2, 0),
         (1, 2, 0, 0, 9, 0, 0, 3),
     ]
-    record = cycle_queue_metric(ticks, cycle_index=5, green_s=(20, 20, 20, 20),
-                                regime="high")
+    record = cycle_queue_metric(ticks, green_s=(20, 20, 20, 20), regime="high")
     # lane maxima (4,2,7,1,9,3,2,3); approaches pair adjacent lanes
     assert record.approach_max_queue == (4, 7, 9, 3)
     assert record.q_cycle == 23
     # phases serve opposite lanes (0,4), (1,5), (2,6), (3,7)
     assert record.phase_max_queue == (9, 3, 7, 3)
-    assert record.cycle_index == 5
     assert record.regime == "high"
 
 
@@ -122,11 +120,11 @@ def test_cycle_metric_validation():
         cycle_queue_metric([(1, 2, 3)])
 
 
-def test_cycle_record_total_must_match():
-    with pytest.raises(ValueError):
-        CycleRecord(cycle_index=0, approach_max_queue=(1, 1, 1, 1), q_cycle=5,
-                    cycle_len_s=10, green_s=(10.0,) * 4,
-                    phase_max_queue=(1, 1, 1, 1))
+def test_q_cycle_is_the_summed_approach_maxima():
+    record = CycleRecord(approach_max_queue=(3, 0, 11, 4), cycle_len_s=10,
+                         green_s=(10.0,) * 4, phase_max_queue=(1, 1, 1, 1))
+    assert record.q_cycle == 18
+    assert "q_cycle" not in {f.name for f in dataclasses.fields(CycleRecord)}
 
 
 def test_cycle_tracker_splits_on_cycle_wrap():
@@ -138,7 +136,6 @@ def test_cycle_tracker_splits_on_cycle_wrap():
                                        (3.0, 4.0, "medium"), (4.0, 6.0, "high")])
     tracker = CycleTracker(flows)
     record = tracker.feed((1, 3, (1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0)))
-    assert record.cycle_index == 0
     assert record.cycle_len_s == 3
     assert record.approach_max_queue == (1, 0, 0, 0)
     assert record.phase_max_queue == (1, 0, 0, 0)
@@ -150,7 +147,6 @@ def test_cycle_tracker_splits_on_cycle_wrap():
     assert following.approach_max_queue == (0, 2, 0, 3)
     assert following.phase_max_queue == (0, 0, 2, 3)
     assert following.regime == "medium"
-    assert following.cycle_index == record.cycle_index + 1
 
 
 def test_cycle_metric_idempotent_on_episode_ticks():
@@ -225,9 +221,8 @@ def test_episode_records_match_tick_log_and_regimes(scenario):
     assert len(logged.queues) == len(logged.ticks) == horizon
     assert [clock for clock, _phase, _yellow in logged.ticks] == list(range(1, horizon + 1))
     offset = 0
-    for index, record in enumerate(records):
+    for record in records:
         redone = cycle_queue_metric(logged.queues[offset:offset + record.cycle_len_s])
-        assert record.cycle_index == index
         assert redone.approach_max_queue == record.approach_max_queue
         assert redone.q_cycle == record.q_cycle
         assert redone.phase_max_queue == record.phase_max_queue
@@ -275,8 +270,7 @@ def _synth_records(n, greens=None, queues=None):
         g = greens[i] if greens is not None else 20.0
         q = queues[i] if queues is not None else i
         records.append(CycleRecord(
-            cycle_index=i, approach_max_queue=(q, 0, 0, 0), q_cycle=q,
-            cycle_len_s=int(4 * g + 20), green_s=(g,) * 4,
+            approach_max_queue=(q, 0, 0, 0), cycle_len_s=int(4 * g + 20), green_s=(g,) * 4,
             phase_max_queue=(q, q, q, q)))
     return records
 
@@ -559,18 +553,18 @@ def test_cycles_csv_layout(tmp_path):
                        "cycle_len_s", "g1", "g2", "g3", "g4", "regime"]
     assert len(rows) == len(records) + 1
     assert {row[-1] for row in rows[1:]} == {"low", "high"}
-    for row, r in zip(rows[1:], records):
-        assert row == [str(v) for v in (r.cycle_index, r.q_cycle, *r.approach_max_queue,
+    for index, (row, r) in enumerate(zip(rows[1:], records)):
+        assert row == [str(v) for v in (index, r.q_cycle, *r.approach_max_queue,
                                         r.cycle_len_s, *r.green_s, r.regime)]
 
 
 def _regime_records(q_cycles, phase_queue, regimes):
     """Cycle records with the given totals, each phase's max queue
     ``phase_queue`` and the given regime labels."""
-    return [CycleRecord(cycle_index=i, approach_max_queue=(q, 0, 0, 0), q_cycle=q,
-                        cycle_len_s=100, green_s=(20.0,) * 4,
-                        phase_max_queue=(phase_queue,) * 4, regime=regime)
-            for i, (q, regime) in enumerate(zip(q_cycles, regimes))]
+    return [CycleRecord(approach_max_queue=(q, 0, 0, 0), cycle_len_s=100,
+                        green_s=(20.0,) * 4, phase_max_queue=(phase_queue,) * 4,
+                        regime=regime)
+            for q, regime in zip(q_cycles, regimes)]
 
 
 def test_summary_csv_layout(tmp_path):
@@ -652,15 +646,17 @@ def test_write_csv_cell_rule(tmp_path):
 
 def test_training_log_csv(tmp_path):
     rows = [
-        TrainLogRow(rollout_idx=0, sim_time_s=200.0, mean_reward=-0.25,
+        TrainLogRow(sim_time_s=200.0, mean_reward=-0.25,
                     mean_q_cycle=None, policy_entropy=1.09, value_loss=0.5),
-        TrainLogRow(rollout_idx=1, sim_time_s=400.0, mean_reward=-0.125,
+        TrainLogRow(sim_time_s=400.0, mean_reward=-0.125,
                     mean_q_cycle=12.5, policy_entropy=1.0, value_loss=0.25),
     ]
-    path = tmp_path / "log.csv"
-    write_csv(path, TRAINING_LOG_HEADER, map(astuple, rows))
-    with path.open(newline="") as fh:
+    _write_training_outputs(tmp_path, TrainResult(tiny_bundle(), rows, []), "policy.tscw")
+    with (tmp_path / "training_log.csv").open(newline="") as fh:
         parsed = list(csv.DictReader(fh))
+    assert list(parsed[0]) == list(TRAINING_LOG_HEADER)
+    # a row's number is its position in the log
+    assert [row["rollout_idx"] for row in parsed] == ["0", "1"]
     assert parsed[0]["mean_Q_cycle"] == ""
     assert float(parsed[1]["mean_Q_cycle"]) == 12.5
     assert float(parsed[0]["mean_reward"]) == -0.25
@@ -1115,7 +1111,7 @@ def collection_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--latent", "0"), ("--latent", "-3"), ("--epochs", "-1"),
+    ("--latent", "0"), ("--latent", "-3"), ("--latent", str(10**15)), ("--epochs", "-1"),
     ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
 ])
 def test_cli_pretrain_ae_rejects_bad_settings_before_collecting(tmp_path, capsys,

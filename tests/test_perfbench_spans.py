@@ -113,7 +113,8 @@ def test_tracer_counts_one_adam_step_per_autoencoder_minibatch():
     flows = uniform_profile([400.0] * N_LANES)
     with load_spans().Tracer() as tracer:
         states = tsclab.harness.cli.collect_state_buffer(300, flows, seed=0)
-        tsclab.harness.cli.train_autoencoder(states, k=8, epochs=2, seed=0)
+        tsclab.harness.cli.train_autoencoder(
+            states, tsclab.harness.cli.untrained_autoencoder(8, seed=0), epochs=2)
     minibatches = 3 * 2  # 300 states in minibatches of 128, 128 and 44, twice
     assert len(tracer.durations["autoencoder.collect"]) == 1
     assert len(tracer.durations["autoencoder.fit"]) == 1

@@ -726,7 +726,7 @@ def test_counter_lanes_match_per_vehicle_model(scenario):
             assert len(ticks) == length
             assert lane_max == tuple(max(lane) for lane in zip(*ticks))
             assert (tracker.feed((start, length, lane_max, green_s))
-                    == cycle_queue_metric(ticks, replayed, green_s))
+                    == cycle_queue_metric(ticks, green_s))
             replayed += 1
         assert sim.cycle_lane_max == [max(lane) for lane in
                                       zip(*ref_queues[sim.cycle_start_tick - 1:])]
