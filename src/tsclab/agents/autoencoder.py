@@ -15,8 +15,8 @@ import numpy as np
 from ..envs import run_to_decision
 from ..errors import ConfigurationError, allocate, check_non_negative
 from ..neural import Adam, Mlp, share_parameters
-from ..sim import (FlowProfile, IntersectionLayout, N_LANES, PhasePlan, SimState,
-                   apply_action)
+from ..sim import (ACTION_CONTINUE, FlowProfile, IntersectionLayout, N_LANES, PhasePlan,
+                   SimState, apply_action)
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..staterep import EXPANDED_DIM, expanded_state
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, save_arrays
@@ -139,7 +139,7 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
             filled += 1
             if filled >= n_states:
                 return states
-            apply_action(sim, 1)
+            apply_action(sim, ACTION_CONTINUE)
     return states
 
 

@@ -38,6 +38,16 @@ TRAINING_LOG_HEADER = ("rollout_idx", "sim_time_s", "mean_reward",
                        "mean_Q_cycle", "policy_entropy", "value_loss")
 
 
+def window_log_row(env, first_record: int, rewards, entropy: float,
+                   value_loss: float) -> TrainLogRow:
+    """The log row of a window that opened when ``env.records`` held
+    ``first_record`` records: the clock now, the mean of the window's
+    ``rewards``, and the mean Q_cycle of the records since (None if none)."""
+    q_vals = [r.q_cycle for r in env.records[first_record:]]
+    return TrainLogRow(float(env.clock_s), float(np.mean(rewards)),
+                       float(np.mean(q_vals)) if q_vals else None, entropy, value_loss)
+
+
 def check_budget(total_timesteps: int) -> None:
     """Raise :class:`ConfigurationError` unless a trainer's budget of
     simulated seconds lies in [0, 2**53]: the log's ``sim_time_s`` is a

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, allocate, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers
-from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget
+from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget, window_log_row
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
     s_net, s_explore, s_sample = ss.spawn(3)
     q_net = Mlp([env.obs_dim, *cfg.hidden_sizes, env.n_actions],
                 cfg.activation, seed=s_net)
-    target_net = q_net.copy()
+    target_net = Mlp(q_net.layer_sizes, cfg.activation)
     opt = Adam(q_net.flat, cfg.learning_rate)
     explore_rng = np.random.Generator(np.random.PCG64(s_explore))
     sample_rng = np.random.Generator(np.random.PCG64(s_sample))
@@ -110,6 +110,8 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
     step_count = 0
     rows = np.arange(cfg.batch_size)
     while env.clock_s < cfg.total_timesteps:
+        if step_count % cfg.target_sync_interval == 0:
+            target_net.flat[...] = q_net.flat
         eps = epsilon_at(cfg, step_count)
         if explore_rng.random() < eps:
             action = int(explore_rng.integers(env.n_actions))
@@ -135,17 +137,10 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
             window_losses.append(loss)
 
         step_count += 1
-        if step_count % cfg.target_sync_interval == 0:
-            target_net = q_net.copy()
         if step_count % cfg.log_interval_steps == 0:
-            q_vals = [r.q_cycle for r in env.records[window_first_record:]]
-            log.append(TrainLogRow(
-                sim_time_s=float(env.clock_s),
-                mean_reward=float(np.mean(window_rewards)),
-                mean_q_cycle=(float(np.mean(q_vals)) if q_vals else None),
-                policy_entropy=eps,
-                value_loss=(float(np.mean(window_losses)) if window_losses else 0.0),
-            ))
+            log.append(window_log_row(
+                env, window_first_record, window_rewards, eps,
+                float(np.mean(window_losses)) if window_losses else 0.0))
             window_rewards = []
             window_losses = []
             window_first_record = len(env.records)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, allocate, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers, log_softmax, softmax_sample
-from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget
+from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget, window_log_row
 
 
 @dataclass(frozen=True)
@@ -236,14 +236,8 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
                 value_loss_sum += res.value_loss
                 n_updates += 1
 
-        q_vals = [r.q_cycle for r in env.records[first_record:]]
-        log.append(TrainLogRow(
-            sim_time_s=float(env.clock_s),
-            mean_reward=float(rewards.mean()),
-            mean_q_cycle=(float(np.mean(q_vals)) if q_vals else None),
-            policy_entropy=entropy_sum / n_updates,
-            value_loss=value_loss_sum / n_updates,
-        ))
+        log.append(window_log_row(env, first_record, rewards, entropy_sum / n_updates,
+                                  value_loss_sum / n_updates))
 
     bundle = PolicyBundle("ppo", env.reward_spec.kind, policy, value_net,
                           env.observation, seed)

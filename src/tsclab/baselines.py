@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, check_finite_fields, check_whole_seconds
-from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES,
-                  PHASE_SERVED, PhasePlan, SimState, install_programmed_greens,
-                  sum_in_order)
+from .sim import (ACTION_CONTINUE, IntersectionLayout, N_LANES, N_PHASES, PhasePlan,
+                  SimState, install_programmed_greens, phase_max, sum_in_order)
 
 
 def webster_timings(lost_time_s: float, y_ratios: tuple,
@@ -90,7 +89,7 @@ WEBSTER_LOG_HEADER = ("clock_s", "y1", "y2", "y3", "y4", "cycle_s",
                       "g1", "g2", "g3", "g4", "saturated")
 
 
-class DynamicWebsterController:
+class DynamicWebsterController(FixedTimeController):
     """Webster timings recomputed on a fixed interval from recent flows.
 
     Every ``recompute_interval_s`` it turns the arrival rates of the last
@@ -133,10 +132,7 @@ class DynamicWebsterController:
         while window and window[0][0] <= oldest:
             window.popleft()
         rates = self._window_rates_veh_h()
-        sat = self.layout.saturation_flow_veh_h
-        y = tuple(
-            max(rates[lane] / sat for lane in PHASE_SERVED[p]) for p in range(N_PHASES)
-        )
+        y = phase_max(rates / self.layout.saturation_flow_veh_h)
         cycle_s, self._pending, saturated = webster_timings(self.lost_time_s, y, self.plan)
         self.recompute_log.append((clock, *y, cycle_s, *self._pending, int(saturated)))
 
@@ -150,6 +146,3 @@ class DynamicWebsterController:
         if self._pending is not None and sim.phase_changed:
             install_programmed_greens(sim, self._pending)
             self._pending = None
-
-    def decide(self, sim: SimState) -> int:
-        return ACTION_CONTINUE

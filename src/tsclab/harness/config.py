@@ -51,22 +51,27 @@ def read_lines(path, what: str):
             yield lineno, line
 
 
+def add_pair(values: dict, text: str, known, where: str) -> None:
+    """Add ``text``, a ``key=value`` pair split at its first ``=`` and
+    stripped, to ``values``; no ``=``, an empty side, or a key outside
+    ``known`` or already in ``values`` raises ConfigurationError at ``where``."""
+    if "=" not in text:
+        raise ConfigurationError(f"{where}: expected key=value, got {text!r}")
+    key, value = (side.strip() for side in text.split("=", 1))
+    if not key or not value:
+        raise ConfigurationError(f"{where}: empty key or value in {text!r}")
+    if key not in known:
+        raise ConfigurationError(f"{where}: unknown key {key!r}")
+    if key in values:
+        raise ConfigurationError(f"{where}: duplicate key {key!r}")
+    values[key] = value
+
+
 def parse_config_file(path) -> dict:
     """Read ``key = value`` lines into an ordered dict of strings."""
     values: dict[str, str] = {}
     for lineno, line in read_lines(path, "config file"):
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ConfigurationError(f"{path}:{lineno}: empty key or value")
-        if key in values:
-            raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key not in _SCHEMA and key not in _FLOW_KEYS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
+        add_pair(values, line, _SCHEMA.keys() | _FLOW_KEYS, f"{path}:{lineno}")
     return values
 
 

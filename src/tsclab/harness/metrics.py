@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import ContractViolation
-from ..sim import APPROACHES, N_PHASES, PHASE_SERVED, FlowProfile
+from ..sim import N_PHASES, FlowProfile, approach_max, phase_max
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,10 @@ class CycleTracker:
     def feed(self, entry: tuple) -> CycleRecord:
         start_tick, length_s, lane_max, green_s = entry
         return CycleRecord(
-            approach_max_queue=tuple(max(lane_max[2 * a], lane_max[2 * a + 1])
-                                     for a in range(len(APPROACHES))),
+            approach_max_queue=approach_max(lane_max),
             cycle_len_s=length_s,
             green_s=tuple(float(g) for g in green_s),
-            phase_max_queue=tuple(max(lane_max[i] for i in PHASE_SERVED[p])
-                                  for p in range(N_PHASES)),
+            phase_max_queue=phase_max(lane_max),
             regime=self._flows.regime_at(start_tick - 1),
         )
 

@@ -13,7 +13,7 @@ from ..agents.bundle import PolicyBundle
 from ..sim import SimState, apply_action
 from ..sim import step  # noqa: F401  (unused; perfbench/spans.py wraps it by this name)
 from ..neural import softmax_sample
-from .config import RunSettings, read_lines
+from .config import RunSettings, add_pair, read_lines
 from .metrics import CycleRecord, CycleTracker
 
 
@@ -138,16 +138,7 @@ def read_grid(path) -> list[RunSpec]:
         config_id, *tokens = line.split()
         values = {}
         for token in tokens:
-            if "=" not in token:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {token!r}"
-                )
-            key, value = token.split("=", 1)
-            if key not in keys:
-                raise ConfigurationError(f"{path}:{lineno}: unknown field {key!r}")
-            if key in values:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate field {key!r}")
-            values[key] = value
+            add_pair(values, token, keys, f"{path}:{lineno}")
         if "controller" not in values:
             raise ConfigurationError(f"{path}:{lineno}: missing controller=")
         specs.append(RunSpec(config_id, **values))

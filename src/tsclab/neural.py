@@ -43,7 +43,6 @@ class Mlp:
         check_hidden_layers(sizes, hidden_activation)
         self.layer_sizes = sizes
         self.hidden_activation = hidden_activation
-        self.seed = seed
         shapes = [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
                   for shape in ((fan_out, fan_in), (fan_out,))]
         ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
@@ -161,11 +160,6 @@ class Mlp:
         self.biases: list[np.ndarray] = params[1::2]
         self._predict_layers = [(w.T, b) for w, b in zip(self.weights, self.biases)]
         self._grad_layers = list(zip(grads[0::2], grads[1::2]))
-
-    def copy(self) -> "Mlp":
-        clone = Mlp(self.layer_sizes, self.hidden_activation, self.seed)
-        clone.flat[...] = self.flat
-        return clone
 
 
 def share_parameters(*nets: Mlp) -> tuple[np.ndarray, np.ndarray]:

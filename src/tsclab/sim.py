@@ -57,9 +57,24 @@ DEPARTURE_SLACK_S = 1e-9
 FREE_FLOW_SPEED_MS = 11.11
 
 
+def approach_max(lane_values) -> tuple:
+    """Each approach's worse lane, in ``APPROACHES`` order: the larger of
+    its two lanes' values (``lane_values`` in ``LANE_IDS`` order)."""
+    v = lane_values
+    return (max(v[0], v[1]), max(v[2], v[3]), max(v[4], v[5]), max(v[6], v[7]))
+
+
+def phase_max(lane_values) -> tuple:
+    """Each phase's worse lane: the larger of its two served lanes' values."""
+    return tuple(max(lane_values[i], lane_values[j]) for i, j in PHASE_SERVED)
+
+
 @dataclass(frozen=True)
 class IntersectionLayout:
-    """Driver-behaviour timings of the intersection, each read by :func:`step`."""
+    """Driver-behaviour timings of the intersection, each read by :func:`step`.
+
+    Vehicles entering on tick k reach the stopline on tick ceil(k + travel),
+    and a green flows from its first tick at or past the startup loss."""
 
     travel_time_to_stopline_s: float = 15.0
     saturation_headway_s: float = 2.0
@@ -147,6 +162,9 @@ class FlowProfile:
     records), ``""`` where none was given.  For clocks past the span the
     profile repeats (lookup wraps modulo the span), so a short profile can
     drive arbitrarily long runs.  :meth:`build` makes and checks a profile.
+    Tick k reads the row in force at clock k - 1, so a fractional bound b
+    acts as ceil(b); the span is kept exactly, so repeat n's acts as
+    ceil(n * span_s + b).
     """
 
     starts_s: tuple[float, ...]
@@ -294,8 +312,7 @@ class SimState:
 
     def approach_queues(self) -> tuple:
         """Per-approach queue: max over the approach's two lanes."""
-        q = self.queued
-        return (max(q[0], q[1]), max(q[2], q[3]), max(q[4], q[5]), max(q[6], q[7]))
+        return approach_max(self.queued)
 
     def lane_wait_s(self, lane: int) -> int:
         """Summed waiting time of vehicles currently queued in a lane."""

@@ -26,7 +26,7 @@ from tsclab.baselines import (
 )
 from tsclab.envs import SignalControlEnv
 from tsclab.harness.config import cycles_max_for_training, default_flow_profile
-from tsclab.harness.metrics import correlation_report, mean_q_cycle
+from tsclab.harness.metrics import correlation_report, mean_q_cycle, mean_std
 from tsclab.harness.runner import PolicyController, run_episode
 from tsclab.neural import Mlp
 from tsclab.rewards import RewardSpec, reward
@@ -414,9 +414,9 @@ def control_study():
     baselines = {}
     for name, build in (("fixed", FixedTimeController),
                         ("webster", lambda: DynamicWebsterController(LAYOUT, PLAN))):
-        scores = [mean_q_cycle(run_episode(SimState(LAYOUT, PLAN, flows, s), build(), horizon))
-                  for s in eval_seeds]
-        baselines[name] = float(np.mean(scores))
+        baselines[name] = [
+            mean_q_cycle(run_episode(SimState(LAYOUT, PLAN, flows, s), build(), horizon))
+            for s in eval_seeds]
     return {
         "per_seed": per_seed,
         "baselines": baselines,
@@ -424,14 +424,26 @@ def control_study():
     }
 
 
+def standard_error(values) -> float:
+    """The standard error of the mean of ``values`` (sample std, ddof=1)."""
+    return mean_std(values)[1] / math.sqrt(len(values))
+
+
 def test_c6_learned_control_beats_both_baselines(control_study):
-    seed_scores = [
-        float(np.mean([mean_q_cycle(episode) for episode in episodes]))
-        for episodes in control_study["per_seed"]
-    ]
+    scores = [[mean_q_cycle(episode) for episode in episodes]
+              for episodes in control_study["per_seed"]]
+    seed_scores = [float(np.mean(row)) for row in scores]
     learned = float(np.mean(seed_scores))
-    fixed = control_study["baselines"]["fixed"]
-    webster = control_study["baselines"]["webster"]
+    fixed = float(np.mean(control_study["baselines"]["fixed"]))
+    webster = float(np.mean(control_study["baselines"]["webster"]))
+    # printed only: per evaluation seed, the learned column averages its five
+    # policies, and every column plays that seed's arrivals, so the PPO -
+    # Webster difference pairs on them
+    by_eval_seed = {"learned": np.mean(scores, axis=0).tolist(),
+                    **control_study["baselines"]}
+    errors = " / ".join(f"{name} {standard_error(values):.3f}"
+                        for name, values in by_eval_seed.items())
+    paired = [p - w for p, w in zip(by_eval_seed["learned"], by_eval_seed["webster"])]
     elapsed = control_study["elapsed_s"]
     passed = (learned <= 0.9 * fixed and learned <= 0.9 * webster
               and elapsed < 7200.0)
@@ -444,7 +456,9 @@ def test_c6_learned_control_beats_both_baselines(control_study):
         f"learned {learned:.3f} vs fixed {fixed:.3f} / webster {webster:.3f}, "
         f"{elapsed:.0f}s; per seed {' '.join(f'{score:.2f}' for score in seed_scores)}, "
         f"median {float(np.median(seed_scores)):.2f}, "
-        f"{within}/{len(seed_scores)} at or below 0.9 x webster",
+        f"{within}/{len(seed_scores)} at or below 0.9 x webster; "
+        f"standard error over the evaluation seeds {errors}; "
+        f"PPO - webster {mean_std(paired)[0]:+.3f} (standard error {standard_error(paired):.3f})",
     )
     assert learned <= 0.9 * fixed
     assert learned <= 0.9 * webster

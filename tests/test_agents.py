@@ -210,7 +210,7 @@ def test_surrogate_gradients_match_finite_differences():
     rows = np.arange(n)
 
     def policy_part(flat):
-        net = policy.copy()
+        net = mlp_from_arrays(policy.parameters(), policy.hidden_activation)
         net.flat[...] = flat
         logp_all = log_softmax(net.predict(batch.obs))
         probs = np.exp(logp_all)
@@ -224,7 +224,7 @@ def test_surrogate_gradients_match_finite_differences():
     assert _rel_err(analytic, numeric) < 1e-4
 
     def value_part(flat):
-        net = value_net.copy()
+        net = mlp_from_arrays(value_net.parameters(), value_net.hidden_activation)
         net.flat[...] = flat
         err = net.predict(batch.obs)[:, 0] - batch.returns
         return val_coef * float(np.mean(err * err))
@@ -309,8 +309,9 @@ def test_surrogate_matches_the_plain_reference_bitwise(case):
     batch, policy, value_net, eps, value_coef, entropy_coef = case
     # the reference runs on copies: the result's gradients are the nets' own
     # grad vectors, which a backward on the same nets would overwrite
-    ref = _reference_surrogate(batch, policy.copy(), value_net.copy(), eps, value_coef,
-                               entropy_coef)
+    ref = _reference_surrogate(batch, *(mlp_from_arrays(net.parameters(), net.hidden_activation)
+                                        for net in (policy, value_net)),
+                               eps, value_coef, entropy_coef)
     got = ppo_surrogate(batch, policy, value_net, eps, value_coef, entropy_coef)
     assert got.policy_grads is policy.grad and got.value_grads is value_net.grad
     assert not np.shares_memory(got.policy_grads, ref.policy_grads)

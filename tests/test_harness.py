@@ -527,7 +527,7 @@ def test_a_grid_key_outside_runspec_fails_naming_it(tmp_path_factory, key):
         code = main(["compare", "--grid", str(grid), "--horizon", "400", "--seeds", "0",
                      "--out", str(tmp_path_factory.getbasetemp() / "cmp")])
     assert code == 1
-    assert f"{grid}:2: unknown field {key!r}" in err.getvalue()
+    assert f"{grid}:2: unknown key {key!r}" in err.getvalue()
 
 
 def test_readme_grid_section_names_every_grid_key():
@@ -685,6 +685,25 @@ flow.N0 = 0-100@500
     # a leading byte order mark, as some editors write, is not part of the first key
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert parse_config_file(path) == values
+
+
+@pytest.mark.parametrize("config_line, grid_line, message", [
+    ("words", "a words", "expected key=value, got 'words'"),
+    ("run.seeds =", "a controller=", "empty key or value"),
+    ("= 5", "a =5", "empty key or value"),
+    ("nonsense = 1", "a nonsense=1", "unknown key 'nonsense'"),
+    ("run.workers = 2", "a controller=fixed controller=webster", "duplicate key"),
+], ids=["no-equals", "empty-value", "empty-key", "unknown-key", "duplicate-key"])
+def test_config_and_grid_files_check_each_pair_alike(tmp_path, config_line, grid_line,
+                                                     message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"run.workers = 1\n{config_line}\n", encoding="utf-8")
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"f controller=fixed\n{grid_line}\n", encoding="utf-8")
+    for path, read in ((config, parse_config_file), (grid, read_grid)):
+        with pytest.raises(ConfigurationError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}:2: {message}")
 
 
 def test_parse_config_file_errors(tmp_path):
@@ -1441,12 +1460,12 @@ def tiny_dqn_bundle():
     (["fixed controller=fixed", "ppo controller=policy weights={ppo} playback=argmax"],
      "400", "unknown playback 'argmax'"),
     (["fixed controller=fixed", "ppo controller=policy weights={ppo} playback="],
-     "400", "unknown playback ''"),
+     "400", "grid.txt:2: empty key or value in 'playback='"),
     (["fixed controller=fixed playback=greedy"], "400", "only policy entries take playback="),
     (["fixed controller=fixed weights=/nonexistent/x.tscw"], "400",
      "only policy entries take weights="),
     (["fixed controller=fixed", "a controller=fixed controller=webster"], "400",
-     "grid.txt:2: duplicate field 'controller'"),
+     "grid.txt:2: duplicate key 'controller'"),
 ], ids=["short-horizon", "unknown-controller", "missing-bundle", "sampled-dqn",
         "unknown-playback", "empty-playback", "playback-off-policy", "weights-off-policy",
         "duplicate-field"])

@@ -21,7 +21,7 @@ from tsclab.weights import mlp_from_arrays
 
 def layer_gradients(net, gradient):
     """Per-layer (dW, db) views of a gradient laid out like ``net.flat``."""
-    holder = net.copy()
+    holder = mlp_from_arrays(net.parameters(), net.hidden_activation)
     holder.flat[...] = gradient
     return list(zip(holder.weights, holder.biases))
 
@@ -358,14 +358,6 @@ def test_flat_round_trip():
         net.flat[...] = np.zeros(3)
 
 
-def test_copy_is_independent():
-    net = Mlp([3, 4, 2], seed=1)
-    clone = net.copy()
-    np.testing.assert_array_equal(clone.flat, net.flat)
-    clone.weights[0][0, 0] += 1.0
-    assert net.weights[0][0, 0] != clone.weights[0][0, 0]
-
-
 layer_sizes = st.lists(st.integers(1, 12), min_size=2, max_size=5)
 
 
@@ -383,10 +375,10 @@ def test_parameters_are_views_into_flat(sizes, activation, seed):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         np.testing.assert_array_equal(w, rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         np.testing.assert_array_equal(b, np.zeros(fan_out))
-    for other in (net.copy(), mlp_from_arrays(params, activation)):
-        assert not np.shares_memory(other.flat, net.flat)
-        assert all(np.shares_memory(p, other.flat) for p in other.parameters())
-        np.testing.assert_array_equal(other.flat, net.flat)
+    other = mlp_from_arrays(params, activation)
+    assert not np.shares_memory(other.flat, net.flat)
+    assert all(np.shares_memory(p, other.flat) for p in other.parameters())
+    np.testing.assert_array_equal(other.flat, net.flat)
 
 
 @settings(max_examples=25, deadline=None)
@@ -396,7 +388,7 @@ def test_adam_on_flat_matches_per_array_steps(sizes, activation, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     for scale in (1e-6, 1.0, 1e3):
         net = Mlp(sizes, activation, seed=seed)
-        twin = net.copy()
+        twin = mlp_from_arrays(net.parameters(), activation)
         flat_opt = Adam(net.flat, lr=1e-3)
         array_opts = [Adam(p, lr=1e-3) for p in twin.parameters()]
         for _ in range(50):
@@ -418,7 +410,7 @@ def test_shared_nets_keep_their_values_and_step_as_separate_ones(first, second,
     inputs = [rng.standard_normal((3, sizes[0])) for sizes in (first, second)]
     for scale in (1e-6, 1.0, 1e3):
         nets = [Mlp(first, activation, seed=seed), Mlp(second, activation, seed=seed + 1)]
-        twins = [net.copy() for net in nets]
+        twins = [mlp_from_arrays(net.parameters(), activation) for net in nets]
         params, grads = share_parameters(*nets)
         assert params.tobytes() == b"".join(twin.flat.tobytes() for twin in twins)
         assert grads.shape == params.shape
@@ -428,10 +420,10 @@ def test_shared_nets_keep_their_values_and_step_as_separate_ones(first, second,
             grad_views = [net.grad, *(g for pair in net._grad_layers for g in pair)]
             assert all(np.shares_memory(g, grads) for g in grad_views)
             assert net.predict(x).tobytes() == twin.predict(x).tobytes()
-            for other in (net.copy(), mlp_from_arrays(net.parameters(), activation)):
-                for vector in (other.flat, other.grad):
-                    assert not np.shares_memory(vector, params)
-                    assert not np.shares_memory(vector, grads)
+            other = mlp_from_arrays(net.parameters(), activation)
+            for vector in (other.flat, other.grad):
+                assert not np.shares_memory(vector, params)
+                assert not np.shares_memory(vector, grads)
             net.forward(x)
             upstream = rng.standard_normal((3, net.layer_sizes[-1]))
             gradient, _ = net.backward(upstream)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (compensated_sum, cycle_queue_metric, force_queue, force_transit,
                       lane_index, rate_veh_h, step_crossings, uniform_profile)
+from tsclab.envs import run_to_decision
 from tsclab.errors import ConfigurationError, ContractViolation
 from tsclab.harness.metrics import CycleTracker
 from tsclab.sim import (
@@ -575,6 +576,26 @@ def test_misaligned_regimes_leave_arrivals_unchanged(plan):
             assert step(sims[0]).arrivals == step(sims[1]).arrivals
 
 
+def test_fractional_flow_bounds_and_travel_times_act_as_whole_seconds(plan):
+    # tick k reads the rates and the regime in force at clock k - 1, so a
+    # bound b inside the span acts as ceil(b); a run entering on tick k
+    # reaches the stopline on tick ceil(k + travel)
+    def run(bound, travel):
+        span = 250.0  # the 100 s cycles start in both regimes
+        rates = {lane: [(0.0, bound, 300.0 + 100.0 * i), (bound, span, 900.0 - 50.0 * i)]
+                 for i, lane in enumerate(LANE_IDS)}
+        flows = FlowProfile.build(rates, [(0.0, bound, "high"), (bound, span, "low")])
+        sim = SimState(IntersectionLayout(travel_time_to_stopline_s=travel), plan, flows, 7)
+        ticks = [(tuple(step(sim).arrivals), tuple(sim.queued)) for _ in range(1000)]
+        tracker = CycleTracker(flows)
+        return ticks, [tracker.feed(entry) for entry in sim.completed_cycles]
+
+    whole = run(101.0, 16.0)
+    assert {record.regime for record in whole[1]} == {"high", "low"}
+    assert run(100.5, 15.2) == whole
+    assert run(100.0, 15.0) != whole
+
+
 def test_phase_served_covers_all_lanes_once():
     served = [lane for lanes in PHASE_SERVED for lane in lanes]
     assert sorted(served) == list(range(N_LANES))
@@ -646,6 +667,37 @@ class PerVehicleLanes:
 
 
 @st.composite
+def plans(draw):
+    g_min = draw(st.integers(1, 15))
+    g_max = g_min + draw(st.integers(0, 25))
+    return PhasePlan(
+        greens_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(N_PHASES)),
+        yellow_s=draw(st.integers(1, 6)),
+        g_min_s=g_min,
+        g_max_s=g_max,
+        delta_time_s=draw(st.integers(1, 10)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=plans(), actions=st.lists(st.integers(0, 2), min_size=1, max_size=50))
+# every green at g_max with no decision past g_min: each gap is one green
+# and its yellow, a quarter of the bound
+@example(PhasePlan((40.0,) * N_PHASES, yellow_s=5, g_min_s=40, g_max_s=40, delta_time_s=5),
+         [ACTION_CONTINUE])
+def test_a_decision_point_comes_within_the_longest_cycle(plan, actions):
+    # the bound that SignalControlEnv, PhasePlan.check_horizon and
+    # collect_state_buffer rely on: from the start and after every action,
+    # the next decision point comes less than longest_cycle_s ticks later
+    sim = make_sim(plan=plan)
+    for decision in range(60):
+        start = sim.clock
+        assert run_to_decision(sim, start + plan.longest_cycle_s)
+        assert 0 < sim.clock - start < plan.longest_cycle_s
+        apply_action(sim, actions[decision % len(actions)])
+
+
+@st.composite
 def lane_scenarios(draw):
     layout = IntersectionLayout(
         travel_time_to_stopline_s=draw(st.one_of(
@@ -656,15 +708,7 @@ def lane_scenarios(draw):
         startup_lost_time_s=draw(st.one_of(
             st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0))),
     )
-    g_min = draw(st.integers(1, 15))
-    g_max = g_min + draw(st.integers(0, 25))
-    plan = PhasePlan(
-        greens_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(N_PHASES)),
-        yellow_s=draw(st.integers(1, 6)),
-        g_min_s=g_min,
-        g_max_s=g_max,
-        delta_time_s=draw(st.integers(1, 10)),
-    )
+    plan = draw(plans())
     # one to three segments per lane over a shared span, cut anywhere, at
     # rates from idle to well past the saturation flow
     span = draw(st.floats(20.0, 400.0))
