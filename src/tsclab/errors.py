@@ -36,13 +36,13 @@ def check_finite_fields(section: str, settings) -> None:
             raise ConfigurationError(f"{section}.{f.name} must be finite")
 
 
-def check_whole_seconds(name: str, value: float) -> None:
+def check_whole_seconds(name: str, value: float, least: int = 1) -> None:
     """Raise :class:`ConfigurationError` unless ``value`` is a whole number of
-    seconds, at least 1 s: the simulator's tick.  For a whole number, > 0
-    and >= 1 are the same test."""
-    if not (value >= 1.0 and float(value).is_integer()):
+    seconds, at least ``least``: the simulator ticks once a second.  NaN and
+    the infinities fail too."""
+    if not (value >= least and float(value).is_integer()):
         raise ConfigurationError(
-            f"{name} must be a whole number of seconds, at least 1 s, got {value}")
+            f"{name} must be a whole number of seconds, at least {least} s, got {value}")
 
 
 def allocate(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:

@@ -12,8 +12,8 @@ approaches move together, giving four signal phases served in fixed order:
 Vehicles are generated by per-lane Poisson processes, travel a fixed free-flow
 time to the stopline, and then either join a vertical (point) queue or, if the
 lane has an active green with no queue in front, pass straight through.  A
-green flows once its startup lost time, rounded up to whole seconds, is over;
-a served lane's k-th departure then falls k saturation headways into the flow.
+green flows once its startup lost time is over; a served lane's k-th
+departure then falls k saturation headways into the flow.
 Time advances in one-second ticks; all per-tick work runs in a fixed lane order
 and draws random numbers from a single seeded generator, so a (seed,
 configuration) pair reproduces a run bit for bit.
@@ -24,7 +24,6 @@ arrivals are drawn in blocks that equal one draw per tick value for value.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
@@ -73,8 +72,8 @@ def phase_max(lane_values) -> tuple:
 class IntersectionLayout:
     """Driver-behaviour timings of the intersection, each read by :func:`step`.
 
-    Vehicles entering on tick k reach the stopline on tick ceil(k + travel),
-    and a green flows from its first tick at or past the startup loss."""
+    Travel time and startup loss are whole seconds, 0 allowed: vehicles
+    entering on tick k reach the stopline on tick k + travel."""
 
     travel_time_to_stopline_s: float = 15.0
     saturation_headway_s: float = 2.0
@@ -82,12 +81,10 @@ class IntersectionLayout:
 
     def __post_init__(self) -> None:
         check_finite_fields("sim", self)
-        if self.travel_time_to_stopline_s < 0.0:
-            raise ConfigurationError("travel time to stopline must be non-negative")
+        for name in ("travel_time_to_stopline_s", "startup_lost_time_s"):
+            check_whole_seconds(f"sim.{name}", getattr(self, name), 0)
         if self.saturation_headway_s <= 0.0:
             raise ConfigurationError("saturation headway must be positive")
-        if self.startup_lost_time_s < 0.0:
-            raise ConfigurationError("startup lost time must be non-negative")
 
     @property
     def saturation_flow_veh_h(self) -> float:
@@ -162,9 +159,8 @@ class FlowProfile:
     records), ``""`` where none was given.  For clocks past the span the
     profile repeats (lookup wraps modulo the span), so a short profile can
     drive arbitrarily long runs.  :meth:`build` makes and checks a profile.
-    Tick k reads the row in force at clock k - 1, so a fractional bound b
-    acts as ceil(b); the span is kept exactly, so repeat n's acts as
-    ceil(n * span_s + b).
+    Bounds, and so the span, are whole seconds; tick k reads the row in
+    force at clock k - 1.
     """
 
     starts_s: tuple[float, ...]
@@ -179,8 +175,9 @@ class FlowProfile:
         and optional regimes ``[(start, end, label), ...]``.
 
         Each lane's segments, and the regimes, must tile one common span
-        ``[0, span)``.  At least one lane is required; lanes not named carry
-        zero flow.  The rows start at every start of a lane or a regime.
+        ``[0, span)`` in whole seconds.  At least one lane is required;
+        lanes not named carry zero flow.  The rows start at every start of
+        a lane or a regime.
         """
         if not rates:
             raise ConfigurationError("flow profile needs at least one lane")
@@ -189,10 +186,10 @@ class FlowProfile:
             if lane not in LANE_IDS:
                 raise ConfigurationError(f"unknown lane id {lane!r}")
             for _start, _end, rate in segments:
-                check_non_negative(f"lane {lane} arrival rate", rate)
-            tilings[f"lane {lane}"] = segments
+                check_non_negative(f"flow.{lane} arrival rate", rate)
+            tilings[f"flow.{lane}"] = segments
         if regimes:
-            tilings["regimes"] = regimes
+            tilings["flow.regimes"] = regimes
         span = None
         for name, segments in tilings.items():
             if not segments:
@@ -203,14 +200,13 @@ class FlowProfile:
                     raise ConfigurationError(f"{name} must tile the span without gaps")
                 if end <= start:
                     raise ConfigurationError(f"{name} has an empty segment")
+                check_whole_seconds(f"{name} bound", end)
                 cursor = end
             if span is None:
                 span = cursor
             elif cursor != span:
                 raise ConfigurationError(
                     f"{name} ends at {cursor:g}, not at the span {span:g}")
-        if not math.isfinite(span):
-            raise ConfigurationError(f"flow span must be finite, got {span}")
         starts = sorted({start for segments in tilings.values()
                          for start, _end, _value in segments})
 
@@ -390,7 +386,7 @@ def step(sim: SimState) -> SimState:
 
     arrivals = sim.arrivals = next(sim._arrival_rows, None) or _draw_arrivals(sim)
     if any(arrivals):
-        transit.append((math.ceil(clock + layout.travel_time_to_stopline_s), arrivals))
+        transit.append((clock + layout.travel_time_to_stopline_s, arrivals))
 
     # stopline transfer: vehicles whose free-flow travel is complete either
     # pass straight through (served green, no queue, startup done) or join
@@ -399,10 +395,6 @@ def step(sim: SimState) -> SimState:
     joined = None
     if transit and transit[0][0] <= clock:
         counts = transit.popleft()[1]
-        # runs due on one tick (a travel time below the clock's rounding)
-        # cross as one, so each lane's vehicles cross together and in order
-        while transit and transit[0][0] <= clock:
-            counts = [a + b for a, b in zip(counts, transit.popleft()[1])]
         joined = []
         for i in range(N_LANES):
             n = counts[i]
@@ -415,7 +407,7 @@ def step(sim: SimState) -> SimState:
     # queue discharge: a served lane's k-th departure of the green falls k
     # headways into the green's flowing ticks, this one included
     if green_flowing:
-        flowing = elapsed + 1 - math.ceil(layout.startup_lost_time_s) + DEPARTURE_SLACK_S
+        flowing = elapsed + 1 - layout.startup_lost_time_s + DEPARTURE_SLACK_S
         for i in served:
             while queued[i] and (sim.departed[i] + 1) * layout.saturation_headway_s <= flowing:
                 head = sim.queues[i][0]

@@ -298,8 +298,8 @@ def webster_scenarios(draw):
         flow_window_s=float(draw(st.one_of(st.integers(1, 30), st.integers(1, 1200)))),
         recompute_interval_s=float(draw(st.integers(1, 300))),
     )
-    span = draw(st.floats(50.0, 1500.0))
-    cut = draw(st.floats(1.0, span - 1.0))
+    span = float(draw(st.integers(50, 1500)))
+    cut = float(draw(st.integers(1, int(span) - 1)))
     flows = FlowProfile.build({lane: [(0.0, cut, draw(st.floats(0.0, 2000.0))),
                                       (cut, span, draw(st.floats(0.0, 2000.0)))]
                                for lane in ("N0", "N1", "E0", "S0", "S1", "W0", "W1")})

@@ -204,8 +204,7 @@ def regime_scenarios(draw):
     layout = IntersectionLayout(
         saturation_headway_s=draw(st.one_of(st.sampled_from([1.0, 2.0]),
                                             st.floats(0.6, 4.0))),
-        startup_lost_time_s=draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
-                                           st.floats(0.0, 3.0))),
+        startup_lost_time_s=float(draw(st.integers(0, 3))),
     )
     return (FlowProfile.build(rates, regimes), layout,
             draw(st.sampled_from(("fixed", "webster", "policy"))),
@@ -825,13 +824,13 @@ def test_run_settings_validation():
 
 # SHA-256 of the cycles that `tsclab compare` writes for one Webster column on
 # seed 3 over 3600 s: with the default scenario, and with an oversaturated one
-# that has a fractional travel time, a 1.5 s headway and a flow change off the
-# tick grid.  Any change to the simulator's draws or queue dynamics shows here.
+# that has an 8 s travel time, a 1.5 s headway and a flow change at 901 s, off
+# the cycle grid.  Any change to the simulator's draws or queue dynamics shows here.
 _GOLDEN_HEAVY_CFG = """\
-sim.travel_time_to_stopline_s = 7.5
+sim.travel_time_to_stopline_s = 8
 sim.saturation_headway_s = 1.5
 sim.startup_lost_time_s = 3
-flow.N0 = 0-900.5@700, 900.5-3600@350
+flow.N0 = 0-901@700, 901-3600@350
 flow.E0 = 0-3600@650
 flow.S1 = 0-1800@300, 1800-3600@900
 flow.W1 = 0-3600@250
@@ -1631,6 +1630,25 @@ def test_cli_rejects_non_finite_layout_and_webster_settings(tmp_path, capsys,
     assert main([*_grid_argv(tmp_path, ["webster controller=webster"]),
                  "--config", str(cfg)]) == 1
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert episodes_started == []
+
+
+@pytest.mark.parametrize("text, key", [
+    ("sim.travel_time_to_stopline_s = 7.5", "sim.travel_time_to_stopline_s"),
+    ("sim.startup_lost_time_s = 2.5", "sim.startup_lost_time_s"),
+    ("flow.N0 = 0-100.5@300, 100.5-7200@500", "flow.N0"),
+    ("flow.N0 = 0-7200@300\nflow.regimes = 0-100.5@low, 100.5-7200@high", "flow.regimes"),
+    ("flow.N0 = 0-7200.5@300", "flow.N0"),
+], ids=["travel", "startup", "bound", "regime-bound", "span"])
+def test_cli_rejects_timings_off_the_whole_second(tmp_path, capsys, episodes_started,
+                                                  text, key):
+    # the simulator ticks once a second, so a fractional timing is refused
+    # at load rather than rounded to the tick
+    cfg = write_cfg(tmp_path, f"{text}\n")
+    assert main([*_grid_argv(tmp_path, ["webster controller=webster"]),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "must be a whole number of seconds" in err
     assert episodes_started == []
 
 

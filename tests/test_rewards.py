@@ -5,7 +5,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import uniform_profile
@@ -228,6 +228,10 @@ def test_rewards_are_pure():
        levels=st.lists(st.floats(0.0, 400.0), min_size=2, max_size=60),
        alpha_abs=st.floats(0.0, 1.0), queue_norm=st.floats(1.0, 100.0),
        gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+# at a subnormal level the relative bound underflows to 0.0, below the
+# one-ulp (5e-324) difference that the rounding makes
+@example(kind="queue", levels=[0.0, 2.2250738585e-313], alpha_abs=0.75, queue_norm=1.0,
+         gamma=0.5)
 def test_discounted_reward_sum_equals_its_closed_form(kind, levels, alpha_abs,
                                                        queue_norm, gamma):
     # For levels L_0 .. L_T the discounted sum of reward(spec, L_t, L_{t+1})
@@ -254,6 +258,7 @@ def test_discounted_reward_sum_equals_its_closed_form(kind, levels, alpha_abs,
     closed = (potential * levels[0]
               - level_weight * sum(d * level for d, level in zip(discounts, levels[1:]))
               - potential * discounts[horizon] * levels[horizon])
-    # to rounding: a few ulps per term of the largest discounted level
-    tolerance = 1e-13 * len(levels) * unit * max(levels)
+    # to rounding: a few ulps per term of the largest discounted level, and
+    # at least a few of the smallest ulp per term
+    tolerance = len(levels) * (1e-13 * unit * max(levels) + 4 * math.ulp(0.0))
     assert abs(discounted - closed) <= tolerance

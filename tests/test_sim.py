@@ -1,7 +1,6 @@
 """Simulator unit tests: formula oracles, point-queue dynamics, the phase
 machine, flow profiles, and the module's invariants."""
 
-import math
 from collections import deque
 
 import numpy as np
@@ -172,16 +171,14 @@ def test_green_discharges_every_whole_headway(headway, whole_headways):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(60, 400), st.one_of(st.integers(0, 3), st.floats(0.0, 3.0)),
-       st.integers(1, 40), st.integers(0, 40))
+@given(st.integers(60, 400), st.integers(0, 3), st.integers(1, 40), st.integers(0, 40))
 @example(112, 0, 28, 30)  # 25 x 1.12 s multiply out to 28.000000000000004 s
 def test_departures_after_f_flowing_ticks_are_floor_f_over_h(centis, startup, green_s, queue):
     # the headway is centis / 100 s; until its queue empties, a served lane
     # has let floor(f / h) vehicles go after f flowing ticks, counted in exact
-    # decimal.  A fractional startup loss takes effect from the next whole
-    # second, and the yellow lets none go.
+    # decimal.  The startup loss and the yellow let none go.
     departed = departure_curve(centis / 100, startup, green_s, queue)
-    flowing = [max(0, min(t, green_s) - math.ceil(startup)) for t in range(1, len(departed) + 1)]
+    flowing = [max(0, min(t, green_s) - startup) for t in range(1, len(departed) + 1)]
     assert departed == [min(queue, f * 100 // centis) for f in flowing]
 
 
@@ -519,9 +516,8 @@ def segment_lookup(segments, t_s):
 
 
 def tilings(draw, span, values):
-    cuts = sorted(draw(st.sets(st.floats(0.0, span, exclude_min=True, exclude_max=True),
-                               max_size=4)))
-    bounds = [0.0, *cuts, span]
+    cuts = draw(st.sets(st.integers(0, int(span)).map(float), max_size=4))
+    bounds = sorted({0.0, *cuts, span})
     return [(a, b, draw(values)) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -529,7 +525,7 @@ def tilings(draw, span, values):
 def flow_tables(draw):
     """Lanes cut at their own breakpoints, regimes (or none) cut at theirs,
     and a clock that is often a breakpoint and often past the span."""
-    span = draw(st.one_of(st.integers(1, 3000).map(float), st.floats(0.5, 3000.0)))
+    span = float(draw(st.integers(1, 3000)))
     lanes = sorted(draw(st.sets(st.sampled_from(LANE_IDS), min_size=1)))
     rates = {lane: tilings(draw, span, st.floats(0.0, 4000.0)) for lane in lanes}
     regimes = (tilings(draw, span, st.sampled_from(("low", "medium", "high")))
@@ -567,7 +563,7 @@ def test_misaligned_regimes_leave_arrivals_unchanged(plan):
              for lane, cut, rate in zip(LANE_IDS, (1000.0, 1000.0, 1500.0, 1500.0,
                                                    1000.0, 2000.0, 1500.0, 2000.0),
                                         (60.0, 20.0, 100.0, 30.0, 60.0, 20.0, 100.0, 30.0))}
-    regimes = [(0.0, 700.5, "low"), (700.5, 2222.0, "medium"), (2222.0, span, "high")]
+    regimes = [(0.0, 701.0, "low"), (701.0, 2222.0, "medium"), (2222.0, span, "high")]
     plain, labelled = FlowProfile.build(rates), FlowProfile.build(rates, regimes)
     assert len(labelled.starts_s) > len(plain.starts_s)
     for seed in range(5):
@@ -576,24 +572,21 @@ def test_misaligned_regimes_leave_arrivals_unchanged(plan):
             assert step(sims[0]).arrivals == step(sims[1]).arrivals
 
 
-def test_fractional_flow_bounds_and_travel_times_act_as_whole_seconds(plan):
-    # tick k reads the rates and the regime in force at clock k - 1, so a
-    # bound b inside the span acts as ceil(b); a run entering on tick k
-    # reaches the stopline on tick ceil(k + travel)
-    def run(bound, travel):
-        span = 250.0  # the 100 s cycles start in both regimes
-        rates = {lane: [(0.0, bound, 300.0 + 100.0 * i), (bound, span, 900.0 - 50.0 * i)]
-                 for i, lane in enumerate(LANE_IDS)}
-        flows = FlowProfile.build(rates, [(0.0, bound, "high"), (bound, span, "low")])
-        sim = SimState(IntersectionLayout(travel_time_to_stopline_s=travel), plan, flows, 7)
-        ticks = [(tuple(step(sim).arrivals), tuple(sim.queued)) for _ in range(1000)]
-        tracker = CycleTracker(flows)
-        return ticks, [tracker.feed(entry) for entry in sim.completed_cycles]
-
-    whole = run(101.0, 16.0)
-    assert {record.regime for record in whole[1]} == {"high", "low"}
-    assert run(100.5, 15.2) == whole
-    assert run(100.0, 15.0) != whole
+def test_fractional_flow_bounds_and_timings_are_rejected():
+    # the simulator ticks once a second: a bound, a span, a travel time or a
+    # startup loss off the whole second is refused, not rounded
+    for rates, regimes, key in [
+            ({"N0": [(0.0, 100.5, 300.0), (100.5, 200.0, 500.0)]}, [], "flow.N0"),
+            ({"N0": [(0.0, 200.5, 300.0)]}, [], "flow.N0"),
+            ({"N0": [(0.0, 200.0, 300.0)]}, [(0.0, 100.5, "high"), (100.5, 200.0, "low")],
+             "flow.regimes")]:
+        with pytest.raises(ConfigurationError, match=f"{key} bound must be a whole number"):
+            FlowProfile.build(rates, regimes)
+    for name in ("travel_time_to_stopline_s", "startup_lost_time_s"):
+        with pytest.raises(ConfigurationError, match=f"sim.{name} must be a whole number"):
+            IntersectionLayout(**{name: 2.5})
+    layout = IntersectionLayout(travel_time_to_stopline_s=0.0, startup_lost_time_s=0.0)
+    assert layout.travel_time_to_stopline_s == layout.startup_lost_time_s == 0.0
 
 
 def test_phase_served_covers_all_lanes_once():
@@ -700,21 +693,18 @@ def test_a_decision_point_comes_within_the_longest_cycle(plan, actions):
 @st.composite
 def lane_scenarios(draw):
     layout = IntersectionLayout(
-        travel_time_to_stopline_s=draw(st.one_of(
-            st.sampled_from([0.0, 0.5, 1.0, 7.5, 15.0]),
-            st.floats(0.0, 20.0, allow_nan=False))),
+        travel_time_to_stopline_s=float(draw(st.integers(0, 20))),
         saturation_headway_s=draw(st.one_of(
             st.sampled_from([1.0, 1.5, 2.0, 2.5]), st.floats(0.6, 4.0))),
-        startup_lost_time_s=draw(st.one_of(
-            st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0))),
+        startup_lost_time_s=float(draw(st.integers(0, 3))),
     )
     plan = draw(plans())
-    # one to three segments per lane over a shared span, cut anywhere, at
-    # rates from idle to well past the saturation flow
-    span = draw(st.floats(20.0, 400.0))
+    # one to three segments per lane over a shared span, cut on any whole
+    # second, at rates from idle to well past the saturation flow
+    span = float(draw(st.integers(20, 400)))
     rates = {}
     for lane in LANE_IDS:
-        cuts = sorted(set(draw(st.lists(st.floats(1.0, span - 1.0), max_size=2))))
+        cuts = sorted(set(draw(st.lists(st.integers(1, int(span) - 1).map(float), max_size=2))))
         bounds = [0.0] + cuts + [span]
         rates[lane] = [(a, b, draw(st.floats(0.0, 4000.0)))
                        for a, b in zip(bounds, bounds[1:])]
@@ -725,13 +715,6 @@ def lane_scenarios(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(lane_scenarios())
-# a travel time of one ulp of 1.0 rounds away at clock 2, so the runs that
-# entered on ticks 1 and 2 both reach the stopline on tick 2
-@example((IntersectionLayout(travel_time_to_stopline_s=2.0**-52, saturation_headway_s=1.0,
-                             startup_lost_time_s=0.0),
-          PhasePlan((1.0,) * N_PHASES, yellow_s=1, g_min_s=1, g_max_s=1, delta_time_s=1),
-          uniform_profile([0.0, 0.0, 0.0, 0.0, 1800.0, 1.0, 1.0, 745.0], span_s=20.0),
-          [0], 0))
 def test_counter_lanes_match_per_vehicle_model(scenario):
     layout, plan, flows, actions, seed = scenario
     sim = SimState(layout, plan, flows, seed)
