@@ -83,9 +83,6 @@ class PolicyBundle:
     observation: Observation
     seed: int = 0
 
-    def greedy_action(self, obs: np.ndarray) -> int:
-        return int(np.argmax(self.policy.predict(obs)))
-
     def _header(self) -> tuple[str, np.ndarray]:
         """The tag and normalizer array of this bundle's file; :meth:`load`
         accepts a file only if the bundle it rebuilds gives back both."""

@@ -51,11 +51,10 @@ def epsilon_at(cfg: DqnConfig, step: int) -> float:
 
 
 class ReplayBuffer:
-    """Circular transition store; uniform sampling with replacement."""
+    """Circular transition store of ``capacity`` rows (at least 1, as
+    :class:`DqnConfig` checks); uniform sampling with replacement."""
 
     def __init__(self, capacity: int, obs_dim: int) -> None:
-        if capacity < 1:
-            raise ConfigurationError("replay capacity must be positive")
         self.capacity = capacity
         self.obs = allocate("dqn.replay_capacity", (capacity, obs_dim))
         self.actions = allocate("dqn.replay_capacity", (capacity,), np.int64)

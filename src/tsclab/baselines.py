@@ -92,16 +92,17 @@ WEBSTER_LOG_HEADER = ("clock_s", "y1", "y2", "y3", "y4", "cycle_s",
 class DynamicWebsterController(FixedTimeController):
     """Webster timings recomputed on a fixed interval from recent flows.
 
-    Every ``recompute_interval_s`` it turns the arrival rates of the last
-    ``flow_window_s`` ticks into per-phase flow ratios (max over the phase's
-    lanes, against the lane saturation flow), solves the cycle formula, and
-    installs the resulting greens at the next phase boundary.  The window
-    keeps ``(tick number, arrival row)`` only for ticks with arrivals;
-    rows older than ``flow_window_s`` ticks leave it at a recompute, and
-    the rates divide by the ticks the window covers, min(ticks seen,
-    ``flow_window_s``).  A tick is counted before that tick can recompute,
-    so the window never covers zero ticks when it is read.  The window and
-    the log belong to one episode: build a new controller per episode.
+    On every clock that is a multiple of ``recompute_interval_s`` it turns
+    the arrival rates of the last ``flow_window_s`` ticks into per-phase flow
+    ratios (max over the phase's lanes, against the lane saturation flow),
+    solves the cycle formula, and installs the resulting greens at the next
+    phase boundary.  The window keeps ``(sim.clock, arrival row)`` only for
+    ticks with arrivals; rows older than ``flow_window_s`` ticks leave it at
+    a recompute, and the rates divide by the ticks the window covers,
+    min(clock, ``flow_window_s``).  A tick is filed before that tick can
+    recompute, so the window never covers zero ticks when it is read.  The
+    window and the log belong to one episode, played from clock 0: build a
+    new controller per episode.
     """
 
     def __init__(self, layout: IntersectionLayout, plan: PhasePlan,
@@ -116,33 +117,28 @@ class DynamicWebsterController(FixedTimeController):
         if self.lost_time_s <= 0.0:
             raise ConfigurationError("lost time must be positive")
         self.recompute_log: list[tuple] = []
-        self._window_s = int(settings.flow_window_s)
         self._window: deque = deque()
-        self._ticks = 0
-        self._next_recompute = int(settings.recompute_interval_s)
         self._pending: tuple | None = None
 
-    def _window_rates_veh_h(self) -> np.ndarray:
-        counts = [sum(lane) for lane in zip(*(row for _tick, row in self._window))]
+    def _window_rates_veh_h(self, clock: int) -> np.ndarray:
+        counts = [sum(lane) for lane in zip(*(row for _clock, row in self._window))]
         return (np.array(counts or [0] * N_LANES, dtype=np.int64)
-                * (3600.0 / min(self._ticks, self._window_s)))
+                * (3600.0 / min(clock, self.settings.flow_window_s)))
 
     def _recompute(self, clock: int) -> None:
-        window, oldest = self._window, self._ticks - self._window_s
+        window, oldest = self._window, clock - self.settings.flow_window_s
         while window and window[0][0] <= oldest:
             window.popleft()
-        rates = self._window_rates_veh_h()
+        rates = self._window_rates_veh_h(clock)
         y = phase_max(rates / self.layout.saturation_flow_veh_h)
         cycle_s, self._pending, saturated = webster_timings(self.lost_time_s, y, self.plan)
         self.recompute_log.append((clock, *y, cycle_s, *self._pending, int(saturated)))
 
     def on_tick(self, sim: SimState) -> None:
-        self._ticks += 1
         if any(sim.arrivals):
-            self._window.append((self._ticks, sim.arrivals))
-        if sim.clock >= self._next_recompute:
+            self._window.append((sim.clock, sim.arrivals))
+        if sim.clock % self.settings.recompute_interval_s == 0:
             self._recompute(sim.clock)
-            self._next_recompute += int(self.settings.recompute_interval_s)
         if self._pending is not None and sim.phase_changed:
             install_programmed_greens(sim, self._pending)
             self._pending = None

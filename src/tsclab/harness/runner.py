@@ -31,17 +31,14 @@ class PolicyController:
 
     def __init__(self, bundle: PolicyBundle, sample_seed: int | None = None) -> None:
         self.bundle = bundle
-        self._rng = None
-        if sample_seed is not None:
-            self._rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(int(sample_seed)))
-            )
+        self._rng = (None if sample_seed is None
+                     else np.random.Generator(np.random.PCG64(int(sample_seed))))
 
     def decide(self, sim) -> int:
-        obs = self.bundle.observation.observe(sim)
+        outputs = self.bundle.policy.predict(self.bundle.observation.observe(sim))
         if self._rng is None:
-            return self.bundle.greedy_action(obs)
-        return softmax_sample(self.bundle.policy.predict(obs), self._rng)[0]
+            return int(np.argmax(outputs))
+        return softmax_sample(outputs, self._rng)[0]
 
 
 # How a grid cell builds each controller kind from the run, its column's

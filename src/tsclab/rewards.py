@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, check_finite_fields
-from .sim import N_LANES, SimState
+from .sim import N_APPROACHES, N_LANES, SimState
 
 REWARD_KINDS = ("queue", "delay", "pressure", "speed", "resco_wait")
-
-N_APPROACHES = 4
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import (ConfigurationError, ContractViolation, check_finite_fields,
                      check_non_negative, check_whole_seconds)
 
 LANE_IDS = ("N0", "N1", "E0", "E1", "S0", "S1", "W0", "W1")
-APPROACHES = ("N", "E", "S", "W")
+N_APPROACHES = 4
 N_LANES = 8
 N_PHASES = 4
 
@@ -57,7 +57,7 @@ FREE_FLOW_SPEED_MS = 11.11
 
 
 def approach_max(lane_values) -> tuple:
-    """Each approach's worse lane, in ``APPROACHES`` order: the larger of
+    """Each approach's worse lane, in N, E, S, W order: the larger of
     its two lanes' values (``lane_values`` in ``LANE_IDS`` order)."""
     v = lane_values
     return (max(v[0], v[1]), max(v[2], v[3]), max(v[4], v[5]), max(v[6], v[7]))
@@ -469,7 +469,7 @@ def apply_action(sim: SimState, action: int) -> None:
             sim.programmed_green_s[phase] + sim.plan.delta_time_s, sim.plan.g_max_s)
 
 
-def install_programmed_greens(sim: SimState, greens: Sequence[float]) -> tuple:
+def install_programmed_greens(sim: SimState, greens: Sequence[float]) -> None:
     """Install a new green plan (for example from a Webster recomputation).
 
     Greens are clamped to ``[g_min, g_max]`` and become both the live plan and
@@ -486,4 +486,3 @@ def install_programmed_greens(sim: SimState, greens: Sequence[float]) -> tuple:
     )
     sim.default_green_s = list(clamped)
     sim.programmed_green_s = list(clamped)
-    return clamped

@@ -807,7 +807,7 @@ def test_train_dqn_learns_bandit():
     assert result.bundle.algo == "dqn"
     assert result.bundle.value is None
     for context in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        assert result.bundle.greedy_action(context) == 0
+        assert np.argmax(result.bundle.policy.predict(context)) == 0
 
 
 def test_train_dqn_deterministic():

@@ -278,7 +278,8 @@ class RingBufferWebster(DynamicWebsterController):
         self._ring_pos = 0
         self._ticks_seen = 0
 
-    def _window_rates_veh_h(self):
+    def _window_rates_veh_h(self, clock):
+        # the reference keeps its own tick count and ignores the clock
         filled = min(self._ticks_seen, self._ring.shape[0])
         return self._ring_sum * (3600.0 / filled)
 

@@ -380,6 +380,15 @@ def test_policy_controller_greedy_differs_from_sampled():
     assert greedy != sampled
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**70])
+def test_sampled_playback_starts_in_its_cells_arrival_state(seed):
+    # run_grid seeds a sampled column's actions with the cell's seed, so its
+    # stream starts where the cell's arrivals start (README, "Comparison grid")
+    controller = PolicyController(tiny_bundle(), sample_seed=seed)
+    sim = SimState(LAYOUT, PLAN, uniform_flows(300.0), seed)
+    assert controller._rng.bit_generator.state == sim.rng.bit_generator.state
+
+
 def test_controller_table_builds_each_kind(tmp_path):
     # an unknown kind and a policy without weights are RunSpec's to reject,
     # see test_grid_input_validation

@@ -11,14 +11,8 @@ from hypothesis import strategies as st
 from conftest import uniform_profile
 from tsclab.envs import SignalControlEnv
 from tsclab.errors import ConfigurationError
-from tsclab.rewards import (
-    N_APPROACHES,
-    REWARD_KINDS,
-    RewardSpec,
-    reward,
-    reward_level,
-)
-from tsclab.sim import IntersectionLayout, N_LANES, PhasePlan, SimState
+from tsclab.rewards import REWARD_KINDS, RewardSpec, reward, reward_level
+from tsclab.sim import IntersectionLayout, N_APPROACHES, N_LANES, PhasePlan, SimState
 from tsclab.staterep import ExpandedObservation
 
 queues = st.lists(st.floats(min_value=0.0, max_value=25.0), min_size=4, max_size=4)

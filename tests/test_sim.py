@@ -223,6 +223,7 @@ def test_pass_through_on_green_with_empty_queue():
     assert step_crossings(sim)[0] == 1
     assert sim.queued[0] == 0
     assert not sim.queues[0] and sim.cycle_lane_max[0] == 0  # never queued
+    assert sim.departed[0] == 0  # nor discharged: it passed the stopline
 
 
 def test_unserved_arrival_joins_queue():
@@ -401,8 +402,7 @@ def test_greens_stay_within_bounds_under_random_actions():
 
 def test_install_programmed_greens_clamps_and_installs():
     sim = make_sim()
-    installed = install_programmed_greens(sim, (5.0, 50.0, 15.0, 22.0))
-    assert installed == (10.0, 40.0, 15.0, 22.0)
+    install_programmed_greens(sim, (5.0, 50.0, 15.0, 22.0))
     assert sim.programmed_green_s == [10.0, 40.0, 15.0, 22.0]
     assert sim.default_green_s == [10.0, 40.0, 15.0, 22.0]
 
