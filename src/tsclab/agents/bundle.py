@@ -12,7 +12,7 @@ from ..neural import Mlp
 from ..rewards import REWARD_KINDS
 from ..sim import N_ACTIONS
 from ..staterep import (CYCLE_TIME_MAX_S, GREEN_MAX_S, KPLANES_FEATURES, KPLANES_RESOLUTION,
-                        QUEUE_MAX, LatentObservation, Observation, make_observation)
+                        KPLANES_SEED, QUEUE_MAX, LatentObservation, Observation, make_observation)
 from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, save_arrays
 
 
@@ -87,7 +87,7 @@ class PolicyBundle:
         """The tag and normalizer array of this bundle's file; :meth:`load`
         accepts a file only if the bundle it rebuilds gives back both."""
         obs = self.observation
-        planes = obs.kplanes_seed is not None
+        planes = obs.kind == "kplanes"
         tag = encode_tag(
             algo=self.algo,
             repr=obs.kind,
@@ -96,7 +96,7 @@ class PolicyBundle:
             policy=len(self.policy.parameters()),
             value=len(self.value.parameters()) if self.value is not None else 0,
             encoder=len(obs.encoder.parameters()) if obs.encoder is not None else 0,
-            kseed=obs.kplanes_seed if planes else -1,
+            kseed=KPLANES_SEED if planes else -1,
             kres=KPLANES_RESOLUTION if planes else 0,
             kfeat=KPLANES_FEATURES if planes else 0,
         )
@@ -120,7 +120,7 @@ class PolicyBundle:
         (policy) or one value, raises :class:`ConfigurationError`."""
         blob = load_arrays(path)
         fields = read_fields(path, blob.tag, algo=str, repr=str, reward=str, act=str,
-                             policy=int, value=int, encoder=int, kseed=int)
+                             policy=int, value=int, encoder=int)
         for key, kinds in (("algo", ALGORITHMS), ("reward", REWARD_KINDS)):
             if fields[key] not in kinds:
                 raise ConfigurationError(
@@ -138,7 +138,7 @@ class PolicyBundle:
         if not cycles_max > 0.0:
             raise ConfigurationError(f"{path}: cycles_max must be positive, got {cycles_max}")
         observation = (LatentObservation(mlp_from_arrays(arrays[cut:], "relu"), cycles_max)
-                       if counts[2] else make_observation(kind, cycles_max, fields["kseed"]))
+                       if counts[2] else make_observation(kind, cycles_max))
         bundle = PolicyBundle(fields["algo"], fields["reward"], policy, value, observation,
                               blob.seed)
         tag, norms = bundle._header()

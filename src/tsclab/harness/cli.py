@@ -161,7 +161,7 @@ def cmd_train(args) -> int:
     if args.encoder is not None:
         obs = LatentObservation(load_autoencoder(args.encoder)[0], cycles_max)
     else:
-        obs = make_observation(args.repr or "expanded", cycles_max, run.kplanes_seed)
+        obs = make_observation(args.repr or "expanded", cycles_max)
 
     env = SignalControlEnv(run.layout, run.plan, run.flows, obs, run.reward, args.seed)
     result = train_ppo(env, run.ppo, args.seed)

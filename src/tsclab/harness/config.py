@@ -27,7 +27,6 @@ from ..baselines import WebsterSettings
 from ..errors import ConfigurationError
 from ..rewards import RewardSpec
 from ..sim import LANE_IDS, FlowProfile, IntersectionLayout, PhasePlan
-from ..staterep import DEFAULT_KPLANES_SEED
 from ..agents.dqn import DqnConfig
 from ..agents.ppo import PpoConfig
 
@@ -150,7 +149,6 @@ class RunSettings:
 
     horizon_s: int = 7200
     seeds: tuple = (0, 1, 2, 3, 4)
-    kplanes_seed: int = DEFAULT_KPLANES_SEED
     workers: int = 1
     layout: IntersectionLayout = IntersectionLayout()
     plan: PhasePlan = PhasePlan()
@@ -168,9 +166,6 @@ class RunSettings:
             raise ConfigurationError(f"seeds must be distinct, got {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigurationError(f"seeds must be non-negative, got {self.seeds}")
-        if self.kplanes_seed < 0:
-            raise ConfigurationError(
-                f"kplanes_seed must be non-negative, got {self.kplanes_seed}")
         if self.workers < 1:
             raise ConfigurationError("workers must be positive")
 

@@ -3,7 +3,7 @@
 Five interchangeable signals, one picked per experiment via
 :class:`RewardSpec`: the weighted queue reward (absolute level plus
 reduction), waiting-time difference, negated lane pressure, mean vehicle
-speed, and a clipped negative-total-wait signal (the RESCO reward) used by
+speed, and a floored negative-total-wait signal (the RESCO reward) used by
 the DQN baseline.  All five follow one rule: :func:`reward_level` reads a
 level at every decision point and :func:`reward` scores the transition from
 the levels at its two ends.
@@ -13,35 +13,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, check_finite_fields
+from .errors import ConfigurationError
 from .sim import N_APPROACHES, N_LANES, SimState
+from .staterep import QUEUE_MAX
 
 REWARD_KINDS = ("queue", "delay", "pressure", "speed", "resco_wait")
+# the RESCO reward is the negated summed wait over RESCO_SCALE seconds,
+# floored at RESCO_FLOOR; the wait is never negative, so it needs no ceiling
+RESCO_SCALE = 100.0
+RESCO_FLOOR = -4.0
 
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """Which reward to use and its constants; ``alpha_red`` is 1 - ``alpha_abs``."""
+    """Which reward to use and the queue reward's level weight
+    ``alpha_abs``, in [0, 1]; ``alpha_red`` is 1 - ``alpha_abs``."""
 
     kind: str = "queue"
     alpha_abs: float = 0.4
-    queue_norm: float = 25.0
-    resco_scale: float = 100.0
-    clip_min: float = -4.0
-    clip_max: float = 4.0
 
     def __post_init__(self) -> None:
-        check_finite_fields("reward", self)
         if self.kind not in REWARD_KINDS:
             raise ConfigurationError(
                 f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}"
             )
-        if self.queue_norm <= 0.0:
-            raise ConfigurationError("queue normalizer must be positive")
-        if self.resco_scale <= 0.0:
-            raise ConfigurationError("wait-reward scale must be positive")
-        if self.clip_min >= self.clip_max:
-            raise ConfigurationError("clip bounds must satisfy min < max")
+        if not 0.0 <= self.alpha_abs <= 1.0:
+            raise ConfigurationError(
+                f"reward.alpha_abs must lie in [0, 1], got {self.alpha_abs}")
 
     @property
     def alpha_red(self) -> float:
@@ -73,18 +71,18 @@ def reward_level(sim: SimState, kind: str):
 def reward(spec: RewardSpec, before, after) -> float:
     """Score a decision interval from the :func:`reward_level` at its start
     (``before``) and at its end (``after``).  queue weights the absolute
-    level against its reduction, both over N * queue_norm, so the terms lie
+    level against its reduction, both over N * QUEUE_MAX, so the terms lie
     in [-alpha_abs, 0] and [-alpha_red, +alpha_red] for queues within the
     nominal storage; delay and pressure score the drop in their level
     (negated pressure, outflow minus inflow, is the drop in vehicles in the
     system); speed scores the level reached; resco_wait negates, scales and
-    clips it."""
+    floors it."""
     kind = spec.kind
     if kind == "queue":
-        scale = N_APPROACHES * spec.queue_norm
+        scale = N_APPROACHES * QUEUE_MAX
         return spec.alpha_abs * (-after / scale) + spec.alpha_red * ((before - after) / scale)
     if kind in ("delay", "pressure"):
         return float(before - after)
     if kind == "speed":
         return after
-    return min(max(-after / spec.resco_scale, spec.clip_min), spec.clip_max)
+    return max(-after / RESCO_SCALE, RESCO_FLOOR)

@@ -109,9 +109,10 @@ _CORNER_DV = np.array(((0,), (0,), (1,), (1,)))
 
 
 # every plane is a KPLANES_RESOLUTION x KPLANES_RESOLUTION grid of
-# KPLANES_FEATURES-dimensional feature vectors
+# KPLANES_FEATURES-dimensional feature vectors, drawn from seed KPLANES_SEED
 KPLANES_RESOLUTION = 8
 KPLANES_FEATURES = 16
+KPLANES_SEED = 1234
 
 
 def kplanes_planes(seed: int) -> np.ndarray:
@@ -121,10 +122,8 @@ def kplanes_planes(seed: int) -> np.ndarray:
     pair of its components.  Group sizes (3, 4, 4, 4) give 3 + 6 + 6 + 6 = 21
     planes, stacked as one read-only (21, R, R, F) array filled from a
     uniform(0.5, 1.5) draw seeded by ``seed``; the same seed always draws the
-    same planes, and a negative one raises :class:`ConfigurationError`.
+    same planes.
     """
-    if seed < 0:
-        raise ConfigurationError(f"plane seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     planes = rng.uniform(0.5, 1.5, size=(_PLANE_UV.shape[1], KPLANES_RESOLUTION,
                                          KPLANES_RESOLUTION, KPLANES_FEATURES))
@@ -184,13 +183,11 @@ class Observation:
     """Base of the observation kinds: ``kind`` names one, ``dim`` is its
     length and ``observe(sim)`` computes it.  Besides its kind, an
     observation keeps only what training chose for it, which a policy bundle
-    saves with it: the completed-cycle divisor ``cycles_max``, the
-    ``encoder`` of a latent and the ``kplanes_seed`` of K-Planes.  A kind
-    that uses none of them keeps these defaults."""
+    saves with it: the completed-cycle divisor ``cycles_max`` and the
+    ``encoder`` of a latent.  A kind that uses neither keeps these defaults."""
 
     cycles_max = DEFAULT_CYCLES_MAX
     encoder: Mlp | None = None
-    kplanes_seed: int | None = None
 
 
 class BaselineObservation(Observation):
@@ -234,9 +231,8 @@ class KPlanesObservation(Observation):
     kind = "kplanes"
     dim = KPLANES_DIM
 
-    def __init__(self, seed: int, cycles_max: float = DEFAULT_CYCLES_MAX) -> None:
-        self.planes = kplanes_planes(seed)
-        self.kplanes_seed = seed
+    def __init__(self, cycles_max: float = DEFAULT_CYCLES_MAX) -> None:
+        self.planes = kplanes_planes(KPLANES_SEED)
         self.cycles_max = cycles_max
 
     def observe(self, sim: SimState) -> np.ndarray:
@@ -272,24 +268,20 @@ class DqnObservation(Observation):
 # comes from its encoder, and the DQN baseline's ``dqn40`` is not one
 REPRESENTATION_KINDS = ("baseline", "expanded", "kplanes")
 
-DEFAULT_KPLANES_SEED = 1234
 
-
-def make_observation(kind: str, cycles_max: float = DEFAULT_CYCLES_MAX,
-                     kplanes_seed: int = DEFAULT_KPLANES_SEED) -> Observation:
+def make_observation(kind: str, cycles_max: float = DEFAULT_CYCLES_MAX) -> Observation:
     """Build the observation of an encoder-free kind, ``dqn40`` included; a
     latent is built from its encoder, as :class:`LatentObservation`.
 
     ``cycles_max`` divides the completed-cycle count of the kinds built on
-    the expanded state, and ``kplanes`` draws its planes from
-    ``kplanes_seed``.  The kinds that do not use a value ignore it.
+    the expanded state; the other kinds ignore it.
     """
     if kind == "baseline":
         return BaselineObservation()
     if kind == "expanded":
         return ExpandedObservation(cycles_max)
     if kind == "kplanes":
-        return KPlanesObservation(kplanes_seed, cycles_max)
+        return KPlanesObservation(cycles_max)
     if kind == "dqn40":
         return DqnObservation()
     raise ConfigurationError(

@@ -39,7 +39,7 @@ from tsclab.agents.ppo import (
 from tsclab.envs import SignalControlEnv, run_to_decision
 from tsclab.errors import ConfigurationError, DivergenceError
 from tsclab.harness.runner import run_episode
-from tsclab.neural import Adam, Mlp, log_softmax
+from tsclab.neural import ACTIVATIONS, Adam, Mlp, log_softmax
 from tsclab.rewards import REWARD_KINDS, RewardSpec
 from tsclab.sim import (FREE_FLOW_SPEED_MS, FlowProfile, IntersectionLayout, N_LANES,
                         PHASE_SERVED, PhasePlan, SimState, apply_action, at_decision_point)
@@ -499,6 +499,83 @@ def test_train_ppo_deterministic():
     assert len(a.log) >= 2
 
 
+@st.composite
+def training_scenarios(draw):
+    """A random plan, layout, constant flows, reward kind, observation kind
+    and seed, as a function that builds a fresh environment of them."""
+    g_min = draw(st.integers(1, 20))
+    g_max = draw(st.integers(g_min, 40))
+    greens = tuple(float(draw(st.integers(g_min, g_max))) for _ in range(4))
+    plan = PhasePlan(greens, float(draw(st.integers(1, 5))), float(g_min), float(g_max),
+                     float(draw(st.integers(1, 10))))
+    layout = IntersectionLayout(float(draw(st.integers(0, 20))), draw(st.floats(1.0, 3.0)),
+                                float(draw(st.integers(0, 4))))
+    flows = uniform_profile(draw(st.lists(st.floats(0.0, 1200.0),
+                                          min_size=N_LANES, max_size=N_LANES)))
+    reward_spec = RewardSpec(draw(st.sampled_from(REWARD_KINDS)), draw(st.floats(0.0, 1.0)))
+    obs_kind = draw(st.sampled_from((*REPRESENTATION_KINDS, "dqn40")))
+    cycles_max = float(draw(st.integers(1, 100)))
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    def make_env():
+        return SignalControlEnv(layout, plan, flows, make_observation(obs_kind, cycles_max),
+                                reward_spec, seed)
+    return make_env, seed
+
+
+_HIDDEN_SIZES = st.lists(st.integers(1, 8), min_size=1, max_size=2).map(tuple)
+
+
+def assert_trained_alike(train, make_env, cfg, seed):
+    """Train twice on fresh environments and compare the results bit for
+    bit; repr tells -0.0 from 0.0 and matches NaN, which == does not."""
+    envs = [make_env(), make_env()]
+    first, second = (train(env, cfg, seed=seed) for env in envs)
+    for name in ("policy", "value"):
+        nets = [getattr(result.bundle, name) for result in (first, second)]
+        if nets[0] is not None:
+            assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
+    assert repr(first.log) == repr(second.log)
+    assert repr(envs[0].records) == repr(envs[1].records)
+    assert first.cycle_records is envs[0].records
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenario=training_scenarios(), data=st.data())
+def test_train_ppo_is_bit_reproducible_on_random_settings(scenario, data):
+    make_env, seed = scenario
+    n_steps = data.draw(st.integers(1, 12))
+    cfg = PpoConfig(learning_rate=data.draw(st.floats(0.0, 1e-2)), n_steps=n_steps,
+                    batch_size=data.draw(st.integers(1, n_steps)),
+                    n_epochs=data.draw(st.integers(1, 3)),
+                    gamma=data.draw(st.floats(0.5, 0.99)),
+                    total_timesteps=data.draw(st.integers(0, 600)),
+                    hidden_sizes=data.draw(_HIDDEN_SIZES),
+                    activation=data.draw(st.sampled_from(ACTIVATIONS)))
+    assert_trained_alike(train_ppo, make_env, cfg, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenario=training_scenarios(), data=st.data())
+def test_train_dqn_is_bit_reproducible_on_random_settings(scenario, data):
+    make_env, seed = scenario
+    batch_size = data.draw(st.integers(1, 16))
+    epsilon_end = data.draw(st.floats(0.0, 1.0))
+    cfg = DqnConfig(learning_rate=data.draw(st.floats(0.0, 1e-3)),
+                    replay_capacity=data.draw(st.integers(batch_size, 64)),
+                    batch_size=batch_size,
+                    target_sync_interval=data.draw(st.integers(1, 50)),
+                    epsilon_start=data.draw(st.floats(epsilon_end, 1.0)),
+                    epsilon_end=epsilon_end,
+                    epsilon_decay_steps=data.draw(st.integers(1, 200)),
+                    gamma=data.draw(st.floats(0.5, 0.99)),
+                    total_timesteps=data.draw(st.integers(0, 600)),
+                    hidden_sizes=data.draw(_HIDDEN_SIZES),
+                    activation=data.draw(st.sampled_from(ACTIVATIONS)),
+                    log_interval_steps=data.draw(st.integers(1, 50)))
+    assert_trained_alike(train_dqn, make_env, cfg, seed)
+
+
 class BanditEnv:
     """Two-context bandit where action 0 always pays 1; the optimal policy is
     trivially known, which makes it an oracle for the trainers."""
@@ -852,7 +929,7 @@ def test_bundle_round_trip_every_kind(tmp_path, kind):
     if kind.startswith("ae"):
         obs = LatentObservation(quantized(Mlp([19, 32, int(kind[2:])], "relu", seed=3)), 36.0)
     else:
-        obs = make_observation(kind, 36.0, kplanes_seed=7)
+        obs = make_observation(kind, 36.0)
     bundle = PolicyBundle("ppo", "delay", Mlp([obs.dim, 8, 3], "tanh", seed=1),
                           Mlp([obs.dim, 8, 1], "tanh", seed=2), obs, seed=11)
     path = tmp_path / "policy.tscw"
@@ -861,7 +938,6 @@ def test_bundle_round_trip_every_kind(tmp_path, kind):
     assert (loaded.algo, loaded.reward_kind, loaded.seed) == ("ppo", "delay", 11)
     assert (loaded.observation.kind, loaded.observation.dim) == (kind, obs.dim)
     assert loaded.observation.cycles_max == obs.cycles_max
-    assert loaded.observation.kplanes_seed == obs.kplanes_seed
     for orig, got in zip(bundle.policy.parameters(), loaded.policy.parameters()):
         np.testing.assert_array_equal(got, orig.astype(np.float32))
     again = tmp_path / "again.tscw"
@@ -887,7 +963,6 @@ def test_bundle_round_trip_minimal(tmp_path):
     loaded = PolicyBundle.load(path)
     assert loaded.value is None
     assert loaded.observation.encoder is None
-    assert loaded.observation.kplanes_seed is None
     assert loaded.policy.hidden_activation == "relu"
 
 
@@ -972,7 +1047,7 @@ def header_test_bundle(kind):
     if kind == "ae4":
         obs = LatentObservation(Mlp([19, 8, 4], "relu", seed=3), 36.0)
     else:
-        obs = make_observation(kind, 36.0, kplanes_seed=7)
+        obs = make_observation(kind, 36.0)
     value = None if kind == "dqn40" else Mlp([obs.dim, 4, 1], "tanh", seed=2)
     return PolicyBundle("dqn" if kind == "dqn40" else "ppo", "queue",
                         Mlp([obs.dim, 4, 3], "tanh", seed=1), value, obs, seed=5)
@@ -995,6 +1070,7 @@ LYING_HEADERS = {
     "kres-3": ("kplanes", {"kres": 3}, None),
     "kfeat-8": ("kplanes", {"kfeat": 8}, None),
     "kres-on-expanded": ("expanded", {"kres": 8}, None),
+    "kseed-7": ("kplanes", {"kseed": 7}, None),
     "kseed-negative": ("kplanes", {"kseed": -5}, None),
     "kseed-none-on-kplanes": ("kplanes", {"kseed": -1}, None),
     "kseed-on-expanded": ("expanded", {"kseed": 3}, None),
@@ -1049,7 +1125,8 @@ def test_bundle_load_rejects_negative_counts_in_a_file_without_arrays(tmp_path, 
 
 def test_bundle_load_draws_planes_from_the_seed_alone(tmp_path, monkeypatch):
     # a kres= value is never an array size: the one plane draw load makes
-    # is kplanes_planes' own, of the seed, before the header check rejects it
+    # is kplanes_planes' own, of KPLANES_SEED, before the header check
+    # rejects it
     import tsclab.staterep as staterep
 
     drawn = []
@@ -1065,7 +1142,7 @@ def test_bundle_load_draws_planes_from_the_seed_alone(tmp_path, monkeypatch):
     rewrite_weight_file(path, path, kres=100_000, kfeat=100_000)
     with pytest.raises(ConfigurationError, match="header does not describe"):
         PolicyBundle.load(path)
-    assert drawn == [7, 7]
+    assert drawn == [staterep.KPLANES_SEED] * 2
 
 
 @pytest.mark.parametrize("fields", [

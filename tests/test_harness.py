@@ -1202,19 +1202,6 @@ def test_cli_train_takes_the_reward_kind_from_config(tmp_path, capsys):
     assert "reward=delay" in capsys.readouterr().out
 
 
-def test_cli_dqn_takes_the_reward_constants_from_config(tmp_path, capsys):
-    def mean_rewards(name, extra):
-        cfg = str(write_cfg(tmp_path, _TINY_TRAINING_CFG + extra, f"{name}.cfg"))
-        assert main(["dqn", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-        with (tmp_path / name / "training_log.csv").open(newline="") as fh:
-            return [float(row["mean_reward"]) for row in csv.DictReader(fh)]
-
-    default = mean_rewards("default", "")
-    scaled = mean_rewards("scaled", "reward.resco_scale = 10\n")
-    assert scaled != default
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("kind, code", [("delay", 1), ("queue", 1), ("resco_wait", 0)])
 def test_cli_dqn_accepts_only_the_resco_wait_reward(tmp_path, capsys, monkeypatch,
                                                       kind, code):
@@ -1356,7 +1343,7 @@ def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
     ([25.0, 40.0, 180.0, float("inf")], {}, "array 0 holds a non-finite value"),
     ([30.0, 40.0, 180.0, 72.0], {}, "header does not describe"),
     (None, {"kres": 3}, "header does not describe"),
-    (None, {"kseed": -5}, "plane seed must be non-negative"),
+    (None, {"kseed": -5}, "header does not describe"),
     (None, {"algo": "xyz"}, "unknown algo 'xyz'"),
     (None, {"reward": "bogus"}, "unknown reward 'bogus'"),
 ], ids=["cycles-max-nan", "cycles-max-inf", "queue-max-30", "kres-3", "kseed-negative",
@@ -1539,6 +1526,10 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
          "webster.recompute_interval_s must be a whole number of seconds, at least 1 s"),
         ("dqn", "dqn.hidden_sizes = 8,,8", "bad value for dqn.hidden_sizes"),
         ("dqn", "dqn.activation = gelu", "unknown activation 'gelu'"),
+        # alpha_abs and 1 - alpha_abs weigh the queue reward's two terms
+        ("train", "reward.alpha_abs = -3", "reward.alpha_abs must lie in [0, 1]"),
+        ("train", "reward.alpha_abs = 1.5", "reward.alpha_abs must lie in [0, 1]"),
+        ("dqn", "reward.alpha_abs = -0.1", "reward.alpha_abs must lie in [0, 1]"),
     ):
         cfg = write_cfg(tmp_path, line + "\n")
         assert main([command, "--config", str(cfg), "--timesteps", "300", *out]) == 1
@@ -1547,10 +1538,13 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
 
 
 @pytest.mark.parametrize("key", ["sim.lane_storage_capacity", "sim.free_flow_speed_ms",
-                                 "reward.alpha_red"])
+                                 "reward.alpha_red", "reward.queue_norm",
+                                 "reward.resco_scale", "reward.clip_min", "reward.clip_max",
+                                 "run.kplanes_seed"])
 def test_cli_rejects_a_key_the_run_would_not_read(tmp_path, capsys, episodes_started, key):
-    # the simulator has no storage limit or speed to set, and the queue
-    # reward's reduction weight is 1 - reward.alpha_abs
+    # the simulator has no storage limit or speed to set, the queue
+    # reward's reduction weight is 1 - reward.alpha_abs, and its normalizer,
+    # RESCO's scale and floor and the K-Planes seed are constants
     cfg = write_cfg(tmp_path, f"{key} = 0.6\n")
     assert main([*_grid_argv(tmp_path, ["fixed controller=fixed"]), "--config", str(cfg)]) == 1
     assert f"unknown key {key!r}" in capsys.readouterr().err
@@ -1753,11 +1747,10 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
         cfg = write_cfg(tmp_path, f"dqn.learning_rate = {bad}\n")
         assert main(["dqn", "--config", str(cfg), "--timesteps", "0",
                      "--out", str(tmp_path / "x")]) == 1
-    for key in ("reward.queue_norm", "reward.alpha_abs", "reward.clip_max"):
-        cfg = write_cfg(tmp_path, f"{key} = nan\n")
-        assert main(["train", "--config", str(cfg), "--timesteps", "0",
-                     "--out", str(tmp_path / "x")]) == 1
-    cfg = write_cfg(tmp_path, "reward.resco_scale = inf\n")
+    cfg = write_cfg(tmp_path, "reward.alpha_abs = nan\n")
+    assert main(["train", "--config", str(cfg), "--timesteps", "0",
+                 "--out", str(tmp_path / "x")]) == 1
+    cfg = write_cfg(tmp_path, "reward.alpha_abs = inf\n")
     assert main(["dqn", "--config", str(cfg), "--timesteps", "0",
                  "--out", str(tmp_path / "x")]) == 1
     # a budget or buffer too large to count or to hold
@@ -1777,9 +1770,6 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
         assert main([*command, "--seed", "-1", "--out", str(negative)]) == 1
     fixed = write_cfg(tmp_path, "fixed controller=fixed\n", "fixed.txt")
     assert main(["compare", "--grid", str(fixed), "--seeds=-1,2", "--horizon", "200",
-                 "--out", str(negative)]) == 1
-    cfg = write_cfg(tmp_path, "run.kplanes_seed = -1\n")
-    assert main(["train", "--repr", "kplanes", "--config", str(cfg), "--timesteps", "0",
                  "--out", str(negative)]) == 1
     assert not negative.exists()
     # an --out that cannot be a directory is refused before the job runs
@@ -1826,7 +1816,7 @@ def test_readme_config_table_names_every_key():
     documented = {f"{group}.{key}" for group, cells in rows if group != "flow"
                   for key in re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cells))}
     assert documented == set(config._SCHEMA)
-    assert len(documented) == 45
+    assert len(documented) == 40
     assert {group for group, _ in rows} == set(config.SECTIONS) | {"flow"}
 
 

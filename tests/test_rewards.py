@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from conftest import uniform_profile
 from tsclab.envs import SignalControlEnv
 from tsclab.errors import ConfigurationError
-from tsclab.rewards import REWARD_KINDS, RewardSpec, reward, reward_level
+from tsclab.rewards import RESCO_FLOOR, REWARD_KINDS, RewardSpec, reward, reward_level
 from tsclab.sim import IntersectionLayout, N_APPROACHES, N_LANES, PhasePlan, SimState
-from tsclab.staterep import ExpandedObservation
+from tsclab.staterep import QUEUE_MAX, ExpandedObservation
 
 queues = st.lists(st.floats(min_value=0.0, max_value=25.0), min_size=4, max_size=4)
 
@@ -32,11 +32,12 @@ def queue_reward(q_t: Sequence[float], q_prev: Sequence[float],
     """Weighted combination of absolute queue penalty and queue reduction.
 
     ``q_t`` and ``q_prev`` are the per-approach max queues at this and the
-    previous decision point.  Both terms share the normalizer N * queue_norm
-    so the absolute term lives in [-alpha_abs, 0] and the reduction term in
-    [-alpha_red, +alpha_red] for queues within the nominal storage.
+    previous decision point.  Both terms share the normalizer N * 25, the
+    nominal storage of the four approaches, so the absolute term lives in
+    [-alpha_abs, 0] and the reduction term in [-alpha_red, +alpha_red] for
+    queues within it.
     """
-    scale = N_APPROACHES * spec.queue_norm
+    scale = N_APPROACHES * 25.0
     total_now = float(sum(q_t))
     reduction = float(sum(q_prev)) - total_now
     return spec.alpha_abs * (-total_now / scale) + spec.alpha_red * (reduction / scale)
@@ -57,12 +58,12 @@ def speed_reward(sum_speeds_ms: float, vehicle_count: int) -> float:
     return sum_speeds_ms / vehicle_count
 
 
-def resco_wait_reward(total_wait_s: float, spec: RewardSpec = RewardSpec(kind="resco_wait")) -> float:
-    """Scaled, clipped negative total waiting time."""
+def resco_wait_reward(total_wait_s: float) -> float:
+    """Negative total waiting time over 100 s, clipped to [-4, 4]."""
     if not math.isfinite(total_wait_s):
         raise ConfigurationError("total wait must be finite")
-    raw = -total_wait_s / spec.resco_scale
-    return min(max(raw, spec.clip_min), spec.clip_max)
+    raw = -total_wait_s / 100.0
+    return min(max(raw, -4.0), 4.0)
 
 
 def kept_levels(sim) -> tuple:
@@ -92,7 +93,7 @@ def oracle_reward(sim, spec: RewardSpec, kept_before: tuple) -> float:
             count += approaching + queued
         return speed_reward(total_speed, count)
     total_wait = sum(sim.lane_wait_s(lane) for lane in range(N_LANES))
-    return resco_wait_reward(total_wait, spec)
+    return resco_wait_reward(total_wait)
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,9 +152,9 @@ def test_queue_reward_monotonicity(q_t, q_prev, j, bump):
 
 
 def test_queue_reward_respects_custom_spec():
-    spec = RewardSpec(kind="queue", alpha_abs=0.5, queue_norm=10.0)
-    # scale 40: r = 0.5*(-20/40) + 0.5*(4/40)
-    assert reward(spec, 24.0, 20.0) == pytest.approx(-0.2)
+    spec = RewardSpec(kind="queue", alpha_abs=0.5)
+    # scale 100: r = 0.5*(-20/100) + 0.5*(4/100)
+    assert reward(spec, 24.0, 20.0) == pytest.approx(-0.08)
 
 
 def test_delay_reward():
@@ -181,27 +182,31 @@ def test_resco_wait_reward():
     assert reward(resco, 0, 150) == pytest.approx(-1.5)
 
 
-def test_resco_wait_reward_custom_clip():
-    spec = RewardSpec(kind="resco_wait", resco_scale=50.0, clip_min=-2.0,
-                      clip_max=2.0)
-    assert reward(spec, 0, 300) == -2.0
-    assert reward(spec, 0, 25) == pytest.approx(-0.5)
+@settings(max_examples=40, deadline=None)
+@given(rates=st.lists(st.floats(0.0, 1500.0), min_size=N_LANES, max_size=N_LANES),
+       seed=st.integers(0, 2**32 - 1),
+       actions=st.lists(st.integers(0, 2), min_size=1, max_size=80))
+def test_resco_wait_reward_never_reaches_above_zero(rates, seed, actions):
+    # the summed wait, clock x queued - join ticks, is never negative, so
+    # the reward lies in [RESCO_FLOOR, 0] and needs no ceiling
+    spec = RewardSpec(kind="resco_wait")
+    env = SignalControlEnv(IntersectionLayout(), PhasePlan(), uniform_profile(rates),
+                           ExpandedObservation(), spec, seed)
+    env.reset()
+    for action in actions:
+        r = env.step(action)[1]
+        assert reward_level(env.sim, "resco_wait") >= 0
+        assert RESCO_FLOOR <= r <= 0.0
 
 
 def test_reward_spec_validation():
     with pytest.raises(ConfigurationError):
         RewardSpec(kind="nonsense")
-    with pytest.raises(ConfigurationError):
-        RewardSpec(queue_norm=0.0)
-    with pytest.raises(ConfigurationError):
-        RewardSpec(clip_min=4.0, clip_max=-4.0)
-    with pytest.raises(ConfigurationError):
-        RewardSpec(resco_scale=-1.0)
-    # every ordering check passes on NaN, so each constant is checked finite first
-    for name in ("alpha_abs", "queue_norm", "resco_scale", "clip_min", "clip_max"):
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ConfigurationError, match=f"reward.{name} must be finite"):
-                RewardSpec(**{name: bad})
+    # alpha_abs and 1 - alpha_abs are the weights of the queue reward's two
+    # terms; the range check also refuses NaN and the infinities
+    for bad in (-3.0, -1e-9, 1.0 + 1e-9, 1.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigurationError, match=r"reward.alpha_abs must lie in \[0, 1\]"):
+            RewardSpec(alpha_abs=bad)
     assert set(REWARD_KINDS) == {"queue", "delay", "pressure", "speed",
                                  "resco_wait"}
     # the reduction's weight is the rest of 1, not a setting of its own
@@ -220,21 +225,19 @@ def test_rewards_are_pure():
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(("queue", "delay", "pressure")),
        levels=st.lists(st.floats(0.0, 400.0), min_size=2, max_size=60),
-       alpha_abs=st.floats(0.0, 1.0), queue_norm=st.floats(1.0, 100.0),
+       alpha_abs=st.floats(0.0, 1.0),
        gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 # at a subnormal level the relative bound underflows to 0.0, below the
 # one-ulp (5e-324) difference that the rounding makes
-@example(kind="queue", levels=[0.0, 2.2250738585e-313], alpha_abs=0.75, queue_norm=1.0,
-         gamma=0.5)
-def test_discounted_reward_sum_equals_its_closed_form(kind, levels, alpha_abs,
-                                                       queue_norm, gamma):
+@example(kind="queue", levels=[0.0, 2.2250738585e-313], alpha_abs=0.75, gamma=0.5)
+def test_discounted_reward_sum_equals_its_closed_form(kind, levels, alpha_abs, gamma):
     # For levels L_0 .. L_T the discounted sum of reward(spec, L_t, L_{t+1})
     # is  a L_0 - w sum_{t<T} gamma^t L_{t+1} - a gamma^T L_T:  a start term
     # and an end term in the level (a potential), and the discounted level
     # at weight w.  queue: a = alpha_red / s and w = (alpha_abs + alpha_red
-    # (1 - gamma)) / s with s = N * queue_norm; delay and pressure: a = 1 and
-    # w = 1 - gamma.
-    spec = RewardSpec(kind=kind, alpha_abs=alpha_abs, queue_norm=queue_norm)
+    # (1 - gamma)) / s with s = N * QUEUE_MAX = 100; delay and pressure: a = 1
+    # and w = 1 - gamma.
+    spec = RewardSpec(kind=kind, alpha_abs=alpha_abs)
     if kind == "pressure":  # vehicles in the system: a count
         levels = [round(level) for level in levels]
     horizon = len(levels) - 1
@@ -243,7 +246,7 @@ def test_discounted_reward_sum_equals_its_closed_form(kind, levels, alpha_abs,
     discounted = sum(d * r for d, r in zip(discounts, rewards))
 
     # every level enters a reward at a weight of at most `unit`
-    unit = 1.0 / (N_APPROACHES * spec.queue_norm) if kind == "queue" else 1.0
+    unit = 1.0 / (N_APPROACHES * QUEUE_MAX) if kind == "queue" else 1.0
     if kind == "queue":
         potential = spec.alpha_red * unit
         level_weight = (spec.alpha_abs + spec.alpha_red * (1.0 - gamma)) * unit

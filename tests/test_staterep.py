@@ -30,6 +30,7 @@ from tsclab.staterep import (
     KPLANES_DIM,
     KPLANES_FEATURES,
     KPLANES_RESOLUTION,
+    KPLANES_SEED,
     QUEUE_MAX,
     LatentObservation,
     REPRESENTATION_KINDS,
@@ -233,7 +234,10 @@ def test_kplanes_params_frozen_and_reproducible():
         planes[0][0, 0, 0] = 2.0
     np.testing.assert_array_equal(planes, kplanes_planes(9))
     assert not np.array_equal(planes, kplanes_planes(10))
-    with pytest.raises(ConfigurationError):
+    # the observation's planes are the representation's, of KPLANES_SEED
+    np.testing.assert_array_equal(make_observation("kplanes").planes,
+                                  kplanes_planes(KPLANES_SEED))
+    with pytest.raises(ValueError):  # PCG64's own check
         kplanes_planes(-1)
 
 
@@ -410,8 +414,6 @@ def test_make_observation_latent():
 def test_make_observation_errors():
     with pytest.raises(ConfigurationError):
         make_observation("onehot")
-    with pytest.raises(ConfigurationError):
-        make_observation("kplanes", kplanes_seed=-1)
     assert REPRESENTATION_KINDS == ("baseline", "expanded", "kplanes")
 
 
