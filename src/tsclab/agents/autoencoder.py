@@ -8,8 +8,6 @@ being trained on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..envs import run_to_decision
@@ -23,18 +21,6 @@ from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, sav
 
 _HIDDEN = 32
 _MINIBATCH = 128
-
-
-@dataclass
-class AeResult:
-    """A trained encoder/decoder pair and its reconstruction error over the
-    whole training buffer, measured before the first epoch (``initial_mse``)
-    and after the last (``final_mse``; the same value when ``epochs = 0``)."""
-
-    encoder: Mlp
-    decoder: Mlp
-    initial_mse: float
-    final_mse: float
 
 
 def reconstruction_mse(encoder: Mlp, decoder: Mlp, states: np.ndarray) -> float:
@@ -77,11 +63,12 @@ def untrained_autoencoder(k: int, seed: int = 0) -> tuple[Mlp, Mlp, np.random.Ge
 
 
 def train_autoencoder(states: np.ndarray, untrained: tuple, epochs: int = 40,
-                      lr: float = 1e-3) -> AeResult:
+                      lr: float = 1e-3) -> tuple[float, float]:
     """Minimize mean squared reconstruction error with minibatch updates,
     training :func:`untrained_autoencoder`'s networks in place.
 
-    ``epochs = 0`` returns the untrained pair with its buffer MSE.
+    Returns the reconstruction error over the whole buffer before the first
+    epoch and after the last (the same value when ``epochs = 0``).
     """
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != EXPANDED_DIM or x.shape[0] < 1:
@@ -108,9 +95,7 @@ def train_autoencoder(states: np.ndarray, untrained: tuple, epochs: int = 40,
             _, dz = decoder.backward(err)
             encoder.backward(dz, input_grad=False)
             opt.step(grads)
-    final_mse = reconstruction_mse(encoder, decoder, x) if epochs else initial_mse
-    return AeResult(encoder=encoder, decoder=decoder,
-                    initial_mse=initial_mse, final_mse=final_mse)
+    return initial_mse, reconstruction_mse(encoder, decoder, x) if epochs else initial_mse
 
 
 def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
@@ -129,7 +114,7 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
     states = allocate("the state buffer", (n_states, EXPANDED_DIM))
     ss = np.random.SeedSequence(seed)
     filled = 0
-    while filled < n_states:
+    while True:
         s_scale, s_sim = ss.spawn(2)
         scale_rng = np.random.Generator(np.random.PCG64(s_scale))
         factors = scale_rng.uniform(0.5, 1.5, size=N_LANES)
@@ -140,7 +125,6 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
             if filled >= n_states:
                 return states
             apply_action(sim, ACTION_CONTINUE)
-    return states
 
 
 def _header(encoder: Mlp, decoder: Mlp) -> str:
@@ -151,9 +135,9 @@ def _header(encoder: Mlp, decoder: Mlp) -> str:
                       decoder=len(decoder.parameters()), act=encoder.hidden_activation)
 
 
-def save_autoencoder(result: AeResult, path, seed: int = 0) -> None:
-    save_arrays(path, result.encoder.parameters() + result.decoder.parameters(),
-                tag=_header(result.encoder, result.decoder), seed=seed)
+def save_autoencoder(encoder: Mlp, decoder: Mlp, path, seed: int = 0) -> None:
+    save_arrays(path, encoder.parameters() + decoder.parameters(),
+                tag=_header(encoder, decoder), seed=seed)
 
 
 def load_autoencoder(path) -> tuple[Mlp, Mlp]:

@@ -59,12 +59,11 @@ def check_budget(total_timesteps: int) -> None:
 
 @dataclass
 class TrainResult:
-    """What a trainer returns: the trained bundle, its log rows, and the
-    training environment's ``records``, every cycle it completed, in order."""
+    """What a trainer returns: the trained bundle and its log rows.  The
+    cycles it completed are the training environment's ``records``."""
 
     bundle: PolicyBundle
     log: list
-    cycle_records: list
 
 
 # the trainers a bundle can come from: ``algo`` in its weight file's header

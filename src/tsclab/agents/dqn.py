@@ -8,6 +8,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, allocate, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers
+from ..sim import N_ACTIONS
 from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget, window_log_row
 
 
@@ -55,7 +56,6 @@ class ReplayBuffer:
     :class:`DqnConfig` checks); uniform sampling with replacement."""
 
     def __init__(self, capacity: int, obs_dim: int) -> None:
-        self.capacity = capacity
         self.obs = allocate("dqn.replay_capacity", (capacity, obs_dim))
         self.actions = allocate("dqn.replay_capacity", (capacity,), np.int64)
         self.rewards = allocate("dqn.replay_capacity", (capacity,))
@@ -72,8 +72,8 @@ class ReplayBuffer:
         self.actions[p] = action
         self.rewards[p] = reward
         self.next_obs[p] = next_obs
-        self._pos = (p + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        self._pos = (p + 1) % len(self.obs)
+        self._size = min(self._size + 1, len(self.obs))
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         idx = rng.integers(0, self._size, size=batch_size)
@@ -84,22 +84,21 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
     """Replay + target-network Q-learning over the environment's actions.
 
     The environment speaks :func:`~tsclab.agents.ppo.train_ppo`'s protocol:
-    ``obs_dim``, ``n_actions``, ``clock_s``, ``reset``, ``step`` and
-    ``records``, plus the ``observation`` and ``reward_spec.kind`` that go
-    into the returned bundle.  The task is continuing, so targets always
-    bootstrap from the target network (no terminal masking).  Updates start
-    once the replay holds one batch; earlier steps only explore.
-    Deterministic for a fixed (seed, config) pair.
+    ``observation``, ``reward_spec``, ``clock_s``, ``reset``, ``step`` and
+    ``records``.  The task is continuing, so targets always bootstrap from
+    the target network (no terminal masking).  Updates start once the replay
+    holds one batch; earlier steps only explore.  Deterministic for a fixed
+    (seed, config) pair.
     """
     ss = np.random.SeedSequence(seed)
     s_net, s_explore, s_sample = ss.spawn(3)
-    q_net = Mlp([env.obs_dim, *cfg.hidden_sizes, env.n_actions],
-                cfg.activation, seed=s_net)
+    obs_dim = env.observation.dim
+    q_net = Mlp([obs_dim, *cfg.hidden_sizes, N_ACTIONS], cfg.activation, seed=s_net)
     target_net = Mlp(q_net.layer_sizes, cfg.activation)
     opt = Adam(q_net.flat, cfg.learning_rate)
     explore_rng = np.random.Generator(np.random.PCG64(s_explore))
     sample_rng = np.random.Generator(np.random.PCG64(s_sample))
-    replay = ReplayBuffer(cfg.replay_capacity, env.obs_dim)
+    replay = ReplayBuffer(cfg.replay_capacity, obs_dim)
 
     log: list[TrainLogRow] = []
     window_rewards: list = []
@@ -113,7 +112,7 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
             target_net.flat[...] = q_net.flat
         eps = epsilon_at(cfg, step_count)
         if explore_rng.random() < eps:
-            action = int(explore_rng.integers(env.n_actions))
+            action = int(explore_rng.integers(N_ACTIONS))
         else:
             action = int(np.argmax(q_net.predict(obs)))
         next_obs, reward = env.step(action)
@@ -146,4 +145,4 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
 
     bundle = PolicyBundle("dqn", env.reward_spec.kind, q_net, None,
                           env.observation, seed)
-    return TrainResult(bundle, log, env.records)
+    return TrainResult(bundle, log)

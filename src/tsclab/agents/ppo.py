@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, allocate, check_non_negative
 from ..neural import Adam, Mlp, check_hidden_layers, log_softmax, softmax_sample
+from ..sim import N_ACTIONS
 from .bundle import PolicyBundle, TrainLogRow, TrainResult, check_budget, window_log_row
 
 
@@ -175,26 +176,27 @@ def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
 def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
     """Train a policy on ``env``, which training resets once.
 
-    The environment must expose ``obs_dim``, ``n_actions``, ``clock_s``,
-    ``reset() -> obs``, ``step(a) -> (obs, reward)`` and ``records``, the
-    cycle records completed since ``reset``, which the result returns; the
-    budget counts simulated seconds via ``clock_s``.  Its ``observation`` and
-    ``reward_spec.kind`` go into the returned bundle.  All randomness (network
-    init, action sampling, minibatch shuffling) derives from ``seed``, so a
-    (seed, config) pair reproduces the run bit for bit.
+    The environment must expose ``observation``, ``reward_spec``,
+    ``clock_s``, ``reset() -> obs``, ``step(a) -> (obs, reward)`` and
+    ``records``, the cycle records completed since ``reset``; the budget
+    counts simulated seconds via ``clock_s``.  ``observation.dim`` sizes the
+    networks' input, and ``observation`` and ``reward_spec.kind`` go into
+    the returned bundle.  All randomness (network init, action sampling,
+    minibatch shuffling) derives from ``seed``, so a (seed, config) pair
+    reproduces the run bit for bit.
     """
     ss = np.random.SeedSequence(seed)
     s_policy, s_value, s_act, s_shuffle = ss.spawn(4)
-    policy = Mlp([env.obs_dim, *cfg.hidden_sizes, env.n_actions],
-                 cfg.activation, seed=s_policy)
-    value_net = Mlp([env.obs_dim, *cfg.hidden_sizes, 1], cfg.activation, seed=s_value)
+    obs_dim = env.observation.dim
+    policy = Mlp([obs_dim, *cfg.hidden_sizes, N_ACTIONS], cfg.activation, seed=s_policy)
+    value_net = Mlp([obs_dim, *cfg.hidden_sizes, 1], cfg.activation, seed=s_value)
     act_rng = np.random.Generator(np.random.PCG64(s_act))
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
     opt_policy = Adam(policy.flat, cfg.learning_rate)
     opt_value = Adam(value_net.flat, cfg.learning_rate)
 
     n_steps = cfg.n_steps
-    rollout_obs = allocate("ppo.n_steps", (n_steps, env.obs_dim))
+    rollout_obs = allocate("ppo.n_steps", (n_steps, obs_dim))
     actions = allocate("ppo.n_steps", (n_steps,), np.int64)
     log_probs = allocate("ppo.n_steps", (n_steps,))
     rewards = allocate("ppo.n_steps", (n_steps,))
@@ -241,4 +243,4 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
 
     bundle = PolicyBundle("ppo", env.reward_spec.kind, policy, value_net,
                           env.observation, seed)
-    return TrainResult(bundle, log, env.records)
+    return TrainResult(bundle, log)

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ContractViolation
 from .harness.metrics import CycleTracker
 from .rewards import RewardSpec, reward, reward_level
-from .sim import (FlowProfile, IntersectionLayout, N_ACTIONS, PhasePlan, SimState,
-                  apply_action, at_decision_point, step)
+from .sim import (FlowProfile, IntersectionLayout, PhasePlan, SimState, apply_action,
+                  at_decision_point, step)
 
 
 def run_to_decision(sim: SimState, until_s: int, on_tick=None) -> bool:
@@ -60,8 +60,6 @@ class SignalControlEnv:
         self.observation = observation
         self.reward_spec = reward_spec
         self.seed = seed
-        self.obs_dim = observation.dim
-        self.n_actions = N_ACTIONS
         self.sim: SimState | None = None
 
     @property

@@ -143,14 +143,14 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _write_training_outputs(out: Path, result, weights_name: str) -> Path:
-    """Save a trainer's bundle, training log and training cycles into
-    ``out``; return the bundle's path."""
+def _write_training_outputs(out: Path, result, records, weights_name: str) -> Path:
+    """Save a trainer's bundle and training log, and the training env's
+    cycle ``records``, into ``out``; return the bundle's path."""
     out.mkdir(parents=True, exist_ok=True)
     result.bundle.save(out / weights_name)
     write_csv(out / "training_log.csv", TRAINING_LOG_HEADER,
               ((i, *astuple(row)) for i, row in enumerate(result.log)))
-    write_cycles_csv(out / "cycles_train.csv", result.cycle_records)
+    write_cycles_csv(out / "cycles_train.csv", records)
     return out / weights_name
 
 
@@ -165,7 +165,7 @@ def cmd_train(args) -> int:
 
     env = SignalControlEnv(run.layout, run.plan, run.flows, obs, run.reward, args.seed)
     result = train_ppo(env, run.ppo, args.seed)
-    weights = _write_training_outputs(out, result, "policy.tscw")
+    weights = _write_training_outputs(out, result, env.records, "policy.tscw")
     final_q = next((row.mean_q_cycle for row in reversed(result.log)
                     if row.mean_q_cycle is not None), None)
     q_text = "n/a" if final_q is None else f"{final_q:.2f}"
@@ -185,11 +185,12 @@ def cmd_pretrain_ae(args) -> int:
     untrained = untrained_autoencoder(args.latent, args.seed)
     buffer = collect_state_buffer(args.buffer_steps, run.flows, seed=args.seed,
                                   layout=run.layout, plan=run.plan, horizon_s=run.horizon_s)
-    result = train_autoencoder(buffer, untrained, epochs=args.epochs, lr=args.lr)
+    initial_mse, final_mse = train_autoencoder(buffer, untrained, epochs=args.epochs,
+                                               lr=args.lr)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_autoencoder(result, out_path, seed=args.seed)
+    save_autoencoder(*untrained[:2], out_path, seed=args.seed)
     print(f"autoencoder latent={args.latent}: reconstruction mse "
-          f"{result.initial_mse:.4f} -> {result.final_mse:.4f} "
+          f"{initial_mse:.4f} -> {final_mse:.4f} "
           f"over {args.epochs} epochs ({buffer.shape[0]} states)")
     print(f"wrote {out_path}")
     return 0
@@ -205,7 +206,7 @@ def cmd_dqn(args) -> int:
     env = SignalControlEnv(run.layout, run.plan, run.flows, DqnObservation(), run.reward,
                            args.seed)
     result = train_dqn(env, run.dqn, args.seed)
-    weights = _write_training_outputs(out, result, "dqn.tscw")
+    weights = _write_training_outputs(out, result, env.records, "dqn.tscw")
     print(f"trained dqn seed={args.seed} ({len(result.log)} log points)")
     print(f"wrote {weights}")
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .sim import N_APPROACHES, N_LANES, SimState
+from .sim import FREE_FLOW_SPEED_MS, N_APPROACHES, N_LANES, SimState, sum_in_order
 from .staterep import QUEUE_MAX
 
 REWARD_KINDS = ("queue", "delay", "pressure", "speed", "resco_wait")
@@ -57,13 +57,11 @@ def reward_level(sim: SimState, kind: str):
     if kind == "delay":
         return sum(sim.lane_wait_s(lane) for lane in range(N_LANES)) / N_LANES
     if kind == "pressure":
-        return sum(sim.queued) + sum(sum(counts) for _tick, counts in sim.transit)
+        return sum(sim.queued) + sum(sim.approaching())
     if kind == "speed":
-        total_speed, count = 0.0, 0
-        for lane in range(N_LANES):
-            approaching, queued, _wait, speeds = sim.lane_observables(lane)
-            total_speed += speeds
-            count += approaching + queued
+        approaching = sim.approaching()
+        count = sum(approaching) + sum(sim.queued)
+        total_speed = sum_in_order(a * FREE_FLOW_SPEED_MS for a in approaching)
         return total_speed / count if count else 0.0
     return sum(sim.lane_wait_s(lane) for lane in range(N_LANES))
 

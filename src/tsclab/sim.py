@@ -104,11 +104,12 @@ def sum_in_order(values) -> float:
 class PhasePlan:
     """Signal timing plan: per-phase green defaults and shared intervals.
 
-    The signal runs on the simulator's one-second tick, so ``yellow_s``,
-    ``g_min_s``, ``g_max_s`` and ``delta_time_s`` must be whole seconds, at
-    least 1 s.  Programmed greens may be fractional (Webster installs
-    fractional greens): a green ends on the first whole second at or past
-    its programmed value.
+    The signal runs on the simulator's one-second tick, so ``greens_s``,
+    ``yellow_s``, ``g_min_s``, ``g_max_s`` and ``delta_time_s`` must be whole
+    seconds, at least 1 s.  Greens installed on a running simulation may be
+    fractional (Webster installs fractional greens, see
+    :func:`install_programmed_greens`): such a green ends on the first whole
+    second at or past its programmed value.
     """
 
     greens_s: tuple[float, float, float, float] = (20.0, 20.0, 20.0, 20.0)
@@ -125,6 +126,7 @@ class PhasePlan:
         if self.g_min_s > self.g_max_s:
             raise ConfigurationError("g_min must not exceed g_max")
         for g in self.greens_s:
+            check_whole_seconds("plan.greens_s", g)
             if not (self.g_min_s <= g <= self.g_max_s):
                 raise ConfigurationError(
                     f"programmed green {g} outside [{self.g_min_s}, {self.g_max_s}]"
@@ -294,8 +296,6 @@ class SimState:
         self.queued = [0] * N_LANES
         self.join_ticks = [0] * N_LANES
         self.departed = [0] * N_LANES
-        self._rates_veh_s = np.zeros(N_LANES, dtype=np.float64)
-        self._rates_valid_until = 0
         self._arrival_rows = iter(())
         self.arrivals = [0] * N_LANES
         self.phase_changed = False
@@ -314,30 +314,22 @@ class SimState:
         """Summed waiting time of vehicles currently queued in a lane."""
         return self.clock * self.queued[lane] - self.join_ticks[lane]
 
-    def lane_observables(self, lane: int) -> tuple[int, int, int, float]:
-        """(approaching count, queue length, total wait s, summed speeds m/s)."""
-        approaching = sum(counts[lane] for _tick, counts in self.transit)
-        return (
-            approaching,
-            self.queued[lane],
-            self.lane_wait_s(lane),
-            approaching * FREE_FLOW_SPEED_MS,
-        )
+    def approaching(self) -> list[int]:
+        """Per-lane count of vehicles in transit to the stopline."""
+        return [sum(counts[lane] for _tick, counts in self.transit)
+                for lane in range(N_LANES)]
 
 
 def _draw_arrivals(sim: SimState) -> list:
     """Draw the next block of per-tick arrival counts and return its first row.
 
-    Rates are piecewise constant and cached until their row of the flow
-    table ends; a block covers at most the ticks left in that row, so its
-    rows equal, value for value, one draw per tick.
+    Each block reads its rates from the flow table and covers at most the
+    ticks left in that row, so its rows equal, value for value, one draw
+    per tick.
     """
-    if sim.clock > sim._rates_valid_until:
-        rates, valid = sim.flows.rates_and_horizon(sim.clock - 1)
-        sim._rates_veh_s = rates
-        sim._rates_valid_until = sim.clock + int(valid) - 1
-    ticks = min(max(sim._rates_valid_until - sim.clock + 1, 1), ARRIVAL_BLOCK_TICKS)
-    sim._arrival_rows = iter(sim.rng.poisson(sim._rates_veh_s, size=(ticks, N_LANES)).tolist())
+    rates, valid = sim.flows.rates_and_horizon(sim.clock - 1)
+    ticks = min(int(valid), ARRIVAL_BLOCK_TICKS)
+    sim._arrival_rows = iter(sim.rng.poisson(rates, size=(ticks, N_LANES)).tolist())
     return next(sim._arrival_rows)
 
 
@@ -472,10 +464,11 @@ def apply_action(sim: SimState, action: int) -> None:
 def install_programmed_greens(sim: SimState, greens: Sequence[float]) -> None:
     """Install a new green plan (for example from a Webster recomputation).
 
-    Greens are clamped to ``[g_min, g_max]`` and become both the live plan and
-    the per-cycle default.  Only legal early in a phase (before the controller
-    could have acted), so an installation can never cut a green below the
-    minimum retroactively.
+    Greens are clamped to ``[g_min, g_max]``, may be fractional (a green ends
+    on the first whole second at or past it), and become both the live plan
+    and the per-cycle default.  Only legal early in a phase (before the
+    controller could have acted), so an installation can never cut a green
+    below the minimum retroactively.
     """
     if len(greens) != N_PHASES:
         raise ConfigurationError("need one green per phase")

@@ -243,7 +243,9 @@ class DqnObservation(Observation):
     """Per-lane feature rows for the DQN baseline, flattened to 40 values.
 
     Each lane contributes (served-by-active-green flag, approaching count,
-    queue length, total wait, summed speeds).  The counts divide by
+    queue length, total wait, summed speeds).  An approaching vehicle moves
+    at the free-flow speed and a queued one stands, so the summed speeds are
+    the approaching count times that speed.  The counts divide by
     ``QUEUE_MAX``, the wait by 600 s and the speeds by ``QUEUE_MAX`` times
     the free-flow speed, so magnitudes stay near [0, 1]."""
 
@@ -253,14 +255,13 @@ class DqnObservation(Observation):
     def observe(self, sim: SimState) -> np.ndarray:
         out = np.zeros(self.dim, dtype=np.float64)
         served = () if sim.in_yellow else PHASE_SERVED[sim.current_phase]
-        for lane in range(N_LANES):
-            approaching, queued, wait_s, speeds = sim.lane_observables(lane)
+        for lane, approaching in enumerate(sim.approaching()):
             base = 5 * lane
             out[base] = 1.0 if lane in served else 0.0
             out[base + 1] = approaching / QUEUE_MAX
-            out[base + 2] = queued / QUEUE_MAX
-            out[base + 3] = wait_s / 600.0
-            out[base + 4] = speeds / (QUEUE_MAX * FREE_FLOW_SPEED_MS)
+            out[base + 2] = sim.queued[lane] / QUEUE_MAX
+            out[base + 3] = sim.lane_wait_s(lane) / 600.0
+            out[base + 4] = approaching * FREE_FLOW_SPEED_MS / (QUEUE_MAX * FREE_FLOW_SPEED_MS)
         return out
 
 

@@ -217,7 +217,7 @@ def step_crossings(sim) -> list[int]:
     approaching vehicles before the tick, plus its arrivals, minus its
     queued and approaching vehicles after it."""
     def held():
-        return [sim.queued[i] + sim.lane_observables(i)[0] for i in range(N_LANES)]
+        return [q + a for q, a in zip(sim.queued, sim.approaching())]
 
     before = held()
     step(sim)

@@ -192,7 +192,7 @@ def test_c3_training_is_bit_reproducible():
     envs = [SignalControlEnv(LAYOUT, PLAN, flows, obs, RewardSpec(), 0) for _ in range(2)]
     first, second = (train_ppo(env, cfg, seed=0) for env in envs)
     same_log = first.log == second.log
-    same_records = first.cycle_records == second.cycle_records
+    same_records = envs[0].records == envs[1].records
     same_weights = (
         np.array_equal(first.bundle.policy.flat, second.bundle.policy.flat)
         and np.array_equal(first.bundle.value.flat, second.bundle.value.flat)
@@ -202,7 +202,7 @@ def test_c3_training_is_bit_reproducible():
     record_criterion(
         "C3 bit-identical repeated training",
         passed,
-        f"{len(first.log)} rollouts, {len(first.cycle_records)} cycles, "
+        f"{len(first.log)} rollouts, {len(envs[0].records)} cycles, "
         f"log={same_log} records={same_records} weights={same_weights}, "
         f"{elapsed:.1f}s",
     )
@@ -360,10 +360,9 @@ def test_c5_latent_capacity_orders_reconstruction():
     for seed in range(5):
         finals = {}
         for k in (4, 8, 19):
-            res = train_autoencoder(buffer, untrained_autoencoder(k, seed=seed),
-                                    epochs=40, lr=1e-3)
-            finals[k] = res.final_mse
-            if res.final_mse > 0.5 * res.initial_mse:
+            initial_mse, finals[k] = train_autoencoder(
+                buffer, untrained_autoencoder(k, seed=seed), epochs=40, lr=1e-3)
+            if finals[k] > 0.5 * initial_mse:
                 all_halved = False
         ordered = finals[19] <= finals[8] <= finals[4]
         wins += ordered

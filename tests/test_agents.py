@@ -361,7 +361,7 @@ def driver_scenarios(draw):
     g_min = draw(st.integers(1, 20))
     g_max = g_min + draw(st.integers(0, 40))
     plan = PhasePlan(
-        greens_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(4)),
+        greens_s=tuple(float(draw(st.integers(g_min, g_max))) for _ in range(4)),
         yellow_s=draw(st.integers(1, 8)),
         g_min_s=g_min,
         g_max_s=g_max,
@@ -474,9 +474,10 @@ def traffic_env(seed):
 
 
 def test_train_ppo_zero_budget_returns_untrained_bundle():
-    result = train_ppo(traffic_env(1), PpoConfig(total_timesteps=0), seed=1)
+    env = traffic_env(1)
+    result = train_ppo(env, PpoConfig(total_timesteps=0), seed=1)
     assert result.log == []
-    assert result.cycle_records == []
+    assert env.records == []
     assert result.bundle.algo == "ppo"
     assert result.bundle.observation.kind == "expanded"
     assert result.bundle.reward_kind == "queue"
@@ -488,14 +489,12 @@ def test_train_ppo_deterministic():
     cfg = PpoConfig(learning_rate=1e-3, n_steps=30, batch_size=15, n_epochs=2,
                     total_timesteps=400)
 
-    def run():
-        return train_ppo(traffic_env(7), cfg, seed=7)
-
-    a, b = run(), run()
+    envs = [traffic_env(7), traffic_env(7)]
+    a, b = (train_ppo(env, cfg, seed=7) for env in envs)
     np.testing.assert_array_equal(a.bundle.policy.flat, b.bundle.policy.flat)
     np.testing.assert_array_equal(a.bundle.value.flat, b.bundle.value.flat)
     assert a.log == b.log
-    assert a.cycle_records == b.cycle_records
+    assert envs[0].records == envs[1].records
     assert len(a.log) >= 2
 
 
@@ -537,7 +536,6 @@ def assert_trained_alike(train, make_env, cfg, seed):
             assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
     assert repr(first.log) == repr(second.log)
     assert repr(envs[0].records) == repr(envs[1].records)
-    assert first.cycle_records is envs[0].records
 
 
 @settings(max_examples=15, deadline=None)
@@ -580,10 +578,9 @@ class BanditEnv:
     """Two-context bandit where action 0 always pays 1; the optimal policy is
     trivially known, which makes it an oracle for the trainers."""
 
-    obs_dim = 2
-    n_actions = 3
-    # the contexts come from no simulator, so a bundle has no observation
-    observation = None
+    # the contexts come from no simulator: the observation gives only their
+    # length, and the trainers give it three actions, N_ACTIONS
+    observation = SimpleNamespace(dim=2)
     reward_spec = SimpleNamespace(kind="bandit")
 
     def __init__(self, seed):
@@ -630,20 +627,24 @@ def constant_buffer(n=256):
 
 def test_autoencoder_fits_constant_buffer():
     states = constant_buffer()
-    result = train_autoencoder(states, untrained_autoencoder(8, seed=0), epochs=150, lr=1e-2)
-    assert result.final_mse < 1e-6
-    assert result.initial_mse > result.final_mse
-    recon = reconstruction_mse(result.encoder, result.decoder, states)
-    assert recon == result.final_mse
+    encoder, decoder, shuffle_rng = untrained_autoencoder(8, seed=0)
+    initial_mse, final_mse = train_autoencoder(states, (encoder, decoder, shuffle_rng),
+                                               epochs=150, lr=1e-2)
+    assert final_mse < 1e-6
+    assert initial_mse > final_mse
+    # the pair trained in place
+    assert reconstruction_mse(encoder, decoder, states) == final_mse
 
 
 def test_autoencoder_zero_epochs_reports_initial_mse():
     states = constant_buffer(32)
-    result = train_autoencoder(states, untrained_autoencoder(4, seed=1), epochs=0)
-    assert result.final_mse == result.initial_mse
-    assert result.initial_mse == reconstruction_mse(result.encoder, result.decoder, states)
-    assert result.encoder.layer_sizes == (19, 32, 4)
-    assert result.decoder.layer_sizes == (4, 32, 19)
+    encoder, decoder, shuffle_rng = untrained_autoencoder(4, seed=1)
+    initial_mse, final_mse = train_autoencoder(states, (encoder, decoder, shuffle_rng),
+                                               epochs=0)
+    assert final_mse == initial_mse
+    assert initial_mse == reconstruction_mse(encoder, decoder, states)
+    assert encoder.layer_sizes == (19, 32, 4)
+    assert decoder.layer_sizes == (4, 32, 19)
 
 
 def one_shot_mse(encoder, decoder, states):
@@ -717,13 +718,13 @@ def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=1
 def test_autoencoder_matches_per_epoch_reference(k, epochs):
     # 300 rows in minibatches of 128: the last minibatch of each epoch holds 44
     states = np.random.Generator(np.random.PCG64(7)).uniform(0.0, 1.0, size=(300, 19))
-    result = train_autoencoder(states, untrained_autoencoder(k, seed=5), epochs=epochs, lr=1e-2)
+    untrained = untrained_autoencoder(k, seed=5)
+    mses = train_autoencoder(states, untrained, epochs=epochs, lr=1e-2)
     encoder, decoder, history = reference_train_autoencoder(states, k, epochs,
                                                             lr=1e-2, seed=5)
-    assert result.encoder.flat.tobytes() == encoder.flat.tobytes()
-    assert result.decoder.flat.tobytes() == decoder.flat.tobytes()
-    assert result.initial_mse == history[0]
-    assert result.final_mse == history[-1]
+    assert untrained[0].flat.tobytes() == encoder.flat.tobytes()
+    assert untrained[1].flat.tobytes() == decoder.flat.tobytes()
+    assert mses == (history[0], history[-1])
 
 
 def test_autoencoder_validation():
@@ -745,13 +746,13 @@ def test_autoencoder_validation():
 
 
 def test_autoencoder_save_load_round_trip(tmp_path):
-    result = train_autoencoder(constant_buffer(16), untrained_autoencoder(8, seed=3), epochs=0)
+    saved, saved_decoder, _ = untrained_autoencoder(8, seed=3)
     path = tmp_path / "ae.bin"
-    save_autoencoder(result, path, seed=3)
+    save_autoencoder(saved, saved_decoder, path, seed=3)
     encoder, decoder = load_autoencoder(path)
     assert encoder.layer_sizes == (19, 32, 8)
     assert decoder.layer_sizes == (8, 32, 19)
-    for orig, loaded in zip(result.encoder.parameters(), encoder.parameters()):
+    for orig, loaded in zip(saved.parameters(), encoder.parameters()):
         np.testing.assert_array_equal(loaded, orig.astype(np.float32))
 
 
@@ -772,9 +773,9 @@ def test_weight_files_with_a_non_finite_value_fail_to_load(tmp_path, value):
     bundle.save(path)
     with pytest.raises(ConfigurationError, match="array 4 holds a non-finite value"):
         PolicyBundle.load(path)
-    result = train_autoencoder(constant_buffer(8), untrained_autoencoder(4), epochs=0)
-    result.decoder.weights[0][3, 1] = value
-    save_autoencoder(result, path)
+    encoder, decoder, _ = untrained_autoencoder(4)
+    decoder.weights[0][3, 1] = value
+    save_autoencoder(encoder, decoder, path)
     with pytest.raises(ConfigurationError, match="array 4 holds a non-finite value"):
         load_autoencoder(path)
 
@@ -915,11 +916,12 @@ def reference_dqn_observation(sim):
     out = np.zeros(5 * N_LANES)
     green = not sim.in_yellow
     for lane in range(N_LANES):
-        approaching, queued, wait_s, speeds = sim.lane_observables(lane)
+        approaching = sum(counts[lane] for _tick, counts in sim.transit)
+        speeds = approaching * FREE_FLOW_SPEED_MS
         out[5 * lane:5 * lane + 5] = (
             1.0 if (green and lane in PHASE_SERVED[sim.current_phase]) else 0.0,
-            approaching / count_scale, queued / count_scale, wait_s / 600.0,
-            speeds / speed_scale)
+            approaching / count_scale, sim.queued[lane] / count_scale,
+            sim.lane_wait_s(lane) / 600.0, speeds / speed_scale)
     return out
 
 
@@ -967,9 +969,8 @@ def test_bundle_round_trip_minimal(tmp_path):
 
 
 def test_bundle_load_rejects_other_files(tmp_path):
-    result = train_autoencoder(constant_buffer(8), untrained_autoencoder(4), epochs=0)
     path = tmp_path / "ae.bin"
-    save_autoencoder(result, path)
+    save_autoencoder(*untrained_autoencoder(4)[:2], path)
     with pytest.raises(ConfigurationError):
         PolicyBundle.load(path)
 
@@ -1015,8 +1016,7 @@ def test_weight_file_format_errors_are_configuration_errors(tmp_path):
     with pytest.raises(ConfigurationError):
         mlp_from_arrays([np.ones((4, 19)), np.ones(4)], "sigmoid")
     ae = tmp_path / "ae.tscw"
-    save_autoencoder(train_autoencoder(constant_buffer(8), untrained_autoencoder(4), epochs=0),
-                     ae)
+    save_autoencoder(*untrained_autoencoder(4)[:2], ae)
     ae_blob = ae.read_bytes()
     ae.write_bytes(ae_blob.replace(b"encoder=4", b"encoder=x"))
     assert ae.read_bytes() != ae_blob
@@ -1152,8 +1152,7 @@ def test_bundle_load_draws_planes_from_the_seed_alone(tmp_path, monkeypatch):
         "kind", "encoder-missing", "act-tanh"])
 def test_load_autoencoder_rejects_a_header_saving_would_not_write(tmp_path, fields):
     path = tmp_path / "ae8.tscw"
-    save_autoencoder(train_autoencoder(constant_buffer(8), untrained_autoencoder(8), epochs=0),
-                     path)
+    save_autoencoder(*untrained_autoencoder(8)[:2], path)
     encoder, decoder = load_autoencoder(path)
     assert (encoder.layer_sizes, decoder.layer_sizes) == ((19, 32, 8), (8, 32, 19))
     rewrite_weight_file(path, path, **fields)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_queue_metric, rate_veh_h, rewrite_weight_file, uniform_profile
-from tsclab.agents.autoencoder import AeResult, save_autoencoder
+from tsclab.agents.autoencoder import save_autoencoder
 from tsclab.agents.bundle import TRAINING_LOG_HEADER, PolicyBundle, TrainLogRow, TrainResult
 from tsclab.agents.dqn import DqnConfig
 from tsclab.baselines import (WEBSTER_LOG_HEADER, DynamicWebsterController,
@@ -659,7 +659,7 @@ def test_training_log_csv(tmp_path):
         TrainLogRow(sim_time_s=400.0, mean_reward=-0.125,
                     mean_q_cycle=12.5, policy_entropy=1.0, value_loss=0.25),
     ]
-    _write_training_outputs(tmp_path, TrainResult(tiny_bundle(), rows, []), "policy.tscw")
+    _write_training_outputs(tmp_path, TrainResult(tiny_bundle(), rows), [], "policy.tscw")
     with (tmp_path / "training_log.csv").open(newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert list(parsed[0]) == list(TRAINING_LOG_HEADER)
@@ -1331,8 +1331,8 @@ def test_cli_train_rejects_an_encoder_of_another_state_before_simulating(
 
     monkeypatch.setattr(envs, "SimState", counting)
     encoder = tmp_path / "ae8.tscw"
-    save_autoencoder(AeResult(Mlp([20, 32, 8], "relu", seed=0),
-                              Mlp([8, 32, 20], "relu", seed=1), 0.0, 0.0), encoder)
+    save_autoencoder(Mlp([20, 32, 8], "relu", seed=0), Mlp([8, 32, 20], "relu", seed=1),
+                     encoder)
     assert main(["train", "--encoder", str(encoder), "--out", str(tmp_path / "x")]) == 1
     assert "encoder takes 20 inputs" in capsys.readouterr().err
     assert started == []
@@ -1362,8 +1362,7 @@ def test_cli_compare_rejects_a_bundle_whose_header_lies(tmp_path, capsys, episod
 
 
 def _ae8_file(path):
-    save_autoencoder(AeResult(Mlp([19, 32, 8], "relu", seed=0),
-                              Mlp([8, 32, 19], "relu", seed=1), 0.0, 0.0), path)
+    save_autoencoder(Mlp([19, 32, 8], "relu", seed=0), Mlp([8, 32, 19], "relu", seed=1), path)
     return path
 
 
@@ -1522,6 +1521,8 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
         ("train", "ppo.activation = sigmoid", "unknown activation 'sigmoid'"),
         ("train", "plan.greens_s = 20,20,20,20,", "bad value for plan.greens_s"),
         ("train", "plan.yellow_s = 0", "plan.yellow_s must be a whole number of seconds"),
+        ("train", "plan.greens_s = 20.5,20,20,20",
+         "plan.greens_s must be a whole number of seconds"),
         ("train", "webster.recompute_interval_s = -5",
          "webster.recompute_interval_s must be a whole number of seconds, at least 1 s"),
         ("dqn", "dqn.hidden_sizes = 8,,8", "bad value for dqn.hidden_sizes"),
@@ -1707,7 +1708,8 @@ def test_cli_exit_codes(tmp_path, capsys, episodes_started):
                                                   "webster.txt")), "--seeds", "0"]
     bad_cfg = write_cfg(tmp_path, "nope = 1\n")
     assert main([*fixed_run, "--config", str(bad_cfg), "--horizon", "200"]) == 1
-    for off_grid in ("plan.g_min_s = 10.5\n", "plan.yellow_s = 4.6\n"):
+    for off_grid in ("plan.g_min_s = 10.5\n", "plan.yellow_s = 4.6\n",
+                     "plan.greens_s = 20.5,20,20,20\n"):
         assert main([*fixed_run, "--config", str(write_cfg(tmp_path, off_grid))]) == 1
     for window in ("0.5", "900.7"):  # webster counts arrivals per whole second
         cfg = write_cfg(tmp_path, f"webster.flow_window_s = {window}\n")

@@ -12,7 +12,8 @@ from conftest import uniform_profile
 from tsclab.envs import SignalControlEnv
 from tsclab.errors import ConfigurationError
 from tsclab.rewards import RESCO_FLOOR, REWARD_KINDS, RewardSpec, reward, reward_level
-from tsclab.sim import IntersectionLayout, N_APPROACHES, N_LANES, PhasePlan, SimState
+from tsclab.sim import (FREE_FLOW_SPEED_MS, IntersectionLayout, N_APPROACHES, N_LANES,
+                        PhasePlan, SimState)
 from tsclab.staterep import QUEUE_MAX, ExpandedObservation
 
 queues = st.lists(st.floats(min_value=0.0, max_value=25.0), min_size=4, max_size=4)
@@ -85,12 +86,13 @@ def oracle_reward(sim, spec: RewardSpec, kept_before: tuple) -> float:
     if spec.kind == "pressure":
         return float(in_system_before - in_system)
     if spec.kind == "speed":
+        # an approaching vehicle moves at free flow, a queued one stands
         total_speed = 0.0
         count = 0
         for lane in range(N_LANES):
-            approaching, queued, _wait, speeds = sim.lane_observables(lane)
-            total_speed += speeds
-            count += approaching + queued
+            approaching = sum(counts[lane] for _tick, counts in sim.transit)
+            total_speed += approaching * FREE_FLOW_SPEED_MS
+            count += approaching + sim.queued[lane]
         return speed_reward(total_speed, count)
     total_wait = sum(sim.lane_wait_s(lane) for lane in range(N_LANES))
     return resco_wait_reward(total_wait)

@@ -80,6 +80,7 @@ def test_plan_validation():
     ("g_max_s", 39.9),
     ("delta_time_s", 2.5),
     ("yellow_s", float("inf")),
+    ("greens_s", (20.5, 20.0, 20.0, 20.0)),  # would run as 21 s
 ])
 def test_plan_timings_must_be_whole_seconds(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -88,7 +89,9 @@ def test_plan_timings_must_be_whole_seconds(field, value):
 
 def test_cycle_length_sums_the_greens_left_to_right(monkeypatch):
     # these greens sum to other bits under a compensated sum, as builtin sum
-    # takes floats from Python 3.12 on; the cycle length must not depend on it
+    # takes floats from Python 3.12 on; the cycle length must not depend on
+    # it.  A plan's greens are whole seconds, so the fractional ones are
+    # installed, as Webster installs its greens
     import tsclab.sim
     import tsclab.staterep
     from tsclab.staterep import baseline_state
@@ -98,13 +101,14 @@ def test_cycle_length_sums_the_greens_left_to_right(monkeypatch):
     assert compensated_sum(greens) != in_order
     for module in (tsclab.sim, tsclab.staterep):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
-    plan = PhasePlan(greens_s=greens)
-    assert plan.default_cycle_s == in_order + N_PHASES * plan.yellow_s
-    assert baseline_state(make_sim(plan=plan))[0] == plan.default_cycle_s
+    sim = make_sim()
+    install_programmed_greens(sim, greens)
+    assert baseline_state(sim)[0] == in_order + N_PHASES * sim.plan.yellow_s
 
 
 def test_fractional_programmed_green_ends_on_next_whole_second():
-    sim = make_sim(plan=PhasePlan(greens_s=(12.5, 20.0, 20.0, 20.0)))
+    sim = make_sim()
+    install_programmed_greens(sim, (12.5, 20.0, 20.0, 20.0))
     while not sim.in_yellow:
         step(sim)
     assert sim.phase_elapsed_s == 13
@@ -266,13 +270,14 @@ def test_approach_queues_empty():
     assert make_sim().approach_queues() == (0, 0, 0, 0)
 
 
-def test_lane_observables_speed_convention():
+def test_approaching_counts_each_lanes_vehicles_in_transit():
     sim = make_sim()
     force_queue(sim, 0, 3)
     force_transit(sim, 0, 2, stopline_tick=10**9)
-    approaching, queued, _wait, speeds = sim.lane_observables(0)
-    assert (approaching, queued) == (2, 3)
-    assert speeds == pytest.approx(2 * 11.11)
+    force_transit(sim, 5, 4, stopline_tick=10**9)
+    force_transit(sim, 0, 1, stopline_tick=10**9 + 1)
+    assert sim.approaching() == [3, 0, 0, 0, 0, 4, 0, 0]
+    assert sim.queued[0] == 3
 
 
 def test_lane_wait_accumulates():
@@ -282,9 +287,10 @@ def test_lane_wait_accumulates():
     assert sim.lane_wait_s(0) == 10
 
 
-def test_empty_lane_observables_are_zero():
+def test_empty_lanes_read_zero():
     sim = make_sim()
-    assert sim.lane_observables(0) == (0, 0, 0, 0.0)
+    assert sim.approaching() == [0] * N_LANES
+    assert [sim.lane_wait_s(i) for i in range(N_LANES)] == [0] * N_LANES
 
 
 # -- phase machine -------------------------------------------------------------
@@ -664,7 +670,7 @@ def plans(draw):
     g_min = draw(st.integers(1, 15))
     g_max = g_min + draw(st.integers(0, 25))
     return PhasePlan(
-        greens_s=tuple(draw(st.floats(g_min, g_max)) for _ in range(N_PHASES)),
+        greens_s=tuple(float(draw(st.integers(g_min, g_max))) for _ in range(N_PHASES)),
         yellow_s=draw(st.integers(1, 6)),
         g_min_s=g_min,
         g_max_s=g_max,
@@ -715,6 +721,13 @@ def lane_scenarios(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(lane_scenarios())
+# one row longer than an arrival block, and a run past the span: the row's
+# second block reads the same rates for the ticks the first left, and the
+# wrapped run reads the first row again
+@example((IntersectionLayout(), PhasePlan(),
+          FlowProfile.build({lane: [(0.0, 300.0, rate), (300.0, 400.0, 2 * rate)]
+                             for lane, rate in zip(LANE_IDS, range(300, 1100, 100))}),
+          [ACTION_CONTINUE], 11))
 def test_counter_lanes_match_per_vehicle_model(scenario):
     layout, plan, flows, actions, seed = scenario
     sim = SimState(layout, plan, flows, seed)
@@ -737,14 +750,14 @@ def test_counter_lanes_match_per_vehicle_model(scenario):
         assert tuple(sim.arrivals) == arrivals
         assert tuple(crossed) == discharges
         assert tuple(sim.queued) == tuple(len(q) for q in ref.queue)
+        approaching = sim.approaching()
         for i in range(N_LANES):
             entered[i] += arrivals[i]
             waits = sum(sim.clock - join for join, _vid in ref.queue[i])
             assert sim.lane_wait_s(i) == waits
-            assert sim.lane_observables(i)[:3] == (len(ref.transit[i]), len(ref.queue[i]),
-                                                   waits)
+            assert approaching[i] == len(ref.transit[i])
             assert entered[i] == (ref.passed[i] + ref.discharged[i]
-                                  + sim.queued[i] + sim.lane_observables(i)[0])
+                                  + sim.queued[i] + approaching[i])
         # Q_cycle: each completed cycle's lane maxima, and the running maxima
         # of the cycle in progress, replayed from the reference's tick log
         ref_queues.append(tuple(len(q) for q in ref.queue))
