@@ -21,6 +21,8 @@ from ..weights import encode_tag, load_arrays, mlp_from_arrays, read_fields, sav
 
 _HIDDEN = 32
 _MINIBATCH = 128
+# collect_state_buffer's range of per-lane flow factors; a draw may round to the top
+_FLOW_SCALES = (0.5, 1.5)
 
 
 def reconstruction_mse(encoder: Mlp, decoder: Mlp, states: np.ndarray) -> float:
@@ -78,8 +80,7 @@ def train_autoencoder(states: np.ndarray, untrained: tuple, epochs: int = 40,
     encoder, decoder, shuffle_rng = untrained
     # one parameter and one gradient vector for both networks, so each
     # minibatch makes one optimizer pass
-    params, grads = share_parameters(encoder, decoder)
-    opt = Adam(params, lr)
+    opt = Adam(*share_parameters(encoder, decoder), lr)
 
     initial_mse = reconstruction_mse(encoder, decoder, x)
     n = x.shape[0]
@@ -92,9 +93,9 @@ def train_autoencoder(states: np.ndarray, untrained: tuple, epochs: int = 40,
             recon = decoder.forward(z)
             err = recon - batch
             err *= 2.0 / b
-            _, dz = decoder.backward(err)
+            dz = decoder.backward(err)
             encoder.backward(dz, input_grad=False)
-            opt.step(grads)
+            opt.step()
     return initial_mse, reconstruction_mse(encoder, decoder, x) if epochs else initial_mse
 
 
@@ -111,13 +112,14 @@ def collect_state_buffer(n_states: int, flows: FlowProfile, seed: int = 0,
     if n_states < 1:
         raise ConfigurationError("need at least one state")
     plan.check_horizon(horizon_s)
+    flows.scaled([_FLOW_SCALES[1]] * N_LANES)  # the top factor must leave every rate drawable
     states = allocate("the state buffer", (n_states, EXPANDED_DIM))
     ss = np.random.SeedSequence(seed)
     filled = 0
     while True:
         s_scale, s_sim = ss.spawn(2)
         scale_rng = np.random.Generator(np.random.PCG64(s_scale))
-        factors = scale_rng.uniform(0.5, 1.5, size=N_LANES)
+        factors = scale_rng.uniform(*_FLOW_SCALES, size=N_LANES)
         sim = SimState(layout, plan, flows.scaled(factors), s_sim)
         while run_to_decision(sim, horizon_s):
             states[filled] = expanded_state(sim)

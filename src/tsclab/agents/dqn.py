@@ -60,23 +60,21 @@ class ReplayBuffer:
         self.actions = allocate("dqn.replay_capacity", (capacity,), np.int64)
         self.rewards = allocate("dqn.replay_capacity", (capacity,))
         self.next_obs = allocate("dqn.replay_capacity", (capacity, obs_dim))
-        self._size = 0
-        self._pos = 0
+        self._added = 0
 
     def __len__(self) -> int:
-        return self._size
+        return min(self._added, len(self.obs))
 
     def add(self, obs, action: int, reward: float, next_obs) -> None:
-        p = self._pos
+        p = self._added % len(self.obs)
         self.obs[p] = obs
         self.actions[p] = action
         self.rewards[p] = reward
         self.next_obs[p] = next_obs
-        self._pos = (p + 1) % len(self.obs)
-        self._size = min(self._size + 1, len(self.obs))
+        self._added += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        idx = rng.integers(0, self._size, size=batch_size)
+        idx = rng.integers(0, len(self), size=batch_size)
         return (self.obs[idx], self.actions[idx], self.rewards[idx], self.next_obs[idx])
 
 
@@ -95,7 +93,7 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
     obs_dim = env.observation.dim
     q_net = Mlp([obs_dim, *cfg.hidden_sizes, N_ACTIONS], cfg.activation, seed=s_net)
     target_net = Mlp(q_net.layer_sizes, cfg.activation)
-    opt = Adam(q_net.flat, cfg.learning_rate)
+    opt = Adam(q_net.flat, q_net.grad, cfg.learning_rate)
     explore_rng = np.random.Generator(np.random.PCG64(s_explore))
     sample_rng = np.random.Generator(np.random.PCG64(s_sample))
     replay = ReplayBuffer(cfg.replay_capacity, obs_dim)
@@ -130,8 +128,8 @@ def train_dqn(env, cfg: DqnConfig = DqnConfig(), seed: int = 0) -> TrainResult:
                 raise DivergenceError(f"Q-learning loss diverged at step {step_count}")
             upstream = np.zeros_like(q_values)
             upstream[rows, b_act] = (2.0 / cfg.batch_size) * err
-            gradient, _ = q_net.backward(upstream, input_grad=False)
-            opt.step(gradient)
+            q_net.backward(upstream, input_grad=False)
+            opt.step()
             window_losses.append(loss)
 
         step_count += 1

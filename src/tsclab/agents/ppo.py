@@ -101,10 +101,6 @@ class SurrogateResult:
     policy_loss: float
     value_loss: float
     entropy: float
-    # the nets' own gradient vectors, policy.grad and value_net.grad: valid
-    # until the next backward on those nets overwrites them
-    policy_grads: np.ndarray
-    value_grads: np.ndarray
     mean_ratio_dev: float
     clip_fraction: float
 
@@ -112,8 +108,9 @@ class SurrogateResult:
 def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
                   clip_epsilon: float, value_coef: float,
                   entropy_coef: float) -> SurrogateResult:
-    """Exact gradients of the clipped loss on one minibatch, with the loss's
-    policy, value and entropy terms reported apart.
+    """Exact gradients of the clipped loss on one minibatch, left in
+    ``policy.grad`` and ``value_net.grad``, with the loss's policy, value and
+    entropy terms reported apart.
 
     loss = -mean(min(r*A, clip(r)*A)) + value_coef * value-MSE
            - entropy_coef * mean(entropy).
@@ -121,10 +118,6 @@ def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
     The ratio gradient flows only through samples whose unclipped branch is
     active; the derivative of the ratio with respect to the logits is
     r * (onehot(a) - softmax(logits)).
-
-    The gradients returned are ``policy.grad`` and ``value_net.grad``, not
-    copies: the next backward on either net overwrites them, so use or copy
-    them before that.
     """
     n = batch.obs.shape[0]
     logits = policy.forward(batch.obs)
@@ -154,20 +147,17 @@ def ppo_surrogate(batch: MiniBatch, policy: Mlp, value_net: Mlp,
     entropy = -(probs * logp_all).sum(axis=1)
     # d(-entropy_coef * mean(H))/d(logits)
     upstream += (entropy_coef / n) * probs * (logp_all + entropy[:, None])
-    policy_grads, _ = policy.backward(upstream, input_grad=False)
+    policy.backward(upstream, input_grad=False)
 
     v = value_net.forward(batch.obs)[:, 0]
     v_err = v - batch.returns
-    value_grads, _ = value_net.backward((2.0 * value_coef / n) * v_err[:, None],
-                                        input_grad=False)
+    value_net.backward((2.0 * value_coef / n) * v_err[:, None], input_grad=False)
 
     ratio_dev = np.abs(ratio - 1.0)
     return SurrogateResult(
         policy_loss=policy_loss,
         value_loss=float((v_err * v_err).sum()) / n,
         entropy=float(entropy.sum()) / n,
-        policy_grads=policy_grads,
-        value_grads=value_grads,
         mean_ratio_dev=float(ratio_dev.sum()) / n,
         clip_fraction=np.count_nonzero(ratio_dev > clip_epsilon) / n,
     )
@@ -192,8 +182,8 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
     value_net = Mlp([obs_dim, *cfg.hidden_sizes, 1], cfg.activation, seed=s_value)
     act_rng = np.random.Generator(np.random.PCG64(s_act))
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
-    opt_policy = Adam(policy.flat, cfg.learning_rate)
-    opt_value = Adam(value_net.flat, cfg.learning_rate)
+    opt_policy = Adam(policy.flat, policy.grad, cfg.learning_rate)
+    opt_value = Adam(value_net.flat, value_net.grad, cfg.learning_rate)
 
     n_steps = cfg.n_steps
     rollout_obs = allocate("ppo.n_steps", (n_steps, obs_dim))
@@ -232,8 +222,8 @@ def train_ppo(env, cfg: PpoConfig = PpoConfig(), seed: int = 0) -> TrainResult:
                         f"policy ratios diverged at rollout {len(log)} "
                         f"(mean |ratio-1| = {res.mean_ratio_dev:.3g})"
                     )
-                opt_policy.step(res.policy_grads)
-                opt_value.step(res.value_grads)
+                opt_policy.step()
+                opt_value.step()
                 entropy_sum += res.entropy
                 value_loss_sum += res.value_loss
                 n_updates += 1

@@ -104,14 +104,14 @@ class Mlp:
         return z
 
     def backward(self, upstream: np.ndarray, *,
-                 input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+                 input_grad: bool = True) -> np.ndarray | None:
         """Exact reverse-mode gradients from the last :meth:`forward` call.
 
         ``upstream`` is d(loss)/d(output) with the same shape the forward
         pass returned.  Writes the parameter gradient, summed over the batch,
-        into :attr:`grad` and returns it, plus d(loss)/d(input), or None in
-        its place with ``input_grad=False``, which skips the first layer's
-        input product.  The next call overwrites :attr:`grad`.
+        into :attr:`grad`, where an :class:`Adam` built on it reads it, and
+        returns d(loss)/d(input), or None with ``input_grad=False``, which
+        skips the first layer's input product.
         """
         if self._tape is None:
             raise ContractViolation("backward called before forward")
@@ -137,9 +137,7 @@ class Mlp:
             else:
                 # relu(z) > 0 exactly where z > 0, NaN and -0.0 included
                 delta *= activations[layer] > 0.0
-        if not input_grad:
-            return self.grad, None
-        return self.grad, delta @ self.weights[0]
+        return delta @ self.weights[0] if input_grad else None
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -233,26 +231,27 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer over one parameter vector
-    (PPO and DQN pass one :attr:`Mlp.flat` per network, the autoencoder the
-    vector :func:`share_parameters` lays both of its networks in)."""
+    """Bias-corrected adaptive-moment optimizer over one parameter vector and
+    the gradient vector that :meth:`Mlp.backward` fills: one net's ``flat``
+    and ``grad``, or the pair :func:`share_parameters` returns."""
 
-    def __init__(self, param: np.ndarray, lr: float) -> None:
+    def __init__(self, param: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        if np.shape(grad) != param.shape:
+            raise ValueError(f"gradient shape {np.shape(grad)} does not match "
+                             f"parameter shape {param.shape}")
         self.param = param
+        self.grad = grad
         self.lr = lr
         self.t = 0
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
 
-    def step(self, grad: np.ndarray) -> None:
-        """Update the parameters and moments in place from ``grad``, which
-        has the parameters' shape; ``t`` counts the updates from 1."""
-        if np.shape(grad) != self.param.shape:
-            raise ValueError(f"gradient shape {np.shape(grad)} does not match "
-                             f"parameter shape {self.param.shape}")
+    def step(self) -> None:
+        """Update the parameters and moments in place; ``t`` counts the
+        updates from 1."""
         self.t += 1
         lr, beta1, beta2, eps, t = self.lr, _BETA1, _BETA2, _EPS, self.t
-        m, v = self.m, self.v
+        m, v, grad = self.m, self.v, self.grad
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2

@@ -54,6 +54,8 @@ ARRIVAL_BLOCK_TICKS = 256
 DEPARTURE_SLACK_S = 1e-9
 # the speed of an approaching vehicle: it moves at free flow, a queued one stands
 FREE_FLOW_SPEED_MS = 11.11
+# the largest Poisson mean numpy draws at: int64 max less ten of its square roots
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 def approach_max(lane_values) -> tuple:
@@ -162,13 +164,22 @@ class FlowProfile:
     profile repeats (lookup wraps modulo the span), so a short profile can
     drive arbitrarily long runs.  :meth:`build` makes and checks a profile.
     Bounds, and so the span, are whole seconds; tick k reads the row in
-    force at clock k - 1.
+    force at clock k - 1.  Every rate, built or scaled, must be finite,
+    non-negative and no more than numpy can draw a tick's arrivals at.
     """
 
     starts_s: tuple[float, ...]
     rates_veh_h: tuple[tuple[float, ...], ...]
     regimes: tuple[str, ...]
     span_s: float
+
+    def __post_init__(self) -> None:
+        for row in self.rates_veh_h:
+            for lane, rate in zip(LANE_IDS, row):
+                check_non_negative(f"flow.{lane} arrival rate", rate)
+                if rate / 3600.0 > _POISSON_MEAN_MAX:  # the mean a tick's draw uses
+                    raise ConfigurationError(f"flow.{lane} arrival rate {rate:g} veh/h is "
+                                             f"above numpy's {3600.0 * _POISSON_MEAN_MAX:g}")
 
     @staticmethod
     def build(rates: dict[str, Sequence[tuple[float, float, float]]],
@@ -187,8 +198,6 @@ class FlowProfile:
         for lane, segments in rates.items():
             if lane not in LANE_IDS:
                 raise ConfigurationError(f"unknown lane id {lane!r}")
-            for _start, _end, rate in segments:
-                check_non_negative(f"flow.{lane} arrival rate", rate)
             tilings[f"flow.{lane}"] = segments
         if regimes:
             tilings["flow.regimes"] = regimes

@@ -155,7 +155,8 @@ def test_c2_gradients_match_finite_differences():
             x = rng.uniform(-1.0, 1.0, size=sizes[0])
         upstream = rng.normal(size=sizes[-1])
         net.forward(x[None])
-        analytic, _ = net.backward(upstream[None])
+        net.backward(upstream[None])
+        analytic = net.grad
         flat = net.flat
         coords = rng.choice(flat.size, size=min(flat.size, 300), replace=False)
         for j in coords:

@@ -219,7 +219,7 @@ def test_surrogate_gradients_match_finite_differences():
         entropy = -np.sum(probs * logp_all, axis=1)
         return -float(objective.mean()) - ent_coef * float(entropy.mean())
 
-    analytic = res.policy_grads
+    analytic = policy.grad
     numeric = _fd_gradient(policy_part, policy.flat)
     assert _rel_err(analytic, numeric) < 1e-4
 
@@ -229,7 +229,7 @@ def test_surrogate_gradients_match_finite_differences():
         err = net.predict(batch.obs)[:, 0] - batch.returns
         return val_coef * float(np.mean(err * err))
 
-    analytic_v = res.value_grads
+    analytic_v = value_net.grad
     numeric_v = _fd_gradient(value_part, value_net.flat)
     assert _rel_err(analytic_v, numeric_v) < 1e-4
 
@@ -257,15 +257,13 @@ def _reference_surrogate(batch, policy, value_net, clip_epsilon, value_coef,
     upstream = coef[:, None] * (onehot - probs)
     entropy = -np.sum(probs * logp_all, axis=1)
     upstream += (entropy_coef / n) * probs * (logp_all + entropy[:, None])
-    policy_grads, _ = policy.backward(upstream)
+    policy.backward(upstream)
     v_err = value_net.forward(batch.obs)[:, 0] - batch.returns
-    value_grads, _ = value_net.backward((2.0 * value_coef / n) * v_err[:, None])
+    value_net.backward((2.0 * value_coef / n) * v_err[:, None])
     return SurrogateResult(
         policy_loss=-float(per_sample.mean()),
         value_loss=float(np.mean(v_err * v_err)),
         entropy=float(entropy.mean()),
-        policy_grads=policy_grads,
-        value_grads=value_grads,
         mean_ratio_dev=float(np.mean(np.abs(ratio - 1.0))),
         clip_fraction=float(np.mean(np.abs(ratio - 1.0) > clip_epsilon)),
     )
@@ -307,17 +305,14 @@ def surrogate_cases(draw):
 @given(surrogate_cases())
 def test_surrogate_matches_the_plain_reference_bitwise(case):
     batch, policy, value_net, eps, value_coef, entropy_coef = case
-    # the reference runs on copies: the result's gradients are the nets' own
-    # grad vectors, which a backward on the same nets would overwrite
-    ref = _reference_surrogate(batch, *(mlp_from_arrays(net.parameters(), net.hidden_activation)
-                                        for net in (policy, value_net)),
-                               eps, value_coef, entropy_coef)
+    # the reference runs on copies of the nets and leaves its gradients in
+    # their grad vectors, as ppo_surrogate leaves its own in the nets'
+    ref_nets = [mlp_from_arrays(net.parameters(), net.hidden_activation)
+                for net in (policy, value_net)]
+    ref = _reference_surrogate(batch, *ref_nets, eps, value_coef, entropy_coef)
     got = ppo_surrogate(batch, policy, value_net, eps, value_coef, entropy_coef)
-    assert got.policy_grads is policy.grad and got.value_grads is value_net.grad
-    assert not np.shares_memory(got.policy_grads, ref.policy_grads)
-    assert not np.shares_memory(got.value_grads, ref.value_grads)
-    assert got.policy_grads.tobytes() == ref.policy_grads.tobytes()
-    assert got.value_grads.tobytes() == ref.value_grads.tobytes()
+    for net, ref_net in zip((policy, value_net), ref_nets):
+        assert net.grad.tobytes() == ref_net.grad.tobytes()
     for name in ("policy_loss", "value_loss", "entropy", "mean_ratio_dev",
                  "clip_fraction"):
         assert getattr(got, name) == getattr(ref, name), name
@@ -696,7 +691,8 @@ def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=1
     s_enc, s_dec, s_shuffle = np.random.SeedSequence(seed).spawn(3)
     encoder = Mlp([19, 32, k], "relu", seed=s_enc)
     decoder = Mlp([k, 32, 19], "relu", seed=s_dec)
-    enc_opt, dec_opt = Adam(encoder.flat, lr), Adam(decoder.flat, lr)
+    enc_opt = Adam(encoder.flat, encoder.grad, lr)
+    dec_opt = Adam(decoder.flat, decoder.grad, lr)
     shuffle_rng = np.random.Generator(np.random.PCG64(s_shuffle))
     history = [reconstruction_mse(encoder, decoder, x)]
     n = x.shape[0]
@@ -705,10 +701,9 @@ def reference_train_autoencoder(states, k, epochs, lr=1e-3, seed=0, batch_size=1
         for start in range(0, n, batch_size):
             batch = x[order[start:start + batch_size]]
             err = decoder.forward(encoder.forward(batch)) - batch
-            dec_gradient, dz = decoder.backward((2.0 / batch.shape[0]) * err)
-            enc_gradient, _ = encoder.backward(dz)
-            enc_opt.step(enc_gradient)
-            dec_opt.step(dec_gradient)
+            encoder.backward(decoder.backward((2.0 / batch.shape[0]) * err))
+            enc_opt.step()
+            dec_opt.step()
         history.append(reconstruction_mse(encoder, decoder, x))
     return encoder, decoder, history
 
@@ -837,16 +832,28 @@ def test_epsilon_schedule():
 
 
 def test_replay_buffer_is_circular():
-    buf = ReplayBuffer(3, 1)
+    # the n-th row added goes to row n mod capacity, and sample draws only
+    # rows that were written
+    buf = ReplayBuffer(4, 1)
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def add(i):
+        buf.add(np.array([float(i)]), 10 + i, float(i), np.array([i + 0.5]))
+
     assert len(buf) == 0
-    for i in range(5):
-        buf.add(np.array([float(i)]), i, float(i), np.array([float(i)]))
-    assert len(buf) == 3
-    assert sorted(buf.obs[:, 0]) == [2.0, 3.0, 4.0]
-    obs, actions, rewards, next_obs = buf.sample(
-        8, np.random.Generator(np.random.PCG64(0)))
-    assert obs.shape == (8, 1) and actions.shape == (8,)
-    assert set(actions.tolist()) <= {2, 3, 4}
+    for i in range(2):
+        add(i)
+    assert len(buf) == 2
+    assert set(buf.sample(50, rng)[1].tolist()) == {10, 11}
+    for i in range(2, 6):  # capacity + 2 rows in all
+        add(i)
+    assert len(buf) == 4
+    assert buf.obs[:, 0].tolist() == [4.0, 5.0, 2.0, 3.0]
+    assert buf.actions.tolist() == [14, 15, 12, 13]
+    obs, actions, rewards, next_obs = buf.sample(50, rng)
+    assert obs.shape == (50, 1) and actions.shape == (50,)
+    assert set(actions.tolist()) == {12, 13, 14, 15}
+    assert (obs[:, 0] == rewards).all() and (next_obs[:, 0] == rewards + 0.5).all()
 
 
 class RecordingEnv(BanditEnv):

@@ -1503,7 +1503,8 @@ def test_cli_compare_plays_each_column_as_its_playback_says(tmp_path, capsys, al
         assert written == played["sampled" if sampled else "greedy"]
 
 
-def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_started):
+def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_started,
+                                                 collection_starts):
     weights = tmp_path / "policy.tscw"
     tiny_bundle().save(weights)
     grid = write_cfg(tmp_path, f"ppo controller=policy weights={weights}\n", "grid.txt")
@@ -1535,7 +1536,19 @@ def test_cli_rejects_bad_runs_before_any_episode(tmp_path, capsys, episodes_star
         cfg = write_cfg(tmp_path, line + "\n")
         assert main([command, "--config", str(cfg), "--timesteps", "300", *out]) == 1
         assert message in capsys.readouterr().err, line
-    assert episodes_started == []
+    # numpy draws no Poisson counts above a per-tick mean of about 9.22e18,
+    # 3.32e22 veh/h; state collection scales each lane's flow by up to 1.5
+    fixed = write_cfg(tmp_path, "fixed controller=fixed\n", "fixed.txt")
+    compare = ["compare", "--grid", str(fixed), "--horizon", "400", "--seeds", "0", *out]
+    pretrain = ["pretrain-ae", "--buffer-steps", "8", "--out", str(tmp_path / "ae.tscw")]
+    for argv, rate in ((compare, "1e30"), (pretrain, "3.3e22")):
+        cfg = write_cfg(tmp_path, f"flow.N0 = 0-7200@{rate}\n")
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert "flow.N0 arrival rate" in capsys.readouterr().err, argv[0]
+    assert episodes_started == [] and collection_starts == []
+    # unscaled, 3.3e22 veh/h is below the limit and runs
+    assert main([*compare, "--config", str(cfg)]) == 0
+    assert len(episodes_started) == 1
 
 
 @pytest.mark.parametrize("key", ["sim.lane_storage_capacity", "sim.free_flow_speed_ms",

@@ -93,8 +93,8 @@ def test_backward_linear_layer_outer_product():
     x = np.array([1.0, -2.0, 0.5])
     net.forward(x[None])
     upstream = np.array([0.7, -0.3])
-    gradient, dx = net.backward(upstream[None])
-    dW, db = layer_gradients(net, gradient)[0]
+    dx = net.backward(upstream[None])
+    dW, db = layer_gradients(net, net.grad)[0]
     np.testing.assert_allclose(dW, np.outer(upstream, x), atol=1e-15)
     np.testing.assert_allclose(db, upstream, atol=1e-15)
     np.testing.assert_allclose(dx, [upstream @ net.weights[0]], atol=1e-15)
@@ -109,8 +109,8 @@ def test_backward_before_forward_rejected():
 def test_backward_zero_upstream_gives_zero_gradients():
     net = Mlp([4, 6, 2], seed=1)
     net.forward(np.ones((1, 4)))
-    gradient, dx = net.backward(np.zeros((1, 2)))
-    for dW, db in layer_gradients(net, gradient):
+    dx = net.backward(np.zeros((1, 2)))
+    for dW, db in layer_gradients(net, net.grad):
         assert not dW.any()
         assert not db.any()
     assert not dx.any()
@@ -147,7 +147,8 @@ def finite_difference_check(net, x, upstream, h=1e-5, kink_margin=1e-3):
                 break
             x = x + rng.normal(scale=0.05, size=x.shape)
     net.forward(x)
-    analytic, _ = net.backward(upstream)
+    net.backward(upstream)
+    analytic = net.grad
     flat = net.flat.copy()
     numeric = np.empty_like(analytic)
     for i in range(flat.size):
@@ -303,44 +304,46 @@ def test_softmax_sample_sums_as_numpy_not_compensated(n_small):
 
 def test_adam_zero_gradient_leaves_params():
     param = np.array([1.0, -2.0, 3.0])
-    Adam(param, lr=0.1).step(np.zeros(3))
+    Adam(param, np.zeros(3), lr=0.1).step()
     np.testing.assert_array_equal(param, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_is_lr_times_sign():
     param = np.array([1.0, 1.0, 1.0])
-    Adam(param, lr=0.01).step(np.array([0.5, -3.0, 1e-5]))
+    Adam(param, np.array([0.5, -3.0, 1e-5]), lr=0.01).step()
     # bias-corrected ratio m_hat/sqrt(v_hat) = sign(g) up to eps rounding
     np.testing.assert_allclose(param, [1.0 - 0.01, 1.0 + 0.01, 1.0 - 0.01], atol=1e-4)
 
 
 def test_adam_deterministic():
     def run():
-        param = np.array([0.3, -0.7])
-        opt = Adam(param, lr=0.05)
+        param, grad = np.array([0.3, -0.7]), np.empty(2)
+        opt = Adam(param, grad, lr=0.05)
         for i in range(10):
-            opt.step(np.array([0.1 * i, -0.2]))
+            grad[...] = [0.1 * i, -0.2]
+            opt.step()
         return param.copy()
 
     np.testing.assert_array_equal(run(), run())
 
 
 def test_adam_validation():
-    opt = Adam(np.zeros(2), lr=0.1)
-    # a length-1 gradient would broadcast silently
+    # a gradient vector of another shape is refused when the optimizer is
+    # built, before any step could read it; a length-1 one would broadcast
+    param = np.zeros(2)
     for grad in (np.zeros(3), np.zeros(1), np.zeros((2, 1)), [np.zeros(2), np.zeros(2)]):
         with pytest.raises(ValueError):
-            opt.step(grad)
-    assert opt.t == 0
+            Adam(param, grad, lr=0.1)
+    assert not param.any()
 
 
 def test_adam_lr_zero_leaves_params_bit_identical():
     net = Mlp([4, 6, 2], seed=3)
     before = net.flat.copy()
-    opt = Adam(net.flat, lr=0.0)
+    opt = Adam(net.flat, net.grad, lr=0.0)
     net.forward(np.ones((1, 4)))
-    gradient, _ = net.backward(np.ones((1, 2)))
-    opt.step(gradient)
+    net.backward(np.ones((1, 2)))
+    opt.step()
     np.testing.assert_array_equal(net.flat, before)
 
 
@@ -389,15 +392,16 @@ def test_adam_on_flat_matches_per_array_steps(sizes, activation, seed):
     for scale in (1e-6, 1.0, 1e3):
         net = Mlp(sizes, activation, seed=seed)
         twin = mlp_from_arrays(net.parameters(), activation)
-        flat_opt = Adam(net.flat, lr=1e-3)
-        array_opts = [Adam(p, lr=1e-3) for p in twin.parameters()]
+        flat_opt = Adam(net.flat, net.grad, lr=1e-3)
+        array_grads = [np.empty_like(p) for p in twin.parameters()]
+        array_opts = [Adam(p, g, lr=1e-3) for p, g in zip(twin.parameters(), array_grads)]
         for _ in range(50):
-            grads = [g for w, b in zip(net.weights, net.biases)
-                     for g in (scale * rng.standard_normal(w.shape),
-                               scale * rng.standard_normal(b.shape))]
-            flat_opt.step(np.concatenate(grads, axis=None))
-            for opt, g in zip(array_opts, grads):
-                opt.step(g)
+            for g in array_grads:
+                g[...] = scale * rng.standard_normal(g.shape)
+            net.grad[...] = np.concatenate(array_grads, axis=None)
+            flat_opt.step()
+            for opt in array_opts:
+                opt.step()
         assert net.flat.tobytes() == twin.flat.tobytes()
 
 
@@ -424,21 +428,26 @@ def test_shared_nets_keep_their_values_and_step_as_separate_ones(first, second,
             for vector in (other.flat, other.grad):
                 assert not np.shares_memory(vector, params)
                 assert not np.shares_memory(vector, grads)
-            net.forward(x)
             upstream = rng.standard_normal((3, net.layer_sizes[-1]))
-            gradient, _ = net.backward(upstream)
-            assert gradient is net.grad
+            net.forward(x)
             twin.forward(x)
-            assert gradient.tobytes() == twin.backward(upstream)[0].tobytes()
-        # 50 steps over the joint vector against one step per net's vector
-        joint_opt = Adam(params, lr=1e-3)
-        twin_opts = [Adam(twin.flat, lr=1e-3) for twin in twins]
-        split = nets[0].flat.size
+            assert net.backward(upstream).tobytes() == twin.backward(upstream).tobytes()
+            assert net.grad.tobytes() == twin.grad.tobytes()
+        # 50 steps of one optimizer over the joint vectors against one per
+        # twin on its own flat and grad, each step after a backward through
+        # every net
+        joint_opt = Adam(params, grads, lr=1e-3)
+        twin_opts = [Adam(twin.flat, twin.grad, lr=1e-3) for twin in twins]
         for _ in range(50):
-            grads[...] = scale * rng.standard_normal(grads.size)
-            joint_opt.step(grads)
-            twin_opts[0].step(grads[:split].copy())
-            twin_opts[1].step(grads[split:].copy())
+            for net, twin, x in zip(nets, twins, inputs):
+                upstream = scale * rng.standard_normal((3, net.layer_sizes[-1]))
+                for model in (net, twin):
+                    model.forward(x)
+                    model.backward(upstream, input_grad=False)
+            joint_opt.step()
+            for opt in twin_opts:
+                opt.step()
+        assert grads.tobytes() == b"".join(twin.grad.tobytes() for twin in twins)
         assert params.tobytes() == b"".join(twin.flat.tobytes() for twin in twins)
         for net, twin, x in zip(nets, twins, inputs):
             assert net.predict(x).tobytes() == twin.predict(x).tobytes()
@@ -529,21 +538,19 @@ def test_in_place_passes_match_the_plain_reference_bitwise(sizes, activation, se
     assert out.tobytes() == ref_out.tobytes()
     batch, upstream_batch = (x, upstream) if rows else (x[None], upstream[None])
     assert net.forward(batch).tobytes() == out.tobytes()
+    assert net.grad.shape == net.flat.shape
+    assert not np.shares_memory(net.grad, net.flat)
     # poison the persistent gradient so that an entry backward leaves unwritten shows
     net.grad.fill(np.nan)
-    gradient, dx = net.backward(upstream_batch)
+    dx = net.backward(upstream_batch)
     assert upstream.tobytes() == upstream_before
-    assert gradient is net.grad
-    assert gradient.shape == net.flat.shape
-    assert not np.shares_memory(gradient, net.flat)
-    assert gradient.tobytes() == ref_gradient.tobytes()
+    assert net.grad.tobytes() == ref_gradient.tobytes()
     assert dx.tobytes() == ref_dx.tobytes()
     # without the input gradient: the same parameter gradient, no input product
     net.grad.fill(np.nan)
-    gradient, dx = net.backward(upstream_batch, input_grad=False)
+    assert net.backward(upstream_batch, input_grad=False) is None
     assert upstream.tobytes() == upstream_before
-    assert gradient.tobytes() == ref_gradient.tobytes()
-    assert dx is None
+    assert net.grad.tobytes() == ref_gradient.tobytes()
 
 
 # -- allocation budgets ------------------------------------------------------------

@@ -512,6 +512,33 @@ def test_flow_profile_uniform_and_scaled():
         profile.scaled([2.0] * 3)
 
 
+def test_flow_rates_numpy_cannot_draw_are_refused():
+    # numpy draws Poisson counts at a mean of at most int64 max less ten of
+    # its square roots (about 9.22e18); a tick's mean is the rate / 3600
+    limit = float(np.iinfo(np.int64).max) - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+    top = limit * 3600.0
+    while top / 3600.0 > limit:
+        top = np.nextafter(top, 0.0)
+    while np.nextafter(top, np.inf) / 3600.0 <= limit:
+        top = np.nextafter(top, np.inf)
+    top, above = float(top), float(np.nextafter(top, np.inf))
+    e1 = lane_index("E1")
+    # the largest rate at the limit builds and draws
+    sim = SimState(IntersectionLayout(), PhasePlan(),
+                   FlowProfile.build({"E1": [(0.0, 10.0, top)]}), 0)
+    assert step(sim).arrivals[e1] > 0
+    with pytest.raises(ConfigurationError, match="flow.E1 arrival rate"):
+        FlowProfile.build({"E1": [(0.0, 10.0, above)]})
+    # a scaled profile is checked the same way, lane by lane
+    unit = FlowProfile.build({"E1": [(0.0, 10.0, 1.0)]})
+    factors = [1.0] * N_LANES
+    factors[e1] = top
+    assert unit.scaled(factors).rates_veh_h[0][e1] == top
+    factors[e1] = above
+    with pytest.raises(ConfigurationError, match="flow.E1 arrival rate"):
+        unit.scaled(factors)
+
+
 def segment_lookup(segments, t_s):
     """``(value, end)`` of the segment of a tiling that holds ``t_s``: the
     per-lane search the flow table replaces, kept as its reference."""
